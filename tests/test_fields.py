@@ -1,16 +1,19 @@
 """Noise lattices, field decomposition, synthetic multilevel families, exact
 enumeration of tiny laws, and the reproducible Monte Carlo driver."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mlclt import UsageError
+from mlclt._util import counter_rng
 from mlclt.concentration import stretched_norm
-from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, brute_force_law,
-                          draw_noise, dump_samples, load_samples, local_average,
-                          make_preset, monte_carlo, multilevel_decompose,
-                          sample_field, synthetic_multilevel, PRESET_NAMES)
+from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _draw_rows,
+                          brute_force_law, draw_noise, dump_samples, load_samples,
+                          local_average, make_preset, monte_carlo,
+                          multilevel_decompose, sample_field, synthetic_multilevel,
+                          PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
 
 
@@ -33,6 +36,31 @@ def test_noise_distributions_are_centered_unit_variance():
                                for k in range(32)])
         assert abs(vals.mean()) < 0.02
         assert abs(vals.var() - 1.0) < 0.05
+
+
+def _oracle_row(dist, cells, master_seed, k):
+    rng = counter_rng(master_seed, k)
+    if dist == "rademacher":
+        return rng.integers(0, 2, cells) * 2.0 - 1.0
+    if dist == "uniform":
+        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), cells)
+    if dist == "centered-exponential-tail":
+        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), cells)
+    return rng.standard_normal(cells)
+
+
+@pytest.mark.parametrize("d,L", [(1, 3), (2, 5), (3, 3)])
+def test_draw_rows_match_per_realization_generator(d, L):
+    # odd cell counts leave half of the last raw Philox word unused
+    k0, count = 5, 4
+    for dist in ("rademacher", "uniform", "centered-exponential-tail", "gaussian"):
+        rows = _draw_rows(d, L, dist, 2026, k0, count)
+        assert rows.shape == (count, L ** d)
+        for i in range(count):
+            assert np.array_equal(rows[i], _oracle_row(dist, L ** d, 2026, k0 + i))
+        # seeds are taken modulo 2^64, so realization k regenerates in isolation
+        assert np.array_equal(_draw_rows(d, L, dist, -1, k0, count),
+                              _draw_rows(d, L, dist, 2 ** 64 - 1, k0, count))
 
 
 def test_unknown_noise_distribution_errors():
@@ -196,6 +224,39 @@ def test_monte_carlo_is_thread_count_invariant():
     c = monte_carlo(spec, st, 3000, 77, chunk_size=1024, threads=2)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
+
+
+_PINNED_STREAM = "0b38289c02278a52ceb1d265ddc97e866e5b9c75c53edacd434cc7ae00956b85"
+
+
+def _stream_runs():
+    """Every preset at d=1 L=16, d=1 L=12 (non-dyadic) and d=2 L=8 with one
+    and three components, plus the field model on both dyadic lattices.  At
+    K=2 every support box of these lattices covers the torus, so K=1 adds
+    lattices whose lower levels have narrower boxes: two levels at L=32,
+    three at the non-dyadic L=48, one at d=2 L=8."""
+    geometries = ((1, 16, 2.0), (1, 12, 2.0), (2, 8, 2.0),
+                  (1, 32, 1.0), (1, 48, 1.0), (2, 8, 1.0))
+    for name in PRESET_NAMES:
+        for d, L, K in geometries:
+            for n_comp in (1, 3):
+                yield (*make_preset(name, d, L, K=K, n_components=n_comp), None)
+    for d, L in ((1, 16), (2, 8)):
+        yield FieldModel("cube"), DependenceStructure(d=d, L=L), "gaussian"
+
+
+def test_monte_carlo_stream_is_pinned():
+    # the sha256 of totals and per-index values, in chunks smaller than n on
+    # two threads; any change to the sample bits moves it
+    digest = hashlib.sha256()
+    for gen, st, dist in _stream_runs():
+        kw = dict(dist=dist, chunk_size=96, threads=2)
+        totals = monte_carlo(gen, st, 250, 2026, **kw)
+        samples, per_index, _ = monte_carlo(gen, st, 250, 2026,
+                                            return_per_index=True, **kw)
+        for arr in (totals.values, samples.values, per_index):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _PINNED_STREAM
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():
