@@ -122,10 +122,21 @@ def sampled_oscillation(fn, center: NDArray[np.float64], r: float, m: int = 256)
     return float(vals.max() - vals.min())
 
 
+def philox_key(master_seed: int, *counters: int) -> NDArray[np.uint64]:
+    """Philox key words of (master_seed, counters), each taken modulo 2^64.
+
+    The words are converted as `np.random.Philox(key=list)` converts a list,
+    through `np.asarray`.  When a word is 2^63 or more that yields float64,
+    so every word keeps only 53 significant bits (and 2^64 - 1 casts to 0
+    on x86).  Every stream drawn so far was keyed this way.
+    """
+    words = [int(master_seed) & (2**64 - 1)] + [int(c) & (2**64 - 1) for c in counters]
+    return np.asarray(words).astype(np.uint64)
+
+
 def counter_rng(master_seed: int, *counters: int) -> np.random.Generator:
     """Deterministic per-realization generator from (master_seed, counters).
 
     Counter-based (Philox) so realization k can be regenerated in isolation.
     """
-    key = [int(master_seed) & (2**64 - 1)] + [int(c) & (2**64 - 1) for c in counters]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=philox_key(master_seed, *counters)))

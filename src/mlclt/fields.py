@@ -10,21 +10,25 @@ Two sample sources feed the experiments:
   odd nonlinearity, so every value is exactly centered for the symmetric
   noise distributions used here.
 
-Realization k of a Monte Carlo run draws its noise from a counter-based
-generator keyed by (master_seed, k); results are bit-reproducible and
-independent of chunking or thread count.
+Realization k of a Monte Carlo run draws its noise from a Philox generator
+keyed by (master_seed, k) and started at counter 0, so it can be regenerated
+in isolation with `counter_rng(master_seed, k)`.  The driver builds one
+Philox per chunk and re-keys it for each realization, which draws the same
+stream; results are bit-reproducible and independent of chunking or thread
+count.
 """
 from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._util import UsageError, counter_rng
+from ._util import UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
 from .multilevel import (DependenceStructure, LevelIndex, MultilevelSample,
                          build_index_set)
@@ -64,22 +68,46 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
                count: int) -> NDArray[np.float64]:
     """Noise rows for realizations k0 .. k0+count-1, shape (count, L^d).
 
-    All distributions are symmetric with unit variance.
+    Row i is what `counter_rng(master_seed, k0 + i)` draws.  Instead of
+    building that generator, one Philox is re-keyed to (master_seed, k)
+    from counter 0 with an empty buffer for each realization.  All
+    distributions are symmetric with unit variance.
     """
     if dist not in _DISTS:
         raise UsageError(f"unknown noise distribution {dist!r}; choose from {_DISTS}")
     cells = L ** d
+    # counters below 2^53 keep their value through philox_key whatever the seed
+    key = philox_key(master_seed, k0).tolist()
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer; lists re-key faster than arrays
+    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
+    state["buffer"] = state["buffer"].tolist()
+
+    def rekey(k: int) -> None:
+        key[1] = k
+        bitgen.state = state
+
+    if dist == "rademacher":
+        # Generator.integers(0, 2) takes the top bit of each 32-bit half of a
+        # raw word, low half first
+        raw = np.empty((count, (cells + 1) // 2), dtype=np.uint64)
+        for i in range(count):
+            rekey(k0 + i)
+            raw[i] = bitgen.random_raw(raw.shape[1])
+        bits = np.empty((count, 2 * raw.shape[1]))
+        bits[:, 0::2] = (raw >> 31) & 1
+        bits[:, 1::2] = raw >> 63
+        return bits[:, :cells] * 2.0 - 1.0
+    draw = {
+        "uniform": partial(rng.uniform, -np.sqrt(3.0), np.sqrt(3.0), cells),
+        "centered-exponential-tail": partial(rng.laplace, 0.0, 1.0 / np.sqrt(2.0), cells),
+        "gaussian": partial(rng.standard_normal, cells),
+    }[dist]
     out = np.empty((count, cells))
     for i in range(count):
-        rng = counter_rng(master_seed, k0 + i)
-        if dist == "rademacher":
-            out[i] = rng.integers(0, 2, cells) * 2.0 - 1.0
-        elif dist == "uniform":
-            out[i] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), cells)
-        elif dist == "centered-exponential-tail":
-            out[i] = rng.laplace(0.0, 1.0 / np.sqrt(2.0), cells)
-        else:
-            out[i] = rng.standard_normal(cells)
+        rekey(k0 + i)
+        out[i] = draw()
     return out
 
 
@@ -156,13 +184,36 @@ def local_average(a: NDArray[np.float64], r: int, d: int, L: int) -> NDArray[np.
 
 def _axis_box_mean(grid, axis: int, r: int, L: int):
     w = 2 * r + 1
-    g = np.moveaxis(grid, axis, -1)
-    dbl = np.concatenate([g, g[..., :w]], axis=-1)
-    cs = np.concatenate([np.zeros(dbl.shape[:-1] + (1,)), np.cumsum(dbl, axis=-1)],
-                        axis=-1)
-    starts = (np.arange(L) - r) % L
-    out = (cs[..., starts + w] - cs[..., starts]) / w
-    return np.moveaxis(out, -1, axis)
+    prefix = _periodic_prefix(np.moveaxis(grid, axis, 0), w)
+    out = _window_sums(prefix, (np.arange(L) - r) % L, w) / w
+    return np.moveaxis(out, 0, axis)
+
+
+def _periodic_prefix(x: NDArray[np.float64], w_max: int) -> NDArray[np.float64]:
+    """Prefix sums along the first axis of x (length L) extended periodically
+    by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
+    sum of the first j extended entries.
+
+    Each entry is the previous one plus the next extended entry, exactly as
+    in a cumsum, so a window read from the buffer has the bits of a cumsum
+    over that window's own extension, whatever w_max is.  The summed axis is
+    the slowest in memory: reading a window copies contiguous blocks, and
+    adding whole blocks in turn is many times faster than `np.cumsum` along
+    a strided axis."""
+    L = len(x)
+    out = np.empty((1 + L + w_max,) + x.shape[1:])
+    out[0] = 0.0
+    out[1:L + 1] = x
+    out[L + 1:] = x[:w_max]
+    for j in range(2, len(out)):
+        out[j] += out[j - 1]
+    return out
+
+
+def _window_sums(prefix: NDArray[np.float64], starts: NDArray[np.intp],
+                 w: int) -> NDArray[np.float64]:
+    """Sums over the periodic windows [s, s + w), s in starts, w <= w_max."""
+    return prefix[starts + w] - prefix[starts]
 
 
 def _smoothstep(t: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -293,20 +344,6 @@ def _box_window(structure: DependenceStructure, m: int) -> int:
     return int(np.floor(structure.halfwidth(m)))
 
 
-def _level_sums_1d(rows: NDArray[np.float64], hw: int, stride: int, L: int):
-    """Periodic window sums of width 2*hw+1 at anchors 0, stride, 2*stride...
-    Returns (sums of shape (n_rows, n_anchors), cells_per_window)."""
-    anchors = np.arange(0, L, stride)
-    w = 2 * hw + 1
-    if w >= L:
-        total = rows.sum(axis=1, keepdims=True)
-        return np.repeat(total, len(anchors), axis=1), L
-    dbl = np.concatenate([rows, rows[:, :w]], axis=1)
-    cs = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(dbl, axis=1)], axis=1)
-    starts = (anchors - hw) % L
-    return cs[:, starts + w] - cs[:, starts], w
-
-
 def _box_masks(structure: DependenceStructure, m: int) -> NDArray[np.float64]:
     """(cells, n_anchors) indicator of the level-m support boxes (d >= 2)."""
     st = structure
@@ -326,42 +363,102 @@ def _box_masks(structure: DependenceStructure, m: int) -> NDArray[np.float64]:
     return mask
 
 
-def _synthetic_level_values(spec: SyntheticSpec, structure: DependenceStructure,
-                            rows: NDArray[np.float64], m: int) -> NDArray[np.float64]:
-    """(n_rows, n_anchors, n_components) values of level m."""
-    st = structure
-    w_m = spec.weight(m)
-    pats = _component_patterns(spec, st.d, st.L)
-    comps = []
-    for c in range(spec.n_components):
-        mod = rows * pats[c][None, :]
-        if st.d == 1:
-            sums, count = _level_sums_1d(mod, _box_window(st, m), 1 << m, st.L)
-        else:
-            mask = _box_masks(st, m)
-            sums = mod @ mask
-            count = float(mask[:, 0].sum())
-        comps.append(_apply_map(spec.nonlinearity, sums / np.sqrt(count)))
-    vals = np.stack(comps, axis=-1)
-    return w_m * float(st.L) ** (-st.d) * vals
+@dataclass(frozen=True)
+class _Level:
+    """Noise-independent geometry of one level of a synthetic family.
+
+    A support box holds `count` cells.  At d = 1 a box narrower than the
+    torus is the window [s, s + count) for s in `starts`, and a wider one is
+    the whole torus (both None); at d >= 2 `mask` is the dense indicator.
+    With Rademacher rows every box sum is an integer k in [-count, count],
+    and `table[k + count]` holds g(k / sqrt(count)): the same ufuncs on the
+    same doubles as mapping the sums themselves.
+    """
+
+    m: int
+    scale: float  # w_m L^{-d}
+    n_anchors: int
+    count: int
+    starts: Optional[NDArray[np.intp]]
+    mask: Optional[NDArray[np.float64]]
+    table: Optional[NDArray[np.float64]]
 
 
-def _synthetic_totals(spec: SyntheticSpec, structure: DependenceStructure,
+class _SyntheticLevels:
+    """Everything about a synthetic family on one structure that does not
+    depend on the noise: component sign patterns and per-level geometry.
+    Built once per Monte Carlo run; `tabulate` promises Rademacher rows."""
+
+    def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
+                 tabulate: bool = False):
+        st = structure
+        self.spec = spec
+        self.patterns = _component_patterns(spec, st.d, st.L)
+        self.levels = []
+        for m in st.levels():
+            hw = _box_window(st, m)
+            starts = mask = None
+            if st.d >= 2:
+                mask = _box_masks(st, m)
+                count = int(mask[:, 0].sum())
+            elif 2 * hw + 1 < st.L:
+                count = 2 * hw + 1
+                starts = (np.arange(0, st.L, 1 << m) - hw) % st.L
+            else:
+                count = st.L
+            table = (_apply_map(spec.nonlinearity,
+                                np.arange(-count, count + 1) / np.sqrt(count))
+                     if tabulate else None)
+            self.levels.append(_Level(
+                m=m, scale=spec.weight(m) * float(st.L) ** (-st.d),
+                n_anchors=st.lattice_count(m) ** st.d, count=count,
+                starts=starts, mask=mask, table=table))
+
+    def values(self, rows: NDArray[np.float64], levels: Sequence[_Level]):
+        """Yield the (n_rows, n_anchors, n_components) values of each level.
+
+        Each component reads all its windows from one periodic prefix sum
+        and its whole-torus boxes from one row total."""
+        mods = [rows] + [rows * p[None, :] for p in self.patterns[1:]]  # pattern 0 is all ones
+        w_max = max((lv.count for lv in levels if lv.starts is not None), default=0)
+        prefixes = [_periodic_prefix(mod.T, w_max) for mod in mods] if w_max else None
+        totals = [None] * len(mods)
+        for lv in levels:
+            comps = []
+            for c, mod in enumerate(mods):
+                if lv.mask is not None:
+                    sums = mod @ lv.mask
+                elif lv.starts is not None:
+                    sums = _window_sums(prefixes[c], lv.starts, lv.count).T
+                else:
+                    if totals[c] is None:
+                        totals[c] = mod.sum(axis=1, keepdims=True)
+                    sums = np.repeat(totals[c], lv.n_anchors, axis=1)
+                if lv.table is not None:
+                    comps.append(lv.table[(sums + lv.count).astype(np.intp)])
+                else:
+                    comps.append(_apply_map(self.spec.nonlinearity,
+                                            sums / np.sqrt(lv.count)))
+            # the memory order of the window sums carries through to `vals`
+            # and decides how numpy sums it over anchors, hence the bits
+            vals = np.stack(comps, axis=-1)
+            vals *= lv.scale
+            yield vals
+
+
+def _synthetic_totals(levels: _SyntheticLevels,
                       rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.zeros((len(rows), spec.n_components))
-    for m in structure.levels():
-        if spec.weight(m) == 0.0:
-            continue
-        out += _synthetic_level_values(spec, structure, rows, m).sum(axis=1)
+    out = np.zeros((len(rows), levels.spec.n_components))
+    active = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
+    for vals in levels.values(rows, active):
+        out += vals.sum(axis=1)
     return out
 
 
-def _synthetic_index_values(spec: SyntheticSpec, structure: DependenceStructure,
+def _synthetic_index_values(levels: _SyntheticLevels,
                             rows: NDArray[np.float64]) -> NDArray[np.float64]:
     """(n_rows, n_indices, n_components), index order = build_index_set."""
-    parts = [_synthetic_level_values(spec, structure, rows, m)
-             for m in structure.levels()]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(list(levels.values(rows, levels.levels)), axis=1)
 
 
 def synthetic_multilevel(spec: SyntheticSpec, structure: DependenceStructure,
@@ -370,7 +467,8 @@ def synthetic_multilevel(spec: SyntheticSpec, structure: DependenceStructure,
     the nonlinearities are odd and every supported noise law is symmetric."""
     if noise.d != structure.d or noise.L != structure.L:
         raise UsageError("noise lattice does not match the structure")
-    vals = _synthetic_index_values(spec, structure, noise.values[None, :])[0]
+    vals = _synthetic_index_values(_SyntheticLevels(spec, structure),
+                                   noise.values[None, :])[0]
     values = {idx: vals[a] for a, idx in enumerate(build_index_set(structure))}
     return MultilevelSample(structure=structure, values=values)
 
@@ -388,7 +486,8 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     n_cfg = 1 << cells
     bits = (np.arange(n_cfg)[:, None] >> np.arange(cells)[None, :]) & 1
     rows = bits * 2.0 - 1.0
-    totals = _synthetic_totals(spec, structure, rows)[:, 0]
+    totals = _synthetic_totals(_SyntheticLevels(spec, structure, tabulate=True),
+                               rows)[:, 0]
     rounded = np.round(totals, 12)
     values, counts = np.unique(rounded, return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
@@ -427,14 +526,16 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
                          "reduce n or the structure size")
     totals = np.empty((n, n_comp))
     per_index = (np.empty((n, len(indices), n_comp)) if return_per_index else None)
+    if isinstance(generator, SyntheticSpec):
+        levels = _SyntheticLevels(generator, structure, tabulate=dist == "rademacher")
 
     def run_chunk(k0: int, count: int):
         rows = _draw_rows(structure.d, structure.L, dist, master_seed, k0, count)
         if isinstance(generator, SyntheticSpec):
             if return_per_index:
-                vals = _synthetic_index_values(generator, structure, rows)
+                vals = _synthetic_index_values(levels, rows)
                 return vals.sum(axis=1), vals
-            return _synthetic_totals(generator, structure, rows), None
+            return _synthetic_totals(levels, rows), None
         mapped = _apply_map(generator.pointwise_map, rows)
         values = _decompose_rows(generator, mapped, structure)
         stacked = np.stack([values[i] for i in indices], axis=1)
