@@ -95,10 +95,14 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
         for i in range(count):
             rekey(k0 + i)
             raw[i] = bitgen.random_raw(raw.shape[1])
-        bits = np.empty((count, 2 * raw.shape[1]))
-        bits[:, 0::2] = (raw >> 31) & 1
-        bits[:, 1::2] = raw >> 63
-        return bits[:, :cells] * 2.0 - 1.0
+        out = np.empty((count, 2 * raw.shape[1]))
+        out[:, 1::2] = raw >> 63
+        raw >>= 31
+        raw &= 1
+        out[:, 0::2] = raw
+        out *= 2.0
+        out -= 1.0
+        return np.ascontiguousarray(out[:, :cells])
     draw = {
         "uniform": partial(rng.uniform, -np.sqrt(3.0), np.sqrt(3.0), cells),
         "centered-exponential-tail": partial(rng.laplace, 0.0, 1.0 / np.sqrt(2.0), cells),
@@ -435,7 +439,8 @@ class _SyntheticLevels:
                         totals[c] = mod.sum(axis=1, keepdims=True)
                     sums = np.repeat(totals[c], lv.n_anchors, axis=1)
                 if lv.table is not None:
-                    comps.append(lv.table[(sums + lv.count).astype(np.intp)])
+                    sums += lv.count
+                    comps.append(lv.table[sums.astype(np.intp)])
                 else:
                     comps.append(_apply_map(self.spec.nonlinearity,
                                             sums / np.sqrt(lv.count)))
