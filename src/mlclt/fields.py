@@ -79,7 +79,6 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
     # counters below 2^53 keep their value through philox_key whatever the seed
     key = philox_key(master_seed, k0).tolist()
     bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0, empty buffer; lists re-key faster than arrays
     state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
     state["buffer"] = state["buffer"].tolist()
@@ -90,7 +89,7 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
 
     if dist == "rademacher":
         # Generator.integers(0, 2) takes the top bit of each 32-bit half of a
-        # raw word, low half first
+        # raw word, low half first; an odd cell count leaves one half unused
         raw = np.empty((count, (cells + 1) // 2), dtype=np.uint64)
         for i in range(count):
             rekey(k0 + i)
@@ -103,6 +102,7 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
         out *= 2.0
         out -= 1.0
         return np.ascontiguousarray(out[:, :cells])
+    rng = np.random.Generator(bitgen)
     draw = {
         "uniform": partial(rng.uniform, -np.sqrt(3.0), np.sqrt(3.0), cells),
         "centered-exponential-tail": partial(rng.laplace, 0.0, 1.0 / np.sqrt(2.0), cells),
@@ -423,7 +423,8 @@ class _SyntheticLevels:
 
         Each component reads all its windows from one periodic prefix sum
         and its whole-torus boxes from one row total."""
-        mods = [rows] + [rows * p[None, :] for p in self.patterns[1:]]  # pattern 0 is all ones
+        # pattern 0 is all ones
+        mods = [rows] + [rows * p[None, :] for p in self.patterns[1:]]
         w_max = max((lv.count for lv in levels if lv.starts is not None), default=0)
         prefixes = [_periodic_prefix(mod.T, w_max) for mod in mods] if w_max else None
         totals = [None] * len(mods)
