@@ -12,7 +12,7 @@ Two sample sources feed the experiments:
 
 Realization k of a Monte Carlo run draws its noise from a Philox generator
 keyed by (master_seed, k) and started at counter 0, so it can be regenerated
-in isolation with `counter_rng(master_seed, k)`.  The driver builds one
+in isolation with `counter_rng(master_seed, k)`.  `monte_carlo` builds one
 Philox per chunk and re-keys it for each realization, which draws the same
 stream; results are bit-reproducible and independent of chunking or thread
 count.
