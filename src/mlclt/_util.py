@@ -59,13 +59,17 @@ def pts_index(n: int, dim: int, axis: int) -> NDArray[np.intp]:
     return (idx // n ** (dim - 1 - axis)) % n
 
 
+# node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
+_EXPECTATION_RTOL = 1e-6
+
+
 def gaussian_expectation(sqrt_cov: NDArray[np.float64], fn, n_per_axis: int = 64,
-                         check: bool = False, rtol: float = 1e-6):
+                         check: bool = False):
     """E[fn(Z)] for Z ~ N(0, C) with C = sqrt_cov @ sqrt_cov.T.
 
     `fn` must accept an (m, dim) array and return an (m, ...) array.
     With check=True the rule is re-run at doubled node count and a
-    QuadratureError is raised if the two disagree beyond rtol.
+    QuadratureError is raised if the two disagree beyond _EXPECTATION_RTOL.
     """
     dim = sqrt_cov.shape[0]
     pts, wts = hermite_grid(dim, n_per_axis)
@@ -74,10 +78,11 @@ def gaussian_expectation(sqrt_cov: NDArray[np.float64], fn, n_per_axis: int = 64
         pts2, wts2 = hermite_grid(dim, 2 * n_per_axis)
         val2 = np.tensordot(wts2, np.asarray(fn(pts2 @ sqrt_cov.T)), axes=(0, 0))
         scale = max(1.0, float(np.max(np.abs(val2))))
-        if np.max(np.abs(val - val2)) > rtol * scale:
+        if np.max(np.abs(val - val2)) > _EXPECTATION_RTOL * scale:
             raise QuadratureError(
                 f"Gaussian quadrature did not converge: node doubling moved the "
-                f"value by {np.max(np.abs(val - val2)):.3e} (rtol {rtol:.1e})")
+                f"value by {np.max(np.abs(val - val2)):.3e} "
+                f"(relative tolerance {_EXPECTATION_RTOL:.1e})")
         val = val2
     return val
 

@@ -8,13 +8,14 @@ ignored, ``L_list`` is a comma-separated integer list, and policy overrides
 use ``policy.NAME = value``.  Command-line flags win over file values.
 
 Reproducibility contract: the CSV bytes are a pure function of (config,
-master_seed, worker count).  Timing therefore lives in the JSON manifest,
-never in the CSV.
+master_seed).  Timing therefore lives in the JSON manifest, never in the
+CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -72,7 +73,6 @@ class ExperimentConfig:
     preset: str = "cube"
     master_seed: int = 0
     output_path: Optional[str] = None
-    threads: int = 1
     policy: dict = field(default_factory=dict)
     eps: float = 0.25
     s: float = 2.0
@@ -93,8 +93,6 @@ class ExperimentConfig:
         if self.preset not in PRESET_NAMES:
             raise UsageError(f"unknown preset {self.preset!r}; "
                              f"choose from {PRESET_NAMES}")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         for key in self.policy:
             if key not in DEFAULT_POLICY:
                 raise UsageError(f"unknown policy constant {key!r}")
@@ -135,7 +133,7 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"d", "n_dim", "n_samples", "master_seed", "threads", "m", "ell"}
+_INT_KEYS = {"d", "n_dim", "n_samples", "master_seed", "m", "ell"}
 _FLOAT_KEYS = {"gamma", "K", "B", "eps", "s"}
 
 
@@ -195,20 +193,22 @@ def _format_cell(v) -> str:
 
 class CsvWriter:
     """Single-writer CSV emitter; each row is written and flushed as one
-    line, so interruption leaves a valid partial file."""
+    line, so interruption leaves a valid partial file.  Cells holding a
+    comma or a quote are quoted, as `csv.reader` expects."""
 
     def __init__(self, path: Optional[str], columns: Sequence[str]):
         self.columns = tuple(columns) + ("schema_hash",)
         self.hash = _schema_hash(self.columns)
         self._own = path is not None
         self._fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-        self._fh.write(",".join(self.columns) + "\n")
+        self._csv = csv.writer(self._fh, lineterminator="\n")
+        self._csv.writerow(self.columns)
         self._fh.flush()
 
     def write_row(self, row: Mapping) -> None:
         cells = [_format_cell(row.get(c)) for c in self.columns[:-1]]
         cells.append(self.hash)
-        self._fh.write(",".join(cells) + "\n")
+        self._csv.writerow(cells)
         self._fh.flush()
 
     def close(self) -> None:
@@ -266,8 +266,7 @@ def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
     t0 = time.perf_counter()
     spec, structure = config.structure_for(L)
     seed = row_seed(config.master_seed, L)
-    samples = monte_carlo(spec, structure, config.n_samples, seed,
-                          threads=config.threads)
+    samples = monte_carlo(spec, structure, config.n_samples, seed)
     vals = samples.values
     sd = vals.std(axis=0, ddof=1)
     if np.any(sd <= 0):
@@ -488,8 +487,7 @@ def run_oracle(config: ExperimentConfig):
         spec, structure = config.structure_for(L)
         exact = brute_force_law(spec, structure)
         seed = row_seed(config.master_seed, L)
-        samples = monte_carlo(spec, structure, config.n_samples, seed,
-                              threads=config.threads)
+        samples = monte_carlo(spec, structure, config.n_samples, seed)
         vals = samples.scalar()
         atoms, counts = np.unique(vals, return_counts=True)
         empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
@@ -594,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", dest="output_path",
                         help="CSV output path (stdout if omitted); the JSON "
                              "manifest is written next to it")
-    common.add_argument("--threads", type=int, help="sampling worker count")
     common.add_argument("--policy", action="append", metavar="KEY=VAL",
                         default=None, help="override a policy constant "
                         "(repeatable)")

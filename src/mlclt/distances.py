@@ -206,39 +206,22 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     if phi.dim != law.dim:
         raise UsageError(f"dimension mismatch: phi on R^{phi.dim}, law on R^{law.dim}")
     a = np.sqrt(1.0 - eps * eps)
+    label = f"mollify[{eps}]({phi.label})"
     if phi.ridge is not None:
-        sig = np.sqrt(phi.ridge.sigma2(law))
-        h = phi.ridge.profile
-        if _profile_converged(h, a, eps * sig):
-            nodes, wts = hermite_1d(64)
-
-            def h_eps(t):
-                t = np.asarray(t, dtype=float)
-                return np.tensordot(wts, h(a * t[None, ...] - eps * sig * nodes.reshape(
-                    (-1,) + (1,) * t.ndim)), axes=(0, 0))
-        else:
-            h_eps = _adaptive_profile_mean(h, a, eps * sig)
+        h_eps = _smoothed_profile(phi.ridge.profile, a,
+                                  eps * np.sqrt(phi.ridge.sigma2(law)))
         return ridge_function(phi.ridge.direction, h_eps, phi.lipschitz_budget,
-                              label=f"mollify[{eps}]({phi.label})")
+                              label=label)
 
     if law.dim == 1:
         h = lambda t: np.asarray(phi(np.asarray(t, dtype=float).reshape(-1, 1))
                                  ).reshape(np.shape(t))
-        sig = np.sqrt(law.covariance.entries[0, 0])
-        if _profile_converged(h, a, eps * sig):
-            nodes, wts = hermite_1d(64)
-
-            def scalar_eps(t):
-                t = np.asarray(t, dtype=float)
-                return np.tensordot(wts, h(a * t[None, ...] - eps * sig * nodes.reshape(
-                    (-1,) + (1,) * t.ndim)), axes=(0, 0))
-        else:
-            scalar_eps = _adaptive_profile_mean(h, a, eps * sig)
+        scalar_eps = _smoothed_profile(h, a, eps * np.sqrt(law.covariance.entries[0, 0]))
 
         def evaluator1(x):
             return scalar_eps(np.atleast_2d(np.asarray(x, dtype=float))[:, 0])
         return TestFunction(evaluator=evaluator1, lipschitz_budget=phi.lipschitz_budget,
-                            label=f"mollify[{eps}]({phi.label})", dim=1)
+                            label=label, dim=1)
 
     sqrt_cov = law.covariance.sqrt()
 
@@ -260,7 +243,22 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     def evaluator(x):
         return smoothed(x)
     return TestFunction(evaluator=evaluator, lipschitz_budget=phi.lipschitz_budget,
-                        label=f"mollify[{eps}]({phi.label})", dim=phi.dim)
+                        label=label, dim=phi.dim)
+
+
+def _smoothed_profile(h, a: float, noise_scale: float):
+    """t -> E[h(a t - noise_scale Z)], Z ~ N(0, 1): the 64-node Gauss-Hermite
+    rule if the node-doubling probe settles, adaptive quadrature if not."""
+    if not _profile_converged(h, a, noise_scale):
+        return _adaptive_profile_mean(h, a, noise_scale)
+    nodes, wts = hermite_1d(64)
+
+    def h_eps(t):
+        t = np.asarray(t, dtype=float)
+        return np.tensordot(wts, h(a * t[None, ...] - noise_scale * nodes.reshape(
+            (-1,) + (1,) * t.ndim)), axes=(0, 0))
+
+    return h_eps
 
 
 def _profile_converged(h, a: float, noise_scale: float) -> bool:

@@ -14,13 +14,11 @@ Realization k of a Monte Carlo run draws its noise from a Philox generator
 keyed by (master_seed, k) and started at counter 0, so it can be regenerated
 in isolation with `counter_rng(master_seed, k)`.  `monte_carlo` builds one
 Philox per chunk and re-keys it for each realization, which draws the same
-stream; results are bit-reproducible and independent of chunking or thread
-count.
+stream; results are bit-reproducible and independent of the chunk size.
 """
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -143,19 +141,15 @@ def draw_noise(d: int, L: int, dist: str, master_seed: int,
 class FieldModel:
     """Cell-local field: a(x) = map(noise(x)).
 
-    The kernel radius must stay at most 1/2 lattice spacing so that field
-    values over sets at periodic distance > 1 are genuinely independent; on
-    the integer lattice that pins the neighborhood to the cell itself.
+    Each field value reads its own cell only, so field values over sets at
+    periodic distance > 1 are genuinely independent.
     """
 
     pointwise_map: str = "identity"
-    kernel_radius: float = 0.0
 
     def __post_init__(self):
         if self.pointwise_map not in _MAPS:
             raise UsageError(f"unknown map {self.pointwise_map!r}")
-        if not 0.0 <= self.kernel_radius <= 0.5:
-            raise UsageError("kernel radius must lie in [0, 1/2] lattice units")
 
 
 def sample_field(model: FieldModel, noise: NoiseLattice) -> NDArray[np.float64]:
@@ -505,20 +499,21 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
 
 def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: int,
                 dist: Optional[str] = None, return_per_index: bool = False,
-                chunk_size: int = 4096, threads: int = 1):
+                chunk_size: int = 4096):
     """Draw n realizations of the total (and optionally all per-index values).
 
     `generator` is a SyntheticSpec or a FieldModel (the latter needs `dist`).
     Realization k is a pure function of (master_seed, k), so results do not
-    depend on chunking or thread count.  Returns a SampleSet, or a tuple
-    (SampleSet, per_index_values, indices) with per_index_values of shape
-    (n, n_indices, n_components).
+    depend on `chunk_size`, which only bounds the realizations in memory at
+    once.  Returns a SampleSet, or a tuple (SampleSet, per_index_values,
+    indices) with per_index_values of shape (n, n_indices, n_components).
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
     if isinstance(generator, SyntheticSpec):
         dist = generator.dist
         n_comp = generator.n_components
+        levels = _SyntheticLevels(generator, structure, tabulate=dist == "rademacher")
     elif isinstance(generator, FieldModel):
         if dist is None:
             raise UsageError("field models need an explicit noise distribution")
@@ -532,33 +527,22 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
                          "reduce n or the structure size")
     totals = np.empty((n, n_comp))
     per_index = (np.empty((n, len(indices), n_comp)) if return_per_index else None)
-    if isinstance(generator, SyntheticSpec):
-        levels = _SyntheticLevels(generator, structure, tabulate=dist == "rademacher")
-
-    def run_chunk(k0: int, count: int):
-        rows = _draw_rows(structure.d, structure.L, dist, master_seed, k0, count)
-        if isinstance(generator, SyntheticSpec):
-            if return_per_index:
-                vals = _synthetic_index_values(levels, rows)
-                return vals.sum(axis=1), vals
-            return _synthetic_totals(levels, rows), None
-        mapped = _apply_map(generator.pointwise_map, rows)
-        values = _decompose_rows(generator, mapped, structure)
-        stacked = np.stack([values[i] for i in indices], axis=1)
-        return stacked.sum(axis=1), (stacked if return_per_index else None)
-
-    starts = list(range(0, n, chunk_size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_chunk, k0, min(chunk_size, n - k0))
-                       for k0 in starts]
-            results = [f.result() for f in futures]
-    else:
-        results = [run_chunk(k0, min(chunk_size, n - k0)) for k0 in starts]
-    for k0, (tot, vals) in zip(starts, results):
-        totals[k0:k0 + len(tot)] = tot
+    for k0 in range(0, n, chunk_size):
+        chunk = slice(k0, min(k0 + chunk_size, n))
+        rows = _draw_rows(structure.d, structure.L, dist, master_seed, k0,
+                          chunk.stop - k0)
+        if isinstance(generator, FieldModel):
+            mapped = _apply_map(generator.pointwise_map, rows)
+            values = _decompose_rows(generator, mapped, structure)
+            vals = np.stack([values[i] for i in indices], axis=1)
+        elif return_per_index:
+            vals = _synthetic_index_values(levels, rows)
+        else:
+            totals[chunk] = _synthetic_totals(levels, rows)
+            continue
+        totals[chunk] = vals.sum(axis=1)
         if return_per_index:
-            per_index[k0:k0 + len(tot)] = vals
+            per_index[chunk] = vals
     samples = SampleSet(values=totals, master_seed=master_seed)
     if return_per_index:
         return samples, per_index, indices

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._util import UsageError, ball_points, tensor_norm
+from ._util import UsageError, sampled_oscillation, tensor_norm
 
 __all__ = [
     "SpdMatrix",
@@ -164,13 +164,6 @@ def gaussian_derivative_tensor(law: GaussianLaw, x, order: int) -> NDArray[np.fl
     return (sym - np.einsum("i,j,k->ijk", ax, ax, ax)) * p
 
 
-def _sampled_osc_pdf(law: GaussianLaw, center: NDArray[np.float64], r: float,
-                     m: int = 256) -> float:
-    pts = center[None, :] + r * ball_points(law.dim, m)
-    vals = gaussian_pdf(law, pts)
-    return float(vals.max() - vals.min())
-
-
 def gaussian_bound_certificates(law: GaussianLaw, tau: float,
                                 sample_points: Sequence) -> dict:
     """Check the three pointwise Gaussian envelopes at the given points.
@@ -207,7 +200,7 @@ def gaussian_bound_certificates(law: GaussianLaw, tau: float,
         envelope = float(gaussian_pdf(inflated, z))
         r2 = tensor_norm(gaussian_derivative_tensor(law, z, 2)) / (c2 * envelope)
         r3 = tensor_norm(gaussian_derivative_tensor(law, z, 3)) / (c3 * envelope)
-        rosc = _sampled_osc_pdf(law, z, r_osc) / (cosc * envelope)
+        rosc = sampled_oscillation(law.pdf, z, r_osc) / (cosc * envelope)
         rows.append({"point": z.tolist(), "hessian_ratio": r2,
                      "third_ratio": r3, "osc_ratio": rosc})
     report = {

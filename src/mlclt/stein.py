@@ -68,13 +68,10 @@ class QuadratureSpec:
 
     s_nodes: int = 1024
     z_nodes_per_axis: int = 64
-    refinement_factor: int = 2
 
     def __post_init__(self):
         if self.s_nodes < 16 or self.z_nodes_per_axis < 16:
             raise UsageError("quadrature needs at least 16 nodes on each axis")
-        if self.refinement_factor < 2:
-            raise UsageError("refinement factor must be at least 2")
 
 
 def _weight(order: int, s: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -199,10 +196,9 @@ class _RidgeEngine:
         return out.reshape(w.shape)
 
     def refinement_delta(self, w, order: int) -> float:
-        r = self.quad.refinement_factor
         a = self.fk(w, order)
-        b = self.fk(w, order, s_nodes=r * self.quad.s_nodes,
-                    v_nodes=r * self.quad.z_nodes_per_axis)
+        b = self.fk(w, order, s_nodes=2 * self.quad.s_nodes,
+                    v_nodes=2 * self.quad.z_nodes_per_axis)
         return float(np.max(np.abs(a - b)))
 
 
@@ -260,10 +256,8 @@ class _GenericEngine:
         return out
 
     def refinement_delta(self, x, order: int) -> float:
-        r = self.quad.refinement_factor
         a = self.fk(x, order)
-        b = self.fk(x, order, s_nodes=r * self.quad.s_nodes,
-                    n_axis=min(r * self.n_axis, 2 * self.n_axis))
+        b = self.fk(x, order, s_nodes=2 * self.quad.s_nodes, n_axis=2 * self.n_axis)
         return float(np.max(np.abs(a - b)))
 
 
@@ -284,7 +278,6 @@ class SteinSolution:
     law: GaussianLaw
     eps: float
     quad: QuadratureSpec = QuadratureSpec()
-    verify: bool = True
     _engine: object = field(init=False, repr=False, compare=False)
     _phi_eps: TestFunction = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
@@ -304,16 +297,15 @@ class SteinSolution:
         phi_eps = mollify(self.phi, self.eps, self.law)
         object.__setattr__(self, "_phi_eps", phi_eps)
         object.__setattr__(self, "_c_eps", gaussian_mean(phi_eps, self.law))
-        if self.verify:
-            probe = self._probe_points()
-            for order in (0, 2):
-                delta = engine.refinement_delta(
-                    probe if self.phi.ridge is None else probe @ self.phi.ridge.direction,
-                    order)
-                if delta > _VERIFY_TOL:
-                    raise QuadratureError(
-                        f"Stein quadrature (order {order}) moved by {delta:.3e} "
-                        f"under node doubling; increase QuadratureSpec budgets")
+        probe = self._probe_points()
+        if self.phi.ridge is not None:
+            probe = probe @ self.phi.ridge.direction
+        for order in (0, 2):
+            delta = engine.refinement_delta(probe, order)
+            if delta > _VERIFY_TOL:
+                raise QuadratureError(
+                    f"Stein quadrature (order {order}) moved by {delta:.3e} "
+                    f"under node doubling; increase QuadratureSpec budgets")
 
     def _probe_points(self) -> NDArray[np.float64]:
         root = self.law.covariance.sqrt()

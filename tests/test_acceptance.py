@@ -139,7 +139,7 @@ def test_acceptance_3_oracle_equivalence():
                          level_weights=(1.0,))
     structure = DependenceStructure(d=1, L=2, K=2.0, gamma=2.0, B=2.0)
     exact = brute_force_law(spec, structure)
-    samples = monte_carlo(spec, structure, 10 ** 6, 2026, threads=8)
+    samples = monte_carlo(spec, structure, 10 ** 6, 2026)
     vals = samples.scalar()
     atoms, counts = np.unique(vals, return_counts=True)
     empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
@@ -160,7 +160,7 @@ def test_acceptance_4_clt_rate():
     t0 = time.perf_counter()
     config = ExperimentConfig(experiment="clt-rate", preset="cube", d=1,
                               L_list=(16, 32, 64, 128, 256, 512),
-                              n_samples=10 ** 5, master_seed=2026, threads=8)
+                              n_samples=10 ** 5, master_seed=2026)
     rows = run_experiment(config)
     assert len(rows) == 6
     w1 = [r.normalized_w1 for r in rows]
@@ -202,7 +202,7 @@ def test_acceptance_5_dependence_structure():
     spec, st = make_preset("cube", 1, 64, K=1.0)
     n = 10 ** 5
     samples, per_index, indices = monte_carlo(spec, st, n, 12345,
-                                              return_per_index=True, threads=8)
+                                              return_per_index=True)
     pos = {idx: a for a, idx in enumerate(indices)}
     far_i, far_j = LevelIndex(0, (0,)), LevelIndex(0, (32,))
     assert chi(st, far_i, far_j) == 0
@@ -281,7 +281,7 @@ def test_acceptance_7_concentration():
     # norm dominates the empirical two-sided tails
     for name in PRESET_NAMES:
         spec, st = make_preset(name, 1, 16)
-        x = monte_carlo(spec, st, 10 ** 5, 314, threads=8).scalar()
+        x = monte_carlo(spec, st, 10 ** 5, 314).scalar()
         xc = x - x.mean()
         gamma_tilde = st.gamma / (st.gamma + 1.0)
         norm = stretched_norm(xc, gamma_tilde).value
@@ -300,7 +300,7 @@ def test_acceptance_7_concentration():
         ratio_by_l = []
         for L in (16, 64):
             spec, st = make_preset(name, 1, L)
-            x = monte_carlo(spec, st, 10 ** 5, 314, threads=8).scalar()
+            x = monte_carlo(spec, st, 10 ** 5, 314).scalar()
             measured = stretched_norm(x - x.mean(), st.gamma / (st.gamma + 1.0)).value
             budget = variance_norm_bound(st, policy={"c_variance": c_variance})
             ratio_by_l.append(measured / budget)
@@ -344,7 +344,7 @@ def test_acceptance_8_moderate_deviations():
     for L, ell in ((64, 8), (256, 16)):
         spec, st = make_preset("cube", 1, L)
         assert moderate_grouping(st, ell).degenerate
-        x = monte_carlo(spec, st, 20000, 99, threads=8).scalar()
+        x = monte_carlo(spec, st, 20000, 99).scalar()
         measured = stretched_norm(x - x.mean(), st.gamma / (st.gamma + 1.0)).value
         budget = (remainder_budget_high_levels(st, ell)
                   + remainder_budget_boundary(st, ell))
@@ -359,7 +359,7 @@ def test_acceptance_8_moderate_deviations():
 
 def test_acceptance_9_bit_identical_reruns(tmp_path):
     args = ["clt-rate", "--preset", "cube", "--L", "16,32,64",
-            "--n-samples", "2000", "--seed", "77", "--threads", "2"]
+            "--n-samples", "2000", "--seed", "77"]
     out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0

@@ -1,5 +1,6 @@
 """Configuration parsing, CSV/manifest emission, rate fitting, and the
 experiment runners behind the command-line interface."""
+import csv
 import json
 import math
 
@@ -61,13 +62,20 @@ def test_config_validation():
     with pytest.raises(UsageError):
         ExperimentConfig(experiment="clt-rate", n_samples=100)
     with pytest.raises(UsageError):
-        ExperimentConfig(threads=0)
-    with pytest.raises(UsageError):
         ExperimentConfig(policy={"bogus": 1.0})
     with pytest.raises(UsageError):
         ExperimentConfig(preset="bogus")
     with pytest.raises(UsageError):
         ExperimentConfig(experiment="bogus")
+
+
+def test_threads_option_is_rejected():
+    # an old command line or config file that still sets it fails loudly
+    with pytest.raises(SystemExit) as exc:
+        main(["clt-rate", "--L", "16", "--n-samples", "2000", "--threads", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(UsageError):
+        build_config({"threads": "2"})
 
 
 def test_bound_calculator_alias():
@@ -119,10 +127,13 @@ def test_csv_writer_appends_schema_hash(tmp_path):
     path = tmp_path / "t.csv"
     writer = CsvWriter(str(path), ("a", "b"))
     writer.write_row({"a": 1, "b": 0.5})
+    writer.write_row({"a": 'f[s=0.5,w=1.0] "x"', "b": 2.0})
     writer.close()
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,schema_hash"
     assert lines[1] == f"1,0.5,{writer.hash}"
+    # cells holding a comma or a quote are quoted, quotes doubled
+    assert lines[2] == f'"f[s=0.5,w=1.0] ""x""",2.0,{writer.hash}'
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +184,13 @@ def test_fit_rate_drops_rows_below_monte_carlo_floor():
 
 def test_clt_rate_row_matches_direct_monte_carlo():
     cfg = ExperimentConfig(experiment="clt-rate", preset="identity-gauss",
-                           L_list=(4,), n_samples=2000, master_seed=3, threads=2)
+                           L_list=(4,), n_samples=2000, master_seed=3)
     rows = run_experiment(cfg)
     assert len(rows) == 1
     row = rows[0]
     assert row.normalized_w1 <= 0.05
     spec, structure = cfg.structure_for(4)
-    direct = monte_carlo(spec, structure, 2000, row_seed(3, 4), threads=2)
+    direct = monte_carlo(spec, structure, 2000, row_seed(3, 4))
     assert row.estimated_variance == float(direct.scalar().var(ddof=1))
     assert row.seed == row_seed(3, 4)
 
@@ -251,6 +262,20 @@ def test_moderate_runner(tmp_path):
     assert len(lines) == 11  # header + 10 threshold rows
     header = lines[0].split(",")
     assert float(lines[1].split(",")[header.index("ell")]) == 4
+
+
+def test_stein_certify_csv_rows_match_header(tmp_path):
+    # the soft-clip labels hold commas
+    out = tmp_path / "certify.csv"
+    assert main(["stein-certify", "--n-dim", "1", "--eps", "0.25",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == len(header)
+        assert "," in row[header.index("label")]
+        assert row[header.index("passed")] == "1"
 
 
 def test_main_usage_errors_exit_two(tmp_path, capsys):

@@ -70,8 +70,6 @@ def test_unknown_noise_distribution_errors():
 
 def test_field_model_validation_and_identity_map():
     with pytest.raises(UsageError):
-        FieldModel(kernel_radius=0.6)
-    with pytest.raises(UsageError):
         FieldModel(pointwise_map="exp")
     noise = draw_noise(1, 16, "rademacher", 1)
     assert np.array_equal(sample_field(FieldModel(), noise), noise.values)
@@ -217,13 +215,13 @@ def test_brute_force_law_guards():
 # Monte Carlo driver
 
 
-def test_monte_carlo_is_thread_count_invariant():
+def test_monte_carlo_is_chunk_size_invariant():
     spec, st = make_preset("cube", 1, 16)
-    a = monte_carlo(spec, st, 3000, 77, chunk_size=512, threads=1)
-    b = monte_carlo(spec, st, 3000, 77, chunk_size=512, threads=4)
-    c = monte_carlo(spec, st, 3000, 77, chunk_size=1024, threads=2)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
+    runs = [monte_carlo(spec, st, 3000, 77, chunk_size=c, return_per_index=True)
+            for c in (1, 512, 3000, 4096)]
+    for samples, per_index, _ in runs[1:]:
+        assert np.array_equal(samples.values, runs[0][0].values)
+        assert np.array_equal(per_index, runs[0][1])
 
 
 _PINNED_STREAM = "0b38289c02278a52ceb1d265ddc97e866e5b9c75c53edacd434cc7ae00956b85"
@@ -246,11 +244,11 @@ def _stream_runs():
 
 
 def test_monte_carlo_stream_is_pinned():
-    # the sha256 of totals and per-index values, in chunks smaller than n on
-    # two threads; any change to the sample bits moves it
+    # the sha256 of totals and per-index values, in chunks smaller than n;
+    # any change to the sample bits moves it
     digest = hashlib.sha256()
     for gen, st, dist in _stream_runs():
-        kw = dict(dist=dist, chunk_size=96, threads=2)
+        kw = dict(dist=dist, chunk_size=96)
         totals = monte_carlo(gen, st, 250, 2026, **kw)
         samples, per_index, _ = monte_carlo(gen, st, 250, 2026,
                                             return_per_index=True, **kw)
@@ -270,14 +268,14 @@ def test_monte_carlo_single_draw_matches_direct_generator():
 
 def test_monte_carlo_totals_are_centered():
     spec, st = make_preset("cube", 1, 16)
-    samples = monte_carlo(spec, st, 40000, 123, threads=4)
+    samples = monte_carlo(spec, st, 40000, 123)
     x = samples.scalar()
     assert abs(x.mean()) <= 4.0 * x.std() / math.sqrt(len(x))
 
 
 def test_cube_preset_totals_are_heavy_tailed():
     spec, st = make_preset("cube", 1, 8)
-    x = monte_carlo(spec, st, 100000, 123, threads=4).scalar()
+    x = monte_carlo(spec, st, 100000, 123).scalar()
     z = (x - x.mean()) / x.std()
     excess_kurtosis = float(np.mean(z ** 4) - 3.0)
     assert excess_kurtosis > 3.0 * math.sqrt(24.0 / len(x))
@@ -335,7 +333,7 @@ def test_vector_components_are_decorrelated():
     spec, st = make_preset("identity-gauss", 1, 32)
     spec2 = SyntheticSpec(nonlinearity=spec.nonlinearity, dist=spec.dist,
                           n_components=2, level_weights=spec.level_weights)
-    x = monte_carlo(spec2, st, 20000, 44, threads=2).values
+    x = monte_carlo(spec2, st, 20000, 44).values
     assert x.shape == (20000, 2)
     corr = np.corrcoef(x.T)[0, 1]
     assert abs(corr) < 0.05

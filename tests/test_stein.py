@@ -217,8 +217,6 @@ def test_bad_derivative_order_errors(soft_clip_sol):
 def test_quadrature_spec_validation():
     with pytest.raises(UsageError):
         QuadratureSpec(s_nodes=8)
-    with pytest.raises(UsageError):
-        QuadratureSpec(refinement_factor=1)
 
 
 def test_insufficient_budget_is_reported_not_silently_accepted():
