@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtr
 
 from ._util import UsageError, counter_rng
-from .multilevel import DependenceStructure, LevelIndex, build_index_set
+from .multilevel import DependenceStructure, LevelIndex, periodic_distance
 
 __all__ = [
     "StretchedNorm",
@@ -24,7 +24,6 @@ __all__ = [
     "tail_bound_from_norm",
     "Grouping",
     "moderate_grouping",
-    "group_support",
     "groups_disjoint",
     "remainder_budget_high_levels",
     "remainder_budget_boundary",
@@ -158,8 +157,10 @@ class Grouping:
     (i on the ell-lattice) collects indices i + j with j in the interior
     window [2^{p(m)}, ell - 2^{p(m)})^d, where p(m) is the smallest integer
     with 2^{p(m)} >= 2^{m+2} K log2(L) (capped at log2 L).  Boundary strips
-    of the grouped levels and all levels above m0 are remainders.  When
-    ell <= 4 K log2(L) there are no grouped levels at all (degenerate=True).
+    of the grouped levels and all levels above m0 are remainders.  The
+    grouping is degenerate when it builds no group: when ell <= 4 K log2(L)
+    there are no grouped levels at all, and when 2^{p(m)} >= ell / 2 on
+    every grouped level every interior window is empty.
     """
 
     structure: DependenceStructure
@@ -188,11 +189,9 @@ def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
         raise UsageError("ell must be a dyadic divisor of L")
     klog = st.K * st.log_l
     m0 = int(math.floor(math.log2(ell / (4.0 * klog)))) if ell > 4.0 * klog else -1
-    degenerate = m0 < 0
     cap = int(math.log2(st.L))
-    p: dict[int, int] = {}
-    for m in range(max(m0, -1) + 1):
-        p[m] = min(cap, max(m, int(math.ceil(math.log2(2.0 ** (m + 2) * klog)))))
+    p = {m: min(cap, max(m, int(math.ceil(math.log2(2.0 ** (m + 2) * klog)))))
+         for m in range(m0 + 1)}
 
     import itertools
     anchors = list(itertools.product(range(0, st.L, ell), repeat=st.d))
@@ -200,16 +199,13 @@ def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
     remainders: dict[int, list] = {}
     for m in range(m0 + 1):
         margin = 1 << p[m]
-        interior = [j for j in range(0, ell, 1 << m) if margin <= j < ell - margin]
-        boundary = [j for j in range(0, ell, 1 << m) if not margin <= j < ell - margin]
         rem_m = []
         for anchor in anchors:
             for offs in itertools.product(range(0, ell, 1 << m), repeat=st.d):
                 y = tuple((a + o) % st.L for a, o in zip(anchor, offs))
                 idx = LevelIndex(m, y)
-                if all(o in interior for o in offs):
-                    groups.setdefault(anchor, [])
-                    groups[anchor].append(idx)
+                if all(margin <= o < ell - margin for o in offs):
+                    groups.setdefault(anchor, []).append(idx)
                 else:
                     rem_m.append(idx)
         remainders[m] = rem_m
@@ -218,28 +214,22 @@ def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
     groups = {a: tuple(g) for a, g in groups.items()}
     remainders_t = {m: tuple(r) for m, r in remainders.items()}
     return Grouping(structure=st, ell=ell, m0=m0, p=p, groups=groups,
-                    remainders=remainders_t, degenerate=degenerate)
-
-
-def group_support(structure: DependenceStructure, indices: Sequence[LevelIndex]) -> set:
-    """All lattice cells touched by the support boxes of the given indices."""
-    cells = set()
-    import itertools
-    for idx in indices:
-        hw = int(math.floor(structure.halfwidth(idx.m)))
-        ranges = [range(c - hw, c + hw + 1) for c in idx.y]
-        for pt in itertools.product(*ranges):
-            cells.add(tuple(c % structure.L for c in pt))
-    return cells
+                    remainders=remainders_t, degenerate=not groups)
 
 
 def groups_disjoint(structure: DependenceStructure, grouping: Grouping) -> bool:
     """True iff the noise supports of distinct groups share no cell
-    (vacuously true with fewer than two nonempty groups)."""
-    supports = [group_support(structure, g) for g in grouping.groups.values() if g]
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] & supports[b]:
+    (vacuously true with fewer than two nonempty groups).  Two support boxes
+    share a cell iff on every axis the periodic distance of their anchors is
+    at most the sum of their integer half-widths."""
+    st = structure
+    boxes = [(np.array([st.box_radius(i.m) for i in g]), np.array([i.y for i in g]))
+             for g in grouping.groups.values() if g]
+    for a, (radius_a, anchors_a) in enumerate(boxes):
+        for radius_b, anchors_b in boxes[a + 1:]:
+            delta = periodic_distance(anchors_a[:, None, :], anchors_b[None, :, :], st.L)
+            reach = radius_a[:, None, None] + radius_b[None, :, None]
+            if (delta <= reach).all(axis=2).any():
                 return False
     return True
 

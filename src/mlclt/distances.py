@@ -333,7 +333,8 @@ def class_membership_check(phi: TestFunction, law: GaussianLaw, lbar: float,
     for x0 in x0_grid:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         nodes = pts @ sqrt_cov.T + x0[None, :]
-        worst_grad = max(worst_grad, _max_gradient(phi, nodes[::max(1, len(nodes) // 32)]))
+        worst_grad = float(np.maximum(  # a NaN gradient propagates and fails
+            worst_grad, _max_gradient(phi, nodes[::max(1, len(nodes) // 32)])))
         for r in r_grid:
             if r <= 0:
                 raise UsageError("oscillation radii must be positive")
@@ -343,7 +344,7 @@ def class_membership_check(phi: TestFunction, law: GaussianLaw, lbar: float,
             osc = vals.max(axis=1) - vals.min(axis=1)
             ratio = float(wts @ osc) / r
             details.append({"r": float(r), "x0": x0.tolist(), "osc_ratio": ratio})
-            worst_ratio = max(worst_ratio, ratio)
+            worst_ratio = float(np.maximum(worst_ratio, ratio))  # so does a NaN ratio
     passed = worst_ratio <= _OSC_SAFETY and worst_grad <= lbar * (1.0 + 1e-6)
     return MembershipReport(passed=passed, worst_osc_ratio=worst_ratio,
                             worst_gradient=worst_grad, lipschitz_budget=lbar,
@@ -481,7 +482,7 @@ def gaussian_mean(phi: TestFunction, law: GaussianLaw) -> float:
         v1 = float(wts @ phi.ridge.profile(sig * nodes))
         v2 = float(wts2 @ phi.ridge.profile(sig * nodes2))
         # tolerance matches the merely-C^2 regularity of the profile family
-        if abs(v1 - v2) > 1e-4 * max(1.0, abs(v2)):
+        if not abs(v1 - v2) <= 1e-4 * max(1.0, abs(v2)):  # a NaN fails
             from ._util import QuadratureError
             raise QuadratureError(f"Gaussian mean of {phi.label} failed node doubling")
         return v2

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 from ._util import UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
 from .multilevel import (DependenceStructure, LevelIndex, MultilevelSample,
-                         build_index_set)
+                         build_index_set, periodic_distance)
 
 __all__ = [
     "NoiseLattice",
@@ -337,28 +337,13 @@ def _component_patterns(spec: SyntheticSpec, d: int, L: int) -> NDArray[np.float
     return pats
 
 
-def _box_window(structure: DependenceStructure, m: int) -> int:
-    """Integer half-width of the level-m support box."""
-    return int(np.floor(structure.halfwidth(m)))
-
-
 def _box_masks(structure: DependenceStructure, m: int) -> NDArray[np.float64]:
     """(cells, n_anchors) indicator of the level-m support boxes (d >= 2)."""
     st = structure
-    hw = _box_window(st, m)
-    axes = []
-    pos = np.arange(st.L)
     anchors = np.arange(0, st.L, 1 << m)
-    delta = np.abs(pos[:, None] - anchors[None, :])
-    delta = np.minimum(delta, st.L - delta)
-    axis_mask = (delta <= min(hw, st.L)) if 2 * hw + 1 < st.L else np.ones_like(delta, bool)
-    for _ in range(st.d):
-        axes.append(axis_mask)
-    mask = axes[0].astype(float)
-    for nxt in axes[1:]:
-        mask = np.einsum("ac,bd->abcd", mask, nxt.astype(float)).reshape(
-            mask.shape[0] * st.L, -1)
-    return mask
+    axis_mask = (periodic_distance(np.arange(st.L)[:, None], anchors[None, :], st.L)
+                 <= st.box_radius(m)).astype(float)
+    return reduce(np.kron, [axis_mask] * st.d)
 
 
 @dataclass(frozen=True)
@@ -394,7 +379,7 @@ class _SyntheticLevels:
         self.patterns = _component_patterns(spec, st.d, st.L)
         self.levels = []
         for m in st.levels():
-            hw = _box_window(st, m)
+            hw = st.box_radius(m)
             starts = mask = None
             if st.d >= 2:
                 mask = _box_masks(st, m)

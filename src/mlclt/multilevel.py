@@ -7,9 +7,15 @@ Conventions: the lattice is Z^d mod L; level m lives on the sublattice
 periodic support box y + K log2(L) [-2^m, 2^m]^d.  All lattice logarithms are
 base 2.  Named policy constants (the unspecified C(d, gamma, ...) factors)
 default to 1 and are configurable through a single table.
+
+The support-box geometry lives only in this module.  `chi_matrix` broadcasts
+the levels and anchors of two index lists into the boolean matrix of pair
+indicators; `chi`, `chi3` and `box_distance` are single-pair views of it, and
+`periodic_distance` and `box_radius` serve the field sampler and the groups.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +35,8 @@ __all__ = [
     "box_distance",
     "chi",
     "chi3",
+    "chi_matrix",
+    "periodic_distance",
     "lift",
     "aggregates",
     "BarConstants",
@@ -107,15 +115,15 @@ class DependenceStructure:
         return -(-self.L // (1 << m))
 
     def lattice(self, m: int) -> list[tuple]:
-        pts = range(0, self.L, 1 << m)
-        if self.d == 1:
-            return [(y,) for y in pts]
-        import itertools
-        return [tuple(p) for p in itertools.product(pts, repeat=self.d)]
+        return list(itertools.product(range(0, self.L, 1 << m), repeat=self.d))
 
-    def halfwidth(self, m: int) -> float:
-        """Half-width of the support box of a level-m index."""
+    def halfwidth(self, m):
+        """Half-width of the support box of a level-m index (m may be an array)."""
         return self.K * self.log_l * (1 << m)
+
+    def box_radius(self, m: int) -> int:
+        """Integer half-width: a level-m box holds the cells this close to its anchor."""
+        return int(math.floor(self.halfwidth(m)))
 
 
 @dataclass(frozen=True)
@@ -140,33 +148,65 @@ def build_index_set(structure: DependenceStructure) -> list[LevelIndex]:
     return out
 
 
-def _axis_gap(c1: float, h1: float, c2: float, h2: float, L: int) -> float:
-    """Periodic distance between the intervals [c1-h1, c1+h1], [c2-h2, c2+h2]."""
-    delta = abs(c1 - c2) % L
-    delta = min(delta, L - delta)
-    return max(0.0, delta - h1 - h2)
+def periodic_distance(a, b, L: int):
+    """Elementwise distance of integer coordinates a and b on Z mod L (broadcasting)."""
+    delta = np.abs(a % L - b % L)
+    return np.minimum(delta, L - delta)
+
+
+def _arrays(structure: DependenceStructure, indices: Sequence[LevelIndex]):
+    """Levels, shape (n,), and anchors, shape (n, d), of the given indices."""
+    levels = np.array([i.m for i in indices], dtype=np.int64)
+    anchors = np.array([i.y for i in indices], dtype=np.int64)
+    return levels, anchors.reshape(len(levels), structure.d)
+
+
+def _box_gaps(structure: DependenceStructure, rows, cols) -> NDArray[np.float64]:
+    """(n_rows, n_cols) periodic sup-distances between support boxes, given
+    (levels, anchors) arrays: per axis max(0, delta - h_row - h_col)."""
+    (mr, yr), (mc, yc) = rows, cols
+    hr = structure.halfwidth(mr)[:, None]
+    hc = structure.halfwidth(mc)[None, :]
+    gap = np.zeros((len(mr), len(mc)))
+    for a in range(structure.d):
+        delta = periodic_distance(yr[:, None, a], yc[None, :, a], structure.L)
+        np.maximum(gap, delta - hr - hc, out=gap)
+    return gap
+
+
+def _dependent(structure: DependenceStructure, rows, cols, level: int = 0):
+    """Boolean (n_rows, n_cols) matrix: boxes within 2 * 2^top K log2(L), top the
+    larger level of the pair or `level` (the larger of the two thresholds)."""
+    thresh = [2.0 * (1 << np.maximum(m, level)) * structure.K * structure.log_l
+              for m in (rows[0], cols[0])]
+    return _box_gaps(structure, rows, cols) <= np.maximum.outer(*thresh)
+
+
+def chi_matrix(structure: DependenceStructure, rows: Sequence[LevelIndex],
+               cols: Optional[Sequence[LevelIndex]] = None) -> NDArray[np.bool_]:
+    """Pair dependency indicators chi(i, j), i in rows and j in cols (default
+    rows), as a boolean (len(rows), len(cols)) matrix."""
+    r = _arrays(structure, rows)
+    return _dependent(structure, r, r if cols is None else _arrays(structure, cols))
 
 
 def box_distance(structure: DependenceStructure, i: LevelIndex, j: LevelIndex) -> float:
     """Periodic sup-distance between the support boxes of i and j."""
-    h1, h2 = structure.halfwidth(i.m), structure.halfwidth(j.m)
-    return max(_axis_gap(a, h1, b, h2, structure.L) for a, b in zip(i.y, j.y))
+    return float(_box_gaps(structure, _arrays(structure, [i]), _arrays(structure, [j]))[0, 0])
 
 
 def chi(structure: DependenceStructure, i: LevelIndex, j: LevelIndex) -> int:
     """Pair dependency indicator: 1 iff the support boxes come within
     2 * 2^{max(mi, mj)} K log2(L) of each other."""
-    thresh = 2.0 * (1 << max(i.m, j.m)) * structure.K * structure.log_l
-    return int(box_distance(structure, i, j) <= thresh)
+    return int(chi_matrix(structure, [i], [j])[0, 0])
 
 
 def chi3(structure: DependenceStructure, i: LevelIndex, j: LevelIndex,
          k: LevelIndex) -> int:
     """Triple dependency indicator: 1 iff k's box comes within
     2 * 2^{max(mi, mj, mk)} K log2(L) of i's box or of j's box."""
-    thresh = 2.0 * (1 << max(i.m, j.m, k.m)) * structure.K * structure.log_l
-    return int(box_distance(structure, i, k) <= thresh
-               or box_distance(structure, j, k) <= thresh)
+    return int(_dependent(structure, _arrays(structure, [i, j]),
+                          _arrays(structure, [k]), max(i.m, j.m)).any())
 
 
 def lift(structure: DependenceStructure, j: LevelIndex, n: int) -> LevelIndex:
@@ -193,23 +233,21 @@ def aggregates(sample: MultilevelSample, i: LevelIndex, j_or_l: LevelIndex,
     st = sample.structure
     exp = expectations or {}
     j = j_or_l
+    keys = list(sample.values)
+    xs = np.array([np.atleast_1d(v) for v in sample.values.values()], dtype=float)
     xi = np.atleast_1d(np.asarray(sample.values[i], dtype=float))
-    z_i = np.zeros_like(xi)
-    z_ij = np.zeros_like(xi)
-    y_il = np.zeros((xi.size, xi.size))
-    for k, xk in sample.values.items():
-        xk = np.atleast_1d(np.asarray(xk, dtype=float))
-        c = chi(st, i, k)
-        if c:
-            z_i = z_i + xk
-        if chi3(st, i, j, k):
-            z_ij = z_ij + xk
-        if c and k.m < i.m and lift(st, k, i.m) == j:
-            pair = np.outer(xi, xk) - np.asarray(exp.get((i, k), 0.0))
-            y_il = y_il + pair
     xj = np.atleast_1d(np.asarray(sample.values[j], dtype=float))
+    levels, anchors = every = _arrays(st, keys)
+    near_i = _dependent(st, _arrays(st, [i]), every)[0]
+    near_ij = _dependent(st, _arrays(st, [i, j]), every, max(i.m, j.m)).any(axis=0)
+    step = 1 << i.m
+    lifted = (anchors // step) * step % st.L
+    below = near_i & (levels < i.m) & (j.m == i.m) & (lifted == j.y).all(axis=1)
+    y_il = (np.outer(xi, xs[below].sum(axis=0))
+            - sum(np.asarray(exp.get((i, keys[a]), 0.0)) for a in np.flatnonzero(below)))
     w_ij = np.outer(xi, xj) - np.asarray(exp.get((i, j), 0.0))
-    return {"z_i": z_i, "z_ij": z_ij, "w_ij": w_ij, "y_il": y_il}
+    return {"z_i": xs[near_i].sum(axis=0), "z_ij": xs[near_ij].sum(axis=0),
+            "w_ij": w_ij, "y_il": y_il}
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +425,20 @@ class BoundReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _neighbor_count(structure: DependenceStructure, m: int) -> int:
-    """Same-level chi-neighbors of a level-m index (including itself)."""
-    # equal half-widths h = K logL 2^m and threshold 2 K logL 2^m give the
-    # center-distance criterion |y - y'| <= 4 K logL 2^m on the 2^m lattice
-    per_axis = 2 * int(math.floor(4.0 * structure.K * structure.log_l)) + 1
-    per_axis = min(per_axis, structure.lattice_count(m))
-    return per_axis ** structure.d
+def _neighbor_count(structure: DependenceStructure, m: int) -> float:
+    """Mean number of same-level chi-neighbors of a level-m index, itself
+    included: the d-th power of the mean along one axis, since equal
+    half-widths make chi a bound on the anchors' periodic distance per axis.
+    When 2^m does not divide L, anchors near the wrap have more neighbors."""
+    st = structure
+    h = st.halfwidth(m)
+    # the largest anchor distance that chi's own float test accepts
+    reach = np.sum(np.arange(st.L // 2 + 1) - h - h <= 2.0 * (1 << m) * st.K * st.log_l) - 1
+    axis = np.arange(0, st.L, 1 << m)
+    ext = np.concatenate([axis - st.L, axis, axis + st.L])
+    # a window longer than L counts some anchors twice, and all are within
+    near = np.searchsorted(ext, axis + reach, "right") - np.searchsorted(ext, axis - reach, "left")
+    return float((np.minimum(near, len(axis)).sum() / len(axis)) ** st.d)
 
 
 def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
@@ -405,7 +450,7 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
     Default mode sums the level-resolved budgets in closed form over the full
     index set (bar values depend only on levels, so same-level neighbor sums
     reduce to counts).  With `indices` given, sums run over that explicit set
-    with pairwise indicators - used for calibration on tiny families.
+    with its own counts and chi row sums - used for calibration on tiny families.
 
     The tail remainder uses the analytic surrogate
     c_tail |Lambda^{-1}| N^{3/2} eps^{-N} (K log2 L)^{2d} B^3 L^{-2d} L^{-S/2}.
@@ -421,34 +466,24 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
     low_pref = n ** 4.5 * inv_sqrt ** 3 / eps
     high_pref = n ** 4 * inv * log_eps
 
-    cond = 0.0
-    r_low = 0.0
-    r_all = 0.0
     if indices is None:
-        for m in st.levels():
-            cnt = st.lattice_count(m) ** st.d
-            nb = _neighbor_count(st, m)
-            pair = nb * (bars.wbar(m, m) + 2.0 * bars.ybar(m))
-            zb = bars.zbar(m)
-            zb2 = bars.zbar2(m, m)
-            if m <= ell:
-                cond += cnt * low_pref * (pair * zb2 + bars.xbar(m) * zb ** 2)
-                r_low += cnt * (pair * zb2 ** 2 + bars.xbar(m) * zb ** 3)
-            else:
-                cond += cnt * high_pref * (pair + bars.xbar(m) * zb)
-            r_all += cnt * (pair * zb2 + bars.xbar(m) * zb ** 2)
+        counts = [(m, st.lattice_count(m) ** st.d, _neighbor_count(st, m))
+                  for m in st.levels()]
     else:
-        for i in indices:
-            same = [j for j in indices if j.m == i.m and chi(st, i, j)]
-            pair = sum(bars.wbar(i.m, j.m) + 2.0 * bars.ybar(i.m) for j in same)
-            zb = bars.zbar(i.m)
-            zb2 = bars.zbar2(i.m, i.m)
-            if i.m <= ell:
-                cond += low_pref * (pair * zb2 + bars.xbar(i.m) * zb ** 2)
-                r_low += pair * zb2 ** 2 + bars.xbar(i.m) * zb ** 3
-            else:
-                cond += high_pref * (pair + bars.xbar(i.m) * zb)
-            r_all += pair * zb2 + bars.xbar(i.m) * zb ** 2
+        by_level = {m: [i for i in indices if i.m == m] for m in sorted({i.m for i in indices})}
+        counts = [(m, len(at), float(chi_matrix(st, at).sum()) / len(at))
+                  for m, at in by_level.items()]
+    cond = r_low = r_all = 0.0
+    for m, cnt, nb in counts:
+        pair = nb * (bars.wbar(m, m) + 2.0 * bars.ybar(m))
+        zb = bars.zbar(m)
+        zb2 = bars.zbar2(m, m)
+        if m <= ell:
+            cond += cnt * low_pref * (pair * zb2 + bars.xbar(m) * zb ** 2)
+            r_low += cnt * (pair * zb2 ** 2 + bars.xbar(m) * zb ** 3)
+        else:
+            cond += cnt * high_pref * (pair + bars.xbar(m) * zb)
+        r_all += cnt * (pair * zb2 + bars.xbar(m) * zb ** 2)
 
     r_lowlevel = pol["c_bound"] * low_pref * r_low
     r_alllevel = pol["c_bound"] * n ** 4.5 * inv_sqrt ** 2 * log_eps * r_all
@@ -487,9 +522,5 @@ def lambda_matrix(structure: DependenceStructure, indices: Sequence[LevelIndex],
     flat = centered.reshape(n, n_idx * dim)
     cov = flat.T @ flat / n  # (n_idx * dim, n_idx * dim)
     cov = cov.reshape(n_idx, dim, n_idx, dim)
-    lam = np.zeros((dim, dim))
-    for a, i in enumerate(indices):
-        for b, j in enumerate(indices):
-            if chi(structure, i, j):
-                lam += cov[a, :, b, :]
+    lam = np.einsum("aibj,ab->ij", cov, chi_matrix(structure, indices).astype(float))
     return (lam + lam.T) / 2.0

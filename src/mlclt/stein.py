@@ -302,7 +302,7 @@ class SteinSolution:
             probe = probe @ self.phi.ridge.direction
         for order in (0, 2):
             delta = engine.refinement_delta(probe, order)
-            if delta > _VERIFY_TOL:
+            if not delta <= _VERIFY_TOL:  # a NaN fails
                 raise QuadratureError(
                     f"Stein quadrature (order {order}) moved by {delta:.3e} "
                     f"under node doubling; increase QuadratureSpec budgets")

@@ -27,7 +27,7 @@ from mlclt.gaussians import (GaussianLaw, SpdMatrix, gaussian_convolve,
                              gaussian_derivative_tensor)
 from mlclt.multilevel import (DependenceStructure, FixedBars, LevelIndex,
                               bar_constants, build_index_set, chi, chi3,
-                              choose_eps_ell, lambda_matrix, lift,
+                              chi_matrix, choose_eps_ell, lambda_matrix, lift,
                               theorem_bound, variance_norm_bound)
 from mlclt.stein import SteinSolution, majorant_average_certificate, stein_residual, third_derivative_certificate
 
@@ -183,9 +183,8 @@ def test_acceptance_5_dependence_structure():
     for L in (4, 16, 64):
         s = DependenceStructure(d=1, L=L, K=2.0)
         idx = build_index_set(s)
-        for i in idx:
-            for j in idx:
-                assert chi(s, i, j) == chi(s, j, i)
+        dep = chi_matrix(s, idx)
+        assert (dep == dep.T).all()
         for j in idx:
             for n1 in range(j.m, s.max_level + 1):
                 for n2 in range(n1, s.max_level + 1):

@@ -1,5 +1,6 @@
 """Stretched-exponential norms, Bennett and heavy-tail bounds, the
 group/remainder decomposition, and the empirical tail tables."""
+import itertools
 import math
 
 import numpy as np
@@ -8,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlclt import UsageError
-from mlclt.concentration import (bennett_bound, bennett_tail_table,
-                                 close_to_gaussian_split, group_support,
-                                 groups_disjoint, iid_tail_bound,
-                                 moderate_grouping, moderate_tail_table,
+from mlclt.concentration import (Grouping, bennett_bound, bennett_tail_table,
+                                 close_to_gaussian_split, groups_disjoint,
+                                 iid_tail_bound, moderate_grouping, moderate_tail_table,
                                  normal_abs_moment, remainder_budget_boundary,
                                  remainder_budget_high_levels, stretched_norm,
                                  sum_norm_certificate, tail_bound_from_norm)
 from mlclt.fields import make_preset, monte_carlo
-from mlclt.multilevel import DependenceStructure, build_index_set
+from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,9 @@ def test_grouping_degenerate_when_ell_below_threshold():
 def test_grouping_partitions_the_index_set():
     s = DependenceStructure(d=1, L=64, K=2.0)
     g = moderate_grouping(s, 64)
-    assert not g.degenerate and g.m0 == 0
+    # level 0 is a grouped level, but its margin 2^6 empties the interior
+    # window, so no group is built
+    assert g.degenerate and g.m0 == 0 and g.group_count() == 0
     grouped = g.all_group_indices()
     remainder = g.all_remainder_indices()
     assert len(grouped) + len(remainder) == len(build_index_set(s))
@@ -178,8 +180,66 @@ def test_nondegenerate_groups_have_disjoint_supports():
     assert g.m0 == 2
     assert g.group_count() == 2
     assert groups_disjoint(s, g)
-    # supports really are nontrivial
-    assert all(group_support(s, grp) for grp in g.groups.values())
+
+
+def test_grouping_with_empty_interior_windows_is_degenerate():
+    # m0 = 1, but the margins 2^7 and 2^8 leave no interior offset in [0, 256)
+    s = DependenceStructure(d=1, L=512, K=2.0)
+    g = moderate_grouping(s, 256)
+    assert g.m0 == 1
+    assert g.group_count() == 0 and g.degenerate
+    assert set(g.all_remainder_indices()) == set(build_index_set(s))
+
+
+def _group_cells(s, group):
+    """Every cell of the torus that a support box of the group touches."""
+    cells = set()
+    for idx in group:
+        hw = min(s.box_radius(idx.m), s.L)
+        axes = [{t % s.L for t in range(c - hw, c + hw + 1)} for c in idx.y]
+        cells |= set(itertools.product(*axes))
+    return cells
+
+
+def _disjoint_reference(s, grouping):
+    supports = [_group_cells(s, g) for g in grouping.groups.values() if g]
+    return all(not supports[a] & supports[b]
+               for a in range(len(supports)) for b in range(a + 1, len(supports)))
+
+
+def _hand_grouping(s, groups):
+    return Grouping(structure=s, ell=s.L, m0=0, p={}, remainders={},
+                    groups={(a,): tuple(g) for a, g in enumerate(groups)},
+                    degenerate=not any(groups))
+
+
+@st.composite
+def hand_groupings(draw):
+    d = draw(st.integers(1, 3))
+    # the cell-set oracle enumerates up to L^d cells per index
+    sizes = {1: [4, 6, 16, 50, 64, 256, 1000], 2: [4, 6, 16, 50], 3: [4, 6, 8]}[d]
+    s = DependenceStructure(d=d, L=draw(st.sampled_from(sizes)),
+                            K=draw(st.sampled_from([1.0, 1.5, 2.0])))
+    index = st.builds(LevelIndex, st.integers(0, min(3, s.max_level)),
+                      st.tuples(*[st.integers(0, s.L - 1)] * s.d))
+    groups = draw(st.lists(st.lists(index, max_size=4), max_size=4))
+    return s, _hand_grouping(s, groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_groupings())
+def test_groups_disjoint_matches_cell_sets(case):
+    s, grouping = case
+    assert groups_disjoint(s, grouping) == _disjoint_reference(s, grouping)
+
+
+def test_groups_disjoint_at_the_touching_distance():
+    # level-0 half-width floor(2 log2 1024) = 20: anchors 40 apart share cell
+    # 20, anchors 41 apart share none, on the short and on the wrapped side
+    s = DependenceStructure(d=1, L=1024, K=2.0)
+    for other, disjoint in ((40, False), (41, True), (984, False), (983, True)):
+        g = _hand_grouping(s, [[LevelIndex(0, (0,))], [LevelIndex(0, (other,))]])
+        assert groups_disjoint(s, g) is disjoint == _disjoint_reference(s, g)
 
 
 def test_single_group_covers_whole_torus_when_ell_equals_l():

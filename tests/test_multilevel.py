@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from mlclt import UsageError
 from mlclt.gaussians import SpdMatrix
 from mlclt.multilevel import (BarConstants, DependenceStructure, FixedBars,
-                              LevelIndex, MultilevelSample, aggregates,
-                              bar_constants, box_distance, build_index_set,
-                              chi, chi3, choose_eps_ell, lambda_matrix, lift,
+                              LevelIndex, MultilevelSample, _neighbor_count,
+                              aggregates, bar_constants, box_distance,
+                              build_index_set, chi, chi3, chi_matrix,
+                              choose_eps_ell, lambda_matrix, lift,
                               theorem_bound, variance_norm_bound)
 
 
@@ -113,6 +116,166 @@ def test_lift_box_contains_original_box():
             delta = abs(j.y[0] - l.y[0]) % s.L
             delta = min(delta, s.L - delta)
             assert delta + s.halfwidth(j.m) <= s.halfwidth(n)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized geometry against a scalar reference
+
+
+def _axis_gap_reference(c1, h1, c2, h2, L):
+    """Periodic distance between the intervals [c1-h1, c1+h1], [c2-h2, c2+h2]."""
+    delta = abs(c1 - c2) % L
+    delta = min(delta, L - delta)
+    return max(0.0, delta - h1 - h2)
+
+
+def _box_distance_reference(s, i, j):
+    h1, h2 = s.halfwidth(i.m), s.halfwidth(j.m)
+    return max(_axis_gap_reference(a, h1, b, h2, s.L) for a, b in zip(i.y, j.y))
+
+
+def _within_reference(s, i, j, top):
+    return _box_distance_reference(s, i, j) <= 2.0 * (1 << top) * s.K * s.log_l
+
+
+def _chi_reference(s, i, j):
+    return int(_within_reference(s, i, j, max(i.m, j.m)))
+
+
+def _chi3_reference(s, i, j, k):
+    top = max(i.m, j.m, k.m)
+    return int(_within_reference(s, i, k, top) or _within_reference(s, j, k, top))
+
+
+# d = 1..3, small dyadic and non-dyadic L, K in {1, 1.5, 2}
+structures = hst.builds(
+    DependenceStructure, d=hst.integers(1, 3),
+    L=hst.sampled_from([2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 40, 64, 107, 119]),
+    K=hst.sampled_from([1.0, 1.5, 2.0]))
+
+
+@hst.composite
+def structure_and_indices(draw, max_size=12):
+    """A structure and index lists whose anchors need not lie in [0, L)."""
+    s = draw(structures)
+    index = hst.builds(
+        LevelIndex, hst.integers(0, s.max_level),
+        hst.tuples(*[hst.integers(-2 * s.L, 2 * s.L)] * s.d))
+    rows = draw(hst.lists(index, min_size=1, max_size=max_size))
+    cols = draw(hst.lists(index, min_size=1, max_size=max_size))
+    return s, rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_and_indices())
+def test_chi_matrix_matches_scalar_reference(case):
+    s, rows, cols = case
+    m = chi_matrix(s, rows, cols)
+    assert m.dtype == bool and m.shape == (len(rows), len(cols))
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            assert m[a, b] == _chi_reference(s, i, j) == chi(s, i, j)
+            assert box_distance(s, i, j) == _box_distance_reference(s, i, j)
+    assert (chi_matrix(s, rows) == chi_matrix(s, rows, rows)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_and_indices(max_size=8))
+def test_chi3_matches_scalar_reference(case):
+    s, rows, cols = case
+    for i in rows:
+        for j in rows[:3]:
+            assert [chi3(s, i, j, k) for k in cols] == [
+                _chi3_reference(s, i, j, k) for k in cols]
+
+
+def _aggregates_reference(sample, i, j, exp):
+    s = sample.structure
+    xi = np.atleast_1d(sample.values[i])
+    z_i = sum(x for k, x in sample.values.items() if _chi_reference(s, i, k))
+    z_ij = sum(x for k, x in sample.values.items() if _chi3_reference(s, i, j, k))
+    y_il = np.zeros((xi.size, xi.size))
+    for k, x in sample.values.items():
+        if _chi_reference(s, i, k) and k.m < i.m and lift(s, k, i.m) == j:
+            y_il = y_il + np.outer(xi, x) - np.asarray(exp.get((i, k), 0.0))
+    return z_i, z_ij, y_il
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures, hst.integers(0, 2 ** 32 - 1))
+def test_aggregates_match_loop_reference(s, seed):
+    idx = build_index_set(s)[-150:]  # the coarse levels, where lifts have preimages
+    rng = np.random.default_rng(seed)
+    sample = MultilevelSample(s, {k: rng.normal(size=2) for k in idx})
+    exp = {(a, b): rng.normal(size=(2, 2)) for a, b in zip(idx, idx[::-1])}
+    for _ in range(3):
+        i, j = idx[rng.integers(len(idx))], idx[rng.integers(len(idx))]
+        lifted = lift(s, LevelIndex(0, j.y), i.m)
+        for other in [j] + [lifted] * (lifted in sample.values):
+            agg = aggregates(sample, i, other, exp)
+            z_i, z_ij, y_il = _aggregates_reference(sample, i, other, exp)
+            assert np.allclose(agg["z_i"], z_i, rtol=1e-12, atol=1e-12)
+            assert np.allclose(agg["z_ij"], z_ij, rtol=1e-12, atol=1e-12)
+            assert np.allclose(agg["y_il"], y_il, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.sampled_from([(1, L) for L in range(2, 129)]
+                        + [(2, L) for L in range(2, 25)]
+                        + [(3, L) for L in range(2, 9)]),
+       hst.sampled_from([1.0, 1.5, 2.0]))
+def test_neighbor_count_equals_same_level_row_sums(dims, K):
+    s = DependenceStructure(d=dims[0], L=dims[1], K=K)
+    for m in s.levels():
+        level = [LevelIndex(m, y) for y in s.lattice(m)]
+        rows = chi_matrix(s, level).sum(axis=1)
+        assert math.isclose(rows.mean(), _neighbor_count(s, m), rel_tol=1e-12)
+        if s.L % (1 << m) == 0:  # a regular lattice: every row alike
+            assert (rows == _neighbor_count(s, m)).all()
+
+
+def test_neighbor_count_at_an_irregular_level():
+    # L = 119, K = 1, level 1: 60 anchors, the last two 1 apart across the
+    # wrap, so some anchors reach one more neighbor than others.  Counting in
+    # lattice steps, 2 floor(4 K log2 L) + 1 = 55, misses those.
+    s = st(1, 119, K=1.0)
+    rows = chi_matrix(s, [LevelIndex(1, y) for y in s.lattice(1)]).sum(axis=1)
+    assert set(rows.tolist()) == {55, 56}
+    assert math.isclose(_neighbor_count(s, 1), rows.mean(), rel_tol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures, hst.sampled_from([0.5, 1.0, 2.0]), hst.integers(0, 8))
+@example(DependenceStructure(d=1, L=119, K=1.0), 1.0, 3)  # an irregular level
+def test_theorem_bound_index_mode_matches_closed_form(s, gamma, ell):
+    s = DependenceStructure(d=s.d, L=s.L, K=s.K, gamma=gamma, B=2.0)
+    if len(build_index_set(s)) > 5000:
+        s = DependenceStructure(d=s.d, L=8, K=s.K, gamma=gamma, B=2.0)
+    lam = SpdMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    bars = bar_constants(s, s=2.0)
+    closed = theorem_bound(s, lam, bars, eps=0.25, ell=ell)
+    listed = theorem_bound(s, lam, bars, eps=0.25, ell=ell,
+                           indices=build_index_set(s))
+    for name in ("r_lowlevel", "r_alllevel", "condition_lhs", "total"):
+        assert math.isclose(getattr(listed, name), getattr(closed, name),
+                            rel_tol=1e-12), name
+    assert listed.condition_satisfied == closed.condition_satisfied
+
+
+def test_lambda_matrix_matches_pair_loop_with_independent_pairs():
+    s = st(1, 64, K=1.0)
+    idx = build_index_set(s)
+    dep = chi_matrix(s, idx)
+    assert not dep.all() and dep.any()
+    values = np.random.default_rng(11).normal(size=(300, len(idx), 2))
+    centered = values - values.mean(axis=0)
+    expect = np.zeros((2, 2))
+    for a, i in enumerate(idx):
+        for b, j in enumerate(idx):
+            if _chi_reference(s, i, j):
+                expect += centered[:, a, :].T @ centered[:, b, :] / len(values)
+    expect = (expect + expect.T) / 2.0
+    assert np.allclose(lambda_matrix(s, idx, values), expect, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

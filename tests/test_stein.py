@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mlclt import QuadratureError, UsageError
+from mlclt import QuadratureError, UsageError, distances, stein
+from mlclt._util import gaussian_expectation, hermite_1d
 from mlclt.distances import TestFunction as FnSpec
-from mlclt.distances import ridge_function, soft_clip_family
+from mlclt.distances import (class_membership_check, gaussian_mean,
+                             ridge_function, soft_clip_family)
 from mlclt.gaussians import GaussianLaw, SpdMatrix
 from mlclt.stein import (QuadratureSpec, SteinSolution, majorant_average_certificate,
                          oscillation_majorant, smoothing_bound, stein_derivative,
@@ -223,3 +225,39 @@ def test_insufficient_budget_is_reported_not_silently_accepted():
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
     with pytest.raises(QuadratureError):
         SteinSolution(soft_clip_family(1)[0], law, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# fail-closed numerics
+
+
+def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
+    for n in (384, 768):
+        x, w = hermite_1d(n)
+        assert np.isfinite(x).all() and np.isfinite(w).all()
+        assert abs(w @ x ** 2 - 1.0) < 1e-13 and abs(w @ x ** 4 - 3.0) < 1e-12
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_a_nan_fails_every_gate(monkeypatch):
+    def nan_profile(t):
+        return np.full_like(np.asarray(t, dtype=float), np.nan)
+
+    nan_phi = ridge_function([1.0], nan_profile, 0.5, "nan")
+    with pytest.raises(QuadratureError):
+        gaussian_expectation(np.eye(1), lambda z: np.full(len(z), np.nan), check=True)
+    with pytest.raises(QuadratureError):
+        gaussian_mean(nan_phi, STD_1D)
+    # membership: a NaN oscillation ratio alone, then a NaN gradient alone
+    half = ridge_function([1.0], lambda t: 0.5 * t, 0.5, "x/2")
+    grid = {"lbar": 0.5, "r_grid": [1.0], "x0_grid": [0.0]}
+    assert class_membership_check(half, STD_1D, **grid).passed
+    monkeypatch.setattr(distances, "_max_gradient", lambda phi, points: 0.0)
+    assert not class_membership_check(nan_phi, STD_1D, **grid).passed
+    monkeypatch.setattr(distances, "_max_gradient", lambda phi, points: np.nan)
+    assert not class_membership_check(half, STD_1D, **grid).passed
+    # Stein construction: a NaN node-doubling delta
+    monkeypatch.setattr(stein._RidgeEngine, "refinement_delta",
+                        lambda self, w, order: np.nan)
+    with pytest.raises(QuadratureError):
+        SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
