@@ -1,6 +1,7 @@
 """Configuration parsing, CSV/manifest emission, rate fitting, and the
 experiment runners behind the command-line interface."""
 import csv
+import hashlib
 import json
 import math
 
@@ -264,11 +265,18 @@ def test_moderate_runner(tmp_path):
     assert float(lines[1].split(",")[header.index("ell")]) == 4
 
 
+# sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
+# the Stein quadrature must keep these bytes
+_CERTIFY_SEED0_SHA256 = ("5b677977e6d4f8076a720141ae164121"
+                         "ad6737456c5f453cef7da7be5439587d")
+
+
 def test_stein_certify_csv_rows_match_header(tmp_path):
     # the soft-clip labels hold commas
     out = tmp_path / "certify.csv"
     assert main(["stein-certify", "--n-dim", "1", "--eps", "0.25",
                  "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CERTIFY_SEED0_SHA256
     with open(out, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert len(rows) == 3
