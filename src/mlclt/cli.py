@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise UsageError("L_list must be strictly increasing")
         if self.experiment in _STATISTICAL and self.n_samples < 1000:
             raise UsageError("statistical experiments need n_samples >= 1000")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise UsageError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.preset not in PRESET_NAMES:
             raise UsageError(f"unknown preset {self.preset!r}; "
                              f"choose from {PRESET_NAMES}")
@@ -377,9 +379,15 @@ def fit_rate(rows) -> tuple[float, float, float]:
 # the certification / table runners
 
 
-def run_stein_certify(config: ExperimentConfig):
+def run_stein_certify(config: ExperimentConfig,
+                      quadrature: Optional[list] = None):
     """Residual, third-derivative, and majorant-average certificates for the
-    canonical soft-clip family at the configured (dimension, eps)."""
+    canonical soft-clip family at the configured (dimension, eps).
+
+    If `quadrature` is given, one record per row is appended to it: the
+    solution's s/z node budgets, its node-doubling deltas per gated order,
+    and the s budget and grid size of its majorant table.
+    """
     n = config.n_dim
     law = GaussianLaw(SpdMatrix(np.eye(n)))
     pts_1d = np.linspace(-2.0, 2.0, 9 if n == 1 else 3)
@@ -405,6 +413,14 @@ def run_stein_certify(config: ExperimentConfig):
             "third_average_ratio": maj3["ratio"],
             "passed": ok,
         })
+        if quadrature is not None:
+            quadrature.append({
+                "label": phi.label,
+                "s_nodes": sol.quad.s_nodes,
+                "z_nodes_per_axis": sol.quad.z_nodes_per_axis,
+                "node_doubling_delta": sol.node_doubling_deltas,
+                "majorant_table": maj2["table"],
+            })
     columns = ("label", "dim", "eps", "residual_max", "third_derivative_ratio",
                "hessian_average_ratio", "third_average_ratio", "passed")
     return columns, rows
@@ -562,14 +578,17 @@ def run_cli_experiment(config: ExperimentConfig) -> int:
         except UsageError:
             extra["fit"] = None
     else:
-        runner = {
-            "stein-certify": run_stein_certify,
-            "bound-calc": run_bound_calc,
-            "tails": run_tails,
-            "moderate": run_moderate,
-            "oracle": run_oracle,
-        }[config.experiment]
-        columns, table = runner(config)
+        if config.experiment == "stein-certify":
+            extra["stein_quadrature"] = []
+            columns, table = run_stein_certify(config, extra["stein_quadrature"])
+        else:
+            runner = {
+                "bound-calc": run_bound_calc,
+                "tails": run_tails,
+                "moderate": run_moderate,
+                "oracle": run_oracle,
+            }[config.experiment]
+            columns, table = runner(config)
         writer = CsvWriter(config.output_path, columns)
         try:
             for row in table:

@@ -20,6 +20,13 @@ Gaussian kernel:
 The s-integral is split into two panels with substitutions tau = log s
 (resolving the s -> eps^2 end) and t = -log(1-s) (resolving the s -> 1 end),
 each handled by composite Simpson rules with node-doubling verification.
+The s-nodes depend only on eps and the budget, and the Gaussian nodes only on
+the budget; only the weights and kernels depend on the order.  Orders
+requested together at the same points therefore share one evaluation of the
+test function, and each keeps the bits it has when requested alone: the
+construction gate computes orders 0 and 2 together, the residual 1 and 2, and
+the majorant tables 2 and 3.  Each solution builds its majorant table once
+per (delta, window) and serves both majorant kinds from it.
 
 Ridge test functions phi(x) = h(u . x) admit an exact reduction: f_eps(x) =
 F(u . x) where F is the 1d solution for profile h and variance u . Lambda u,
@@ -60,6 +67,11 @@ _T_TAIL = 56.0  # integrand tails decay like exp(-t/2); exp(-28) is negligible
 # (observed ~1e-5 at 64 nodes); the downstream certificates carry tolerances
 # of 1e-3 and larger, leaving an order of magnitude of headroom.
 _VERIFY_TOL = 1e-4
+# Orders whose node-doubling delta gates solution construction.
+_GATE_ORDERS = (0, 2)
+# Gauss-Hermite nodes per axis of the generic engine; tensorized rules stop
+# at dim 3.
+_GENERIC_AXIS_NODES = {1: 64, 2: 48, 3: 16}
 
 
 @dataclass(frozen=True)
@@ -110,31 +122,45 @@ def _simpson_weights(n_intervals: int, h: float) -> NDArray[np.float64]:
     return w * h / 3.0
 
 
-def _s_panels(eps: float, n_total: int, order: int):
-    """Quadrature nodes s_i and combined weights for the order-k s-integral.
+def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
+    """Quadrature nodes s_i and, per order k in `orders`, the combined weights
+    of the order-k s-integral.
 
     Panel A covers [eps^2, 1/2] in tau = log s; panel B covers the rest in
     t = -log(1-s).  In both variables every integrand is smooth with O(1)
-    variation scale uniformly over the admissible eps range.
+    variation scale uniformly over the admissible eps range.  The nodes
+    depend on eps and the budget only, so every order shares them.
     """
     lo = eps * eps
     n_half = max(8, (n_total // 2) // 2 * 2)
-    s_list, w_list = [], []
+    s_list, w_lists = [], [[] for _ in orders]
     if lo < 0.5:
         a, b = np.log(lo), np.log(0.5)
         tau = np.linspace(a, b, n_half + 1)
         s = np.exp(tau)
-        w_list.append(_simpson_weights(n_half, (b - a) / n_half) * _weight(order, s) * s)
+        simpson = _simpson_weights(n_half, (b - a) / n_half)
+        for order, w_list in zip(orders, w_lists):
+            w_list.append(simpson * _weight(order, s) * s)
         s_list.append(s)
         t_start = np.log(2.0)
     else:
         t_start = -np.log1p(-lo)
     t = np.linspace(t_start, t_start + _T_TAIL, n_half + 1)
     s = -np.expm1(-t)
-    w_list.append(_simpson_weights(n_half, _T_TAIL / n_half)
-                  * _weight_times_one_minus_s(order, t, s))
+    simpson = _simpson_weights(n_half, _T_TAIL / n_half)
+    for order, w_list in zip(orders, w_lists):
+        w_list.append(simpson * _weight_times_one_minus_s(order, t, s))
     s_list.append(s)
-    return np.concatenate(s_list), np.concatenate(w_list)
+    return np.concatenate(s_list), [np.concatenate(w) for w in w_lists]
+
+
+def _as_orders(orders) -> tuple[int, ...]:
+    """The engines' `fk` takes one order or a tuple of orders."""
+    return (orders,) if np.ndim(orders) == 0 else tuple(orders)
+
+
+def _unpack(orders, outs: list):
+    return outs[0] if np.ndim(orders) == 0 else tuple(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +199,41 @@ class _RidgeEngine:
             return a * a * v * v - a
         return 3.0 * a * a * v - (a * v) ** 3
 
-    def fk(self, w, order: int, s_nodes: int | None = None,
-           v_nodes: int | None = None) -> NDArray[np.float64]:
-        """F_k at scalar points w (any shape), k = order in 0..3."""
+    def fk(self, w, orders, s_nodes: int | None = None,
+           v_nodes: int | None = None):
+        """F_k at scalar points w (any shape) for one order k in 0..3, or a
+        tuple of F_k for a tuple of orders.
+
+        The orders of one call share every profile evaluation; each result
+        has the same bits as a call for its order alone.
+        """
+        ks = _as_orders(orders)
         w = np.asarray(w, dtype=float)
         flat = w.reshape(-1)
-        s, sw = _s_panels(self.eps, s_nodes or self.quad.s_nodes, order)
+        s, sws = _s_panels(self.eps, s_nodes or self.quad.s_nodes, ks)
         n_v = v_nodes or self.quad.z_nodes_per_axis
         g, gw = hermite_1d(n_v)
         v = self.sigma * g
-        kern_w = gw * self._kernel(order, v)
+        kern_ws = [gw * self._kernel(k, v) for k in ks]
         c0 = self._gaussian_mean(n_v)
-        out = np.zeros(flat.shape)
+        outs = [np.zeros(flat.shape) for _ in ks]
         block = max(1, int(2e6) // max(1, flat.size * len(v)))
         for start in range(0, len(s), block):
             sl = slice(start, start + block)
-            sb, swb = s[sl], sw[sl]
+            sb = s[sl]
             args = (np.sqrt(1.0 - sb)[:, None, None] * flat[None, :, None]
                     - np.sqrt(sb)[:, None, None] * v[None, None, :])
             vals = self.profile(args) - c0
-            out += swb @ (vals @ kern_w)
-        return out.reshape(w.shape)
+            for out, sw, kern_w in zip(outs, sws, kern_ws):
+                out += sw[sl] @ (vals @ kern_w)
+        return _unpack(orders, [out.reshape(w.shape) for out in outs])
 
-    def refinement_delta(self, w, order: int) -> float:
-        a = self.fk(w, order)
-        b = self.fk(w, order, s_nodes=2 * self.quad.s_nodes,
+    def refinement_delta(self, w, orders: tuple[int, ...]) -> tuple[float, ...]:
+        """Per order, the largest move of F_k at w under node doubling."""
+        a = self.fk(w, orders)
+        b = self.fk(w, orders, s_nodes=2 * self.quad.s_nodes,
                     v_nodes=2 * self.quad.z_nodes_per_axis)
-        return float(np.max(np.abs(a - b)))
+        return tuple(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +249,11 @@ class _GenericEngine:
         self.law = law
         self.eps = eps
         self.quad = quad
-        n_axis = min(quad.z_nodes_per_axis, {1: 64, 2: 48, 3: 16}[law.dim])
+        if law.dim not in _GENERIC_AXIS_NODES:
+            raise UsageError(
+                f"a non-ridge Stein solution needs dim in 1..3, got {law.dim}; "
+                f"higher dimensions need a ridge test function")
+        n_axis = min(quad.z_nodes_per_axis, _GENERIC_AXIS_NODES[law.dim])
         self.n_axis = n_axis
         self.c0 = gaussian_mean(phi, law)
 
@@ -237,28 +275,34 @@ class _GenericEngine:
                + np.einsum("jk,mi->mijk", a, az))
         return sym - np.einsum("mi,mj,mk->mijk", az, az, az)
 
-    def fk(self, x: NDArray[np.float64], order: int, s_nodes: int | None = None,
-           n_axis: int | None = None) -> NDArray[np.float64]:
+    def fk(self, x: NDArray[np.float64], orders, s_nodes: int | None = None,
+           n_axis: int | None = None):
+        """D^k f at points x of shape (m, dim) for one order k in 0..3, or a
+        tuple of them for a tuple of orders sharing every phi evaluation."""
+        ks = _as_orders(orders)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        s, sw = _s_panels(self.eps, s_nodes or self.quad.s_nodes, order)
+        s, sws = _s_panels(self.eps, s_nodes or self.quad.s_nodes, ks)
         z, gw = self._nodes(n_axis or self.n_axis)
-        kern = self._kernel(order, z)
-        kern_w = kern * gw.reshape((-1,) + (1,) * (kern.ndim - 1))
+        kern_ws = []
+        for k in ks:
+            kern = self._kernel(k, z)
+            kern_ws.append(kern * gw.reshape((-1,) + (1,) * (kern.ndim - 1)))
         # match the subtracted mean to the rule in use so the s -> 1 tail of
         # the order-0 integrand cancels exactly (node set is symmetric)
         c0 = float(gw @ self.phi(z))
-        shape = (len(x),) + kern.shape[1:]
-        out = np.zeros(shape)
-        for i, (si, wi) in enumerate(zip(s, sw)):
+        outs = [np.zeros((len(x),) + kern_w.shape[1:]) for kern_w in kern_ws]
+        for i, si in enumerate(s):
             arg = np.sqrt(1.0 - si) * x[:, None, :] - np.sqrt(si) * z[None, :, :]
-            vals = self.phi(arg.reshape(-1, self.law.dim)).reshape(len(x), len(z))
-            out += wi * np.tensordot(vals - c0, kern_w, axes=(1, 0))
-        return out
+            vals = self.phi(arg.reshape(-1, self.law.dim)).reshape(len(x), len(z)) - c0
+            for out, sw, kern_w in zip(outs, sws, kern_ws):
+                out += sw[i] * np.tensordot(vals, kern_w, axes=(1, 0))
+        return _unpack(orders, outs)
 
-    def refinement_delta(self, x, order: int) -> float:
-        a = self.fk(x, order)
-        b = self.fk(x, order, s_nodes=2 * self.quad.s_nodes, n_axis=2 * self.n_axis)
-        return float(np.max(np.abs(a - b)))
+    def refinement_delta(self, x, orders: tuple[int, ...]) -> tuple[float, ...]:
+        """Per order, the largest move of D^k f at x under node doubling."""
+        a = self.fk(x, orders)
+        b = self.fk(x, orders, s_nodes=2 * self.quad.s_nodes, n_axis=2 * self.n_axis)
+        return tuple(float(np.max(np.abs(u - v))) for u, v in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +315,8 @@ class SteinSolution:
 
     Construction runs a node-doubling convergence probe and raises
     QuadratureError if the value or Hessian integral has not settled to the
-    module tolerance.
+    module tolerance; `node_doubling_deltas` reports both moves.  Majorant
+    tables are built once per (delta, window) and kept with the solution.
     """
 
     phi: TestFunction
@@ -281,6 +326,8 @@ class SteinSolution:
     _engine: object = field(init=False, repr=False, compare=False)
     _phi_eps: TestFunction = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
+    _deltas: dict = field(init=False, repr=False, compare=False)
+    _majorants: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _EPS_MIN <= self.eps <= _EPS_MAX:
@@ -300,12 +347,20 @@ class SteinSolution:
         probe = self._probe_points()
         if self.phi.ridge is not None:
             probe = probe @ self.phi.ridge.direction
-        for order in (0, 2):
-            delta = engine.refinement_delta(probe, order)
+        deltas = dict(zip(_GATE_ORDERS, engine.refinement_delta(probe, _GATE_ORDERS)))
+        for order, delta in deltas.items():
             if not delta <= _VERIFY_TOL:  # a NaN fails
                 raise QuadratureError(
                     f"Stein quadrature (order {order}) moved by {delta:.3e} "
                     f"under node doubling; increase QuadratureSpec budgets")
+        object.__setattr__(self, "_deltas", deltas)
+        object.__setattr__(self, "_majorants", {})
+
+    @property
+    def node_doubling_deltas(self) -> dict:
+        """Order -> max |change| of that integral at the probe points when
+        the s and z budgets are doubled (the construction gate's input)."""
+        return dict(self._deltas)
 
     def _probe_points(self) -> NDArray[np.float64]:
         root = self.law.covariance.sqrt()
@@ -367,12 +422,10 @@ def stein_residual(sol: SteinSolution, x) -> float:
         u = sol.phi.ridge.direction
         w = float(x @ u)
         sigma2 = sol.phi.ridge.sigma2(sol.law)
-        f1 = float(sol.derivative_scalars(w, 1))
-        f2 = float(sol.derivative_scalars(w, 2))
+        f1, f2 = (float(f) for f in sol._engine.fk(np.asarray(w), (1, 2)))
         lhs = -sigma2 * f2 + w * f1
     else:
-        grad = sol._engine.fk(x[None, :], 1)[0]
-        hess = sol._engine.fk(x[None, :], 2)[0]
+        grad, hess = (t[0] for t in sol._engine.fk(x[None, :], (1, 2)))
         lhs = -float(np.sum(sol.law.covariance.entries * hess)) + float(x @ grad)
     return abs(lhs - rhs)
 
@@ -380,6 +433,8 @@ def stein_residual(sol: SteinSolution, x) -> float:
 def third_derivative_certificate(sol: SteinSolution, points) -> dict:
     """Check |D^3 f_eps| <= 15 |Lambda^{-1}| eps^{-dim} at the given points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        raise UsageError("third_derivative_certificate needs at least one point")
     n = sol.law.dim
     bound = 15.0 * sol.law.covariance.inv_operator_norm() * sol.eps ** (-n)
     if sol.is_ridge:
@@ -408,17 +463,15 @@ def _osc_window_k(dim: int) -> float:
 class _RidgeMajorant:
     """Grid-based evaluation of the H / H' majorants for ridge solutions.
 
-    F_k is tabulated on a uniform grid; windowed oscillations come from
-    running max/min filters and the Gaussian convolution from 1d quadrature
-    with linear interpolation into the tables.
+    F_2 and F_3 are tabulated together on one uniform grid; windowed
+    oscillations come from running max/min filters and the Gaussian
+    convolution from 1d quadrature with linear interpolation into the tables.
     """
 
-    def __init__(self, sol: SteinSolution, delta: float, order: int,
-                 w_lo: float, w_hi: float):
+    def __init__(self, sol: SteinSolution, delta: float, w_lo: float, w_hi: float):
         if delta <= 0:
             raise UsageError("delta must be positive")
         self.delta = delta
-        self.order = order
         kd = _osc_window_k(sol.law.dim) * delta
         self.kd = kd
         g, gw = hermite_1d(64)
@@ -431,25 +484,35 @@ class _RidgeMajorant:
         self.grid = np.linspace(lo, hi, m)
         # the table feeds oscillation *bounds* checked with large slack, so a
         # reduced s budget (relative error ~1e-4) is ample here
-        table_nodes = min(sol.quad.s_nodes, 256)
-        self.table = sol._engine.fk(self.grid, order, s_nodes=table_nodes)
+        self.table_s_nodes = min(sol.quad.s_nodes, 256)
+        tables = sol._engine.fk(self.grid, (2, 3), s_nodes=self.table_s_nodes)
         half = int(np.ceil(kd / (self.grid[1] - self.grid[0])))
         size = 2 * half + 1
-        self.osc = (maximum_filter1d(self.table, size=size, mode="nearest")
-                    - minimum_filter1d(self.table, size=size, mode="nearest"))
+        self.osc = {order: maximum_filter1d(table, size=size, mode="nearest")
+                    - minimum_filter1d(table, size=size, mode="nearest")
+                    for order, table in zip((2, 3), tables)}
         self._sol = sol
 
-    def convolved_osc(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
-        """2 (N(0, delta^2 Id) * osc_{K delta} F_k)(w)."""
+    def convolved_osc(self, w: NDArray[np.float64], order: int) -> NDArray[np.float64]:
+        """2 (N(0, delta^2 Id) * osc_{K delta} F_k)(w) for k = order."""
         pts = w[:, None] - self.delta * self.conv_nodes[None, :]
-        vals = np.interp(pts, self.grid, self.osc)
+        vals = np.interp(pts, self.grid, self.osc[order])
         return 2.0 * vals @ self.conv_wts
 
-    def majorant(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
-        base = self.convolved_osc(w)
-        if self.order == 3:
+    def majorant(self, w: NDArray[np.float64], order: int) -> NDArray[np.float64]:
+        base = self.convolved_osc(w, order)
+        if order == 3:
             base = base + np.abs(self._sol.derivative_scalars(w, 3))
         return base
+
+
+def _ridge_majorant(sol: SteinSolution, delta: float, w_lo: float,
+                    w_hi: float) -> _RidgeMajorant:
+    """The solution's majorant tables for (delta, [w_lo, w_hi]), built once."""
+    key = (delta, w_lo, w_hi)
+    if key not in sol._majorants:
+        sol._majorants[key] = _RidgeMajorant(sol, delta, w_lo, w_hi)
+    return sol._majorants[key]
 
 
 def _majorant_order(kind: str) -> int:
@@ -472,8 +535,8 @@ def oscillation_majorant(sol: SteinSolution, x, delta: float, kind: str) -> NDAr
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if sol.is_ridge:
         w = sol._project(x)
-        maj = _RidgeMajorant(sol, delta, order, float(w.min()), float(w.max()))
-        return maj.majorant(w)
+        maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))
+        return maj.majorant(w, order)
     return _generic_majorant(sol, x, delta, order)
 
 
@@ -510,6 +573,9 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     integral of H dN(0, Lambda)  <= 100 dim^{3/2} |Lambda^{-1}| |log eps| delta
     integral of H' dN(0, Lambda) <= 100 dim^3 |Lambda^{-1/2}|^2
                                         (|log eps| + |Lambda^{-1/2}| delta / eps)
+
+    For ridge solutions `table` reports the s budget and grid size of the
+    shared F_2/F_3 table; generic solutions have no table (None).
     """
     order = _majorant_order(kind)
     n = sol.law.dim
@@ -523,16 +589,18 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
         sigma = np.sqrt(sol.phi.ridge.sigma2(sol.law))
         g, gw = hermite_1d(64)
         w = sigma * g
-        maj = _RidgeMajorant(sol, delta, order, float(w.min()), float(w.max()))
-        value = float(gw @ maj.majorant(w))
+        maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))
+        value = float(gw @ maj.majorant(w, order))
+        table = {"s_nodes": maj.table_s_nodes, "points": len(maj.grid)}
     else:
         pts, wts = hermite_grid(n, 8)
         xs = pts @ sol.law.covariance.sqrt().T
         value = float(wts @ _generic_majorant(sol, xs, delta, order,
                                               n_ball=32, n_conv_axis=4))
+        table = None
     ratio = value / bound
     return {"kind": kind, "delta": delta, "value": value, "bound": bound,
-            "ratio": ratio, "passed": bool(ratio <= 1.0)}
+            "ratio": ratio, "passed": bool(ratio <= 1.0), "table": table}
 
 
 def smoothing_bound(dist_eps: float, law: GaussianLaw, eps: float) -> float:

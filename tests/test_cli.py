@@ -271,11 +271,17 @@ _CERTIFY_SEED0_SHA256 = ("5b677977e6d4f8076a720141ae164121"
                          "ad6737456c5f453cef7da7be5439587d")
 
 
-def test_stein_certify_csv_rows_match_header(tmp_path):
-    # the soft-clip labels hold commas
-    out = tmp_path / "certify.csv"
+@pytest.fixture(scope="module")
+def certify_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("certify") / "certify.csv"
     assert main(["stein-certify", "--n-dim", "1", "--eps", "0.25",
                  "--out", str(out)]) == 0
+    return out
+
+
+def test_stein_certify_csv_rows_match_header(certify_run):
+    # the soft-clip labels hold commas
+    out = certify_run
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _CERTIFY_SEED0_SHA256
     with open(out, newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -284,6 +290,29 @@ def test_stein_certify_csv_rows_match_header(tmp_path):
         assert len(row) == len(header)
         assert "," in row[header.index("label")]
         assert row[header.index("passed")] == "1"
+
+
+def test_stein_certify_manifest_records_quadrature(certify_run):
+    manifest = json.loads(certify_run.with_name("certify.csv.manifest.json").read_text())
+    records = manifest["stein_quadrature"]
+    with open(certify_run, newline="") as fh:
+        labels = [row["label"] for row in csv.DictReader(fh)]
+    assert [r["label"] for r in records] == labels
+    for r in records:
+        assert r["s_nodes"] == 1024 and r["z_nodes_per_axis"] == 64
+        assert set(r["node_doubling_delta"]) == {"0", "2"}
+        assert all(0.0 <= d <= 1e-4 for d in r["node_doubling_delta"].values())
+        assert r["majorant_table"]["s_nodes"] == 256
+        assert r["majorant_table"]["points"] > 1000
+
+
+def test_master_seed_outside_u64_is_rejected():
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(UsageError):
+            ExperimentConfig(experiment="tails", master_seed=seed)
+    assert ExperimentConfig(experiment="tails", master_seed=2 ** 64 - 1).master_seed == 2 ** 64 - 1
+    assert main(["tails", "--seed", "-1"]) == 2
+    assert main(["tails", "--seed", str(2 ** 64)]) == 2
 
 
 def test_main_usage_errors_exit_two(tmp_path, capsys):

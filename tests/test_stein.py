@@ -143,6 +143,30 @@ def test_ridge_and_generic_engines_agree_in_dimension_one():
                              - stein_derivative(sr, pt, order))) < 1e-6
 
 
+@pytest.mark.parametrize("n_points", [1, 1717])
+def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
+    # at 1717 points and 256 s-nodes the s-integral runs in 15 blocks
+    engine = stein._RidgeEngine(np.tanh, 1.3, 0.25, QuadratureSpec())
+    w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
+    together = engine.fk(w, (0, 1, 2, 3), s_nodes=256)
+    assert len(together) == 4
+    for order, got in enumerate(together):
+        assert np.array_equal(got, engine.fk(w, order, s_nodes=256))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_generic_engine_orders_together_keep_each_orders_bits(dim):
+    phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
+                 lipschitz_budget=float(dim), label="generic", dim=dim)
+    law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.3 * (dim > 1) * (1.0 - np.eye(dim))))
+    engine = stein._GenericEngine(phi, law, QuadratureSpec(s_nodes=32, z_nodes_per_axis=16), 0.4)
+    x = np.linspace(-1.5, 1.0, 3 * dim).reshape(3, dim)
+    together = engine.fk(x, (0, 1, 2, 3))
+    for order, got in enumerate(together):
+        assert got.shape == (3,) + (dim,) * order
+        assert np.array_equal(got, engine.fk(x, order))
+
+
 def test_stein_eval_scalar_and_batch_shapes(soft_clip_sol):
     single = stein_eval(soft_clip_sol, np.array([0.3]))
     assert isinstance(single, float)
@@ -183,6 +207,26 @@ def test_majorant_average_certificates_pass(soft_clip_sol):
         assert report["ratio"] <= 1.0
 
 
+def test_majorant_table_is_built_once_per_delta():
+    evaluated = []
+
+    def counted_tanh(t):
+        evaluated.append(np.size(t))
+        return np.tanh(t)
+
+    sol = SteinSolution(ridge_function([1.0], counted_tanh, 1.0, "tanh"), STD_1D, 0.5)
+    hessian = majorant_average_certificate(sol, 0.1, "hessian")
+    assert hessian["table"]["s_nodes"] == 256 and len(sol._majorants) == 1
+    evaluated.clear()
+    third = majorant_average_certificate(sol, 0.1, "third")
+    spent = sum(evaluated)
+    # the second kind evaluates the profile only for |F_3| at the 64 nodes
+    evaluated.clear()
+    sol.derivative_scalars(hermite_1d(64)[0], 3)
+    assert spent == sum(evaluated) > 0
+    assert third["table"] == hessian["table"] and len(sol._majorants) == 1
+
+
 def test_smoothing_bound_closed_form():
     got = smoothing_bound(0.01, STD_1D, 0.25)
     assert math.isclose(got, 20.0 * 0.25 + 1000.0 * 0.01)
@@ -214,6 +258,19 @@ def test_bad_derivative_order_errors(soft_clip_sol):
         stein_derivative(soft_clip_sol, np.array([0.0]), 4)
     with pytest.raises(UsageError):
         stein_derivative(soft_clip_sol, np.array([0.0]), 0)
+
+
+def test_generic_engine_beyond_dim_three_errors():
+    phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
+                 lipschitz_budget=1.0, label="generic4", dim=4)
+    with pytest.raises(UsageError):
+        SteinSolution(phi, GaussianLaw(SpdMatrix(np.eye(4))), 0.5)
+
+
+def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
+    for empty in ([], np.empty((0, 1))):
+        with pytest.raises(UsageError):
+            third_derivative_certificate(soft_clip_sol, empty)
 
 
 def test_quadrature_spec_validation():
@@ -256,8 +313,9 @@ def test_a_nan_fails_every_gate(monkeypatch):
     assert not class_membership_check(nan_phi, STD_1D, **grid).passed
     monkeypatch.setattr(distances, "_max_gradient", lambda phi, points: np.nan)
     assert not class_membership_check(half, STD_1D, **grid).passed
-    # Stein construction: a NaN node-doubling delta
-    monkeypatch.setattr(stein._RidgeEngine, "refinement_delta",
-                        lambda self, w, order: np.nan)
-    with pytest.raises(QuadratureError):
-        SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
+    # Stein construction: a NaN node-doubling delta on either gated order
+    for nan_order, deltas in ((0, (np.nan, 0.0)), (2, (0.0, np.nan))):
+        monkeypatch.setattr(stein._RidgeEngine, "refinement_delta",
+                            lambda self, w, orders, d=deltas: d)
+        with pytest.raises(QuadratureError, match=f"order {nan_order}"):
+            SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
