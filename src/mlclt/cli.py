@@ -379,14 +379,13 @@ def fit_rate(rows) -> tuple[float, float, float]:
 # the certification / table runners
 
 
-def run_stein_certify(config: ExperimentConfig,
-                      quadrature: Optional[list] = None):
+def run_stein_certify(config: ExperimentConfig):
     """Residual, third-derivative, and majorant-average certificates for the
     canonical soft-clip family at the configured (dimension, eps).
 
-    If `quadrature` is given, one record per row is appended to it: the
-    solution's s/z node budgets, its node-doubling deltas per gated order,
-    and the s budget and grid size of its majorant table.
+    Each row also carries `quadrature`, a record for the manifest rather than
+    a CSV column: the solution's s/z node budgets, its node-doubling deltas
+    per gated order, and the s budget and grid size of its majorant table.
     """
     n = config.n_dim
     law = GaussianLaw(SpdMatrix(np.eye(n)))
@@ -412,15 +411,14 @@ def run_stein_certify(config: ExperimentConfig,
             "hessian_average_ratio": maj2["ratio"],
             "third_average_ratio": maj3["ratio"],
             "passed": ok,
-        })
-        if quadrature is not None:
-            quadrature.append({
+            "quadrature": {
                 "label": phi.label,
                 "s_nodes": sol.quad.s_nodes,
                 "z_nodes_per_axis": sol.quad.z_nodes_per_axis,
                 "node_doubling_delta": sol.node_doubling_deltas,
                 "majorant_table": maj2["table"],
-            })
+            },
+        })
     columns = ("label", "dim", "eps", "residual_max", "third_derivative_ratio",
                "hessian_average_ratio", "third_average_ratio", "passed")
     return columns, rows
@@ -578,17 +576,16 @@ def run_cli_experiment(config: ExperimentConfig) -> int:
         except UsageError:
             extra["fit"] = None
     else:
+        runner = {
+            "stein-certify": run_stein_certify,
+            "bound-calc": run_bound_calc,
+            "tails": run_tails,
+            "moderate": run_moderate,
+            "oracle": run_oracle,
+        }[config.experiment]
+        columns, table = runner(config)
         if config.experiment == "stein-certify":
-            extra["stein_quadrature"] = []
-            columns, table = run_stein_certify(config, extra["stein_quadrature"])
-        else:
-            runner = {
-                "bound-calc": run_bound_calc,
-                "tails": run_tails,
-                "moderate": run_moderate,
-                "oracle": run_oracle,
-            }[config.experiment]
-            columns, table = runner(config)
+            extra["stein_quadrature"] = [row["quadrature"] for row in table]
         writer = CsvWriter(config.output_path, columns)
         try:
             for row in table:
