@@ -6,8 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import roots_hermitenorm
-from scipy.stats import qmc
+from scipy.special import ndtri, roots_hermitenorm
 
 
 class QuadratureError(RuntimeError):
@@ -88,10 +87,12 @@ def ball_points(dim: int, m: int = 256) -> NDArray[np.float64]:
     returned array has shape (m + 1, dim).  Oscillations estimated over these
     points are lower bounds on the true ball oscillation.
     """
+    # scipy.stats takes about a second to import and only this function
+    # needs it, so it is imported here rather than at start-up
+    from scipy.stats import qmc
     h = qmc.Halton(d=dim + 1, scramble=False)
     h.fast_forward(1)  # skip the origin of the sequence
     u = h.random(m)
-    from scipy.special import ndtri
     direction = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

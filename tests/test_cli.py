@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlclt
 from mlclt import UsageError
 from mlclt.cli import (CLT_COLUMNS, CsvWriter, ExperimentConfig, _default_ell,
                        _format_cell, _schema_hash, build_config, fit_rate, main,
@@ -304,6 +309,24 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
         assert all(0.0 <= d <= 1e-4 for d in r["node_doubling_delta"].values())
         assert r["majorant_table"]["s_nodes"] == 256
         assert r["majorant_table"]["points"] > 1000
+
+
+def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):
+    # scipy.stats costs about a second of start-up; only ball_points needs it
+    src = str(Path(mlclt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import mlclt.cli as cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported at start-up'\n"
+        "argv = ['stein-certify', '--n-dim', '1', '--eps', '0.5',\n"
+        "        '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported by stein-certify'\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
 
 
 def test_master_seed_outside_u64_is_rejected():
