@@ -384,8 +384,9 @@ def run_stein_certify(config: ExperimentConfig):
     canonical soft-clip family at the configured (dimension, eps).
 
     Each row also carries `quadrature`, a record for the manifest rather than
-    a CSV column: the solution's s/z node budgets, its node-doubling deltas
-    per gated order, and the s budget and grid size of its majorant table.
+    a CSV column: the solution's s/z node budgets, whether its Gaussian inner
+    integral is exact or Gauss-Hermite, its node-doubling deltas per gated
+    order, and the s budget and grid size of its majorant table.
     """
     n = config.n_dim
     law = GaussianLaw(SpdMatrix(np.eye(n)))
@@ -415,6 +416,7 @@ def run_stein_certify(config: ExperimentConfig):
                 "label": phi.label,
                 "s_nodes": sol.quad.s_nodes,
                 "z_nodes_per_axis": sol.quad.z_nodes_per_axis,
+                "inner_integral": sol.inner_integral,
                 "node_doubling_delta": sol.node_doubling_deltas,
                 "majorant_table": maj2["table"],
             },

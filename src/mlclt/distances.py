@@ -3,6 +3,7 @@ a centered Gaussian: exact 1d quantile-gap Wasserstein integrals, sliced
 multivariate proxies, and the restricted (class-sup) distance."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -15,6 +16,7 @@ from ._util import (UsageError, ball_points, gaussian_expectation, hermite_1d,
 from .gaussians import GaussianLaw
 
 __all__ = [
+    "PiecewisePolynomial",
     "RidgeProfile",
     "TestFunction",
     "DiscreteLaw",
@@ -58,6 +60,144 @@ class RidgeProfile:
         return float(u @ law.covariance.entries @ u)
 
 
+def _horner(coeffs: Sequence[float], t):
+    """sum_j coeffs[j] t^j; a constant never multiplies t, so it stays finite
+    at t = +-inf."""
+    out = np.full(np.shape(t), coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * t + c
+    return out
+
+
+def _knot_terms(knot: float, a, b):
+    """(z, Phi(z), Phi(-z), phi(z)) at z = (knot - a)/b: the Gaussian terms
+    that a finite piece limit contributes to the truncated moments."""
+    z = (knot - a) / b
+    return z, ndtr(z), ndtr(-z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+# The same terms at z = -inf and z = +inf, written out: their masses are 0
+# and 1 and their boundary terms z^j phi(z) vanish, so z is stored as 0
+# rather than letting inf * 0 make a NaN.
+_BELOW_ALL = (0.0, 0.0, 1.0, 0.0)
+_ABOVE_ALL = (0.0, 1.0, 0.0, 0.0)
+
+
+def _truncated_moments(lo, hi, n: int) -> list:
+    """M_j = E[Z^j; alpha <= Z < beta], Z ~ N(0, 1), for j = 0..n, from the
+    `_knot_terms` of alpha and beta.
+
+    M_0 = Phi(beta) - Phi(alpha), taken as Phi(-alpha) - Phi(-beta) when both
+    limits lie in the upper tail, M_1 = phi(alpha) - phi(beta) and
+    M_j = -[z^{j-1} phi(z)]_alpha^beta + (j - 1) M_{j-2}.
+    """
+    za, pa, qa, da = lo
+    zb, pb, qb, db = hi
+    moments = [np.where(np.greater(za, 0.0), qa - qb, pb - pa), da - db]
+    ta, tb = da, db  # z^{j-1} phi(z) at each limit
+    for j in range(2, n + 1):
+        ta, tb = ta * za, tb * zb
+        moments.append(ta - tb + (j - 1) * moments[j - 2])
+    return moments[:n + 1]
+
+
+def _taylor_shift(coeffs: Sequence[float], a, lowest: int) -> list:
+    """Taylor coefficients q^(j)(a)/j! of q(t) = sum_j coeffs[j] t^j.
+
+    Repeated synthetic division; entries below `lowest` are left unfinished,
+    because no entry at or above it depends on them.
+    """
+    taylor = list(coeffs)
+    deg = len(taylor) - 1
+    for i in range(deg):
+        for j in range(deg - 1, max(i, lowest) - 1, -1):
+            taylor[j] = taylor[j] + a * taylor[j + 1]
+    return taylor
+
+
+@dataclass(frozen=True)
+class PiecewisePolynomial:
+    """A C^2 piecewise polynomial profile h: R -> R.
+
+    `knots` are the increasing finite breakpoints; piece i runs from knot
+    i - 1 to knot i, with -inf and +inf at the two ends, and `coeffs[i]`
+    holds its ascending coefficients in t.  Calls evaluate by Horner.
+
+    Against a Gaussian every piece integrates in closed form: on a piece,
+    h^(k)(a + b z) is a polynomial in z, so E[h^(k)(a + b Z)] is a finite sum
+    of truncated normal moments (`gaussian_expectations`).  h must be C^2, so
+    that for k <= 3 the piecewise derivative is also the one that Gaussian
+    integration by parts, E[f(Z) He_k(Z)] = E[f^(k)(Z)], produces.
+    """
+
+    knots: tuple
+    coeffs: tuple
+
+    def __post_init__(self):
+        knots = tuple(float(t) for t in self.knots)
+        coeffs = tuple(tuple(float(c) for c in piece) for piece in self.coeffs)
+        if len(coeffs) != len(knots) + 1 or not all(coeffs):
+            raise UsageError("a piecewise polynomial needs one nonempty "
+                             "coefficient list per piece (one more than knots)")
+        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
+            raise UsageError("knots must be finite and strictly increasing")
+        if not all(np.isfinite(c) for piece in coeffs for c in piece):
+            raise UsageError("piece coefficients must be finite")
+        for i, t in enumerate(knots):
+            left, right = coeffs[i], coeffs[i + 1]
+            for _ in range(3):
+                lv, rv = _horner(left, t), _horner(right, t)
+                if abs(lv - rv) > 1e-9 * max(1.0, abs(lv), abs(rv)):
+                    raise UsageError(f"profile is not C^2 at the knot {t}")
+                left = [j * c for j, c in enumerate(left)][1:] or [0.0]
+                right = [j * c for j, c in enumerate(right)][1:] or [0.0]
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __call__(self, t) -> NDArray[np.float64]:
+        t = np.asarray(t, dtype=float)
+        piece = np.where(np.isnan(t), -1, np.searchsorted(self.knots, t, side="right"))
+        out = np.full(t.shape, np.nan)
+        for i, coeffs in enumerate(self.coeffs):
+            sel = piece == i
+            out[sel] = _horner(coeffs, t[sel])
+        return out
+
+    def gaussian_expectations(self, a, b, orders: Sequence[int]) -> list:
+        """E[h^(k)(a + b Z)], Z ~ N(0, 1), for each k in `orders`.
+
+        `a` and `b > 0` broadcast together.  All orders share one set of
+        truncated moments per piece; on each piece h^(k) is expanded in
+        Taylor form around a:
+
+            E[h^(k)(a + bZ); piece] = sum_m (k+m)!/m! T_{k+m}(a) b^m M_m
+
+        with T_j(a) = h^(j)(a)/j! and M_m the piece's truncated moments.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        outs = [np.zeros(shape) for _ in orders]
+        limits = ([_BELOW_ALL] + [_knot_terms(t, a, b) for t in self.knots]
+                  + [_ABOVE_ALL])
+        for i, coeffs in enumerate(self.coeffs):
+            deg = len(coeffs) - 1
+            live = [(out, k) for out, k in zip(outs, orders) if k <= deg]
+            if not live:  # h^(k) vanishes on this piece
+                continue
+            lowest = min(k for _, k in live)
+            moments = _truncated_moments(limits[i], limits[i + 1], deg - lowest)
+            taylor = _taylor_shift(coeffs, a, lowest)
+            scaled, power = [], 1.0  # b^m M_m
+            for m in range(deg - lowest + 1):
+                scaled.append(power * moments[m])
+                power = power * b
+            for out, k in live:
+                for m in range(deg - k + 1):
+                    out += math.perm(k + m, k) * taylor[k + m] * scaled[m]
+        return outs
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A real test function on R^dim with a declared gradient budget."""
@@ -87,19 +227,25 @@ def ridge_function(direction, profile, lipschitz_budget: float, label: str) -> T
                         label=label, dim=rp.direction.size, ridge=rp)
 
 
-def softclip_profile(slope: float, width: float, center: float = 0.0):
+def softclip_profile(slope: float, width: float, center: float = 0.0
+                     ) -> "PiecewisePolynomial":
     """Saturating C^2 ramp with maximal slope `slope`.
 
     h(t) = slope * width * p((t - center)/width) with p the integrated
     quartic bump p(u) = u - 2u^3/3 + u^5/5 on [-1, 1], constant outside.
     p'(u) = (1 - u^2)^2 peaks at 1, so |h'| <= slope everywhere.
+
+    The ramp is returned as a `PiecewisePolynomial` (a constant, a quintic
+    and a constant), so Gaussian integrals of it and of its derivatives,
+    in `mollify` and in the ridge Stein engine, are evaluated in closed form.
     """
-
-    def h(t):
-        u = np.clip((np.asarray(t, dtype=float) - center) / width, -1.0, 1.0)
-        return slope * width * (u - 2.0 * u ** 3 / 3.0 + u ** 5 / 5.0)
-
-    return h
+    p = np.polynomial.Polynomial([0.0, 1.0, 0.0, -2.0 / 3.0, 0.0, 0.2])
+    u = np.polynomial.Polynomial([-center / width, 1.0 / width])
+    quintic = slope * width * p(u)
+    plateau = slope * width * 8.0 / 15.0  # p(1) = 1 - 2/3 + 1/5
+    return PiecewisePolynomial(
+        knots=(center - width, center + width),
+        coeffs=((-plateau,), tuple(quintic.coef), (plateau,)))
 
 
 def soft_clip_family(dim: int) -> list[TestFunction]:
@@ -195,10 +341,13 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     Z ~ law.  Preserves ridge structure exactly (the projected noise is a 1d
     Gaussian with the projected variance).
 
-    The expectation uses Gauss-Hermite quadrature verified by node doubling.
-    In one effective dimension (ridge or scalar phi), a probe failure falls
-    back to adaptive quadrature so that merely-Lipschitz test functions are
-    still smoothed to high accuracy; in higher dimension nonconvergence is an
+    A ridge function whose profile is a `PiecewisePolynomial` (the soft-clip
+    family) is smoothed in closed form, as a finite sum of truncated normal
+    moments, with no quadrature and no fallback.  Otherwise the expectation
+    uses Gauss-Hermite quadrature verified by node doubling.  In one
+    effective dimension (ridge or scalar phi), a probe failure falls back to
+    adaptive quadrature so that merely-Lipschitz test functions are still
+    smoothed to high accuracy; in higher dimension nonconvergence is an
     error.
     """
     if not 0.0 < eps < 1.0:
@@ -247,8 +396,15 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
 
 
 def _smoothed_profile(h, a: float, noise_scale: float):
-    """t -> E[h(a t - noise_scale Z)], Z ~ N(0, 1): the 64-node Gauss-Hermite
-    rule if the node-doubling probe settles, adaptive quadrature if not."""
+    """t -> E[h(a t - noise_scale Z)], Z ~ N(0, 1): in closed form for a
+    `PiecewisePolynomial`; otherwise the 64-node Gauss-Hermite rule if the
+    node-doubling probe settles, adaptive quadrature if not."""
+    if isinstance(h, PiecewisePolynomial):
+        def h_exact(t):
+            # Z and -Z have the same law
+            return h.gaussian_expectations(a * np.asarray(t, dtype=float),
+                                           noise_scale, (0,))[0]
+        return h_exact
     if not _profile_converged(h, a, noise_scale):
         return _adaptive_profile_mean(h, a, noise_scale)
     nodes, wts = hermite_1d(64)

@@ -33,6 +33,18 @@ F(u . x) where F is the 1d solution for profile h and variance u . Lambda u,
 so all derivative tensors are rank-one and every integral is one-dimensional.
 A generic tensorized quadrature path covers arbitrary test functions in low
 dimension and is used to cross-validate the reduction.
+
+The inner Gaussian integral of a ridge solution is exact when the profile is
+a C^2 `PiecewisePolynomial` (the soft-clip family).  Gaussian integration by
+parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns the order-k inner integral into
+
+    F_k(w) = sum_i sw_k(s_i) s_i^{k/2} E[h^(k)(sqrt(1-s_i) w + sqrt(s_i) sigma Z)]
+
+(for k = 0 less the exact c0 = E[h(sigma Z)]), and on each piece the
+expectation is a finite sum of truncated normal moments.  This path uses no
+Hermite nodes, so `z_nodes_per_axis` does not affect it, and its node-doubling
+gate measures the s-integral alone.  Any other profile takes Gauss-Hermite
+quadrature; `SteinSolution.inner_integral` reports which path a solution used.
 """
 from __future__ import annotations
 
@@ -45,7 +57,7 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ._util import (QuadratureError, UsageError, ball_points, hermite_1d,
                     hermite_grid, tensor_norm)
-from .distances import TestFunction, gaussian_mean, mollify
+from .distances import PiecewisePolynomial, TestFunction, gaussian_mean, mollify
 from .gaussians import GaussianLaw
 
 __all__ = [
@@ -62,16 +74,20 @@ __all__ = [
 
 _EPS_MIN, _EPS_MAX = 0.05, 0.9
 _T_TAIL = 56.0  # integrand tails decay like exp(-t/2); exp(-28) is negligible
-# Node-doubling settle tolerance for solution construction.  The profiles in
-# play are C^2 but not analytic, so Gauss-Hermite converges polynomially
-# (observed ~1e-5 at 64 nodes); the downstream certificates carry tolerances
-# of 1e-3 and larger, leaving an order of magnitude of headroom.
+# Node-doubling settle tolerance for solution construction.  A C^2 profile
+# that is not analytic makes Gauss-Hermite converge polynomially (observed
+# ~1e-5 at 64 nodes for the soft-clip ramp behind a plain callable); the
+# downstream certificates carry tolerances of 1e-3 and larger, leaving an
+# order of magnitude of headroom.
 _VERIFY_TOL = 1e-4
 # Orders whose node-doubling delta gates solution construction.
 _GATE_ORDERS = (0, 2)
 # Gauss-Hermite nodes per axis of the generic engine; tensorized rules stop
 # at dim 3.
 _GENERIC_AXIS_NODES = {1: 64, 2: 48, 3: 16}
+# (s, w) pairs per block of the closed-form inner integral; each pair holds
+# a few dozen float64 temporaries.
+_EXACT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -169,15 +185,24 @@ def _unpack(orders, outs: list):
 
 class _RidgeEngine:
     """Stein solution for profile h and scalar variance sigma2: all derivative
-    orders reduce to scalar functions F_k of w = u . x."""
+    orders reduce to scalar functions F_k of w = u . x.
+
+    A `PiecewisePolynomial` profile gets the exact inner integral; any other
+    callable gets Gauss-Hermite quadrature (`inner_integral` says which).
+    """
 
     def __init__(self, profile, sigma2: float, eps: float, quad: QuadratureSpec):
         self.profile = profile
         self.sigma = float(np.sqrt(sigma2))
         self.eps = eps
         self.quad = quad
+        self.exact = isinstance(profile, PiecewisePolynomial)
+        self.inner_integral = "exact" if self.exact else "gauss-hermite"
         self._c0_cache: dict[int, float] = {}
-        self.c0 = self._gaussian_mean(quad.z_nodes_per_axis)
+        if self.exact:
+            self.c0 = float(profile.gaussian_expectations(0.0, self.sigma, (0,))[0])
+        else:
+            self.c0 = self._gaussian_mean(quad.z_nodes_per_axis)
 
     def _gaussian_mean(self, n_nodes: int) -> float:
         # The subtracted mean must use the same rule as the inner integral:
@@ -204,14 +229,41 @@ class _RidgeEngine:
         """F_k at scalar points w (any shape) for one order k in 0..3, or a
         tuple of F_k for a tuple of orders.
 
-        The orders of one call share every profile evaluation; each result
-        has the same bits as a call for its order alone.
+        The orders of one call share every profile evaluation (or, on the
+        exact path, every set of truncated moments); each result has the
+        same bits as a call for its order alone.  `v_nodes` sets the
+        Gauss-Hermite budget and has no effect on the exact path.
         """
         ks = _as_orders(orders)
         w = np.asarray(w, dtype=float)
         flat = w.reshape(-1)
         s, sws = _s_panels(self.eps, s_nodes or self.quad.s_nodes, ks)
-        n_v = v_nodes or self.quad.z_nodes_per_axis
+        if self.exact:
+            outs = self._fk_exact(flat, s, sws, ks)
+        else:
+            outs = self._fk_hermite(flat, s, sws, ks,
+                                    v_nodes or self.quad.z_nodes_per_axis)
+        return _unpack(orders, [out.reshape(w.shape) for out in outs])
+
+    def _fk_exact(self, flat, s, sws, ks):
+        """Gaussian integration by parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns
+        the order-k inner integral at s into s^{k/2} E[h^(k)(sqrt(1-s) w +
+        sqrt(s) sigma Z)], which the profile evaluates in closed form."""
+        outs = [np.zeros(flat.shape) for _ in ks]
+        block = max(1, _EXACT_BLOCK // max(1, flat.size))
+        for start in range(0, len(s), block):
+            sl = slice(start, start + block)
+            sb = s[sl]
+            vals = self.profile.gaussian_expectations(
+                np.sqrt(1.0 - sb)[:, None] * flat[None, :],
+                (np.sqrt(sb) * self.sigma)[:, None], ks)
+            for out, sw, k, val in zip(outs, sws, ks, vals):
+                if k == 0:
+                    val = val - self.c0
+                out += (sw[sl] * sb ** (0.5 * k)) @ val
+        return outs
+
+    def _fk_hermite(self, flat, s, sws, ks, n_v: int):
         g, gw = hermite_1d(n_v)
         v = self.sigma * g
         kern_ws = [gw * self._kernel(k, v) for k in ks]
@@ -226,7 +278,7 @@ class _RidgeEngine:
             vals = self.profile(args) - c0
             for out, sw, kern_w in zip(outs, sws, kern_ws):
                 out += sw[sl] @ (vals @ kern_w)
-        return _unpack(orders, [out.reshape(w.shape) for out in outs])
+        return outs
 
     def refinement_delta(self, w, orders: tuple[int, ...]) -> tuple[float, ...]:
         """Per order, the largest move of F_k at w under node doubling."""
@@ -242,6 +294,8 @@ class _RidgeEngine:
 
 class _GenericEngine:
     """Direct N-dimensional quadrature for arbitrary test functions."""
+
+    inner_integral = "gauss-hermite"
 
     def __init__(self, phi: TestFunction, law: GaussianLaw, quad: QuadratureSpec,
                  eps: float):
@@ -357,6 +411,12 @@ class SteinSolution:
         object.__setattr__(self, "_majorants", {})
 
     @property
+    def inner_integral(self) -> str:
+        """"exact" when the Gaussian inner integral is in closed form (a ridge
+        function with a `PiecewisePolynomial` profile), else "gauss-hermite"."""
+        return self._engine.inner_integral
+
+    @property
     def node_doubling_deltas(self) -> dict:
         """Order -> max |change| of that integral at the probe points when
         the s and z budgets are doubled (the construction gate's input)."""
@@ -469,8 +529,6 @@ class _RidgeMajorant:
     """
 
     def __init__(self, sol: SteinSolution, delta: float, w_lo: float, w_hi: float):
-        if delta <= 0:
-            raise UsageError("delta must be positive")
         self.delta = delta
         kd = _osc_window_k(sol.law.dim) * delta
         self.kd = kd
@@ -515,7 +573,11 @@ def _ridge_majorant(sol: SteinSolution, delta: float, w_lo: float,
     return sol._majorants[key]
 
 
-def _majorant_order(kind: str) -> int:
+def _majorant_order(kind: str, delta: float) -> int:
+    """The derivative order of a majorant kind; also rejects a delta that is
+    not positive and finite, for either engine."""
+    if not (np.isfinite(delta) and delta > 0):  # a NaN fails
+        raise UsageError(f"delta must be positive and finite, got {delta!r}")
     if kind == "hessian":
         return 2
     if kind == "third":
@@ -531,7 +593,7 @@ def oscillation_majorant(sol: SteinSolution, x, delta: float, kind: str) -> NDAr
     with K = 2 sqrt(dim) + 1.  These dominate osc_delta of the corresponding
     derivative pointwise.
     """
-    order = _majorant_order(kind)
+    order = _majorant_order(kind, delta)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if sol.is_ridge:
         w = sol._project(x)
@@ -577,7 +639,7 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     For ridge solutions `table` reports the s budget and grid size of the
     shared F_2/F_3 table; generic solutions have no table (None).
     """
-    order = _majorant_order(kind)
+    order = _majorant_order(kind, delta)
     n = sol.law.dim
     log_eps = abs(np.log(sol.eps))
     if kind == "hessian":

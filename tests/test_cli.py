@@ -305,6 +305,7 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
     assert [r["label"] for r in records] == labels
     for r in records:
         assert r["s_nodes"] == 1024 and r["z_nodes_per_axis"] == 64
+        assert r["inner_integral"] == "exact"
         assert set(r["node_doubling_delta"]) == {"0", "2"}
         assert all(0.0 <= d <= 1e-4 for d in r["node_doubling_delta"].values())
         assert r["majorant_table"]["s_nodes"] == 256

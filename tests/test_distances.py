@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlclt import QuadratureError, UsageError
+from mlclt import QuadratureError, UsageError, distances
 from mlclt.distances import TestFunction as FnSpec
-from mlclt.distances import (DiscreteLaw, SampleSet,
+from mlclt.distances import (DiscreteLaw, PiecewisePolynomial, SampleSet,
                              class_membership_check, gaussian_mean, mollify,
                              restricted_distance, ridge_function, sliced_w1,
-                             soft_clip_family, w1_discrete_pair,
+                             soft_clip_family, softclip_profile, w1_discrete_pair,
                              w1_discrete_vs_gaussian, w1_empirical_gaussian)
 from mlclt.gaussians import GaussianLaw, SpdMatrix
 
@@ -129,6 +129,126 @@ def test_mollify_generic_nonsmooth_2d_reports_nonconvergence():
     law = GaussianLaw(SpdMatrix(np.eye(2)))
     with pytest.raises(QuadratureError):
         mollify(bad, 0.5, law)
+
+
+# ---------------------------------------------------------------------------
+# piecewise-polynomial profiles in closed form
+
+SOFTCLIP_PARAMS = ((0.5, 1.0, 0.0), (0.5, 2.0, 0.5), (0.25, 1.0, -0.5))
+
+
+def _power_form_softclip(slope, width, center):
+    # the soft-clip profile as it was written before it became piecewise
+    def h(t):
+        u = np.clip((np.asarray(t, dtype=float) - center) / width, -1.0, 1.0)
+        return slope * width * (u - 2.0 * u ** 3 / 3.0 + u ** 5 / 5.0)
+    return h
+
+
+@pytest.mark.parametrize("params", SOFTCLIP_PARAMS)
+def test_softclip_horner_matches_power_form(params):
+    h = softclip_profile(*params)
+    assert isinstance(h, PiecewisePolynomial)
+    t = np.linspace(-6.0, 6.0, 24001)
+    assert np.max(np.abs(h(t) - _power_form_softclip(*params)(t))) <= 1e-15
+    plateau = params[0] * params[1] * 8.0 / 15.0
+    edges = h(np.array([-np.inf, np.inf, np.nan]))
+    assert edges[0] == -plateau and edges[1] == plateau and np.isnan(edges[2])
+    assert h(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_piecewise_polynomial_validation():
+    with pytest.raises(UsageError):  # three pieces need two knots
+        PiecewisePolynomial(knots=(0.0,), coeffs=((0.0,), (0.0, 1.0), (1.0,)))
+    with pytest.raises(UsageError):
+        PiecewisePolynomial(knots=(1.0, 0.0), coeffs=((0.0,), (0.0,), (0.0,)))
+    with pytest.raises(UsageError):
+        PiecewisePolynomial(knots=(), coeffs=((np.nan, 1.0),))
+    with pytest.raises(UsageError):  # a hinge is not C^2 (nor C^1) at 0
+        PiecewisePolynomial(knots=(0.0,), coeffs=((0.0,), (0.0, 1.0)))
+    with pytest.raises(UsageError):  # x^2 joined to 0 is C^1 but not C^2
+        PiecewisePolynomial(knots=(0.0,), coeffs=((0.0,), (0.0, 0.0, 1.0)))
+
+
+def _mp_softclip_expectation(mpmath, params, k, a, b):
+    """E[h^(k)(a + bZ)] by 50-digit mpmath: quadrature over the quintic
+    piece plus the plateaus times their exact Gaussian masses."""
+    slope, width, center = params
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    lo, hi = (center - width - a) / b, (center + width - a) / b
+
+    def integrand(z):
+        u = (a + b * z - center) / width
+        p = (u - 2 * u ** 3 / 3 + u ** 5 / 5, (1 - u ** 2) ** 2,
+             -4 * u * (1 - u ** 2), 12 * u ** 2 - 4)[k]
+        return slope * width ** (1 - k) * p * mpmath.npdf(z)
+
+    splits = sorted({lo, hi} | ({mpmath.mpf(0)} if lo < 0 < hi else set()))
+    value = mpmath.quad(integrand, splits)
+    if k == 0:
+        plateau = mpmath.mpf(slope) * width * 8 / 15
+        value += plateau * (mpmath.ncdf(-hi) - mpmath.ncdf(lo))
+    return value
+
+
+@pytest.mark.parametrize("params", SOFTCLIP_PARAMS[:2])
+def test_closed_form_gaussian_expectations_match_mpmath(params):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    h = softclip_profile(*params)
+    cases = [
+        (12.0, 1.0),    # both limits of every knot below -8
+        (-12.0, 1.0),   # both above +8: the upper-tail mass
+        (0.3, 1.0),     # limits straddle the quintic piece
+        (0.4, 0.05),    # a narrow Gaussian inside the piece
+        (12.0, 0.05),   # a narrow Gaussian far out on a plateau
+        (-1.45, 0.05),  # a narrow Gaussian across a knot
+        (3.0, 2.0),     # a wide Gaussian off centre
+    ]
+    for a, b in cases:
+        got = h.gaussian_expectations(a, b, (0, 1, 2, 3))
+        for k in range(4):
+            want = float(_mp_softclip_expectation(mpmath, params, k, a, b))
+            assert abs(float(got[k]) - want) <= 1e-13, (a, b, k)
+
+
+def test_closed_form_gaussian_expectations_broadcast_and_share_moments():
+    h = softclip_profile(0.5, 2.0, 0.5)
+    a = np.linspace(-3.0, 3.0, 7)[:, None] * np.ones((1, 4))
+    b = np.linspace(0.1, 2.0, 4)[None, :]
+    together = h.gaussian_expectations(a, b, (0, 1, 2, 3))
+    for k, got in enumerate(together):
+        assert got.shape == (7, 4)
+        assert np.array_equal(got, h.gaussian_expectations(a, b, (k,))[0])
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5])
+def test_exact_mollify_matches_adaptive_quadrature(eps):
+    a = math.sqrt(1.0 - eps * eps)
+    t = np.array([-3.0, -1.0, -0.2, 0.0, 0.7, 1.5, 4.0])
+    for params in SOFTCLIP_PARAMS:
+        h = softclip_profile(*params)
+        # mollify's noise scale under N(0, 1); the adaptive oracle itself is
+        # accurate to about 1e-10 (it is off by 2.5e-10 at t = 0 for the
+        # third member at noise scale eps * sqrt(2), where mpmath agrees
+        # with the closed form to 1e-16)
+        exact = distances._smoothed_profile(h, a, eps)(t)
+        oracle = distances._adaptive_profile_mean(h, a, eps)(t)
+        assert np.max(np.abs(exact - oracle)) <= 1e-10
+
+
+def test_soft_clip_mollify_never_takes_a_quadrature_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("soft-clip mollify left the closed form")
+
+    monkeypatch.setattr(distances, "_adaptive_profile_mean", refuse)
+    monkeypatch.setattr(distances, "_profile_converged", refuse)
+    for dim in (1, 2):
+        law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.4 * (1.0 - np.eye(dim))))
+        x = np.linspace(-2.0, 2.0, 3 * dim).reshape(3, dim)
+        for eps in (0.25, 0.5):
+            for phi in soft_clip_family(dim):
+                assert np.isfinite(mollify(phi, eps, law)(x)).all()
 
 
 # ---------------------------------------------------------------------------

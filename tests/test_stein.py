@@ -10,7 +10,7 @@ from mlclt import QuadratureError, UsageError, distances, stein
 from mlclt._util import gaussian_expectation, hermite_1d
 from mlclt.distances import TestFunction as FnSpec
 from mlclt.distances import (class_membership_check, gaussian_mean,
-                             ridge_function, soft_clip_family)
+                             ridge_function, soft_clip_family, softclip_profile)
 from mlclt.gaussians import GaussianLaw, SpdMatrix
 from mlclt.stein import (QuadratureSpec, SteinSolution, majorant_average_certificate,
                          oscillation_majorant, smoothing_bound, stein_derivative,
@@ -154,6 +154,34 @@ def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
         assert np.array_equal(got, engine.fk(w, order, s_nodes=256))
 
 
+@pytest.mark.parametrize("n_points", [1, 1717])
+def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
+    # at 1717 points one block of the closed form holds 38 s-nodes
+    engine = stein._RidgeEngine(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25,
+                                QuadratureSpec())
+    assert engine.inner_integral == "exact"
+    w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
+    together = engine.fk(w, (0, 1, 2, 3))
+    for order, got in enumerate(together):
+        assert np.array_equal(got, engine.fk(w, order))
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 2.5])
+def test_exact_inner_integral_matches_gauss_hermite(sigma2):
+    # the same soft-clip profile behind a plain callable takes the
+    # Gauss-Hermite path; at 1024 nodes its inner error is below 1e-6
+    quad = QuadratureSpec(s_nodes=256, z_nodes_per_axis=1024)
+    w = np.linspace(-4.0, 4.0, 20)
+    for params in ((0.5, 1.0, 0.0), (0.25, 1.0, -0.5)):
+        h = softclip_profile(*params)
+        exact = stein._RidgeEngine(h, sigma2, 0.25, quad)
+        hermite = stein._RidgeEngine(lambda t: h(t), sigma2, 0.25, quad)
+        assert hermite.inner_integral == "gauss-hermite"
+        for order, (a, b) in enumerate(zip(exact.fk(w, (0, 1, 2, 3)),
+                                           hermite.fk(w, (0, 1, 2, 3)))):
+            assert np.max(np.abs(a - b)) <= 2e-6, (params, order)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_generic_engine_orders_together_keep_each_orders_bits(dim):
     phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
@@ -280,8 +308,28 @@ def test_quadrature_spec_validation():
 
 def test_insufficient_budget_is_reported_not_silently_accepted():
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
+    # the default 64 Gauss-Hermite nodes do not settle the soft-clip ramp at
+    # variance 4; behind a plain callable the ramp takes that rule
+    h = softclip_profile(0.5, 1.0)
     with pytest.raises(QuadratureError):
-        SteinSolution(soft_clip_family(1)[0], law, 0.5)
+        SteinSolution(ridge_function([1.0], lambda t: h(t), 0.5, "plain"), law, 0.5)
+    # the closed form has no inner rule, but 128 s-nodes still do not settle
+    with pytest.raises(QuadratureError, match="order 0"):
+        SteinSolution(soft_clip_family(1)[0], law, 0.5, quad=QuadratureSpec(s_nodes=128))
+    assert SteinSolution(soft_clip_family(1)[0], law, 0.5).inner_integral == "exact"
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
+def test_majorants_reject_a_delta_that_is_not_positive_and_finite(delta, soft_clip_sol):
+    generic = SteinSolution(FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
+                                   lipschitz_budget=1.0, label="generic", dim=1),
+                            STD_1D, 0.5)
+    for sol in (soft_clip_sol, generic):
+        for kind in ("hessian", "third"):
+            with pytest.raises(UsageError, match="delta"):
+                majorant_average_certificate(sol, delta, kind)
+            with pytest.raises(UsageError, match="delta"):
+                oscillation_majorant(sol, np.zeros((2, 1)), delta, kind)
 
 
 # ---------------------------------------------------------------------------
