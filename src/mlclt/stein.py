@@ -573,11 +573,14 @@ def _ridge_majorant(sol: SteinSolution, delta: float, w_lo: float,
     return sol._majorants[key]
 
 
-def _majorant_order(kind: str, delta: float) -> int:
-    """The derivative order of a majorant kind; also rejects a delta that is
-    not positive and finite, for either engine."""
+def _check_delta(delta: float) -> None:
+    """A majorant's smoothing scale must be positive and finite, for either
+    engine."""
     if not (np.isfinite(delta) and delta > 0):  # a NaN fails
         raise UsageError(f"delta must be positive and finite, got {delta!r}")
+
+
+def _majorant_order(kind: str) -> int:
     if kind == "hessian":
         return 2
     if kind == "third":
@@ -593,7 +596,8 @@ def oscillation_majorant(sol: SteinSolution, x, delta: float, kind: str) -> NDAr
     with K = 2 sqrt(dim) + 1.  These dominate osc_delta of the corresponding
     derivative pointwise.
     """
-    order = _majorant_order(kind, delta)
+    _check_delta(delta)
+    order = _majorant_order(kind)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if sol.is_ridge:
         w = sol._project(x)
@@ -639,7 +643,8 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     For ridge solutions `table` reports the s budget and grid size of the
     shared F_2/F_3 table; generic solutions have no table (None).
     """
-    order = _majorant_order(kind, delta)
+    _check_delta(delta)
+    order = _majorant_order(kind)
     n = sol.law.dim
     log_eps = abs(np.log(sol.eps))
     if kind == "hessian":
