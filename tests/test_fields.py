@@ -257,6 +257,35 @@ def test_monte_carlo_stream_is_pinned():
     assert digest.hexdigest() == _PINNED_STREAM
 
 
+_PINNED_WINDOWS = "e9a87b6dcaf865de2c3fa6708289a2c5daddc494cffdd07eebaa7a5382251f83"
+
+
+def _window_runs():
+    """(generator, structure, n) at K=2 on lattices whose lower levels read
+    wrapped windows: cube at dyadic and non-dyadic L, the float laws at
+    L=119, and cube totals at L=32768, where 1 + L + w_max passes 2^15."""
+    for L in (64, 119, 256, 1000):
+        for n_comp in (1, 3):
+            yield (*make_preset("cube", 1, L, n_components=n_comp), 250)
+    for name in ("identity-gauss", "signed-sqrt"):
+        for n_comp in (1, 3):
+            yield (*make_preset(name, 1, 119, n_components=n_comp), 250)
+    yield (*make_preset("cube", 1, 32768), 3)
+
+
+def test_monte_carlo_windows_are_pinned():
+    digest = hashlib.sha256()
+    for gen, st, n in _window_runs():
+        arrays = [monte_carlo(gen, st, n, 2026, chunk_size=96).values]
+        if n > 3:
+            samples, per_index, _ = monte_carlo(gen, st, n, 2026, chunk_size=96,
+                                                return_per_index=True)
+            arrays += [samples.values, per_index]
+        for arr in arrays:
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _PINNED_WINDOWS
+
+
 def test_monte_carlo_single_draw_matches_direct_generator():
     spec, st = make_preset("signed-sqrt", 1, 16)
     got = monte_carlo(spec, st, 1, 31).values[0]
