@@ -15,6 +15,10 @@ keyed by (master_seed, k) and started at counter 0, so it can be regenerated
 in isolation with `counter_rng(master_seed, k)`.  `monte_carlo` builds one
 Philox per chunk and re-keys it for each realization, which draws the same
 stream; results are bit-reproducible and independent of the chunk size.
+Rademacher noise is summed as 0/1 counts of +1 cells in an integer periodic
+prefix, so box sums are exact; the other laws use the same prefix in float64.
+Window levels are summed anchor by anchor, and whole-torus levels, d >= 2
+levels and per-index values as numpy reduces their C-order arrays.
 """
 from __future__ import annotations
 
@@ -62,15 +66,13 @@ def _apply_map(tag: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
     raise UsageError(f"unknown map {tag!r}; choose from {_MAPS}")
 
 
-def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
-               count: int) -> NDArray[np.float64]:
-    """Noise rows for realizations k0 .. k0+count-1, shape (count, L^d).
-
-    Row i is what `counter_rng(master_seed, k0 + i)` draws.  Instead of
-    building that generator, one Philox is re-keyed to (master_seed, k)
-    from counter 0 with an empty buffer for each realization.  All
-    distributions are symmetric with unit variance.
-    """
+def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
+          count: int) -> NDArray:
+    """Noise of realizations k0 .. k0+count-1: Rademacher as positions-major
+    0/1 counts of the +1 cells, shape (L^d, count), the other laws as float
+    rows, shape (count, L^d), all symmetric with unit variance.  Realization
+    k is what `counter_rng(master_seed, k)` draws: one Philox is re-keyed to
+    (master_seed, k) from counter 0 with an empty buffer for each."""
     if dist not in _DISTS:
         raise UsageError(f"unknown noise distribution {dist!r}; choose from {_DISTS}")
     cells = L ** d
@@ -86,20 +88,18 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
         bitgen.state = state
 
     if dist == "rademacher":
-        # Generator.integers(0, 2) takes the top bit of each 32-bit half of a
-        # raw word, low half first; an odd cell count leaves one half unused
-        raw = np.empty((count, (cells + 1) // 2), dtype=np.uint64)
-        for i in range(count):
-            rekey(k0 + i)
-            raw[i] = bitgen.random_raw(raw.shape[1])
-        out = np.empty((count, 2 * raw.shape[1]))
-        out[:, 1::2] = raw >> 63
-        raw >>= 31
-        raw &= 1
-        out[:, 0::2] = raw
-        out *= 2.0
-        out -= 1.0
-        return np.ascontiguousarray(out[:, :cells])
+        # as Generator.integers(0, 2): cell 2j is bit 31 of raw word j, cell
+        # 2j+1 bit 63; blocks of 128 realizations are transposed in cache
+        words = (cells + 1) // 2
+        bits = np.empty((2 * words, count), dtype=np.uint8)
+        for b0 in range(0, count, 128):
+            raw = np.empty((min(128, count - b0), words), dtype=np.uint64)
+            for i in range(len(raw)):
+                rekey(k0 + b0 + i)
+                raw[i] = bitgen.random_raw(words)
+            bits[1::2, b0:b0 + len(raw)] = (raw >> 63).T
+            bits[0::2, b0:b0 + len(raw)] = (raw >> 31 & 1).T
+        return bits[:cells]
     rng = np.random.Generator(bitgen)
     draw = {
         "uniform": partial(rng.uniform, -np.sqrt(3.0), np.sqrt(3.0), cells),
@@ -111,6 +111,13 @@ def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
         rekey(k0 + i)
         out[i] = draw()
     return out
+
+
+def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
+               count: int) -> NDArray[np.float64]:
+    """Noise rows for realizations k0 .. k0+count-1, shape (count, L^d)."""
+    noise = _draw(d, L, dist, master_seed, k0, count)
+    return np.ascontiguousarray(noise.T) * 2.0 - 1.0 if dist == "rademacher" else noise
 
 
 @dataclass(frozen=True)
@@ -176,22 +183,18 @@ def local_average(a: NDArray[np.float64], r: int, d: int, L: int) -> NDArray[np.
             grid = np.broadcast_to(grid.mean(axis=axis, keepdims=True),
                                    grid.shape).copy()
             continue
-        grid = _axis_box_mean(grid, axis, r, L)
+        prefix = _periodic_prefix(np.moveaxis(grid, axis, 0), w)
+        grid = np.moveaxis(_window_sums(prefix, L, -r % L, 1, w) / w, 0, axis)
     return grid.reshape(batch + (L ** d,))
 
 
-def _axis_box_mean(grid, axis: int, r: int, L: int):
-    w = 2 * r + 1
-    prefix = _periodic_prefix(np.moveaxis(grid, axis, 0), w)
-    out = _window_sums(prefix, (np.arange(L) - r) % L, w) / w
-    return np.moveaxis(out, 0, axis)
-
-
-def _periodic_prefix(x: NDArray[np.float64], w_max: int) -> NDArray[np.float64]:
+def _periodic_prefix(x: NDArray, w_max: int) -> NDArray:
     """Prefix sums along the first axis of x (length L) extended periodically
     by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
     sum of the first j extended entries.
 
+    Float x gives float64 sums; integer x, the 0/1 counts of Rademacher
+    cells, gives exact int16 sums, or int32 once 1 + L + w_max reaches 2^15.
     Each entry is the previous one plus the next extended entry, exactly as
     in a cumsum, so a window read from the buffer has the bits of a cumsum
     over that window's own extension, whatever w_max is.  The summed axis is
@@ -199,19 +202,25 @@ def _periodic_prefix(x: NDArray[np.float64], w_max: int) -> NDArray[np.float64]:
     adding whole blocks in turn is many times faster than `np.cumsum` along
     a strided axis."""
     L = len(x)
-    out = np.empty((1 + L + w_max,) + x.shape[1:])
-    out[0] = 0.0
+    size = 1 + L + w_max
+    dtype = (np.float64 if x.dtype.kind == "f"
+             else np.int16 if size < 1 << 15 else np.int32)
+    out = np.empty((size,) + x.shape[1:], dtype=dtype)
+    out[0] = 0
     out[1:L + 1] = x
     out[L + 1:] = x[:w_max]
-    for j in range(2, len(out)):
+    for j in range(2, size):
         out[j] += out[j - 1]
     return out
 
 
-def _window_sums(prefix: NDArray[np.float64], starts: NDArray[np.intp],
-                 w: int) -> NDArray[np.float64]:
-    """Sums over the periodic windows [s, s + w), s in starts, w <= w_max."""
-    return prefix[starts + w] - prefix[starts]
+def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int) -> NDArray:
+    """Sums over the periodic windows [s, s + w), w <= w_max, for the starts
+    s = (start + a step) mod L, a = 0, 1, ..., in order: two strided runs,
+    from `start` up to L and from (start - L) mod step up to `start`."""
+    s = (start - L) % step
+    return np.concatenate([prefix[start + w:L + w:step] - prefix[start:L:step],
+                           prefix[s + w:start + w:step] - prefix[s:start:step]])
 
 
 def _smoothstep(t: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -328,13 +337,9 @@ class SyntheticSpec:
 
 
 def _component_patterns(spec: SyntheticSpec, d: int, L: int) -> NDArray[np.float64]:
-    cells = L ** d
-    pats = np.ones((spec.n_components, cells))
-    if spec.n_components > 1:
-        x1 = (np.arange(cells) // (L ** (d - 1)))  # first coordinate, C-order
-        for c in range(1, spec.n_components):
-            pats[c] = np.where((x1 // (1 << (c - 1))) % 2 == 0, 1.0, -1.0)
-    return pats
+    x1 = np.arange(L ** d) // L ** (d - 1)  # first coordinate, C-order
+    return np.array([np.ones(L ** d)] + [np.where(x1 >> (c - 1) & 1, -1.0, 1.0)
+                                         for c in range(1, spec.n_components)])
 
 
 def _box_masks(structure: DependenceStructure, m: int) -> NDArray[np.float64]:
@@ -351,18 +356,18 @@ class _Level:
     """Noise-independent geometry of one level of a synthetic family.
 
     A support box holds `count` cells.  At d = 1 a box narrower than the
-    torus is the window [s, s + count) for s in `starts`, and a wider one is
-    the whole torus (both None); at d >= 2 `mask` is the dense indicator.
-    With Rademacher rows every box sum is an integer k in [-count, count],
-    and `table[k + count]` holds g(k / sqrt(count)): the same ufuncs on the
-    same doubles as mapping the sums themselves.
+    torus is a window starting `start` = -hw mod L for anchor 0 and 2^m
+    cells later for each next anchor; a wider one is the whole torus (both
+    None); at d >= 2 `mask` is the dense indicator.  A Rademacher box with b
+    cells at +1 sums to 2b - count, and `table[b]` holds the same double as
+    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
     """
 
     m: int
     scale: float  # w_m L^{-d}
     n_anchors: int
     count: int
-    starts: Optional[NDArray[np.intp]]
+    start: Optional[int]
     mask: Optional[NDArray[np.float64]]
     table: Optional[NDArray[np.float64]]
 
@@ -370,80 +375,98 @@ class _Level:
 class _SyntheticLevels:
     """Everything about a synthetic family on one structure that does not
     depend on the noise: component sign patterns and per-level geometry.
-    Built once per Monte Carlo run; `tabulate` promises Rademacher rows."""
+    Built once per Monte Carlo run; `tabulate` promises Rademacher noise
+    as the 0/1 counts that `_draw` returns."""
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
                  tabulate: bool = False):
         st = structure
         self.spec = spec
+        self.L = st.L
+        self.tabulate = tabulate
         self.patterns = _component_patterns(spec, st.d, st.L)
         self.levels = []
         for m in st.levels():
             hw = st.box_radius(m)
-            starts = mask = None
+            start = mask = None
             if st.d >= 2:
                 mask = _box_masks(st, m)
                 count = int(mask[:, 0].sum())
             elif 2 * hw + 1 < st.L:
                 count = 2 * hw + 1
-                starts = (np.arange(0, st.L, 1 << m) - hw) % st.L
+                start = -hw % st.L
             else:
                 count = st.L
-            table = (_apply_map(spec.nonlinearity,
-                                np.arange(-count, count + 1) / np.sqrt(count))
-                     if tabulate else None)
+            scale = spec.weight(m) * float(st.L) ** (-st.d)
+            table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
+                                / np.sqrt(count)) * scale if tabulate else None)
             self.levels.append(_Level(
-                m=m, scale=spec.weight(m) * float(st.L) ** (-st.d),
-                n_anchors=st.lattice_count(m) ** st.d, count=count,
-                starts=starts, mask=mask, table=table))
+                m=m, scale=scale, n_anchors=st.lattice_count(m) ** st.d,
+                count=count, start=start, mask=mask, table=table))
 
-    def values(self, rows: NDArray[np.float64], levels: Sequence[_Level]):
-        """Yield the (n_rows, n_anchors, n_components) values of each level.
+    def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
+        if lv.table is not None:  # counts lie in [0, count]: clipping never acts
+            np.take(lv.table, sums, out=out, mode="clip")
+        else:
+            np.multiply(_apply_map(self.spec.nonlinearity, sums / np.sqrt(lv.count)),
+                        lv.scale, out=out)
 
-        Each component reads all its windows from one periodic prefix sum
-        and its whole-torus boxes from one row total."""
-        # pattern 0 is all ones
-        mods = [rows] + [rows * p[None, :] for p in self.patterns[1:]]
-        w_max = max((lv.count for lv in levels if lv.starts is not None), default=0)
-        prefixes = [_periodic_prefix(mod.T, w_max) for mod in mods] if w_max else None
-        totals = [None] * len(mods)
+    def values(self, noise: NDArray, levels: Sequence[_Level]):
+        """Yield (level, values) for each level.
+
+        `noise` is (cells, n) counts when tabulated, (n, cells) float rows
+        otherwise.  Window values come anchor-major, (n_components,
+        n_anchors, n); the other levels yield (n, n_anchors, n_components),
+        whole-torus levels with one anchor standing for all.  Each component
+        reads all its windows from one periodic prefix sum."""
+        if self.tabulate:  # component c counts the cells where its noise is +1
+            cols = [noise] + [noise ^ (p < 0).astype(np.uint8)[:, None]
+                              for p in self.patterns[1:]]
+        else:  # pattern 0 is all ones
+            cols = [noise.T] + [(noise * p).T for p in self.patterns[1:]]
+        n = cols[0].shape[1]
+        w_max = max((lv.count for lv in levels if lv.start is not None), default=0)
+        prefixes = [_periodic_prefix(col, w_max) for col in cols] if w_max else None
+        totals = None
         for lv in levels:
-            comps = []
-            for c, mod in enumerate(mods):
-                if lv.mask is not None:
-                    sums = mod @ lv.mask
-                elif lv.starts is not None:
-                    sums = _window_sums(prefixes[c], lv.starts, lv.count).T
-                else:
-                    if totals[c] is None:
-                        totals[c] = mod.sum(axis=1, keepdims=True)
-                    sums = np.repeat(totals[c], lv.n_anchors, axis=1)
-                if lv.table is not None:
-                    sums += lv.count
-                    comps.append(lv.table[sums.astype(np.intp)])
-                else:
-                    comps.append(_apply_map(self.spec.nonlinearity,
-                                            sums / np.sqrt(lv.count)))
-            # the memory order of the window sums carries through to `vals`
-            # and decides how numpy sums it over anchors, hence the bits
-            vals = np.stack(comps, axis=-1)
-            vals *= lv.scale
-            yield vals
+            if lv.start is not None:
+                vals = np.empty((len(cols), lv.n_anchors, n))
+                for c, prefix in enumerate(prefixes):
+                    self._map(lv, _window_sums(prefix, self.L, lv.start, 1 << lv.m,
+                                               lv.count), vals[c])
+            else:
+                if lv.mask is None and totals is None:
+                    totals = [col.T.sum(axis=1, keepdims=True) for col in cols]
+                vals = np.empty((n, 1 if lv.mask is None else lv.n_anchors, len(cols)))
+                for c, col in enumerate(cols):
+                    sums = totals[c] if lv.mask is None else col.T @ lv.mask
+                    self._map(lv, sums.astype(np.intp) if self.tabulate else sums,
+                              vals[..., c])
+            yield lv, vals
 
 
-def _synthetic_totals(levels: _SyntheticLevels,
-                      rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.zeros((len(rows), levels.spec.n_components))
-    active = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
-    for vals in levels.values(rows, active):
-        out += vals.sum(axis=1)
+def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.float64]:
+    """(n, n_components) totals: window levels summed anchor by anchor, the
+    others as numpy reduces their C-order (n, n_anchors, n_components)
+    values.  The bits of the totals are pinned to this order."""
+    out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
+                    levels.spec.n_components))
+    for lv, vals in levels.values(noise, [lv for lv in levels.levels
+                                          if levels.spec.weight(lv.m) != 0.0]):
+        if lv.start is not None:
+            out += vals.sum(axis=1).T
+        else:
+            out += np.repeat(vals, lv.n_anchors // vals.shape[1], axis=1).sum(axis=1)
     return out
 
 
-def _synthetic_index_values(levels: _SyntheticLevels,
-                            rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(n_rows, n_indices, n_components), index order = build_index_set."""
-    return np.concatenate(list(levels.values(rows, levels.levels)), axis=1)
+def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
+                            out: NDArray[np.float64]) -> None:
+    """Write the (n, n_indices, n_components) values, in build_index_set order, to out."""
+    a = 0
+    for lv, vals in levels.values(noise, levels.levels):
+        out[:, a:a + lv.n_anchors] = vals.T if lv.start is not None else vals
+        a += lv.n_anchors
 
 
 def synthetic_multilevel(spec: SyntheticSpec, structure: DependenceStructure,
@@ -452,9 +475,11 @@ def synthetic_multilevel(spec: SyntheticSpec, structure: DependenceStructure,
     the nonlinearities are odd and every supported noise law is symmetric."""
     if noise.d != structure.d or noise.L != structure.L:
         raise UsageError("noise lattice does not match the structure")
-    vals = _synthetic_index_values(_SyntheticLevels(spec, structure),
-                                   noise.values[None, :])[0]
-    values = {idx: vals[a] for a, idx in enumerate(build_index_set(structure))}
+    indices = build_index_set(structure)
+    vals = np.empty((1, len(indices), spec.n_components))
+    _synthetic_index_values(_SyntheticLevels(spec, structure),
+                            noise.values[None, :], vals)
+    values = {idx: vals[0, a] for a, idx in enumerate(indices)}
     return MultilevelSample(structure=structure, values=values)
 
 
@@ -469,10 +494,9 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     if cells > 20:
         raise UsageError(f"enumeration over 2^{cells} configurations refused (> 2^20)")
     n_cfg = 1 << cells
-    bits = (np.arange(n_cfg)[:, None] >> np.arange(cells)[None, :]) & 1
-    rows = bits * 2.0 - 1.0
+    bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
     totals = _synthetic_totals(_SyntheticLevels(spec, structure, tabulate=True),
-                               rows)[:, 0]
+                               bits)[:, 0]
     rounded = np.round(totals, 12)
     values, counts = np.unique(rounded, return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
@@ -514,20 +538,20 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     per_index = (np.empty((n, len(indices), n_comp)) if return_per_index else None)
     for k0 in range(0, n, chunk_size):
         chunk = slice(k0, min(k0 + chunk_size, n))
-        rows = _draw_rows(structure.d, structure.L, dist, master_seed, k0,
-                          chunk.stop - k0)
+        draw = _draw if isinstance(generator, SyntheticSpec) else _draw_rows
+        noise = draw(structure.d, structure.L, dist, master_seed, k0, chunk.stop - k0)
         if isinstance(generator, FieldModel):
-            mapped = _apply_map(generator.pointwise_map, rows)
+            mapped = _apply_map(generator.pointwise_map, noise)
             values = _decompose_rows(generator, mapped, structure)
             vals = np.stack([values[i] for i in indices], axis=1)
+            totals[chunk] = vals.sum(axis=1)
+            if return_per_index:
+                per_index[chunk] = vals
         elif return_per_index:
-            vals = _synthetic_index_values(levels, rows)
+            _synthetic_index_values(levels, noise, per_index[chunk])
+            totals[chunk] = per_index[chunk].sum(axis=1)
         else:
-            totals[chunk] = _synthetic_totals(levels, rows)
-            continue
-        totals[chunk] = vals.sum(axis=1)
-        if return_per_index:
-            per_index[chunk] = vals
+            totals[chunk] = _synthetic_totals(levels, noise)
     samples = SampleSet(values=totals, master_seed=master_seed)
     if return_per_index:
         return samples, per_index, indices
