@@ -453,8 +453,9 @@ def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.fl
                     levels.spec.n_components))
     for lv, vals in levels.values(noise, [lv for lv in levels.levels
                                           if levels.spec.weight(lv.m) != 0.0]):
-        if lv.start is not None:
-            out += vals.sum(axis=1).T
+        if lv.start is not None:  # numpy would sum a lone realization pairwise
+            out += (vals.sum(axis=1) if len(out) > 1
+                    else np.add.accumulate(vals, axis=1)[:, -1]).T
         else:
             out += np.repeat(vals, lv.n_anchors // vals.shape[1], axis=1).sum(axis=1)
     return out

@@ -9,11 +9,11 @@ import pytest
 from mlclt import UsageError
 from mlclt._util import counter_rng
 from mlclt.concentration import stretched_norm
-from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _draw_rows,
-                          brute_force_law, draw_noise, dump_samples, load_samples,
-                          local_average, make_preset, monte_carlo,
-                          multilevel_decompose, sample_field, synthetic_multilevel,
-                          PRESET_NAMES)
+from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _SyntheticLevels,
+                          _draw_rows, _synthetic_totals, brute_force_law,
+                          draw_noise, dump_samples, load_samples, local_average,
+                          make_preset, monte_carlo, multilevel_decompose,
+                          sample_field, synthetic_multilevel, PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
 
 
@@ -202,6 +202,19 @@ def test_brute_force_law_is_symmetric_and_centered():
     assert np.allclose(law.probs, law.probs[order])
 
 
+@pytest.mark.parametrize("L,K", [(4, 2.0), (12, 1.0)])
+def test_brute_force_law_reads_the_count_path(L, K):
+    # the enumerated bits go through the counts that monte_carlo samples; the
+    # float path gives the same totals bit for bit, so the same law
+    spec, st = make_preset("cube", 1, L, K=K)
+    law = brute_force_law(spec, st)
+    bits = (np.arange(1 << L)[:, None] >> np.arange(L)[None, :]) & 1
+    totals = _synthetic_totals(_SyntheticLevels(spec, st), bits * 2.0 - 1.0)[:, 0]
+    values, counts = np.unique(np.round(totals, 12), return_counts=True)
+    assert np.array_equal(law.values, values)
+    assert np.array_equal(law.probs, counts / (1 << L))
+
+
 def test_brute_force_law_guards():
     spec = SyntheticSpec(dist="gaussian")
     st = DependenceStructure(d=1, L=4)
@@ -284,6 +297,37 @@ def test_monte_carlo_windows_are_pinned():
         for arr in arrays:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == _PINNED_WINDOWS
+
+
+@pytest.mark.parametrize("K", [1.0, 2.0])
+@pytest.mark.parametrize("L", [48, 64, 119])
+def test_count_path_matches_float_path(L, K):
+    # monte_carlo sums Rademacher boxes as integer counts and maps them
+    # through tables; synthetic_multilevel maps the float sums themselves
+    for n_comp in (1, 3):
+        spec, st = make_preset("cube", 1, L, K=K, n_components=n_comp)
+        _, per_index, indices = monte_carlo(spec, st, 6, 404, chunk_size=4,
+                                            return_per_index=True)
+        for k in range(6):
+            noise = draw_noise(1, L, "rademacher", 404, realization=k)
+            direct = synthetic_multilevel(spec, st, noise).values
+            assert np.array_equal(per_index[k], [direct[i] for i in indices])
+
+
+@pytest.mark.parametrize("n_comp", [1, 3])
+@pytest.mark.parametrize("name", ["cube", "signed-sqrt"])
+def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp):
+    # chunks of one realization included: numpy sums (n_anchors, 1) pairwise
+    n = 40
+    spec, st = make_preset(name, 1, 119, n_components=n_comp)
+    assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
+    runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
+             *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
+            for c in (1, 7, n, n + 1)]
+    for totals, samples, per_index in runs:
+        assert np.array_equal(totals, runs[0][0])
+        assert np.array_equal(samples.values, runs[0][1].values)
+        assert np.array_equal(per_index, runs[0][2])
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():
