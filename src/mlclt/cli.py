@@ -37,8 +37,8 @@ from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
 from .fields import PRESET_NAMES, brute_force_law, make_preset, monte_carlo
 from .gaussians import GaussianLaw, SpdMatrix
-from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
-                         theorem_bound)
+from .multilevel import (DEFAULT_POLICY, ChoiceReport, bar_constants,
+                         choose_eps_ell, theorem_bound)
 from .stein import (SteinSolution, majorant_average_certificate,
                     stein_residual, third_derivative_certificate)
 
@@ -232,6 +232,7 @@ class ResultRow:
     theoretical_bound_components: dict
     wallclock_seconds: float
     seed: int
+    choice: Optional[ChoiceReport] = None  # manifest only, never a CSV cell
 
     def csv_cells(self) -> dict:
         b = self.theoretical_bound_components
@@ -307,6 +308,7 @@ def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
         theoretical_bound_components=components,
         wallclock_seconds=time.perf_counter() - t0,
         seed=seed,
+        choice=choice,
     )
 
 
@@ -343,6 +345,20 @@ def _row_value(row, key, default=None):
     return getattr(row, key, default)
 
 
+def _rate_points(rows):
+    """Yield (L, normalized_w1, reason) for each row holding both, where
+    reason names why the rate fit drops the row and is None if it keeps it."""
+    for row in rows:
+        L = _row_value(row, "L")
+        w1 = _row_value(row, "normalized_w1")
+        floor = _row_value(row, "mc_floor", 0.0) or 0.0
+        if w1 is None or L is None:
+            continue
+        reason = ("nonpositive" if w1 <= 0
+                  else "below 2x mc_floor" if w1 < 2.0 * floor else None)
+        yield L, w1, reason
+
+
 def fit_rate(rows) -> tuple[float, float, float]:
     """Least-squares fit of log2(normalized_w1) against log2(L).
 
@@ -351,19 +367,12 @@ def fit_rate(rows) -> tuple[float, float, float]:
     noise.  Returns (slope, intercept, r_squared).
     """
     xs, ys = [], []
-    for row in rows:
-        L = _row_value(row, "L")
-        w1 = _row_value(row, "normalized_w1")
-        floor = _row_value(row, "mc_floor", 0.0) or 0.0
-        if w1 is None or L is None:
-            continue
-        if w1 <= 0:
+    for L, w1, reason in _rate_points(rows):
+        if reason == "nonpositive":
             warnings.warn(f"excluding nonpositive distance at L={L}")
-            continue
-        if w1 < 2.0 * floor:
-            continue
-        xs.append(math.log2(L))
-        ys.append(math.log2(w1))
+        if reason is None:
+            xs.append(math.log2(L))
+            ys.append(math.log2(w1))
     if len(xs) < 3:
         raise UsageError(f"rate fit needs >= 3 usable rows, got {len(xs)}")
     x = np.asarray(xs)
@@ -556,6 +565,20 @@ def _write_manifest(path: str, config: ExperimentConfig, writer: CsvWriter,
         fh.write("\n")
 
 
+def _clt_decisions(rows) -> list:
+    """The numerical decisions of a rate run: each row's eps/ell choice with
+    its raw and used values, then each L that the rate fit drops."""
+    out = [{"decision": "eps_ell", "L": r.L,
+            "eps_raw": float(c.eps_raw), "eps": float(c.eps),
+            "eps_clamped": bool(c.eps_clamped), "ell_raw": int(c.ell_raw),
+            "ell": int(c.ell), "ell_clamped": bool(c.ell_clamped)}
+           for r in rows if (c := r.choice) is not None]
+    out += [{"decision": "fit_drop", "L": L, "normalized_w1": float(w1),
+             "reason": reason}
+            for L, w1, reason in _rate_points(rows) if reason is not None]
+    return out
+
+
 def run_cli_experiment(config: ExperimentConfig) -> int:
     """Dispatch a config to its runner, stream CSV rows, emit the manifest."""
     t0 = time.perf_counter()
@@ -577,6 +600,7 @@ def run_cli_experiment(config: ExperimentConfig) -> int:
             extra["fit"] = {"slope": slope, "intercept": intercept, "r2": r2}
         except UsageError:
             extra["fit"] = None
+        extra["decisions"] = _clt_decisions(rows)
     else:
         runner = {
             "stein-certify": run_stein_certify,

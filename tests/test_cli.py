@@ -270,6 +270,36 @@ def test_moderate_runner(tmp_path):
     assert float(lines[1].split(",")[header.index("ell")]) == 4
 
 
+# sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32
+# --n-samples 3000 --seed 11`, taken before the manifest recorded decisions
+_RATE_SEED11_SHA256 = ("581db24672b035661b2d39fd57e75c3f"
+                       "8b47450f14c1b7a3642565f100a065b8")
+
+
+def test_clt_rate_manifest_records_decisions(tmp_path):
+    out = tmp_path / "rate.csv"
+    # every row sits below twice its floor, so no rate is fitted
+    assert main(["clt-rate", "--preset", "identity-gauss", "--d", "1",
+                 "--L", "4,8,16,32", "--n-samples", "3000", "--seed", "11",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _RATE_SEED11_SHA256
+    manifest = json.loads(out.with_name("rate.csv.manifest.json").read_text())
+    assert manifest["fit"] is None
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    choices = [d for d in manifest["decisions"] if d["decision"] == "eps_ell"]
+    assert [d["L"] for d in choices] == [4, 8, 16, 32]
+    for d in choices:
+        assert d["eps"] == min(d["eps_raw"], 0.5)
+        assert d["eps_clamped"] == (d["eps"] != d["eps_raw"])
+        assert d["ell_clamped"] == (d["ell"] != d["ell_raw"])
+    drops = [d for d in manifest["decisions"] if d["decision"] == "fit_drop"]
+    assert [d["L"] for d in drops] == [4, 8, 16, 32]
+    for d, row in zip(drops, rows):
+        assert d["reason"] == "below 2x mc_floor"
+        assert d["normalized_w1"] < 2.0 * float(row["mc_floor"])
+
+
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
 # inner integral of the soft-clip profiles.
