@@ -37,8 +37,8 @@ from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
 from .fields import PRESET_NAMES, brute_force_law, make_preset, monte_carlo
 from .gaussians import GaussianLaw, SpdMatrix
-from .multilevel import (DEFAULT_POLICY, ChoiceReport, bar_constants,
-                         choose_eps_ell, theorem_bound)
+from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
+                         theorem_bound)
 from .stein import (SteinSolution, majorant_average_certificate,
                     stein_residual, third_derivative_certificate)
 
@@ -232,7 +232,6 @@ class ResultRow:
     theoretical_bound_components: dict
     wallclock_seconds: float
     seed: int
-    choice: Optional[ChoiceReport] = None  # manifest only, never a CSV cell
 
     def csv_cells(self) -> dict:
         b = self.theoretical_bound_components
@@ -298,6 +297,10 @@ def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
         "condition_lhs": report.condition_lhs,
         "eps": report.eps,
         "ell": report.ell,
+        "eps_raw": choice.eps_raw,
+        "ell_raw": choice.ell_raw,
+        "eps_clamped": choice.eps_clamped,
+        "ell_clamped": choice.ell_clamped,
     }
     return ResultRow(
         L=L,
@@ -308,7 +311,6 @@ def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
         theoretical_bound_components=components,
         wallclock_seconds=time.perf_counter() - t0,
         seed=seed,
-        choice=choice,
     )
 
 
@@ -565,14 +567,17 @@ def _write_manifest(path: str, config: ExperimentConfig, writer: CsvWriter,
         fh.write("\n")
 
 
+# the ChoiceReport fields a rate row carries, with their JSON types
+_CHOICE_FIELDS = {"eps_raw": float, "eps": float, "eps_clamped": bool,
+                  "ell_raw": int, "ell": int, "ell_clamped": bool}
+
+
 def _clt_decisions(rows) -> list:
     """The numerical decisions of a rate run: each row's eps/ell choice with
     its raw and used values, then each L that the rate fit drops."""
     out = [{"decision": "eps_ell", "L": r.L,
-            "eps_raw": float(c.eps_raw), "eps": float(c.eps),
-            "eps_clamped": bool(c.eps_clamped), "ell_raw": int(c.ell_raw),
-            "ell": int(c.ell), "ell_clamped": bool(c.ell_clamped)}
-           for r in rows if (c := r.choice) is not None]
+            **{k: cast(r.theoretical_bound_components[k])
+               for k, cast in _CHOICE_FIELDS.items()}} for r in rows]
     out += [{"decision": "fit_drop", "L": L, "normalized_w1": float(w1),
              "reason": reason}
             for L, w1, reason in _rate_points(rows) if reason is not None]
