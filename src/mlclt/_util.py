@@ -120,21 +120,27 @@ def sampled_oscillation(fn, center: NDArray[np.float64], r: float, m: int = 256)
     return float(vals.max() - vals.min())
 
 
-def philox_key(master_seed: int, *counters: int) -> NDArray[np.uint64]:
-    """Philox key words of (master_seed, counters), each taken modulo 2^64.
+# Philox key tags, the second key word of each consumer's stream: with one
+# master seed, no two consumers share a key.
+_MC_STREAM_TAG = 0x5A3D1E  # Monte Carlo noise of `fields`, every realization
+_FLOOR_COUNTER = 1 << 48  # clt-rate's Gaussian sample for the Monte Carlo floor
+_STEIN_PROBE_TAG = 0x57E14  # stein-certify's probe points
+_TAILS_TAG = 0xBE77E77  # the tails experiment's iid Rademacher sums
+_SLICED_W1_TAG = 0x511CED  # sliced W1's projection directions
 
-    The words are converted as `np.random.Philox(key=list)` converts a list,
-    through `np.asarray`.  When a word is 2^63 or more that yields float64,
-    so every word keeps only 53 significant bits (and 2^64 - 1 casts to 0
-    on x86).  Every stream drawn so far was keyed this way.
-    """
+
+def philox_key(master_seed: int, *counters: int) -> NDArray[np.uint64]:
+    """Philox key words of (master_seed, counters), each taken modulo 2^64
+    and kept exactly: the masked Python ints go straight into a uint64
+    array, so seeds of 2^63 and more keep all 64 bits."""
     words = [int(master_seed) & (2**64 - 1)] + [int(c) & (2**64 - 1) for c in counters]
-    return np.asarray(words).astype(np.uint64)
+    return np.array(words, dtype=np.uint64)
 
 
 def counter_rng(master_seed: int, *counters: int) -> np.random.Generator:
-    """Deterministic per-realization generator from (master_seed, counters).
+    """Deterministic generator keyed by (master_seed, counters), counter 0.
 
-    Counter-based (Philox) so realization k can be regenerated in isolation.
+    Counter-based (Philox), so each consumer's stream is a pure function of
+    its key, whatever else the process draws.
     """
     return np.random.Generator(np.random.Philox(key=philox_key(master_seed, *counters)))

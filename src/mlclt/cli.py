@@ -30,12 +30,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._util import UsageError, counter_rng
+from ._util import (_FLOOR_COUNTER, _STEIN_PROBE_TAG, UsageError,
+                    counter_rng)
 from .concentration import bennett_tail_table, moderate_tail_table
 from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         sliced_w1 as _sliced_w1, w1_discrete_pair,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
-from .fields import PRESET_NAMES, brute_force_law, make_preset, monte_carlo
+from .fields import (PRESET_NAMES, STREAM_VERSION, brute_force_law, make_preset,
+                     monte_carlo)
 from .gaussians import GaussianLaw, SpdMatrix
 from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
                          theorem_bound)
@@ -255,8 +257,6 @@ CLT_COLUMNS = ("L", "estimated_variance", "normalized_w1", "sliced_w1",
                "mc_floor", "bound_total", "bound_gaussian", "bound_r_lowlevel",
                "bound_r_alllevel", "bound_r_tail", "condition_lhs", "seed")
 
-_FLOOR_COUNTER = 1 << 48  # outside the per-realization counter range
-
 
 def row_seed(master_seed: int, L: int) -> int:
     """Deterministic per-row seed; decouples the L-indexed streams."""
@@ -404,7 +404,7 @@ def run_stein_certify(config: ExperimentConfig):
     pts_1d = np.linspace(-2.0, 2.0, 9 if n == 1 else 3)
     grid = np.stack(np.meshgrid(*([pts_1d] * n), indexing="ij"),
                     axis=-1).reshape(-1, n)
-    probe = 2.0 * counter_rng(config.master_seed, 0x57E14).standard_normal((200, n))
+    probe = 2.0 * counter_rng(config.master_seed, _STEIN_PROBE_TAG).standard_normal((200, n))
     rows = []
     for phi in soft_clip_family(n):
         sol = SteinSolution(phi, law, config.eps)
@@ -589,6 +589,8 @@ def run_cli_experiment(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     failures: list = []
     extra: dict = {}
+    if config.experiment in _STATISTICAL:
+        extra["stream_version"] = STREAM_VERSION
     if config.experiment == "clt-rate":
         writer = CsvWriter(config.output_path, CLT_COLUMNS)
         try:

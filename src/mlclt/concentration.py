@@ -11,7 +11,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr
 
-from ._util import UsageError, counter_rng
+from ._util import _TAILS_TAG, UsageError, counter_rng
 from .multilevel import DependenceStructure, LevelIndex, periodic_distance
 
 __all__ = [
@@ -314,7 +314,7 @@ def bennett_tail_table(m: int, n: int, master_seed: int,
     """Empirical tails of a Rademacher sum of length m against the Bennett
     bounds and the heavy-tail iid bound.  Bounds are one-sided; the empirical
     column is P[S >= r] with Monte Carlo slack reported separately."""
-    rng = counter_rng(master_seed, 0xBE77E77)
+    rng = counter_rng(master_seed, _TAILS_TAG)
     sums = (rng.integers(0, 2, size=(n, m)) * 2.0 - 1.0).sum(axis=1)
     if r_grid is None:
         r_grid = [math.sqrt(m) * q for q in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]

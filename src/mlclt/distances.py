@@ -11,8 +11,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr, ndtri
 
-from ._util import (UsageError, ball_points, gaussian_expectation, hermite_1d,
-                    hermite_grid)
+from ._util import (_SLICED_W1_TAG, UsageError, ball_points, counter_rng,
+                    gaussian_expectation, hermite_1d, hermite_grid)
 from .gaussians import GaussianLaw
 
 __all__ = [
@@ -610,8 +610,7 @@ def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,
         raise UsageError("need at least one direction")
     if samples.dim != law.dim:
         raise UsageError("sample/law dimension mismatch")
-    from ._util import counter_rng
-    rng = counter_rng(seed, 0x511CED)
+    rng = counter_rng(seed, _SLICED_W1_TAG)
     total = 0.0
     for _ in range(n_directions):
         u = rng.standard_normal(law.dim)

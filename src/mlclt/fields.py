@@ -10,11 +10,11 @@ Two sample sources feed the experiments:
   odd nonlinearity, so every value is exactly centered for the symmetric
   noise distributions used here.
 
-Realization k of a Monte Carlo run draws its noise from a Philox generator
-keyed by (master_seed, k) and started at counter 0, so it can be regenerated
-in isolation with `counter_rng(master_seed, k)`.  `monte_carlo` builds one
-Philox per chunk and re-keys it for each realization, which draws the same
-stream; results are bit-reproducible and independent of the chunk size.
+Monte Carlo noise follows sample stream v2: one Philox key per run,
+(master_seed, _MC_STREAM_TAG), under which realization k owns a fixed range
+of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
+one Philox call, realization k regenerates in isolation, and results are
+bit-reproducible and independent of the chunk size.
 Rademacher noise is summed as 0/1 counts of +1 cells in an integer periodic
 prefix, so box sums are exact; the other laws use the same prefix in float64.
 Window levels are summed anchor by anchor, and whole-torus levels, d >= 2
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.special import log1p, ndtri
 
-from ._util import UsageError, philox_key
+from ._util import _MC_STREAM_TAG, UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
 from .multilevel import (DependenceStructure, LevelIndex, MultilevelSample,
                          build_index_set, periodic_distance)
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _DISTS = ("rademacher", "uniform", "centered-exponential-tail", "gaussian")
+STREAM_VERSION = 2  # the noise layout of `_draw`; run manifests record it
 _MAPS = ("identity", "cube", "signed-sqrt")
 
 
@@ -68,49 +70,45 @@ def _apply_map(tag: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
           count: int) -> NDArray:
-    """Noise of realizations k0 .. k0+count-1: Rademacher as positions-major
-    0/1 counts of the +1 cells, shape (L^d, count), the other laws as float
-    rows, shape (count, L^d), all symmetric with unit variance.  Realization
-    k is what `counter_rng(master_seed, k)` draws: one Philox is re-keyed to
-    (master_seed, k) from counter 0 with an empty buffer for each."""
+    """Noise of realizations k0 .. k0+count-1 in sample stream v2:
+    Rademacher as positions-major 0/1 counts of the +1 cells, shape (L^d,
+    count), the other laws as float rows, shape (count, L^d), all symmetric
+    with unit variance.
+
+    One Philox keyed by (master_seed, _MC_STREAM_TAG) serves the run.
+    Realization k reads w raw words, w = ceil(cells / 64) for Rademacher and
+    w = cells otherwise, from its own counter blocks k B + 1 .. k B + B, B =
+    ceil(w / 4); the rest of its 4B words are discarded.  So a chunk is one
+    `advance(k0 B)` and one `random_raw(count 4B)`.  Rademacher cell 64j + i
+    is +1 where bit i of word j is set.  The float laws take u = ((word >>
+    12) + 0.5) 2^-52, exact and symmetric in [2^-53, 1 - 2^-53], and map it
+    through the inverse distribution function: sqrt(3) (2u - 1) for uniform,
+    copysign(-log1p(-2|u - 1/2|) / sqrt(2), u - 1/2) for Laplace and
+    ndtri(u) for Gaussian noise; scipy's ufuncs give the same bits whatever
+    the array shape."""
     if dist not in _DISTS:
         raise UsageError(f"unknown noise distribution {dist!r}; choose from {_DISTS}")
     cells = L ** d
-    # counters below 2^53 keep their value through philox_key whatever the seed
-    key = philox_key(master_seed, k0).tolist()
-    bitgen = np.random.Philox(key=key)
-    state = bitgen.state  # counter 0, empty buffer; lists re-key faster than arrays
-    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
-    state["buffer"] = state["buffer"].tolist()
-
-    def rekey(k: int) -> None:
-        key[1] = k
-        bitgen.state = state
-
+    w = -(-cells // 64) if dist == "rademacher" else cells
+    blocks = -(-w // 4)
+    bitgen = np.random.Philox(key=philox_key(master_seed, _MC_STREAM_TAG))
+    raw = bitgen.advance(k0 * blocks).random_raw(count * 4 * blocks)
+    raw = raw.reshape(count, 4 * blocks)[:, :w]
     if dist == "rademacher":
-        # as Generator.integers(0, 2): cell 2j is bit 31 of raw word j, cell
-        # 2j+1 bit 63; blocks of 128 realizations are transposed in cache
-        words = (cells + 1) // 2
-        bits = np.empty((2 * words, count), dtype=np.uint8)
-        for b0 in range(0, count, 128):
-            raw = np.empty((min(128, count - b0), words), dtype=np.uint64)
-            for i in range(len(raw)):
-                rekey(k0 + b0 + i)
-                raw[i] = bitgen.random_raw(words)
-            bits[1::2, b0:b0 + len(raw)] = (raw >> 63).T
-            bits[0::2, b0:b0 + len(raw)] = (raw >> 31 & 1).T
-        return bits[:cells]
-    rng = np.random.Generator(bitgen)
-    draw = {
-        "uniform": partial(rng.uniform, -np.sqrt(3.0), np.sqrt(3.0), cells),
-        "centered-exponential-tail": partial(rng.laplace, 0.0, 1.0 / np.sqrt(2.0), cells),
-        "gaussian": partial(rng.standard_normal, cells),
-    }[dist]
-    out = np.empty((count, cells))
-    for i in range(count):
-        rekey(k0 + i)
-        out[i] = draw()
-    return out
+        # byte b of a realization's little-endian words holds cells 8b .. 8b+7
+        octets = np.ascontiguousarray(raw.astype("<u8", copy=False).view(np.uint8).T)
+        bits = np.empty((8 * w, 8, count), dtype=np.uint8)
+        for i in range(8):
+            np.right_shift(octets, i, out=bits[:, i])
+            np.bitwise_and(bits[:, i], 1, out=bits[:, i])
+        return bits.reshape(64 * w, count)[:cells]
+    u = ((raw >> 12) + 0.5) * 2.0 ** -52
+    if dist == "uniform":
+        return (2.0 * u - 1.0) * np.sqrt(3.0)
+    if dist == "centered-exponential-tail":
+        t = u - 0.5
+        return np.copysign(-log1p(-2.0 * np.abs(t)) / np.sqrt(2.0), t)
+    return ndtri(u)
 
 
 def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,

@@ -257,6 +257,7 @@ def test_bound_calc_runner(tmp_path):
     assert {"L", "eps", "ell", "condition_lhs", "total"} <= set(header)
     manifest = json.loads((tmp_path / "bc.csv.manifest.json").read_text())
     assert manifest["config"]["policy"] == {"c_bound": 2.0}
+    assert "stream_version" not in manifest  # bound-calc samples nothing
 
 
 def test_moderate_runner(tmp_path):
@@ -284,6 +285,7 @@ def test_clt_rate_manifest_records_decisions(tmp_path):
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _RATE_SEED11_SHA256
     manifest = json.loads(out.with_name("rate.csv.manifest.json").read_text())
+    assert manifest["stream_version"] == 2
     assert manifest["fit"] is None
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))

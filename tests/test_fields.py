@@ -2,15 +2,18 @@
 enumeration of tiny laws, and the reproducible Monte Carlo driver."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log1p, ndtri
 
 from mlclt import UsageError
-from mlclt._util import counter_rng
+from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
+                         _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import stretched_norm
 from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _SyntheticLevels,
-                          _draw_rows, _synthetic_totals, brute_force_law,
+                          _draw, _draw_rows, _synthetic_totals, brute_force_law,
                           draw_noise, dump_samples, load_samples, local_average,
                           make_preset, monte_carlo, multilevel_decompose,
                           sample_field, synthetic_multilevel, PRESET_NAMES)
@@ -39,19 +42,29 @@ def test_noise_distributions_are_centered_unit_variance():
 
 
 def _oracle_row(dist, cells, master_seed, k):
-    rng = counter_rng(master_seed, k)
+    """Realization k of sample stream v2, decoded value by value from a
+    fresh Philox advanced to the realization's first counter block."""
+    w = -(-cells // 64) if dist == "rademacher" else cells
+    key = np.array([master_seed % 2 ** 64, _MC_STREAM_TAG], dtype=np.uint64)
+    raw = np.random.Philox(key=key).advance(k * -(-w // 4)).random_raw(w)
+    words = [int(x) for x in raw]
     if dist == "rademacher":
-        return rng.integers(0, 2, cells) * 2.0 - 1.0
+        return np.array([1.0 if words[c // 64] >> (c % 64) & 1 else -1.0
+                         for c in range(cells)])
+    u = [((x >> 12) + 0.5) * 2.0 ** -52 for x in words]
+    assert all(0.0 < v < 1.0 for v in u)
     if dist == "uniform":
-        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), cells)
+        return np.array([(2.0 * v - 1.0) * math.sqrt(3.0) for v in u])
     if dist == "centered-exponential-tail":
-        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), cells)
-    return rng.standard_normal(cells)
+        return np.array([math.copysign(-float(log1p(-2.0 * abs(v - 0.5))) / math.sqrt(2.0),
+                                       v - 0.5) for v in u])
+    return np.array([float(ndtri(v)) for v in u])
 
 
-@pytest.mark.parametrize("d,L", [(1, 3), (2, 5), (3, 3)])
+@pytest.mark.parametrize("d,L", [(1, 3), (2, 5), (3, 3), (1, 64), (1, 65)])
 def test_draw_rows_match_per_realization_generator(d, L):
-    # odd cell counts leave half of the last raw Philox word unused
+    # odd cell counts leave part of a realization's last counter block
+    # unused; 64 and 65 Rademacher cells fill one word and spill into a second
     k0, count = 5, 4
     for dist in ("rademacher", "uniform", "centered-exponential-tail", "gaussian"):
         rows = _draw_rows(d, L, dist, 2026, k0, count)
@@ -61,6 +74,35 @@ def test_draw_rows_match_per_realization_generator(d, L):
         # seeds are taken modulo 2^64, so realization k regenerates in isolation
         assert np.array_equal(_draw_rows(d, L, dist, -1, k0, count),
                               _draw_rows(d, L, dist, 2 ** 64 - 1, k0, count))
+
+
+def test_rademacher_bits_are_balanced():
+    # every bit position of a word is a cell: each is +1 about half the time
+    n = 4096
+    freq = _draw(1, 64, "rademacher", 2026, 0, n).mean(axis=1)
+    assert freq.shape == (64,)
+    assert np.all(np.abs(freq - 0.5) <= 5.0 * 0.5 / math.sqrt(n))
+
+
+def test_philox_keys_keep_every_seed_bit():
+    assert philox_key(2 ** 64 - 1, 5).tolist() == [2 ** 64 - 1, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.array_equal(counter_rng(2 ** 64 - 1, 3).random(8),
+                                  counter_rng(0, 3).random(8))
+        assert not np.array_equal(_draw_rows(1, 16, "gaussian", 2 ** 64 - 1, 0, 2),
+                                  _draw_rows(1, 16, "gaussian", 0, 0, 2))
+    assert not np.array_equal(counter_rng(2 ** 63 + 7, 3).random(8),
+                              counter_rng(2 ** 63 + 8, 3).random(8))
+    assert not np.array_equal(_draw_rows(1, 16, "rademacher", 2 ** 63 + 7, 0, 2),
+                              _draw_rows(1, 16, "rademacher", 2 ** 63 + 8, 0, 2))
+
+
+def test_stream_tags_are_distinct():
+    # each consumer keys its Philox with its own tag, so no two share a stream
+    tags = (_MC_STREAM_TAG, _FLOOR_COUNTER, _STEIN_PROBE_TAG, _TAILS_TAG,
+            _SLICED_W1_TAG)
+    assert len(set(tags)) == len(tags)
 
 
 def test_unknown_noise_distribution_errors():
@@ -321,6 +363,19 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp):
     n = 40
     spec, st = make_preset(name, 1, 119, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
+    runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
+             *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
+            for c in (1, 7, n, n + 1)]
+    for totals, samples, per_index in runs:
+        assert np.array_equal(totals, runs[0][0])
+        assert np.array_equal(samples.values, runs[0][1].values)
+        assert np.array_equal(per_index, runs[0][2])
+
+
+@pytest.mark.parametrize("name", ["signed-sqrt", "identity-gauss", "exp-tail"])
+def test_float_laws_are_chunk_size_invariant(name):
+    n = 40
+    spec, st = make_preset(name, 1, 16)
     runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
              *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
             for c in (1, 7, n, n + 1)]
