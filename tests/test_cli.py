@@ -272,9 +272,9 @@ def test_moderate_runner(tmp_path):
 
 
 # sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32
-# --n-samples 3000 --seed 11`, taken before the manifest recorded decisions
-_RATE_SEED11_SHA256 = ("581db24672b035661b2d39fd57e75c3f"
-                       "8b47450f14c1b7a3642565f100a065b8")
+# --n-samples 3000 --seed 11` in sample stream v2
+_RATE_SEED11_SHA256 = ("c302d6b01afe83f39a076a04b92981cc"
+                       "69ceb465599145c75219f4f25ecf8a7f")
 
 
 def test_clt_rate_manifest_records_decisions(tmp_path):
