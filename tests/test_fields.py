@@ -357,25 +357,12 @@ def test_count_path_matches_float_path(L, K):
 
 
 @pytest.mark.parametrize("n_comp", [1, 3])
-@pytest.mark.parametrize("name", ["cube", "signed-sqrt"])
+@pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
 def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp):
     # chunks of one realization included: numpy sums (n_anchors, 1) pairwise
     n = 40
     spec, st = make_preset(name, 1, 119, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
-    runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
-             *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
-            for c in (1, 7, n, n + 1)]
-    for totals, samples, per_index in runs:
-        assert np.array_equal(totals, runs[0][0])
-        assert np.array_equal(samples.values, runs[0][1].values)
-        assert np.array_equal(per_index, runs[0][2])
-
-
-@pytest.mark.parametrize("name", ["signed-sqrt", "identity-gauss", "exp-tail"])
-def test_float_laws_are_chunk_size_invariant(name):
-    n = 40
-    spec, st = make_preset(name, 1, 16)
     runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
              *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
             for c in (1, 7, n, n + 1)]
