@@ -279,37 +279,56 @@ def test_monte_carlo_is_chunk_size_invariant():
         assert np.array_equal(per_index, runs[0][1])
 
 
-_PINNED_STREAM = "25dbf6c2b5a6370955b7064668d004b543c17245b6df632274bb90d2fd9ca7c6"
+_PINNED_STREAM = "b4b21e627e3accd75186657131a54a5a17e5df3c37f3de24e0306511cd4a3b7a"
+_PINNED_STREAM_D2_FLOAT = ("49041506cb09cf7d5c48593e88e86994"
+                           "2d4f3e73d61614679a769f05edc1f0af")
 
 
-def _stream_runs():
+def _stream_runs(d2_float: bool):
     """Every preset at d=1 L=16, d=1 L=12 (non-dyadic) and d=2 L=8 with one
     and three components, plus the field model on both dyadic lattices.  At
     K=2 every support box of these lattices covers the torus, so K=1 adds
     lattices whose lower levels have narrower boxes: two levels at L=32,
-    three at the non-dyadic L=48, one at d=2 L=8."""
+    three at the non-dyadic L=48, one at d=2 L=8.
+
+    The float laws at d=2 (`d2_float`) are pinned apart: their box sums are
+    float sums whose bits depend on the summation order, while every other
+    run (all of d=1, Rademacher boxes, which are exact integers, and the
+    field model) must keep its bits whatever the order."""
     geometries = ((1, 16, 2.0), (1, 12, 2.0), (2, 8, 2.0),
                   (1, 32, 1.0), (1, 48, 1.0), (2, 8, 1.0))
     for name in PRESET_NAMES:
         for d, L, K in geometries:
+            if (d == 2 and name != "cube") != d2_float:
+                continue
             for n_comp in (1, 3):
                 yield (*make_preset(name, d, L, K=K, n_components=n_comp), None)
-    for d, L in ((1, 16), (2, 8)):
-        yield FieldModel("cube"), DependenceStructure(d=d, L=L), "gaussian"
+    if not d2_float:
+        for d, L in ((1, 16), (2, 8)):
+            yield FieldModel("cube"), DependenceStructure(d=d, L=L), "gaussian"
 
 
-def test_monte_carlo_stream_is_pinned():
-    # the sha256 of totals and per-index values, in chunks smaller than n;
-    # any change to the sample bits moves it
+def _stream_digest(runs) -> str:
+    """The sha256 of totals and per-index values, in chunks smaller than n."""
     digest = hashlib.sha256()
-    for gen, st, dist in _stream_runs():
+    for gen, st, dist in runs:
         kw = dict(dist=dist, chunk_size=96)
         totals = monte_carlo(gen, st, 250, 2026, **kw)
         samples, per_index, _ = monte_carlo(gen, st, 250, 2026,
                                             return_per_index=True, **kw)
         for arr in (totals.values, samples.values, per_index):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    assert digest.hexdigest() == _PINNED_STREAM
+    return digest.hexdigest()
+
+
+def test_monte_carlo_stream_is_pinned():
+    # any change to the sample bits moves it
+    assert _stream_digest(_stream_runs(d2_float=False)) == _PINNED_STREAM
+
+
+def test_monte_carlo_d2_float_stream_is_pinned():
+    # moves with the summation order of float box sums at d >= 2
+    assert _stream_digest(_stream_runs(d2_float=True)) == _PINNED_STREAM_D2_FLOAT
 
 
 _PINNED_WINDOWS = "9f2d2a5546a2af0e36e1d028203147747084129458ee563b13a699f67ccea2da"
