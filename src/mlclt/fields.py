@@ -15,16 +15,18 @@ Monte Carlo noise follows sample stream v2: one Philox key per run,
 of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
 one Philox call, realization k regenerates in isolation, and results are
 bit-reproducible and independent of the chunk size.
-Rademacher noise is summed as 0/1 counts of +1 cells in an integer periodic
-prefix, so box sums are exact; the other laws use the same prefix in float64.
-Window levels are summed anchor by anchor, and whole-torus levels, d >= 2
-levels and per-index values as numpy reduces their C-order arrays.
+A support box is summed axis by axis at every d: windows along the first
+axis come from one periodic prefix per chunk, and each further axis takes
+a periodic prefix of the partial sums.  Rademacher noise is summed as 0/1
+counts of +1 cells in integer prefixes, so box sums are exact; the other
+laws use the same prefixes in float64.  Window levels at d = 1 are summed
+anchor by anchor, and the other levels and per-index values as numpy
+reduces their C-order arrays.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from scipy.special import log1p, ndtri
 from ._util import _MC_STREAM_TAG, UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
 from .multilevel import (DependenceStructure, LevelIndex, MultilevelSample,
-                         build_index_set, periodic_distance)
+                         build_index_set)
 
 __all__ = [
     "NoiseLattice",
@@ -174,25 +176,25 @@ def local_average(a: NDArray[np.float64], r: int, d: int, L: int) -> NDArray[np.
         raise UsageError("radius must be nonnegative")
     a = np.asarray(a, dtype=float)
     batch = a.shape[:-1]
-    grid = a.reshape(batch + (L,) * d)
-    w = 2 * r + 1
-    for axis in range(len(batch), len(batch) + d):
-        if w >= L:
-            grid = np.broadcast_to(grid.mean(axis=axis, keepdims=True),
-                                   grid.shape).copy()
-            continue
-        prefix = _periodic_prefix(np.moveaxis(grid, axis, 0), w)
-        grid = np.moveaxis(_window_sums(prefix, L, -r % L, 1, w) / w, 0, axis)
-    return grid.reshape(batch + (L ** d,))
+    if 2 * r + 1 >= L:
+        mean = a.reshape(batch + (L,) * d)
+        for axis in range(len(batch), len(batch) + d):
+            mean = mean.mean(axis=axis, keepdims=True)
+        return np.broadcast_to(mean.reshape(batch + (1,)), a.shape).copy()
+    grid = a.reshape(-1, L ** d).T.reshape((L,) * d + (-1,))
+    means = _box_sums(_periodic_prefix(grid, 2 * r + 1), d, L, r, 1, mean=True)
+    return means.reshape(L ** d, -1).T.reshape(a.shape)
 
 
-def _periodic_prefix(x: NDArray, w_max: int) -> NDArray:
+def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1) -> NDArray:
     """Prefix sums along the first axis of x (length L) extended periodically
     by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
     sum of the first j extended entries.
 
-    Float x gives float64 sums; integer x, the 0/1 counts of Rademacher
-    cells, gives exact int16 sums, or int32 once 1 + L + w_max reaches 2^15.
+    Float x gives float64 sums.  Integer x with entries in [0, peak], the
+    0/1 counts of Rademacher cells or their window sums along earlier axes,
+    gives exact sums in int16 while the bound (1 + L + w_max) peak on every
+    entry stays below 2^15, else in int32 or int64.
     Each entry is the previous one plus the next extended entry, exactly as
     in a cumsum, so a window read from the buffer has the bits of a cumsum
     over that window's own extension, whatever w_max is.  The summed axis is
@@ -201,8 +203,9 @@ def _periodic_prefix(x: NDArray, w_max: int) -> NDArray:
     a strided axis."""
     L = len(x)
     size = 1 + L + w_max
-    dtype = (np.float64 if x.dtype.kind == "f"
-             else np.int16 if size < 1 << 15 else np.int32)
+    bound = size * peak
+    dtype = (np.float64 if x.dtype.kind == "f" else np.int16 if bound < 1 << 15
+             else np.int32 if bound < 1 << 31 else np.int64)
     out = np.empty((size,) + x.shape[1:], dtype=dtype)
     out[0] = 0
     out[1:L + 1] = x
@@ -219,6 +222,23 @@ def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int) -> NDAr
     s = (start - L) % step
     return np.concatenate([prefix[start + w:L + w:step] - prefix[start:L:step],
                            prefix[s + w:start + w:step] - prefix[s:start:step]])
+
+
+def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int,
+              mean: bool = False) -> NDArray:
+    """Sums over the periodic boxes of radius r (width w = 2r + 1 < L per
+    axis) anchored on step Z^d, of an array whose first d axes are the
+    torus: one axis of anchors per torus axis, then the other axes.  Axis 0
+    reads its `_window_sums` from `prefix`, the array's `_periodic_prefix`;
+    each further axis takes the periodic prefix of the partial sums and
+    reads the same windows.  `mean` divides by w after each axis."""
+    start, w = -r % L, 2 * r + 1
+    for axis in range(d):
+        if axis:
+            prefix = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
+        sums = _window_sums(prefix, L, start, step, w)
+        sums = np.moveaxis(sums / w if mean else sums, 0, axis)
+    return sums
 
 
 def _smoothstep(t: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -340,33 +360,21 @@ def _component_patterns(spec: SyntheticSpec, d: int, L: int) -> NDArray[np.float
                                          for c in range(1, spec.n_components)])
 
 
-def _box_masks(structure: DependenceStructure, m: int) -> NDArray[np.float64]:
-    """(cells, n_anchors) indicator of the level-m support boxes (d >= 2)."""
-    st = structure
-    anchors = np.arange(0, st.L, 1 << m)
-    axis_mask = (periodic_distance(np.arange(st.L)[:, None], anchors[None, :], st.L)
-                 <= st.box_radius(m)).astype(float)
-    return reduce(np.kron, [axis_mask] * st.d)
-
-
 @dataclass(frozen=True)
 class _Level:
     """Noise-independent geometry of one level of a synthetic family.
 
-    A support box holds `count` cells.  At d = 1 a box narrower than the
-    torus is a window starting `start` = -hw mod L for anchor 0 and 2^m
-    cells later for each next anchor; a wider one is the whole torus (both
-    None); at d >= 2 `mask` is the dense indicator.  A Rademacher box with b
-    cells at +1 sums to 2b - count, and `table[b]` holds the same double as
-    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
+    A support box holds `count` cells: (2 `radius` + 1)^d when that width
+    is below L, else the whole torus (radius None).  A Rademacher box with
+    b cells at +1 sums to 2b - count, and `table[b]` holds the same double
+    as mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
     """
 
     m: int
     scale: float  # w_m L^{-d}
     n_anchors: int
     count: int
-    start: Optional[int]
-    mask: Optional[NDArray[np.float64]]
+    radius: Optional[int]
     table: Optional[NDArray[np.float64]]
 
 
@@ -380,27 +388,19 @@ class _SyntheticLevels:
                  tabulate: bool = False):
         st = structure
         self.spec = spec
-        self.L = st.L
+        self.d, self.L = st.d, st.L
         self.tabulate = tabulate
         self.patterns = _component_patterns(spec, st.d, st.L)
         self.levels = []
         for m in st.levels():
             hw = st.box_radius(m)
-            start = mask = None
-            if st.d >= 2:
-                mask = _box_masks(st, m)
-                count = int(mask[:, 0].sum())
-            elif 2 * hw + 1 < st.L:
-                count = 2 * hw + 1
-                start = -hw % st.L
-            else:
-                count = st.L
+            count = min(2 * hw + 1, st.L) ** st.d
             scale = spec.weight(m) * float(st.L) ** (-st.d)
             table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
                                 / np.sqrt(count)) * scale if tabulate else None)
             self.levels.append(_Level(
                 m=m, scale=scale, n_anchors=st.lattice_count(m) ** st.d,
-                count=count, start=start, mask=mask, table=table))
+                count=count, radius=hw if 2 * hw + 1 < st.L else None, table=table))
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
         if lv.table is not None:  # counts lie in [0, count]: clipping never acts
@@ -410,52 +410,50 @@ class _SyntheticLevels:
                         lv.scale, out=out)
 
     def values(self, noise: NDArray, levels: Sequence[_Level]):
-        """Yield (level, values) for each level.
+        """Yield (level, values) for each level, values anchor-major,
+        (n_components, n_anchors, n); a whole-torus level yields one anchor
+        standing for all.
 
         `noise` is (cells, n) counts when tabulated, (n, cells) float rows
-        otherwise.  Window values come anchor-major, (n_components,
-        n_anchors, n); the other levels yield (n, n_anchors, n_components),
-        whole-torus levels with one anchor standing for all.  Each component
-        reads all its windows from one periodic prefix sum."""
+        otherwise.  Each component sums the boxes of every level axis by
+        axis, from one periodic prefix along the first axis; whole-torus
+        boxes are its row totals."""
         if self.tabulate:  # component c counts the cells where its noise is +1
             cols = [noise] + [noise ^ (p < 0).astype(np.uint8)[:, None]
                               for p in self.patterns[1:]]
         else:  # pattern 0 is all ones
             cols = [noise.T] + [(noise * p).T for p in self.patterns[1:]]
         n = cols[0].shape[1]
-        w_max = max((lv.count for lv in levels if lv.start is not None), default=0)
-        prefixes = [_periodic_prefix(col, w_max) for col in cols] if w_max else None
-        totals = None
+        w_max = max((2 * lv.radius + 1 for lv in levels if lv.radius is not None),
+                    default=0)
+        prefixes = [_periodic_prefix(col.reshape((self.L,) * self.d + (n,)), w_max)
+                    for col in cols] if w_max else None
+        totals = ([col.T.sum(axis=1) for col in cols]
+                  if any(lv.radius is None for lv in levels) else None)
         for lv in levels:
-            if lv.start is not None:
-                vals = np.empty((len(cols), lv.n_anchors, n))
-                for c, prefix in enumerate(prefixes):
-                    self._map(lv, _window_sums(prefix, self.L, lv.start, 1 << lv.m,
-                                               lv.count), vals[c])
-            else:
-                if lv.mask is None and totals is None:
-                    totals = [col.T.sum(axis=1, keepdims=True) for col in cols]
-                vals = np.empty((n, 1 if lv.mask is None else lv.n_anchors, len(cols)))
-                for c, col in enumerate(cols):
-                    sums = totals[c] if lv.mask is None else col.T @ lv.mask
-                    self._map(lv, sums.astype(np.intp) if self.tabulate else sums,
-                              vals[..., c])
+            vals = np.empty((len(cols), 1 if lv.radius is None else lv.n_anchors, n))
+            for c in range(len(cols)):
+                sums = (totals[c] if lv.radius is None else
+                        _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m))
+                self._map(lv, sums, vals[c].reshape(sums.shape))
             yield lv, vals
 
 
 def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.float64]:
-    """(n, n_components) totals: window levels summed anchor by anchor, the
-    others as numpy reduces their C-order (n, n_anchors, n_components)
-    values.  The bits of the totals are pinned to this order."""
+    """(n, n_components) totals: window levels at d = 1 summed anchor by
+    anchor, the others as numpy reduces their C-order (n, n_anchors,
+    n_components) values.  The bits of the totals are pinned to this order."""
     out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
                     levels.spec.n_components))
     for lv, vals in levels.values(noise, [lv for lv in levels.levels
                                           if levels.spec.weight(lv.m) != 0.0]):
-        if lv.start is not None:  # numpy would sum a lone realization pairwise
+        if lv.radius is not None and levels.d == 1:
+            # anchor by anchor: numpy would sum a lone realization pairwise
             out += (vals.sum(axis=1) if len(out) > 1
                     else np.add.accumulate(vals, axis=1)[:, -1]).T
         else:
-            out += np.repeat(vals, lv.n_anchors // vals.shape[1], axis=1).sum(axis=1)
+            full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
+            out += np.ascontiguousarray(full).sum(axis=1)
     return out
 
 
@@ -464,7 +462,7 @@ def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
     """Write the (n, n_indices, n_components) values, in build_index_set order, to out."""
     a = 0
     for lv, vals in levels.values(noise, levels.levels):
-        out[:, a:a + lv.n_anchors] = vals.T if lv.start is not None else vals
+        out[:, a:a + lv.n_anchors] = vals.T
         a += lv.n_anchors
 
 
@@ -496,8 +494,7 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
     totals = _synthetic_totals(_SyntheticLevels(spec, structure, tabulate=True),
                                bits)[:, 0]
-    rounded = np.round(totals, 12)
-    values, counts = np.unique(rounded, return_counts=True)
+    values, counts = np.unique(np.round(totals, 12), return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
 
 
@@ -529,6 +526,8 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     else:
         raise UsageError("generator must be a SyntheticSpec or FieldModel")
 
+    # a chunk holds at most 2^22 cells, which d=2 lattices up to L=256 need
+    chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     indices = build_index_set(structure)
     if return_per_index and n * len(indices) * n_comp > 2 * 10 ** 8:
         raise UsageError("per-index storage for this run would exceed the guard; "

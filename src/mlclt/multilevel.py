@@ -10,8 +10,9 @@ default to 1 and are configurable through a single table.
 
 The support-box geometry lives only in this module.  `chi_matrix` broadcasts
 the levels and anchors of two index lists into the boolean matrix of pair
-indicators; `chi`, `chi3` and `box_distance` are single-pair views of it, and
-`periodic_distance` and `box_radius` serve the field sampler and the groups.
+indicators; `chi`, `chi3` and `box_distance` are single-pair views of it.
+`box_radius` serves the field sampler and the groups; `periodic_distance`
+serves only the groups.
 """
 from __future__ import annotations
 

@@ -302,6 +302,21 @@ def test_clt_rate_manifest_records_decisions(tmp_path):
         assert d["normalized_w1"] < 2.0 * float(row["mc_floor"])
 
 
+def test_clt_rate_runs_at_d2(tmp_path):
+    out = tmp_path / "rate.csv"
+    assert main(["clt-rate", "--d", "2", "--L", "8,16,32", "--n-samples", "1000",
+                 "--seed", "3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["L"]) for r in rows] == [8, 16, 32]
+    assert all(float(r["estimated_variance"]) > 0.0 for r in rows)
+    manifest = json.loads(out.with_name("rate.csv.manifest.json").read_text())
+    assert manifest["config"]["d"] == 2
+    assert manifest["n_rows"] == 3
+    assert manifest["failures"] == []
+    assert manifest["stream_version"] == 2
+
+
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
 # inner integral of the soft-clip profiles.

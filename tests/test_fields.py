@@ -13,11 +13,13 @@ from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import stretched_norm
 from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _SyntheticLevels,
-                          _draw, _draw_rows, _synthetic_totals, brute_force_law,
+                          _apply_map, _draw, _draw_rows, _periodic_prefix,
+                          _synthetic_totals, brute_force_law,
                           draw_noise, dump_samples, load_samples, local_average,
                           make_preset, monte_carlo, multilevel_decompose,
                           sample_field, synthetic_multilevel, PRESET_NAMES)
-from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
+from mlclt.multilevel import (DependenceStructure, LevelIndex, build_index_set,
+                              periodic_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +246,20 @@ def test_brute_force_law_is_symmetric_and_centered():
     assert np.allclose(law.probs, law.probs[order])
 
 
-@pytest.mark.parametrize("L,K", [(4, 2.0), (12, 1.0)])
-def test_brute_force_law_reads_the_count_path(L, K):
+@pytest.mark.parametrize("d,L,K", [pytest.param(1, 4, 2.0, id="4-2.0"),
+                                   pytest.param(1, 12, 1.0, id="12-1.0"),
+                                   pytest.param(2, 4, 2.0, id="d2-4-2.0")])
+def test_brute_force_law_reads_the_count_path(d, L, K):
     # the enumerated bits go through the counts that monte_carlo samples; the
     # float path gives the same totals bit for bit, so the same law
-    spec, st = make_preset("cube", 1, L, K=K)
+    spec, st = make_preset("cube", d, L, K=K)
     law = brute_force_law(spec, st)
-    bits = (np.arange(1 << L)[:, None] >> np.arange(L)[None, :]) & 1
+    cells = L ** d
+    bits = (np.arange(1 << cells)[:, None] >> np.arange(cells)[None, :]) & 1
     totals = _synthetic_totals(_SyntheticLevels(spec, st), bits * 2.0 - 1.0)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     assert np.array_equal(law.values, values)
-    assert np.array_equal(law.probs, counts / (1 << L))
+    assert np.array_equal(law.probs, counts / (1 << cells))
 
 
 def test_brute_force_law_guards():
@@ -361,26 +366,54 @@ def test_monte_carlo_windows_are_pinned():
 
 
 @pytest.mark.parametrize("K", [1.0, 2.0])
-@pytest.mark.parametrize("L", [48, 64, 119])
-def test_count_path_matches_float_path(L, K):
+@pytest.mark.parametrize("d,L", [(1, 48), (1, 64), (1, 119), (2, 24), (2, 32)],
+                         ids=["48", "64", "119", "d2-24", "d2-32"])
+def test_count_path_matches_float_path(d, L, K):
     # monte_carlo sums Rademacher boxes as integer counts and maps them
     # through tables; synthetic_multilevel maps the float sums themselves
     for n_comp in (1, 3):
-        spec, st = make_preset("cube", 1, L, K=K, n_components=n_comp)
+        spec, st = make_preset("cube", d, L, K=K, n_components=n_comp)
         _, per_index, indices = monte_carlo(spec, st, 6, 404, chunk_size=4,
                                             return_per_index=True)
         for k in range(6):
-            noise = draw_noise(1, L, "rademacher", 404, realization=k)
+            noise = draw_noise(d, L, "rademacher", 404, realization=k)
             direct = synthetic_multilevel(spec, st, noise).values
             assert np.array_equal(per_index[k], [direct[i] for i in indices])
 
 
-@pytest.mark.parametrize("n_comp", [1, 3])
+def test_periodic_prefix_entries_are_exact():
+    # d=2, L=256, K=2: the second axis of level 2 sums windows of up to 129
+    # counts, so its prefix entries reach 129 * 385 = 49,665, past int16
+    x = np.full((256, 3), 129, dtype=np.int16)
+    expect = np.cumsum(np.concatenate([x, x[:129]]), axis=0, dtype=np.int64)
+    assert np.array_equal(_periodic_prefix(x, 129, peak=129)[1:], expect)
+    # 0/1 counts keep int16 while 1 + L + w_max < 2^15
+    ones = np.ones((32000, 1), dtype=np.uint8)
+    assert _periodic_prefix(ones, 766).dtype == np.int16
+    assert _periodic_prefix(ones, 767).dtype == np.int32
+
+
+def test_count_path_matches_float_path_past_int16_prefix_entries():
+    # d=2, L=256, K=2: level 2 is 129 cells wide, so the second axis sums
+    # window sums up to 129 and its prefix entries reach 129 * 385 > 2^15
+    spec, st = make_preset("cube", 2, 256)
+    assert 2 * st.box_radius(2) + 1 == 129
+    _, per_index, indices = monte_carlo(spec, st, 3, 404, return_per_index=True)
+    for k in range(3):
+        noise = draw_noise(2, 256, "rademacher", 404, realization=k)
+        direct = synthetic_multilevel(spec, st, noise).values
+        assert np.array_equal(per_index[k], [direct[i] for i in indices])
+
+
+@pytest.mark.parametrize("n_comp,d,L", [pytest.param(1, 1, 119, id="1"),
+                                        pytest.param(3, 1, 119, id="3"),
+                                        pytest.param(1, 2, 64, id="1-d2-64"),
+                                        pytest.param(3, 2, 64, id="3-d2-64")])
 @pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
-def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp):
+def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
     # chunks of one realization included: numpy sums (n_anchors, 1) pairwise
     n = 40
-    spec, st = make_preset(name, 1, 119, n_components=n_comp)
+    spec, st = make_preset(name, d, L, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
     runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
              *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
@@ -389,6 +422,48 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp):
         assert np.array_equal(totals, runs[0][0])
         assert np.array_equal(samples.values, runs[0][1].values)
         assert np.array_equal(per_index, runs[0][2])
+
+
+def _oracle_boxes(st):
+    """One 0/1 indicator over the C-order cells per index, in build_index_set
+    order: the box of (m, y) holds the cells within periodic distance
+    box_radius(m) of y on every axis."""
+    cells = np.indices((st.L,) * st.d).reshape(st.d, -1).T
+    return [np.all(periodic_distance(cells, np.array(idx.y), st.L)
+                   <= st.box_radius(idx.m), axis=1).astype(float)
+            for idx in build_index_set(st)]
+
+
+def _box_oracle(spec, st, boxes, noise):
+    """(n, n_indices, n_components) values of the (n, cells) noise rows, box
+    by box: w_m L^{-d} g(S / sqrt(cells in the box)), S the box sum of the
+    component's noise."""
+    x1 = np.arange(st.L ** st.d) // st.L ** (st.d - 1)
+    signs = np.array([np.ones(len(x1))] + [np.where(x1 >> (c - 1) & 1, -1.0, 1.0)
+                                           for c in range(1, spec.n_components)])
+    signed = noise[:, None, :] * signs
+    out = [_apply_map(spec.nonlinearity, (signed @ box) / np.sqrt(box.sum()))
+           * (spec.weight(idx.m) * float(st.L) ** (-st.d))
+           for idx, box in zip(build_index_set(st), boxes)]
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("d,L,K", [(d, L, K) for d in (2, 3) for L in (8, 12, 16)
+                                   for K in (1.0, 2.0)] + [(2, 32, 2.0)])
+def test_box_sums_match_cell_loop_oracle(d, L, K):
+    # at K=1 level 0 reads windows that wrap around the torus; at K=2 every
+    # box of L <= 16 covers the torus, and L=32 adds K=2 windows
+    n = 3
+    boxes = _oracle_boxes(DependenceStructure(d=d, L=L, K=K))
+    for name in PRESET_NAMES:
+        spec, st = make_preset(name, d, L, K=K, n_components=3)
+        assert (2 * st.box_radius(0) + 1 < L) == (K == 1.0 or L == 32)
+        _, got, _ = monte_carlo(spec, st, n, 2026, return_per_index=True)
+        expect = _box_oracle(spec, st, boxes, _draw_rows(d, L, spec.dist, 2026, 0, n))
+        if spec.dist == "rademacher":  # integer box sums: bit for bit
+            assert np.array_equal(got, expect)
+        else:
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():
