@@ -285,8 +285,8 @@ def test_monte_carlo_is_chunk_size_invariant():
 
 
 _PINNED_STREAM = "b4b21e627e3accd75186657131a54a5a17e5df3c37f3de24e0306511cd4a3b7a"
-_PINNED_STREAM_D2_FLOAT = ("49041506cb09cf7d5c48593e88e86994"
-                           "2d4f3e73d61614679a769f05edc1f0af")
+_PINNED_STREAM_D2_FLOAT = ("3dd49393d526782e75625e527fba0a4f"
+                           "3a879e7f513c678d51c32cf8b9042bfe")
 
 
 def _stream_runs(d2_float: bool):
