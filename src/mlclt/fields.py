@@ -403,6 +403,7 @@ class _SyntheticLevels:
                 count=count, radius=hw if 2 * hw + 1 < st.L else None, table=table))
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
+        out = out.reshape(sums.shape)  # a view, one axis of anchors per torus axis
         if lv.table is not None:  # counts lie in [0, count]: clipping never acts
             np.take(lv.table, sums, out=out, mode="clip")
         else:
@@ -432,10 +433,9 @@ class _SyntheticLevels:
                   if any(lv.radius is None for lv in levels) else None)
         for lv in levels:
             vals = np.empty((len(cols), 1 if lv.radius is None else lv.n_anchors, n))
-            for c in range(len(cols)):
-                sums = (totals[c] if lv.radius is None else
-                        _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m))
-                self._map(lv, sums, vals[c].reshape(sums.shape))
+            for c, out in enumerate(vals):
+                self._map(lv, totals[c] if lv.radius is None else
+                          _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m), out)
             yield lv, vals
 
 
