@@ -526,7 +526,7 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     else:
         raise UsageError("generator must be a SyntheticSpec or FieldModel")
 
-    # a chunk holds at most 2^22 cells, which d=2 lattices up to L=256 need
+    # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     indices = build_index_set(structure)
     if return_per_index and n * len(indices) * n_comp > 2 * 10 ** 8:
