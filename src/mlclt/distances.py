@@ -11,8 +11,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr, ndtri
 
-from ._util import (_SLICED_W1_TAG, UsageError, ball_points, counter_rng,
-                    gaussian_expectation, hermite_1d, hermite_grid)
+from ._util import (_SLICED_W1_TAG, QuadratureError, UsageError, ball_points,
+                    counter_rng, gaussian_expectation, hermite_grid)
 from .gaussians import GaussianLaw
 
 __all__ = [
@@ -200,13 +200,28 @@ class PiecewisePolynomial:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A real test function on R^dim with a declared gradient budget."""
+    """A real test function on R^dim with a declared gradient budget.
+
+    `evaluator` takes an (m, dim) array.  Every dim-1 function is a ridge
+    function: built without a ridge, it gets direction (1,) and its
+    evaluator on a column as profile, so one 1d path serves it.
+    """
 
     evaluator: Callable[[NDArray[np.float64]], NDArray[np.float64]]
     lipschitz_budget: float
     label: str
     dim: int
     ridge: Optional[RidgeProfile] = None
+
+    def __post_init__(self):
+        if self.dim == 1 and self.ridge is None:
+            evaluator = self.evaluator
+
+            def profile(t):
+                t = np.asarray(t, dtype=float)
+                return np.asarray(evaluator(t.reshape(-1, 1)), dtype=float).reshape(t.shape)
+
+            object.__setattr__(self, "ridge", RidgeProfile(np.ones(1), profile))
 
     def __call__(self, x) -> NDArray[np.float64]:
         x = np.asarray(x, dtype=float)
@@ -341,14 +356,11 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     Z ~ law.  Preserves ridge structure exactly (the projected noise is a 1d
     Gaussian with the projected variance).
 
-    A ridge function whose profile is a `PiecewisePolynomial` (the soft-clip
-    family) is smoothed in closed form, as a finite sum of truncated normal
-    moments, with no quadrature and no fallback.  Otherwise the expectation
-    uses Gauss-Hermite quadrature verified by node doubling.  In one
-    effective dimension (ridge or scalar phi), a probe failure falls back to
-    adaptive quadrature so that merely-Lipschitz test functions are still
-    smoothed to high accuracy; in higher dimension nonconvergence is an
-    error.
+    A ridge function, which every dim-1 function is, is smoothed by
+    `_smoothed_profile`: in closed form for a `PiecewisePolynomial` profile
+    (the soft-clip family), otherwise by Gauss-Hermite quadrature with an
+    adaptive fallback.  A non-ridge function in dim 2 or 3 takes tensorized
+    Gauss-Hermite quadrature, and nonconvergence there is an error.
     """
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
@@ -361,16 +373,6 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
                                   eps * np.sqrt(phi.ridge.sigma2(law)))
         return ridge_function(phi.ridge.direction, h_eps, phi.lipschitz_budget,
                               label=label)
-
-    if law.dim == 1:
-        h = lambda t: np.asarray(phi(np.asarray(t, dtype=float).reshape(-1, 1))
-                                 ).reshape(np.shape(t))
-        scalar_eps = _smoothed_profile(h, a, eps * np.sqrt(law.covariance.entries[0, 0]))
-
-        def evaluator1(x):
-            return scalar_eps(np.atleast_2d(np.asarray(x, dtype=float))[:, 0])
-        return TestFunction(evaluator=evaluator1, lipschitz_budget=phi.lipschitz_budget,
-                            label=label, dim=1)
 
     sqrt_cov = law.covariance.sqrt()
 
@@ -388,43 +390,33 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
                         sqrt_cov @ np.ones(law.dim),
                         -2.0 * (sqrt_cov @ np.ones(law.dim))])
     smoothed(probes, check=True)
-
-    def evaluator(x):
-        return smoothed(x)
-    return TestFunction(evaluator=evaluator, lipschitz_budget=phi.lipschitz_budget,
+    return TestFunction(evaluator=smoothed, lipschitz_budget=phi.lipschitz_budget,
                         label=label, dim=phi.dim)
 
 
 def _smoothed_profile(h, a: float, noise_scale: float):
     """t -> E[h(a t - noise_scale Z)], Z ~ N(0, 1): in closed form for a
-    `PiecewisePolynomial`; otherwise the 64-node Gauss-Hermite rule if the
-    node-doubling probe settles, adaptive quadrature if not."""
+    `PiecewisePolynomial`; otherwise the 64-node Gauss-Hermite rule if its
+    `gaussian_expectation` check settles at four probes, adaptive if not."""
     if isinstance(h, PiecewisePolynomial):
         def h_exact(t):
             # Z and -Z have the same law
             return h.gaussian_expectations(a * np.asarray(t, dtype=float),
                                            noise_scale, (0,))[0]
         return h_exact
-    if not _profile_converged(h, a, noise_scale):
-        return _adaptive_profile_mean(h, a, noise_scale)
-    nodes, wts = hermite_1d(64)
+    scale = np.array([[noise_scale]])
 
-    def h_eps(t):
+    def h_eps(t, check=False):
         t = np.asarray(t, dtype=float)
-        return np.tensordot(wts, h(a * t[None, ...] - noise_scale * nodes.reshape(
-            (-1,) + (1,) * t.ndim)), axes=(0, 0))
+        return gaussian_expectation(
+            scale, lambda z: h(a * t[None, ...] - z.reshape((-1,) + (1,) * t.ndim)),
+            check=check)
 
+    try:
+        h_eps(np.array([-2.0, 0.0, 1.0, 3.0]), check=True)
+    except QuadratureError:
+        return _adaptive_profile_mean(h, a, noise_scale)
     return h_eps
-
-
-def _profile_converged(h, a: float, noise_scale: float) -> bool:
-    """Node-doubling probe for the 1d smoothing integral (threshold 1e-6)."""
-    nodes, wts = hermite_1d(64)
-    nodes2, wts2 = hermite_1d(128)
-    probes = np.array([-2.0, 0.0, 1.0, 3.0])
-    v1 = np.tensordot(wts, h(a * probes[None, :] - noise_scale * nodes[:, None]), axes=(0, 0))
-    v2 = np.tensordot(wts2, h(a * probes[None, :] - noise_scale * nodes2[:, None]), axes=(0, 0))
-    return bool(np.max(np.abs(v1 - v2)) <= 1e-6 * max(1.0, float(np.max(np.abs(v2)))))
 
 
 def _adaptive_profile_mean(h, a: float, noise_scale: float):
@@ -632,18 +624,20 @@ def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,
 
 
 def gaussian_mean(phi: TestFunction, law: GaussianLaw) -> float:
-    """Integral of phi against N(0, Lambda), with node-doubling verification."""
+    """Integral of phi against N(0, Lambda).
+
+    A ridge function with a `PiecewisePolynomial` profile is integrated in
+    closed form; every other function by Gauss-Hermite quadrature whose
+    node-doubling check (`gaussian_expectation`, relative tolerance
+    `_EXPECTATION_RTOL`) raises `QuadratureError` if it does not settle.
+    """
     if phi.ridge is not None:
-        sig = np.sqrt(phi.ridge.sigma2(law))
-        nodes, wts = hermite_1d(64)
-        nodes2, wts2 = hermite_1d(128)
-        v1 = float(wts @ phi.ridge.profile(sig * nodes))
-        v2 = float(wts2 @ phi.ridge.profile(sig * nodes2))
-        # tolerance matches the merely-C^2 regularity of the profile family
-        if not abs(v1 - v2) <= 1e-4 * max(1.0, abs(v2)):  # a NaN fails
-            from ._util import QuadratureError
-            raise QuadratureError(f"Gaussian mean of {phi.label} failed node doubling")
-        return v2
+        h = phi.ridge.profile
+        sigma = float(np.sqrt(phi.ridge.sigma2(law)))
+        if isinstance(h, PiecewisePolynomial):
+            return float(h.gaussian_expectations(0.0, sigma, (0,))[0])
+        return float(gaussian_expectation(np.array([[sigma]]), lambda z: h(z[:, 0]),
+                                          check=True))
     return float(gaussian_expectation(law.covariance.sqrt(), phi,
                                       n_per_axis=64 if law.dim <= 2 else 32, check=True))
 
@@ -654,8 +648,9 @@ def restricted_distance(samples: SampleSet, law: GaussianLaw,
 
     With eps > 0 each test function is mollified first (Gaussian
     interpolation at scale eps), matching the smoothed distance used by the
-    Stein argument.  Note the sup is over the *signed* gap; families should
-    be closed under negation if two-sided distance is wanted.
+    Stein argument; interpolation preserves N(0, Lambda), so the Gaussian
+    side is E[phi(Z)] at every eps.  Note the sup is over the *signed* gap;
+    families should be closed under negation if two-sided distance is wanted.
     """
     if not family:
         raise UsageError("family must be nonempty")
@@ -663,5 +658,5 @@ def restricted_distance(samples: SampleSet, law: GaussianLaw,
     for phi in family:
         test = mollify(phi, eps, law) if eps > 0 else phi
         emp = float(np.mean(test(samples.values)))
-        best = max(best, emp - gaussian_mean(test, law))
+        best = max(best, emp - gaussian_mean(phi, law))
     return best

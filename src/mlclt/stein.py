@@ -31,8 +31,12 @@ per (delta, window) and serves both majorant kinds from it.
 Ridge test functions phi(x) = h(u . x) admit an exact reduction: f_eps(x) =
 F(u . x) where F is the 1d solution for profile h and variance u . Lambda u,
 so all derivative tensors are rank-one and every integral is one-dimensional.
-A generic tensorized quadrature path covers arbitrary test functions in low
-dimension and is used to cross-validate the reduction.
+Every dim-1 test function is a ridge function, so this is the one 1d path.
+A generic tensorized quadrature path serves non-ridge test functions in dims
+2 and 3, where it is the reference the reduction is cross-checked against.
+Gaussian interpolation preserves N(0, Lambda), so the right-hand side's
+constant is E[phi_eps(Z)] = E[phi(Z)], taken by `gaussian_mean` without
+smoothing phi.
 
 The inner Gaussian integral of a ridge solution is exact when the profile is
 a C^2 `PiecewisePolynomial` (the soft-clip family).  Gaussian integration by
@@ -82,9 +86,9 @@ _T_TAIL = 56.0  # integrand tails decay like exp(-t/2); exp(-28) is negligible
 _VERIFY_TOL = 1e-4
 # Orders whose node-doubling delta gates solution construction.
 _GATE_ORDERS = (0, 2)
-# Gauss-Hermite nodes per axis of the generic engine; tensorized rules stop
-# at dim 3.
-_GENERIC_AXIS_NODES = {1: 64, 2: 48, 3: 16}
+# Gauss-Hermite nodes per axis of the generic engine, which serves the
+# non-ridge test functions of dims 2 and 3; tensorized rules stop at dim 3.
+_GENERIC_AXIS_NODES = {2: 48, 3: 16}
 # (s, w) pairs per block of the closed-form inner integral; each pair holds
 # a few dozen float64 temporaries.
 _EXACT_BLOCK = 1 << 16
@@ -198,20 +202,8 @@ class _RidgeEngine:
         self.quad = quad
         self.exact = isinstance(profile, PiecewisePolynomial)
         self.inner_integral = "exact" if self.exact else "gauss-hermite"
-        self._c0_cache: dict[int, float] = {}
-        if self.exact:
+        if self.exact:  # the Hermite path takes its mean per rule
             self.c0 = float(profile.gaussian_expectations(0.0, self.sigma, (0,))[0])
-        else:
-            self.c0 = self._gaussian_mean(quad.z_nodes_per_axis)
-
-    def _gaussian_mean(self, n_nodes: int) -> float:
-        # The subtracted mean must use the same rule as the inner integral:
-        # by node symmetry the s -> 1 tail of the order-0 integrand then
-        # cancels exactly instead of leaving an O(quadrature error) plateau.
-        if n_nodes not in self._c0_cache:
-            g, gw = hermite_1d(n_nodes)
-            self._c0_cache[n_nodes] = float(gw @ self.profile(self.sigma * g))
-        return self._c0_cache[n_nodes]
 
     def _kernel(self, order: int, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Derivative kernel D^k N / N for N = N(0, sigma^2)."""
@@ -267,7 +259,10 @@ class _RidgeEngine:
         g, gw = hermite_1d(n_v)
         v = self.sigma * g
         kern_ws = [gw * self._kernel(k, v) for k in ks]
-        c0 = self._gaussian_mean(n_v)
+        # The subtracted mean must use the same rule as the inner integral:
+        # by node symmetry the s -> 1 tail of the order-0 integrand then
+        # cancels exactly instead of leaving an O(quadrature error) plateau.
+        c0 = float(gw @ self.profile(v))
         outs = [np.zeros(flat.shape) for _ in ks]
         block = max(1, int(2e6) // max(1, flat.size * len(v)))
         for start in range(0, len(s), block):
@@ -293,7 +288,8 @@ class _RidgeEngine:
 
 
 class _GenericEngine:
-    """Direct N-dimensional quadrature for arbitrary test functions."""
+    """Direct tensorized quadrature for non-ridge test functions in dims 2
+    and 3 (every dim-1 test function is a ridge function)."""
 
     inner_integral = "gauss-hermite"
 
@@ -305,11 +301,9 @@ class _GenericEngine:
         self.quad = quad
         if law.dim not in _GENERIC_AXIS_NODES:
             raise UsageError(
-                f"a non-ridge Stein solution needs dim in 1..3, got {law.dim}; "
+                f"a non-ridge Stein solution needs dim 2 or 3, got {law.dim}; "
                 f"higher dimensions need a ridge test function")
-        n_axis = min(quad.z_nodes_per_axis, _GENERIC_AXIS_NODES[law.dim])
-        self.n_axis = n_axis
-        self.c0 = gaussian_mean(phi, law)
+        self.n_axis = min(quad.z_nodes_per_axis, _GENERIC_AXIS_NODES[law.dim])
 
     def _nodes(self, n_axis: int):
         pts, wts = hermite_grid(self.law.dim, n_axis)
@@ -367,10 +361,12 @@ class _GenericEngine:
 class SteinSolution:
     """Mollified Stein solution f_eps for (phi, law, eps).
 
-    Construction runs a node-doubling convergence probe and raises
-    QuadratureError if the value or Hessian integral has not settled to the
-    module tolerance; `node_doubling_deltas` reports both moves.  Majorant
-    tables are built once per (delta, window) and kept with the solution.
+    Construction takes E[phi(Z)] with `gaussian_mean`, then runs a
+    node-doubling convergence probe; either raises QuadratureError if its
+    integral has not settled (the probe reports both moves of the value and
+    Hessian integrals in `node_doubling_deltas`).  Majorant tables are built
+    once per (delta, window) and kept with the solution.  Points passed to
+    the evaluation and certificate functions must lie in R^dim.
     """
 
     phi: TestFunction
@@ -395,9 +391,9 @@ class SteinSolution:
         else:
             engine = _GenericEngine(self.phi, self.law, self.quad, self.eps)
         object.__setattr__(self, "_engine", engine)
-        phi_eps = mollify(self.phi, self.eps, self.law)
-        object.__setattr__(self, "_phi_eps", phi_eps)
-        object.__setattr__(self, "_c_eps", gaussian_mean(phi_eps, self.law))
+        object.__setattr__(self, "_phi_eps", mollify(self.phi, self.eps, self.law))
+        # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ law
+        object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.law))
         probe = self._probe_points()
         if self.phi.ridge is not None:
             probe = probe @ self.phi.ridge.direction
@@ -427,6 +423,16 @@ class SteinSolution:
         ones = np.ones(self.law.dim)
         return np.vstack([np.zeros(self.law.dim), root @ ones, -2.0 * (root @ ones)])
 
+    def _points(self, x, single: bool = False) -> NDArray[np.float64]:
+        """x as an (m, dim) batch, a 1-d x being one point.  Any other shape,
+        or more than one point when `single`, raises UsageError."""
+        shape = np.shape(x)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.law.dim or (single and len(x) != 1):
+            raise UsageError(f"expected {'a point' if single else 'points'} of "
+                             f"R^{self.law.dim}, got an array of shape {shape}")
+        return x
+
     # -- ridge helpers ------------------------------------------------------
 
     @property
@@ -437,7 +443,7 @@ class SteinSolution:
         return x @ self.phi.ridge.direction
 
     def values(self, x) -> NDArray[np.float64]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._points(x)
         if self.is_ridge:
             return self._engine.fk(self._project(x), 0)
         return self._engine.fk(x, 0)
@@ -451,19 +457,15 @@ class SteinSolution:
 
 def stein_eval(sol: SteinSolution, x) -> NDArray[np.float64]:
     """f_eps at x; x is a point of R^dim or an (m, dim) batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    out = sol.values(np.atleast_2d(np.atleast_1d(x)))
-    return float(out[0]) if single else out
+    out = sol.values(x)
+    return float(out[0]) if np.ndim(x) <= 1 else out
 
 
 def stein_derivative(sol: SteinSolution, x, order: int) -> NDArray[np.float64]:
     """Derivative tensor of f_eps at a single point: shape (dim,)*order."""
     if order not in (1, 2, 3):
         raise UsageError(f"order must be 1, 2 or 3, got {order}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1 or x.size != sol.law.dim:
-        raise UsageError("stein_derivative takes a single point of the law's dimension")
+    x = sol._points(x, single=True)[0]
     if sol.is_ridge:
         u = sol.phi.ridge.direction
         scalar = float(sol.derivative_scalars(x @ u, order))
@@ -476,7 +478,7 @@ def stein_derivative(sol: SteinSolution, x, order: int) -> NDArray[np.float64]:
 
 def stein_residual(sol: SteinSolution, x) -> float:
     """|{-Lambda : D^2 f + x . grad f} - {phi_eps(x) - E phi_eps}| at a point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = sol._points(x, single=True)[0]
     rhs = float(sol._phi_eps(x[None, :])[0]) - sol._c_eps
     if sol.is_ridge:
         u = sol.phi.ridge.direction
@@ -492,7 +494,7 @@ def stein_residual(sol: SteinSolution, x) -> float:
 
 def third_derivative_certificate(sol: SteinSolution, points) -> dict:
     """Check |D^3 f_eps| <= 15 |Lambda^{-1}| eps^{-dim} at the given points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = sol._points(points)
     if points.size == 0:
         raise UsageError("third_derivative_certificate needs at least one point")
     n = sol.law.dim
@@ -598,7 +600,7 @@ def oscillation_majorant(sol: SteinSolution, x, delta: float, kind: str) -> NDAr
     """
     _check_delta(delta)
     order = _majorant_order(kind)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = sol._points(x)
     if sol.is_ridge:
         w = sol._project(x)
         maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))

@@ -238,17 +238,30 @@ def test_exact_mollify_matches_adaptive_quadrature(eps):
 
 
 def test_soft_clip_mollify_never_takes_a_quadrature_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("soft-clip mollify left the closed form")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a soft-clip mean left the closed form")
 
     monkeypatch.setattr(distances, "_adaptive_profile_mean", refuse)
-    monkeypatch.setattr(distances, "_profile_converged", refuse)
+    monkeypatch.setattr(distances, "gaussian_expectation", refuse)
     for dim in (1, 2):
         law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.4 * (1.0 - np.eye(dim))))
         x = np.linspace(-2.0, 2.0, 3 * dim).reshape(3, dim)
-        for eps in (0.25, 0.5):
-            for phi in soft_clip_family(dim):
+        for phi in soft_clip_family(dim):
+            assert np.isfinite(gaussian_mean(phi, law))
+            for eps in (0.25, 0.5):
                 assert np.isfinite(mollify(phi, eps, law)(x)).all()
+
+
+@pytest.mark.parametrize("variance", [1.0, 2.5])
+def test_gaussian_mean_of_soft_clip_members_matches_mpmath(variance):
+    # E[h(sigma Z)] of a piecewise-polynomial profile is in closed form; a
+    # 128-node Hermite rule is off by up to 2.7e-5 here
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    law = GaussianLaw(SpdMatrix(np.array([[variance]])))
+    for params, phi in zip(SOFTCLIP_PARAMS, soft_clip_family(1)):
+        want = float(_mp_softclip_expectation(mpmath, params, 0, 0.0, math.sqrt(variance)))
+        assert abs(gaussian_mean(phi, law) - want) <= 1e-13, params
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mollified Stein solutions: closed-form linear/constant cases, residual of
 the defining equation, finite-difference consistency of the derivative
-scalars, ridge-vs-generic cross-validation, and the envelope certificates."""
+scalars, ridge-vs-generic cross-validation in dim 2, the one 1d path, and the
+envelope certificates."""
 import math
 
 import numpy as np
@@ -17,11 +18,20 @@ from mlclt.stein import (QuadratureSpec, SteinSolution, majorant_average_certifi
                          stein_eval, stein_residual, third_derivative_certificate)
 
 STD_1D = GaussianLaw(SpdMatrix(np.eye(1)))
+STD_2D = GaussianLaw(SpdMatrix(np.eye(2)))
 
 
 @pytest.fixture(scope="module")
 def soft_clip_sol():
     return SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
+
+
+@pytest.fixture(scope="module")
+def generic_2d_sol():
+    phi = FnSpec(evaluator=lambda x: (np.tanh(np.asarray(x)[:, 0])
+                                      + 0.5 * np.tanh(np.asarray(x)[:, 1])),
+                 lipschitz_budget=1.5, label="two-axis", dim=2)
+    return SteinSolution(phi, STD_2D, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +97,18 @@ def test_residual_soft_clip(soft_clip_sol):
         assert stein_residual(soft_clip_sol, np.array([v])) < 1e-6
 
 
-def test_residual_generic_engine_2d():
-    phi = FnSpec(evaluator=lambda x: (np.tanh(np.asarray(x)[:, 0])
-                                      + 0.5 * np.tanh(np.asarray(x)[:, 1])),
-                 lipschitz_budget=1.5, label="two-axis", dim=2)
-    law = GaussianLaw(SpdMatrix(np.eye(2)))
-    sol = SteinSolution(phi, law, 0.5)
-    assert not sol.is_ridge
+def test_residual_generic_engine_2d(generic_2d_sol):
+    assert not generic_2d_sol.is_ridge
     for pt in (np.zeros(2), np.array([1.0, -0.5])):
-        assert stein_residual(sol, pt) < 1e-3
+        assert stein_residual(generic_2d_sol, pt) < 1e-3
+
+
+def test_soft_clip_residual_at_smallest_eps():
+    # the right-hand side's constant is E[phi(Z)] in closed form; taking it
+    # as a Hermite mean of phi_eps left a 2.4e-6 residual at eps = 0.05
+    sol = SteinSolution(soft_clip_family(1)[2], STD_1D, 0.05)
+    grid = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert max(stein_residual(sol, x) for x in grid) <= 6e-7
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +142,56 @@ def test_derivative_tensors_are_rank_one_in_ridge_direction():
     assert np.allclose(h, float(sol.derivative_scalars(w, 2)) * np.outer(u, u))
 
 
-def test_ridge_and_generic_engines_agree_in_dimension_one():
-    gen = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
-                 lipschitz_budget=1.0, label="generic", dim=1)
-    rid = ridge_function([1.0], np.tanh, 1.0, "ridge")
-    sg = SteinSolution(gen, STD_1D, 0.4)
-    sr = SteinSolution(rid, STD_1D, 0.4)
-    xs = np.array([[-1.5], [0.0], [0.8]])
+def test_ridge_and_generic_engines_agree_in_dimension_two():
+    rid = ridge_function([3.0, 4.0], np.tanh, 1.0, "ridge")
+    u = rid.ridge.direction
+    gen = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ u),
+                 lipschitz_budget=1.0, label="generic", dim=2)
+    sg = SteinSolution(gen, STD_2D, 0.4)
+    sr = SteinSolution(rid, STD_2D, 0.4)
+    assert not sg.is_ridge and sr.is_ridge
+    xs = np.array([[-1.5, 0.5], [0.0, 0.0], [0.8, -0.3]])
     assert np.max(np.abs(sg.values(xs) - sr.values(xs))) < 1e-8
-    pt = np.array([0.8])
+    pt = np.array([0.8, -0.3])
     for order in (1, 2, 3):
         assert np.max(np.abs(stein_derivative(sg, pt, order)
                              - stein_derivative(sr, pt, order))) < 1e-6
+
+
+def test_scalar_dim_one_function_takes_the_ridge_path_bit_for_bit():
+    # a dim-1 function built without a ridge gets the ridge view, so it and
+    # the ridge function of the same profile share every bit
+    law = GaussianLaw(SpdMatrix(np.array([[2.5]])))
+    scalar = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
+                    lipschitz_budget=1.0, label="scalar", dim=1)
+    ridge = ridge_function([1.0], np.tanh, 1.0, "ridge")
+    assert np.array_equal(scalar.ridge.direction, [1.0])
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.array_equal(distances.mollify(scalar, 0.3, law)(x),
+                          distances.mollify(ridge, 0.3, law)(x))
+    ss, sr = SteinSolution(scalar, law, 0.3), SteinSolution(ridge, law, 0.3)
+    assert ss.is_ridge and ss.node_doubling_deltas == sr.node_doubling_deltas
+    assert np.array_equal(ss.values(x), sr.values(x))
+    for order in range(4):
+        assert np.array_equal(ss.derivative_scalars(x[:, 0], order),
+                              sr.derivative_scalars(x[:, 0], order))
+    for pt in x:
+        assert stein_residual(ss, pt) == stein_residual(sr, pt)
+
+
+def test_plain_callable_ramp_gets_one_verdict_however_wrapped():
+    # behind a plain callable the ramp's raw mean takes the Hermite rule,
+    # whose node doubling moves it by 1.1e-5; as a scalar dim-1 function
+    # and as a ridge function it fails the same 1e-6 gate
+    member = soft_clip_family(1)[2]
+    h = member.ridge.profile
+    scalar = FnSpec(evaluator=lambda x: h(np.asarray(x)[:, 0]),
+                    lipschitz_budget=0.25, label="scalar", dim=1)
+    ridge = ridge_function([1.0], lambda t: h(t), 0.25, "ridge")
+    for phi in (scalar, ridge):
+        with pytest.raises(QuadratureError, match="did not converge"):
+            SteinSolution(phi, STD_1D, 0.1)
+    assert SteinSolution(member, STD_1D, 0.1).inner_integral == "exact"
 
 
 @pytest.mark.parametrize("n_points", [1, 1717])
@@ -182,7 +233,7 @@ def test_exact_inner_integral_matches_gauss_hermite(sigma2):
             assert np.max(np.abs(a - b)) <= 2e-6, (params, order)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_generic_engine_orders_together_keep_each_orders_bits(dim):
     phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
                  lipschitz_budget=float(dim), label="generic", dim=dim)
@@ -320,16 +371,30 @@ def test_insufficient_budget_is_reported_not_silently_accepted():
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
-def test_majorants_reject_a_delta_that_is_not_positive_and_finite(delta, soft_clip_sol):
-    generic = SteinSolution(FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
-                                   lipschitz_budget=1.0, label="generic", dim=1),
-                            STD_1D, 0.5)
-    for sol in (soft_clip_sol, generic):
+def test_majorants_reject_a_delta_that_is_not_positive_and_finite(
+        delta, soft_clip_sol, generic_2d_sol):
+    for sol in (soft_clip_sol, generic_2d_sol):
         for kind in ("hessian", "third"):
             with pytest.raises(UsageError, match="delta"):
                 majorant_average_certificate(sol, delta, kind)
             with pytest.raises(UsageError, match="delta"):
-                oscillation_majorant(sol, np.zeros((2, 1)), delta, kind)
+                oscillation_majorant(sol, np.zeros((2, sol.law.dim)), delta, kind)
+
+
+def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, generic_2d_sol):
+    # a dim-2 solution once broadcast each of these points to (x, x)
+    for sol, bad in ((soft_clip_sol, np.array([[0.5, 1.0]])),
+                     (generic_2d_sol, np.array([[0.5], [1.0], [2.0]]))):
+        calls = (lambda: stein_eval(sol, bad), lambda: sol.values(bad),
+                 lambda: stein_residual(sol, bad[0]),
+                 lambda: stein_derivative(sol, bad[0], 1),
+                 lambda: third_derivative_certificate(sol, bad),
+                 lambda: oscillation_majorant(sol, bad, 0.1, "hessian"))
+        for call in calls:
+            with pytest.raises(UsageError, match=f"R\\^{sol.law.dim}"):
+                call()
+        with pytest.raises(UsageError, match="a point"):
+            stein_residual(sol, np.zeros((2, sol.law.dim)))
 
 
 # ---------------------------------------------------------------------------
