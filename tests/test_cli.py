@@ -319,9 +319,10 @@ def test_clt_rate_runs_at_d2(tmp_path):
 
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
-# inner integral of the soft-clip profiles.
-_CERTIFY_SEED0_SHA256 = ("0be58891cfe7a09509e73b65dbfb36ef"
-                         "e84772d1ed673e2c8c39dd7b19bb63de")
+# inner integral of the soft-clip profiles and with the residual's constant
+# E[phi_eps(Z)] taken as the closed-form E[phi(Z)].
+_CERTIFY_SEED0_SHA256 = ("66a3c7107582192d1238a9a7c699d5eb"
+                         "ef5bfee9b775eb760bafd260553e88c5")
 
 
 @pytest.fixture(scope="module")
