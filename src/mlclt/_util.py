@@ -50,34 +50,6 @@ def hermite_grid(dim: int, n_per_axis: int) -> tuple[NDArray[np.float64], NDArra
     return pts, wts
 
 
-# node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
-_EXPECTATION_RTOL = 1e-6
-
-
-def gaussian_expectation(sqrt_cov: NDArray[np.float64], fn, n_per_axis: int = 64,
-                         check: bool = False):
-    """E[fn(Z)] for Z ~ N(0, C) with C = sqrt_cov @ sqrt_cov.T.
-
-    `fn` must accept an (m, dim) array and return an (m, ...) array.
-    With check=True the rule is re-run at doubled node count and a
-    QuadratureError is raised if the two disagree beyond _EXPECTATION_RTOL.
-    """
-    dim = sqrt_cov.shape[0]
-    pts, wts = hermite_grid(dim, n_per_axis)
-    val = np.tensordot(wts, np.asarray(fn(pts @ sqrt_cov.T)), axes=(0, 0))
-    if check:
-        pts2, wts2 = hermite_grid(dim, 2 * n_per_axis)
-        val2 = np.tensordot(wts2, np.asarray(fn(pts2 @ sqrt_cov.T)), axes=(0, 0))
-        scale = max(1.0, float(np.max(np.abs(val2))))
-        moved = float(np.max(np.abs(val - val2)))
-        if not moved <= _EXPECTATION_RTOL * scale:  # a NaN fails
-            raise QuadratureError(
-                f"Gaussian quadrature did not converge: node doubling moved the "
-                f"value by {moved:.3e} (relative tolerance {_EXPECTATION_RTOL:.1e})")
-        val = val2
-    return val
-
-
 @lru_cache(maxsize=16)
 def ball_points(dim: int, m: int = 256) -> NDArray[np.float64]:
     """Deterministic low-discrepancy points in the closed unit ball of R^dim.

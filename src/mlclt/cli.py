@@ -395,8 +395,7 @@ def run_stein_certify(config: ExperimentConfig):
     canonical soft-clip family at the configured (dimension, eps).
 
     Each row also carries `quadrature`, a record for the manifest rather than
-    a CSV column: the solution's s/z node budgets, whether its Gaussian inner
-    integral is exact or Gauss-Hermite, its node-doubling deltas per gated
+    a CSV column: the solution's s budget, its node-doubling deltas per gated
     order, and the s budget and grid size of its majorant table.
     """
     n = config.n_dim
@@ -425,9 +424,7 @@ def run_stein_certify(config: ExperimentConfig):
             "passed": ok,
             "quadrature": {
                 "label": phi.label,
-                "s_nodes": sol.quad.s_nodes,
-                "z_nodes_per_axis": sol.quad.z_nodes_per_axis,
-                "inner_integral": sol.inner_integral,
+                "s_nodes": sol.s_nodes,
                 "node_doubling_delta": sol.node_doubling_deltas,
                 "majorant_table": maj2["table"],
             },

@@ -11,8 +11,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr, ndtri
 
-from ._util import (_SLICED_W1_TAG, QuadratureError, UsageError, ball_points,
-                    counter_rng, gaussian_expectation, hermite_grid)
+from ._util import (_SLICED_W1_TAG, UsageError, ball_points, counter_rng,
+                    hermite_grid)
 from .gaussians import GaussianLaw
 
 __all__ = [
@@ -38,14 +38,17 @@ __all__ = [
 class RidgeProfile:
     """Directional structure phi(x) = profile(direction . x).
 
-    Keeping the ridge structure explicit lets downstream integrals against
-    Gaussian kernels reduce exactly to one-dimensional quadrature.
+    The profile is a `PiecewisePolynomial`, so every Gaussian integral of
+    phi and of its derivatives reduces to a closed form in one dimension.
     """
 
     direction: NDArray[np.float64]
-    profile: Callable[[NDArray[np.float64]], NDArray[np.float64]]
+    profile: PiecewisePolynomial
 
     def __post_init__(self):
+        if not isinstance(self.profile, PiecewisePolynomial):
+            raise UsageError("a ridge profile must be a PiecewisePolynomial, got "
+                             f"{type(self.profile).__name__}")
         u = np.asarray(self.direction, dtype=float)
         norm = np.linalg.norm(u)
         if norm == 0 or not np.isfinite(norm):
@@ -202,9 +205,10 @@ class PiecewisePolynomial:
 class TestFunction:
     """A real test function on R^dim with a declared gradient budget.
 
-    `evaluator` takes an (m, dim) array.  Every dim-1 function is a ridge
-    function: built without a ridge, it gets direction (1,) and its
-    evaluator on a column as profile, so one 1d path serves it.
+    `evaluator` takes an (m, dim) array; in dim 1 a call with a 1-d x
+    passes it as a column of points.  Only a function with a `ridge` has
+    the exact Gaussian calculus of `mollify`, `gaussian_mean` and the Stein
+    solutions; `ridge_function` builds one.
     """
 
     evaluator: Callable[[NDArray[np.float64]], NDArray[np.float64]]
@@ -213,25 +217,17 @@ class TestFunction:
     dim: int
     ridge: Optional[RidgeProfile] = None
 
-    def __post_init__(self):
-        if self.dim == 1 and self.ridge is None:
-            evaluator = self.evaluator
-
-            def profile(t):
-                t = np.asarray(t, dtype=float)
-                return np.asarray(evaluator(t.reshape(-1, 1)), dtype=float).reshape(t.shape)
-
-            object.__setattr__(self, "ridge", RidgeProfile(np.ones(1), profile))
-
     def __call__(self, x) -> NDArray[np.float64]:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and self.dim == 1 and x.shape != (1,):
+        if x.ndim == 1 and self.dim == 1:
             x = x[:, None]
         return np.asarray(self.evaluator(x), dtype=float)
 
 
-def ridge_function(direction, profile, lipschitz_budget: float, label: str) -> TestFunction:
-    """Test function phi(x) = profile(direction . x) with unit direction."""
+def ridge_function(direction, profile: PiecewisePolynomial, lipschitz_budget: float,
+                   label: str) -> TestFunction:
+    """Test function phi(x) = profile(direction . x) with unit direction; a
+    profile that is not a `PiecewisePolynomial` raises UsageError."""
     rp = RidgeProfile(np.asarray(direction, dtype=float), profile)
 
     def evaluator(x):
@@ -351,97 +347,42 @@ class SampleSet:
 # mollification
 
 
+def _ridge_of(phi: TestFunction, law: GaussianLaw) -> RidgeProfile:
+    """phi's ridge, checked against the law's dimension: the Gaussian
+    calculus here is exact for ridge functions only."""
+    if phi.dim != law.dim:
+        raise UsageError(f"dimension mismatch: phi on R^{phi.dim}, law on R^{law.dim}")
+    if phi.ridge is None:
+        raise UsageError(f"{phi.label} has no ridge; build it with ridge_function "
+                         f"and a PiecewisePolynomial profile")
+    return phi.ridge
+
+
 def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     """Gaussian interpolation step: phi_eps(x) = E[phi(sqrt(1-eps^2) x - eps Z)],
-    Z ~ law.  Preserves ridge structure exactly (the projected noise is a 1d
-    Gaussian with the projected variance).
+    Z ~ law, for a ridge function phi (anything else raises UsageError).
 
-    A ridge function, which every dim-1 function is, is smoothed by
-    `_smoothed_profile`: in closed form for a `PiecewisePolynomial` profile
-    (the soft-clip family), otherwise by Gauss-Hermite quadrature with an
-    adaptive fallback.  A non-ridge function in dim 2 or 3 takes tensorized
-    Gauss-Hermite quadrature, and nonconvergence there is an error.
+    The projected noise is a 1d Gaussian with the projected variance, so
+    phi_eps(x) = E[h(a u.x - eps sigma Z')], Z' ~ N(0, 1), which the
+    `PiecewisePolynomial` profile h evaluates in closed form.
     """
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
-    if phi.dim != law.dim:
-        raise UsageError(f"dimension mismatch: phi on R^{phi.dim}, law on R^{law.dim}")
+    ridge = _ridge_of(phi, law)
+    h = ridge.profile
+    # u / |u| can differ from the unit u by an ulp; phi_eps takes that
+    # direction, on which the pinned stein-certify digests rest
+    u = ridge.direction / np.linalg.norm(ridge.direction)
     a = np.sqrt(1.0 - eps * eps)
-    label = f"mollify[{eps}]({phi.label})"
-    if phi.ridge is not None:
-        h_eps = _smoothed_profile(phi.ridge.profile, a,
-                                  eps * np.sqrt(phi.ridge.sigma2(law)))
-        return ridge_function(phi.ridge.direction, h_eps, phi.lipschitz_budget,
-                              label=label)
+    noise_scale = eps * np.sqrt(ridge.sigma2(law))
 
-    sqrt_cov = law.covariance.sqrt()
+    def smoothed(x):
+        # Z and -Z have the same law
+        return h.gaussian_expectations(a * (np.asarray(x, dtype=float) @ u),
+                                       noise_scale, (0,))[0]
 
-    def smoothed(x, n_per_axis=32, check=False):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-
-        def inner(z):
-            arg = a * x[None, :, :] - eps * z[:, None, :]
-            return phi(arg.reshape(-1, law.dim)).reshape(len(z), len(x))
-
-        return gaussian_expectation(sqrt_cov, inner, n_per_axis=n_per_axis, check=check)
-
-    # convergence probe at a few scale-matched points
-    probes = np.vstack([np.zeros(law.dim),
-                        sqrt_cov @ np.ones(law.dim),
-                        -2.0 * (sqrt_cov @ np.ones(law.dim))])
-    smoothed(probes, check=True)
     return TestFunction(evaluator=smoothed, lipschitz_budget=phi.lipschitz_budget,
-                        label=label, dim=phi.dim)
-
-
-def _smoothed_profile(h, a: float, noise_scale: float):
-    """t -> E[h(a t - noise_scale Z)], Z ~ N(0, 1): in closed form for a
-    `PiecewisePolynomial`; otherwise the 64-node Gauss-Hermite rule if its
-    `gaussian_expectation` check settles at four probes, adaptive if not."""
-    if isinstance(h, PiecewisePolynomial):
-        def h_exact(t):
-            # Z and -Z have the same law
-            return h.gaussian_expectations(a * np.asarray(t, dtype=float),
-                                           noise_scale, (0,))[0]
-        return h_exact
-    scale = np.array([[noise_scale]])
-
-    def h_eps(t, check=False):
-        t = np.asarray(t, dtype=float)
-        return gaussian_expectation(
-            scale, lambda z: h(a * t[None, ...] - z.reshape((-1,) + (1,) * t.ndim)),
-            check=check)
-
-    try:
-        h_eps(np.array([-2.0, 0.0, 1.0, 3.0]), check=True)
-    except QuadratureError:
-        return _adaptive_profile_mean(h, a, noise_scale)
-    return h_eps
-
-
-def _adaptive_profile_mean(h, a: float, noise_scale: float):
-    """t -> E[h(a t - noise_scale Z)], Z ~ N(0,1), via adaptive quadrature
-    on [-14, 14].  Kinks are not passed to `quad` as break points, so the
-    error can exceed the 1e-11 it asks for: 2.5e-10 off 40-digit mpmath for
-    `softclip_profile(0.25, 1.0, -0.5)` behind a plain callable, a =
-    sqrt(1 - 0.25^2), noise_scale = 0.25 sqrt(2), t = 0."""
-    from scipy.integrate import quad
-    root = 1.0 / np.sqrt(2.0 * np.pi)
-
-    def weighted(z, t):
-        return float(h(np.asarray([a * t - noise_scale * z]))[0]
-                     * root * np.exp(-0.5 * z * z))
-
-    def h_eps(t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        out = np.empty(flat.shape)
-        for i, ti in enumerate(flat):
-            out[i] = quad(weighted, -14.0, 14.0, args=(ti,),
-                          epsabs=1e-11, epsrel=1e-11, limit=400)[0]
-        return out.reshape(t.shape)
-
-    return h_eps
+                        label=f"mollify[{eps}]({phi.label})", dim=phi.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -624,22 +565,12 @@ def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,
 
 
 def gaussian_mean(phi: TestFunction, law: GaussianLaw) -> float:
-    """Integral of phi against N(0, Lambda).
-
-    A ridge function with a `PiecewisePolynomial` profile is integrated in
-    closed form; every other function by Gauss-Hermite quadrature whose
-    node-doubling check (`gaussian_expectation`, relative tolerance
-    `_EXPECTATION_RTOL`) raises `QuadratureError` if it does not settle.
-    """
-    if phi.ridge is not None:
-        h = phi.ridge.profile
-        sigma = float(np.sqrt(phi.ridge.sigma2(law)))
-        if isinstance(h, PiecewisePolynomial):
-            return float(h.gaussian_expectations(0.0, sigma, (0,))[0])
-        return float(gaussian_expectation(np.array([[sigma]]), lambda z: h(z[:, 0]),
-                                          check=True))
-    return float(gaussian_expectation(law.covariance.sqrt(), phi,
-                                      n_per_axis=64 if law.dim <= 2 else 32, check=True))
+    """Integral of phi against N(0, Lambda) for a ridge function phi, in
+    closed form: E[h(sigma Z)] with sigma^2 = u . Lambda u.  Anything else
+    raises UsageError."""
+    ridge = _ridge_of(phi, law)
+    sigma = float(np.sqrt(ridge.sigma2(law)))
+    return float(ridge.profile.gaussian_expectations(0.0, sigma, (0,))[0])
 
 
 def restricted_distance(samples: SampleSet, law: GaussianLaw,
@@ -649,8 +580,9 @@ def restricted_distance(samples: SampleSet, law: GaussianLaw,
     With eps > 0 each test function is mollified first (Gaussian
     interpolation at scale eps), matching the smoothed distance used by the
     Stein argument; interpolation preserves N(0, Lambda), so the Gaussian
-    side is E[phi(Z)] at every eps.  Note the sup is over the *signed* gap;
-    families should be closed under negation if two-sided distance is wanted.
+    side is E[phi(Z)] at every eps.  Every member must be a ridge function.
+    Note the sup is over the *signed* gap; families should be closed under
+    negation if two-sided distance is wanted.
     """
     if not family:
         raise UsageError("family must be nonempty")

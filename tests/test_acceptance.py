@@ -63,7 +63,7 @@ def _fd_third_richardson(f, x, h):
 
 def test_acceptance_1_gaussian_calculus():
     t0 = time.perf_counter()
-    from mlclt._util import gaussian_expectation
+    from quadrature_oracle import gaussian_expectation
     rng = np.random.default_rng(11)
     configs = [([[1.0]], 1), ([[2.0, 1.0], [1.0, 2.0]], 2),
                (np.diag([1.0, 0.5, 2.0]), 3)]

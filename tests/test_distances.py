@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadrature_oracle import mollified, poly
 
-from mlclt import QuadratureError, UsageError, distances
+from mlclt import UsageError, distances
 from mlclt.distances import TestFunction as FnSpec
 from mlclt.distances import (DiscreteLaw, PiecewisePolynomial, SampleSet,
                              class_membership_check, gaussian_mean, mollify,
@@ -23,6 +24,10 @@ ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def scalar_fn(f, budget, label):
     return FnSpec(evaluator=lambda x: f(np.asarray(x)[:, 0]),
                         lipschitz_budget=budget, label=label, dim=1)
+
+
+def poly_fn(coeffs, budget, label):
+    return ridge_function([1.0], poly(*coeffs), budget, label)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +52,19 @@ def test_sample_set_validation_and_views():
 
 
 def test_ridge_direction_normalized():
-    phi = ridge_function([3.0, 4.0], lambda t: t, 1.0, "lin")
+    phi = ridge_function([3.0, 4.0], poly(0.0, 1.0), 1.0, "lin")
     assert np.allclose(phi.ridge.direction, [0.6, 0.8])
     x = np.array([[1.0, 1.0]])
     assert math.isclose(float(phi(x)[0]), 1.4)
+
+
+def test_scalar_function_takes_a_one_element_1d_input_as_one_point():
+    # in dim 1 every 1-d x is a column of points, one element or more
+    phi = scalar_fn(lambda t: t ** 2, 10.0, "x^2")
+    assert np.array_equal(phi(np.array([0.5])), [0.25])
+    assert np.array_equal(phi(np.array([0.5, 0.7])), phi(np.array([[0.5], [0.7]])))
+    ridge = poly_fn((0.0, 0.0, 1.0), 10.0, "x^2")
+    assert np.array_equal(ridge(np.array([0.5])), [0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +72,7 @@ def test_ridge_direction_normalized():
 
 
 def test_mollify_linear_is_exact_contraction():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = poly_fn((0.0, 1.0), 1.0, "x")
     for eps in (0.25, 0.5, 0.8):
         sm = mollify(phi, eps, STD_1D)
         x = np.linspace(-3, 3, 7)[:, None]
@@ -67,33 +81,20 @@ def test_mollify_linear_is_exact_contraction():
 
 def test_mollify_quadratic_closed_form():
     # smoothing x^2 at scale 1/2: (3/4) x^2 + 1/4
-    phi = scalar_fn(lambda t: t ** 2, 10.0, "x^2")
+    phi = poly_fn((0.0, 0.0, 1.0), 10.0, "x^2")
     sm = mollify(phi, 0.5, STD_1D)
     x = np.linspace(-2, 2, 9)[:, None]
     assert np.max(np.abs(sm(x) - (0.75 * x[:, 0] ** 2 + 0.25))) < 1e-8
 
 
-def test_mollify_abs_matches_adaptive_oracle():
-    from scipy.integrate import quad
-    phi = ridge_function([1.0], np.abs, 1.0, "|x|")
-    eps = 0.5
-    sm = mollify(phi, eps, STD_1D)
-    a = math.sqrt(1 - eps * eps)
-    for x in (0.0, 0.3, -1.2):
-        oracle = quad(lambda z: abs(a * x - eps * z)
-                      * math.exp(-z * z / 2.0) / math.sqrt(2 * math.pi),
-                      -10.0, 10.0, epsabs=1e-12, epsrel=1e-12)[0]
-        assert abs(float(sm(np.array([[x]]))[0]) - oracle) < 1e-8
-
-
 def test_mollify_fixes_constants_and_is_linear():
-    const = scalar_fn(lambda t: np.full_like(t, 2.5), 0.1, "c")
+    const = poly_fn((2.5,), 0.1, "c")
     sm = mollify(const, 0.3, STD_1D)
     x = np.array([[0.0], [1.7]])
     assert np.allclose(sm(x), 2.5, atol=1e-12)
-    f = scalar_fn(lambda t: t ** 2, 10.0, "a")
-    g = scalar_fn(lambda t: np.sin(t), 1.0, "b")
-    combo = scalar_fn(lambda t: 2.0 * t ** 2 - 3.0 * np.sin(t), 10.0, "2a-3b")
+    f = poly_fn((0.0, 0.0, 1.0), 10.0, "a")
+    g = poly_fn((0.0, 1.0, 0.0, -1.0 / 6.0), 1.0, "b")  # sin's Taylor cubic
+    combo = poly_fn((0.0, -3.0, 2.0, 0.5), 10.0, "2a-3b")
     eps = 0.4
     lhs = mollify(combo, eps, STD_1D)(x)
     rhs = 2.0 * mollify(f, eps, STD_1D)(x) - 3.0 * mollify(g, eps, STD_1D)(x)
@@ -101,7 +102,7 @@ def test_mollify_fixes_constants_and_is_linear():
 
 
 def test_mollify_rejects_bad_eps_and_dim():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = poly_fn((0.0, 1.0), 1.0, "x")
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(UsageError):
             mollify(phi, eps, STD_1D)
@@ -110,25 +111,32 @@ def test_mollify_rejects_bad_eps_and_dim():
 
 
 def test_mollify_generic_2d_matches_ridge_reduction():
+    # the tensor Hermite rule of the oracle against the closed form: exact
+    # for a no-knot cubic, settled to 1e-8 for the soft-clip members
     law = GaussianLaw(SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])))
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    h = lambda t: np.tanh(t)
-    ridge = ridge_function(u, h, 1.0, "ridge")
-    generic = FnSpec(evaluator=lambda x: h(np.asarray(x) @ u),
-                           lipschitz_budget=1.0, label="generic", dim=2)
+    cubic = ridge_function(u, poly(0.0, 1.0, 0.0, -1.0 / 3.0), 1.0, "ridge")
     pts = np.array([[0.0, 0.0], [1.0, -0.5], [-2.0, 1.0]])
-    a = mollify(ridge, 0.4, law)(pts)
-    b = mollify(generic, 0.4, law)(pts)
-    assert np.max(np.abs(a - b)) < 1e-6
+    for phi in [cubic] + soft_clip_family(2):
+        a = mollify(phi, 0.4, law)(pts)
+        b = mollified(phi, 0.4, law, pts, n_per_axis=64)
+        assert np.max(np.abs(a - b)) < 1e-6, phi.label
 
 
-def test_mollify_generic_nonsmooth_2d_reports_nonconvergence():
-    # a genuinely 2d kinked function cannot fall back to 1d quadrature
-    bad = FnSpec(evaluator=lambda x: np.abs(x[:, 0]) * np.abs(x[:, 1]),
-                       lipschitz_budget=10.0, label="kink2d", dim=2)
-    law = GaussianLaw(SpdMatrix(np.eye(2)))
-    with pytest.raises(QuadratureError):
-        mollify(bad, 0.5, law)
+def test_mollify_and_gaussian_mean_reject_a_function_without_a_ridge():
+    # the closed forms need a ridge with a PiecewisePolynomial profile, so
+    # a plain callable is refused in every dim, kinked or smooth
+    for dim in (1, 2, 3):
+        law = GaussianLaw(SpdMatrix(np.eye(dim)))
+        plain = FnSpec(evaluator=lambda x: np.abs(x[:, 0]) * np.abs(x[:, -1]),
+                       lipschitz_budget=10.0, label="kink", dim=dim)
+        with pytest.raises(UsageError, match="no ridge"):
+            mollify(plain, 0.5, law)
+        with pytest.raises(UsageError, match="no ridge"):
+            gaussian_mean(plain, law)
+    for profile in (np.tanh, np.abs, lambda t: t):
+        with pytest.raises(UsageError, match="PiecewisePolynomial"):
+            ridge_function([1.0, 1.0], profile, 1.0, "plain")
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +230,23 @@ def test_closed_form_gaussian_expectations_broadcast_and_share_moments():
         assert np.array_equal(got, h.gaussian_expectations(a, b, (k,))[0])
 
 
+def _adaptive_profile_mean(h, a: float, noise_scale: float, t):
+    """E[h(a t - noise_scale Z)], Z ~ N(0, 1), at each t by adaptive
+    quadrature on [-14, 14].  Kinks are not passed to `quad` as break
+    points, so the error can exceed the 1e-11 it asks for: 2.5e-10 off
+    40-digit mpmath for `softclip_profile(0.25, 1.0, -0.5)`, a =
+    sqrt(1 - 0.25^2), noise_scale = 0.25 sqrt(2), t = 0."""
+    from scipy.integrate import quad
+    root = 1.0 / np.sqrt(2.0 * np.pi)
+
+    def weighted(z, ti):
+        return float(h(np.asarray([a * ti - noise_scale * z]))[0]
+                     * root * np.exp(-0.5 * z * z))
+
+    return np.array([quad(weighted, -14.0, 14.0, args=(ti,), epsabs=1e-11,
+                          epsrel=1e-11, limit=400)[0] for ti in t])
+
+
 @pytest.mark.parametrize("eps", [0.25, 0.5])
 def test_exact_mollify_matches_adaptive_quadrature(eps):
     a = math.sqrt(1.0 - eps * eps)
@@ -232,8 +257,8 @@ def test_exact_mollify_matches_adaptive_quadrature(eps):
         # accurate to about 1e-10 (it is off by 2.5e-10 at t = 0 for the
         # third member at noise scale eps * sqrt(2), where mpmath agrees
         # with the closed form to 1e-16)
-        exact = distances._smoothed_profile(h, a, eps)(t)
-        oracle = distances._adaptive_profile_mean(h, a, eps)(t)
+        exact = mollify(ridge_function([1.0], h, 0.5, "h"), eps, STD_1D)(t)
+        oracle = _adaptive_profile_mean(h, a, eps, t)
         assert np.max(np.abs(exact - oracle)) <= 1e-10
 
 
@@ -241,13 +266,15 @@ def test_soft_clip_mollify_never_takes_a_quadrature_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a soft-clip mean left the closed form")
 
-    monkeypatch.setattr(distances, "_adaptive_profile_mean", refuse)
-    monkeypatch.setattr(distances, "gaussian_expectation", refuse)
+    # the one Hermite rule distances holds serves class membership alone
+    monkeypatch.setattr(distances, "hermite_grid", refuse)
     for dim in (1, 2):
         law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.4 * (1.0 - np.eye(dim))))
         x = np.linspace(-2.0, 2.0, 3 * dim).reshape(3, dim)
         for phi in soft_clip_family(dim):
-            assert np.isfinite(gaussian_mean(phi, law))
+            sigma = math.sqrt(phi.ridge.sigma2(law))
+            closed = phi.ridge.profile.gaussian_expectations(0.0, sigma, (0,))[0]
+            assert gaussian_mean(phi, law) == float(closed)
             for eps in (0.25, 0.5):
                 assert np.isfinite(mollify(phi, eps, law)(x)).all()
 
@@ -269,7 +296,7 @@ def test_gaussian_mean_of_soft_clip_members_matches_mpmath(variance):
 
 
 def test_membership_unit_slope_fails_with_ratio_two():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = poly_fn((0.0, 1.0), 1.0, "x")
     report = class_membership_check(phi, STD_1D, lbar=1.0,
                                     r_grid=[0.5, 1.0], x0_grid=[0.0])
     assert not report.passed
@@ -277,7 +304,7 @@ def test_membership_unit_slope_fails_with_ratio_two():
 
 
 def test_membership_half_slope_passes():
-    phi = ridge_function([1.0], lambda t: 0.5 * t, 0.5, "x/2")
+    phi = poly_fn((0.0, 0.5), 0.5, "x/2")
     report = class_membership_check(phi, STD_1D, lbar=0.5,
                                     r_grid=[0.25, 1.0, 2.0], x0_grid=[0.0, 1.0])
     assert report.passed
@@ -391,7 +418,7 @@ def test_sliced_self_distance_small_in_2d():
 
 
 def test_restricted_distance_constant_family_is_zero():
-    const = scalar_fn(lambda t: np.full_like(t, 3.0), 0.1, "c")
+    const = poly_fn((3.0,), 0.1, "c")
     s = SampleSet(values=np.arange(10.0), master_seed=0)
     assert abs(restricted_distance(s, STD_1D, [const])) < 1e-12
 
@@ -400,8 +427,7 @@ def test_restricted_distance_detects_mean_shift():
     rng = np.random.default_rng(9)
     mu = 0.5
     s = SampleSet(values=rng.standard_normal(10 ** 6) + mu, master_seed=9)
-    fam = [ridge_function([1.0], lambda t: 0.5 * t, 0.5, "x/2"),
-           ridge_function([1.0], lambda t: -0.5 * t, 0.5, "-x/2")]
+    fam = [poly_fn((0.0, 0.5), 0.5, "x/2"), poly_fn((0.0, -0.5), 0.5, "-x/2")]
     got = restricted_distance(s, STD_1D, fam)
     assert abs(got - mu / 2.0) < 0.01
 
@@ -427,5 +453,5 @@ def test_restricted_distance_below_w1_for_lipschitz_scaled_family():
 
 
 def test_gaussian_mean_of_centered_odd_profile_is_zero():
-    phi = ridge_function([1.0], np.tanh, 1.0, "tanh")
+    phi = poly_fn((0.0, 1.0, 0.0, -1.0 / 3.0), 1.0, "odd cubic")
     assert abs(gaussian_mean(phi, STD_1D)) < 1e-10

@@ -71,7 +71,7 @@ def test_pdf_correlated_2d_matches_extended_precision_oracle():
 
 
 def test_pdf_integrates_to_one_for_dims_1_to_3():
-    from mlclt._util import gaussian_expectation
+    from quadrature_oracle import gaussian_expectation
     for entries in ([[1.0]], [[2.0, 1.0], [1.0, 2.0]],
                     np.diag([1.0, 2.0, 0.5])):
         l = law(entries)

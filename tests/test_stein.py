@@ -1,24 +1,38 @@
-"""Mollified Stein solutions: closed-form linear/constant cases, residual of
+"""Mollified Stein solutions: closed-form polynomial cases, residual of
 the defining equation, finite-difference consistency of the derivative
-scalars, ridge-vs-generic cross-validation in dim 2, the one 1d path, and the
-envelope certificates."""
+scalars, cross-validation against the Gauss-Hermite oracle in dims 1-3, the
+ridge-only contract, and the envelope certificates."""
 import math
 
 import numpy as np
 import pytest
+from quadrature_oracle import GaussHermiteStein, gaussian_expectation, mollified, poly
 
+import mlclt.cli
 from mlclt import QuadratureError, UsageError, distances, stein
-from mlclt._util import gaussian_expectation, hermite_1d
+from mlclt._util import hermite_1d
 from mlclt.distances import TestFunction as FnSpec
-from mlclt.distances import (class_membership_check, gaussian_mean,
+from mlclt.distances import (PiecewisePolynomial, class_membership_check,
                              ridge_function, soft_clip_family, softclip_profile)
 from mlclt.gaussians import GaussianLaw, SpdMatrix
-from mlclt.stein import (QuadratureSpec, SteinSolution, majorant_average_certificate,
-                         oscillation_majorant, smoothing_bound, stein_derivative,
-                         stein_eval, stein_residual, third_derivative_certificate)
+from mlclt.stein import (SteinSolution, majorant_average_certificate, stein_residual,
+                         third_derivative_certificate)
 
 STD_1D = GaussianLaw(SpdMatrix(np.eye(1)))
 STD_2D = GaussianLaw(SpdMatrix(np.eye(2)))
+
+
+LINEAR = poly(0.0, 1.0)
+# odd and bounded-slope near 0, like tanh, whose Taylor cubic it is
+CUBIC = poly(0.0, 1.0, 0.0, -1.0 / 3.0)
+
+
+def rank_one(scalar: float, u, order: int):
+    """scalar * u^{(x)order}, the ridge form of an order-k derivative tensor."""
+    tensor = np.array(scalar)
+    for _ in range(order):
+        tensor = np.multiply.outer(tensor, u)
+    return tensor
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +41,16 @@ def soft_clip_sol():
 
 
 @pytest.fixture(scope="module")
-def generic_2d_sol():
+def soft_clip_2d_sol():
+    return SteinSolution(soft_clip_family(2)[-1], STD_2D, 0.5)
+
+
+@pytest.fixture(scope="module")
+def generic_2d_oracle():
     phi = FnSpec(evaluator=lambda x: (np.tanh(np.asarray(x)[:, 0])
                                       + 0.5 * np.tanh(np.asarray(x)[:, 1])),
                  lipschitz_budget=1.5, label="two-axis", dim=2)
-    return SteinSolution(phi, STD_2D, 0.5)
+    return GaussHermiteStein(phi, STD_2D, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +60,7 @@ def generic_2d_sol():
 def test_linear_profile_solution_is_exact_contraction():
     # for phi(x) = x the solution is sqrt(1 - eps^2) x: the s-integral of
     # (1-s)^{-1/2}/2 over [eps^2, 1) evaluates in closed form
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = ridge_function([1.0], LINEAR, 1.0, "x")
     for eps in (0.25, 0.5):
         sol = SteinSolution(phi, STD_1D, eps)
         x = np.array([[0.0], [1.0], [-2.0]])
@@ -55,7 +74,7 @@ def test_linear_profile_solution_is_exact_contraction():
 
 
 def test_constant_profile_solution_vanishes():
-    phi = ridge_function([1.0], lambda t: np.full_like(t, 3.0), 0.1, "c")
+    phi = ridge_function([1.0], poly(3.0), 0.1, "c")
     sol = SteinSolution(phi, STD_1D, 0.3)
     x = np.array([[-2.0], [0.0], [1.5]])
     assert np.max(np.abs(sol.values(x))) < 1e-12
@@ -64,15 +83,15 @@ def test_constant_profile_solution_vanishes():
 
 
 def test_even_profile_third_derivative_vanishes_at_origin():
-    phi = ridge_function([1.0], lambda t: t * t, 10.0, "t^2")
+    phi = ridge_function([1.0], poly(0.0, 0.0, 1.0), 10.0, "t^2")
     sol = SteinSolution(phi, STD_1D, 0.5)
     assert abs(float(sol.derivative_scalars(np.array([0.0]), 3)[0])) < 1e-12
 
 
 def test_solution_is_linear_in_the_test_function():
-    a = ridge_function([1.0], lambda t: t, 1.0, "a")
-    b = ridge_function([1.0], np.tanh, 1.0, "b")
-    combo = ridge_function([1.0], lambda t: 2.0 * t - 3.0 * np.tanh(t), 5.0, "2a-3b")
+    a = ridge_function([1.0], LINEAR, 1.0, "a")
+    b = ridge_function([1.0], CUBIC, 1.0, "b")
+    combo = ridge_function([1.0], poly(0.0, -1.0, 0.0, 1.0), 5.0, "2a-3b")
     x = np.array([[-1.0], [0.5]])
     eps = 0.4
     lhs = SteinSolution(combo, STD_1D, eps).values(x)
@@ -86,7 +105,7 @@ def test_solution_is_linear_in_the_test_function():
 
 
 def test_residual_linear_profile():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = ridge_function([1.0], LINEAR, 1.0, "x")
     sol = SteinSolution(phi, STD_1D, 0.5)
     for v in (-2.0, 0.0, 2.0):
         assert stein_residual(sol, np.array([v])) < 1e-6
@@ -97,10 +116,17 @@ def test_residual_soft_clip(soft_clip_sol):
         assert stein_residual(soft_clip_sol, np.array([v])) < 1e-6
 
 
-def test_residual_generic_engine_2d(generic_2d_sol):
-    assert not generic_2d_sol.is_ridge
+def test_residual_generic_engine_2d(generic_2d_oracle):
+    # the oracle solves a function without a ridge, whose phi_eps and mean
+    # come from the same Hermite rules
+    oracle = generic_2d_oracle
+    phi, law = oracle.phi, oracle.law
+    mean = float(gaussian_expectation(law.covariance.sqrt(), phi, check=True))
     for pt in (np.zeros(2), np.array([1.0, -0.5])):
-        assert stein_residual(generic_2d_sol, pt) < 1e-3
+        grad, hess = (t[0] for t in oracle.fk(pt[None, :], (1, 2)))
+        lhs = -float(np.sum(law.covariance.entries * hess)) + float(pt @ grad)
+        rhs = float(mollified(phi, oracle.eps, law, pt[None, :])[0]) - mean
+        assert abs(lhs - rhs) < 1e-3
 
 
 def test_soft_clip_residual_at_smallest_eps():
@@ -129,78 +155,68 @@ def test_derivative_scalars_match_finite_differences(soft_clip_sol):
 
 
 def test_derivative_tensors_are_rank_one_in_ridge_direction():
-    phi = ridge_function([3.0, 4.0], np.tanh, 1.0, "ridge2d")
-    law = GaussianLaw(SpdMatrix(np.eye(2)))
+    # the oracle's full tensors in dim 3 are F_k(u.x) u^{(x)k}
+    phi = ridge_function([1.0, 2.0, 2.0], CUBIC, 1.0, "ridge3d")
+    law = GaussianLaw(SpdMatrix(np.eye(3) + 0.3 * (1.0 - np.eye(3))))
     sol = SteinSolution(phi, law, 0.5)
-    x = np.array([0.4, -0.2])
+    oracle = GaussHermiteStein(phi, law, 0.5)
+    x = np.array([0.4, -0.2, 0.1])
     u = phi.ridge.direction
-    g = stein_derivative(sol, x, 1)
-    h = stein_derivative(sol, x, 2)
-    assert g.shape == (2,) and h.shape == (2, 2)
     w = float(x @ u)
-    assert np.allclose(g, float(sol.derivative_scalars(w, 1)) * u)
-    assert np.allclose(h, float(sol.derivative_scalars(w, 2)) * np.outer(u, u))
+    tensors = oracle.fk(x[None, :], (1, 2, 3))
+    for order, tensor in zip((1, 2, 3), tensors):
+        assert tensor.shape == (1,) + (3,) * order
+        want = rank_one(float(sol.derivative_scalars(w, order)), u, order)
+        assert np.max(np.abs(tensor[0] - want)) < 1e-6
 
 
 def test_ridge_and_generic_engines_agree_in_dimension_two():
-    rid = ridge_function([3.0, 4.0], np.tanh, 1.0, "ridge")
+    rid = ridge_function([3.0, 4.0], CUBIC, 1.0, "ridge")
     u = rid.ridge.direction
-    gen = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ u),
-                 lipschitz_budget=1.0, label="generic", dim=2)
-    sg = SteinSolution(gen, STD_2D, 0.4)
     sr = SteinSolution(rid, STD_2D, 0.4)
-    assert not sg.is_ridge and sr.is_ridge
+    oracle = GaussHermiteStein(rid, STD_2D, 0.4)
     xs = np.array([[-1.5, 0.5], [0.0, 0.0], [0.8, -0.3]])
-    assert np.max(np.abs(sg.values(xs) - sr.values(xs))) < 1e-8
+    assert np.max(np.abs(oracle.fk(xs, 0) - sr.values(xs))) < 1e-8
     pt = np.array([0.8, -0.3])
     for order in (1, 2, 3):
-        assert np.max(np.abs(stein_derivative(sg, pt, order)
-                             - stein_derivative(sr, pt, order))) < 1e-6
+        want = rank_one(float(sr.derivative_scalars(pt @ u, order)), u, order)
+        assert np.max(np.abs(oracle.fk(pt[None, :], order)[0] - want)) < 1e-6
 
 
-def test_scalar_dim_one_function_takes_the_ridge_path_bit_for_bit():
-    # a dim-1 function built without a ridge gets the ridge view, so it and
-    # the ridge function of the same profile share every bit
-    law = GaussianLaw(SpdMatrix(np.array([[2.5]])))
-    scalar = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
-                    lipschitz_budget=1.0, label="scalar", dim=1)
-    ridge = ridge_function([1.0], np.tanh, 1.0, "ridge")
-    assert np.array_equal(scalar.ridge.direction, [1.0])
-    x = np.linspace(-3.0, 3.0, 7)[:, None]
-    assert np.array_equal(distances.mollify(scalar, 0.3, law)(x),
-                          distances.mollify(ridge, 0.3, law)(x))
-    ss, sr = SteinSolution(scalar, law, 0.3), SteinSolution(ridge, law, 0.3)
-    assert ss.is_ridge and ss.node_doubling_deltas == sr.node_doubling_deltas
-    assert np.array_equal(ss.values(x), sr.values(x))
-    for order in range(4):
-        assert np.array_equal(ss.derivative_scalars(x[:, 0], order),
-                              sr.derivative_scalars(x[:, 0], order))
-    for pt in x:
-        assert stein_residual(ss, pt) == stein_residual(sr, pt)
+def test_solution_of_a_function_without_a_ridge_is_a_usage_error():
+    # only a ridge function with a PiecewisePolynomial profile has the exact
+    # path, so a function without a ridge is refused in every dim
+    for dim in (1, 2, 3):
+        law = GaussianLaw(SpdMatrix(np.eye(dim)))
+        plain = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
+                       lipschitz_budget=1.0, label="plain", dim=dim)
+        with pytest.raises(UsageError, match="no ridge"):
+            SteinSolution(plain, law, 0.5)
 
 
 def test_plain_callable_ramp_gets_one_verdict_however_wrapped():
-    # behind a plain callable the ramp's raw mean takes the Hermite rule,
-    # whose node doubling moves it by 1.1e-5; as a scalar dim-1 function
-    # and as a ridge function it fails the same 1e-6 gate
+    # behind a plain callable the ramp has no closed form: as a scalar dim-1
+    # function and as a ridge profile it is refused alike
     member = soft_clip_family(1)[2]
     h = member.ridge.profile
     scalar = FnSpec(evaluator=lambda x: h(np.asarray(x)[:, 0]),
                     lipschitz_budget=0.25, label="scalar", dim=1)
-    ridge = ridge_function([1.0], lambda t: h(t), 0.25, "ridge")
-    for phi in (scalar, ridge):
-        with pytest.raises(QuadratureError, match="did not converge"):
-            SteinSolution(phi, STD_1D, 0.1)
-    assert SteinSolution(member, STD_1D, 0.1).inner_integral == "exact"
+    with pytest.raises(UsageError, match="no ridge"):
+        SteinSolution(scalar, STD_1D, 0.1)
+    with pytest.raises(UsageError, match="PiecewisePolynomial"):
+        ridge_function([1.0], lambda t: h(t), 0.25, "ridge")
+    deltas = SteinSolution(member, STD_1D, 0.1).node_doubling_deltas
+    assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
 
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
-    # at 1717 points and 256 s-nodes the s-integral runs in 15 blocks
-    engine = stein._RidgeEngine(np.tanh, 1.3, 0.25, QuadratureSpec())
+    # a no-knot quadratic: order 3 vanishes on its one piece.  At 1717
+    # points and 256 s-nodes the s-integral runs in 7 blocks of 38
+    engine = stein._RidgeEngine(poly(0.5, -1.0, 0.25), 1.3, 0.25, 1024)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
     together = engine.fk(w, (0, 1, 2, 3), s_nodes=256)
-    assert len(together) == 4
+    assert len(together) == 4 and not together[3].any()
     for order, got in enumerate(together):
         assert np.array_equal(got, engine.fk(w, order, s_nodes=256))
 
@@ -208,9 +224,7 @@ def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
     # at 1717 points one block of the closed form holds 38 s-nodes
-    engine = stein._RidgeEngine(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25,
-                                QuadratureSpec())
-    assert engine.inner_integral == "exact"
+    engine = stein._RidgeEngine(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25, 1024)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
     together = engine.fk(w, (0, 1, 2, 3))
     for order, got in enumerate(together):
@@ -219,18 +233,18 @@ def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
 
 @pytest.mark.parametrize("sigma2", [1.0, 2.5])
 def test_exact_inner_integral_matches_gauss_hermite(sigma2):
-    # the same soft-clip profile behind a plain callable takes the
-    # Gauss-Hermite path; at 1024 nodes its inner error is below 1e-6
-    quad = QuadratureSpec(s_nodes=256, z_nodes_per_axis=1024)
+    # the oracle integrates the soft-clip members' kinks to below 1e-6 at
+    # 1024 nodes, and a no-knot cubic exactly
+    law = GaussianLaw(SpdMatrix(np.array([[sigma2]])))
     w = np.linspace(-4.0, 4.0, 20)
-    for params in ((0.5, 1.0, 0.0), (0.25, 1.0, -0.5)):
-        h = softclip_profile(*params)
-        exact = stein._RidgeEngine(h, sigma2, 0.25, quad)
-        hermite = stein._RidgeEngine(lambda t: h(t), sigma2, 0.25, quad)
-        assert hermite.inner_integral == "gauss-hermite"
+    for h in (softclip_profile(0.5, 1.0, 0.0), softclip_profile(0.25, 1.0, -0.5),
+              CUBIC):
+        exact = stein._RidgeEngine(h, sigma2, 0.25, 256)
+        oracle = GaussHermiteStein(ridge_function([1.0], h, 1.0, "h"), law, 0.25,
+                                   s_nodes=256, n_axis=1024)
         for order, (a, b) in enumerate(zip(exact.fk(w, (0, 1, 2, 3)),
-                                           hermite.fk(w, (0, 1, 2, 3)))):
-            assert np.max(np.abs(a - b)) <= 2e-6, (params, order)
+                                           oracle.fk(w[:, None], (0, 1, 2, 3)))):
+            assert np.max(np.abs(a - b.reshape(a.shape))) <= 2e-6, (h, order)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -238,19 +252,12 @@ def test_generic_engine_orders_together_keep_each_orders_bits(dim):
     phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
                  lipschitz_budget=float(dim), label="generic", dim=dim)
     law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.3 * (dim > 1) * (1.0 - np.eye(dim))))
-    engine = stein._GenericEngine(phi, law, QuadratureSpec(s_nodes=32, z_nodes_per_axis=16), 0.4)
+    engine = GaussHermiteStein(phi, law, 0.4, s_nodes=32, n_axis=16)
     x = np.linspace(-1.5, 1.0, 3 * dim).reshape(3, dim)
     together = engine.fk(x, (0, 1, 2, 3))
     for order, got in enumerate(together):
         assert got.shape == (3,) + (dim,) * order
         assert np.array_equal(got, engine.fk(x, order))
-
-
-def test_stein_eval_scalar_and_batch_shapes(soft_clip_sol):
-    single = stein_eval(soft_clip_sol, np.array([0.3]))
-    assert isinstance(single, float)
-    batch = stein_eval(soft_clip_sol, np.array([[0.3], [0.3]]))
-    assert batch.shape == (2,) and np.allclose(batch, single)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +267,7 @@ def test_stein_eval_scalar_and_batch_shapes(soft_clip_sol):
 def test_third_derivative_certificate_scaled_covariance():
     # |Lambda^{-1}| = 1/4 and eps = 1/2 give the bound 15 * (1/4) * 2 = 7.5
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
-    sol = SteinSolution(soft_clip_family(1)[0], law, 0.5,
-                        quad=QuadratureSpec(s_nodes=2048, z_nodes_per_axis=192))
+    sol = SteinSolution(soft_clip_family(1)[0], law, 0.5, s_nodes=2048)
     report = third_derivative_certificate(sol, np.linspace(-4, 4, 9)[:, None])
     assert report["bound"] == 7.5
     assert report["passed"]
@@ -271,9 +277,9 @@ def test_third_derivative_certificate_scaled_covariance():
 def test_oscillation_majorant_dominates_sampled_oscillation(soft_clip_sol):
     sol = soft_clip_sol
     delta = 0.1
-    pts = np.linspace(-2.0, 2.0, 5)[:, None]
-    maj = oscillation_majorant(sol, pts, delta, "hessian")
-    for p, m in zip(pts[:, 0], maj):
+    pts = np.linspace(-2.0, 2.0, 5)
+    maj = stein._ridge_majorant(sol, delta, pts.min(), pts.max()).majorant(pts, 2)
+    for p, m in zip(pts, maj):
         ws = np.linspace(p - delta, p + delta, 21)
         vals = sol.derivative_scalars(ws, 2)
         assert vals.max() - vals.min() <= m
@@ -289,30 +295,23 @@ def test_majorant_average_certificates_pass(soft_clip_sol):
 def test_majorant_table_is_built_once_per_delta():
     evaluated = []
 
-    def counted_tanh(t):
-        evaluated.append(np.size(t))
-        return np.tanh(t)
+    class Counted(PiecewisePolynomial):
+        def gaussian_expectations(self, a, b, orders):
+            evaluated.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return super().gaussian_expectations(a, b, orders)
 
-    sol = SteinSolution(ridge_function([1.0], counted_tanh, 1.0, "tanh"), STD_1D, 0.5)
+    counted = Counted(knots=CUBIC.knots, coeffs=CUBIC.coeffs)
+    sol = SteinSolution(ridge_function([1.0], counted, 1.0, "cubic"), STD_1D, 0.5)
     hessian = majorant_average_certificate(sol, 0.1, "hessian")
     assert hessian["table"]["s_nodes"] == 256 and len(sol._majorants) == 1
     evaluated.clear()
     third = majorant_average_certificate(sol, 0.1, "third")
     spent = sum(evaluated)
-    # the second kind evaluates the profile only for |F_3| at the 64 nodes
+    # the second kind takes closed forms only for |F_3| at the 64 nodes
     evaluated.clear()
     sol.derivative_scalars(hermite_1d(64)[0], 3)
     assert spent == sum(evaluated) > 0
     assert third["table"] == hessian["table"] and len(sol._majorants) == 1
-
-
-def test_smoothing_bound_closed_form():
-    got = smoothing_bound(0.01, STD_1D, 0.25)
-    assert math.isclose(got, 20.0 * 0.25 + 1000.0 * 0.01)
-    law2 = GaussianLaw(SpdMatrix(4.0 * np.eye(2)))
-    got2 = smoothing_bound(0.5, law2, 0.1)
-    assert math.isclose(got2, 20.0 * math.sqrt(2.0) * 2.0 * 0.1
-                        + 1000.0 * 2.0 ** 1.5 * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +319,34 @@ def test_smoothing_bound_closed_form():
 
 
 def test_eps_outside_supported_range_errors():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = ridge_function([1.0], LINEAR, 1.0, "x")
     for eps in (0.01, 0.95):
         with pytest.raises(UsageError):
             SteinSolution(phi, STD_1D, eps)
 
 
 def test_dimension_mismatch_errors():
-    phi = ridge_function([1.0], lambda t: t, 1.0, "x")
+    phi = ridge_function([1.0], LINEAR, 1.0, "x")
     with pytest.raises(UsageError):
         SteinSolution(phi, GaussianLaw(SpdMatrix(np.eye(2))), 0.5)
 
 
 def test_bad_derivative_order_errors(soft_clip_sol):
-    with pytest.raises(UsageError):
-        stein_derivative(soft_clip_sol, np.array([0.0]), 4)
-    with pytest.raises(UsageError):
-        stein_derivative(soft_clip_sol, np.array([0.0]), 0)
+    for order in (4, -1):
+        with pytest.raises(UsageError, match="order"):
+            soft_clip_sol.derivative_scalars(np.array([0.0]), order)
 
 
 def test_generic_engine_beyond_dim_three_errors():
+    # tensorized rules stop at dim 3; a ridge solution has no such limit
+    law = GaussianLaw(SpdMatrix(np.eye(4)))
     phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
                  lipschitz_budget=1.0, label="generic4", dim=4)
-    with pytest.raises(UsageError):
-        SteinSolution(phi, GaussianLaw(SpdMatrix(np.eye(4))), 0.5)
+    with pytest.raises(UsageError, match="dim 1, 2 or 3"):
+        GaussHermiteStein(phi, law, 0.5)
+    with pytest.raises(UsageError, match="no ridge"):
+        SteinSolution(phi, law, 0.5)
+    assert SteinSolution(soft_clip_family(4)[0], law, 0.5).values(np.zeros(4)).shape == (1,)
 
 
 def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
@@ -353,43 +356,39 @@ def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(UsageError):
-        QuadratureSpec(s_nodes=8)
+    member = soft_clip_family(1)[0]
+    with pytest.raises(UsageError, match="16 nodes"):
+        SteinSolution(member, STD_1D, 0.5, s_nodes=8)
+    # 16 nodes are admitted, and then fail the node-doubling gate
+    with pytest.raises(QuadratureError):
+        SteinSolution(member, STD_1D, 0.5, s_nodes=16)
 
 
 def test_insufficient_budget_is_reported_not_silently_accepted():
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
-    # the default 64 Gauss-Hermite nodes do not settle the soft-clip ramp at
-    # variance 4; behind a plain callable the ramp takes that rule
-    h = softclip_profile(0.5, 1.0)
-    with pytest.raises(QuadratureError):
-        SteinSolution(ridge_function([1.0], lambda t: h(t), 0.5, "plain"), law, 0.5)
-    # the closed form has no inner rule, but 128 s-nodes still do not settle
+    # the closed form has no inner rule, but 128 s-nodes do not settle
     with pytest.raises(QuadratureError, match="order 0"):
-        SteinSolution(soft_clip_family(1)[0], law, 0.5, quad=QuadratureSpec(s_nodes=128))
-    assert SteinSolution(soft_clip_family(1)[0], law, 0.5).inner_integral == "exact"
+        SteinSolution(soft_clip_family(1)[0], law, 0.5, s_nodes=128)
+    deltas = SteinSolution(soft_clip_family(1)[0], law, 0.5).node_doubling_deltas
+    assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
 def test_majorants_reject_a_delta_that_is_not_positive_and_finite(
-        delta, soft_clip_sol, generic_2d_sol):
-    for sol in (soft_clip_sol, generic_2d_sol):
+        delta, soft_clip_sol, soft_clip_2d_sol):
+    for sol in (soft_clip_sol, soft_clip_2d_sol):
         for kind in ("hessian", "third"):
             with pytest.raises(UsageError, match="delta"):
                 majorant_average_certificate(sol, delta, kind)
-            with pytest.raises(UsageError, match="delta"):
-                oscillation_majorant(sol, np.zeros((2, sol.law.dim)), delta, kind)
 
 
-def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, generic_2d_sol):
+def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, soft_clip_2d_sol):
     # a dim-2 solution once broadcast each of these points to (x, x)
     for sol, bad in ((soft_clip_sol, np.array([[0.5, 1.0]])),
-                     (generic_2d_sol, np.array([[0.5], [1.0], [2.0]]))):
-        calls = (lambda: stein_eval(sol, bad), lambda: sol.values(bad),
+                     (soft_clip_2d_sol, np.array([[0.5], [1.0], [2.0]]))):
+        calls = (lambda: sol.values(bad),
                  lambda: stein_residual(sol, bad[0]),
-                 lambda: stein_derivative(sol, bad[0], 1),
-                 lambda: third_derivative_certificate(sol, bad),
-                 lambda: oscillation_majorant(sol, bad, 0.1, "hessian"))
+                 lambda: third_derivative_certificate(sol, bad))
         for call in calls:
             with pytest.raises(UsageError, match=f"R\\^{sol.law.dim}"):
                 call()
@@ -410,16 +409,12 @@ def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
 
 
 def test_a_nan_fails_every_gate(monkeypatch):
-    def nan_profile(t):
-        return np.full_like(np.asarray(t, dtype=float), np.nan)
-
-    nan_phi = ridge_function([1.0], nan_profile, 0.5, "nan")
+    nan_phi = FnSpec(evaluator=lambda x: np.full(len(x), np.nan),
+                     lipschitz_budget=0.5, label="nan", dim=1)
     with pytest.raises(QuadratureError):
         gaussian_expectation(np.eye(1), lambda z: np.full(len(z), np.nan), check=True)
-    with pytest.raises(QuadratureError):
-        gaussian_mean(nan_phi, STD_1D)
     # membership: a NaN oscillation ratio alone, then a NaN gradient alone
-    half = ridge_function([1.0], lambda t: 0.5 * t, 0.5, "x/2")
+    half = ridge_function([1.0], poly(0.0, 0.5), 0.5, "x/2")
     grid = {"lbar": 0.5, "r_grid": [1.0], "x0_grid": [0.0]}
     assert class_membership_check(half, STD_1D, **grid).passed
     monkeypatch.setattr(distances, "_max_gradient", lambda phi, points: 0.0)
@@ -432,3 +427,8 @@ def test_a_nan_fails_every_gate(monkeypatch):
                             lambda self, w, orders, d=deltas: d)
         with pytest.raises(QuadratureError, match=f"order {nan_order}"):
             SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
+
+
+def test_every_public_stein_name_is_reached_from_the_cli():
+    for name in stein.__all__:
+        assert getattr(mlclt.cli, name, None) is getattr(stein, name), name
