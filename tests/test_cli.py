@@ -271,6 +271,26 @@ def test_moderate_runner(tmp_path):
     assert float(lines[1].split(",")[header.index("ell")]) == 4
 
 
+# sha256 of `moderate --preset cube --n-samples 2000 --seed 9` plus these
+# arguments in sample stream v2: two groups, and degenerate at d=1 and d=2
+_MODERATE_SEED9_SHA256 = {
+    "--d 1 --L 1024 --ell 512":
+        "97f7b5ac8b6a675169a2850a7d8a4abb0f87db8ceb1e484f2904843cb0095b38",
+    "--d 1 --L 16,32,64,128 --ell 4":
+        "18e2f7338c5d7580c4145182b382749713688fcefdc64ffb974233b9e448a1cf",
+    "--d 2 --L 16,32 --ell 16":
+        "fdec93bc6c83db75e53603101834e260593c48ea7f32d40e9072af8e024fdda9",
+}
+
+
+@pytest.mark.parametrize("args", list(_MODERATE_SEED9_SHA256))
+def test_moderate_csv_digest_is_pinned(args, tmp_path):
+    out = tmp_path / "mod.csv"
+    assert main(["moderate", "--preset", "cube", *args.split(), "--n-samples",
+                 "2000", "--seed", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _MODERATE_SEED9_SHA256[args]
+
+
 # sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32
 # --n-samples 3000 --seed 11` in sample stream v2
 _RATE_SEED11_SHA256 = ("c302d6b01afe83f39a076a04b92981cc"
