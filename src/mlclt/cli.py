@@ -479,13 +479,22 @@ def _default_ell(L: int) -> int:
 
 
 def run_moderate(config: ExperimentConfig):
-    """Grouped/remainder tail comparison per L."""
+    """Grouped/remainder tail comparison per L.
+
+    Each row also carries `wallclock_seconds` and `decision`, the grouping
+    record of its L, for the manifest rather than the CSV."""
     rows = []
     for L in config.L_list:
+        t0 = time.perf_counter()
         spec, structure = config.structure_for(L)
         ell = config.ell if config.ell is not None else _default_ell(L)
         table = moderate_tail_table(structure, spec, ell, config.n_samples,
                                     row_seed(config.master_seed, L))
+        decision = {"decision": "grouping", "L": L, "ell": ell,
+                    "ell_defaulted": config.ell is None,
+                    **{k: table[k] for k in ("m0", "degenerate", "n_groups",
+                                             "group_len")}}
+        seconds = time.perf_counter() - t0
         for entry in table["rows"]:
             rows.append({
                 "L": L,
@@ -497,6 +506,8 @@ def run_moderate(config: ExperimentConfig):
                 "remainder_norm": table["remainder_norm"],
                 "delta": table["delta"],
                 **entry,
+                "wallclock_seconds": seconds,
+                "decision": decision,
             })
     columns = ("L", "ell", "m0", "degenerate", "n_groups", "grouped_variance",
                "remainder_norm", "delta", "r", "empirical", "gaussian_part",
@@ -616,6 +627,11 @@ def run_cli_experiment(config: ExperimentConfig) -> int:
         columns, table = runner(config)
         if config.experiment == "stein-certify":
             extra["stein_quadrature"] = [row["quadrature"] for row in table]
+        if config.experiment == "moderate":
+            last = {row["L"]: row for row in table}  # the rows of an L share these
+            extra["row_wallclock_seconds"] = {str(L): row["wallclock_seconds"]
+                                              for L, row in last.items()}
+            extra["decisions"] = [row["decision"] for row in last.values()]
         writer = CsvWriter(config.output_path, columns)
         try:
             for row in table:

@@ -12,7 +12,8 @@ from numpy.typing import NDArray
 from scipy.special import ndtr
 
 from ._util import _TAILS_TAG, UsageError, counter_rng
-from .multilevel import DependenceStructure, LevelIndex, periodic_distance
+from .multilevel import (DependenceStructure, LevelIndex, build_index_set,
+                         periodic_distance)
 
 __all__ = [
     "StretchedNorm",
@@ -352,23 +353,24 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
     whose remainder term drops below 1/(4 sqrt(n)).
     """
     from .fields import monte_carlo
-    samples, per_index, indices = monte_carlo(spec, structure, n, master_seed,
-                                              return_per_index=True)
     grouping = moderate_grouping(structure, ell)
-    pos = {idx: a for a, idx in enumerate(indices)}
-    x = per_index.sum(axis=1)[:, 0]
+    indices = build_index_set(structure)
+    if grouping.degenerate:  # one group of every index; the sums go unused
+        cols = np.arange(len(indices))[None, :]
+    else:  # groups are translates of one interior window: equal lengths
+        pos = {idx: a for a, idx in enumerate(indices)}
+        cols = np.array([[pos[i] for i in g] for g in grouping.groups.values()])
+    samples, sums, _ = monte_carlo(spec, structure, n, master_seed, groups=cols)
+    x = samples.values[:, 0]
     xc = x - x.mean()
 
-    group_cols = [np.array([pos[i] for i in g], dtype=int)
-                  for g in grouping.groups.values() if g]
-    if group_cols:
-        gsum = np.stack([per_index[:, cols, 0].sum(axis=1) for cols in group_cols],
-                        axis=1)
-        var_g = float(np.sum(np.var(gsum, axis=0)))
-        rem = xc - (gsum - gsum.mean(axis=0)).sum(axis=1)
-    else:
+    if grouping.degenerate:
         var_g = float(np.var(xc))
         rem = np.zeros_like(xc)
+    else:
+        gsum = sums[:, :, 0]
+        var_g = float(np.sum(np.var(gsum, axis=0)))
+        rem = xc - (gsum - gsum.mean(axis=0)).sum(axis=1)
 
     gamma_tilde = structure.gamma / (structure.gamma + 1.0)
     rem_norm = (stretched_norm(rem - rem.mean(), gamma_tilde).value
@@ -403,6 +405,7 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
         "m0": grouping.m0,
         "degenerate": grouping.degenerate,
         "n_groups": grouping.group_count(),
+        "group_len": 0 if grouping.degenerate else cols.shape[1],
         "grouped_variance": var_g,
         "remainder_norm": rem_norm,
         "delta": delta,

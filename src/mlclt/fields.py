@@ -20,8 +20,11 @@ axis come from one periodic prefix per chunk, and each further axis takes
 a periodic prefix of the partial sums.  Rademacher noise is summed as 0/1
 counts of +1 cells in integer prefixes, so box sums are exact; the other
 laws use the same prefixes in float64.  Window levels at d = 1 are summed
-anchor by anchor, and the other levels and per-index values as numpy
-reduces their C-order arrays.
+anchor by anchor, and the other levels as numpy reduces their C-order
+arrays.  Group sums are reduced chunk by chunk: each chunk writes its
+per-index values into one reused buffer of about 2^20 doubles and sums
+them over each group's columns there, so no array grows as n times the
+number of indices unless its caller asks for every index as a group.
 """
 from __future__ import annotations
 
@@ -502,20 +505,39 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
 # Monte Carlo driver
 
 
+def _field_index_values(model: FieldModel, noise: NDArray[np.float64],
+                        structure: DependenceStructure,
+                        indices: Sequence[LevelIndex]) -> NDArray[np.float64]:
+    """(n, n_indices, 1) values of a field model's noise rows, in `indices` order."""
+    values = _decompose_rows(model, _apply_map(model.pointwise_map, noise), structure)
+    return np.stack([values[i] for i in indices], axis=1)
+
+
+# doubles in the per-index buffer that one chunk of a grouped run fills
+_GROUP_BUFFER = 1 << 20
+
+
 def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: int,
-                dist: Optional[str] = None, return_per_index: bool = False,
-                chunk_size: int = 4096):
-    """Draw n realizations of the total (and optionally all per-index values).
+                dist: Optional[str] = None, groups=None, chunk_size: int = 4096):
+    """Draw n realizations of the total, and optionally sums of per-index
+    values over groups of indices.
 
     `generator` is a SyntheticSpec or a FieldModel (the latter needs `dist`).
     Realization k is a pure function of (master_seed, k), so results do not
     depend on `chunk_size`, which only bounds the realizations in memory at
-    once.  Returns a SampleSet, or a tuple (SampleSet, per_index_values,
-    indices) with per_index_values of shape (n, n_indices, n_components).
+    once.  Returns a SampleSet, or with `groups`, an int array of shape
+    (n_groups, group_len) holding columns in build_index_set order, a tuple
+    (SampleSet, sums, indices): sums[k, g] is the sum of realization k's
+    values over the columns groups[g], shape (n, n_groups, n_components),
+    and `np.arange(n_indices)[:, None]` gives the per-index values
+    themselves.  A grouped run writes each chunk's per-index values into
+    one buffer of at most about 2^20 doubles and reduces them there, and its
+    totals are those values summed as numpy reduces them.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
-    if isinstance(generator, SyntheticSpec):
+    synthetic = isinstance(generator, SyntheticSpec)
+    if synthetic:
         dist = generator.dist
         n_comp = generator.n_components
         levels = _SyntheticLevels(generator, structure, tabulate=dist == "rademacher")
@@ -529,30 +551,44 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     indices = build_index_set(structure)
-    if return_per_index and n * len(indices) * n_comp > 2 * 10 ** 8:
-        raise UsageError("per-index storage for this run would exceed the guard; "
-                         "reduce n or the structure size")
     totals = np.empty((n, n_comp))
-    per_index = (np.empty((n, len(indices), n_comp)) if return_per_index else None)
+    if groups is not None:
+        groups = np.asarray(groups)
+        if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.shape[1] < 1
+                or groups.size and not 0 <= groups.min() <= groups.max() < len(indices)):
+            raise UsageError("groups must be a 2-d int array of index columns "
+                             f"in [0, {len(indices)}), at least one per group")
+        if n * len(groups) * n_comp > 2 * 10 ** 8:
+            raise UsageError("group-sum storage for this run would exceed the guard; "
+                             "reduce n or the number of groups")
+        width = max(len(indices), groups.size) * n_comp
+        chunk_size = max(1, min(chunk_size, _GROUP_BUFFER // width))
+        buf = np.empty((chunk_size, len(indices), n_comp))
+        sums = np.empty((n, len(groups), n_comp))
+    draw = _draw if synthetic else _draw_rows
     for k0 in range(0, n, chunk_size):
         chunk = slice(k0, min(k0 + chunk_size, n))
-        draw = _draw if isinstance(generator, SyntheticSpec) else _draw_rows
         noise = draw(structure.d, structure.L, dist, master_seed, k0, chunk.stop - k0)
-        if isinstance(generator, FieldModel):
-            mapped = _apply_map(generator.pointwise_map, noise)
-            values = _decompose_rows(generator, mapped, structure)
-            vals = np.stack([values[i] for i in indices], axis=1)
-            totals[chunk] = vals.sum(axis=1)
-            if return_per_index:
-                per_index[chunk] = vals
-        elif return_per_index:
-            _synthetic_index_values(levels, noise, per_index[chunk])
-            totals[chunk] = per_index[chunk].sum(axis=1)
+        if groups is None:
+            totals[chunk] = (_synthetic_totals(levels, noise) if synthetic else
+                             _field_index_values(generator, noise, structure,
+                                                 indices).sum(axis=1))
+            continue
+        vals = buf[:chunk.stop - k0]
+        if synthetic:
+            _synthetic_index_values(levels, noise, vals)
         else:
-            totals[chunk] = _synthetic_totals(levels, noise)
+            vals[...] = _field_index_values(generator, noise, structure, indices)
+        totals[chunk] = vals.sum(axis=1)
+        # add each group's columns one at a time, in the order given: numpy's
+        # sum would pick pairwise or sequential order by the chunk's shape
+        cols, acc = vals[:, groups], sums[chunk]
+        acc[...] = cols[:, :, 0]
+        for j in range(1, groups.shape[1]):
+            acc += cols[:, :, j]
     samples = SampleSet(values=totals, master_seed=master_seed)
-    if return_per_index:
-        return samples, per_index, indices
+    if groups is not None:
+        return samples, sums, indices
     return samples
 
 

@@ -269,6 +269,10 @@ def test_moderate_runner(tmp_path):
     assert len(lines) == 11  # header + 10 threshold rows
     header = lines[0].split(",")
     assert float(lines[1].split(",")[header.index("ell")]) == 4
+    manifest = json.loads((tmp_path / "mod.csv.manifest.json").read_text())
+    assert manifest["decisions"] == [{
+        "decision": "grouping", "L": 16, "ell": 4, "ell_defaulted": True,
+        "m0": -1, "degenerate": True, "n_groups": 0, "group_len": 0}]
 
 
 # sha256 of `moderate --preset cube --n-samples 2000 --seed 9` plus these
@@ -289,6 +293,20 @@ def test_moderate_csv_digest_is_pinned(args, tmp_path):
     assert main(["moderate", "--preset", "cube", *args.split(), "--n-samples",
                  "2000", "--seed", "9", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _MODERATE_SEED9_SHA256[args]
+    # the manifest records each L's grouping, as its rows print it
+    manifest = json.loads(out.with_name("mod.csv.manifest.json").read_text())
+    with open(out, newline="") as fh:
+        rows = {int(r["L"]): r for r in csv.DictReader(fh)}
+    assert set(manifest["row_wallclock_seconds"]) == {str(L) for L in rows}
+    assert all(t > 0.0 for t in manifest["row_wallclock_seconds"].values())
+    assert [d["L"] for d in manifest["decisions"]] == list(rows)
+    for d in manifest["decisions"]:
+        row = rows[d["L"]]
+        assert d["decision"] == "grouping" and d["ell_defaulted"] is False
+        assert [d[k] for k in ("ell", "m0", "degenerate", "n_groups")] == [
+            int(row["ell"]), int(row["m0"]), bool(int(row["degenerate"])),
+            int(row["n_groups"])]
+        assert (d["group_len"] > 0) == (not d["degenerate"])
 
 
 # sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32

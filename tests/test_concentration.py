@@ -167,7 +167,8 @@ def test_grouping_partitions_the_index_set():
 def test_grouping_values_reassemble_total():
     spec, s = make_preset("cube", 1, 64)
     g = moderate_grouping(s, 64)
-    _, per_index, indices = monte_carlo(spec, s, 50, 13, return_per_index=True)
+    _, per_index, indices = monte_carlo(
+        spec, s, 50, 13, groups=np.arange(len(build_index_set(s)))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
     part = (per_index[:, [pos[i] for i in g.all_group_indices()], 0].sum(axis=1)
             + per_index[:, [pos[i] for i in g.all_remainder_indices()], 0].sum(axis=1))

@@ -2,6 +2,7 @@
 enumeration of tiny laws, and the reproducible Monte Carlo driver."""
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import log1p, ndtri
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
-from mlclt.concentration import stretched_norm
+from mlclt.concentration import moderate_tail_table, stretched_norm
 from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _SyntheticLevels,
                           _apply_map, _draw, _draw_rows, _periodic_prefix,
                           _synthetic_totals, brute_force_law,
@@ -275,9 +276,14 @@ def test_brute_force_law_guards():
 # Monte Carlo driver
 
 
+def _each_index(st):
+    """The identity grouping: every index of `st` a group of its own."""
+    return np.arange(len(build_index_set(st)))[:, None]
+
+
 def test_monte_carlo_is_chunk_size_invariant():
     spec, st = make_preset("cube", 1, 16)
-    runs = [monte_carlo(spec, st, 3000, 77, chunk_size=c, return_per_index=True)
+    runs = [monte_carlo(spec, st, 3000, 77, chunk_size=c, groups=_each_index(st))
             for c in (1, 512, 3000, 4096)]
     for samples, per_index, _ in runs[1:]:
         assert np.array_equal(samples.values, runs[0][0].values)
@@ -320,7 +326,7 @@ def _stream_digest(runs) -> str:
         kw = dict(dist=dist, chunk_size=96)
         totals = monte_carlo(gen, st, 250, 2026, **kw)
         samples, per_index, _ = monte_carlo(gen, st, 250, 2026,
-                                            return_per_index=True, **kw)
+                                            groups=_each_index(st), **kw)
         for arr in (totals.values, samples.values, per_index):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()
@@ -358,7 +364,7 @@ def test_monte_carlo_windows_are_pinned():
         arrays = [monte_carlo(gen, st, n, 2026, chunk_size=96).values]
         if n > 3:
             samples, per_index, _ = monte_carlo(gen, st, n, 2026, chunk_size=96,
-                                                return_per_index=True)
+                                                groups=_each_index(st))
             arrays += [samples.values, per_index]
         for arr in arrays:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -374,7 +380,7 @@ def test_count_path_matches_float_path(d, L, K):
     for n_comp in (1, 3):
         spec, st = make_preset("cube", d, L, K=K, n_components=n_comp)
         _, per_index, indices = monte_carlo(spec, st, 6, 404, chunk_size=4,
-                                            return_per_index=True)
+                                            groups=_each_index(st))
         for k in range(6):
             noise = draw_noise(d, L, "rademacher", 404, realization=k)
             direct = synthetic_multilevel(spec, st, noise).values
@@ -398,7 +404,7 @@ def test_count_path_matches_float_path_past_int16_prefix_entries():
     # window sums up to 129 and its prefix entries reach 129 * 385 > 2^15
     spec, st = make_preset("cube", 2, 256)
     assert 2 * st.box_radius(2) + 1 == 129
-    _, per_index, indices = monte_carlo(spec, st, 3, 404, return_per_index=True)
+    _, per_index, indices = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
     for k in range(3):
         noise = draw_noise(2, 256, "rademacher", 404, realization=k)
         direct = synthetic_multilevel(spec, st, noise).values
@@ -416,12 +422,47 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
     spec, st = make_preset(name, d, L, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
     runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
-             *monte_carlo(spec, st, n, 77, chunk_size=c, return_per_index=True)[:2])
+             *monte_carlo(spec, st, n, 77, chunk_size=c, groups=_each_index(st))[:2])
             for c in (1, 7, n, n + 1)]
     for totals, samples, per_index in runs:
         assert np.array_equal(totals, runs[0][0])
         assert np.array_equal(samples.values, runs[0][1].values)
         assert np.array_equal(per_index, runs[0][2])
+
+
+def _some_groups(st, n_groups=5, group_len=9):
+    """Groups of distinct columns drawn at random; groups may overlap."""
+    rng = np.random.default_rng(3)
+    n_indices = len(build_index_set(st))
+    return np.array([rng.choice(n_indices, group_len, replace=False)
+                     for _ in range(n_groups)])
+
+
+_GROUPED = [("exp-tail", 1, 64, 1.0, 3), ("cube", 1, 119, 2.0, 1),
+            ("identity-gauss", 2, 16, 1.0, 1), ("cube", 2, 16, 1.0, 3)]
+
+
+@pytest.mark.parametrize("name,d,L,K,n_comp", _GROUPED)
+def test_group_sums_are_chunk_size_invariant(name, d, L, K, n_comp):
+    spec, st = make_preset(name, d, L, K=K, n_components=n_comp)
+    groups = _some_groups(st)
+    runs = [monte_carlo(spec, st, 40, 77, chunk_size=c, groups=groups)
+            for c in (1, 7, 4096)]
+    for samples, sums, _ in runs:
+        assert sums.shape == (40, len(groups), n_comp)
+        assert np.array_equal(samples.values, runs[0][0].values)
+        assert np.array_equal(sums, runs[0][1])
+
+
+@pytest.mark.parametrize("name,d,L,K,n_comp", _GROUPED)
+def test_group_sums_match_summed_per_index_values(name, d, L, K, n_comp):
+    spec, st = make_preset(name, d, L, K=K, n_components=n_comp)
+    groups = _some_groups(st)
+    samples, sums, indices = monte_carlo(spec, st, 60, 5, chunk_size=16, groups=groups)
+    every, per_index, _ = monte_carlo(spec, st, 60, 5, groups=_each_index(st))
+    assert indices == build_index_set(st)
+    assert np.array_equal(samples.values, every.values)
+    assert np.allclose(sums, per_index[:, groups].sum(axis=2), rtol=0.0, atol=1e-12)
 
 
 def _oracle_boxes(st):
@@ -458,7 +499,7 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
     for name in PRESET_NAMES:
         spec, st = make_preset(name, d, L, K=K, n_components=3)
         assert (2 * st.box_radius(0) + 1 < L) == (K == 1.0 or L == 32)
-        _, got, _ = monte_carlo(spec, st, n, 2026, return_per_index=True)
+        _, got, _ = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
         expect = _box_oracle(spec, st, boxes, _draw_rows(d, L, spec.dist, 2026, 0, n))
         if spec.dist == "rademacher":  # integer box sums: bit for bit
             assert np.array_equal(got, expect)
@@ -498,13 +539,33 @@ def test_monte_carlo_guards():
         monte_carlo(FieldModel(), st, 10, 1)  # missing noise distribution
     big = DependenceStructure(d=1, L=2 ** 14, gamma=1.0)
     with pytest.raises(UsageError):
-        monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, return_per_index=True)
+        monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, groups=_each_index(big))
+    n_indices = len(build_index_set(st))
+    for bad in (np.arange(n_indices), [[0, n_indices]], [[-1, 0]], [[0.0, 1.0]],
+                np.empty((2, 0), dtype=int)):
+        with pytest.raises(UsageError):
+            monte_carlo(spec, st, 10, 1, groups=bad)
+
+
+def test_moderate_tail_table_holds_no_per_index_array():
+    # the parent kept all n x n_indices per-index values; group sums are
+    # reduced chunk by chunk, so the traced peak stays far below that
+    spec, st = make_preset("cube", 1, 1024)
+    n, n_indices = 8000, len(build_index_set(st))
+    tracemalloc.start()
+    try:
+        table = moderate_tail_table(st, spec, 512, n, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table["n_groups"] == 2
+    assert peak < n * n_indices * 8 / 4, peak / 2 ** 20
 
 
 def test_per_index_values_sum_to_totals():
     spec, st = make_preset("exp-tail", 1, 16)
     samples, per_index, indices = monte_carlo(spec, st, 500, 9,
-                                              return_per_index=True)
+                                              groups=_each_index(st))
     assert per_index.shape == (500, len(build_index_set(st)), 1)
     assert np.allclose(per_index.sum(axis=1), samples.values, atol=1e-12)
 
@@ -513,7 +574,7 @@ def test_per_index_stretched_norms_fit_preset_budget():
     for name in PRESET_NAMES:
         spec, st = make_preset(name, 1, 16)
         _, per_index, indices = monte_carlo(spec, st, 20000, 99,
-                                            return_per_index=True)
+                                            groups=_each_index(st))
         worst = max(stretched_norm(per_index[:, a, 0], st.gamma).value
                     for a in range(len(indices)))
         assert worst <= st.B / 16.0, (name, worst)
