@@ -531,8 +531,9 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     values over the columns groups[g], shape (n, n_groups, n_components),
     and `np.arange(n_indices)[:, None]` gives the per-index values
     themselves.  A grouped run writes each chunk's per-index values into
-    one buffer of at most about 2^20 doubles and reduces them there, and its
-    totals are those values summed as numpy reduces them.
+    one buffer of at most 2^20 doubles (or one realization's, if larger) and
+    reduces them there; its totals are those values summed as numpy
+    reduces them, its group sums add each group's columns in order.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")

@@ -548,8 +548,8 @@ def test_monte_carlo_guards():
 
 
 def test_moderate_tail_table_holds_no_per_index_array():
-    # the parent kept all n x n_indices per-index values; group sums are
-    # reduced chunk by chunk, so the traced peak stays far below that
+    # all n x n_indices per-index values would take 125 MiB here; group sums
+    # are reduced chunk by chunk, so the traced peak stays far below that
     spec, st = make_preset("cube", 1, 1024)
     n, n_indices = 8000, len(build_index_set(st))
     tracemalloc.start()
