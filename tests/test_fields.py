@@ -13,33 +13,48 @@ from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
-from mlclt.fields import (FieldModel, NoiseLattice, SyntheticSpec, _SyntheticLevels,
-                          _apply_map, _draw, _draw_rows, _periodic_prefix,
+from mlclt.fields import (FieldModel, SyntheticSpec, _SyntheticLevels, _apply_map,
+                          _draw, _periodic_prefix, _synthetic_index_values,
                           _synthetic_totals, brute_force_law,
                           draw_noise, dump_samples, load_samples, local_average,
                           make_preset, monte_carlo, multilevel_decompose,
-                          sample_field, synthetic_multilevel, PRESET_NAMES)
+                          sample_field, NoiseLattice, PRESET_NAMES)
 from mlclt.multilevel import (DependenceStructure, LevelIndex, build_index_set,
                               periodic_distance)
 
 
 # ---------------------------------------------------------------------------
-# noise and fields
+# noise
+
+
+def _draw_rows(d, L, dist, master_seed, k0, count):
+    """Noise of realizations k0 .. k0+count-1 as float rows, shape (count,
+    L^d): `_draw`'s Rademacher 0/1 counts become -1/+1 cells."""
+    noise = _draw(d, L, dist, master_seed, k0, count)
+    return noise.T * 2.0 - 1.0 if dist == "rademacher" else noise
+
+
+def _direct_values(spec, st, rows):
+    """(n, n_indices, n_components) values of float noise rows, in
+    build_index_set order: the float path of `_SyntheticLevels`, which maps
+    the box sums themselves rather than tables of counts."""
+    out = np.empty((len(rows), len(build_index_set(st)), spec.n_components))
+    _synthetic_index_values(_SyntheticLevels(spec, st), rows, out)
+    return out
 
 
 def test_draw_noise_is_deterministic_per_counter():
-    a = draw_noise(1, 32, "gaussian", 7, realization=3)
-    b = draw_noise(1, 32, "gaussian", 7, realization=3)
-    c = draw_noise(1, 32, "gaussian", 7, realization=4)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert a.cells == 32
+    a = _draw_rows(1, 32, "gaussian", 7, 3, 1)
+    b = _draw_rows(1, 32, "gaussian", 7, 3, 1)
+    c = _draw_rows(1, 32, "gaussian", 7, 4, 1)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (1, 32)
 
 
 def test_noise_distributions_are_centered_unit_variance():
     for dist in ("rademacher", "uniform", "centered-exponential-tail", "gaussian"):
-        vals = np.concatenate([draw_noise(1, 1024, dist, 11, k).values
-                               for k in range(32)])
+        vals = _draw_rows(1, 1024, dist, 11, 0, 32).ravel()
         assert abs(vals.mean()) < 0.02
         assert abs(vals.var() - 1.0) < 0.05
 
@@ -110,7 +125,7 @@ def test_stream_tags_are_distinct():
 
 def test_unknown_noise_distribution_errors():
     with pytest.raises(UsageError):
-        draw_noise(1, 8, "cauchy", 0)
+        _draw(1, 8, "cauchy", 0, 0, 1)
 
 
 def test_field_model_validation_and_identity_map():
@@ -203,16 +218,15 @@ def test_synthetic_level_zero_value_is_local():
     # that index bit-identical
     st = DependenceStructure(d=1, L=64, K=2.0)
     spec = SyntheticSpec(nonlinearity="cube", dist="rademacher")
-    base = draw_noise(1, 64, "rademacher", 5)
+    base = _draw_rows(1, 64, "rademacher", 5, 0, 1)
     hw = int(st.halfwidth(0))
     y = 30
-    flipped = base.values.copy()
+    flipped = base.copy()
     far = np.array([abs((x - y + 32) % 64 - 32) > hw for x in range(64)])
-    flipped[far] = -flipped[far]
-    other = NoiseLattice(d=1, L=64, dist="rademacher", master_seed=5,
-                         realization=0, values=flipped)
-    a = synthetic_multilevel(spec, st, base).values[LevelIndex(0, (y,))]
-    b = synthetic_multilevel(spec, st, other).values[LevelIndex(0, (y,))]
+    flipped[:, far] = -flipped[:, far]
+    a_idx = build_index_set(st).index(LevelIndex(0, (y,)))
+    a = _direct_values(spec, st, base)[0, a_idx]
+    b = _direct_values(spec, st, flipped)[0, a_idx]
     assert np.array_equal(a, b)
 
 
@@ -371,15 +385,14 @@ def test_monte_carlo_windows_are_pinned():
                          ids=["48", "64", "119", "d2-24", "d2-32"])
 def test_count_path_matches_float_path(d, L, K):
     # monte_carlo sums Rademacher boxes as integer counts and maps them
-    # through tables; synthetic_multilevel maps the float sums themselves
+    # through tables; the float path maps the float sums themselves
     for n_comp in (1, 3):
         spec, st = make_preset("cube", d, L, K=K, n_components=n_comp)
-        _, per_index, indices = monte_carlo(spec, st, 6, 404, chunk_size=4,
-                                            groups=_each_index(st))
+        _, per_index, _ = monte_carlo(spec, st, 6, 404, chunk_size=4,
+                                      groups=_each_index(st))
         for k in range(6):
-            noise = draw_noise(d, L, "rademacher", 404, realization=k)
-            direct = synthetic_multilevel(spec, st, noise).values
-            assert np.array_equal(per_index[k], [direct[i] for i in indices])
+            direct = _direct_values(spec, st, _draw_rows(d, L, "rademacher", 404, k, 1))
+            assert np.array_equal(per_index[k], direct[0])
 
 
 def test_periodic_prefix_entries_are_exact():
@@ -399,11 +412,10 @@ def test_count_path_matches_float_path_past_int16_prefix_entries():
     # window sums up to 129 and its prefix entries reach 129 * 385 > 2^15
     spec, st = make_preset("cube", 2, 256)
     assert 2 * st.box_radius(2) + 1 == 129
-    _, per_index, indices = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
+    _, per_index, _ = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
     for k in range(3):
-        noise = draw_noise(2, 256, "rademacher", 404, realization=k)
-        direct = synthetic_multilevel(spec, st, noise).values
-        assert np.array_equal(per_index[k], [direct[i] for i in indices])
+        direct = _direct_values(spec, st, _draw_rows(2, 256, "rademacher", 404, k, 1))
+        assert np.array_equal(per_index[k], direct[0])
 
 
 @pytest.mark.parametrize("n_comp,d,L", [pytest.param(1, 1, 119, id="1"),
@@ -505,8 +517,7 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
 def test_monte_carlo_single_draw_matches_direct_generator():
     spec, st = make_preset("signed-sqrt", 1, 16)
     got = monte_carlo(spec, st, 1, 31).values[0]
-    noise = draw_noise(1, 16, spec.dist, 31, realization=0)
-    direct = synthetic_multilevel(spec, st, noise).total()
+    direct = _direct_values(spec, st, _draw_rows(1, 16, spec.dist, 31, 0, 1))[0].sum(axis=0)
     # summation order differs (per level vs per index): exact up to one ulp
     assert np.allclose(got, direct, rtol=0.0, atol=1e-14)
 
