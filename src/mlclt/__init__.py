@@ -1,11 +1,12 @@
 """Multilevel local-dependence CLT toolkit.
 
 Verification library and experiment runner for quantitative normal
-approximation of lattice sums with multilevel local dependence: exact
-Gaussian calculus, mollified Stein-equation solutions with certified
-derivative bounds, Wasserstein distance estimators, dependence-structure
-combinatorics, synthetic random-field generators, concentration
-inequalities, and a reproducible Monte Carlo CLI.
+approximation of lattice sums with multilevel local dependence: mollified
+Stein-equation solutions for ridge test functions with certified derivative
+bounds, Wasserstein distance estimators, dependence-structure combinatorics
+and the assembled bound, synthetic multilevel generators, concentration
+bounds, and a reproducible Monte Carlo CLI whose six experiments reach the
+library.
 """
 
 from ._util import QuadratureError, UsageError

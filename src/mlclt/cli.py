@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from ._util import (_FLOOR_COUNTER, _STEIN_PROBE_TAG, UsageError,
                     counter_rng)
-from .concentration import bennett_tail_table, moderate_tail_table
+from .concentration import bennett_tail_table, moderate_tail_table, remainder_budget
 from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         sliced_w1 as _sliced_w1, w1_discrete_pair,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
@@ -482,7 +482,8 @@ def run_moderate(config: ExperimentConfig):
     """Grouped/remainder tail comparison per L.
 
     Each row also carries `wallclock_seconds` and `decision`, the grouping
-    record of its L, for the manifest rather than the CSV."""
+    record of its L with the remainder budget beside the measured
+    `remainder_norm`, for the manifest rather than the CSV."""
     rows = []
     for L in config.L_list:
         t0 = time.perf_counter()
@@ -493,7 +494,8 @@ def run_moderate(config: ExperimentConfig):
         decision = {"decision": "grouping", "L": L, "ell": ell,
                     "ell_defaulted": config.ell is None,
                     **{k: table[k] for k in ("m0", "degenerate", "n_groups",
-                                             "group_len")}}
+                                             "group_len")},
+                    "remainder_budget": remainder_budget(structure, ell)}
         seconds = time.perf_counter() - t0
         for entry in table["rows"]:
             rows.append({

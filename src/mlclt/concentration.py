@@ -5,31 +5,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy.special import ndtr
 
 from ._util import _TAILS_TAG, UsageError, counter_rng
-from .multilevel import (DependenceStructure, LevelIndex, build_index_set,
-                         periodic_distance)
+from .multilevel import DependenceStructure, LevelIndex, build_index_set
 
 __all__ = [
     "StretchedNorm",
     "stretched_norm",
-    "normal_abs_moment",
     "bennett_bound",
     "iid_tail_bound",
-    "sum_norm_certificate",
     "tail_bound_from_norm",
     "Grouping",
     "moderate_grouping",
-    "groups_disjoint",
-    "remainder_budget_high_levels",
-    "remainder_budget_boundary",
-    "CloseToGaussianReport",
-    "close_to_gaussian_split",
+    "remainder_budget",
     "moderate_tail_table",
     "bennett_tail_table",
 ]
@@ -73,11 +65,6 @@ def stretched_norm(samples, gamma: float) -> StretchedNorm:
             best_val, best_p = v, p
     return StretchedNorm(value=best_val, gamma=gamma, p_cap=p_cap,
                          argmax_p=best_p, n=x.size)
-
-
-def normal_abs_moment(p: float) -> float:
-    """E|Z|^p for Z standard normal: 2^{p/2} Gamma((p+1)/2) / sqrt(pi)."""
-    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 def tail_bound_from_norm(t: float, norm: float, gamma: float) -> float:
@@ -131,18 +118,6 @@ def iid_tail_bound(v: float, m: int, b: float, gamma0: float, r: float) -> dict:
                      (sv / b) ** (gamma0 / (2.0 + gamma0)))
     return {"bound": min(1.0, 3.0 * math.exp(-r * r / (10.0 * v))),
             "valid": bool(r <= r_max), "r_max": r_max}
-
-
-def sum_norm_certificate(component_norms: Sequence[float], gamma0: float,
-                         c: float = 1.0) -> dict:
-    """Budget for the exp^{gamma~} norm of a sum of M independent centered
-    terms: c sqrt(M) max_i ||X_i||_{exp^gamma0}, gamma~ = gamma0/(gamma0+1)."""
-    norms = [float(v) for v in component_norms]
-    if not norms or min(norms) < 0:
-        raise UsageError("need a nonempty list of nonnegative norms")
-    m = len(norms)
-    return {"gamma_tilde": gamma0 / (gamma0 + 1.0), "m": m,
-            "budget": c * math.sqrt(m) * max(norms)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,92 +193,16 @@ def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
                     remainders=remainders_t, degenerate=not groups)
 
 
-def groups_disjoint(structure: DependenceStructure, grouping: Grouping) -> bool:
-    """True iff the noise supports of distinct groups share no cell
-    (vacuously true with fewer than two nonempty groups).  Two support boxes
-    share a cell iff on every axis the periodic distance of their anchors is
-    at most the sum of their integer half-widths."""
+def remainder_budget(structure: DependenceStructure, ell: int) -> float:
+    """Stretched-norm budget for the remainders of the grouping at scale
+    ell: the levels above m0 take B (K log2 L)^d ell^{-d/2} L^{-d/2}, the
+    boundary strips of the grouped levels B (K log2 L)^{(d+3)/2} ell^{-1/2}
+    L^{-d/2}, and the budget is their sum."""
     st = structure
-    boxes = [(np.array([st.box_radius(i.m) for i in g]), np.array([i.y for i in g]))
-             for g in grouping.groups.values() if g]
-    for a, (radius_a, anchors_a) in enumerate(boxes):
-        for radius_b, anchors_b in boxes[a + 1:]:
-            delta = periodic_distance(anchors_a[:, None, :], anchors_b[None, :, :], st.L)
-            reach = radius_a[:, None, None] + radius_b[None, :, None]
-            if (delta <= reach).all(axis=2).any():
-                return False
-    return True
-
-
-def remainder_budget_high_levels(structure: DependenceStructure, ell: int,
-                                 c: float = 1.0) -> float:
-    """Stretched-norm budget for the sum of all above-m0 level remainders:
-    c B (K log2 L)^d ell^{-d/2} L^{-d/2}."""
-    st = structure
-    return (c * st.B * (st.K * st.log_l) ** st.d
-            * ell ** (-st.d / 2.0) * st.L ** (-st.d / 2.0))
-
-
-def remainder_budget_boundary(structure: DependenceStructure, ell: int,
-                              c: float = 1.0) -> float:
-    """Stretched-norm budget for the boundary-strip remainders of the grouped
-    levels: c B (K log2 L)^{(d+3)/2} ell^{-1/2} L^{-d/2}."""
-    st = structure
-    return (c * st.B * (st.K * st.log_l) ** ((st.d + 3) / 2.0)
-            * ell ** -0.5 * st.L ** (-st.d / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian coupling of independent near-Gaussian groups
-
-
-@dataclass(frozen=True)
-class CloseToGaussianReport:
-    """Tail control of the coupling error Z between a sum of M independent
-    centered groups (each within tau of its Gaussian in smoothed distance,
-    with exp^gamma0 norms at most b) and N(0, sum of the group covariances):
-
-        P[|Z| >= r] <= 3 dim exp(-r^2 / (10 V)),
-        V = dim tau |log tau|^{1/gamma0} M b^2,
-
-    valid for r <= r_validity; the bound is vacuous (>= 1) below r_vacuous.
-    """
-
-    dim: int
-    m: int
-    tau: float
-    b: float
-    gamma0: float
-    v: float
-    r_validity: float
-    r_vacuous: float
-    lambda_total: NDArray[np.float64]
-
-    def tail_bound(self, r: float) -> float:
-        return min(1.0, 3.0 * self.dim * math.exp(-r * r / (10.0 * self.v)))
-
-
-def close_to_gaussian_split(group_lambdas: Sequence, tau: float, b: float,
-                            gamma0: float, dim: int = 1) -> CloseToGaussianReport:
-    if not 0.0 < tau <= 0.5:
-        raise UsageError(f"tau must lie in (0, 1/2], got {tau}")
-    if b <= 0 or gamma0 <= 0:
-        raise UsageError("need b > 0 and gamma0 > 0")
-    mats = [np.atleast_2d(np.asarray(lam, dtype=float)) for lam in group_lambdas]
-    m = len(mats)
-    if m < 1:
-        raise UsageError("need at least one group")
-    total = np.sum(mats, axis=0)
-    logtau = abs(math.log(tau)) ** (1.0 / gamma0)
-    v = dim * tau * logtau * m * b * b
-    sv = math.sqrt(v)
-    r_validity = sv * min(math.sqrt(m * tau * logtau)
-                          / (2.0 * math.log(2.0 * m)) ** (1.0 / gamma0),
-                          (tau * logtau * m) ** (gamma0 / (4.0 + 2.0 * gamma0)))
-    r_vacuous = math.sqrt(10.0 * v * math.log(3.0 * dim))
-    return CloseToGaussianReport(dim=dim, m=m, tau=tau, b=b, gamma0=gamma0, v=v,
-                                 r_validity=r_validity, r_vacuous=r_vacuous,
-                                 lambda_total=total)
+    klog = st.K * st.log_l
+    high_levels = klog ** st.d * ell ** (-st.d / 2.0)
+    boundary = klog ** ((st.d + 3) / 2.0) * ell ** -0.5
+    return st.B * (high_levels + boundary) * st.L ** (-st.d / 2.0)
 
 
 # ---------------------------------------------------------------------------

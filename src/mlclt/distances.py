@@ -1,18 +1,18 @@
-"""Test functions, the gradient+oscillation function class, and distances to
-a centered Gaussian: exact 1d quantile-gap Wasserstein integrals, sliced
-multivariate proxies, and the restricted (class-sup) distance."""
+"""Ridge test functions with piecewise-polynomial profiles, their Gaussian
+mollification and means in closed form, and distances to a centered
+Gaussian: exact 1d quantile-gap Wasserstein integrals, sliced multivariate
+proxies, and the restricted (class-sup) distance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr, ndtri
 
-from ._util import (_SLICED_W1_TAG, UsageError, ball_points, counter_rng,
-                    hermite_grid)
+from ._util import _SLICED_W1_TAG, UsageError, counter_rng
 from .gaussians import GaussianLaw
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "ridge_function",
     "soft_clip_family",
     "mollify",
-    "class_membership_check",
-    "MembershipReport",
     "w1_discrete_vs_gaussian",
     "w1_discrete_pair",
     "w1_empirical_gaussian",
@@ -383,74 +381,6 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
 
     return TestFunction(evaluator=smoothed, lipschitz_budget=phi.lipschitz_budget,
                         label=f"mollify[{eps}]({phi.label})", dim=phi.dim)
-
-
-# ---------------------------------------------------------------------------
-# function-class membership
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    passed: bool
-    worst_osc_ratio: float
-    worst_gradient: float
-    lipschitz_budget: float
-    details: tuple = ()
-
-
-_OSC_SAFETY = 1.05  # sampled oscillations are lower bounds; allow 5% headroom
-
-
-def class_membership_check(phi: TestFunction, law: GaussianLaw, lbar: float,
-                           r_grid: Sequence[float],
-                           x0_grid: Sequence) -> MembershipReport:
-    """Check phi against the restricted test class for `law`.
-
-    Two conditions: |grad phi| <= lbar (finite differences at probe points),
-    and the averaged ball oscillation
-        integral of osc_r phi(x) N_Lambda(x - x0) dx <= r
-    for every r in r_grid and x0 in x0_grid.  Oscillations are sampled over
-    257 low-discrepancy ball points, so the computed ratios are lower bounds;
-    the pass threshold therefore includes a 5% allowance.
-    """
-    if lbar <= 0:
-        raise UsageError("lbar must be positive")
-    dim = law.dim
-    pts, wts = hermite_grid(dim, 32 if dim <= 2 else 16)
-    sqrt_cov = law.covariance.sqrt()
-    ball = ball_points(dim, 256)
-    details = []
-    worst_ratio = 0.0
-    worst_grad = 0.0
-    for x0 in x0_grid:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        nodes = pts @ sqrt_cov.T + x0[None, :]
-        worst_grad = float(np.maximum(  # a NaN gradient propagates and fails
-            worst_grad, _max_gradient(phi, nodes[::max(1, len(nodes) // 32)])))
-        for r in r_grid:
-            if r <= 0:
-                raise UsageError("oscillation radii must be positive")
-            # (n_nodes, n_ball) evaluation of phi around every quadrature node
-            cloud = nodes[:, None, :] + r * ball[None, :, :]
-            vals = phi(cloud.reshape(-1, dim)).reshape(len(nodes), -1)
-            osc = vals.max(axis=1) - vals.min(axis=1)
-            ratio = float(wts @ osc) / r
-            details.append({"r": float(r), "x0": x0.tolist(), "osc_ratio": ratio})
-            worst_ratio = float(np.maximum(worst_ratio, ratio))  # so does a NaN ratio
-    passed = worst_ratio <= _OSC_SAFETY and worst_grad <= lbar * (1.0 + 1e-6)
-    return MembershipReport(passed=passed, worst_osc_ratio=worst_ratio,
-                            worst_gradient=worst_grad, lipschitz_budget=lbar,
-                            details=tuple(details))
-
-
-def _max_gradient(phi: TestFunction, points: NDArray[np.float64], step: float = 1e-5) -> float:
-    points = np.atleast_2d(points)
-    grads = np.zeros_like(points)
-    for k in range(points.shape[1]):
-        e = np.zeros(points.shape[1])
-        e[k] = step
-        grads[:, k] = (phi(points + e) - phi(points - e)) / (2 * step)
-    return float(np.max(np.linalg.norm(grads, axis=1)))
 
 
 # ---------------------------------------------------------------------------

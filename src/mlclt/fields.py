@@ -1,14 +1,11 @@
-"""Random fields on the torus and multilevel generators.
+"""Synthetic multilevel families on the torus and their Monte Carlo driver.
 
-Two sample sources feed the experiments:
-
-* a field model: iid noise on (Z mod L)^d mapped cell-wise into a field a,
-  decomposed into multilevel contributions via local averages at dyadic radii
-  and a smooth partition of unity per level;
-* a synthetic family: per-index values w_m L^{-d} g(S(y, m)) where S(y, m) is
-  the variance-normalized noise sum over the index's support box and g is an
-  odd nonlinearity, so every value is exactly centered for the symmetric
-  noise distributions used here.
+A synthetic family gives each index (m, y) the value w_m L^{-d} g(S(y, m)),
+where S(y, m) is the variance-normalized sum of iid noise on (Z mod L)^d over
+the index's support box and g is an odd nonlinearity, so every value is
+exactly centered for the symmetric noise distributions used here.  Four
+presets pair a family with its dependence structure; tiny lattices also
+have their exact law by enumeration.
 
 Monte Carlo noise follows sample stream v2: one Philox key per run,
 (master_seed, _MC_STREAM_TAG), under which realization k owns a fixed range
@@ -28,9 +25,8 @@ number of indices unless its caller asks for every index as a group.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,22 +34,12 @@ from scipy.special import log1p, ndtri
 
 from ._util import _MC_STREAM_TAG, UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
-from .multilevel import (DependenceStructure, LevelIndex, MultilevelSample,
-                         build_index_set)
+from .multilevel import DependenceStructure, build_index_set
 
 __all__ = [
-    "NoiseLattice",
-    "FieldModel",
     "SyntheticSpec",
-    "draw_noise",
-    "sample_field",
-    "local_average",
-    "multilevel_decompose",
-    "synthetic_multilevel",
     "brute_force_law",
     "monte_carlo",
-    "dump_samples",
-    "load_samples",
     "make_preset",
     "PRESET_NAMES",
 ]
@@ -116,79 +102,6 @@ def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
     return ndtri(u)
 
 
-def _draw_rows(d: int, L: int, dist: str, master_seed: int, k0: int,
-               count: int) -> NDArray[np.float64]:
-    """Noise rows for realizations k0 .. k0+count-1, shape (count, L^d)."""
-    noise = _draw(d, L, dist, master_seed, k0, count)
-    return np.ascontiguousarray(noise.T) * 2.0 - 1.0 if dist == "rademacher" else noise
-
-
-@dataclass(frozen=True)
-class NoiseLattice:
-    """One realization of iid noise on the torus, flattened C-order."""
-
-    d: int
-    L: int
-    dist: str
-    master_seed: int
-    realization: int
-    values: NDArray[np.float64]
-
-    @property
-    def cells(self) -> int:
-        return self.L ** self.d
-
-
-def draw_noise(d: int, L: int, dist: str, master_seed: int,
-               realization: int = 0) -> NoiseLattice:
-    values = _draw_rows(d, L, dist, master_seed, realization, 1)[0]
-    values.setflags(write=False)
-    return NoiseLattice(d=d, L=L, dist=dist, master_seed=master_seed,
-                        realization=realization, values=values)
-
-
-@dataclass(frozen=True)
-class FieldModel:
-    """Cell-local field: a(x) = map(noise(x)).
-
-    Each field value reads its own cell only, so field values over sets at
-    periodic distance > 1 are genuinely independent.
-    """
-
-    pointwise_map: str = "identity"
-
-    def __post_init__(self):
-        if self.pointwise_map not in _MAPS:
-            raise UsageError(f"unknown map {self.pointwise_map!r}")
-
-
-def sample_field(model: FieldModel, noise: NoiseLattice) -> NDArray[np.float64]:
-    """Field values on the torus, same flattened layout as the noise."""
-    return _apply_map(model.pointwise_map, noise.values)
-
-
-# ---------------------------------------------------------------------------
-# local averages and the smooth partition of unity
-
-
-def local_average(a: NDArray[np.float64], r: int, d: int, L: int) -> NDArray[np.float64]:
-    """Periodic box mean of radius r (window width 2r+1 per axis, clipped to
-    the torus).  `a` has shape (..., L^d) flattened C-order; leading axes are
-    batch.  Radius covering the torus returns the constant mean field."""
-    if r < 0:
-        raise UsageError("radius must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    batch = a.shape[:-1]
-    if 2 * r + 1 >= L:
-        mean = a.reshape(batch + (L,) * d)
-        for axis in range(len(batch), len(batch) + d):
-            mean = mean.mean(axis=axis, keepdims=True)
-        return np.broadcast_to(mean.reshape(batch + (1,)), a.shape).copy()
-    grid = a.reshape(-1, L ** d).T.reshape((L,) * d + (-1,))
-    means = _box_sums(_periodic_prefix(grid, 2 * r + 1), d, L, r, 1, mean=True)
-    return means.reshape(L ** d, -1).T.reshape(a.shape)
-
-
 def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1) -> NDArray:
     """Prefix sums along the first axis of x (length L) extended periodically
     by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
@@ -227,101 +140,19 @@ def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int) -> NDAr
                            prefix[s + w:start + w:step] - prefix[s:start:step]])
 
 
-def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int,
-              mean: bool = False) -> NDArray:
+def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int) -> NDArray:
     """Sums over the periodic boxes of radius r (width w = 2r + 1 < L per
     axis) anchored on step Z^d, of an array whose first d axes are the
     torus: one axis of anchors per torus axis, then the other axes.  Axis 0
     reads its `_window_sums` from `prefix`, the array's `_periodic_prefix`;
     each further axis takes the periodic prefix of the partial sums and
-    reads the same windows.  `mean` divides by w after each axis."""
+    reads the same windows."""
     start, w = -r % L, 2 * r + 1
     for axis in range(d):
         if axis:
             prefix = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
-        sums = _window_sums(prefix, L, start, step, w)
-        sums = np.moveaxis(sums / w if mean else sums, 0, axis)
+        sums = np.moveaxis(_window_sums(prefix, L, start, step, w), 0, axis)
     return sums
-
-
-def _smoothstep(t: NDArray[np.float64]) -> NDArray[np.float64]:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _partition_axis(L: int, h: int) -> NDArray[np.float64]:
-    """(L, L/h) matrix of 1d partition weights: C^2 smoothstep transitions of
-    width h/2 straddling each cell boundary; rows sum to 1 exactly."""
-    if L % h:
-        raise UsageError("partition requires the spacing to divide L")
-    x = np.arange(L, dtype=float)
-    n_cells = L // h
-    own = (x // h).astype(int)
-    t = (x % h) / h
-    weights = np.zeros((L, n_cells))
-    main = np.ones(L)
-    lo = t < 0.25
-    hi = t > 0.75
-    s_lo = _smoothstep(t[lo] * 2.0 + 0.5)
-    weights[np.where(lo)[0], (own[lo] - 1) % n_cells] += 1.0 - s_lo
-    main[lo] = s_lo
-    s_hi = _smoothstep((t[hi] - 0.75) * 2.0)
-    weights[np.where(hi)[0], (own[hi] + 1) % n_cells] += s_hi
-    main[hi] = 1.0 - s_hi
-    weights[np.arange(L), own] += main
-    return weights
-
-
-def _partition_matrix(d: int, L: int, h: int) -> NDArray[np.float64]:
-    """(L^d, (L/h)^d) partition-of-unity matrix, tensorized over axes."""
-    p = _partition_axis(L, h)
-    out = p
-    for _ in range(d - 1):
-        out = np.einsum("ac,bd->abcd", out.reshape(-1, out.shape[-1]), p).reshape(
-            out.shape[0] * L, -1)
-    return out
-
-
-def multilevel_decompose(model: FieldModel, noise: NoiseLattice,
-                         structure: DependenceStructure) -> MultilevelSample:
-    """Decompose the field into per-index contributions.
-
-    Level 0 carries the radius-1 local average against the spacing-1
-    partition; level m+1 carries v_{2^{m+1}} - v_{2^m} against the spacing
-    2^{m+1} partition; the single top-level index carries the residual
-    a - v_{2^{floor(log2 L)}}.  Summing all values reconstructs
-    L^{-d} sum_x a(x) exactly (telescoping plus exact partitions)."""
-    if noise.d != structure.d or noise.L != structure.L:
-        raise UsageError("noise lattice does not match the structure")
-    values = _decompose_rows(model, sample_field(model, noise)[None, :], structure)
-    return MultilevelSample(structure=structure,
-                            values={i: v[0] for i, v in values.items()})
-
-
-def _decompose_rows(model: FieldModel, rows: NDArray[np.float64],
-                    structure: DependenceStructure) -> dict:
-    st = structure
-    if st.L & (st.L - 1):
-        raise UsageError("field decomposition requires dyadic L")
-    d, L = st.d, st.L
-    q_top = int(np.log2(L))
-    scale = float(L) ** (-d)
-    values: dict[LevelIndex, NDArray[np.float64]] = {}
-    v_prev = local_average(rows, 1, d, L)
-    p = _partition_matrix(d, L, 1)
-    level0 = scale * (v_prev @ p)
-    for a, y in enumerate(st.lattice(0)):
-        values[LevelIndex(0, y)] = level0[:, a, None]
-    for m in range(1, q_top + 1):
-        v_next = local_average(rows, 1 << m, d, L)
-        p = _partition_matrix(d, L, 1 << m)
-        lvl = scale * ((v_next - v_prev) @ p)
-        for a, y in enumerate(st.lattice(m)):
-            values[LevelIndex(m, y)] = lvl[:, a, None]
-        v_prev = v_next
-    top = scale * (rows - v_prev).sum(axis=1)
-    values[LevelIndex(st.max_level, (0,) * d)] = top[:, None]
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +300,6 @@ def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
         a += lv.n_anchors
 
 
-def synthetic_multilevel(spec: SyntheticSpec, structure: DependenceStructure,
-                         noise: NoiseLattice) -> MultilevelSample:
-    """One realization of the synthetic family.  Values are exactly centered:
-    the nonlinearities are odd and every supported noise law is symmetric."""
-    if noise.d != structure.d or noise.L != structure.L:
-        raise UsageError("noise lattice does not match the structure")
-    indices = build_index_set(structure)
-    vals = np.empty((1, len(indices), spec.n_components))
-    _synthetic_index_values(_SyntheticLevels(spec, structure),
-                            noise.values[None, :], vals)
-    values = {idx: vals[0, a] for a, idx in enumerate(indices)}
-    return MultilevelSample(structure=structure, values=values)
-
-
 def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
     """Exact law of the scalar total under Rademacher noise by enumerating
     all 2^{L^d} configurations (L^d <= 20)."""
@@ -505,24 +322,15 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
 # Monte Carlo driver
 
 
-def _field_index_values(model: FieldModel, noise: NDArray[np.float64],
-                        structure: DependenceStructure,
-                        indices: Sequence[LevelIndex]) -> NDArray[np.float64]:
-    """(n, n_indices, 1) values of a field model's noise rows, in `indices` order."""
-    values = _decompose_rows(model, _apply_map(model.pointwise_map, noise), structure)
-    return np.stack([values[i] for i in indices], axis=1)
-
-
 # doubles in the per-index buffer that one chunk of a grouped run fills
 _GROUP_BUFFER = 1 << 20
 
 
-def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: int,
-                dist: Optional[str] = None, groups=None, chunk_size: int = 4096):
-    """Draw n realizations of the total, and optionally sums of per-index
-    values over groups of indices.
+def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
+                master_seed: int, groups=None, chunk_size: int = 4096):
+    """Draw n realizations of the total of the synthetic family `spec`, and
+    optionally sums of per-index values over groups of indices.
 
-    `generator` is a SyntheticSpec or a FieldModel (the latter needs `dist`).
     Realization k is a pure function of (master_seed, k), so results do not
     depend on `chunk_size`, which only bounds the realizations in memory at
     once.  Returns a SampleSet, or with `groups`, an int array of shape
@@ -537,17 +345,10 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
-    synthetic = isinstance(generator, SyntheticSpec)
-    if synthetic:
-        dist = generator.dist
-        n_comp = generator.n_components
-        levels = _SyntheticLevels(generator, structure, tabulate=dist == "rademacher")
-    elif isinstance(generator, FieldModel):
-        if dist is None:
-            raise UsageError("field models need an explicit noise distribution")
-        n_comp = 1
-    else:
-        raise UsageError("generator must be a SyntheticSpec or FieldModel")
+    if not isinstance(spec, SyntheticSpec):
+        raise UsageError(f"monte_carlo samples a SyntheticSpec, got {type(spec).__name__}")
+    n_comp = spec.n_components
+    levels = _SyntheticLevels(spec, structure, tabulate=spec.dist == "rademacher")
 
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
@@ -566,20 +367,15 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
         chunk_size = max(1, min(chunk_size, _GROUP_BUFFER // width))
         buf = np.empty((chunk_size, len(indices), n_comp))
         sums = np.empty((n, len(groups), n_comp))
-    draw = _draw if synthetic else _draw_rows
     for k0 in range(0, n, chunk_size):
         chunk = slice(k0, min(k0 + chunk_size, n))
-        noise = draw(structure.d, structure.L, dist, master_seed, k0, chunk.stop - k0)
+        noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0,
+                      chunk.stop - k0)
         if groups is None:
-            totals[chunk] = (_synthetic_totals(levels, noise) if synthetic else
-                             _field_index_values(generator, noise, structure,
-                                                 indices).sum(axis=1))
+            totals[chunk] = _synthetic_totals(levels, noise)
             continue
         vals = buf[:chunk.stop - k0]
-        if synthetic:
-            _synthetic_index_values(levels, noise, vals)
-        else:
-            vals[...] = _field_index_values(generator, noise, structure, indices)
+        _synthetic_index_values(levels, noise, vals)
         totals[chunk] = vals.sum(axis=1)
         # add each group's columns one at a time, in the order given: numpy's
         # sum would pick pairwise or sequential order by the chunk's shape
@@ -594,23 +390,7 @@ def monte_carlo(generator, structure: DependenceStructure, n: int, master_seed: 
 
 
 # ---------------------------------------------------------------------------
-# realization dumps and presets
-
-
-def dump_samples(path, samples: SampleSet, structure: DependenceStructure) -> None:
-    """Flat little-endian binary: header (d, L, dim, n) as int64, then the
-    (n, dim) float64 values in C order."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4q", structure.d, structure.L,
-                             samples.dim, samples.n))
-        fh.write(samples.values.astype("<f8").tobytes(order="C"))
-
-
-def load_samples(path) -> tuple:
-    with open(path, "rb") as fh:
-        d, L, dim, n = struct.unpack("<4q", fh.read(32))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, dim)
-    return SampleSet(values=data.copy(), master_seed=-1), {"d": d, "L": L}
+# presets
 
 
 _PRESETS = {

@@ -10,16 +10,15 @@ default to 1 and are configurable through a single table.
 
 The support-box geometry lives only in this module.  `chi_matrix` broadcasts
 the levels and anchors of two index lists into the boolean matrix of pair
-indicators; `chi`, `chi3` and `box_distance` are single-pair views of it.
-`box_radius` serves the field sampler and the groups; `periodic_distance`
-serves only the groups.
+indicators, from the periodic box gaps that `periodic_distance` gives per
+axis; `chi3` is a single-triple view of the same test.  `box_radius` serves
+the synthetic sampler.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "DependenceStructure",
     "MultilevelSample",
     "build_index_set",
-    "box_distance",
-    "chi",
     "chi3",
     "chi_matrix",
     "periodic_distance",
@@ -42,11 +39,9 @@ __all__ = [
     "aggregates",
     "BarConstants",
     "bar_constants",
-    "FixedBars",
     "choose_eps_ell",
     "theorem_bound",
     "BoundReport",
-    "variance_norm_bound",
     "lambda_matrix",
     "DEFAULT_POLICY",
 ]
@@ -60,7 +55,6 @@ DEFAULT_POLICY: dict[str, float] = {
     "c_bound": 1.0,      # prefactor of the assembled bound terms
     "c_condition": 1.0,  # condition requires LHS <= 1 / c_condition
     "c_tail": 1.0,       # prefactor of the tail-remainder surrogate
-    "c_variance": 1.0,   # prefactor of the variance-norm budget
 }
 
 
@@ -191,17 +185,6 @@ def chi_matrix(structure: DependenceStructure, rows: Sequence[LevelIndex],
     return _dependent(structure, r, r if cols is None else _arrays(structure, cols))
 
 
-def box_distance(structure: DependenceStructure, i: LevelIndex, j: LevelIndex) -> float:
-    """Periodic sup-distance between the support boxes of i and j."""
-    return float(_box_gaps(structure, _arrays(structure, [i]), _arrays(structure, [j]))[0, 0])
-
-
-def chi(structure: DependenceStructure, i: LevelIndex, j: LevelIndex) -> int:
-    """Pair dependency indicator: 1 iff the support boxes come within
-    2 * 2^{max(mi, mj)} K log2(L) of each other."""
-    return int(chi_matrix(structure, [i], [j])[0, 0])
-
-
 def chi3(structure: DependenceStructure, i: LevelIndex, j: LevelIndex,
          k: LevelIndex) -> int:
     """Triple dependency indicator: 1 iff k's box comes within
@@ -319,30 +302,6 @@ def bar_constants(structure: DependenceStructure, s: float,
     return BarConstants(structure=structure, s=s, c=_policy(policy)["c_bar"])
 
 
-@dataclass(frozen=True)
-class FixedBars:
-    """Constant bar values, for calibration and regression tests."""
-
-    structure: DependenceStructure
-    s: float = 1.0
-    value: float = 1.0
-
-    def xbar(self, m: int = 0) -> float:
-        return self.value
-
-    def wbar(self, mi: int = 0, mj: int = 0) -> float:
-        return self.value
-
-    def zbar(self, m: int) -> float:
-        return self.value
-
-    def zbar2(self, mi: int, mj: int) -> float:
-        return self.value
-
-    def ybar(self, m: int) -> float:
-        return self.value
-
-
 # ---------------------------------------------------------------------------
 # epsilon / ell choices and the assembled bound
 
@@ -407,24 +366,6 @@ class BoundReport:
     def total(self) -> float:
         return self.gaussian_term + self.r_lowlevel + self.r_alllevel + self.r_tail
 
-    def to_json(self) -> str:
-        payload = {
-            "total": self.total,
-            "gaussian_term": self.gaussian_term,
-            "r_lowlevel": self.r_lowlevel,
-            "r_alllevel": self.r_alllevel,
-            "r_tail": self.r_tail,
-            "condition_lhs": self.condition_lhs,
-            "condition_satisfied": self.condition_satisfied,
-            "eps": self.eps,
-            "ell": self.ell,
-            "dim": self.dim,
-            "policy": self.policy,
-            "log_base_lattice": 2,
-            "log_eps_base": "natural",
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def _neighbor_count(structure: DependenceStructure, m: int) -> float:
     """Mean number of same-level chi-neighbors of a level-m index, itself
@@ -448,7 +389,8 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
                   indices: Optional[Sequence[LevelIndex]] = None) -> BoundReport:
     """Assemble the normal-approximation bound and its side condition.
 
-    Default mode sums the level-resolved budgets in closed form over the full
+    `bars` is any object with the `BarConstants` methods xbar, wbar, zbar,
+    zbar2 and ybar and the deviation parameter s.  Default mode sums the level-resolved budgets in closed form over the full
     index set (bar values depend only on levels, so same-level neighbor sums
     reduce to counts).  With `indices` given, sums run over that explicit set
     with its own counts and chi row sums - used for calibration on tiny families.
@@ -500,15 +442,6 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
         condition_lhs=cond,
         condition_satisfied=cond <= 1.0 / pol["c_condition"],
         eps=eps, ell=ell, dim=n, policy=pol)
-
-
-def variance_norm_bound(structure: DependenceStructure,
-                        policy: Optional[Mapping[str, float]] = None) -> float:
-    """Stretched-norm budget for the centered total:
-    c B (log2 L)^{d/2} L^{-d/2}."""
-    pol = _policy(policy)
-    st = structure
-    return pol["c_variance"] * st.B * st.log_l ** (st.d / 2.0) * st.L ** (-st.d / 2.0)
 
 
 def lambda_matrix(structure: DependenceStructure, indices: Sequence[LevelIndex],

@@ -8,13 +8,16 @@ the kernel D^k N / N.  It accepts any test function, ridge or not.  The rule
 integrates a polynomial profile with no knots exactly, so against the
 closed form only the shared s-integral and rounding remain.
 
-`gaussian_expectation` is the tensor rule for E[fn(Z)] with an optional
-node-doubling check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)]
-with it.  `poly` builds the no-knot polynomial profiles.
+`hermite_grid` is the tensor Gauss-Hermite rule in dims 1-3,
+`gaussian_expectation` applies it to E[fn(Z)] with an optional node-doubling
+check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)] with it.
+`poly` builds the no-knot polynomial profiles.
 """
+from functools import lru_cache
+
 import numpy as np
 
-from mlclt._util import QuadratureError, UsageError, hermite_grid
+from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
 from mlclt.stein import _as_orders, _s_panels, _unpack
 
@@ -22,6 +25,23 @@ from mlclt.stein import _as_orders, _s_panels, _unpack
 _EXPECTATION_RTOL = 1e-6
 # default Gauss-Hermite nodes per axis of GaussHermiteStein
 _AXIS_NODES = {1: 64, 2: 48, 3: 16}
+
+
+@lru_cache(maxsize=32)
+def hermite_grid(dim: int, n_per_axis: int):
+    """Tensorized rule for E[f(Z)], Z ~ N(0, Id_dim).
+
+    Returns (points, weights) with points of shape (n_per_axis**dim, dim).
+    Tensorization is only sensible for dim <= 3; the cached arrays are read-only.
+    """
+    if dim < 1 or dim > 3:
+        raise UsageError(f"tensorized Gaussian quadrature supports dim in 1..3, got {dim}")
+    x, w = hermite_1d(n_per_axis)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*([x] * dim), indexing="ij")], axis=-1)
+    wts = np.prod(np.meshgrid(*([w] * dim), indexing="ij"), axis=0).ravel()
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
 
 
 def poly(*coeffs) -> PiecewisePolynomial:

@@ -1,7 +1,9 @@
 """Configuration parsing, CSV/manifest emission, rate fitting, and the
 experiment runners behind the command-line interface."""
+import ast
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -18,7 +20,8 @@ from mlclt.cli import (CLT_COLUMNS, CsvWriter, ExperimentConfig, _default_ell,
                        _format_cell, _schema_hash, build_config, fit_rate, main,
                        parse_config_file, row_seed, run_cli_experiment,
                        run_experiment)
-from mlclt.fields import monte_carlo
+from mlclt.concentration import remainder_budget
+from mlclt.fields import make_preset, monte_carlo
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +275,8 @@ def test_moderate_runner(tmp_path):
     manifest = json.loads((tmp_path / "mod.csv.manifest.json").read_text())
     assert manifest["decisions"] == [{
         "decision": "grouping", "L": 16, "ell": 4, "ell_defaulted": True,
-        "m0": -1, "degenerate": True, "n_groups": 0, "group_len": 0}]
+        "m0": -1, "degenerate": True, "n_groups": 0, "group_len": 0,
+        "remainder_budget": 72.0}]
 
 
 # sha256 of `moderate --preset cube --n-samples 2000 --seed 9` plus these
@@ -300,6 +304,7 @@ def test_moderate_csv_digest_is_pinned(args, tmp_path):
     assert set(manifest["row_wallclock_seconds"]) == {str(L) for L in rows}
     assert all(t > 0.0 for t in manifest["row_wallclock_seconds"].values())
     assert [d["L"] for d in manifest["decisions"]] == list(rows)
+    dim = int(args.split()[1])
     for d in manifest["decisions"]:
         row = rows[d["L"]]
         assert d["decision"] == "grouping" and d["ell_defaulted"] is False
@@ -307,6 +312,11 @@ def test_moderate_csv_digest_is_pinned(args, tmp_path):
             int(row["ell"]), int(row["m0"]), bool(int(row["degenerate"])),
             int(row["n_groups"])]
         assert (d["group_len"] > 0) == (not d["degenerate"])
+        # the budget that the measured remainder_norm is held against
+        _, structure = make_preset("cube", dim, d["L"])
+        assert d["remainder_budget"] == remainder_budget(structure, d["ell"])
+        if (d["L"], d["ell"]) == (1024, 512):
+            assert math.isclose(d["remainder_budget"], 4.6404, rel_tol=1e-4)
 
 
 # sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32
@@ -402,7 +412,7 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
 
 
 def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):
-    # scipy.stats costs about a second of start-up; only ball_points needs it
+    # scipy.stats costs about a second of start-up, and nothing shipped needs it
     src = str(Path(mlclt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -431,6 +441,7 @@ def test_master_seed_outside_u64_is_rejected():
 def test_main_usage_errors_exit_two(tmp_path, capsys):
     assert main(["clt-rate", "--policy", "nonsense"]) == 2
     assert main(["clt-rate", "--policy", "bogus=1"]) == 2
+    assert main(["clt-rate", "--policy", "c_variance=2"]) == 2
     assert main(["clt-rate", "--L", "32,16", "--n-samples", "2000"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -439,3 +450,68 @@ def test_main_version_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Public names that no experiment reaches yet: clt-rate will measure its bars
+# from the aggregates and Lambda of its own samples, and print the restricted
+# distance beside the bound (ROADMAP items 1 and 2)
+_NOT_YET_REACHED = {"multilevel.aggregates", "multilevel.lambda_matrix",
+                    "multilevel.chi3", "multilevel.lift", "multilevel.MultilevelSample",
+                    "distances.restricted_distance"}
+
+
+def _parsed(modname):
+    """A module's top-level definitions, name -> statement, and its imports
+    from the package, local name -> (module, name)."""
+    tree = ast.parse(Path(importlib.import_module(modname).__file__).read_text())
+    defs, imports = {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defs.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imports.update(_imported(node))
+    return defs, imports
+
+
+def _imported(node):
+    """local name -> (module, name) of a relative import inside mlclt."""
+    source = ".".join(filter(None, ["mlclt", node.module]))
+    return {(a.asname or a.name): (source, a.name) for a in node.names}
+
+
+def test_every_public_name_is_reached_from_the_cli():
+    # walk the names each reached definition refers to, from every top-level
+    # definition of mlclt.cli, through imports and function-local imports
+    modules = ("mlclt", "mlclt._util", "mlclt.gaussians", "mlclt.distances",
+               "mlclt.multilevel", "mlclt.stein", "mlclt.fields",
+               "mlclt.concentration", "mlclt.cli")
+    parsed = {m: _parsed(m) for m in modules}
+
+    def resolve(mod, name):
+        """(module, name) of the statement that defines name as seen in mod."""
+        defs, imports = parsed[mod]
+        if name in defs:
+            return mod, name
+        return resolve(*imports[name]) if name in imports else None
+
+    todo = [("mlclt.cli", name) for name in parsed["mlclt.cli"][0]]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        mod, name = key
+        for node in ast.walk(parsed[mod][0][name]):
+            if isinstance(node, ast.Name):
+                todo.append(resolve(mod, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                todo += [resolve(*target) for target in _imported(node).values()]
+    public = {(m, name) for m in modules
+              for name in getattr(importlib.import_module(m), "__all__", ())}
+    unreached = {f"{m.removeprefix('mlclt.')}.{name}" for m, name in public
+                 if resolve(m, name) not in reached}
+    assert unreached == _NOT_YET_REACHED

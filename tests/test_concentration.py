@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import groups_disjoint
 
 from mlclt import UsageError
 from mlclt.concentration import (Grouping, bennett_bound, bennett_tail_table,
-                                 close_to_gaussian_split, groups_disjoint,
                                  iid_tail_bound, moderate_grouping, moderate_tail_table,
-                                 normal_abs_moment, remainder_budget_boundary,
-                                 remainder_budget_high_levels, stretched_norm,
-                                 sum_norm_certificate, tail_bound_from_norm)
+                                 remainder_budget, stretched_norm, tail_bound_from_norm)
 from mlclt.fields import make_preset, monte_carlo
 from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
 
@@ -51,14 +49,10 @@ def test_stretched_norm_standard_normal_matches_moment_oracle():
     report = stretched_norm(x, gamma=2.0)
     p_grid = [p for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0) if p <= report.p_cap]
     p_grid.append(report.p_cap)
-    oracle = max(p ** -0.5 * normal_abs_moment(p) ** (1.0 / p) for p in p_grid)
+    # E|Z|^p = 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
+    moment = lambda p: 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    oracle = max(p ** -0.5 * moment(p) ** (1.0 / p) for p in p_grid)
     assert abs(report.value - oracle) / oracle < 0.15
-
-
-def test_normal_abs_moment_closed_values():
-    assert math.isclose(normal_abs_moment(1.0), math.sqrt(2.0 / math.pi))
-    assert math.isclose(normal_abs_moment(2.0), 1.0)
-    assert math.isclose(normal_abs_moment(4.0), 3.0)
 
 
 def test_tail_bound_from_norm_properties():
@@ -113,19 +107,6 @@ def test_iid_tail_bound_formula_and_validity_window():
     assert not far["valid"]
     with pytest.raises(UsageError):
         iid_tail_bound(v=0.0, m=16, b=1.0, gamma0=2.0, r=1.0)
-
-
-def test_sum_norm_certificate_closed_forms():
-    one = sum_norm_certificate([0.7], gamma0=2.0, c=3.0)
-    assert math.isclose(one["budget"], 3.0 * 0.7)
-    assert one["gamma_tilde"] == 2.0 / 3.0
-    assert sum_norm_certificate([1.0], gamma0=1.0)["gamma_tilde"] == 0.5
-    assert math.isclose(sum_norm_certificate([1.0], gamma0=0.5)["gamma_tilde"],
-                        1.0 / 3.0)
-    four = sum_norm_certificate([0.1, 0.4, 0.2, 0.3], gamma0=2.0)
-    assert math.isclose(four["budget"], 2.0 * 0.4)
-    with pytest.raises(UsageError):
-        sum_norm_certificate([], gamma0=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +232,17 @@ def test_single_group_covers_whole_torus_when_ell_equals_l():
 
 
 def test_remainder_budget_closed_forms():
+    # the high-level term B (K log2 L)^d ell^{-d/2} L^{-d/2} plus the
+    # boundary term B (K log2 L)^{(d+3)/2} ell^{-1/2} L^{-d/2}
     s = DependenceStructure(d=1, L=64, K=2.0, B=3.0)
     klog = 2.0 * 6.0
-    assert math.isclose(remainder_budget_high_levels(s, 8),
-                        3.0 * klog * 8.0 ** -0.5 * 64.0 ** -0.5)
-    assert math.isclose(remainder_budget_boundary(s, 8),
-                        3.0 * klog ** 2.0 * 8.0 ** -0.5 * 64.0 ** -0.5)
-
-
-# ---------------------------------------------------------------------------
-# close-to-Gaussian split
-
-
-def test_close_to_gaussian_split_report():
-    lams = [np.array([[1.0]]), np.array([[2.0]]), np.array([[0.5]])]
-    rep = close_to_gaussian_split(lams, tau=0.25, b=1.0, gamma0=2.0)
-    assert np.allclose(rep.lambda_total, [[3.5]])
-    expect_v = 1 * 0.25 * abs(math.log(0.25)) ** 0.5 * 3 * 1.0
-    assert math.isclose(rep.v, expect_v)
-    assert rep.tail_bound(0.0) == 1.0  # vacuous at the origin
-    assert rep.tail_bound(rep.r_vacuous) <= 1.0
-    assert rep.tail_bound(10.0 * rep.r_vacuous) < 1e-6
-    with pytest.raises(UsageError):
-        close_to_gaussian_split(lams, tau=0.6, b=1.0, gamma0=2.0)
-    with pytest.raises(UsageError):
-        close_to_gaussian_split([], tau=0.25, b=1.0, gamma0=2.0)
+    assert math.isclose(remainder_budget(s, 8),
+                        3.0 * klog * 8.0 ** -0.5 * 64.0 ** -0.5
+                        + 3.0 * klog ** 2.0 * 8.0 ** -0.5 * 64.0 ** -0.5)
+    s2 = DependenceStructure(d=2, L=64, K=1.0, B=1.0)
+    assert math.isclose(remainder_budget(s2, 8),
+                        6.0 ** 2 * 8.0 ** -1 * 64.0 ** -1
+                        + 6.0 ** 2.5 * 8.0 ** -0.5 * 64.0 ** -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Noise lattices, field decomposition, synthetic multilevel families, exact
-enumeration of tiny laws, and the reproducible Monte Carlo driver."""
+"""Noise draws, synthetic multilevel families, exact enumeration of tiny
+laws, and the reproducible Monte Carlo driver."""
 import hashlib
 import math
 import tracemalloc
@@ -13,12 +13,9 @@ from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
-from mlclt.fields import (FieldModel, SyntheticSpec, _SyntheticLevels, _apply_map,
-                          _draw, _periodic_prefix, _synthetic_index_values,
-                          _synthetic_totals, brute_force_law,
-                          draw_noise, dump_samples, load_samples, local_average,
-                          make_preset, monte_carlo, multilevel_decompose,
-                          sample_field, NoiseLattice, PRESET_NAMES)
+from mlclt.fields import (SyntheticSpec, _SyntheticLevels, _apply_map, _draw,
+                          _periodic_prefix, _synthetic_index_values, _synthetic_totals,
+                          brute_force_law, make_preset, monte_carlo, PRESET_NAMES)
 from mlclt.multilevel import (DependenceStructure, LevelIndex, build_index_set,
                               periodic_distance)
 
@@ -126,87 +123,6 @@ def test_stream_tags_are_distinct():
 def test_unknown_noise_distribution_errors():
     with pytest.raises(UsageError):
         _draw(1, 8, "cauchy", 0, 0, 1)
-
-
-def test_field_model_validation_and_identity_map():
-    with pytest.raises(UsageError):
-        FieldModel(pointwise_map="exp")
-    noise = draw_noise(1, 16, "rademacher", 1)
-    assert np.array_equal(sample_field(FieldModel(), noise), noise.values)
-    cubed = sample_field(FieldModel(pointwise_map="cube"), noise)
-    assert np.array_equal(cubed, noise.values ** 3)
-
-
-# ---------------------------------------------------------------------------
-# local averages
-
-
-def test_local_average_matches_loop_oracle():
-    rng = np.random.default_rng(2)
-    L = 12
-    a = rng.normal(size=L)
-    for r in (1, 2, 4):
-        got = local_average(a, r, 1, L)
-        expect = np.array([np.mean([a[(x + o) % L] for o in range(-r, r + 1)])
-                           for x in range(L)])
-        assert np.max(np.abs(got - expect)) < 1e-12
-
-
-def test_local_average_constant_field_is_invariant():
-    a = np.full(16, 3.25)
-    for r in (1, 5, 100):
-        assert np.allclose(local_average(a, r, 1, 16), 3.25)
-
-
-def test_local_average_large_radius_returns_torus_mean():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=64)
-    got = local_average(a, 64, 1, 64)
-    assert np.allclose(got, a.mean())
-    with pytest.raises(UsageError):
-        local_average(a, -1, 1, 64)
-
-
-def test_local_average_2d_matches_loop_oracle():
-    rng = np.random.default_rng(4)
-    L, r = 6, 1
-    a = rng.normal(size=L * L)
-    grid = a.reshape(L, L)
-    got = local_average(a, r, 2, L).reshape(L, L)
-    for x in range(L):
-        for y in range(L):
-            window = [grid[(x + i) % L, (y + j) % L]
-                      for i in range(-r, r + 1) for j in range(-r, r + 1)]
-            assert abs(got[x, y] - np.mean(window)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# multilevel decomposition
-
-
-def test_decomposition_reconstructs_field_mean():
-    st = DependenceStructure(d=1, L=16)
-    noise = draw_noise(1, 16, "gaussian", 42)
-    sample = multilevel_decompose(FieldModel(), noise, st)
-    assert abs(float(sample.total()[0]) - noise.values.mean()) < 1e-12
-    assert set(sample.indices()) == set(build_index_set(st))
-
-
-def test_decomposition_of_constant_field_is_level_zero_only():
-    st = DependenceStructure(d=1, L=16)
-    const = NoiseLattice(d=1, L=16, dist="gaussian", master_seed=0,
-                         realization=0, values=np.full(16, 2.5))
-    sample = multilevel_decompose(FieldModel(), const, st)
-    assert abs(float(sample.total()[0]) - 2.5) < 1e-12
-    for idx, val in sample.values.items():
-        if idx.m > 0:
-            assert abs(float(val[0])) < 1e-12
-
-
-def test_decomposition_rejects_mismatched_lattice():
-    st = DependenceStructure(d=1, L=16)
-    with pytest.raises(UsageError):
-        multilevel_decompose(FieldModel(), draw_noise(1, 8, "gaussian", 0), st)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +457,8 @@ def test_monte_carlo_guards():
     spec, st = make_preset("cube", 1, 16)
     with pytest.raises(UsageError):
         monte_carlo(spec, st, 0, 1)
-    with pytest.raises(UsageError):
-        monte_carlo(FieldModel(), st, 10, 1)  # missing noise distribution
+    with pytest.raises(UsageError, match="SyntheticSpec"):
+        monte_carlo("cube", st, 10, 1)
     big = DependenceStructure(d=1, L=2 ** 14, gamma=1.0)
     with pytest.raises(UsageError):
         monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, groups=_each_index(big))
@@ -587,17 +503,7 @@ def test_per_index_stretched_norms_fit_preset_budget():
 
 
 # ---------------------------------------------------------------------------
-# dumps and presets
-
-
-def test_dump_load_roundtrip(tmp_path):
-    spec, st = make_preset("cube", 1, 16)
-    samples = monte_carlo(spec, st, 100, 5)
-    path = tmp_path / "samples.bin"
-    dump_samples(path, samples, st)
-    loaded, meta = load_samples(path)
-    assert np.array_equal(loaded.values, samples.values)
-    assert meta == {"d": 1, "L": 16}
+# presets
 
 
 def test_make_preset_rejects_unknown_name():

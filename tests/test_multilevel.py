@@ -1,26 +1,35 @@
 """Multilevel index geometry, dependency indicators, bar-constant budgets,
 the eps/ell choices, and the assembled bound, checked against hand-computed
 closed forms and brute-force enumeration on tiny lattices."""
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from support import FixedBars
 
 from mlclt import UsageError
 from mlclt.gaussians import SpdMatrix
-from mlclt.multilevel import (BarConstants, DependenceStructure, FixedBars,
-                              LevelIndex, MultilevelSample, _neighbor_count,
-                              aggregates, bar_constants, box_distance,
-                              build_index_set, chi, chi3, chi_matrix,
-                              choose_eps_ell, lambda_matrix, lift,
-                              theorem_bound, variance_norm_bound)
+from mlclt.multilevel import (BarConstants, DependenceStructure, LevelIndex,
+                              MultilevelSample, _arrays, _box_gaps, _neighbor_count,
+                              aggregates, bar_constants, build_index_set, chi3,
+                              chi_matrix, choose_eps_ell, lambda_matrix, lift,
+                              theorem_bound)
 
 
 def st(d, L, K=2.0, gamma=1.0, B=1.0):
     return DependenceStructure(d=d, L=L, K=K, gamma=gamma, B=B)
+
+
+def chi(s, i, j):
+    """The pair indicator of i and j, one entry of chi_matrix."""
+    return int(chi_matrix(s, [i], [j])[0, 0])
+
+
+def box_distance(s, i, j):
+    """The periodic sup-distance between the support boxes of i and j."""
+    return float(_box_gaps(s, _arrays(s, [i]), _arrays(s, [j]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +180,12 @@ def structure_and_indices(draw, max_size=12):
 def test_chi_matrix_matches_scalar_reference(case):
     s, rows, cols = case
     m = chi_matrix(s, rows, cols)
+    gaps = _box_gaps(s, _arrays(s, rows), _arrays(s, cols))
     assert m.dtype == bool and m.shape == (len(rows), len(cols))
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
-            assert m[a, b] == _chi_reference(s, i, j) == chi(s, i, j)
-            assert box_distance(s, i, j) == _box_distance_reference(s, i, j)
+            assert m[a, b] == _chi_reference(s, i, j)
+            assert gaps[a, b] == _box_distance_reference(s, i, j)
     assert (chi_matrix(s, rows) == chi_matrix(s, rows, rows)).all()
 
 
@@ -393,7 +403,7 @@ def test_ell_is_clamped_to_max_level():
 def test_zero_bars_leave_only_gaussian_and_tail_terms():
     s = st(1, 64, gamma=2.0, B=2.0)
     lam = SpdMatrix(np.eye(1))
-    report = theorem_bound(s, lam, FixedBars(s, s=2.0, value=0.0), eps=0.25, ell=2)
+    report = theorem_bound(s, lam, FixedBars(value=0.0, s=2.0), eps=0.25, ell=2)
     assert report.r_lowlevel == 0.0
     assert report.r_alllevel == 0.0
     assert report.condition_lhs == 0.0
@@ -407,7 +417,7 @@ def test_single_index_unit_bars_regression_value():
     # prefactor 1/eps = 2; pair = wbar + 2 ybar = 3; r_low = 3 + 1 = 4
     s = st(1, 64, gamma=2.0, B=2.0)
     lam = SpdMatrix(np.eye(1))
-    report = theorem_bound(s, lam, FixedBars(s, s=2.0, value=1.0), eps=0.5,
+    report = theorem_bound(s, lam, FixedBars(value=1.0, s=2.0), eps=0.5,
                            ell=0, indices=[LevelIndex(0, (0,))])
     assert report.r_lowlevel == 8.0
 
@@ -417,19 +427,7 @@ def test_bound_rejects_bad_eps():
     lam = SpdMatrix(np.eye(1))
     for eps in (0.0, 1.0):
         with pytest.raises(UsageError):
-            theorem_bound(s, lam, FixedBars(s), eps=eps, ell=0)
-
-
-def test_bound_report_json_contents():
-    s = st(1, 64, gamma=2.0, B=2.0)
-    lam = SpdMatrix(np.eye(1))
-    report = theorem_bound(s, lam, bar_constants(s, s=2.0), eps=0.25, ell=1)
-    payload = json.loads(report.to_json())
-    assert payload["log_base_lattice"] == 2
-    assert payload["log_eps_base"] == "natural"
-    assert math.isclose(payload["total"], report.total)
-    assert set(payload) >= {"gaussian_term", "r_lowlevel", "r_alllevel",
-                            "r_tail", "condition_lhs", "eps", "ell", "policy"}
+            theorem_bound(s, lam, FixedBars(), eps=eps, ell=0)
 
 
 def test_policy_scales_bound_terms_linearly():
@@ -447,14 +445,7 @@ def test_policy_scales_bound_terms_linearly():
 
 
 # ---------------------------------------------------------------------------
-# variance norm and covariance assembly
-
-
-def test_variance_norm_bound_closed_form():
-    s = st(2, 64, B=3.0)
-    assert math.isclose(variance_norm_bound(s), 3.0 * 6.0 * 64.0 ** -1)
-    assert math.isclose(variance_norm_bound(s, policy={"c_variance": 2.0}),
-                        2.0 * variance_norm_bound(s))
+# covariance assembly
 
 
 def test_lambda_matrix_equals_total_variance_when_all_pairs_depend():
