@@ -1,10 +1,15 @@
 """Test helpers that the library does not ship: a constant-bar stub for
-`theorem_bound` and the check that a grouping's groups share no noise cell.
+`theorem_bound`, the check that a grouping's groups share no noise cell, and
+the sampled check of a test function against the restricted test class.
 """
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from quadrature_oracle import hermite_grid
+from scipy.special import ndtri
 
+from mlclt._util import UsageError
 from mlclt.multilevel import periodic_distance
 
 
@@ -38,3 +43,70 @@ def groups_disjoint(structure, grouping) -> bool:
             if (delta <= reach).all(axis=2).any():
                 return False
     return True
+
+
+@lru_cache(maxsize=16)
+def ball_points(dim: int, m: int = 256):
+    """Deterministic low-discrepancy points in the closed unit ball of R^dim:
+    an unscrambled Halton sequence mapped through the direction/radius
+    construction, with the origin first, shape (m + 1, dim).  Oscillations
+    estimated over these points are lower bounds on the true ones."""
+    from scipy.stats import qmc  # about a second to import
+    h = qmc.Halton(d=dim + 1, scramble=False)
+    h.fast_forward(1)  # skip the origin of the sequence
+    u = h.random(m)
+    direction = ndtri(np.clip(u[:, :dim], 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    radius = u[:, dim:] ** (1.0 / dim)
+    pts = np.vstack([np.zeros((1, dim)), direction / norms * radius])
+    pts.setflags(write=False)
+    return pts
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    passed: bool
+    worst_osc_ratio: float
+    worst_gradient: float
+
+
+_OSC_SAFETY = 1.05  # sampled oscillations are lower bounds; allow 5% headroom
+
+
+def class_membership_check(phi, law, lbar: float, r_grid, x0_grid) -> MembershipReport:
+    """Check phi against the restricted test class for `law`: |grad phi| <=
+    lbar (central differences at probe points), and the averaged ball
+    oscillation, the integral of osc_r phi(x) N_Lambda(x - x0) dx, at most r
+    for every r in r_grid and x0 in x0_grid.  Oscillations are sampled over
+    257 ball points, so the ratios are lower bounds and the pass threshold
+    allows 5%.  A NaN gradient or ratio fails."""
+    if lbar <= 0:
+        raise UsageError("lbar must be positive")
+    dim = law.dim
+    pts, wts = hermite_grid(dim, 32 if dim <= 2 else 16)
+    ball = ball_points(dim)
+    worst_ratio = worst_grad = 0.0
+    for x0 in x0_grid:
+        nodes = pts @ law.covariance.sqrt().T + np.atleast_1d(np.asarray(x0, dtype=float))
+        worst_grad = float(np.maximum(
+            worst_grad, _max_gradient(phi, nodes[::max(1, len(nodes) // 32)])))
+        for r in r_grid:
+            if r <= 0:
+                raise UsageError("oscillation radii must be positive")
+            cloud = nodes[:, None, :] + r * ball[None, :, :]
+            vals = phi(cloud.reshape(-1, dim)).reshape(len(nodes), -1)
+            ratio = float(wts @ (vals.max(axis=1) - vals.min(axis=1))) / r
+            worst_ratio = float(np.maximum(worst_ratio, ratio))
+    passed = worst_ratio <= _OSC_SAFETY and worst_grad <= lbar * (1.0 + 1e-6)
+    return MembershipReport(passed=passed, worst_osc_ratio=worst_ratio,
+                            worst_gradient=worst_grad)
+
+
+def _max_gradient(phi, points, step: float = 1e-5) -> float:
+    grads = np.zeros_like(points)
+    for k in range(points.shape[1]):
+        e = np.zeros(points.shape[1])
+        e[k] = step
+        grads[:, k] = (phi(points + e) - phi(points - e)) / (2 * step)
+    return float(np.max(np.linalg.norm(grads, axis=1)))

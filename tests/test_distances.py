@@ -1,5 +1,5 @@
-"""Test functions, mollification, and Wasserstein estimators against closed
-forms and independent quadrature oracles."""
+"""Test functions, mollification, class membership, and Wasserstein
+estimators against closed forms and independent quadrature oracles."""
 import math
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import mollified, poly
+from support import class_membership_check
 
 from mlclt import UsageError, distances
 from mlclt.distances import TestFunction as FnSpec
@@ -286,6 +287,43 @@ def test_gaussian_mean_of_soft_clip_members_matches_mpmath(variance):
     for params, phi in zip(SOFTCLIP_PARAMS, soft_clip_family(1)):
         want = float(_mp_softclip_expectation(mpmath, params, 0, 0.0, math.sqrt(variance)))
         assert abs(gaussian_mean(phi, law) - want) <= 1e-13, params
+
+
+# ---------------------------------------------------------------------------
+# class membership
+
+
+def test_membership_unit_slope_fails_with_ratio_two():
+    phi = poly_fn((0.0, 1.0), 1.0, "x")
+    report = class_membership_check(phi, STD_1D, lbar=1.0,
+                                    r_grid=[0.5, 1.0], x0_grid=[0.0])
+    assert not report.passed
+    assert abs(report.worst_osc_ratio - 2.0) < 0.05
+
+
+def test_membership_half_slope_passes():
+    phi = poly_fn((0.0, 0.5), 0.5, "x/2")
+    report = class_membership_check(phi, STD_1D, lbar=0.5,
+                                    r_grid=[0.25, 1.0, 2.0], x0_grid=[0.0, 1.0])
+    assert report.passed
+    assert report.worst_osc_ratio <= 1.0 + 1e-9
+
+
+def test_membership_constant_passes_with_zero_oscillation():
+    phi = scalar_fn(lambda t: np.ones_like(t), 0.5, "1")
+    report = class_membership_check(phi, STD_1D, lbar=0.5,
+                                    r_grid=[1.0], x0_grid=[0.0])
+    assert report.passed and report.worst_osc_ratio == 0.0
+
+
+def test_soft_clip_family_members_pass_membership():
+    for dim in (1, 2):
+        law = GaussianLaw(SpdMatrix(np.eye(dim)))
+        for phi in soft_clip_family(dim):
+            report = class_membership_check(
+                phi, law, lbar=phi.lipschitz_budget,
+                r_grid=[0.5, 2.0], x0_grid=[np.zeros(dim)])
+            assert report.passed, phi.label
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Noise draws, synthetic multilevel families, exact enumeration of tiny
-laws, and the reproducible Monte Carlo driver."""
+"""Noise draws, pointwise maps, periodic box means, synthetic multilevel
+families, exact enumeration of tiny laws, and the reproducible Monte Carlo
+driver."""
 import hashlib
 import math
 import tracemalloc
@@ -13,9 +14,10 @@ from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
-from mlclt.fields import (SyntheticSpec, _SyntheticLevels, _apply_map, _draw,
-                          _periodic_prefix, _synthetic_index_values, _synthetic_totals,
-                          brute_force_law, make_preset, monte_carlo, PRESET_NAMES)
+from mlclt.fields import (SyntheticSpec, _SyntheticLevels, _apply_map, _box_sums,
+                          _draw, _periodic_prefix, _synthetic_index_values,
+                          _synthetic_totals, brute_force_law, make_preset, monte_carlo,
+                          PRESET_NAMES)
 from mlclt.multilevel import (DependenceStructure, LevelIndex, build_index_set,
                               periodic_distance)
 
@@ -123,6 +125,76 @@ def test_stream_tags_are_distinct():
 def test_unknown_noise_distribution_errors():
     with pytest.raises(UsageError):
         _draw(1, 8, "cauchy", 0, 0, 1)
+
+
+def test_field_model_validation_and_identity_map():
+    # the pointwise maps a family applies to its normalized box sums
+    with pytest.raises(UsageError):
+        SyntheticSpec(nonlinearity="exp")
+    with pytest.raises(UsageError):
+        _apply_map("exp", np.zeros(1))
+    noise = _draw_rows(1, 16, "rademacher", 1, 0, 1)[0]
+    assert np.array_equal(_apply_map("identity", noise), noise)
+    assert np.array_equal(_apply_map("cube", noise), noise ** 3)
+
+
+# ---------------------------------------------------------------------------
+# local averages
+
+
+def local_average(a, r, d, L):
+    """Periodic box mean of radius r of the float rows a, shape (..., L^d)
+    flattened C-order: `_box_sums` at every cell over the box's (2r + 1)^d
+    cells, or the torus mean where the box covers the torus, as a
+    whole-torus level of `_SyntheticLevels` reads its row totals."""
+    if r < 0:
+        raise UsageError("radius must be nonnegative")
+    a = np.asarray(a, dtype=float)
+    w = 2 * r + 1
+    if w >= L:
+        return np.broadcast_to(a.mean(axis=-1, keepdims=True), a.shape).copy()
+    grid = a.reshape(-1, L ** d).T.reshape((L,) * d + (-1,))
+    sums = _box_sums(_periodic_prefix(grid, w), d, L, r, 1)
+    return (sums / w ** d).reshape(L ** d, -1).T.reshape(a.shape)
+
+
+def test_local_average_matches_loop_oracle():
+    rng = np.random.default_rng(2)
+    L = 12
+    a = rng.normal(size=L)
+    for r in (1, 2, 4):
+        got = local_average(a, r, 1, L)
+        expect = np.array([np.mean([a[(x + o) % L] for o in range(-r, r + 1)])
+                           for x in range(L)])
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+
+def test_local_average_constant_field_is_invariant():
+    a = np.full(16, 3.25)
+    for r in (1, 5, 100):
+        assert np.allclose(local_average(a, r, 1, 16), 3.25)
+
+
+def test_local_average_large_radius_returns_torus_mean():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=64)
+    got = local_average(a, 64, 1, 64)
+    assert np.allclose(got, a.mean())
+    with pytest.raises(UsageError):
+        local_average(a, -1, 1, 64)
+
+
+def test_local_average_2d_matches_loop_oracle():
+    rng = np.random.default_rng(4)
+    L, r = 6, 1
+    a = rng.normal(size=L * L)
+    grid = a.reshape(L, L)
+    got = local_average(a, r, 2, L).reshape(L, L)
+    for x in range(L):
+        for y in range(L):
+            window = [grid[(x + i) % L, (y + j) % L]
+                      for i in range(-r, r + 1) for j in range(-r, r + 1)]
+            assert abs(got[x, y] - np.mean(window)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Multilevel index geometry, dependency indicators, bar-constant budgets,
 the eps/ell choices, and the assembled bound, checked against hand-computed
 closed forms and brute-force enumeration on tiny lattices."""
+import csv
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as hst
 from support import FixedBars
 
 from mlclt import UsageError
+from mlclt.cli import main
 from mlclt.gaussians import SpdMatrix
 from mlclt.multilevel import (BarConstants, DependenceStructure, LevelIndex,
                               MultilevelSample, _arrays, _box_gaps, _neighbor_count,
@@ -428,6 +431,26 @@ def test_bound_rejects_bad_eps():
     for eps in (0.0, 1.0):
         with pytest.raises(UsageError):
             theorem_bound(s, lam, FixedBars(), eps=eps, ell=0)
+
+
+def test_bound_report_json_contents(tmp_path):
+    # bound-calc writes the report: its terms and total in the row, the log
+    # conventions in the JSON manifest beside it
+    out = tmp_path / "bc.csv"
+    assert main(["bound-calc", "--preset", "identity-gauss", "--L", "64",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "bc.csv.manifest.json").read_text())
+    assert manifest["log_base_lattice"] == 2
+    assert manifest["log_eps_base"] == "natural"
+    assert manifest["config"]["policy"] == {}
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert set(row) >= {"gaussian_term", "r_lowlevel", "r_alllevel",
+                        "r_tail", "condition_lhs", "eps", "ell"}
+    s = st(1, 64, gamma=2.0, B=2.0)  # the identity-gauss preset
+    report = theorem_bound(s, SpdMatrix(np.eye(1)), bar_constants(s, s=2.0),
+                           eps=float(row["eps"]), ell=int(row["ell"]))
+    assert float(row["total"]) == report.total
 
 
 def test_policy_scales_bound_terms_linearly():

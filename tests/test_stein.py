@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 from quadrature_oracle import GaussHermiteStein, gaussian_expectation, mollified, poly
 
+import support
+from support import class_membership_check
+
+import mlclt.cli
 from mlclt import QuadratureError, UsageError, stein
 from mlclt._util import hermite_1d
 from mlclt.distances import TestFunction as FnSpec
@@ -408,8 +412,18 @@ def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
 
 
 def test_a_nan_fails_every_gate(monkeypatch):
+    nan_phi = FnSpec(evaluator=lambda x: np.full(len(x), np.nan),
+                     lipschitz_budget=0.5, label="nan", dim=1)
     with pytest.raises(QuadratureError):
         gaussian_expectation(np.eye(1), lambda z: np.full(len(z), np.nan), check=True)
+    # membership: a NaN oscillation ratio alone, then a NaN gradient alone
+    half = ridge_function([1.0], poly(0.0, 0.5), 0.5, "x/2")
+    grid = {"lbar": 0.5, "r_grid": [1.0], "x0_grid": [0.0]}
+    assert class_membership_check(half, STD_1D, **grid).passed
+    monkeypatch.setattr(support, "_max_gradient", lambda phi, points: 0.0)
+    assert not class_membership_check(nan_phi, STD_1D, **grid).passed
+    monkeypatch.setattr(support, "_max_gradient", lambda phi, points: np.nan)
+    assert not class_membership_check(half, STD_1D, **grid).passed
     # Stein construction: a NaN node-doubling delta on either gated order
     for nan_order, deltas in ((0, (np.nan, 0.0)), (2, (0.0, np.nan))):
         monkeypatch.setattr(stein._RidgeEngine, "refinement_delta",
@@ -417,3 +431,7 @@ def test_a_nan_fails_every_gate(monkeypatch):
         with pytest.raises(QuadratureError, match=f"order {nan_order}"):
             SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
 
+
+def test_every_public_stein_name_is_reached_from_the_cli():
+    for name in stein.__all__:
+        assert getattr(mlclt.cli, name, None) is getattr(stein, name), name
