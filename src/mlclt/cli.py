@@ -23,7 +23,7 @@ import platform
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -221,36 +221,10 @@ class CsvWriter:
 
 
 # ---------------------------------------------------------------------------
-# the rate experiment
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    L: int
-    estimated_variance: float
-    normalized_w1: float
-    sliced_w1: Optional[float]
-    mc_floor: float
-    theoretical_bound_components: dict
-    wallclock_seconds: float
-    seed: int
-
-    def csv_cells(self) -> dict:
-        b = self.theoretical_bound_components
-        return {
-            "L": self.L,
-            "estimated_variance": self.estimated_variance,
-            "normalized_w1": self.normalized_w1,
-            "sliced_w1": self.sliced_w1,
-            "mc_floor": self.mc_floor,
-            "bound_total": b["total"],
-            "bound_gaussian": b["gaussian_term"],
-            "bound_r_lowlevel": b["r_lowlevel"],
-            "bound_r_alllevel": b["r_alllevel"],
-            "bound_r_tail": b["r_tail"],
-            "condition_lhs": b["condition_lhs"],
-            "seed": self.seed,
-        }
+# the experiments, one unit at a time
+#
+# A unit runner takes the config and one unit and returns the unit's CSV rows
+# (plain dicts) and its manifest records (record name -> list of entries).
 
 
 CLT_COLUMNS = ("L", "estimated_variance", "normalized_w1", "sliced_w1",
@@ -264,8 +238,19 @@ def row_seed(master_seed: int, L: int) -> int:
     return int(state[0] & np.uint64(0x7FFFFFFFFFFFFFFF))
 
 
-def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
-    t0 = time.perf_counter()
+def _bound(config: ExperimentConfig, structure, lam: SpdMatrix):
+    """The eps/ell choice and the assembled bound taken at it, from the bar
+    constants of `structure` under the configured s and policy."""
+    bars = bar_constants(structure, s=config.s, policy=config.policy)
+    choice = choose_eps_ell(structure, lam, bars, config.policy)
+    return choice, theorem_bound(structure, lam, bars, choice.eps, choice.ell,
+                                 config.policy)
+
+
+def _rate_unit(config: ExperimentConfig, L: int):
+    """Normalized W1 distance to the Gaussian at one L, beside its Monte
+    Carlo floor and the bound at the sample covariance; the record is the
+    eps/ell choice with its raw and used values."""
     spec, structure = config.structure_for(L)
     seed = row_seed(config.master_seed, L)
     samples = monte_carlo(spec, structure, config.n_samples, seed)
@@ -283,86 +268,37 @@ def _clt_row(config: ExperimentConfig, L: int) -> ResultRow:
     gauss = counter_rng(seed, _FLOOR_COUNTER).standard_normal(config.n_samples)
     floor = w1_empirical_gaussian(gauss, 1.0)
     cov = np.atleast_2d(np.cov(vals, rowvar=False, ddof=1))
-    lam = SpdMatrix(cov)
-    bars = bar_constants(structure, s=config.s, policy=config.policy)
-    choice = choose_eps_ell(structure, lam, bars, config.policy)
-    report = theorem_bound(structure, lam, bars, choice.eps, choice.ell,
-                           config.policy)
-    components = {
-        "total": report.total,
-        "gaussian_term": report.gaussian_term,
-        "r_lowlevel": report.r_lowlevel,
-        "r_alllevel": report.r_alllevel,
-        "r_tail": report.r_tail,
+    choice, report = _bound(config, structure, SpdMatrix(cov))
+    row = {
+        "L": L,
+        "estimated_variance": float(np.mean(np.diag(cov))),
+        "normalized_w1": float(w1),
+        "sliced_w1": sliced,
+        "mc_floor": float(floor),
+        "bound_total": report.total,
+        "bound_gaussian": report.gaussian_term,
+        "bound_r_lowlevel": report.r_lowlevel,
+        "bound_r_alllevel": report.r_alllevel,
+        "bound_r_tail": report.r_tail,
         "condition_lhs": report.condition_lhs,
-        "eps": report.eps,
-        "ell": report.ell,
-        "eps_raw": choice.eps_raw,
-        "ell_raw": choice.ell_raw,
-        "eps_clamped": choice.eps_clamped,
-        "ell_clamped": choice.ell_clamped,
+        "seed": seed,
     }
-    return ResultRow(
-        L=L,
-        estimated_variance=float(np.mean(np.diag(cov))),
-        normalized_w1=float(w1),
-        sliced_w1=sliced,
-        mc_floor=float(floor),
-        theoretical_bound_components=components,
-        wallclock_seconds=time.perf_counter() - t0,
-        seed=seed,
-    )
-
-
-def run_experiment(config: ExperimentConfig,
-                   on_row: Optional[Callable[[ResultRow], None]] = None,
-                   failures: Optional[list] = None) -> list[ResultRow]:
-    """Run the rate experiment: one ResultRow per L.
-
-    Per-row failures are recorded (in `failures` if given) and the run
-    continues with the remaining L values.
-    """
-    if config.experiment != "clt-rate":
-        raise UsageError("run_experiment drives the clt-rate experiment; use "
-                         "the dedicated runners for other tags")
-    rows: list[ResultRow] = []
-    for L in config.L_list:
-        try:
-            row = _clt_row(config, L)
-        except Exception as exc:  # per-row failures must not kill the run
-            record = {"L": L, "error": f"{type(exc).__name__}: {exc}"}
-            if failures is not None:
-                failures.append(record)
-            warnings.warn(f"row L={L} failed: {record['error']}")
-            continue
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-    return rows
-
-
-def _row_value(row, key, default=None):
-    if isinstance(row, Mapping):
-        return row.get(key, default)
-    return getattr(row, key, default)
+    return [row], {"decisions": [{"decision": "eps_ell", "L": L, **asdict(choice)}]}
 
 
 def _rate_points(rows):
-    """Yield (L, normalized_w1, reason) for each row holding both, where
-    reason names why the rate fit drops the row and is None if it keeps it."""
+    """Yield (L, normalized_w1, reason) for each row, where reason names why
+    the rate fit drops the row and is None if it keeps it."""
     for row in rows:
-        L = _row_value(row, "L")
-        w1 = _row_value(row, "normalized_w1")
-        floor = _row_value(row, "mc_floor", 0.0) or 0.0
-        if w1 is None or L is None:
-            continue
+        L, w1 = row["L"], row["normalized_w1"]
         reason = ("nonpositive" if w1 <= 0
-                  else "below 2x mc_floor" if w1 < 2.0 * floor else None)
+                  else "below 2x mc_floor" if w1 < 2.0 * row["mc_floor"] else None)
         yield L, w1, reason
 
 
 def fit_rate(rows) -> tuple[float, float, float]:
-    """Least-squares fit of log2(normalized_w1) against log2(L).
+    """Least-squares fit of log2(normalized_w1) against log2(L) over dict
+    rows.
 
     Rows with nonpositive distance are excluded with a warning; rows whose
     distance sits below twice the recorded Monte Carlo floor are dropped as
@@ -386,165 +322,158 @@ def fit_rate(rows) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-# ---------------------------------------------------------------------------
-# the certification / table runners
-
-
-def run_stein_certify(config: ExperimentConfig):
-    """Residual, third-derivative, and majorant-average certificates for the
-    canonical soft-clip family at the configured (dimension, eps).
-
-    Each row also carries `quadrature`, a record for the manifest rather than
-    a CSV column: the solution's s budget, its node-doubling deltas per gated
-    order, and the s budget and grid size of its majorant table.
-    """
+def _certify_units(config: ExperimentConfig):
+    """The canonical soft-clip members at the configured dimension, each
+    keyed by its label and carrying the law, residual grid and probe that
+    every member is certified on."""
     n = config.n_dim
     law = GaussianLaw(SpdMatrix(np.eye(n)))
     pts_1d = np.linspace(-2.0, 2.0, 9 if n == 1 else 3)
     grid = np.stack(np.meshgrid(*([pts_1d] * n), indexing="ij"),
                     axis=-1).reshape(-1, n)
     probe = 2.0 * counter_rng(config.master_seed, _STEIN_PROBE_TAG).standard_normal((200, n))
-    rows = []
-    for phi in soft_clip_family(n):
-        sol = SteinSolution(phi, law, config.eps)
-        residual = max(stein_residual(sol, x) for x in grid)
-        third = third_derivative_certificate(sol, probe)
-        maj2 = majorant_average_certificate(sol, 0.1, "hessian")
-        maj3 = majorant_average_certificate(sol, 0.1, "third")
-        ok = (residual <= 1e-3 and third["passed"] and maj2["passed"]
-              and maj3["passed"])
-        rows.append({
-            "label": phi.label,
-            "dim": n,
-            "eps": config.eps,
-            "residual_max": float(residual),
-            "third_derivative_ratio": third["max_ratio"],
-            "hessian_average_ratio": maj2["ratio"],
-            "third_average_ratio": maj3["ratio"],
-            "passed": ok,
-            "quadrature": {
-                "label": phi.label,
-                "s_nodes": sol.s_nodes,
-                "node_doubling_delta": sol.node_doubling_deltas,
-                "majorant_table": maj2["table"],
-            },
-        })
-    columns = ("label", "dim", "eps", "residual_max", "third_derivative_ratio",
-               "hessian_average_ratio", "third_average_ratio", "passed")
-    return columns, rows
+    return [(phi.label, (phi, law, grid, probe)) for phi in soft_clip_family(n)]
 
 
-def run_bound_calc(config: ExperimentConfig):
-    """Evaluate the assembled normal-approximation bound per L (no sampling;
-    unit covariance and the configured policy constants)."""
-    lam = SpdMatrix(np.eye(config.n_dim))
-    rows = []
-    for L in config.L_list:
-        _, structure = config.structure_for(L)
-        bars = bar_constants(structure, s=config.s, policy=config.policy)
-        choice = choose_eps_ell(structure, lam, bars, config.policy)
-        report = theorem_bound(structure, lam, bars, choice.eps, choice.ell,
-                               config.policy)
-        rows.append({
-            "L": L,
-            "eps": report.eps,
-            "ell": report.ell,
-            "condition_lhs": report.condition_lhs,
-            "condition_satisfied": report.condition_satisfied,
-            "gaussian_term": report.gaussian_term,
-            "r_lowlevel": report.r_lowlevel,
-            "r_alllevel": report.r_alllevel,
-            "r_tail": report.r_tail,
-            "total": report.total,
-        })
-    columns = ("L", "eps", "ell", "condition_lhs", "condition_satisfied",
-               "gaussian_term", "r_lowlevel", "r_alllevel", "r_tail", "total")
-    return columns, rows
+def _certify_unit(config: ExperimentConfig, unit):
+    """Residual, third-derivative, and majorant-average certificates of one
+    soft-clip member at the configured eps.  The record is its quadrature:
+    the solution's s budget, its node-doubling deltas per gated order, and
+    the s budget and grid size of its majorant table."""
+    phi, law, grid, probe = unit
+    sol = SteinSolution(phi, law, config.eps)
+    residual = max(stein_residual(sol, x) for x in grid)
+    third = third_derivative_certificate(sol, probe)
+    maj2 = majorant_average_certificate(sol, 0.1, "hessian")
+    maj3 = majorant_average_certificate(sol, 0.1, "third")
+    ok = (residual <= 1e-3 and third["passed"] and maj2["passed"]
+          and maj3["passed"])
+    row = {
+        "label": phi.label,
+        "dim": config.n_dim,
+        "eps": config.eps,
+        "residual_max": float(residual),
+        "third_derivative_ratio": third["max_ratio"],
+        "hessian_average_ratio": maj2["ratio"],
+        "third_average_ratio": maj3["ratio"],
+        "passed": ok,
+    }
+    quadrature = {"label": phi.label, "s_nodes": sol.s_nodes,
+                  "node_doubling_delta": sol.node_doubling_deltas,
+                  "majorant_table": maj2["table"]}
+    return [row], {"stein_quadrature": [quadrature]}
 
 
-def run_tails(config: ExperimentConfig):
-    """Empirical tails of an iid Rademacher sum against the closed-form
-    bounds."""
-    rows = bennett_tail_table(config.m, config.n_samples, config.master_seed)
-    for row in rows:
-        row["m"] = config.m
-        row["n"] = config.n_samples
-    columns = ("m", "n", "r", "empirical", "mc_slack", "bennett_exact",
-               "bennett_simplified", "heavy_tail_bound", "heavy_tail_valid")
-    return columns, rows
+_BOUND_FIELDS = ("eps", "ell", "condition_lhs", "condition_satisfied",
+                 "gaussian_term", "r_lowlevel", "r_alllevel", "r_tail", "total")
+
+
+def _bound_calc_unit(config: ExperimentConfig, L: int):
+    """The assembled normal-approximation bound at one L (no sampling; unit
+    covariance and the configured policy constants)."""
+    _, structure = config.structure_for(L)
+    _, report = _bound(config, structure, SpdMatrix(np.eye(config.n_dim)))
+    return [{"L": L, **{k: getattr(report, k) for k in _BOUND_FIELDS}}], {}
+
+
+def _tails_unit(config: ExperimentConfig, m: int):
+    """Empirical tails of an iid Rademacher sum of length m against the
+    closed-form bounds."""
+    rows = bennett_tail_table(m, config.n_samples, config.master_seed)
+    return [{**row, "m": m, "n": config.n_samples} for row in rows], {}
 
 
 def _default_ell(L: int) -> int:
     return 1 << round(math.log2(math.sqrt(L)))
 
 
-def run_moderate(config: ExperimentConfig):
-    """Grouped/remainder tail comparison per L.
-
-    Each row also carries `wallclock_seconds` and `decision`, the grouping
-    record of its L with the remainder budget beside the measured
-    `remainder_norm`, for the manifest rather than the CSV."""
-    rows = []
-    for L in config.L_list:
-        t0 = time.perf_counter()
-        spec, structure = config.structure_for(L)
-        ell = config.ell if config.ell is not None else _default_ell(L)
-        table = moderate_tail_table(structure, spec, ell, config.n_samples,
-                                    row_seed(config.master_seed, L))
-        decision = {"decision": "grouping", "L": L, "ell": ell,
-                    "ell_defaulted": config.ell is None,
-                    **{k: table[k] for k in ("m0", "degenerate", "n_groups",
-                                             "group_len")},
-                    "remainder_budget": remainder_budget(structure, ell)}
-        seconds = time.perf_counter() - t0
-        for entry in table["rows"]:
-            rows.append({
-                "L": L,
-                "ell": table["ell"],
-                "m0": table["m0"],
-                "degenerate": table["degenerate"],
-                "n_groups": table["n_groups"],
-                "grouped_variance": table["grouped_variance"],
-                "remainder_norm": table["remainder_norm"],
-                "delta": table["delta"],
-                **entry,
-                "wallclock_seconds": seconds,
-                "decision": decision,
-            })
-    columns = ("L", "ell", "m0", "degenerate", "n_groups", "grouped_variance",
-               "remainder_norm", "delta", "r", "empirical", "gaussian_part",
-               "remainder_part", "rhs", "dominated")
-    return columns, rows
+def _moderate_unit(config: ExperimentConfig, L: int):
+    """Grouped/remainder tail comparison at one L.  The record is its
+    grouping, with the remainder budget beside the measured
+    `remainder_norm`."""
+    spec, structure = config.structure_for(L)
+    ell = config.ell if config.ell is not None else _default_ell(L)
+    table = moderate_tail_table(structure, spec, ell, config.n_samples,
+                                row_seed(config.master_seed, L))
+    decision = {"decision": "grouping", "L": L, "ell": ell,
+                "ell_defaulted": config.ell is None,
+                **{k: table[k] for k in ("m0", "degenerate", "n_groups",
+                                         "group_len")},
+                "remainder_budget": remainder_budget(structure, ell)}
+    shared = {k: table[k] for k in ("ell", "m0", "degenerate", "n_groups",
+                                    "grouped_variance", "remainder_norm",
+                                    "delta")}
+    rows = [{"L": L, **shared, **entry} for entry in table["rows"]]
+    return rows, {"decisions": [decision]}
 
 
-def run_oracle(config: ExperimentConfig):
-    """Brute-force enumeration against Monte Carlo at tiny lattice sizes."""
-    rows = []
-    for L in (config.L_list or (2,)):
-        spec, structure = config.structure_for(L)
-        exact = brute_force_law(spec, structure)
-        seed = row_seed(config.master_seed, L)
-        samples = monte_carlo(spec, structure, config.n_samples, seed)
-        vals = samples.scalar()
-        atoms, counts = np.unique(vals, return_counts=True)
-        empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
-        ev, ep = exact.sorted_scalar()
-        mean = float(ep @ ev)
-        sigma2 = float(ep @ (ev - mean) ** 2)
-        gap = abs(w1_empirical_gaussian(vals, sigma2)
-                  - w1_discrete_vs_gaussian(empirical, sigma2))
-        rows.append({
-            "L": L,
-            "n": config.n_samples,
-            "exact_atoms": len(ev),
-            "exact_variance": sigma2,
-            "w1_mc_vs_exact": w1_discrete_pair(empirical, exact),
-            "estimator_gap": gap,
-            "seed": seed,
-        })
-    columns = ("L", "n", "exact_atoms", "exact_variance", "w1_mc_vs_exact",
-               "estimator_gap", "seed")
-    return columns, rows
+def _oracle_unit(config: ExperimentConfig, L: int):
+    """Brute-force enumeration against Monte Carlo at one tiny L."""
+    spec, structure = config.structure_for(L)
+    exact = brute_force_law(spec, structure)
+    seed = row_seed(config.master_seed, L)
+    samples = monte_carlo(spec, structure, config.n_samples, seed)
+    vals = samples.scalar()
+    atoms, counts = np.unique(vals, return_counts=True)
+    empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
+    ev, ep = exact.sorted_scalar()
+    mean = float(ep @ ev)
+    sigma2 = float(ep @ (ev - mean) ** 2)
+    gap = abs(w1_empirical_gaussian(vals, sigma2)
+              - w1_discrete_vs_gaussian(empirical, sigma2))
+    row = {
+        "L": L,
+        "n": config.n_samples,
+        "exact_atoms": len(ev),
+        "exact_variance": sigma2,
+        "w1_mc_vs_exact": w1_discrete_pair(empirical, exact),
+        "estimator_gap": gap,
+        "seed": seed,
+    }
+    return [row], {}
+
+
+def _each_L(config: ExperimentConfig):
+    return [(L, L) for L in config.L_list]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its CSV columns, the manifest key that names its units
+    (`L`, `label` or `m`), its units as (key value, unit) pairs, the runner
+    of one unit, and the manifest records that its units fill."""
+
+    columns: tuple
+    key: str
+    units: Callable[[ExperimentConfig], list]
+    run: Callable
+    records: tuple = ()
+
+
+_EXPERIMENTS = {
+    "clt-rate": Experiment(CLT_COLUMNS, "L", _each_L, _rate_unit,
+                           ("decisions",)),
+    "stein-certify": Experiment(
+        ("label", "dim", "eps", "residual_max", "third_derivative_ratio",
+         "hessian_average_ratio", "third_average_ratio", "passed"),
+        "label", _certify_units, _certify_unit, ("stein_quadrature",)),
+    "bound-calc": Experiment(("L",) + _BOUND_FIELDS, "L", _each_L,
+                             _bound_calc_unit),
+    "tails": Experiment(
+        ("m", "n", "r", "empirical", "mc_slack", "bennett_exact",
+         "bennett_simplified", "heavy_tail_bound", "heavy_tail_valid"),
+        "m", lambda config: [(config.m, config.m)], _tails_unit),
+    "moderate": Experiment(
+        ("L", "ell", "m0", "degenerate", "n_groups", "grouped_variance",
+         "remainder_norm", "delta", "r", "empirical", "gaussian_part",
+         "remainder_part", "rhs", "dominated"),
+        "L", _each_L, _moderate_unit, ("decisions",)),
+    "oracle": Experiment(
+        ("L", "n", "exact_atoms", "exact_variance", "w1_mc_vs_exact",
+         "estimator_gap", "seed"),
+        "L", lambda config: [(L, L) for L in config.L_list or (2,)],
+        _oracle_unit),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +482,7 @@ def run_oracle(config: ExperimentConfig):
 
 def _write_manifest(path: str, config: ExperimentConfig, writer: CsvWriter,
                     n_rows: int, wallclock: float, failures: list,
-                    extra: Optional[dict] = None) -> None:
+                    extra: dict) -> None:
     payload = {
         "config": config.echo(),
         "schema_hash": writer.hash,
@@ -569,81 +498,65 @@ def _write_manifest(path: str, config: ExperimentConfig, writer: CsvWriter,
         },
         "log_base_lattice": 2,
         "log_eps_base": "natural",
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        # numpy scalars, such as a clamping flag, as their Python values
+        json.dump(payload, fh, sort_keys=True, indent=2, default=lambda v: v.item())
         fh.write("\n")
 
 
-# the ChoiceReport fields a rate row carries, with their JSON types
-_CHOICE_FIELDS = {"eps_raw": float, "eps": float, "eps_clamped": bool,
-                  "ell_raw": int, "ell": int, "ell_clamped": bool}
-
-
-def _clt_decisions(rows) -> list:
-    """The numerical decisions of a rate run: each row's eps/ell choice with
-    its raw and used values, then each L that the rate fit drops."""
-    out = [{"decision": "eps_ell", "L": r.L,
-            **{k: cast(r.theoretical_bound_components[k])
-               for k, cast in _CHOICE_FIELDS.items()}} for r in rows]
-    out += [{"decision": "fit_drop", "L": L, "normalized_w1": float(w1),
-             "reason": reason}
-            for L, w1, reason in _rate_points(rows) if reason is not None]
-    return out
-
-
 def run_cli_experiment(config: ExperimentConfig) -> int:
-    """Dispatch a config to its runner, stream CSV rows, emit the manifest."""
+    """Run a config's experiment unit by unit and emit the manifest.
+
+    Each unit's CSV rows are written as soon as it ends, its runtime goes to
+    `row_wallclock_seconds` and its records are merged into the manifest.
+    A unit that raises anything but `UsageError` is recorded in `failures`
+    under its key, with a warning, and the run goes on.
+    """
     t0 = time.perf_counter()
+    exp = _EXPERIMENTS[config.experiment]
+    rows: list = []
     failures: list = []
-    extra: dict = {}
+    seconds: dict = {}
+    extra: dict = {name: [] for name in exp.records}
     if config.experiment in _STATISTICAL:
         extra["stream_version"] = STREAM_VERSION
+    writer = CsvWriter(config.output_path, exp.columns)
+    try:
+        for key, unit in exp.units(config):
+            t1 = time.perf_counter()
+            try:
+                unit_rows, records = exp.run(config, unit)
+            except UsageError:
+                raise
+            except Exception as exc:  # a failed unit must not kill the run
+                error = f"{type(exc).__name__}: {exc}"
+                failures.append({exp.key: key, "error": error})
+                warnings.warn(f"{exp.key}={key} failed: {error}")
+                continue
+            seconds[str(key)] = time.perf_counter() - t1
+            for row in unit_rows:
+                writer.write_row(row)
+            rows += unit_rows
+            for name, entries in records.items():
+                extra[name] += entries
+    finally:
+        writer.close()
+    extra["row_wallclock_seconds"] = seconds
     if config.experiment == "clt-rate":
-        writer = CsvWriter(config.output_path, CLT_COLUMNS)
-        try:
-            rows = run_experiment(config,
-                                  on_row=lambda r: writer.write_row(r.csv_cells()),
-                                  failures=failures)
-        finally:
-            writer.close()
-        n_rows = len(rows)
-        extra["row_wallclock_seconds"] = {str(r.L): r.wallclock_seconds
-                                          for r in rows}
         try:
             slope, intercept, r2 = fit_rate(rows)
             extra["fit"] = {"slope": slope, "intercept": intercept, "r2": r2}
         except UsageError:
             extra["fit"] = None
-        extra["decisions"] = _clt_decisions(rows)
-    else:
-        runner = {
-            "stein-certify": run_stein_certify,
-            "bound-calc": run_bound_calc,
-            "tails": run_tails,
-            "moderate": run_moderate,
-            "oracle": run_oracle,
-        }[config.experiment]
-        columns, table = runner(config)
-        if config.experiment == "stein-certify":
-            extra["stein_quadrature"] = [row["quadrature"] for row in table]
-        if config.experiment == "moderate":
-            last = {row["L"]: row for row in table}  # the rows of an L share these
-            extra["row_wallclock_seconds"] = {str(L): row["wallclock_seconds"]
-                                              for L, row in last.items()}
-            extra["decisions"] = [row["decision"] for row in last.values()]
-        writer = CsvWriter(config.output_path, columns)
-        try:
-            for row in table:
-                writer.write_row(row)
-        finally:
-            writer.close()
-        n_rows = len(table)
+        extra["decisions"] += [{"decision": "fit_drop", "L": L,
+                                "normalized_w1": w1, "reason": reason}
+                               for L, w1, reason in _rate_points(rows)
+                               if reason is not None]
     if config.output_path:
         _write_manifest(config.output_path + ".manifest.json", config, writer,
-                        n_rows, time.perf_counter() - t0, failures, extra)
+                        len(rows), time.perf_counter() - t0, failures, extra)
     return 0
 
 

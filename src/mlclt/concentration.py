@@ -150,12 +150,6 @@ class Grouping:
     def group_count(self) -> int:
         return sum(1 for g in self.groups.values() if g)
 
-    def all_group_indices(self) -> list:
-        return [idx for g in self.groups.values() for idx in g]
-
-    def all_remainder_indices(self) -> list:
-        return [idx for r in self.remainders.values() for idx in r]
-
 
 def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
     st = structure

@@ -128,12 +128,6 @@ class MultilevelSample:
     structure: DependenceStructure
     values: dict
 
-    def total(self) -> NDArray[np.float64]:
-        return np.sum(list(self.values.values()), axis=0)
-
-    def indices(self) -> list[LevelIndex]:
-        return list(self.values.keys())
-
 
 def build_index_set(structure: DependenceStructure) -> list[LevelIndex]:
     """All indices (m, y), m = 0 .. 1 + floor(log2 L), y in 2^m Z^d cap [0,L)^d."""

@@ -1,6 +1,7 @@
 """Test helpers that the library does not ship: a constant-bar stub for
-`theorem_bound`, the check that a grouping's groups share no noise cell, and
-the sampled check of a test function against the restricted test class.
+`theorem_bound`, the indices of a grouping's groups or remainders as one list,
+the check that a grouping's groups share no noise cell, and the sampled check
+of a test function against the restricted test class.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +26,12 @@ class FixedBars:
         return self.value
 
     xbar = wbar = zbar = zbar2 = ybar = _const
+
+
+def flat(parts) -> list:
+    """The items of a dict of sequences, in order: every index of a
+    grouping's `groups` or of its `remainders`."""
+    return [item for part in parts.values() for item in part]
 
 
 def groups_disjoint(structure, grouping) -> bool:

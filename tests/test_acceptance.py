@@ -7,15 +7,16 @@ dependence-structure geometry, the bound calculator, concentration budgets,
 the moderate-deviation decomposition, and byte-level reproducibility of the
 CLI outputs.
 """
+import csv
 import math
 import time
 
 import numpy as np
 import pytest
-from support import FixedBars, groups_disjoint
+from support import FixedBars, flat, groups_disjoint
 
 from mlclt._util import counter_rng
-from mlclt.cli import ExperimentConfig, fit_rate, main, run_experiment, run_stein_certify
+from mlclt.cli import fit_rate, main
 from mlclt.concentration import (bennett_tail_table, moderate_grouping,
                                  remainder_budget, stretched_norm, tail_bound_from_norm)
 from mlclt.distances import (DiscreteLaw, gaussian_mean, mollify, soft_clip_family,
@@ -73,7 +74,7 @@ def test_acceptance_1_gaussian_calculus():
 # 2. Stein certification
 
 
-def test_acceptance_2_stein_certification():
+def test_acceptance_2_stein_certification(tmp_path):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
     for n in (1, 2):
@@ -93,10 +94,13 @@ def test_acceptance_2_stein_certification():
                 for kind in ("hessian", "third"):
                     rep = majorant_average_certificate(sol, 0.1, kind)
                     assert rep["passed"] and rep["ratio"] <= 1.0, (n, eps, kind)
-    # the shipped certification runner reports the same verdicts
-    columns, rows = run_stein_certify(ExperimentConfig(
-        experiment="stein-certify", n_dim=1, eps=0.25, master_seed=0))
-    assert all(row["passed"] for row in rows)
+    # the shipped certification command reports the same verdicts
+    out = tmp_path / "certify.csv"
+    assert main(["stein-certify", "--n-dim", "1", "--eps", "0.25", "--seed", "0",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 and all(row["passed"] == "1" for row in rows)
     assert time.perf_counter() - t0 < 300.0
 
 
@@ -126,15 +130,19 @@ def test_acceptance_3_oracle_equivalence():
 # 4. convergence rate at desk scale
 
 
-def test_acceptance_4_clt_rate():
+def test_acceptance_4_clt_rate(tmp_path):
     t0 = time.perf_counter()
-    config = ExperimentConfig(experiment="clt-rate", preset="cube", d=1,
-                              L_list=(16, 32, 64, 128, 256, 512),
-                              n_samples=10 ** 5, master_seed=2026)
-    rows = run_experiment(config)
+    out = tmp_path / "rate.csv"
+    assert main(["clt-rate", "--preset", "cube", "--d", "1",
+                 "--L", "16,32,64,128,256,512", "--n-samples", str(10 ** 5),
+                 "--seed", "2026", "--out", str(out)]) == 0
+    # the CSV floats are shortest round-trip decimals, so they read back exactly
+    with open(out, newline="") as fh:
+        rows = [{"L": int(r["L"]), "normalized_w1": float(r["normalized_w1"]),
+                 "mc_floor": float(r["mc_floor"])} for r in csv.DictReader(fh)]
     assert len(rows) == 6
-    w1 = [r.normalized_w1 for r in rows]
-    floors = [r.mc_floor for r in rows]
+    w1 = [r["normalized_w1"] for r in rows]
+    floors = [r["mc_floor"] for r in rows]
     inversions = [i for i in range(len(w1) - 1) if w1[i + 1] > w1[i]]
     assert len(inversions) <= 1
     for i in inversions:
@@ -289,8 +297,8 @@ def test_acceptance_8_moderate_deviations():
     assert not g.degenerate and g.m0 == 2
     assert g.group_count() == 2
     assert groups_disjoint(s1024, g)
-    grouped = set(g.all_group_indices())
-    remainder = set(g.all_remainder_indices())
+    grouped = set(flat(g.groups))
+    remainder = set(flat(g.remainders))
     full = set(build_index_set(s1024))
     assert grouped | remainder == full and not grouped & remainder
 
@@ -300,8 +308,8 @@ def test_acceptance_8_moderate_deviations():
     _, per_index, indices = monte_carlo(
         spec64, s64, 100, 13, groups=np.arange(len(build_index_set(s64)))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
-    part = (per_index[:, [pos[i] for i in g64.all_group_indices()], 0].sum(axis=1)
-            + per_index[:, [pos[i] for i in g64.all_remainder_indices()], 0].sum(axis=1))
+    part = (per_index[:, [pos[i] for i in flat(g64.groups)], 0].sum(axis=1)
+            + per_index[:, [pos[i] for i in flat(g64.remainders)], 0].sum(axis=1))
     assert np.max(np.abs(part - per_index[:, :, 0].sum(axis=1))) < 1e-12
 
     # remainder norms scale as the analytic budgets predict: at ell = sqrt(L)

@@ -18,8 +18,7 @@ import mlclt
 from mlclt import UsageError
 from mlclt.cli import (CLT_COLUMNS, CsvWriter, ExperimentConfig, _default_ell,
                        _format_cell, _schema_hash, build_config, fit_rate, main,
-                       parse_config_file, row_seed, run_cli_experiment,
-                       run_experiment)
+                       parse_config_file, row_seed, run_cli_experiment)
 from mlclt.concentration import remainder_budget
 from mlclt.fields import make_preset, monte_carlo
 
@@ -191,23 +190,43 @@ def test_fit_rate_drops_rows_below_monte_carlo_floor():
 # runners and orchestration
 
 
-def test_clt_rate_row_matches_direct_monte_carlo():
+def test_clt_rate_row_matches_direct_monte_carlo(tmp_path):
+    out = tmp_path / "rate.csv"
     cfg = ExperimentConfig(experiment="clt-rate", preset="identity-gauss",
-                           L_list=(4,), n_samples=2000, master_seed=3)
-    rows = run_experiment(cfg)
+                           L_list=(4,), n_samples=2000, master_seed=3,
+                           output_path=str(out))
+    assert run_cli_experiment(cfg) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     row = rows[0]
-    assert row.normalized_w1 <= 0.05
+    assert float(row["normalized_w1"]) <= 0.05
     spec, structure = cfg.structure_for(4)
     direct = monte_carlo(spec, structure, 2000, row_seed(3, 4))
-    assert row.estimated_variance == float(direct.scalar().var(ddof=1))
-    assert row.seed == row_seed(3, 4)
+    # shortest round-trip decimals read back as the same float
+    assert float(row["estimated_variance"]) == float(direct.scalar().var(ddof=1))
+    assert int(row["seed"]) == row_seed(3, 4)
 
 
-def test_run_experiment_rejects_other_tags():
-    cfg = ExperimentConfig(experiment="oracle", L_list=(2,), n_samples=1000)
-    with pytest.raises(UsageError):
-        run_experiment(cfg)
+def test_failed_unit_is_recorded_and_the_run_goes_on(tmp_path, monkeypatch):
+    real = monte_carlo
+
+    def failing_at_8(spec, structure, *args, **kwargs):
+        if structure.L == 8:
+            raise RuntimeError("injected")
+        return real(spec, structure, *args, **kwargs)
+
+    monkeypatch.setattr("mlclt.cli.monte_carlo", failing_at_8)
+    out = tmp_path / "rate.csv"
+    with pytest.warns(UserWarning, match="L=8 failed: RuntimeError: injected"):
+        assert main(["clt-rate", "--L", "4,8,16", "--n-samples", "1000",
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [int(r["L"]) for r in csv.DictReader(fh)] == [4, 16]
+    manifest = json.loads(out.with_name("rate.csv.manifest.json").read_text())
+    assert manifest["failures"] == [{"L": 8, "error": "RuntimeError: injected"}]
+    assert manifest["n_rows"] == 2
+    assert set(manifest["row_wallclock_seconds"]) == {"4", "16"}
 
 
 def test_empty_l_list_writes_header_only_csv(tmp_path):
@@ -239,14 +258,21 @@ def test_main_oracle_run_and_manifest(tmp_path):
     assert manifest["schema_hash"] == lines[1].split(",")[-1]
     assert set(manifest["versions"]) == {"package", "python", "numpy", "scipy"}
     assert manifest["wallclock_seconds"] > 0.0
+    assert set(manifest["row_wallclock_seconds"]) == {"2", "4"}
 
 
-def test_rerun_is_bit_identical(tmp_path):
+def test_rerun_is_bit_identical(tmp_path, capsys):
     args = ["tails", "--m", "16", "--n-samples", "2000", "--seed", "5"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert set(manifest["row_wallclock_seconds"]) == {"16"}
+    # the same bytes on stdout, where no manifest is written
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out1.read_bytes()
 
 
 def test_bound_calc_runner(tmp_path):
@@ -260,6 +286,7 @@ def test_bound_calc_runner(tmp_path):
     assert {"L", "eps", "ell", "condition_lhs", "total"} <= set(header)
     manifest = json.loads((tmp_path / "bc.csv.manifest.json").read_text())
     assert manifest["config"]["policy"] == {"c_bound": 2.0}
+    assert set(manifest["row_wallclock_seconds"]) == {"64", "256"}
     assert "stream_version" not in manifest  # bound-calc samples nothing
 
 
@@ -400,6 +427,7 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
     with open(certify_run, newline="") as fh:
         labels = [row["label"] for row in csv.DictReader(fh)]
     assert [r["label"] for r in records] == labels
+    assert set(manifest["row_wallclock_seconds"]) == set(labels)
     for r in records:
         # the inner integral is exact, so no z budget or path is recorded
         assert set(r) == {"label", "s_nodes", "node_doubling_delta", "majorant_table"}
@@ -443,6 +471,8 @@ def test_main_usage_errors_exit_two(tmp_path, capsys):
     assert main(["clt-rate", "--policy", "bogus=1"]) == 2
     assert main(["clt-rate", "--policy", "c_variance=2"]) == 2
     assert main(["clt-rate", "--L", "32,16", "--n-samples", "2000"]) == 2
+    # a usage error inside a unit is not a recorded failure: the run stops
+    assert main(["clt-rate", "--L", "16,2097152", "--n-samples", "1000"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import groups_disjoint
+from support import flat, groups_disjoint
 
 from mlclt import UsageError
 from mlclt.concentration import (Grouping, bennett_bound, bennett_tail_table,
@@ -128,7 +128,7 @@ def test_grouping_degenerate_when_ell_below_threshold():
     g = moderate_grouping(s, 16)
     assert g.degenerate and g.m0 == -1
     assert g.group_count() == 0
-    assert set(g.all_remainder_indices()) == set(build_index_set(s))
+    assert set(flat(g.remainders)) == set(build_index_set(s))
     assert groups_disjoint(s, g)  # vacuously
 
 
@@ -138,8 +138,8 @@ def test_grouping_partitions_the_index_set():
     # level 0 is a grouped level, but its margin 2^6 empties the interior
     # window, so no group is built
     assert g.degenerate and g.m0 == 0 and g.group_count() == 0
-    grouped = g.all_group_indices()
-    remainder = g.all_remainder_indices()
+    grouped = flat(g.groups)
+    remainder = flat(g.remainders)
     assert len(grouped) + len(remainder) == len(build_index_set(s))
     assert set(grouped) | set(remainder) == set(build_index_set(s))
     assert not set(grouped) & set(remainder)
@@ -151,8 +151,8 @@ def test_grouping_values_reassemble_total():
     _, per_index, indices = monte_carlo(
         spec, s, 50, 13, groups=np.arange(len(build_index_set(s)))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
-    part = (per_index[:, [pos[i] for i in g.all_group_indices()], 0].sum(axis=1)
-            + per_index[:, [pos[i] for i in g.all_remainder_indices()], 0].sum(axis=1))
+    part = (per_index[:, [pos[i] for i in flat(g.groups)], 0].sum(axis=1)
+            + per_index[:, [pos[i] for i in flat(g.remainders)], 0].sum(axis=1))
     assert np.max(np.abs(part - per_index[:, :, 0].sum(axis=1))) < 1e-12
 
 
@@ -170,7 +170,7 @@ def test_grouping_with_empty_interior_windows_is_degenerate():
     g = moderate_grouping(s, 256)
     assert g.m0 == 1
     assert g.group_count() == 0 and g.degenerate
-    assert set(g.all_remainder_indices()) == set(build_index_set(s))
+    assert set(flat(g.remainders)) == set(build_index_set(s))
 
 
 def _group_cells(s, group):

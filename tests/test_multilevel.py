@@ -302,7 +302,7 @@ def test_aggregates_against_brute_force_small_lattice():
     idx = build_index_set(s)
     rng = np.random.default_rng(7)
     sample = MultilevelSample(s, {i: rng.normal(size=1) for i in idx})
-    total = sample.total()
+    total = np.sum(list(sample.values.values()), axis=0)
     i, j = idx[0], idx[3]
     agg = aggregates(sample, i, j)
     assert np.allclose(agg["z_i"], total)
