@@ -398,6 +398,16 @@ def test_clt_rate_runs_at_d2(tmp_path):
 # E[phi_eps(Z)] taken as the closed-form E[phi(Z)].
 _CERTIFY_SEED0_SHA256 = ("66a3c7107582192d1238a9a7c699d5eb"
                          "ef5bfee9b775eb760bafd260553e88c5")
+# the dim-2 and dim-3 members reach mollify's u/|u| direction, and eps = 0.05
+# is the smallest eps a solution admits
+_CERTIFY_SHA256 = {
+    "--n-dim 2 --eps 0.5 --seed 0":
+        "72c7f4cf374a84e00df5c470cd3da1aad2b945786788948797744acdda1a1a9a",
+    "--n-dim 3 --eps 0.5 --seed 1":
+        "718d4ea56f627a95c7902853deeac37142b65be1858ac1dc7795999719d938ed",
+    "--n-dim 1 --eps 0.05 --seed 0":
+        "6ce11aea5d3d83a2ddab1abb33e2f9792151aadc4b6b8cf8baa344586fc04382",
+}
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +429,13 @@ def test_stein_certify_csv_rows_match_header(certify_run):
         assert len(row) == len(header)
         assert "," in row[header.index("label")]
         assert row[header.index("passed")] == "1"
+
+
+@pytest.mark.parametrize("args", list(_CERTIFY_SHA256))
+def test_stein_certify_csv_digest_is_pinned(args, tmp_path):
+    out = tmp_path / "certify.csv"
+    assert main(["stein-certify", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CERTIFY_SHA256[args]
 
 
 def test_stein_certify_manifest_records_quadrature(certify_run):
