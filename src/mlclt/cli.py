@@ -41,7 +41,7 @@ from .fields import (PRESET_NAMES, STREAM_VERSION, brute_force_law, make_preset,
 from .gaussians import GaussianLaw, SpdMatrix
 from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
                          theorem_bound)
-from .stein import (SteinSolution, majorant_average_certificate,
+from .stein import (_S_NODES, SteinSolution, majorant_average_certificate,
                     stein_residual, third_derivative_certificate)
 
 EXPERIMENTS = ("clt-rate", "stein-certify", "bound-calc", "tails",
@@ -358,7 +358,7 @@ def _certify_unit(config: ExperimentConfig, unit):
         "third_average_ratio": maj3["ratio"],
         "passed": ok,
     }
-    quadrature = {"label": phi.label, "s_nodes": sol.s_nodes,
+    quadrature = {"label": phi.label, "s_nodes": _S_NODES,
                   "node_doubling_delta": sol.node_doubling_deltas,
                   "majorant_table": maj2["table"]}
     return [row], {"stein_quadrature": [quadrature]}

@@ -27,19 +27,21 @@ E[f^(k)(G)], turns the order-k inner integral into
 
     F_k(w) = sum_i sw_k(s_i) s_i^{k/2} E[h^(k)(sqrt(1-s_i) w + sqrt(s_i) sigma Z)]
 
-(for k = 0 less the exact c0 = E[h(sigma Z)]), and on each piece the
+(for k = 0 less E[h(sigma Z)] = E[phi(Z)]), and on each piece the
 expectation is a finite sum of truncated normal moments.  Gaussian
-interpolation preserves N(0, Lambda), so the right-hand side's constant is
-E[phi_eps(Z)] = E[phi(Z)], taken by `gaussian_mean` without smoothing phi.
+interpolation preserves N(0, Lambda), so the same E[phi(Z)], taken once by
+`gaussian_mean`, is also the right-hand side's constant E[phi_eps(Z)].
 
-The s-integral is the one quadrature.  It is split into two panels with
-substitutions tau = log s (resolving the s -> eps^2 end) and t = -log(1-s)
-(resolving the s -> 1 end), each handled by composite Simpson rules with
-node-doubling verification.  The s-nodes depend only on eps and the budget;
-only the weights depend on the order.  Orders requested together at the
-same points therefore share one set of truncated moments, and each keeps
-the bits it has when requested alone: the construction gate computes orders
-0 and 2 together, the residual 1 and 2, and the majorant tables 2 and 3.
+The s-integral is the one quadrature, and `SteinSolution` owns its one
+routine.  It is split into two panels with substitutions tau = log s
+(resolving the s -> eps^2 end) and t = -log(1-s) (resolving the s -> 1
+end), each handled by composite Simpson rules.  The budget is fixed: 1024
+s-nodes, doubled once by the construction gate, and 256 for the majorant
+tables.  The s-nodes depend only on eps and the budget; only the weights
+depend on the order.  Orders requested together at the same points
+therefore share one set of truncated moments, and each keeps the bits it
+has when requested alone: the construction gate computes orders 0 and 2
+together, the residual 1 and 2, and the majorant tables 2 and 3.
 Each solution builds its majorant table once per (delta, window) and serves
 both majorant kinds from it.
 """
@@ -67,13 +69,18 @@ _EPS_MIN, _EPS_MAX = 0.05, 0.9
 _T_TAIL = 56.0  # integrand tails decay like exp(-t/2); exp(-28) is negligible
 # Node-doubling settle tolerance for solution construction.  The inner
 # integral is exact, so the gate measures the s-integral alone: at the
-# default 1024 s-nodes, doubling moves F_0 and F_2 of every soft-clip member
+# 1024 s-nodes, doubling moves F_0 and F_2 of every soft-clip member
 # by at most 5.5e-7 (dims 1-3, eps 0.05-0.9, Lambda = Id and 4 Id).  The
 # downstream certificates carry tolerances of 1e-3 and larger, leaving an
 # order of magnitude of headroom above this gate.
 _VERIFY_TOL = 1e-4
 # Orders whose node-doubling delta gates solution construction.
 _GATE_ORDERS = (0, 2)
+# s-nodes of every solution's s-integral; the gate doubles them.
+_S_NODES = 1024
+# s-nodes of the majorant tables: they feed oscillation *bounds* checked with
+# large slack, so a reduced budget (relative error ~1e-4) is ample there.
+_TABLE_S_NODES = 256
 # (s, w) pairs per block of the closed-form inner integral; each pair holds
 # a few dozen float64 temporaries.
 _EXACT_BLOCK = 1 << 16
@@ -147,67 +154,6 @@ def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
     return np.concatenate(s_list), [np.concatenate(w) for w in w_lists]
 
 
-def _as_orders(orders) -> tuple[int, ...]:
-    """`fk` takes one order or a tuple of orders."""
-    return (orders,) if np.ndim(orders) == 0 else tuple(orders)
-
-
-def _unpack(orders, outs: list):
-    return outs[0] if np.ndim(orders) == 0 else tuple(outs)
-
-
-# ---------------------------------------------------------------------------
-# the ridge engine
-
-
-class _RidgeEngine:
-    """Stein solution for a `PiecewisePolynomial` profile h and scalar
-    variance sigma2: every derivative order reduces to a scalar function F_k
-    of w = u . x, whose inner Gaussian integral is in closed form."""
-
-    def __init__(self, profile: PiecewisePolynomial, sigma2: float, eps: float,
-                 s_nodes: int):
-        self.profile = profile
-        self.sigma = float(np.sqrt(sigma2))
-        self.eps = eps
-        self.s_nodes = s_nodes
-        self.c0 = float(profile.gaussian_expectations(0.0, self.sigma, (0,))[0])
-
-    def fk(self, w, orders, s_nodes: int | None = None):
-        """F_k at scalar points w (any shape) for one order k in 0..3, or a
-        tuple of F_k for a tuple of orders.
-
-        Gaussian integration by parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns
-        the order-k inner integral at s into s^{k/2} E[h^(k)(sqrt(1-s) w +
-        sqrt(s) sigma Z)], which the profile evaluates in closed form.  The
-        orders of one call share every set of truncated moments; each result
-        has the same bits as a call for its order alone.
-        """
-        ks = _as_orders(orders)
-        w = np.asarray(w, dtype=float)
-        flat = w.reshape(-1)
-        s, sws = _s_panels(self.eps, s_nodes or self.s_nodes, ks)
-        outs = [np.zeros(flat.shape) for _ in ks]
-        block = max(1, _EXACT_BLOCK // max(1, flat.size))
-        for start in range(0, len(s), block):
-            sl = slice(start, start + block)
-            sb = s[sl]
-            vals = self.profile.gaussian_expectations(
-                np.sqrt(1.0 - sb)[:, None] * flat[None, :],
-                (np.sqrt(sb) * self.sigma)[:, None], ks)
-            for out, sw, k, val in zip(outs, sws, ks, vals):
-                if k == 0:
-                    val = val - self.c0
-                out += (sw[sl] * sb ** (0.5 * k)) @ val
-        return _unpack(orders, [out.reshape(w.shape) for out in outs])
-
-    def refinement_delta(self, w, orders: tuple[int, ...]) -> tuple[float, ...]:
-        """Per order, the largest move of F_k at w under s-node doubling."""
-        a = self.fk(w, orders)
-        b = self.fk(w, orders, s_nodes=2 * self.s_nodes)
-        return tuple(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # public surface
 
@@ -217,20 +163,19 @@ class SteinSolution:
     """Mollified Stein solution f_eps for (phi, law, eps).
 
     phi must be a ridge function (`distances.ridge_function`); anything else
-    raises UsageError, as does an s budget below 16 nodes.  Construction
-    takes E[phi(Z)] with `gaussian_mean`, then runs a node-doubling
-    convergence probe of the s-integral; it raises QuadratureError if that
-    integral has not settled (the probe reports both moves of the value and
-    Hessian integrals in `node_doubling_deltas`).  Majorant tables are built
-    once per (delta, window) and kept with the solution.  Points passed to
-    the evaluation and certificate functions must lie in R^dim.
+    raises UsageError.  Construction takes E[phi(Z)] with `gaussian_mean`,
+    then runs a node-doubling convergence probe of the s-integral on its
+    fixed budget of `_S_NODES`; it raises QuadratureError if that integral
+    has not settled (the probe reports both moves of the value and Hessian
+    integrals in `node_doubling_deltas`).  Majorant tables are built once
+    per (delta, window) and kept with the solution.  Points passed to the
+    evaluation and certificate functions must lie in R^dim.
     """
 
     phi: TestFunction
     law: GaussianLaw
     eps: float
-    s_nodes: int = 1024
-    _engine: _RidgeEngine = field(init=False, repr=False, compare=False)
+    _sigma: float = field(init=False, repr=False, compare=False)
     _phi_eps: TestFunction = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
@@ -240,24 +185,50 @@ class SteinSolution:
         if not _EPS_MIN <= self.eps <= _EPS_MAX:
             raise UsageError(
                 f"eps={self.eps} outside the supported range [{_EPS_MIN}, {_EPS_MAX}]")
-        if self.s_nodes < 16:
-            raise UsageError(f"the s-integral needs at least 16 nodes, got {self.s_nodes}")
         ridge = _ridge_of(self.phi, self.law)
-        engine = _RidgeEngine(ridge.profile, ridge.sigma2(self.law), self.eps,
-                              self.s_nodes)
-        object.__setattr__(self, "_engine", engine)
+        object.__setattr__(self, "_sigma", float(np.sqrt(ridge.sigma2(self.law))))
         object.__setattr__(self, "_phi_eps", mollify(self.phi, self.eps, self.law))
         # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ law
         object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.law))
         probe = self._project(self._probe_points())
-        deltas = dict(zip(_GATE_ORDERS, engine.refinement_delta(probe, _GATE_ORDERS)))
+        coarse = self._fk(probe, _GATE_ORDERS)
+        fine = self._fk(probe, _GATE_ORDERS, 2 * _S_NODES)
+        deltas = {order: float(np.max(np.abs(a - b)))
+                  for order, a, b in zip(_GATE_ORDERS, coarse, fine)}
         for order, delta in deltas.items():
             if not delta <= _VERIFY_TOL:  # a NaN fails
                 raise QuadratureError(
                     f"Stein quadrature (order {order}) moved by {delta:.3e} "
-                    f"under node doubling; increase s_nodes")
+                    f"under node doubling from {_S_NODES} s-nodes")
         object.__setattr__(self, "_deltas", deltas)
         object.__setattr__(self, "_majorants", {})
+
+    def _fk(self, w, orders: tuple[int, ...], s_nodes: int | None = None) -> list:
+        """F_k at scalar points w (any shape), one array per order k in
+        `orders`, on `s_nodes` s-nodes (`_S_NODES` if None).
+
+        Gaussian integration by parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns
+        the order-k inner integral at s into s^{k/2} E[h^(k)(sqrt(1-s) w +
+        sqrt(s) sigma Z)], which the profile evaluates in closed form.  The
+        orders of one call share every set of truncated moments; each result
+        has the same bits as a call for its order alone.
+        """
+        w = np.asarray(w, dtype=float)
+        flat = w.reshape(-1)
+        s, sws = _s_panels(self.eps, s_nodes or _S_NODES, orders)
+        outs = [np.zeros(flat.shape) for _ in orders]
+        block = max(1, _EXACT_BLOCK // max(1, flat.size))
+        for start in range(0, len(s), block):
+            sl = slice(start, start + block)
+            sb = s[sl]
+            vals = self.phi.ridge.profile.gaussian_expectations(
+                np.sqrt(1.0 - sb)[:, None] * flat[None, :],
+                (np.sqrt(sb) * self._sigma)[:, None], orders)
+            for out, sw, k, val in zip(outs, sws, orders, vals):
+                if k == 0:
+                    val = val - self._c_eps
+                out += (sw[sl] * sb ** (0.5 * k)) @ val
+        return [out.reshape(w.shape) for out in outs]
 
     @property
     def node_doubling_deltas(self) -> dict:
@@ -286,11 +257,11 @@ class SteinSolution:
     def values(self, x) -> NDArray[np.float64]:
         """f_eps at points x: one point of R^dim as a 1-d x, or an (m, dim)
         batch; the result has shape (m,)."""
-        return self._engine.fk(self._project(self._points(x)), 0)
+        return self.derivative_scalars(self._project(self._points(x)), 0)
 
     def derivative_scalars(self, w, order: int) -> NDArray[np.float64]:
         """The scalar F_k(w), k = order in 0..3, with D^k f = F_k(u.x) u^{(x)k}."""
-        return self._engine.fk(np.asarray(w, dtype=float), order)
+        return self._fk(w, (order,))[0]
 
 
 def stein_residual(sol: SteinSolution, x) -> float:
@@ -299,7 +270,7 @@ def stein_residual(sol: SteinSolution, x) -> float:
     rhs = float(sol._phi_eps(x[None, :])[0]) - sol._c_eps
     w = float(x @ sol.phi.ridge.direction)
     sigma2 = sol.phi.ridge.sigma2(sol.law)
-    f1, f2 = (float(f) for f in sol._engine.fk(np.asarray(w), (1, 2)))
+    f1, f2 = (float(f) for f in sol._fk(w, (1, 2)))
     lhs = -sigma2 * f2 + w * f1
     return abs(lhs - rhs)
 
@@ -351,10 +322,7 @@ class _RidgeMajorant:
         spacing = max(kd / 16.0, (hi - lo) / 40000.0)
         m = int(np.ceil((hi - lo) / spacing)) + 1
         self.grid = np.linspace(lo, hi, m)
-        # the table feeds oscillation *bounds* checked with large slack, so a
-        # reduced s budget (relative error ~1e-4) is ample here
-        self.table_s_nodes = min(sol.s_nodes, 256)
-        tables = sol._engine.fk(self.grid, (2, 3), s_nodes=self.table_s_nodes)
+        tables = sol._fk(self.grid, (2, 3), _TABLE_S_NODES)
         half = int(np.ceil(kd / (self.grid[1] - self.grid[0])))
         size = 2 * half + 1
         self.osc = {order: maximum_filter1d(table, size=size, mode="nearest")
@@ -421,7 +389,7 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     w = sigma * g
     maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))
     value = float(gw @ maj.majorant(w, order))
-    table = {"s_nodes": maj.table_s_nodes, "points": len(maj.grid)}
+    table = {"s_nodes": _TABLE_S_NODES, "points": len(maj.grid)}
     ratio = value / bound
     return {"kind": kind, "delta": delta, "value": value, "bound": bound,
             "ratio": ratio, "passed": bool(ratio <= 1.0), "table": table}

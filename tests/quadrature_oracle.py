@@ -19,7 +19,7 @@ import numpy as np
 
 from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
-from mlclt.stein import _as_orders, _s_panels, _unpack
+from mlclt.stein import _s_panels
 
 # node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
 _EXPECTATION_RTOL = 1e-6
@@ -124,7 +124,7 @@ class GaussHermiteStein:
         """D^k f at points x of shape (m, dim), shape (m,) + (dim,) * k, for
         one order k in 0..3, or a tuple of them for a tuple of orders sharing
         every phi evaluation."""
-        ks = _as_orders(orders)
+        ks = (orders,) if np.ndim(orders) == 0 else tuple(orders)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         s, sws = _s_panels(self.eps, s_nodes or self.s_nodes, ks)
         z, gw = self._nodes(n_axis or self.n_axis)
@@ -141,4 +141,4 @@ class GaussHermiteStein:
             vals = self.phi(arg.reshape(-1, self.law.dim)).reshape(len(x), len(z)) - c0
             for out, sw, kern_w in zip(outs, sws, kern_ws):
                 out += sw[i] * np.tensordot(vals, kern_w, axes=(1, 0))
-        return _unpack(orders, outs)
+        return outs[0] if np.ndim(orders) == 0 else tuple(outs)

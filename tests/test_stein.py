@@ -212,26 +212,32 @@ def test_plain_callable_ramp_gets_one_verdict_however_wrapped():
     assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
 
+def solution_1d(profile, sigma2: float, eps: float) -> SteinSolution:
+    """The solution for the dim-1 ridge function of `profile` under N(0, sigma2)."""
+    law = GaussianLaw(SpdMatrix(np.array([[sigma2]])))
+    return SteinSolution(ridge_function([1.0], profile, 1.0, "h"), law, eps)
+
+
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
     # a no-knot quadratic: order 3 vanishes on its one piece.  At 1717
     # points and 256 s-nodes the s-integral runs in 7 blocks of 38
-    engine = stein._RidgeEngine(poly(0.5, -1.0, 0.25), 1.3, 0.25, 1024)
+    sol = solution_1d(poly(0.5, -1.0, 0.25), 1.3, 0.25)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
-    together = engine.fk(w, (0, 1, 2, 3), s_nodes=256)
+    together = sol._fk(w, (0, 1, 2, 3), 256)
     assert len(together) == 4 and not together[3].any()
     for order, got in enumerate(together):
-        assert np.array_equal(got, engine.fk(w, order, s_nodes=256))
+        assert np.array_equal(got, sol._fk(w, (order,), 256)[0])
 
 
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
     # at 1717 points one block of the closed form holds 38 s-nodes
-    engine = stein._RidgeEngine(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25, 1024)
+    sol = solution_1d(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
-    together = engine.fk(w, (0, 1, 2, 3))
+    together = sol._fk(w, (0, 1, 2, 3))
     for order, got in enumerate(together):
-        assert np.array_equal(got, engine.fk(w, order))
+        assert np.array_equal(got, sol.derivative_scalars(w, order))
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 2.5])
@@ -242,10 +248,10 @@ def test_exact_inner_integral_matches_gauss_hermite(sigma2):
     w = np.linspace(-4.0, 4.0, 20)
     for h in (softclip_profile(0.5, 1.0, 0.0), softclip_profile(0.25, 1.0, -0.5),
               CUBIC):
-        exact = stein._RidgeEngine(h, sigma2, 0.25, 256)
+        exact = solution_1d(h, sigma2, 0.25)
         oracle = GaussHermiteStein(ridge_function([1.0], h, 1.0, "h"), law, 0.25,
                                    s_nodes=256, n_axis=1024)
-        for order, (a, b) in enumerate(zip(exact.fk(w, (0, 1, 2, 3)),
+        for order, (a, b) in enumerate(zip(exact._fk(w, (0, 1, 2, 3), 256),
                                            oracle.fk(w[:, None], (0, 1, 2, 3)))):
             assert np.max(np.abs(a - b.reshape(a.shape))) <= 2e-6, (h, order)
 
@@ -270,7 +276,7 @@ def test_generic_engine_orders_together_keep_each_orders_bits(dim):
 def test_third_derivative_certificate_scaled_covariance():
     # |Lambda^{-1}| = 1/4 and eps = 1/2 give the bound 15 * (1/4) * 2 = 7.5
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
-    sol = SteinSolution(soft_clip_family(1)[0], law, 0.5, s_nodes=2048)
+    sol = SteinSolution(soft_clip_family(1)[0], law, 0.5)
     report = third_derivative_certificate(sol, np.linspace(-4, 4, 9)[:, None])
     assert report["bound"] == 7.5
     assert report["passed"]
@@ -358,20 +364,20 @@ def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
             third_derivative_certificate(soft_clip_sol, empty)
 
 
-def test_quadrature_spec_validation():
-    member = soft_clip_family(1)[0]
-    with pytest.raises(UsageError, match="16 nodes"):
-        SteinSolution(member, STD_1D, 0.5, s_nodes=8)
-    # 16 nodes are admitted, and then fail the node-doubling gate
+def test_quadrature_spec_validation(monkeypatch):
+    # a budget of 16 s-nodes fails the node-doubling gate
+    monkeypatch.setattr(stein, "_S_NODES", 16)
     with pytest.raises(QuadratureError):
-        SteinSolution(member, STD_1D, 0.5, s_nodes=16)
+        SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
 
 
-def test_insufficient_budget_is_reported_not_silently_accepted():
+def test_insufficient_budget_is_reported_not_silently_accepted(monkeypatch):
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
     # the closed form has no inner rule, but 128 s-nodes do not settle
-    with pytest.raises(QuadratureError, match="order 0"):
-        SteinSolution(soft_clip_family(1)[0], law, 0.5, s_nodes=128)
+    with monkeypatch.context() as patch:
+        patch.setattr(stein, "_S_NODES", 128)
+        with pytest.raises(QuadratureError, match="order 0"):
+            SteinSolution(soft_clip_family(1)[0], law, 0.5)
     deltas = SteinSolution(soft_clip_family(1)[0], law, 0.5).node_doubling_deltas
     assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
@@ -425,9 +431,13 @@ def test_a_nan_fails_every_gate(monkeypatch):
     monkeypatch.setattr(support, "_max_gradient", lambda phi, points: np.nan)
     assert not class_membership_check(half, STD_1D, **grid).passed
     # Stein construction: a NaN node-doubling delta on either gated order
-    for nan_order, deltas in ((0, (np.nan, 0.0)), (2, (0.0, np.nan))):
-        monkeypatch.setattr(stein._RidgeEngine, "refinement_delta",
-                            lambda self, w, orders, d=deltas: d)
+    fk = SteinSolution._fk
+    for nan_order in (0, 2):
+        def nan_fk(self, w, orders, s_nodes=None, k=nan_order):
+            outs = fk(self, w, orders, s_nodes)
+            return [np.full_like(out, np.nan) if order == k else out
+                    for order, out in zip(orders, outs)]
+        monkeypatch.setattr(SteinSolution, "_fk", nan_fk)
         with pytest.raises(QuadratureError, match=f"order {nan_order}"):
             SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
 
