@@ -100,6 +100,14 @@ class ExperimentConfig:
         for key in self.policy:
             if key not in DEFAULT_POLICY:
                 raise UsageError(f"unknown policy constant {key!r}")
+        if self.n_dim < 1:
+            raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
+        exp = _EXPERIMENTS[self.experiment]
+        if exp.key == "L":
+            # every L's preset and structure pass their own checks before
+            # any unit samples
+            for L, _ in exp.units(self):
+                self.structure_for(L)
 
     def structure_for(self, L: int):
         spec, structure = make_preset(self.preset, self.d, L, K=self.K,

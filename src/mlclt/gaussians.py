@@ -32,8 +32,9 @@ class SpdMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise UsageError(f"SpdMatrix needs a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise UsageError(
+                f"SpdMatrix needs a nonempty square matrix, got shape {a.shape}")
         asym = np.max(np.abs(a - a.T))
         if asym > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
             raise UsageError(f"matrix is not symmetric (asymmetry {asym:.3e})")

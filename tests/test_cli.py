@@ -488,9 +488,38 @@ def test_main_usage_errors_exit_two(tmp_path, capsys):
     assert main(["clt-rate", "--policy", "bogus=1"]) == 2
     assert main(["clt-rate", "--policy", "c_variance=2"]) == 2
     assert main(["clt-rate", "--L", "32,16", "--n-samples", "2000"]) == 2
-    # a usage error inside a unit is not a recorded failure: the run stops
     assert main(["clt-rate", "--L", "16,2097152", "--n-samples", "1000"]) == 2
+    for n_dim in ("0", "-1"):
+        assert main(["stein-certify", "--n-dim", n_dim]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_structure_exits_before_any_unit_samples(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("mlclt.cli.monte_carlo",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "x.csv"
+    for args in (["--L", "16,2097152"], ["--L", "16", "--K", "0.5"],
+                 ["--L", "16", "--d", "4"], ["--L", "16", "--n-dim", "4"]):
+        assert main(["clt-rate", *args, "--n-samples", "1000", "--out", str(out)]) == 2
+        assert not out.exists() and not calls
+    assert main(["oracle", "--n-dim", "4", "--out", str(out)]) == 2
+    assert not out.exists() and not calls
+    assert "error:" in capsys.readouterr().err
+
+
+def test_usage_error_inside_a_unit_stops_the_run(tmp_path, monkeypatch):
+    # a usage error is not a recorded failure: the run exits 2 at once
+    def refuse(spec, structure, *args, **kwargs):
+        calls.append(structure.L)
+        raise UsageError("injected")
+
+    calls = []
+    monkeypatch.setattr("mlclt.cli.monte_carlo", refuse)
+    assert main(["clt-rate", "--L", "4,8", "--n-samples", "1000",
+                 "--out", str(tmp_path / "rate.csv")]) == 2
+    assert calls == [4]
+    assert not (tmp_path / "rate.csv.manifest.json").exists()
 
 
 def test_main_version_exits_zero():

@@ -16,6 +16,8 @@ def test_spd_rejects_nonsquare_and_asymmetric_and_degenerate():
         SpdMatrix(np.zeros((2, 2)))
     with pytest.raises(UsageError):
         SpdMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))  # rank one
+    with pytest.raises(UsageError, match="nonempty"):
+        SpdMatrix(np.eye(0))
 
 
 def test_spd_spectral_helpers():
