@@ -253,7 +253,7 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
     else:  # groups are translates of one interior window: equal lengths
         pos = {idx: a for a, idx in enumerate(indices)}
         cols = np.array([[pos[i] for i in g] for g in grouping.groups.values()])
-    samples, sums, _ = monte_carlo(spec, structure, n, master_seed, groups=cols)
+    samples, sums = monte_carlo(spec, structure, n, master_seed, groups=cols)
     x = samples.values[:, 0]
     xc = x - x.mean()
 

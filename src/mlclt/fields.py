@@ -34,7 +34,7 @@ from scipy.special import log1p, ndtri
 
 from ._util import _MC_STREAM_TAG, UsageError, philox_key
 from .distances import DiscreteLaw, SampleSet
-from .multilevel import DependenceStructure, build_index_set
+from .multilevel import DependenceStructure
 
 __all__ = [
     "SyntheticSpec",
@@ -334,14 +334,14 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     Realization k is a pure function of (master_seed, k), so results do not
     depend on `chunk_size`, which only bounds the realizations in memory at
     once.  Returns a SampleSet, or with `groups`, an int array of shape
-    (n_groups, group_len) holding columns in build_index_set order, a tuple
-    (SampleSet, sums, indices): sums[k, g] is the sum of realization k's
-    values over the columns groups[g], shape (n, n_groups, n_components),
-    and `np.arange(n_indices)[:, None]` gives the per-index values
-    themselves.  A grouped run writes each chunk's per-index values into
-    one buffer of at most 2^20 doubles (or one realization's, if larger) and
-    reduces them there; its totals are those values summed as numpy
-    reduces them, its group sums add each group's columns in order.
+    (n_groups, group_len) holding columns in build_index_set order, a pair
+    (SampleSet, sums): sums[k, g] is the sum of realization k's values over
+    the columns groups[g], shape (n, n_groups, n_components), and
+    `np.arange(n_indices)[:, None]` gives the per-index values themselves.
+    A grouped run writes each chunk's per-index values into one buffer of at
+    most 2^20 doubles (or one realization's, if larger) and reduces them
+    there; its totals are those values summed as numpy reduces them, its
+    group sums add each group's columns in order.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
@@ -352,20 +352,20 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
 
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
-    indices = build_index_set(structure)
+    n_indices = sum(lv.n_anchors for lv in levels.levels)
     totals = np.empty((n, n_comp))
     if groups is not None:
         groups = np.asarray(groups)
         if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.shape[1] < 1
-                or groups.size and not 0 <= groups.min() <= groups.max() < len(indices)):
+                or groups.size and not 0 <= groups.min() <= groups.max() < n_indices):
             raise UsageError("groups must be a 2-d int array of index columns "
-                             f"in [0, {len(indices)}), at least one per group")
+                             f"in [0, {n_indices}), at least one per group")
         if n * len(groups) * n_comp > 2 * 10 ** 8:
             raise UsageError("group-sum storage for this run would exceed the guard; "
                              "reduce n or the number of groups")
-        width = max(len(indices), groups.size) * n_comp
+        width = max(n_indices, groups.size) * n_comp
         chunk_size = max(1, min(chunk_size, _GROUP_BUFFER // width))
-        buf = np.empty((chunk_size, len(indices), n_comp))
+        buf = np.empty((chunk_size, n_indices, n_comp))
         sums = np.empty((n, len(groups), n_comp))
     for k0 in range(0, n, chunk_size):
         chunk = slice(k0, min(k0 + chunk_size, n))
@@ -385,7 +385,7 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
             acc += cols[:, :, j]
     samples = SampleSet(values=totals, master_seed=master_seed)
     if groups is not None:
-        return samples, sums, indices
+        return samples, sums
     return samples
 
 

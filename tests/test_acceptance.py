@@ -178,8 +178,9 @@ def test_acceptance_5_dependence_structure():
     # empirical independence of chi = 0 pairs and covariance assembly
     spec, st = make_preset("cube", 1, 64, K=1.0)
     n = 10 ** 5
-    samples, per_index, indices = monte_carlo(
-        spec, st, n, 12345, groups=np.arange(len(build_index_set(st)))[:, None])
+    indices = build_index_set(st)
+    samples, per_index = monte_carlo(spec, st, n, 12345,
+                                     groups=np.arange(len(indices))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
     far_i, far_j = LevelIndex(0, (0,)), LevelIndex(0, (32,))
     assert not chi_matrix(st, [far_i], [far_j])[0, 0]
@@ -305,8 +306,9 @@ def test_acceptance_8_moderate_deviations():
     # reassembly: group plus remainder values equal the total exactly
     spec64, s64 = make_preset("cube", 1, 64)
     g64 = moderate_grouping(s64, 64)
-    _, per_index, indices = monte_carlo(
-        spec64, s64, 100, 13, groups=np.arange(len(build_index_set(s64)))[:, None])
+    indices = build_index_set(s64)
+    _, per_index = monte_carlo(spec64, s64, 100, 13,
+                               groups=np.arange(len(indices))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
     part = (per_index[:, [pos[i] for i in flat(g64.groups)], 0].sum(axis=1)
             + per_index[:, [pos[i] for i in flat(g64.remainders)], 0].sum(axis=1))

@@ -148,8 +148,8 @@ def test_grouping_partitions_the_index_set():
 def test_grouping_values_reassemble_total():
     spec, s = make_preset("cube", 1, 64)
     g = moderate_grouping(s, 64)
-    _, per_index, indices = monte_carlo(
-        spec, s, 50, 13, groups=np.arange(len(build_index_set(s)))[:, None])
+    indices = build_index_set(s)
+    _, per_index = monte_carlo(spec, s, 50, 13, groups=np.arange(len(indices))[:, None])
     pos = {idx: a for a, idx in enumerate(indices)}
     part = (per_index[:, [pos[i] for i in flat(g.groups)], 0].sum(axis=1)
             + per_index[:, [pos[i] for i in flat(g.remainders)], 0].sum(axis=1))

@@ -287,7 +287,7 @@ def test_monte_carlo_is_chunk_size_invariant():
     spec, st = make_preset("cube", 1, 16)
     runs = [monte_carlo(spec, st, 3000, 77, chunk_size=c, groups=_each_index(st))
             for c in (1, 512, 3000, 4096)]
-    for samples, per_index, _ in runs[1:]:
+    for samples, per_index in runs[1:]:
         assert np.array_equal(samples.values, runs[0][0].values)
         assert np.array_equal(per_index, runs[0][1])
 
@@ -322,8 +322,8 @@ def _stream_digest(runs) -> str:
     digest = hashlib.sha256()
     for spec, st in runs:
         totals = monte_carlo(spec, st, 250, 2026, chunk_size=96)
-        samples, per_index, _ = monte_carlo(spec, st, 250, 2026, chunk_size=96,
-                                            groups=_each_index(st))
+        samples, per_index = monte_carlo(spec, st, 250, 2026, chunk_size=96,
+                                         groups=_each_index(st))
         for arr in (totals.values, samples.values, per_index):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()
@@ -360,8 +360,8 @@ def test_monte_carlo_windows_are_pinned():
     for gen, st, n in _window_runs():
         arrays = [monte_carlo(gen, st, n, 2026, chunk_size=96).values]
         if n > 3:
-            samples, per_index, _ = monte_carlo(gen, st, n, 2026, chunk_size=96,
-                                                groups=_each_index(st))
+            samples, per_index = monte_carlo(gen, st, n, 2026, chunk_size=96,
+                                             groups=_each_index(st))
             arrays += [samples.values, per_index]
         for arr in arrays:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -376,8 +376,8 @@ def test_count_path_matches_float_path(d, L, K):
     # through tables; the float path maps the float sums themselves
     for n_comp in (1, 3):
         spec, st = make_preset("cube", d, L, K=K, n_components=n_comp)
-        _, per_index, _ = monte_carlo(spec, st, 6, 404, chunk_size=4,
-                                      groups=_each_index(st))
+        _, per_index = monte_carlo(spec, st, 6, 404, chunk_size=4,
+                                   groups=_each_index(st))
         for k in range(6):
             direct = _direct_values(spec, st, _draw_rows(d, L, "rademacher", 404, k, 1))
             assert np.array_equal(per_index[k], direct[0])
@@ -400,7 +400,7 @@ def test_count_path_matches_float_path_past_int16_prefix_entries():
     # window sums up to 129 and its prefix entries reach 129 * 385 > 2^15
     spec, st = make_preset("cube", 2, 256)
     assert 2 * st.box_radius(2) + 1 == 129
-    _, per_index, _ = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
+    _, per_index = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
     for k in range(3):
         direct = _direct_values(spec, st, _draw_rows(2, 256, "rademacher", 404, k, 1))
         assert np.array_equal(per_index[k], direct[0])
@@ -417,7 +417,7 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
     spec, st = make_preset(name, d, L, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
     runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
-             *monte_carlo(spec, st, n, 77, chunk_size=c, groups=_each_index(st))[:2])
+             *monte_carlo(spec, st, n, 77, chunk_size=c, groups=_each_index(st)))
             for c in (1, 7, n, n + 1)]
     for totals, samples, per_index in runs:
         assert np.array_equal(totals, runs[0][0])
@@ -443,7 +443,7 @@ def test_group_sums_are_chunk_size_invariant(name, d, L, K, n_comp):
     groups = _some_groups(st)
     runs = [monte_carlo(spec, st, 40, 77, chunk_size=c, groups=groups)
             for c in (1, 7, 4096)]
-    for samples, sums, _ in runs:
+    for samples, sums in runs:
         assert sums.shape == (40, len(groups), n_comp)
         assert np.array_equal(samples.values, runs[0][0].values)
         assert np.array_equal(sums, runs[0][1])
@@ -453,9 +453,8 @@ def test_group_sums_are_chunk_size_invariant(name, d, L, K, n_comp):
 def test_group_sums_match_summed_per_index_values(name, d, L, K, n_comp):
     spec, st = make_preset(name, d, L, K=K, n_components=n_comp)
     groups = _some_groups(st)
-    samples, sums, indices = monte_carlo(spec, st, 60, 5, chunk_size=16, groups=groups)
-    every, per_index, _ = monte_carlo(spec, st, 60, 5, groups=_each_index(st))
-    assert indices == build_index_set(st)
+    samples, sums = monte_carlo(spec, st, 60, 5, chunk_size=16, groups=groups)
+    every, per_index = monte_carlo(spec, st, 60, 5, groups=_each_index(st))
     assert np.array_equal(samples.values, every.values)
     assert np.allclose(sums, per_index[:, groups].sum(axis=2), rtol=0.0, atol=1e-12)
 
@@ -494,7 +493,7 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
     for name in PRESET_NAMES:
         spec, st = make_preset(name, d, L, K=K, n_components=3)
         assert (2 * st.box_radius(0) + 1 < L) == (K == 1.0 or L == 32)
-        _, got, _ = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
+        _, got = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
         expect = _box_oracle(spec, st, boxes, _draw_rows(d, L, spec.dist, 2026, 0, n))
         if spec.dist == "rademacher":  # integer box sums: bit for bit
             assert np.array_equal(got, expect)
@@ -558,8 +557,7 @@ def test_moderate_tail_table_holds_no_per_index_array():
 
 def test_per_index_values_sum_to_totals():
     spec, st = make_preset("exp-tail", 1, 16)
-    samples, per_index, indices = monte_carlo(spec, st, 500, 9,
-                                              groups=_each_index(st))
+    samples, per_index = monte_carlo(spec, st, 500, 9, groups=_each_index(st))
     assert per_index.shape == (500, len(build_index_set(st)), 1)
     assert np.allclose(per_index.sum(axis=1), samples.values, atol=1e-12)
 
@@ -567,10 +565,9 @@ def test_per_index_values_sum_to_totals():
 def test_per_index_stretched_norms_fit_preset_budget():
     for name in PRESET_NAMES:
         spec, st = make_preset(name, 1, 16)
-        _, per_index, indices = monte_carlo(spec, st, 20000, 99,
-                                            groups=_each_index(st))
+        _, per_index = monte_carlo(spec, st, 20000, 99, groups=_each_index(st))
         worst = max(stretched_norm(per_index[:, a, 0], st.gamma).value
-                    for a in range(len(indices)))
+                    for a in range(per_index.shape[1]))
         assert worst <= st.B / 16.0, (name, worst)
 
 
