@@ -32,7 +32,8 @@ import scipy
 from . import __version__
 from ._util import (_FLOOR_COUNTER, _STEIN_PROBE_TAG, UsageError,
                     counter_rng)
-from .concentration import bennett_tail_table, moderate_tail_table, remainder_budget
+from .concentration import (_check_grouping, bennett_tail_table, moderate_tail_table,
+                            remainder_budget)
 from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         sliced_w1 as _sliced_w1, w1_discrete_pair,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
@@ -104,10 +105,12 @@ class ExperimentConfig:
             raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
         exp = _EXPERIMENTS[self.experiment]
         if exp.key == "L":
-            # every L's preset and structure pass their own checks before
-            # any unit samples
+            # every L's preset, structure and grouping scale pass their own
+            # checks before any unit samples or the CSV opens
             for L, _ in exp.units(self):
-                self.structure_for(L)
+                _, structure = self.structure_for(L)
+                if self.experiment == "moderate":
+                    _check_grouping(structure, self.ell_for(L))
 
     def structure_for(self, L: int):
         spec, structure = make_preset(self.preset, self.d, L, K=self.K,
@@ -118,6 +121,9 @@ class ExperimentConfig:
                 gamma=self.gamma if self.gamma is not None else structure.gamma,
                 B=self.B if self.B is not None else structure.B)
         return spec, structure
+
+    def ell_for(self, L: int) -> int:
+        return self.ell if self.ell is not None else _default_ell(L)
 
     def echo(self) -> dict:
         out = {}
@@ -400,7 +406,7 @@ def _moderate_unit(config: ExperimentConfig, L: int):
     grouping, with the remainder budget beside the measured
     `remainder_norm`."""
     spec, structure = config.structure_for(L)
-    ell = config.ell if config.ell is not None else _default_ell(L)
+    ell = config.ell_for(L)
     table = moderate_tail_table(structure, spec, ell, config.n_samples,
                                 row_seed(config.master_seed, L))
     decision = {"decision": "grouping", "L": L, "ell": ell,

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._util import _TAILS_TAG, UsageError, counter_rng
-from .multilevel import DependenceStructure, LevelIndex, build_index_set
+from .multilevel import DependenceStructure
 
 __all__ = [
     "StretchedNorm",
@@ -126,65 +126,59 @@ def iid_tail_bound(v: float, m: int, b: float, gamma0: float, r: float) -> dict:
 
 @dataclass(frozen=True)
 class Grouping:
-    """Partition of the multilevel index set into well-separated groups plus
-    remainders.
+    """Well-separated groups of the multilevel index set; the indices in no
+    group are the remainders.
 
     Groups live on levels m <= m0 = floor(log2(ell / (4 K log2 L))): group i
     (i on the ell-lattice) collects indices i + j with j in the interior
     window [2^{p(m)}, ell - 2^{p(m)})^d, where p(m) is the smallest integer
     with 2^{p(m)} >= 2^{m+2} K log2(L) (capped at log2 L).  Boundary strips
-    of the grouped levels and all levels above m0 are remainders.  The
-    grouping is degenerate when it builds no group: when ell <= 4 K log2(L)
-    there are no grouped levels at all, and when 2^{p(m)} >= ell / 2 on
-    every grouped level every interior window is empty.
+    of the grouped levels and all levels above m0 are remainders.
+
+    `groups` holds each group's columns (`DependenceStructure.positions`)
+    as one row of an int array, shape (n_groups, group_len): groups in the
+    C-order of i, in each levels 0 .. m0 in turn, each in the C-order of j.
+    The grouping is degenerate, shape (0, 0), when it builds no group: when
+    ell <= 4 K log2(L) there are no grouped levels at all, and when 2^{p(m)}
+    >= ell / 2 on every grouped level every interior window is empty.
     """
 
     structure: DependenceStructure
     ell: int
     m0: int
-    p: dict
-    groups: dict
-    remainders: dict
-    degenerate: bool
+    groups: np.ndarray
 
-    def group_count(self) -> int:
-        return sum(1 for g in self.groups.values() if g)
+    @property
+    def degenerate(self) -> bool:
+        return not self.groups.size
+
+
+def _check_grouping(structure: DependenceStructure, ell: int) -> None:
+    """Refuse a scale that `moderate_grouping` cannot tile the torus with."""
+    if structure.L & (structure.L - 1):
+        raise UsageError("grouping requires dyadic L")
+    if ell < 1 or structure.L % ell or (ell & (ell - 1)):
+        raise UsageError("ell must be a dyadic divisor of L")
 
 
 def moderate_grouping(structure: DependenceStructure, ell: int) -> Grouping:
     st = structure
-    if st.L & (st.L - 1):
-        raise UsageError("grouping requires dyadic L")
-    if ell < 1 or st.L % ell or (ell & (ell - 1)):
-        raise UsageError("ell must be a dyadic divisor of L")
+    _check_grouping(st, ell)
     klog = st.K * st.log_l
     m0 = int(math.floor(math.log2(ell / (4.0 * klog)))) if ell > 4.0 * klog else -1
     cap = int(math.log2(st.L))
-    p = {m: min(cap, max(m, int(math.ceil(math.log2(2.0 ** (m + 2) * klog)))))
-         for m in range(m0 + 1)}
-
-    import itertools
-    anchors = list(itertools.product(range(0, st.L, ell), repeat=st.d))
-    groups: dict[tuple, tuple] = {}
-    remainders: dict[int, list] = {}
+    # the group anchors, then each level's interior offsets, in C-order
+    corners = ell * np.indices((st.L // ell,) * st.d).reshape(st.d, -1).T
+    groups = [np.empty((len(corners), 0), dtype=np.intp)]
     for m in range(m0 + 1):
-        margin = 1 << p[m]
-        rem_m = []
-        for anchor in anchors:
-            for offs in itertools.product(range(0, ell, 1 << m), repeat=st.d):
-                y = tuple((a + o) % st.L for a, o in zip(anchor, offs))
-                idx = LevelIndex(m, y)
-                if all(margin <= o < ell - margin for o in offs):
-                    groups.setdefault(anchor, []).append(idx)
-                else:
-                    rem_m.append(idx)
-        remainders[m] = rem_m
-    for m in range(m0 + 1, st.max_level + 1):
-        remainders[m] = [LevelIndex(m, y) for y in st.lattice(m)]
-    groups = {a: tuple(g) for a, g in groups.items()}
-    remainders_t = {m: tuple(r) for m, r in remainders.items()}
-    return Grouping(structure=st, ell=ell, m0=m0, p=p, groups=groups,
-                    remainders=remainders_t, degenerate=not groups)
+        margin = 1 << min(cap, max(m, int(math.ceil(math.log2(2.0 ** (m + 2) * klog)))))
+        offs = np.arange(0, ell, 1 << m)
+        offs = offs[(margin <= offs) & (offs < ell - margin)]
+        window = offs[np.indices((len(offs),) * st.d).reshape(st.d, -1).T]
+        groups.append(st.positions(m, corners[:, None] + window))
+    groups = np.hstack(groups)
+    return Grouping(structure=st, ell=ell, m0=m0,
+                    groups=groups if groups.size else groups[:0])
 
 
 def remainder_budget(structure: DependenceStructure, ell: int) -> float:
@@ -247,12 +241,9 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
     """
     from .fields import monte_carlo
     grouping = moderate_grouping(structure, ell)
-    indices = build_index_set(structure)
+    cols = grouping.groups
     if grouping.degenerate:  # one group of every index; the sums go unused
-        cols = np.arange(len(indices))[None, :]
-    else:  # groups are translates of one interior window: equal lengths
-        pos = {idx: a for a, idx in enumerate(indices)}
-        cols = np.array([[pos[i] for i in g] for g in grouping.groups.values()])
+        cols = np.arange(structure.level_start(structure.max_level + 1))[None, :]
     samples, sums = monte_carlo(spec, structure, n, master_seed, groups=cols)
     x = samples.values[:, 0]
     xc = x - x.mean()
@@ -297,8 +288,8 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
         "ell": ell,
         "m0": grouping.m0,
         "degenerate": grouping.degenerate,
-        "n_groups": grouping.group_count(),
-        "group_len": 0 if grouping.degenerate else cols.shape[1],
+        "n_groups": len(grouping.groups),
+        "group_len": grouping.groups.shape[1],
         "grouped_variance": var_g,
         "remainder_norm": rem_norm,
         "delta": delta,

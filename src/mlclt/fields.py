@@ -220,7 +220,7 @@ class _SyntheticLevels:
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
                  tabulate: bool = False):
-        st = structure
+        st = self.structure = structure
         self.spec = spec
         self.d, self.L = st.d, st.L
         self.tabulate = tabulate
@@ -293,11 +293,12 @@ def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.fl
 
 def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
                             out: NDArray[np.float64]) -> None:
-    """Write the (n, n_indices, n_components) values, in build_index_set order, to out."""
-    a = 0
+    """Write the (n, n_indices, n_components) values to out in the index
+    set's column order (`DependenceStructure.positions`): level by level,
+    each level's anchors in the C-order that `values` yields them in."""
     for lv, vals in levels.values(noise, levels.levels):
+        a = levels.structure.level_start(lv.m)
         out[:, a:a + lv.n_anchors] = vals.T
-        a += lv.n_anchors
 
 
 def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
@@ -334,10 +335,12 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     Realization k is a pure function of (master_seed, k), so results do not
     depend on `chunk_size`, which only bounds the realizations in memory at
     once.  Returns a SampleSet, or with `groups`, an int array of shape
-    (n_groups, group_len) holding columns in build_index_set order, a pair
-    (SampleSet, sums): sums[k, g] is the sum of realization k's values over
-    the columns groups[g], shape (n, n_groups, n_components), and
+    (n_groups, group_len) holding index columns, a pair (SampleSet, sums):
+    sums[k, g] is the sum of realization k's values over the columns
+    groups[g], shape (n, n_groups, n_components), and
     `np.arange(n_indices)[:, None]` gives the per-index values themselves.
+    The columns run level by level from level 0, each level in the C-order
+    of its anchors y / 2^m (`DependenceStructure.positions`).
     A grouped run writes each chunk's per-index values into one buffer of at
     most 2^20 doubles (or one realization's, if larger) and reduces them
     there; its totals are those values summed as numpy reduces them, its

@@ -1,6 +1,6 @@
-"""Multilevel local dependence on the discrete torus: index sets, dependency
-indicators, neighborhood aggregates, bar-constant budgets, the epsilon/ell
-choices, and the assembled normal-approximation bound.
+"""Multilevel local dependence on the discrete torus: the index set's column
+order, dependency indicators, bar-constant budgets, the epsilon/ell choices,
+and the assembled normal-approximation bound.
 
 Conventions: the lattice is Z^d mod L; level m lives on the sublattice
 2^m Z^d with levels 0 .. 1 + floor(log2 L); the index (m, y) owns the
@@ -8,15 +8,15 @@ periodic support box y + K log2(L) [-2^m, 2^m]^d.  All lattice logarithms are
 base 2.  Named policy constants (the unspecified C(d, gamma, ...) factors)
 default to 1 and are configurable through a single table.
 
-The support-box geometry lives only in this module.  `chi_matrix` broadcasts
-the levels and anchors of two index lists into the boolean matrix of pair
-indicators, from the periodic box gaps that `periodic_distance` gives per
-axis; `chi3` is a single-triple view of the same test.  `box_radius` serves
-the synthetic sampler.
+The index set travels as column positions, in the one order that
+`DependenceStructure.positions` defines.  The support-box geometry lives only
+in this module.  `chi_matrix` broadcasts the levels and anchors of two index
+lists into the boolean matrix of pair indicators, from the periodic box gaps
+that `periodic_distance` gives per axis.  `box_radius` serves the synthetic
+sampler.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -30,19 +30,13 @@ from .gaussians import SpdMatrix
 __all__ = [
     "LevelIndex",
     "DependenceStructure",
-    "MultilevelSample",
-    "build_index_set",
-    "chi3",
     "chi_matrix",
     "periodic_distance",
-    "lift",
-    "aggregates",
     "BarConstants",
     "bar_constants",
     "choose_eps_ell",
     "theorem_bound",
     "BoundReport",
-    "lambda_matrix",
     "DEFAULT_POLICY",
 ]
 
@@ -109,8 +103,19 @@ class DependenceStructure:
         """Points per axis of 2^m Z cap [0, L)."""
         return -(-self.L // (1 << m))
 
-    def lattice(self, m: int) -> list[tuple]:
-        return list(itertools.product(range(0, self.L, 1 << m), repeat=self.d))
+    def level_start(self, m: int) -> int:
+        """Column of level m's first index; level_start(max_level + 1) is the
+        number of indices."""
+        return sum(self.lattice_count(k) ** self.d for k in range(m))
+
+    def positions(self, m: int, y) -> NDArray[np.intp]:
+        """Columns of the level-m indices anchored at y, an int array whose
+        last axis holds anchors on 2^m Z^d cap [0, L)^d.  This is the index
+        set's column order: level by level from level 0, each level in the
+        C-order of y / 2^m."""
+        y = np.moveaxis(np.asarray(y) >> m, -1, 0)
+        return self.level_start(m) + np.ravel_multi_index(
+            tuple(y), (self.lattice_count(m),) * self.d)
 
     def halfwidth(self, m):
         """Half-width of the support box of a level-m index (m may be an array)."""
@@ -119,22 +124,6 @@ class DependenceStructure:
     def box_radius(self, m: int) -> int:
         """Integer half-width: a level-m box holds the cells this close to its anchor."""
         return int(math.floor(self.halfwidth(m)))
-
-
-@dataclass(frozen=True)
-class MultilevelSample:
-    """One realization of a multilevel family: a value in R^N per index."""
-
-    structure: DependenceStructure
-    values: dict
-
-
-def build_index_set(structure: DependenceStructure) -> list[LevelIndex]:
-    """All indices (m, y), m = 0 .. 1 + floor(log2 L), y in 2^m Z^d cap [0,L)^d."""
-    out = []
-    for m in structure.levels():
-        out.extend(LevelIndex(m, y) for y in structure.lattice(m))
-    return out
 
 
 def periodic_distance(a, b, L: int):
@@ -163,69 +152,15 @@ def _box_gaps(structure: DependenceStructure, rows, cols) -> NDArray[np.float64]
     return gap
 
 
-def _dependent(structure: DependenceStructure, rows, cols, level: int = 0):
-    """Boolean (n_rows, n_cols) matrix: boxes within 2 * 2^top K log2(L), top the
-    larger level of the pair or `level` (the larger of the two thresholds)."""
-    thresh = [2.0 * (1 << np.maximum(m, level)) * structure.K * structure.log_l
-              for m in (rows[0], cols[0])]
-    return _box_gaps(structure, rows, cols) <= np.maximum.outer(*thresh)
-
-
 def chi_matrix(structure: DependenceStructure, rows: Sequence[LevelIndex],
                cols: Optional[Sequence[LevelIndex]] = None) -> NDArray[np.bool_]:
     """Pair dependency indicators chi(i, j), i in rows and j in cols (default
-    rows), as a boolean (len(rows), len(cols)) matrix."""
+    rows), as a boolean (len(rows), len(cols)) matrix: 1 iff the support boxes
+    come within 2 * 2^{max(m_i, m_j)} K log2(L)."""
     r = _arrays(structure, rows)
-    return _dependent(structure, r, r if cols is None else _arrays(structure, cols))
-
-
-def chi3(structure: DependenceStructure, i: LevelIndex, j: LevelIndex,
-         k: LevelIndex) -> int:
-    """Triple dependency indicator: 1 iff k's box comes within
-    2 * 2^{max(mi, mj, mk)} K log2(L) of i's box or of j's box."""
-    return int(_dependent(structure, _arrays(structure, [i, j]),
-                          _arrays(structure, [k]), max(i.m, j.m)).any())
-
-
-def lift(structure: DependenceStructure, j: LevelIndex, n: int) -> LevelIndex:
-    """Lift of index j to level n >= m(j): the level-n cell containing y(j)."""
-    if not j.m <= n <= structure.max_level:
-        raise UsageError(f"lift level must lie in [{j.m}, {structure.max_level}], got {n}")
-    step = 1 << n
-    return LevelIndex(n, tuple((c // step) * step % structure.L for c in j.y))
-
-
-def aggregates(sample: MultilevelSample, i: LevelIndex, j_or_l: LevelIndex,
-               expectations: Optional[Mapping] = None) -> dict:
-    """Neighborhood aggregates at (i, j_or_l) for one realization.
-
-      z_i  = sum over chi-neighbors j of X_j
-      z_ij = sum over k with chi3(i, j, k) = 1 of X_k
-      w_ij = X_i (x) X_j - E[X_i (x) X_j]
-      y_il = sum over lower-level chi-neighbors j of i whose level-m(i) lift
-             is l of (X_i (x) X_j - E[X_i (x) X_j])
-
-    `expectations` maps ordered index pairs to E[X_i (x) X_j]; missing pairs
-    count as zero (exactly centered independent pairs).
-    """
-    st = sample.structure
-    exp = expectations or {}
-    j = j_or_l
-    keys = list(sample.values)
-    xs = np.array([np.atleast_1d(v) for v in sample.values.values()], dtype=float)
-    xi = np.atleast_1d(np.asarray(sample.values[i], dtype=float))
-    xj = np.atleast_1d(np.asarray(sample.values[j], dtype=float))
-    levels, anchors = every = _arrays(st, keys)
-    near_i = _dependent(st, _arrays(st, [i]), every)[0]
-    near_ij = _dependent(st, _arrays(st, [i, j]), every, max(i.m, j.m)).any(axis=0)
-    step = 1 << i.m
-    lifted = (anchors // step) * step % st.L
-    below = near_i & (levels < i.m) & (j.m == i.m) & (lifted == j.y).all(axis=1)
-    y_il = (np.outer(xi, xs[below].sum(axis=0))
-            - sum(np.asarray(exp.get((i, keys[a]), 0.0)) for a in np.flatnonzero(below)))
-    w_ij = np.outer(xi, xj) - np.asarray(exp.get((i, j), 0.0))
-    return {"z_i": xs[near_i].sum(axis=0), "z_ij": xs[near_ij].sum(axis=0),
-            "w_ij": w_ij, "y_il": y_il}
+    c = r if cols is None else _arrays(structure, cols)
+    top = np.maximum.outer(r[0], c[0])
+    return _box_gaps(structure, r, c) <= 2.0 * (1 << top) * structure.K * structure.log_l
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +371,3 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
         condition_lhs=cond,
         condition_satisfied=cond <= 1.0 / pol["c_condition"],
         eps=eps, ell=ell, dim=n, policy=pol)
-
-
-def lambda_matrix(structure: DependenceStructure, indices: Sequence[LevelIndex],
-                  values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Estimate Lambda = sum over chi-pairs of E[X_i (x) X_j] from per-index
-    Monte Carlo values of shape (n, len(indices), dim)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != len(indices):
-        raise UsageError("values must have shape (n, n_indices, dim)")
-    n, n_idx, dim = values.shape
-    centered = values - values.mean(axis=0, keepdims=True)
-    flat = centered.reshape(n, n_idx * dim)
-    cov = flat.T @ flat / n  # (n_idx * dim, n_idx * dim)
-    cov = cov.reshape(n_idx, dim, n_idx, dim)
-    lam = np.einsum("aibj,ab->ij", cov, chi_matrix(structure, indices).astype(float))
-    return (lam + lam.T) / 2.0

@@ -1,8 +1,12 @@
 """Test helpers that the library does not ship: a constant-bar stub for
-`theorem_bound`, the indices of a grouping's groups or remainders as one list,
-the check that a grouping's groups share no noise cell, and the sampled check
-of a test function against the restricted test class.
+`theorem_bound`, the index set and a grouping's groups as `LevelIndex`
+lists, enumerated by loops as the reference for the library's column
+positions, the columns that a grouping leaves as remainders, the check that
+groups share no noise cell, and the sampled check of a test function against
+the restricted test class.
 """
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -11,7 +15,7 @@ from quadrature_oracle import hermite_grid
 from scipy.special import ndtri
 
 from mlclt._util import UsageError
-from mlclt.multilevel import periodic_distance
+from mlclt.multilevel import LevelIndex, periodic_distance
 
 
 @dataclass(frozen=True)
@@ -28,21 +32,54 @@ class FixedBars:
     xbar = wbar = zbar = zbar2 = ybar = _const
 
 
-def flat(parts) -> list:
-    """The items of a dict of sequences, in order: every index of a
-    grouping's `groups` or of its `remainders`."""
-    return [item for part in parts.values() for item in part]
+def lattice(structure, m: int) -> list:
+    """The level-m anchors, 2^m Z^d cap [0, L)^d, in C-order."""
+    return list(itertools.product(range(0, structure.L, 1 << m), repeat=structure.d))
 
 
-def groups_disjoint(structure, grouping) -> bool:
-    """True iff the noise supports of distinct groups share no cell
-    (vacuously true with fewer than two nonempty groups).  Two support boxes
-    share a cell iff on every axis the periodic distance of their anchors is
-    at most the sum of their integer half-widths.  It compares every pair of
-    indices of every pair of groups, O(pairs x group_len^2)."""
+def build_index_set(structure) -> list:
+    """Every index (m, y), m = 0 .. 1 + floor(log2 L), level by level, each
+    level's anchors in C-order: entry c is the index of column c."""
+    return [LevelIndex(m, y) for m in structure.levels() for y in lattice(structure, m)]
+
+
+def grouping_oracle(structure, ell: int) -> list:
+    """The groups of `moderate_grouping(structure, ell)` as LevelIndex lists,
+    by the loop that enumerated them: anchors on the ell-lattice in C-order;
+    for each, levels m = 0 .. m0 in turn, and the offsets of each level's
+    interior window in C-order."""
     st = structure
-    boxes = [(np.array([st.box_radius(i.m) for i in g]), np.array([i.y for i in g]))
-             for g in grouping.groups.values() if g]
+    klog = st.K * st.log_l
+    m0 = int(math.floor(math.log2(ell / (4.0 * klog)))) if ell > 4.0 * klog else -1
+    cap = int(math.log2(st.L))
+    anchors = list(itertools.product(range(0, st.L, ell), repeat=st.d))
+    groups: dict = {}
+    for m in range(m0 + 1):
+        margin = 1 << min(cap, max(m, int(math.ceil(math.log2(2.0 ** (m + 2) * klog)))))
+        for anchor in anchors:
+            for offs in itertools.product(range(0, ell, 1 << m), repeat=st.d):
+                if all(margin <= o < ell - margin for o in offs):
+                    y = tuple((a + o) % st.L for a, o in zip(anchor, offs))
+                    groups.setdefault(anchor, []).append(LevelIndex(m, y))
+    return list(groups.values())
+
+
+def remainder_columns(structure, groups) -> np.ndarray:
+    """The sorted columns of the index set that no group holds."""
+    return np.setdiff1d(np.arange(len(build_index_set(structure))), groups)
+
+
+def groups_disjoint(structure, groups) -> bool:
+    """True iff the noise supports of distinct groups, each a sequence of
+    index columns, share no cell (vacuously true with fewer than two
+    nonempty groups).  Two support boxes share a cell iff on every axis the
+    periodic distance of their anchors is at most the sum of their integer
+    half-widths.  It compares every pair of indices of every pair of groups,
+    O(pairs x group_len^2)."""
+    st = structure
+    indices = build_index_set(st)
+    boxes = [(np.array([st.box_radius(indices[c].m) for c in g]),
+              np.array([indices[c].y for c in g])) for g in groups if len(g)]
     for a, (radius_a, anchors_a) in enumerate(boxes):
         for radius_b, anchors_b in boxes[a + 1:]:
             delta = periodic_distance(anchors_a[:, None, :], anchors_b[None, :, :], st.L)

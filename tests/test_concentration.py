@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import flat, groups_disjoint
+from support import build_index_set, grouping_oracle, groups_disjoint, remainder_columns
 
 from mlclt import UsageError
-from mlclt.concentration import (Grouping, bennett_bound, bennett_tail_table,
-                                 iid_tail_bound, moderate_grouping, moderate_tail_table,
+from mlclt.concentration import (bennett_bound, bennett_tail_table, iid_tail_bound,
+                                 moderate_grouping, moderate_tail_table,
                                  remainder_budget, stretched_norm, tail_bound_from_norm)
 from mlclt.fields import make_preset, monte_carlo
-from mlclt.multilevel import DependenceStructure, LevelIndex, build_index_set
+from mlclt.multilevel import DependenceStructure
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +122,20 @@ def test_grouping_rejects_bad_ell():
         moderate_grouping(DependenceStructure(d=1, L=12), 4)
 
 
+def _assert_partition(s, g):
+    """The groups and their remainders hold every column exactly once."""
+    cols = np.concatenate([g.groups.ravel(), remainder_columns(s, g.groups)])
+    assert np.array_equal(np.sort(cols), np.arange(s.level_start(s.max_level + 1)))
+
+
 def test_grouping_degenerate_when_ell_below_threshold():
     # K log2 L = 16 and ell = 16 <= 64: no grouped levels at all
     s = DependenceStructure(d=1, L=256, K=2.0)
     g = moderate_grouping(s, 16)
     assert g.degenerate and g.m0 == -1
-    assert g.group_count() == 0
-    assert set(flat(g.remainders)) == set(build_index_set(s))
-    assert groups_disjoint(s, g)  # vacuously
+    assert g.groups.shape == (0, 0)
+    assert len(remainder_columns(s, g.groups)) == len(build_index_set(s))
+    assert groups_disjoint(s, g.groups)  # vacuously
 
 
 def test_grouping_partitions_the_index_set():
@@ -137,22 +143,39 @@ def test_grouping_partitions_the_index_set():
     g = moderate_grouping(s, 64)
     # level 0 is a grouped level, but its margin 2^6 empties the interior
     # window, so no group is built
-    assert g.degenerate and g.m0 == 0 and g.group_count() == 0
-    grouped = flat(g.groups)
-    remainder = flat(g.remainders)
-    assert len(grouped) + len(remainder) == len(build_index_set(s))
-    assert set(grouped) | set(remainder) == set(build_index_set(s))
-    assert not set(grouped) & set(remainder)
+    assert g.degenerate and g.m0 == 0 and g.groups.shape == (0, 0)
+    _assert_partition(s, g)
+    s1024 = DependenceStructure(d=1, L=1024, K=2.0)
+    _assert_partition(s1024, moderate_grouping(s1024, 512))
+
+
+def test_grouping_columns_match_the_loop_oracle():
+    # d = 1..3, K in {1, 2} and every dyadic ell on dyadic tori; d = 2
+    # reaches a nondegenerate grouping at L = 128, d = 3 only beyond the
+    # oracle's reach
+    built = 0
+    for d, top in ((1, 12), (2, 7), (3, 4)):
+        for L in (1 << k for k in range(1, top + 1)):
+            pos = {idx: a for a, idx in enumerate(build_index_set(DependenceStructure(d, L)))}
+            for K, ell in itertools.product((1.0, 2.0), (1 << e for e in range(L.bit_length()))):
+                s = DependenceStructure(d=d, L=L, K=K)
+                g = moderate_grouping(s, ell)
+                oracle = [[pos[i] for i in group] for group in grouping_oracle(s, ell)]
+                assert g.groups.ndim == 2 and g.groups.tolist() == oracle, (d, L, K, ell)
+                assert g.degenerate == (not oracle)
+                _assert_partition(s, g)
+                built += not g.degenerate
+    assert built >= 20
 
 
 def test_grouping_values_reassemble_total():
-    spec, s = make_preset("cube", 1, 64)
-    g = moderate_grouping(s, 64)
-    indices = build_index_set(s)
-    _, per_index = monte_carlo(spec, s, 50, 13, groups=np.arange(len(indices))[:, None])
-    pos = {idx: a for a, idx in enumerate(indices)}
-    part = (per_index[:, [pos[i] for i in flat(g.groups)], 0].sum(axis=1)
-            + per_index[:, [pos[i] for i in flat(g.remainders)], 0].sum(axis=1))
+    spec, s = make_preset("cube", 1, 1024)
+    g = moderate_grouping(s, 512)
+    assert not g.degenerate
+    _, per_index = monte_carlo(spec, s, 50, 13,
+                               groups=np.arange(len(build_index_set(s)))[:, None])
+    part = (per_index[:, g.groups.ravel(), 0].sum(axis=1)
+            + per_index[:, remainder_columns(s, g.groups), 0].sum(axis=1))
     assert np.max(np.abs(part - per_index[:, :, 0].sum(axis=1))) < 1e-12
 
 
@@ -160,8 +183,8 @@ def test_nondegenerate_groups_have_disjoint_supports():
     s = DependenceStructure(d=1, L=1024, K=2.0)
     g = moderate_grouping(s, 512)
     assert g.m0 == 2
-    assert g.group_count() == 2
-    assert groups_disjoint(s, g)
+    assert g.groups.shape == (2, 256)
+    assert groups_disjoint(s, g.groups)
 
 
 def test_grouping_with_empty_interior_windows_is_degenerate():
@@ -169,30 +192,24 @@ def test_grouping_with_empty_interior_windows_is_degenerate():
     s = DependenceStructure(d=1, L=512, K=2.0)
     g = moderate_grouping(s, 256)
     assert g.m0 == 1
-    assert g.group_count() == 0 and g.degenerate
-    assert set(flat(g.remainders)) == set(build_index_set(s))
+    assert g.groups.shape == (0, 0) and g.degenerate
 
 
 def _group_cells(s, group):
     """Every cell of the torus that a support box of the group touches."""
+    indices = build_index_set(s)
     cells = set()
-    for idx in group:
+    for idx in (indices[c] for c in group):
         hw = min(s.box_radius(idx.m), s.L)
         axes = [{t % s.L for t in range(c - hw, c + hw + 1)} for c in idx.y]
         cells |= set(itertools.product(*axes))
     return cells
 
 
-def _disjoint_reference(s, grouping):
-    supports = [_group_cells(s, g) for g in grouping.groups.values() if g]
+def _disjoint_reference(s, groups):
+    supports = [_group_cells(s, g) for g in groups if g]
     return all(not supports[a] & supports[b]
                for a in range(len(supports)) for b in range(a + 1, len(supports)))
-
-
-def _hand_grouping(s, groups):
-    return Grouping(structure=s, ell=s.L, m0=0, p={}, remainders={},
-                    groups={(a,): tuple(g) for a, g in enumerate(groups)},
-                    degenerate=not any(groups))
 
 
 @st.composite
@@ -202,33 +219,33 @@ def hand_groupings(draw):
     sizes = {1: [4, 6, 16, 50, 64, 256, 1000], 2: [4, 6, 16, 50], 3: [4, 6, 8]}[d]
     s = DependenceStructure(d=d, L=draw(st.sampled_from(sizes)),
                             K=draw(st.sampled_from([1.0, 1.5, 2.0])))
-    index = st.builds(LevelIndex, st.integers(0, min(3, s.max_level)),
-                      st.tuples(*[st.integers(0, s.L - 1)] * s.d))
-    groups = draw(st.lists(st.lists(index, max_size=4), max_size=4))
-    return s, _hand_grouping(s, groups)
+    # columns of levels 0 .. 3
+    column = st.integers(0, s.level_start(min(4, s.max_level + 1)) - 1)
+    return s, draw(st.lists(st.lists(column, max_size=4), max_size=4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(hand_groupings())
 def test_groups_disjoint_matches_cell_sets(case):
-    s, grouping = case
-    assert groups_disjoint(s, grouping) == _disjoint_reference(s, grouping)
+    s, groups = case
+    assert groups_disjoint(s, groups) == _disjoint_reference(s, groups)
 
 
 def test_groups_disjoint_at_the_touching_distance():
     # level-0 half-width floor(2 log2 1024) = 20: anchors 40 apart share cell
-    # 20, anchors 41 apart share none, on the short and on the wrapped side
+    # 20, anchors 41 apart share none, on the short and on the wrapped side;
+    # level-0 columns are the anchors themselves
     s = DependenceStructure(d=1, L=1024, K=2.0)
     for other, disjoint in ((40, False), (41, True), (984, False), (983, True)):
-        g = _hand_grouping(s, [[LevelIndex(0, (0,))], [LevelIndex(0, (other,))]])
-        assert groups_disjoint(s, g) is disjoint == _disjoint_reference(s, g)
+        groups = [[0], [other]]
+        assert groups_disjoint(s, groups) is disjoint == _disjoint_reference(s, groups)
 
 
 def test_single_group_covers_whole_torus_when_ell_equals_l():
     s = DependenceStructure(d=1, L=1024, K=2.0)
     g = moderate_grouping(s, 1024)
     assert g.m0 == 3
-    assert g.group_count() == 1
+    assert len(g.groups) == 1
 
 
 def test_remainder_budget_closed_forms():

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import log1p, ndtri
+from support import build_index_set
 
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
@@ -18,8 +19,7 @@ from mlclt.fields import (SyntheticSpec, _SyntheticLevels, _apply_map, _box_sums
                           _draw, _periodic_prefix, _synthetic_index_values,
                           _synthetic_totals, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
-from mlclt.multilevel import (DependenceStructure, LevelIndex, build_index_set,
-                              periodic_distance)
+from mlclt.multilevel import DependenceStructure, LevelIndex, periodic_distance
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from support import FixedBars
+from support import FixedBars, build_index_set, lattice
 
 from mlclt import UsageError
 from mlclt.cli import main
 from mlclt.gaussians import SpdMatrix
-from mlclt.multilevel import (BarConstants, DependenceStructure, LevelIndex,
-                              MultilevelSample, _arrays, _box_gaps, _neighbor_count,
-                              aggregates, bar_constants, build_index_set, chi3,
-                              chi_matrix, choose_eps_ell, lambda_matrix, lift,
-                              theorem_bound)
+from mlclt.multilevel import (BarConstants, DependenceStructure, LevelIndex, _arrays,
+                              _box_gaps, _neighbor_count, bar_constants, chi_matrix,
+                              choose_eps_ell, theorem_bound)
 
 
 def st(d, L, K=2.0, gamma=1.0, B=1.0):
@@ -53,16 +51,29 @@ def test_structure_validation():
 def test_index_set_counts_small_lattices():
     # counts are sums over levels m = 0 .. 1 + floor(log2 L) of
     # ceil(L / 2^m)^d points
-    assert len(build_index_set(st(1, 2))) == 2 + 1 + 1
-    assert len(build_index_set(st(1, 4))) == 4 + 2 + 1 + 1
-    assert len(build_index_set(st(2, 2))) == 4 + 1 + 1
+    for s, count in ((st(1, 2), 2 + 1 + 1), (st(1, 4), 4 + 2 + 1 + 1),
+                     (st(2, 2), 4 + 1 + 1), (st(1, 5), 5 + 3 + 2 + 1)):
+        assert len(build_index_set(s)) == s.level_start(s.max_level + 1) == count
 
 
 def test_level_lattice_spacing():
     s = st(1, 8)
     assert s.max_level == 4
-    assert [y for (y,) in s.lattice(1)] == [0, 2, 4, 6]
-    assert s.lattice(4) == [(0,)]
+    assert [y for (y,) in lattice(s, 1)] == [0, 2, 4, 6]
+    assert lattice(s, 4) == [(0,)]
+
+
+@pytest.mark.parametrize("d,L", [(d, L) for d in (1, 2, 3) for L in (2, 3, 5, 8, 12, 16)]
+                         + [(1, 107), (1, 1024), (2, 40)])
+def test_positions_follow_the_index_set_order(d, L):
+    # column c of the library is entry c of the loop-built index set, on
+    # dyadic and non-dyadic tori; positions keep the shape of the anchors
+    s = st(d, L)
+    cols = [s.positions(m, np.array(lattice(s, m))) for m in s.levels()]
+    assert np.array_equal(np.concatenate(cols), np.arange(len(build_index_set(s))))
+    assert [s.level_start(m) for m in s.levels()] == [c[0] for c in cols]
+    grid = np.array(lattice(s, 0)).reshape((L,) * d + (d,))
+    assert np.array_equal(s.positions(0, grid), np.arange(L ** d).reshape((L,) * d))
 
 
 # ---------------------------------------------------------------------------
@@ -94,42 +105,6 @@ def test_box_distance_is_periodic():
         s, i, LevelIndex(0, (24,)))
 
 
-def test_chi3_contains_self_and_pair_neighbors():
-    s = st(1, 64)
-    idx = build_index_set(s)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        i, j, k = (idx[rng.integers(len(idx))] for _ in range(3))
-        assert chi3(s, i, j, i) == 1
-        assert chi3(s, i, j, j) == 1
-        assert chi3(s, i, j, k) == chi3(s, j, i, k)
-        # the triple threshold dominates the pair threshold
-        if chi(s, i, k) or chi(s, j, k):
-            assert chi3(s, i, j, k) == 1
-
-
-def test_lift_closed_form_and_errors():
-    s = st(1, 16)
-    assert lift(s, LevelIndex(0, (5,)), 3) == LevelIndex(3, (0,))
-    assert lift(s, LevelIndex(1, (12,)), 3) == LevelIndex(3, (8,))
-    assert lift(s, LevelIndex(2, (4,)), 2) == LevelIndex(2, (4,))
-    with pytest.raises(UsageError):
-        lift(s, LevelIndex(2, (4,)), 1)
-    with pytest.raises(UsageError):
-        lift(s, LevelIndex(0, (0,)), s.max_level + 1)
-
-
-def test_lift_box_contains_original_box():
-    s = st(1, 8)  # K log2 L = 6 >= 2, so containment is strict
-    for j in build_index_set(s):
-        for n in range(j.m, s.max_level + 1):
-            l = lift(s, j, n)
-            assert box_distance(s, j, l) == 0.0
-            delta = abs(j.y[0] - l.y[0]) % s.L
-            delta = min(delta, s.L - delta)
-            assert delta + s.halfwidth(j.m) <= s.halfwidth(n)
-
-
 # ---------------------------------------------------------------------------
 # the vectorized geometry against a scalar reference
 
@@ -152,11 +127,6 @@ def _within_reference(s, i, j, top):
 
 def _chi_reference(s, i, j):
     return int(_within_reference(s, i, j, max(i.m, j.m)))
-
-
-def _chi3_reference(s, i, j, k):
-    top = max(i.m, j.m, k.m)
-    return int(_within_reference(s, i, k, top) or _within_reference(s, j, k, top))
 
 
 # d = 1..3, small dyadic and non-dyadic L, K in {1, 1.5, 2}
@@ -192,46 +162,6 @@ def test_chi_matrix_matches_scalar_reference(case):
     assert (chi_matrix(s, rows) == chi_matrix(s, rows, rows)).all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(structure_and_indices(max_size=8))
-def test_chi3_matches_scalar_reference(case):
-    s, rows, cols = case
-    for i in rows:
-        for j in rows[:3]:
-            assert [chi3(s, i, j, k) for k in cols] == [
-                _chi3_reference(s, i, j, k) for k in cols]
-
-
-def _aggregates_reference(sample, i, j, exp):
-    s = sample.structure
-    xi = np.atleast_1d(sample.values[i])
-    z_i = sum(x for k, x in sample.values.items() if _chi_reference(s, i, k))
-    z_ij = sum(x for k, x in sample.values.items() if _chi3_reference(s, i, j, k))
-    y_il = np.zeros((xi.size, xi.size))
-    for k, x in sample.values.items():
-        if _chi_reference(s, i, k) and k.m < i.m and lift(s, k, i.m) == j:
-            y_il = y_il + np.outer(xi, x) - np.asarray(exp.get((i, k), 0.0))
-    return z_i, z_ij, y_il
-
-
-@settings(max_examples=30, deadline=None)
-@given(structures, hst.integers(0, 2 ** 32 - 1))
-def test_aggregates_match_loop_reference(s, seed):
-    idx = build_index_set(s)[-150:]  # the coarse levels, where lifts have preimages
-    rng = np.random.default_rng(seed)
-    sample = MultilevelSample(s, {k: rng.normal(size=2) for k in idx})
-    exp = {(a, b): rng.normal(size=(2, 2)) for a, b in zip(idx, idx[::-1])}
-    for _ in range(3):
-        i, j = idx[rng.integers(len(idx))], idx[rng.integers(len(idx))]
-        lifted = lift(s, LevelIndex(0, j.y), i.m)
-        for other in [j] + [lifted] * (lifted in sample.values):
-            agg = aggregates(sample, i, other, exp)
-            z_i, z_ij, y_il = _aggregates_reference(sample, i, other, exp)
-            assert np.allclose(agg["z_i"], z_i, rtol=1e-12, atol=1e-12)
-            assert np.allclose(agg["z_ij"], z_ij, rtol=1e-12, atol=1e-12)
-            assert np.allclose(agg["y_il"], y_il, rtol=1e-12, atol=1e-12)
-
-
 @settings(max_examples=80, deadline=None)
 @given(hst.sampled_from([(1, L) for L in range(2, 129)]
                         + [(2, L) for L in range(2, 25)]
@@ -240,7 +170,7 @@ def test_aggregates_match_loop_reference(s, seed):
 def test_neighbor_count_equals_same_level_row_sums(dims, K):
     s = DependenceStructure(d=dims[0], L=dims[1], K=K)
     for m in s.levels():
-        level = [LevelIndex(m, y) for y in s.lattice(m)]
+        level = [LevelIndex(m, y) for y in lattice(s, m)]
         rows = chi_matrix(s, level).sum(axis=1)
         assert math.isclose(rows.mean(), _neighbor_count(s, m), rel_tol=1e-12)
         if s.L % (1 << m) == 0:  # a regular lattice: every row alike
@@ -252,7 +182,7 @@ def test_neighbor_count_at_an_irregular_level():
     # wrap, so some anchors reach one more neighbor than others.  Counting in
     # lattice steps, 2 floor(4 K log2 L) + 1 = 55, misses those.
     s = st(1, 119, K=1.0)
-    rows = chi_matrix(s, [LevelIndex(1, y) for y in s.lattice(1)]).sum(axis=1)
+    rows = chi_matrix(s, [LevelIndex(1, y) for y in lattice(s, 1)]).sum(axis=1)
     assert set(rows.tolist()) == {55, 56}
     assert math.isclose(_neighbor_count(s, 1), rows.mean(), rel_tol=1e-15)
 
@@ -262,7 +192,7 @@ def test_neighbor_count_at_an_irregular_level():
 @example(DependenceStructure(d=1, L=119, K=1.0), 1.0, 3)  # an irregular level
 def test_theorem_bound_index_mode_matches_closed_form(s, gamma, ell):
     s = DependenceStructure(d=s.d, L=s.L, K=s.K, gamma=gamma, B=2.0)
-    if len(build_index_set(s)) > 5000:
+    if s.level_start(s.max_level + 1) > 5000:
         s = DependenceStructure(d=s.d, L=8, K=s.K, gamma=gamma, B=2.0)
     lam = SpdMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
     bars = bar_constants(s, s=2.0)
@@ -273,60 +203,6 @@ def test_theorem_bound_index_mode_matches_closed_form(s, gamma, ell):
         assert math.isclose(getattr(listed, name), getattr(closed, name),
                             rel_tol=1e-12), name
     assert listed.condition_satisfied == closed.condition_satisfied
-
-
-def test_lambda_matrix_matches_pair_loop_with_independent_pairs():
-    s = st(1, 64, K=1.0)
-    idx = build_index_set(s)
-    dep = chi_matrix(s, idx)
-    assert not dep.all() and dep.any()
-    values = np.random.default_rng(11).normal(size=(300, len(idx), 2))
-    centered = values - values.mean(axis=0)
-    expect = np.zeros((2, 2))
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            if _chi_reference(s, i, j):
-                expect += centered[:, a, :].T @ centered[:, b, :] / len(values)
-    expect = (expect + expect.T) / 2.0
-    assert np.allclose(lambda_matrix(s, idx, values), expect, rtol=1e-10, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# aggregates
-
-
-def test_aggregates_against_brute_force_small_lattice():
-    # K = 2, L = 8: every pair of boxes overlaps, so z_i is the full total
-    # and z_ij likewise
-    s = st(1, 8)
-    idx = build_index_set(s)
-    rng = np.random.default_rng(7)
-    sample = MultilevelSample(s, {i: rng.normal(size=1) for i in idx})
-    total = np.sum(list(sample.values.values()), axis=0)
-    i, j = idx[0], idx[3]
-    agg = aggregates(sample, i, j)
-    assert np.allclose(agg["z_i"], total)
-    assert np.allclose(agg["z_ij"], total)
-    xi = sample.values[i]
-    xj = sample.values[j]
-    assert np.allclose(agg["w_ij"], np.outer(xi, xj))
-    # expectations subtract from w
-    exp = {(i, j): np.outer(xi, xj)}
-    assert np.allclose(aggregates(sample, i, j, exp)["w_ij"], 0.0)
-
-
-def test_aggregates_y_sums_lower_level_lift_preimage():
-    s = st(1, 8)
-    idx = build_index_set(s)
-    rng = np.random.default_rng(8)
-    sample = MultilevelSample(s, {i: rng.normal(size=1) for i in idx})
-    i = LevelIndex(2, (4,))
-    l = LevelIndex(2, (0,))
-    agg = aggregates(sample, i, l)
-    xi = sample.values[i]
-    expect = sum(np.outer(xi, sample.values[k]) for k in idx
-                 if k.m < i.m and chi(s, i, k) and lift(s, k, i.m) == l)
-    assert np.allclose(agg["y_il"], expect)
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +342,3 @@ def test_policy_scales_bound_terms_linearly():
     with pytest.raises(UsageError):
         theorem_bound(s, lam, bars, eps=0.25, ell=1, policy={"nope": 1.0})
 
-
-# ---------------------------------------------------------------------------
-# covariance assembly
-
-
-def test_lambda_matrix_equals_total_variance_when_all_pairs_depend():
-    # K = 2, L = 8: all chi indicators are 1, so the chi-restricted pair sum
-    # is exactly the covariance of the total
-    s = st(1, 8)
-    idx = build_index_set(s)[:4]
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=(500, len(idx), 1))
-    lam = lambda_matrix(s, idx, values)
-    totals = values.sum(axis=1)[:, 0]
-    assert math.isclose(float(lam[0, 0]), float(np.mean(
-        (totals - totals.mean()) ** 2)), rel_tol=1e-9)
-    with pytest.raises(UsageError):
-        lambda_matrix(s, idx, values[:, :2, :])
