@@ -397,13 +397,15 @@ def _pdf_at_quantile(u: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _abs_quantile_gap(x, a, b, sigma: float) -> NDArray[np.float64]:
+def _abs_quantile_gap(x, grid, sigma: float) -> NDArray[np.float64]:
     """Closed form of the integral over [a, b] of |x - sigma Phi^{-1}(u)| du,
-    elementwise over equal-shape arrays x, a, b."""
+    elementwise over x and the adjacent cells a = grid[:-1], b = grid[1:] of
+    a grid one longer than x, whose points each take one Phi^{-1}."""
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pa, pb = _pdf_at_quantile(a), _pdf_at_quantile(b)
+    grid = np.asarray(grid, dtype=float)
+    a, b = grid[:-1], grid[1:]
+    pdf = _pdf_at_quantile(grid)
+    pa, pb = pdf[:-1], pdf[1:]
     fx = ndtr(x / sigma)
     px = _pdf_at_quantile(fx)
     below = fx <= a          # quantile above x on the whole interval
@@ -429,7 +431,7 @@ def w1_discrete_vs_gaussian(law: DiscreteLaw, sigma2: float) -> float:
     cum = np.concatenate([[0.0], np.cumsum(probs)])
     cum[-1] = 1.0
     sigma = float(np.sqrt(sigma2))
-    return float(np.sum(_abs_quantile_gap(vals, cum[:-1], cum[1:], sigma)))
+    return float(np.sum(_abs_quantile_gap(vals, cum, sigma)))
 
 
 def w1_discrete_pair(p: DiscreteLaw, q: DiscreteLaw) -> float:
@@ -462,7 +464,7 @@ def w1_empirical_gaussian(samples, sigma2: float) -> float:
         raise UsageError("need a nonempty 1d sample array")
     n = len(x)
     u = np.arange(n + 1) / n
-    return float(np.sum(_abs_quantile_gap(x, u[:-1], u[1:], float(np.sqrt(sigma2)))))
+    return float(np.sum(_abs_quantile_gap(x, u, float(np.sqrt(sigma2)))))
 
 
 def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,

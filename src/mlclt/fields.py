@@ -15,16 +15,19 @@ bit-reproducible and independent of the chunk size.
 A support box is summed axis by axis at every d: windows along the first
 axis come from one periodic prefix per chunk, and each further axis takes
 a periodic prefix of the partial sums.  Rademacher noise is summed as 0/1
-counts of +1 cells in integer prefixes, so box sums are exact; the other
-laws use the same prefixes in float64.  Window levels at d = 1 are summed
-anchor by anchor, and the other levels as numpy reduces their C-order
-arrays.  Group sums are reduced chunk by chunk: each chunk writes its
-per-index values into one reused buffer of about 2^20 doubles and sums
-them over each group's columns there, so no array grows as n times the
-number of indices unless its caller asks for every index as a group.
+counts of +1 cells in integer prefixes, scanned in blocks, so box sums are
+exact; the other laws use the same prefixes in float64, scanned row by row.
+Window levels at d = 1 are summed anchor by anchor, and the other levels
+as numpy reduces their C-order arrays.  Group sums are reduced chunk by
+chunk: each chunk writes its per-index values into one reused buffer of
+about 2^20 doubles, Rademacher counts through one lookup in the levels'
+concatenated tables, and sums them over each group's columns there, so no
+array grows as n times the number of indices unless its caller asks for
+every index as a group.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,33 +105,43 @@ def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
     return ndtri(u)
 
 
+def _int_dtype(top: int):
+    """The narrowest of int16, int32 and int64 that holds 0 .. top."""
+    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+
+
 def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1) -> NDArray:
     """Prefix sums along the first axis of x (length L) extended periodically
     by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
     sum of the first j extended entries.
 
-    Float x gives float64 sums.  Integer x with entries in [0, peak], the
-    0/1 counts of Rademacher cells or their window sums along earlier axes,
-    gives exact sums in int16 while the bound (1 + L + w_max) peak on every
-    entry stays below 2^15, else in int32 or int64.
-    Each entry is the previous one plus the next extended entry, exactly as
-    in a cumsum, so a window read from the buffer has the bits of a cumsum
-    over that window's own extension, whatever w_max is.  The summed axis is
-    the slowest in memory: reading a window copies contiguous blocks, and
-    adding whole blocks in turn is many times faster than `np.cumsum` along
-    a strided axis."""
+    The summed axis is the slowest in memory, so every step adds whole
+    contiguous rows.  Float x gives float64 sums, each entry the previous one
+    plus the next extended entry, exactly as in a cumsum: a window read from
+    the buffer has the bits of a cumsum over that window's own extension,
+    whatever w_max is.  Integer x with entries in [0, peak], the 0/1 counts
+    of Rademacher cells or their window sums along earlier axes, gives exact
+    sums in int16 while the bound (1 + L + w_max) peak on every entry stays
+    below 2^15, else in int32 or int64.  Integer sums are exact in any
+    order, so they are scanned in blocks of about sqrt(1 + L + w_max) rows:
+    every block at once, row by row, then each block adds the running total
+    of the blocks before it, some 2 sqrt(1 + L + w_max) row adds in all."""
     L = len(x)
     size = 1 + L + w_max
-    bound = size * peak
-    dtype = (np.float64 if x.dtype.kind == "f" else np.int16 if bound < 1 << 15
-             else np.int32 if bound < 1 << 31 else np.int64)
-    out = np.empty((size,) + x.shape[1:], dtype=dtype)
-    out[0] = 0
+    if x.dtype.kind == "f":
+        block, dtype = size, np.float64
+    else:
+        block, dtype = max(1, math.isqrt(size)), _int_dtype(size * peak)
+    n_blocks = -(-size // block)
+    out = np.zeros((n_blocks * block,) + x.shape[1:], dtype=dtype)
     out[1:L + 1] = x
-    out[L + 1:] = x[:w_max]
-    for j in range(2, size):
-        out[j] += out[j - 1]
-    return out
+    out[L + 1:size] = x[:w_max]
+    blocks = out.reshape((n_blocks, block) + x.shape[1:])
+    for j in range(1, block):
+        blocks[:, j] += blocks[:, j - 1]
+    for b in range(1, n_blocks):
+        blocks[b] += blocks[b - 1, -1]
+    return out[:size]
 
 
 def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int) -> NDArray:
@@ -198,17 +211,21 @@ def _component_patterns(spec: SyntheticSpec, d: int, L: int) -> NDArray[np.float
 class _Level:
     """Noise-independent geometry of one level of a synthetic family.
 
-    A support box holds `count` cells: (2 `radius` + 1)^d when that width
-    is below L, else the whole torus (radius None).  A Rademacher box with
-    b cells at +1 sums to 2b - count, and `table[b]` holds the same double
-    as mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
+    Its indices take the columns `start` .. `start` + `n_anchors` - 1.  A
+    support box holds `count` cells: (2 `radius` + 1)^d when that width is
+    below L, else the whole torus (radius None).  A Rademacher box with b
+    cells at +1 sums to 2b - count, and `table[b]` holds the same double as
+    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)),
+    and so does entry `offset` + b of the family's concatenated table.
     """
 
     m: int
     scale: float  # w_m L^{-d}
+    start: int
     n_anchors: int
     count: int
     radius: Optional[int]
+    offset: int
     table: Optional[NDArray[np.float64]]
 
 
@@ -216,16 +233,17 @@ class _SyntheticLevels:
     """Everything about a synthetic family on one structure that does not
     depend on the noise: component sign patterns and per-level geometry.
     Built once per Monte Carlo run; `tabulate` promises Rademacher noise
-    as the 0/1 counts that `_draw` returns."""
+    as the 0/1 counts that `_draw` returns, and concatenates the levels'
+    tables into `table`, whose entries `index_dtype` can address."""
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
                  tabulate: bool = False):
-        st = self.structure = structure
+        st = structure
         self.spec = spec
         self.d, self.L = st.d, st.L
         self.tabulate = tabulate
         self.patterns = _component_patterns(spec, st.d, st.L)
-        self.levels = []
+        self.levels, offset = [], 0
         for m in st.levels():
             hw = st.box_radius(m)
             count = min(2 * hw + 1, st.L) ** st.d
@@ -233,8 +251,14 @@ class _SyntheticLevels:
             table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
                                 / np.sqrt(count)) * scale if tabulate else None)
             self.levels.append(_Level(
-                m=m, scale=scale, n_anchors=st.lattice_count(m) ** st.d,
-                count=count, radius=hw if 2 * hw + 1 < st.L else None, table=table))
+                m=m, scale=scale, start=st.level_start(m),
+                n_anchors=st.lattice_count(m) ** st.d, count=count,
+                radius=hw if 2 * hw + 1 < st.L else None, offset=offset, table=table))
+            offset += count + 1
+        self.n_indices = sum(lv.n_anchors for lv in self.levels)
+        if tabulate:
+            self.table = np.concatenate([lv.table for lv in self.levels])
+            self.index_dtype = _int_dtype(len(self.table) - 1)
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
         out = out.reshape(sums.shape)  # a view, one axis of anchors per torus axis
@@ -244,15 +268,17 @@ class _SyntheticLevels:
             np.multiply(_apply_map(self.spec.nonlinearity, sums / np.sqrt(lv.count)),
                         lv.scale, out=out)
 
-    def values(self, noise: NDArray, levels: Sequence[_Level]):
-        """Yield (level, values) for each level, values anchor-major,
-        (n_components, n_anchors, n); a whole-torus level yields one anchor
-        standing for all.
+    def box_sums(self, noise: NDArray, levels: Sequence[_Level]):
+        """Yield (level, component, sums) for each level, component by
+        component: the box sums, one axis of anchors per torus axis and then
+        the realizations, or on a whole-torus level one sum per realization
+        standing for every anchor.
 
-        `noise` is (cells, n) counts when tabulated, (n, cells) float rows
-        otherwise.  Each component sums the boxes of every level axis by
-        axis, from one periodic prefix along the first axis; whole-torus
-        boxes are its row totals."""
+        `noise` is (cells, n) counts when tabulated, and then the sums are
+        integer counts of +1 cells; otherwise it is (n, cells) float rows.
+        Each component sums the boxes of every level axis by axis, from one
+        periodic prefix along the first axis; whole-torus boxes are its row
+        totals."""
         if self.tabulate:  # component c counts the cells where its noise is +1
             cols = [noise] + [noise ^ (p < 0).astype(np.uint8)[:, None]
                               for p in self.patterns[1:]]
@@ -266,11 +292,21 @@ class _SyntheticLevels:
         totals = ([col.T.sum(axis=1) for col in cols]
                   if any(lv.radius is None for lv in levels) else None)
         for lv in levels:
-            vals = np.empty((len(cols), 1 if lv.radius is None else lv.n_anchors, n))
-            for c, out in enumerate(vals):
-                self._map(lv, totals[c] if lv.radius is None else
-                          _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m), out)
-            yield lv, vals
+            for c in range(len(cols)):
+                yield lv, c, (totals[c] if lv.radius is None else
+                              _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m))
+
+    def values(self, noise: NDArray, levels: Sequence[_Level]):
+        """Yield (level, values) for each level, values anchor-major,
+        (n_components, n_anchors, n), the `box_sums` mapped; a whole-torus
+        level yields one anchor standing for all."""
+        for lv, c, sums in self.box_sums(noise, levels):
+            if c == 0:
+                vals = np.empty((self.spec.n_components,
+                                 1 if lv.radius is None else lv.n_anchors, sums.shape[-1]))
+            self._map(lv, sums, vals[c])
+            if c == len(vals) - 1:
+                yield lv, vals
 
 
 def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.float64]:
@@ -295,10 +331,26 @@ def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
                             out: NDArray[np.float64]) -> None:
     """Write the (n, n_indices, n_components) values to out in the index
     set's column order (`DependenceStructure.positions`): level by level,
-    each level's anchors in the C-order that `values` yields them in."""
-    for lv, vals in levels.values(noise, levels.levels):
-        a = levels.structure.level_start(lv.m)
-        out[:, a:a + lv.n_anchors] = vals.T
+    each level's anchors in the C-order that `box_sums` yields them in.
+
+    Tabulated noise makes no float array per level: every box count, plus
+    its level's offset into the concatenated table, goes straight into one
+    integer array shaped like out, a whole-torus level's one count per
+    realization repeated over its anchors, and one np.take of the table
+    fills out."""
+    if not levels.tabulate:
+        for lv, vals in levels.values(noise, levels.levels):
+            out[:, lv.start:lv.start + lv.n_anchors] = vals.T
+        return
+    idx = np.empty(out.shape, dtype=levels.index_dtype)
+    for lv, c, sums in levels.box_sums(noise, levels.levels):
+        rows = idx[:, lv.start:lv.start + lv.n_anchors, c]
+        if lv.radius is None:
+            np.add(sums[:, None], lv.offset, out=rows)
+        else:  # realizations first, then one axis of anchors per torus axis
+            np.add(np.moveaxis(sums, -1, 0), lv.offset,
+                   out=rows.reshape((len(out),) + sums.shape[:-1]))
+    np.take(levels.table, idx, out=out, mode="clip")
 
 
 def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
@@ -342,9 +394,11 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     The columns run level by level from level 0, each level in the C-order
     of its anchors y / 2^m (`DependenceStructure.positions`).
     A grouped run writes each chunk's per-index values into one buffer of at
-    most 2^20 doubles (or one realization's, if larger) and reduces them
-    there; its totals are those values summed as numpy reduces them, its
-    group sums add each group's columns in order.
+    most 2^20 doubles (or one realization's, if larger), with one table
+    lookup under Rademacher noise (`_synthetic_index_values`), and reduces
+    them there: its totals are those values summed as numpy reduces them;
+    its group sums gather the groups' columns once, column j of every group
+    in one contiguous row, and add the rows in the order given.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
@@ -355,7 +409,7 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
 
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
-    n_indices = sum(lv.n_anchors for lv in levels.levels)
+    n_indices = levels.n_indices
     totals = np.empty((n, n_comp))
     if groups is not None:
         groups = np.asarray(groups)
@@ -381,11 +435,13 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         _synthetic_index_values(levels, noise, vals)
         totals[chunk] = vals.sum(axis=1)
         # add each group's columns one at a time, in the order given: numpy's
-        # sum would pick pairwise or sequential order by the chunk's shape
-        cols, acc = vals[:, groups], sums[chunk]
-        acc[...] = cols[:, :, 0]
-        for j in range(1, groups.shape[1]):
-            acc += cols[:, :, j]
+        # sum would pick pairwise or sequential order by the chunk's shape.
+        # One gather makes column j of every group one contiguous row.
+        cols = vals.transpose(1, 0, 2)[groups.T]  # (group_len, n_groups, chunk, n_comp)
+        acc = cols[0]
+        for row in cols[1:]:
+            acc += row
+        sums[chunk] = acc.transpose(1, 0, 2)
     samples = SampleSet(values=totals, master_seed=master_seed)
     if groups is not None:
         return samples, sums

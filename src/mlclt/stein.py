@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ._util import QuadratureError, UsageError, hermite_1d
 from .distances import (PiecewisePolynomial, TestFunction, _ridge_of, gaussian_mean,
@@ -302,6 +301,15 @@ def _osc_window_k(dim: int) -> float:
     return 2.0 * np.sqrt(dim) + 1.0
 
 
+def _window_oscillation(table: NDArray[np.float64], half: int) -> NDArray[np.float64]:
+    """max - min of `table` over the windows [i - half, i + half], the table
+    extended past either end by its end value (scipy.ndimage's running
+    max/min filters in mode "nearest"; max and min are exact)."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(table, half, mode="edge"), 2 * half + 1)
+    return windows.max(axis=1) - windows.min(axis=1)
+
+
 class _RidgeMajorant:
     """Grid-based evaluation of the H / H' majorants.
 
@@ -324,9 +332,7 @@ class _RidgeMajorant:
         self.grid = np.linspace(lo, hi, m)
         tables = sol._fk(self.grid, (2, 3), _TABLE_S_NODES)
         half = int(np.ceil(kd / (self.grid[1] - self.grid[0])))
-        size = 2 * half + 1
-        self.osc = {order: maximum_filter1d(table, size=size, mode="nearest")
-                    - minimum_filter1d(table, size=size, mode="nearest")
+        self.osc = {order: _window_oscillation(table, half)
                     for order, table in zip((2, 3), tables)}
         self._sol = sol
 

@@ -457,18 +457,21 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
 
 
 def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):
-    # scipy.stats costs about a second of start-up, and nothing shipped needs it
+    # scipy.stats costs about a second of start-up and scipy.ndimage about
+    # 65 ms, and nothing shipped needs either
     src = str(Path(mlclt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "import mlclt.cli as cli\n"
-        "assert 'scipy.stats' not in sys.modules, 'imported at start-up'\n"
+        "for mod in ('scipy.stats', 'scipy.ndimage'):\n"
+        "    assert mod not in sys.modules, mod + ' imported at start-up'\n"
         "argv = ['stein-certify', '--n-dim', '1', '--eps', '0.5',\n"
         "        '--out', sys.argv[1]]\n"
         "assert cli.main(argv) == 0\n"
-        "assert 'scipy.stats' not in sys.modules, 'imported by stein-certify'\n")
+        "for mod in ('scipy.stats', 'scipy.ndimage'):\n"
+        "    assert mod not in sys.modules, mod + ' imported by stein-certify'\n")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr

@@ -383,16 +383,37 @@ def test_count_path_matches_float_path(d, L, K):
             assert np.array_equal(per_index[k], direct[0])
 
 
+def _check_prefix(x, w_max, peak=1):
+    """`_periodic_prefix` of integer x against np.cumsum in int64."""
+    got = _periodic_prefix(x, w_max, peak=peak)
+    expect = np.cumsum(np.concatenate([x, x[:w_max]]), axis=0, dtype=np.int64)
+    assert got.shape == (1 + len(x) + w_max,) + x.shape[1:]
+    assert not got[0].any()
+    assert np.array_equal(got[1:], expect)
+    return got
+
+
 def test_periodic_prefix_entries_are_exact():
     # d=2, L=256, K=2: the second axis of level 2 sums windows of up to 129
     # counts, so its prefix entries reach 129 * 385 = 49,665, past int16
-    x = np.full((256, 3), 129, dtype=np.int16)
-    expect = np.cumsum(np.concatenate([x, x[:129]]), axis=0, dtype=np.int64)
-    assert np.array_equal(_periodic_prefix(x, 129, peak=129)[1:], expect)
-    # 0/1 counts keep int16 while 1 + L + w_max < 2^15
+    _check_prefix(np.full((256, 3), 129, dtype=np.int16), 129, peak=129)
+    # window sums of up to 7 counts on a d=2 grid, realizations last
+    rng = np.random.default_rng(8)
+    _check_prefix(rng.integers(0, 8, size=(37, 5, 4)).astype(np.int16), 21, peak=7)
+    # 0/1 counts at row totals 1 + L + w_max that no block size divides
+    for L, w_max in ((1024, 641), (1000, 9), (97, 0), (119, 57), (30, 29)):
+        _check_prefix(rng.integers(0, 2, size=(L, 6), dtype=np.uint8), w_max)
+    # one to three rows
+    for L in (1, 2, 3):
+        _check_prefix(rng.integers(0, 2, size=(L, 4), dtype=np.uint8), L - 1)
+    # 0/1 counts keep int16 while 1 + L + w_max < 2^15, at the last entries
     ones = np.ones((32000, 1), dtype=np.uint8)
-    assert _periodic_prefix(ones, 766).dtype == np.int16
-    assert _periodic_prefix(ones, 767).dtype == np.int32
+    assert _check_prefix(ones, 766).dtype == np.int16
+    assert _check_prefix(ones, 767).dtype == np.int32
+    # float prefixes add row after row: the bits of a sequential cumsum
+    x = rng.normal(size=(300, 5))
+    expect = np.cumsum(np.concatenate([x, x[:120]]), axis=0)
+    assert np.array_equal(_periodic_prefix(x, 120)[1:], expect)
 
 
 def test_count_path_matches_float_path_past_int16_prefix_entries():
@@ -434,7 +455,8 @@ def _some_groups(st, n_groups=5, group_len=9):
 
 
 _GROUPED = [("exp-tail", 1, 64, 1.0, 3), ("cube", 1, 119, 2.0, 1),
-            ("identity-gauss", 2, 16, 1.0, 1), ("cube", 2, 16, 1.0, 3)]
+            ("identity-gauss", 2, 16, 1.0, 1), ("cube", 2, 16, 1.0, 3),
+            ("cube", 3, 8, 1.0, 2), ("identity-gauss", 1, 64, 1.0, 3)]
 
 
 @pytest.mark.parametrize("name,d,L,K,n_comp", _GROUPED)

@@ -294,6 +294,19 @@ def test_oscillation_majorant_dominates_sampled_oscillation(soft_clip_sol):
         assert vals.max() - vals.min() <= m
 
 
+@pytest.mark.parametrize("m,half", [(1717, 16), (40001, 16), (5, 9), (1, 3), (33, 0)])
+def test_window_oscillation_matches_scipy_filters(m, half):
+    # scipy.ndimage is the oracle: running max minus running min over
+    # windows of 2 half + 1 points, the ends extended by their end values,
+    # also where the window is wider than the table
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    table = np.cumsum(np.random.default_rng(m).normal(size=m))
+    size = 2 * half + 1
+    expect = (maximum_filter1d(table, size=size, mode="nearest")
+              - minimum_filter1d(table, size=size, mode="nearest"))
+    assert np.array_equal(stein._window_oscillation(table, half), expect)
+
+
 def test_majorant_average_certificates_pass(soft_clip_sol):
     for kind in ("hessian", "third"):
         report = majorant_average_certificate(soft_clip_sol, 0.1, kind)
