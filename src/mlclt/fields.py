@@ -17,8 +17,12 @@ axis come from one periodic prefix per chunk, and each further axis takes
 a periodic prefix of the partial sums.  Rademacher noise is summed as 0/1
 counts of +1 cells in integer prefixes, scanned in blocks, so box sums are
 exact; the other laws use the same prefixes in float64, scanned row by row.
-Window levels at d = 1 are summed anchor by anchor, and the other levels
-as numpy reduces their C-order arrays.  Group sums are reduced chunk by
+Window levels at d = 1 are summed in blocks of anchors that stay in cache
+(`_WindowTotals`): a block's box sums are read from the prefix into one
+small buffer, mapped into another, and added to the level's running sum
+anchor by anchor; the prefix and both block buffers are allocated once per
+run and reused by every chunk.  The other levels are summed as numpy
+reduces their C-order arrays.  Group sums are reduced chunk by
 chunk: each chunk writes its per-index values into one reused buffer of
 about 2^20 doubles, Rademacher counts through one lookup in the levels'
 concatenated tables, and sums them over each group's columns there, so no
@@ -27,6 +31,7 @@ every index as a group.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -110,7 +115,18 @@ def _int_dtype(top: int):
     return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
 
 
-def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1) -> NDArray:
+def _prefix_layout(size: int, kind: str, peak: int = 1):
+    """(block, rows, dtype) of the `_periodic_prefix` of `size` extended
+    entries, for input of dtype kind `kind`: the scan's block length, the
+    rows it fills (size rounded up to whole blocks) and the sums' dtype."""
+    if kind == "f":
+        return size, size, np.float64
+    block = max(1, math.isqrt(size))
+    return block, -(-size // block) * block, _int_dtype(size * peak)
+
+
+def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
+                     buf: Optional[NDArray] = None) -> NDArray:
     """Prefix sums along the first axis of x (length L) extended periodically
     by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
     sum of the first j extended entries.
@@ -125,21 +141,23 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1) -> NDArray:
     below 2^15, else in int32 or int64.  Integer sums are exact in any
     order, so they are scanned in blocks of about sqrt(1 + L + w_max) rows:
     every block at once, row by row, then each block adds the running total
-    of the blocks before it, some 2 sqrt(1 + L + w_max) row adds in all."""
+    of the blocks before it, some 2 sqrt(1 + L + w_max) row adds in all.
+    The sums go into the flat `buf` of the `_prefix_layout` dtype, when
+    given, and into a fresh array otherwise."""
     L = len(x)
     size = 1 + L + w_max
-    if x.dtype.kind == "f":
-        block, dtype = size, np.float64
-    else:
-        block, dtype = max(1, math.isqrt(size)), _int_dtype(size * peak)
-    n_blocks = -(-size // block)
-    out = np.zeros((n_blocks * block,) + x.shape[1:], dtype=dtype)
+    block, rows, dtype = _prefix_layout(size, x.dtype.kind, peak)
+    shape = (rows,) + x.shape[1:]
+    out = (np.empty(shape, dtype=dtype) if buf is None
+           else buf[:math.prod(shape)].reshape(shape))
+    out[0] = 0
     out[1:L + 1] = x
     out[L + 1:size] = x[:w_max]
-    blocks = out.reshape((n_blocks, block) + x.shape[1:])
+    out[size:] = 0
+    blocks = out.reshape((rows // block, block) + x.shape[1:])
     for j in range(1, block):
         blocks[:, j] += blocks[:, j - 1]
-    for b in range(1, n_blocks):
+    for b in range(1, len(blocks)):
         blocks[b] += blocks[b - 1, -1]
     return out[:size]
 
@@ -268,6 +286,19 @@ class _SyntheticLevels:
             np.multiply(_apply_map(self.spec.nonlinearity, sums / np.sqrt(lv.count)),
                         lv.scale, out=out)
 
+    def components(self, noise: NDArray):
+        """Yield each component's noise, cells first and then the
+        realizations: under tabulated noise the 0/1 counts of the cells where
+        it is +1, otherwise its float values."""
+        if self.tabulate:
+            yield noise
+            for p in self.patterns[1:]:
+                yield noise ^ (p < 0).astype(np.uint8)[:, None]
+        else:  # pattern 0 is all ones
+            yield noise.T
+            for p in self.patterns[1:]:
+                yield (noise * p).T
+
     def box_sums(self, noise: NDArray, levels: Sequence[_Level]):
         """Yield (level, component, sums) for each level, component by
         component: the box sums, one axis of anchors per torus axis and then
@@ -279,11 +310,7 @@ class _SyntheticLevels:
         Each component sums the boxes of every level axis by axis, from one
         periodic prefix along the first axis; whole-torus boxes are its row
         totals."""
-        if self.tabulate:  # component c counts the cells where its noise is +1
-            cols = [noise] + [noise ^ (p < 0).astype(np.uint8)[:, None]
-                              for p in self.patterns[1:]]
-        else:  # pattern 0 is all ones
-            cols = [noise.T] + [(noise * p).T for p in self.patterns[1:]]
+        cols = list(self.components(noise))
         n = cols[0].shape[1]
         w_max = max((2 * lv.radius + 1 for lv in levels if lv.radius is not None),
                     default=0)
@@ -309,21 +336,90 @@ class _SyntheticLevels:
                 yield lv, vals
 
 
-def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray) -> NDArray[np.float64]:
-    """(n, n_components) totals: window levels at d = 1 summed anchor by
-    anchor, the others as numpy reduces their C-order (n, n_anchors,
-    n_components) values.  The bits of the totals are pinned to this order."""
+# doubles in the block of mapped window sums that `_WindowTotals` fills and
+# sums: 1 MiB, which stays in cache while its rows are added
+_WINDOW_BLOCK = 1 << 17
+
+
+class _WindowTotals:
+    """Sums of the weighted window levels of a d = 1 family, per realization
+    and component, from buffers sized once for chunks of up to `chunk`
+    realizations and reused by every chunk: the periodic prefix of one
+    component's noise, and one block of `block` anchors' box sums and of
+    their mapped values.
+
+    Each level takes its anchors in `_window_sums` order, block by block:
+    the block's box sums are read from the prefix, mapped, and added to the
+    level's running row one anchor at a time, starting from its first
+    anchor's value.  That is the order in which numpy reduces the anchor
+    axis of (n_components, n_anchors, n) values for n >= 2, kept for a lone
+    realization too."""
+
+    def __init__(self, levels: _SyntheticLevels, chunk: int):
+        self.levels = levels
+        self.windows = [lv for lv in levels.levels if lv.radius is not None
+                        and levels.spec.weight(lv.m) != 0.0]
+        self.w_max = max((2 * lv.radius + 1 for lv in self.windows), default=0)
+        kind = "i" if levels.tabulate else "f"
+        _, rows, dtype = _prefix_layout(1 + levels.L + self.w_max, kind)
+        self.block = max(1, _WINDOW_BLOCK // chunk)
+        self.prefix = np.empty(rows * chunk, dtype=dtype)
+        self.sums = np.empty(self.block * chunk, dtype=dtype) if levels.tabulate else None
+        self.vals = np.empty(self.block * chunk)
+        self.row = np.empty(chunk)
+
+    def add_to(self, noise: NDArray, out: NDArray[np.float64]) -> None:
+        """Add each window level's sums to out, (n, n_components), component
+        by component and on each in level order."""
+        if not self.windows:
+            return
+        row = self.row[:len(out)]
+        for c, col in enumerate(self.levels.components(noise)):
+            prefix = _periodic_prefix(col, self.w_max, buf=self.prefix)
+            for lv in self.windows:
+                rows = itertools.chain.from_iterable(self._mapped(prefix, lv, len(out)))
+                row[:] = next(rows)
+                for v in rows:
+                    row += v
+                out[:, c] += row
+
+    def _mapped(self, prefix: NDArray, lv: _Level, n: int):
+        """Yield level lv's mapped box sums, (k, n), block by block of k <=
+        `block` anchors in `_window_sums` order, each in the same buffer."""
+        vals = self.vals[:self.block * n].reshape(self.block, n)
+        sums = vals if self.sums is None else self.sums[:self.block * n].reshape(vals.shape)
+        L, w, step = self.levels.L, 2 * lv.radius + 1, 1 << lv.m
+        start = -lv.radius % L
+        for lo, hi in ((start, L), ((start - L) % step, start)):
+            for a in range(lo, hi, self.block * step):
+                k = min(self.block, len(range(a, hi, step)))
+                top = a + (k - 1) * step + 1
+                np.subtract(prefix[a + w:top + w:step], prefix[a:top:step], out=sums[:k])
+                if lv.table is not None:  # counts lie in [0, count]: clipping never acts
+                    np.take(lv.table, sums[:k], out=vals[:k], mode="clip")
+                else:
+                    np.divide(vals[:k], np.sqrt(lv.count), out=vals[:k])
+                    np.multiply(_apply_map(self.levels.spec.nonlinearity, vals[:k]),
+                                lv.scale, out=vals[:k])
+                yield vals[:k]
+
+
+def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray,
+                      windows: Optional[_WindowTotals] = None) -> NDArray[np.float64]:
+    """(n, n_components) totals, the levels added in level order: window
+    levels at d = 1 by `windows` (a fresh `_WindowTotals` if None), the
+    others as numpy reduces their C-order (n, n_anchors, n_components)
+    values.  The bits of the totals are pinned to this order."""
     out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
                     levels.spec.n_components))
-    for lv, vals in levels.values(noise, [lv for lv in levels.levels
-                                          if levels.spec.weight(lv.m) != 0.0]):
-        if lv.radius is not None and levels.d == 1:
-            # anchor by anchor: numpy would sum a lone realization pairwise
-            out += (vals.sum(axis=1) if len(out) > 1
-                    else np.add.accumulate(vals, axis=1)[:, -1]).T
-        else:
-            full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
-            out += np.ascontiguousarray(full).sum(axis=1)
+    rest = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
+    if levels.d == 1:
+        # window levels come first: box radii grow with the level
+        (windows or _WindowTotals(levels, len(out))).add_to(noise, out)
+        rest = [lv for lv in rest if lv.radius is None]
+    for lv, vals in levels.values(noise, rest):
+        full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
+        out += np.ascontiguousarray(full).sum(axis=1)
     return out
 
 
@@ -411,6 +507,8 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     n_indices = levels.n_indices
     totals = np.empty((n, n_comp))
+    windows = (_WindowTotals(levels, min(n, chunk_size))
+               if groups is None and structure.d == 1 else None)
     if groups is not None:
         groups = np.asarray(groups)
         if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.shape[1] < 1
@@ -429,7 +527,7 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0,
                       chunk.stop - k0)
         if groups is None:
-            totals[chunk] = _synthetic_totals(levels, noise)
+            totals[chunk] = _synthetic_totals(levels, noise, windows)
             continue
         vals = buf[:chunk.stop - k0]
         _synthetic_index_values(levels, noise, vals)

@@ -154,3 +154,24 @@ def _max_gradient(phi, points, step: float = 1e-5) -> float:
         e[k] = step
         grads[:, k] = (phi(points + e) - phi(points - e)) / (2 * step)
     return float(np.max(np.linalg.norm(grads, axis=1)))
+
+
+def per_level_totals(levels, noise) -> np.ndarray:
+    """(n, n_components) totals of `fields._synthetic_totals`, level by
+    level as it summed them before its d = 1 window levels went by blocks of
+    anchors: each level's (n_components, n_anchors, n) values from
+    `levels.values`, a d = 1 window level reduced over its anchors by numpy
+    (sequentially for n >= 2, by an explicit accumulate for a lone
+    realization, where numpy would sum pairwise), any other level as numpy
+    reduces its C-order (n, n_anchors, n_components) values."""
+    out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
+                    levels.spec.n_components))
+    for lv, vals in levels.values(noise, [lv for lv in levels.levels
+                                          if levels.spec.weight(lv.m) != 0.0]):
+        if lv.radius is not None and levels.d == 1:
+            out += (vals.sum(axis=1) if len(out) > 1
+                    else np.add.accumulate(vals, axis=1)[:, -1]).T
+        else:
+            full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
+            out += np.ascontiguousarray(full).sum(axis=1)
+    return out

@@ -9,14 +9,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import log1p, ndtri
-from support import build_index_set
+from support import build_index_set, per_level_totals
 
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
-from mlclt.fields import (SyntheticSpec, _SyntheticLevels, _apply_map, _box_sums,
-                          _draw, _periodic_prefix, _synthetic_index_values,
+from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels, _apply_map,
+                          _box_sums, _draw, _periodic_prefix, _synthetic_index_values,
                           _synthetic_totals, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, LevelIndex, periodic_distance
@@ -445,6 +445,40 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
         assert np.array_equal(samples.values, runs[0][1].values)
         assert np.array_equal(per_index, runs[0][2])
 
+
+
+@pytest.mark.parametrize("K", [1.0, 2.0])
+@pytest.mark.parametrize("L", [3, 5, 16, 64, 65, 119, 512])
+def test_blocked_window_totals_match_per_level_oracle(L, K):
+    # d = 1 window levels are mapped and summed in blocks of 32 anchors at a
+    # 4096-realization chunk (one block below it); 65, 119 and 512 anchors
+    # on level 0 leave a partial block, and a run's second strided half
+    # starts one.  The oracle reduces each level's whole values array.
+    for i, dist in enumerate(_DISTS):
+        n_comp = 1 + (i + L) % 3
+        spec = SyntheticSpec(nonlinearity=_MAPS[(i + L) % 3], dist=dist, n_components=n_comp,
+                             level_weights=None if i % 2 else (1.0, 0.0, 2.0, 0.5))
+        st = DependenceStructure(d=1, L=L, K=K)
+        levels = _SyntheticLevels(spec, st, tabulate=dist == "rademacher")
+        for chunk, n in ((1, 9), (2, 9), (7, 9), (4096, 4096)):
+            got = monte_carlo(spec, st, n, 404, chunk_size=chunk).values
+            expect = np.concatenate([
+                per_level_totals(levels, _draw(1, L, dist, 404, k0, min(chunk, n - k0)))
+                for k0 in range(0, n, chunk)])
+            assert np.array_equal(got, expect), (dist, chunk)
+
+
+def test_window_totals_allocate_no_per_level_arrays():
+    # the d = 1 window levels reuse one prefix and two block buffers across
+    # chunks; per-level window sums and values took a 44.6 MiB peak here
+    spec, st = make_preset("cube", 1, 512)
+    tracemalloc.start()
+    try:
+        monte_carlo(spec, st, 20000, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak / 2 ** 20
 
 def _some_groups(st, n_groups=5, group_len=9):
     """Groups of distinct columns drawn at random; groups may overlap."""
