@@ -261,6 +261,17 @@ def _bound(config: ExperimentConfig, structure, lam: SpdMatrix):
                                  config.policy)
 
 
+def _sample_covariance(vals) -> np.ndarray:
+    """Unbiased covariance of (n, dim) samples from numpy reductions alone:
+    each column centred by its mean, each entry the pairwise np.sum of a
+    product of two centred columns over n - 1.  np.cov takes those sums
+    through BLAS, whose threads split them, so its last digits move with
+    the thread count."""
+    cols = np.array(vals.T, order="C")
+    cols -= cols.mean(axis=1, keepdims=True)
+    return np.array([[np.sum(a * b) for b in cols] for a in cols]) / (len(vals) - 1)
+
+
 def _rate_unit(config: ExperimentConfig, L: int):
     """Normalized W1 distance to the Gaussian at one L, beside its Monte
     Carlo floor and the bound at the sample covariance; the record is the
@@ -281,7 +292,7 @@ def _rate_unit(config: ExperimentConfig, L: int):
         sliced = _sliced_w1(zset, law, seed=seed)
     gauss = counter_rng(seed, _FLOOR_COUNTER).standard_normal(config.n_samples)
     floor = w1_empirical_gaussian(gauss, 1.0)
-    cov = np.atleast_2d(np.cov(vals, rowvar=False, ddof=1))
+    cov = _sample_covariance(vals)
     choice, report = _bound(config, structure, SpdMatrix(cov))
     row = {
         "L": L,

@@ -392,6 +392,25 @@ def test_clt_rate_runs_at_d2(tmp_path):
     assert manifest["stream_version"] == 2
 
 
+
+def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, so a covariance
+    # taken through BLAS moves in its last digits with the thread count
+    src = str(Path(mlclt.__file__).resolve().parents[1])
+    code = "import sys\nimport mlclt.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rate{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "clt-rate", "--preset", "cube", "--d", "1",
+             "--L", "16,32,64", "--n-samples", "12000", "--seed", "2026", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
 # inner integral of the soft-clip profiles and with the residual's constant
