@@ -2,8 +2,8 @@
 `theorem_bound`, the index set and a grouping's groups as `LevelIndex`
 lists, enumerated by loops as the reference for the library's column
 positions, the columns that a grouping leaves as remainders, the check that
-groups share no noise cell, and the sampled check of a test function against
-the restricted test class.
+groups share no noise cell, the per-level totals of a synthetic family, and
+the sampled check of a test function against the restricted test class.
 """
 import itertools
 import math
@@ -157,13 +157,13 @@ def _max_gradient(phi, points, step: float = 1e-5) -> float:
 
 
 def per_level_totals(levels, noise) -> np.ndarray:
-    """(n, n_components) totals of `fields._synthetic_totals`, level by
-    level as it summed them before its d = 1 window levels went by blocks of
-    anchors: each level's (n_components, n_anchors, n) values from
-    `levels.values`, a d = 1 window level reduced over its anchors by numpy
-    (sequentially for n >= 2, by an explicit accumulate for a lone
-    realization, where numpy would sum pairwise), any other level as numpy
-    reduces its C-order (n, n_anchors, n_components) values."""
+    """The (n, n_components) totals that `fields._synthetic_totals` must
+    match bit for bit, from each level's whole (n_components, n_anchors, n)
+    values array (`levels.values`), added in level order: a d = 1 window
+    level reduced over its anchors by numpy (sequentially for n >= 2, by an
+    explicit accumulate for a lone realization, where numpy would sum
+    pairwise), any other level as numpy reduces its C-order (n, n_anchors,
+    n_components) values."""
     out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
                     levels.spec.n_components))
     for lv, vals in levels.values(noise, [lv for lv in levels.levels
