@@ -367,10 +367,7 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
     ridge = _ridge_of(phi, law)
-    h = ridge.profile
-    # u / |u| can differ from the unit u by an ulp; phi_eps takes that
-    # direction, on which the pinned stein-certify digests rest
-    u = ridge.direction / np.linalg.norm(ridge.direction)
+    h, u = ridge.profile, ridge.direction
     a = np.sqrt(1.0 - eps * eps)
     noise_scale = eps * np.sqrt(ridge.sigma2(law))
 

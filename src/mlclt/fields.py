@@ -13,25 +13,25 @@ of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
 one Philox call, realization k regenerates in isolation, and results are
 bit-reproducible and independent of the chunk size.
 A support box is summed axis by axis at every d: windows along the first
-axis come from one periodic prefix per chunk, and each further axis takes
-a periodic prefix of the partial sums.  Rademacher noise is summed as 0/1
-counts of +1 cells in integer prefixes, scanned in blocks, so box sums are
-exact; the other laws use the same prefixes in float64, scanned row by row.
-Window levels at d = 1 are summed in blocks of anchors that stay in cache
-(`_WindowTotals`): a block's box sums are read from the prefix into one
-small buffer, mapped into another, and added to the level's running sum
-anchor by anchor; the prefix and both block buffers are allocated once per
-run and reused by every chunk.  The other levels are summed as numpy
-reduces their C-order arrays.  Group sums are reduced chunk by
-chunk: each chunk writes its per-index values into one reused buffer of
-about 2^20 doubles, Rademacher counts through one lookup in the levels'
-concatenated tables, and sums them over each group's columns there, so no
-array grows as n times the number of indices unless its caller asks for
-every index as a group.
+axis come from one periodic prefix per chunk and component, whose row L
+also gives the whole-torus sums, and each further axis takes a periodic
+prefix of the partial sums.  Rademacher noise is summed as 0/1 counts of +1
+cells in integer prefixes, scanned in blocks, so box sums are exact; the
+other laws use the same prefixes in float64, scanned row by row.
+Totals take one order at every d (`_SyntheticTotals`): each component adds
+its weighted levels in level order, a window level its anchors in C-order,
+mapped in blocks that stay in cache and added to the level's running sum
+one anchor after the other, a whole-torus level n_anchors times its one
+value.  The prefix and block buffers are allocated once per run and reused
+by every chunk.  Group sums are reduced chunk by chunk: each chunk writes
+its per-index values into one reused buffer of about 2^20 doubles,
+Rademacher counts through one lookup in the levels' concatenated tables,
+and sums them over each group's columns there, so no array grows as n
+times the number of indices unless its caller asks for every index as a
+group.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -162,13 +162,19 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
     return out[:size]
 
 
-def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int) -> NDArray:
-    """Sums over the periodic windows [s, s + w), w <= w_max, for the starts
-    s = (start + a step) mod L, a = 0, 1, ..., in order: two strided runs,
-    from `start` up to L and from (start - L) mod step up to `start`."""
-    s = (start - L) % step
-    return np.concatenate([prefix[start + w:L + w:step] - prefix[start:L:step],
-                           prefix[s + w:start + w:step] - prefix[s:start:step]])
+def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int,
+                 block: int, out: Optional[NDArray] = None):
+    """Yield the sums over the periodic windows [s, s + w), w <= w_max, for
+    the starts s = (start + a step) mod L, a = 0, 1, ..., in order, in
+    blocks of at most `block` starts, each written to `out` when given: two
+    strided runs, from `start` up to L and from (start - L) mod step up to
+    `start`."""
+    for lo, hi in ((start, L), ((start - L) % step, start)):
+        for a in range(lo, hi, block * step):
+            k = min(block, len(range(a, hi, step)))
+            top = a + (k - 1) * step + 1
+            yield np.subtract(prefix[a + w:top + w:step], prefix[a:top:step],
+                              out=None if out is None else out[:k])
 
 
 def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int) -> NDArray:
@@ -182,7 +188,8 @@ def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int) -> NDArray:
     for axis in range(d):
         if axis:
             prefix = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
-        sums = np.moveaxis(_window_sums(prefix, L, start, step, w), 0, axis)
+        sums = np.moveaxis(np.concatenate(list(_window_sums(prefix, L, start, step, w, L))),
+                           0, axis)
     return sums
 
 
@@ -279,148 +286,131 @@ class _SyntheticLevels:
             self.index_dtype = _int_dtype(len(self.table) - 1)
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
-        out = out.reshape(sums.shape)  # a view, one axis of anchors per torus axis
+        """Write the values of level lv's box sums to out, shaped like sums:
+        counts through the level's table, float sums s as w_m L^{-d}
+        g(s / sqrt(count))."""
         if lv.table is not None:  # counts lie in [0, count]: clipping never acts
             np.take(lv.table, sums, out=out, mode="clip")
         else:
-            np.multiply(_apply_map(self.spec.nonlinearity, sums / np.sqrt(lv.count)),
-                        lv.scale, out=out)
+            np.divide(sums, np.sqrt(lv.count), out=out)
+            np.multiply(_apply_map(self.spec.nonlinearity, out), lv.scale, out=out)
 
-    def components(self, noise: NDArray):
-        """Yield each component's noise, cells first and then the
-        realizations: under tabulated noise the 0/1 counts of the cells where
-        it is +1, otherwise its float values."""
-        if self.tabulate:
-            yield noise
-            for p in self.patterns[1:]:
-                yield noise ^ (p < 0).astype(np.uint8)[:, None]
-        else:  # pattern 0 is all ones
-            yield noise.T
-            for p in self.patterns[1:]:
-                yield (noise * p).T
+    def prefixes(self, noise: NDArray, w_max: int, buf: Optional[NDArray] = None):
+        """Yield each component's `_periodic_prefix` along the first torus
+        axis, extended by w_max: shape (1 + L + w_max, L, ..., L, n), in
+        `buf` when given.  A component's noise is, under tabulated noise,
+        the 0/1 counts of the cells where it is +1, else its float values."""
+        for c, p in enumerate(self.patterns):  # pattern 0 is all ones
+            if self.tabulate:
+                col = noise ^ (p < 0).astype(np.uint8)[:, None] if c else noise
+            else:
+                col = (noise * p if c else noise).T
+            yield _periodic_prefix(col.reshape((self.L,) * self.d + col.shape[1:]),
+                                   w_max, buf=buf)
 
     def box_sums(self, noise: NDArray, levels: Sequence[_Level]):
-        """Yield (level, component, sums) for each level, component by
-        component: the box sums, one axis of anchors per torus axis and then
-        the realizations, or on a whole-torus level one sum per realization
-        standing for every anchor.
+        """Yield (level, component, sums) component by component, each in
+        level order: the box sums, one axis of anchors per torus axis and
+        then the realizations, or on a whole-torus level one sum per
+        realization standing for every anchor.
 
         `noise` is (cells, n) counts when tabulated, and then the sums are
         integer counts of +1 cells; otherwise it is (n, cells) float rows.
-        Each component sums the boxes of every level axis by axis, from one
-        periodic prefix along the first axis; whole-torus boxes are its row
-        totals."""
-        cols = list(self.components(noise))
-        n = cols[0].shape[1]
+        Each component's boxes come from one periodic prefix along the first
+        axis (`_box_sums`, `_torus_sums`)."""
         w_max = max((2 * lv.radius + 1 for lv in levels if lv.radius is not None),
                     default=0)
-        prefixes = [_periodic_prefix(col.reshape((self.L,) * self.d + (n,)), w_max)
-                    for col in cols] if w_max else None
-        totals = ([col.T.sum(axis=1) for col in cols]
-                  if any(lv.radius is None for lv in levels) else None)
-        for lv in levels:
-            for c in range(len(cols)):
-                yield lv, c, (totals[c] if lv.radius is None else
-                              _box_sums(prefixes[c], self.d, self.L, lv.radius, 1 << lv.m))
-
-    def values(self, noise: NDArray, levels: Sequence[_Level]):
-        """Yield (level, values) for each level, values anchor-major,
-        (n_components, n_anchors, n), the `box_sums` mapped; a whole-torus
-        level yields one anchor standing for all."""
-        for lv, c, sums in self.box_sums(noise, levels):
-            if c == 0:
-                vals = np.empty((self.spec.n_components,
-                                 1 if lv.radius is None else lv.n_anchors, sums.shape[-1]))
-            self._map(lv, sums, vals[c])
-            if c == len(vals) - 1:
-                yield lv, vals
+        for c, prefix in enumerate(self.prefixes(noise, w_max)):
+            torus = _torus_sums(prefix, self.L)
+            for lv in levels:
+                yield lv, c, (torus if lv.radius is None else
+                              _box_sums(prefix, self.d, self.L, lv.radius, 1 << lv.m))
 
 
-# doubles in the block of mapped window sums that `_WindowTotals` fills and
+def _torus_sums(prefix: NDArray, L: int) -> NDArray:
+    """One sum over the whole torus per realization: row L of `prefix`, the
+    `_periodic_prefix` along the first torus axis, added over the further
+    axes one C-order row after the other, by `_periodic_prefix` again."""
+    rows = prefix[L].reshape(-1, prefix.shape[-1])
+    return _periodic_prefix(rows, 0, peak=L)[-1]
+
+
+def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    """out = rows[0] + rows[1] + ..., the rows of a C-order (k, n) array
+    added one after the other.  numpy reduces the first axis in that order
+    for n >= 2 but sums a lone column pairwise, so that one is accumulated."""
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=out)
+    else:
+        out[:] = np.add.accumulate(rows[:, 0])[-1]
+
+
+# doubles in the block of mapped box sums that `_SyntheticTotals` fills and
 # sums: 1 MiB, which stays in cache while its rows are added
 _WINDOW_BLOCK = 1 << 17
 
 
-class _WindowTotals:
-    """Sums of the weighted window levels of a d = 1 family, per realization
-    and component, from buffers sized once for chunks of up to `chunk`
-    realizations and reused by every chunk: the periodic prefix of one
-    component's noise, and one block of `block` anchors' box sums and of
-    their mapped values.
-
-    Each level takes its anchors in `_window_sums` order, block by block:
-    the block's box sums are read from the prefix, mapped, and added to the
-    level's running row one anchor at a time, starting from its first
-    anchor's value.  That is the order in which numpy reduces the anchor
-    axis of (n_components, n_anchors, n) values for n >= 2, kept for a lone
-    realization too."""
+class _SyntheticTotals:
+    """The (n, n_components) totals of a chunk's noise, its weighted levels
+    added in level order on each component: a window level's anchors one
+    after the other in C-order, from the first anchor's value on, and a
+    whole-torus level as n_anchors times its one value, exact when
+    n_anchors is a power of two.  The bits of the totals are pinned to this
+    order.  The buffers, sized once for chunks of up to `chunk`
+    realizations, are reused by every chunk: one component's periodic
+    prefix along the first torus axis, and a block of `block` anchors' box
+    sums and of their values."""
 
     def __init__(self, levels: _SyntheticLevels, chunk: int):
         self.levels = levels
-        self.windows = [lv for lv in levels.levels if lv.radius is not None
-                        and levels.spec.weight(lv.m) != 0.0]
-        self.w_max = max((2 * lv.radius + 1 for lv in self.windows), default=0)
+        self.weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
+        self.w_max = max((2 * lv.radius + 1 for lv in self.weighted
+                          if lv.radius is not None), default=0)
         kind = "i" if levels.tabulate else "f"
         _, rows, dtype = _prefix_layout(1 + levels.L + self.w_max, kind)
         self.block = max(1, _WINDOW_BLOCK // chunk)
-        self.prefix = np.empty(rows * chunk, dtype=dtype)
-        self.sums = np.empty(self.block * chunk, dtype=dtype) if levels.tabulate else None
-        self.vals = np.empty(self.block * chunk)
+        self.prefix = np.empty(rows * levels.L ** (levels.d - 1) * chunk, dtype=dtype)
+        self.sums = np.empty(self.block * chunk, dtype=dtype)
+        self.vals = np.empty((self.block + 1) * chunk)
         self.row = np.empty(chunk)
 
-    def add_to(self, noise: NDArray, out: NDArray[np.float64]) -> None:
-        """Add each window level's sums to out, (n, n_components), component
-        by component and on each in level order."""
-        if not self.windows:
-            return
+    def __call__(self, noise: NDArray) -> NDArray[np.float64]:
+        levels = self.levels
+        out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
+                        levels.spec.n_components))
         row = self.row[:len(out)]
-        for c, col in enumerate(self.levels.components(noise)):
-            prefix = _periodic_prefix(col, self.w_max, buf=self.prefix)
-            for lv in self.windows:
-                rows = itertools.chain.from_iterable(self._mapped(prefix, lv, len(out)))
-                row[:] = next(rows)
-                for v in rows:
-                    row += v
-                out[:, c] += row
-
-    def _mapped(self, prefix: NDArray, lv: _Level, n: int):
-        """Yield level lv's mapped box sums, (k, n), block by block of k <=
-        `block` anchors in `_window_sums` order, each in the same buffer."""
-        vals = self.vals[:self.block * n].reshape(self.block, n)
-        sums = vals if self.sums is None else self.sums[:self.block * n].reshape(vals.shape)
-        L, w, step = self.levels.L, 2 * lv.radius + 1, 1 << lv.m
-        start = -lv.radius % L
-        for lo, hi in ((start, L), ((start - L) % step, start)):
-            for a in range(lo, hi, self.block * step):
-                k = min(self.block, len(range(a, hi, step)))
-                top = a + (k - 1) * step + 1
-                np.subtract(prefix[a + w:top + w:step], prefix[a:top:step], out=sums[:k])
-                if lv.table is not None:  # counts lie in [0, count]: clipping never acts
-                    np.take(lv.table, sums[:k], out=vals[:k], mode="clip")
+        for c, prefix in enumerate(levels.prefixes(noise, self.w_max, self.prefix)):
+            torus = _torus_sums(prefix, levels.L)
+            for lv in self.weighted:
+                if lv.radius is None:
+                    levels._map(lv, torus, row)
+                    row *= lv.n_anchors
                 else:
-                    np.divide(vals[:k], np.sqrt(lv.count), out=vals[:k])
-                    np.multiply(_apply_map(self.levels.spec.nonlinearity, vals[:k]),
-                                lv.scale, out=vals[:k])
-                yield vals[:k]
+                    self._window_total(prefix, lv, row)
+                out[:, c] += row
+        return out
 
-
-def _synthetic_totals(levels: _SyntheticLevels, noise: NDArray,
-                      windows: Optional[_WindowTotals] = None) -> NDArray[np.float64]:
-    """(n, n_components) totals, the levels added in level order: window
-    levels at d = 1 by `windows` (a fresh `_WindowTotals` if None), the
-    others as numpy reduces their C-order (n, n_anchors, n_components)
-    values.  The bits of the totals are pinned to this order."""
-    out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
-                    levels.spec.n_components))
-    rest = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
-    if levels.d == 1:
-        # window levels come first: box radii grow with the level
-        (windows or _WindowTotals(levels, len(out))).add_to(noise, out)
-        rest = [lv for lv in rest if lv.radius is None]
-    for lv, vals in levels.values(noise, rest):
-        full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
-        out += np.ascontiguousarray(full).sum(axis=1)
-    return out
+    def _window_total(self, prefix: NDArray, lv: _Level, row: NDArray[np.float64]) -> None:
+        """Write window level lv's sum over its anchors to row.  The box sums
+        come in blocks of k <= `block` anchors in C-order, at d >= 2 rows of
+        the level's `_box_sums`, at d = 1 read from the prefix into one
+        reused buffer; each block is mapped into the value buffer after the
+        running row, and the buffer's rows are added."""
+        L, d, r, step, n = self.levels.L, self.levels.d, lv.radius, 1 << lv.m, len(row)
+        if d > 1:
+            sums = _box_sums(prefix, d, L, r, step).reshape(-1, n)
+            blocks = (sums[a:a + self.block] for a in range(0, len(sums), self.block))
+        else:
+            blocks = _window_sums(prefix, L, -r % L, step, 2 * r + 1, self.block,
+                                  self.sums[:self.block * n].reshape(self.block, n))
+        vals = self.vals[:(self.block + 1) * n].reshape(self.block + 1, n)
+        first = 0
+        for block in blocks:
+            k = first + len(block)
+            self.levels._map(lv, block, vals[first:k])
+            _add_rows(vals[:k], row)
+            vals[0] = row
+            first = 1
 
 
 def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
@@ -433,10 +423,12 @@ def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
     its level's offset into the concatenated table, goes straight into one
     integer array shaped like out, a whole-torus level's one count per
     realization repeated over its anchors, and one np.take of the table
-    fills out."""
+    fills out.  Float box sums are mapped level by level."""
     if not levels.tabulate:
-        for lv, vals in levels.values(noise, levels.levels):
-            out[:, lv.start:lv.start + lv.n_anchors] = vals.T
+        for lv, c, sums in levels.box_sums(noise, levels.levels):
+            vals = np.empty(sums.shape)
+            levels._map(lv, sums, vals)
+            out[:, lv.start:lv.start + lv.n_anchors, c] = vals.reshape(-1, len(out)).T
         return
     idx = np.empty(out.shape, dtype=levels.index_dtype)
     for lv, c, sums in levels.box_sums(noise, levels.levels):
@@ -461,8 +453,8 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
         raise UsageError(f"enumeration over 2^{cells} configurations refused (> 2^20)")
     n_cfg = 1 << cells
     bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
-    totals = _synthetic_totals(_SyntheticLevels(spec, structure, tabulate=True),
-                               bits)[:, 0]
+    totals = _SyntheticTotals(_SyntheticLevels(spec, structure, tabulate=True),
+                              n_cfg)(bits)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
 
@@ -492,9 +484,10 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     A grouped run writes each chunk's per-index values into one buffer of at
     most 2^20 doubles (or one realization's, if larger), with one table
     lookup under Rademacher noise (`_synthetic_index_values`), and reduces
-    them there: its totals are those values summed as numpy reduces them;
-    its group sums gather the groups' columns once, column j of every group
-    in one contiguous row, and add the rows in the order given.
+    them there: its totals are each component's values summed as numpy
+    reduces them; its group sums gather the groups' columns once, column j
+    of every group in one contiguous row, and add the rows in the order
+    given.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
@@ -507,9 +500,9 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     n_indices = levels.n_indices
     totals = np.empty((n, n_comp))
-    windows = (_WindowTotals(levels, min(n, chunk_size))
-               if groups is None and structure.d == 1 else None)
-    if groups is not None:
+    if groups is None:
+        synthetic_totals = _SyntheticTotals(levels, min(n, chunk_size))
+    else:
         groups = np.asarray(groups)
         if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.shape[1] < 1
                 or groups.size and not 0 <= groups.min() <= groups.max() < n_indices):
@@ -527,11 +520,12 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0,
                       chunk.stop - k0)
         if groups is None:
-            totals[chunk] = _synthetic_totals(levels, noise, windows)
+            totals[chunk] = synthetic_totals(noise)
             continue
         vals = buf[:chunk.stop - k0]
         _synthetic_index_values(levels, noise, vals)
-        totals[chunk] = vals.sum(axis=1)
+        for c in range(n_comp):  # each component's own reduce
+            totals[chunk, c] = vals[:, :, c].sum(axis=1)
         # add each group's columns one at a time, in the order given: numpy's
         # sum would pick pairwise or sequential order by the chunk's shape.
         # One gather makes column j of every group one contiguous row.

@@ -5,6 +5,7 @@ positions, the columns that a grouping leaves as remainders, the check that
 groups share no noise cell, the per-level totals of a synthetic family, and
 the sampled check of a test function against the restricted test class.
 """
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -157,21 +158,20 @@ def _max_gradient(phi, points, step: float = 1e-5) -> float:
 
 
 def per_level_totals(levels, noise) -> np.ndarray:
-    """The (n, n_components) totals that `fields._synthetic_totals` must
-    match bit for bit, from each level's whole (n_components, n_anchors, n)
-    values array (`levels.values`), added in level order: a d = 1 window
-    level reduced over its anchors by numpy (sequentially for n >= 2, by an
-    explicit accumulate for a lone realization, where numpy would sum
-    pairwise), any other level as numpy reduces its C-order (n, n_anchors,
-    n_components) values."""
-    out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
-                    levels.spec.n_components))
-    for lv, vals in levels.values(noise, [lv for lv in levels.levels
-                                          if levels.spec.weight(lv.m) != 0.0]):
-        if lv.radius is not None and levels.d == 1:
-            out += (vals.sum(axis=1) if len(out) > 1
-                    else np.add.accumulate(vals, axis=1)[:, -1]).T
+    """The (n, n_components) totals that `fields._SyntheticTotals` must
+    match bit for bit, from each weighted level's whole array of values
+    (`levels.box_sums` mapped by `levels._map`), component by component
+    and on each in level order: a window level's anchors added one after
+    the other in C-order, from the first anchor's value on, and a
+    whole-torus level as n_anchors times its one value."""
+    n = noise.shape[1] if levels.tabulate else len(noise)
+    out = np.zeros((n, levels.spec.n_components))
+    weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
+    for lv, c, sums in levels.box_sums(noise, weighted):
+        vals = np.empty(sums.shape)
+        levels._map(lv, sums, vals)
+        if lv.radius is None:
+            out[:, c] += lv.n_anchors * vals
         else:
-            full = np.broadcast_to(vals.T, (len(out), lv.n_anchors, len(vals)))
-            out += np.ascontiguousarray(full).sum(axis=1)
+            out[:, c] += functools.reduce(np.add, vals.reshape(-1, n))
     return out

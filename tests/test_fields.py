@@ -15,9 +15,9 @@ from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
-from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels, _apply_map,
-                          _box_sums, _draw, _periodic_prefix, _synthetic_index_values,
-                          _synthetic_totals, brute_force_law, make_preset, monte_carlo,
+from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels,
+                          _SyntheticTotals, _apply_map, _box_sums, _draw, _periodic_prefix,
+                          _synthetic_index_values, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, LevelIndex, periodic_distance
 
@@ -259,7 +259,7 @@ def test_brute_force_law_reads_the_count_path(d, L, K):
     law = brute_force_law(spec, st)
     cells = L ** d
     bits = (np.arange(1 << cells)[:, None] >> np.arange(cells)[None, :]) & 1
-    totals = _synthetic_totals(_SyntheticLevels(spec, st), bits * 2.0 - 1.0)[:, 0]
+    totals = _SyntheticTotals(_SyntheticLevels(spec, st), 1 << cells)(bits * 2.0 - 1.0)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     assert np.array_equal(law.values, values)
     assert np.array_equal(law.probs, counts / (1 << cells))
@@ -448,37 +448,65 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
 
 
 @pytest.mark.parametrize("K", [1.0, 2.0])
-@pytest.mark.parametrize("L", [3, 5, 16, 64, 65, 119, 512])
-def test_blocked_window_totals_match_per_level_oracle(L, K):
-    # d = 1 window levels are mapped and summed in blocks of 32 anchors at a
-    # 4096-realization chunk (one block below it); 65, 119 and 512 anchors
-    # on level 0 leave a partial block, and a run's second strided half
-    # starts one.  The oracle reduces each level's whole values array.
+@pytest.mark.parametrize("d,L", [(1, 3), (1, 5), (1, 16), (1, 64), (1, 65), (1, 119), (1, 512),
+                                 (2, 5), (2, 12), (2, 24), (2, 32), (3, 6), (3, 8), (3, 12)],
+                         ids=lambda v: str(v))
+def test_blocked_window_totals_match_per_level_oracle(d, L, K):
+    # window levels are mapped and summed in blocks of 2^17 doubles: 32
+    # anchors at a 4096-realization chunk, 204 at 640; 65, 119 and 512
+    # anchors on a d = 1 level 0 leave a partial block, and a run's second
+    # strided half starts one; at d >= 2 the blocks cut a level's C-order
+    # anchors, and non-dyadic whole-torus levels have odd anchor counts.
+    # The oracle adds each level's whole values array row by row.
+    big = 4096 if d == 1 else 640
     for i, dist in enumerate(_DISTS):
         n_comp = 1 + (i + L) % 3
         spec = SyntheticSpec(nonlinearity=_MAPS[(i + L) % 3], dist=dist, n_components=n_comp,
                              level_weights=None if i % 2 else (1.0, 0.0, 2.0, 0.5))
-        st = DependenceStructure(d=1, L=L, K=K)
+        st = DependenceStructure(d=d, L=L, K=K)
         levels = _SyntheticLevels(spec, st, tabulate=dist == "rademacher")
-        for chunk, n in ((1, 9), (2, 9), (7, 9), (4096, 4096)):
+        for chunk, n in ((1, 9), (2, 9), (7, 9), (big, big)):
             got = monte_carlo(spec, st, n, 404, chunk_size=chunk).values
             expect = np.concatenate([
-                per_level_totals(levels, _draw(1, L, dist, 404, k0, min(chunk, n - k0)))
+                per_level_totals(levels, _draw(d, L, dist, 404, k0, min(chunk, n - k0)))
                 for k0 in range(0, n, chunk)])
             assert np.array_equal(got, expect), (dist, chunk)
 
 
-def test_window_totals_allocate_no_per_level_arrays():
-    # the d = 1 window levels reuse one prefix and two block buffers across
-    # chunks; per-level window sums and values took a 44.6 MiB peak here
-    spec, st = make_preset("cube", 1, 512)
+@pytest.mark.parametrize("d,L,n,mib", [(1, 512, 20000, 20), (2, 128, 2000, 75)])
+def test_window_totals_allocate_no_per_level_arrays(d, L, n, mib):
+    # d = 1 window levels reuse one prefix and two block buffers across
+    # chunks; per-level window sums and values took a 44.6 MiB peak there.
+    # At d = 2 only each level's box sums are whole arrays: a transposed
+    # copy of every window level's values took a 93.9 MiB peak here.
+    spec, st = make_preset("cube", d, L)
     tracemalloc.start()
     try:
-        monte_carlo(spec, st, 20000, 7)
+        monte_carlo(spec, st, n, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20, peak / 2 ** 20
+    assert peak < mib * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("d,L,K", [(1, 64, 2.0), (2, 16, 1.0), (2, 16, 2.0), (2, 64, 2.0),
+                                   (2, 256, 2.0)], ids=lambda v: str(v))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_first_component_does_not_depend_on_component_count(name, d, L, K):
+    # each component's totals are reduced on their own, so component 0 of a
+    # three-component run keeps the bits of the scalar run
+    one = make_preset(name, d, L, K=K)
+    three = make_preset(name, d, L, K=K, n_components=3)
+    groups = np.arange(6)[:, None]
+    n = 6 if L == 256 else 40
+    for kwargs in ({}, {"groups": groups}):
+        got = monte_carlo(*three, n, 31, chunk_size=16, **kwargs)
+        expect = monte_carlo(*one, n, 31, chunk_size=16, **kwargs)
+        if kwargs:
+            (got, got_sums), (expect, expect_sums) = got, expect
+            assert np.array_equal(got_sums[:, :, 0], expect_sums[:, :, 0])
+        assert np.array_equal(got.values[:, 0], expect.values[:, 0])
+
 
 def _some_groups(st, n_groups=5, group_len=9):
     """Groups of distinct columns drawn at random; groups may overlap."""
