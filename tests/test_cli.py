@@ -348,8 +348,12 @@ def test_moderate_csv_digest_is_pinned(args, tmp_path):
 
 # sha256 of `clt-rate --preset identity-gauss --d 1 --L 4,8,16,32
 # --n-samples 3000 --seed 11` in sample stream v2, covariance by numpy sums
-_RATE_SEED11_SHA256 = ("da1b1e46fe4b5c6582dbd53264507fce"
-                       "859cbe089e83bea2af979bf80cb75661")
+_RATE_SEED11_SHA256 = ("476156ce4245b146d87d7d44c5becaa0"
+                       "77a2163258c18727989f57d96269ef88")
+# sha256 of `clt-rate --preset cube --d 2 --n-dim 2 --L 8,16,32 --n-samples
+# 2000 --seed 3`: two components of d = 2 totals, window and whole-torus levels
+_RATE_D2_SEED3_SHA256 = ("3dadbe7f6c277f35bb7060ad4dea1fcf"
+                         "1ff86b27d51645ecd2f583ccc4b28290")
 
 
 def test_clt_rate_manifest_records_decisions(tmp_path):
@@ -379,8 +383,10 @@ def test_clt_rate_manifest_records_decisions(tmp_path):
 
 def test_clt_rate_runs_at_d2(tmp_path):
     out = tmp_path / "rate.csv"
-    assert main(["clt-rate", "--d", "2", "--L", "8,16,32", "--n-samples", "1000",
-                 "--seed", "3", "--out", str(out)]) == 0
+    assert main(["clt-rate", "--preset", "cube", "--d", "2", "--n-dim", "2",
+                 "--L", "8,16,32", "--n-samples", "2000", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _RATE_D2_SEED3_SHA256
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["L"]) for r in rows] == [8, 16, 32]
@@ -417,11 +423,11 @@ def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
 # E[phi_eps(Z)] taken as the closed-form E[phi(Z)].
 _CERTIFY_SEED0_SHA256 = ("66a3c7107582192d1238a9a7c699d5eb"
                          "ef5bfee9b775eb760bafd260553e88c5")
-# the dim-2 and dim-3 members reach mollify's u/|u| direction, and eps = 0.05
-# is the smallest eps a solution admits
+# the dim-2 and dim-3 members reach mollify along the ridge's unit direction,
+# and eps = 0.05 is the smallest eps a solution admits
 _CERTIFY_SHA256 = {
     "--n-dim 2 --eps 0.5 --seed 0":
-        "72c7f4cf374a84e00df5c470cd3da1aad2b945786788948797744acdda1a1a9a",
+        "c63b46f6efe220e81a84ecff6482f81222f86b26c934d1da11832a4e2e0d8acc",
     "--n-dim 3 --eps 0.5 --seed 1":
         "718d4ea56f627a95c7902853deeac37142b65be1858ac1dc7795999719d938ed",
     "--n-dim 1 --eps 0.05 --seed 0":
