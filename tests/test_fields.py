@@ -448,9 +448,10 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
 
 
 @pytest.mark.parametrize("K", [1.0, 2.0])
-@pytest.mark.parametrize("d,L", [(1, 3), (1, 5), (1, 16), (1, 64), (1, 65), (1, 119), (1, 512),
-                                 (2, 5), (2, 12), (2, 24), (2, 32), (3, 6), (3, 8), (3, 12)],
-                         ids=lambda v: str(v))
+@pytest.mark.parametrize("d,L", [pytest.param(1, L, id=str(L)) for L in (3, 5, 16, 64, 65, 119, 512)]
+                         + [pytest.param(d, L, id=f"d{d}-{L}")
+                            for d, L in ((2, 5), (2, 12), (2, 24), (2, 32),
+                                         (3, 6), (3, 8), (3, 12))])
 def test_blocked_window_totals_match_per_level_oracle(d, L, K):
     # window levels are mapped and summed in blocks of 2^17 doubles: 32
     # anchors at a 4096-realization chunk, 204 at 640; 65, 119 and 512
@@ -473,24 +474,25 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
             assert np.array_equal(got, expect), (dist, chunk)
 
 
-@pytest.mark.parametrize("d,L,n,mib", [(1, 512, 20000, 20), (2, 128, 2000, 75)])
-def test_window_totals_allocate_no_per_level_arrays(d, L, n, mib):
+def test_window_totals_allocate_no_per_level_arrays():
     # d = 1 window levels reuse one prefix and two block buffers across
     # chunks; per-level window sums and values took a 44.6 MiB peak there.
     # At d = 2 only each level's box sums are whole arrays: a transposed
     # copy of every window level's values took a 93.9 MiB peak here.
-    spec, st = make_preset("cube", d, L)
-    tracemalloc.start()
-    try:
-        monte_carlo(spec, st, n, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < mib * 2 ** 20, peak / 2 ** 20
+    for d, L, n, mib in ((1, 512, 20000, 20), (2, 128, 2000, 75)):
+        spec, st = make_preset("cube", d, L)
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, st, n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2 ** 20, (d, peak / 2 ** 20)
 
 
-@pytest.mark.parametrize("d,L,K", [(1, 64, 2.0), (2, 16, 1.0), (2, 16, 2.0), (2, 64, 2.0),
-                                   (2, 256, 2.0)], ids=lambda v: str(v))
+@pytest.mark.parametrize("d,L,K", [pytest.param(d, L, K, id=f"d{d}-{L}-{K}")
+                                   for d, L, K in ((1, 64, 2.0), (2, 16, 1.0), (2, 16, 2.0),
+                                                   (2, 64, 2.0), (2, 256, 2.0))])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_first_component_does_not_depend_on_component_count(name, d, L, K):
     # each component's totals are reduced on their own, so component 0 of a
