@@ -44,6 +44,17 @@ has when requested alone: the construction gate computes orders 0 and 2
 together, the residual 1 and 2, and the majorant tables 2 and 3.
 Each solution builds its majorant table once per (delta, window) and serves
 both majorant kinds from it.
+
+The (s, w) pairs of one call form a grid of s-nodes by points.  The sum
+over s runs in s-blocks of about `_EXACT_BLOCK` pairs, whole rows of the
+grid, each added by one BLAS product per order; the rows in an s-block fix
+the bits of that sum, so `_EXACT_BLOCK` is part of the reproducibility
+contract.  The closed forms themselves are evaluated in slices of about
+`_EXACT_SLICE` pairs, a few rows of an s-block (or part of one row, past
+`_EXACT_SLICE` points), into one value buffer per order that every s-block
+of the call reuses.  Each value depends on its own pair alone, so the
+slices leave the bits as they are; they keep the temporaries small enough
+to stay in cache and in the heap.
 """
 from __future__ import annotations
 
@@ -80,9 +91,18 @@ _S_NODES = 1024
 # s-nodes of the majorant tables: they feed oscillation *bounds* checked with
 # large slack, so a reduced budget (relative error ~1e-4) is ample there.
 _TABLE_S_NODES = 256
-# (s, w) pairs per block of the closed-form inner integral; each pair holds
-# a few dozen float64 temporaries.
+# (s, w) pairs per s-block of the closed-form inner integral.  Each s-block
+# adds its share of the s-integral with one (sw * s^{k/2}) @ values product
+# per order, whose sum over the block's s-nodes BLAS takes in an order of
+# its own: the block's rows, set by this constant and the point count, fix
+# the bits of every F_k.
 _EXACT_BLOCK = 1 << 16
+# (s, w) pairs per evaluation slice of an s-block.  The closed forms take a
+# few dozen float64 temporaries per pair; at 2^12 pairs they stay in cache
+# and in the heap, where whole s-blocks of them went back to the OS and were
+# faulted in again (2^11 was slower, 2^13 still faulted).  Every value
+# depends on its own pair alone, so the slices leave every bit as it is.
+_EXACT_SLICE = 1 << 12
 
 
 def _weight(order: int, s: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -208,25 +228,32 @@ class SteinSolution:
 
         Gaussian integration by parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns
         the order-k inner integral at s into s^{k/2} E[h^(k)(sqrt(1-s) w +
-        sqrt(s) sigma Z)], which the profile evaluates in closed form.  The
-        orders of one call share every set of truncated moments; each result
-        has the same bits as a call for its order alone.
+        sqrt(s) sigma Z)], which the profile evaluates in closed form, slice
+        by slice into the value buffers, and each s-block is summed from
+        there.  The orders of one call share every set of truncated moments;
+        each result has the same bits as a call for its order alone.
         """
         w = np.asarray(w, dtype=float)
         flat = w.reshape(-1)
+        m = flat.size
         s, sws = _s_panels(self.eps, s_nodes or _S_NODES, orders)
-        outs = [np.zeros(flat.shape) for _ in orders]
-        block = max(1, _EXACT_BLOCK // max(1, flat.size))
+        a, b = np.sqrt(1.0 - s), np.sqrt(s) * self._sigma
+        block = max(1, _EXACT_BLOCK // max(1, m))
+        rows, cols = max(1, _EXACT_SLICE // max(1, m)), max(1, min(m, _EXACT_SLICE))
+        outs = [np.zeros(m) for _ in orders]
+        vals = [np.empty((min(block, len(s)), m)) for _ in orders]
+        profile = self.phi.ridge.profile
         for start in range(0, len(s), block):
-            sl = slice(start, start + block)
-            sb = s[sl]
-            vals = self.phi.ridge.profile.gaussian_expectations(
-                np.sqrt(1.0 - sb)[:, None] * flat[None, :],
-                (np.sqrt(sb) * self._sigma)[:, None], orders)
+            sb = s[start:start + block]
+            for r in range(0, len(sb), rows):
+                rs = slice(start + r, start + min(r + rows, len(sb)))
+                for c in range(0, m, cols):
+                    got = profile.gaussian_expectations(
+                        a[rs, None] * flat[None, c:c + cols], b[rs, None], orders)
+                    for val, k, g in zip(vals, orders, got):
+                        val[r:r + len(g), c:c + cols] = g - self._c_eps if k == 0 else g
             for out, sw, k, val in zip(outs, sws, orders, vals):
-                if k == 0:
-                    val = val - self._c_eps
-                out += (sw[sl] * sb ** (0.5 * k)) @ val
+                out += (sw[start:start + len(sb)] * sb ** (0.5 * k)) @ val[:len(sb)]
         return [out.reshape(w.shape) for out in outs]
 
     @property

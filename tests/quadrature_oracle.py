@@ -12,6 +12,10 @@ closed form only the shared s-integral and rounding remain.
 `gaussian_expectation` applies it to E[fn(Z)] with an optional node-doubling
 check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)] with it.
 `poly` builds the no-knot polynomial profiles.
+
+`one_shot_fk` is `SteinSolution._fk` as it was before the closed forms were
+evaluated in slices: each s-block of `_EXACT_BLOCK` pairs in one call of
+`gaussian_expectations`.  The sliced `_fk` must keep its bits.
 """
 from functools import lru_cache
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
-from mlclt.stein import _s_panels
+from mlclt.stein import _EXACT_BLOCK, _S_NODES, _s_panels
 
 # node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
 _EXPECTATION_RTOL = 1e-6
@@ -84,6 +88,27 @@ def mollified(phi, eps: float, law, x, n_per_axis: int = 32):
 
     return gaussian_expectation(law.covariance.sqrt(), inner, n_per_axis=n_per_axis,
                                 check=True)
+
+
+def one_shot_fk(sol, w, orders, s_nodes=None):
+    """F_k of the Stein solution `sol` at scalar points w, one array per
+    order in `orders`, each s-block's closed forms taken in one call."""
+    w = np.asarray(w, dtype=float)
+    flat = w.reshape(-1)
+    s, sws = _s_panels(sol.eps, s_nodes or _S_NODES, orders)
+    outs = [np.zeros(flat.shape) for _ in orders]
+    block = max(1, _EXACT_BLOCK // max(1, flat.size))
+    for start in range(0, len(s), block):
+        sl = slice(start, start + block)
+        sb = s[sl]
+        vals = sol.phi.ridge.profile.gaussian_expectations(
+            np.sqrt(1.0 - sb)[:, None] * flat[None, :],
+            (np.sqrt(sb) * sol._sigma)[:, None], orders)
+        for out, sw, k, val in zip(outs, sws, orders, vals):
+            if k == 0:
+                val = val - sol._c_eps
+            out += (sw[sl] * sb ** (0.5 * k)) @ val
+    return [out.reshape(w.shape) for out in outs]
 
 
 class GaussHermiteStein:

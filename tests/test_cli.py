@@ -399,22 +399,29 @@ def test_clt_rate_runs_at_d2(tmp_path):
 
 
 
-def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
-    # OpenBLAS splits a long dot product across its threads, so a covariance
-    # taken through BLAS moves in its last digits with the thread count
+def _digests_under_blas_threads(tmp_path, args: list[str]) -> list[str]:
+    """sha256 of the CSV of `mlclt <args>`, run in a subprocess under
+    OPENBLAS_NUM_THREADS=1 and then =2."""
     src = str(Path(mlclt.__file__).resolve().parents[1])
     code = "import sys\nimport mlclt.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
     digests = []
     for threads in ("1", "2"):
-        out = tmp_path / f"rate{threads}.csv"
+        out = tmp_path / f"run{threads}.csv"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", code, "clt-rate", "--preset", "cube", "--d", "1",
-             "--L", "16,32,64", "--n-samples", "12000", "--seed", "2026", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600)
+        done = subprocess.run([sys.executable, "-c", code, *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    return digests
+
+
+def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, so a covariance
+    # taken through BLAS moves in its last digits with the thread count
+    digests = _digests_under_blas_threads(tmp_path, [
+        "clt-rate", "--preset", "cube", "--d", "1", "--L", "16,32,64",
+        "--n-samples", "12000", "--seed", "2026"])
     assert digests[0] == digests[1]
 
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
@@ -433,6 +440,16 @@ _CERTIFY_SHA256 = {
     "--n-dim 1 --eps 0.05 --seed 0":
         "6ce11aea5d3d83a2ddab1abb33e2f9792151aadc4b6b8cf8baa344586fc04382",
 }
+
+
+@pytest.mark.parametrize("args,expect", [
+    ("--n-dim 1 --eps 0.25", _CERTIFY_SEED0_SHA256),
+    ("--n-dim 2 --eps 0.5 --seed 0", _CERTIFY_SHA256["--n-dim 2 --eps 0.5 --seed 0"])])
+def test_stein_certify_csv_does_not_depend_on_blas_threads(args, expect, tmp_path):
+    # each s-block of the Stein quadrature is one BLAS dgemv per order; its
+    # sums over s must not move with the thread count
+    digests = _digests_under_blas_threads(tmp_path, ["stein-certify", *args.split()])
+    assert digests == [expect, expect]
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,15 @@
 the defining equation, finite-difference consistency of the derivative
 scalars, cross-validation against the Gauss-Hermite oracle in dims 1-3, the
 ridge-only contract, and the envelope certificates."""
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from quadrature_oracle import GaussHermiteStein, gaussian_expectation, mollified, poly
+from quadrature_oracle import (GaussHermiteStein, gaussian_expectation, mollified,
+                               one_shot_fk, poly)
 
 import support
 from support import class_membership_check
@@ -240,6 +244,48 @@ def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
         assert np.array_equal(got, sol.derivative_scalars(w, order))
 
 
+_ORACLE_PROFILES = tuple(phi.ridge.profile for phi in soft_clip_family(1)) + (CUBIC, LINEAR)
+_ORACLE_ORDERS = ((0,), (0, 2), (1, 2), (2, 3), (3,))
+_ORACLE_BUDGETS = (256, 1024, 2048)
+_ORACLE_EPS = (0.05, 0.25, 0.9)
+
+
+def _oracle_cases():
+    """(width, s budget, eps, profile, orders) for the sliced-against-one-shot
+    check.  Widths up to 200 meet every budget at every eps; 1717 and 4099
+    points (wider than a slice, 4099 one slice and 3 points) meet each budget
+    at one eps and each eps at one budget, which keeps the check to a few
+    seconds.  The profile and the orders cycle over the cases, so every
+    profile meets every tuple of orders."""
+    grid = [(width, budget, eps) for width, (i, budget), (j, eps) in itertools.product(
+                (1, 3, 64, 200, 1717, 4099), enumerate(_ORACLE_BUDGETS),
+                enumerate(_ORACLE_EPS)) if width <= 200 or i == j]
+    n = len(_ORACLE_PROFILES)
+    return [pytest.param(width, budget, eps, case % n,
+                         _ORACLE_ORDERS[(case // n + case) % len(_ORACLE_ORDERS)],
+                         id=f"w{width}-s{budget}-eps{eps}")
+            for case, (width, budget, eps) in enumerate(grid)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_solution(profile_index: int, eps: float) -> SteinSolution:
+    return solution_1d(_ORACLE_PROFILES[profile_index], 1.3, eps)
+
+
+@pytest.mark.parametrize("width,budget,eps,profile,orders", _oracle_cases())
+def test_sliced_closed_forms_keep_the_bits_of_one_shot_blocks(width, budget, eps, profile,
+                                                              orders):
+    # the slices change where the closed forms are evaluated, not what the
+    # s-blocks sum: every F_k keeps the bits of each s-block taken at once
+    sol = _oracle_solution(profile, eps)
+    w = np.linspace(-6.0, 6.0, width) if width > 1 else np.array([0.7])
+    got = sol._fk(w, orders, budget)
+    expect = one_shot_fk(sol, w, orders, budget)
+    assert len(got) == len(orders)
+    for order, a, b in zip(orders, got, expect):
+        assert np.array_equal(a, b), (profile, order)
+
+
 @pytest.mark.parametrize("sigma2", [1.0, 2.5])
 def test_exact_inner_integral_matches_gauss_hermite(sigma2):
     # the oracle integrates the soft-clip members' kinks to below 1e-6 at
@@ -334,6 +380,23 @@ def test_majorant_table_is_built_once_per_delta():
     sol.derivative_scalars(hermite_1d(64)[0], 3)
     assert spent == sum(evaluated) > 0
     assert third["table"] == hessian["table"] and len(sol._majorants) == 1
+
+
+def test_certificates_evaluate_the_closed_forms_in_small_slices():
+    # whole s-blocks of closed-form temporaries took a 14.6 MiB peak for the
+    # majorant table and 12.2 MiB for the third-derivative certificate
+    sol = SteinSolution(soft_clip_family(1)[0], STD_1D, 0.25)
+    for name, call in (
+            ("table", lambda: majorant_average_certificate(sol, 0.1, "hessian")),
+            ("third", lambda: third_derivative_certificate(
+                sol, np.linspace(-4.0, 4.0, 200)[:, None]))):
+        tracemalloc.start()
+        try:
+            assert call()["passed"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, (name, peak / 2 ** 20)
 
 
 # ---------------------------------------------------------------------------
