@@ -162,34 +162,38 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
     return out[:size]
 
 
-def _window_sums(prefix: NDArray, L: int, start: int, step: int, w: int,
-                 block: int, out: Optional[NDArray] = None):
-    """Yield the sums over the periodic windows [s, s + w), w <= w_max, for
-    the starts s = (start + a step) mod L, a = 0, 1, ..., in order, in
-    blocks of at most `block` starts, each written to `out` when given: two
+def _windows(prefix: NDArray, L: int, start: int, step: int, w: int, block: int):
+    """Yield the ends and the starts, as rows of `prefix`, of the periodic
+    windows [s, s + w), w <= w_max, for the starts s = (start + a step) mod
+    L, a = 0, 1, ..., in order, in blocks of at most `block` starts: two
     strided runs, from `start` up to L and from (start - L) mod step up to
-    `start`."""
+    `start`.  A block's window sums are its ends minus its starts."""
     for lo, hi in ((start, L), ((start - L) % step, start)):
         for a in range(lo, hi, block * step):
-            k = min(block, len(range(a, hi, step)))
-            top = a + (k - 1) * step + 1
-            yield np.subtract(prefix[a + w:top + w:step], prefix[a:top:step],
-                              out=None if out is None else out[:k])
+            top = a + (min(block, len(range(a, hi, step))) - 1) * step + 1
+            yield prefix[a + w:top + w:step], prefix[a:top:step]
 
 
 def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int) -> NDArray:
     """Sums over the periodic boxes of radius r (width w = 2r + 1 < L per
     axis) anchored on step Z^d, of an array whose first d axes are the
-    torus: one axis of anchors per torus axis, then the other axes.  Axis 0
-    reads its `_window_sums` from `prefix`, the array's `_periodic_prefix`;
-    each further axis takes the periodic prefix of the partial sums and
-    reads the same windows."""
+    torus: a C-order array with one axis of anchors per torus axis, then
+    the other axes.  Axis 0 reads its `_windows` from `prefix`, the array's
+    `_periodic_prefix`; each further axis takes the periodic prefix of the
+    partial sums and reads the same windows.  Each axis subtracts straight
+    into its place in the result, so no axis is copied into order."""
     start, w = -r % L, 2 * r + 1
     for axis in range(d):
         if axis:
             prefix = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
-        sums = np.moveaxis(np.concatenate(list(_window_sums(prefix, L, start, step, w, L))),
-                           0, axis)
+        runs = list(_windows(prefix, L, start, step, w, L))
+        anchors = sum(len(ends) for ends, _ in runs)
+        sums = np.empty(prefix.shape[1:axis + 1] + (anchors,) + prefix.shape[axis + 1:],
+                        dtype=prefix.dtype)
+        into, a = np.moveaxis(sums, axis, 0), 0
+        for ends, starts in runs:
+            np.subtract(ends, starts, out=into[a:a + len(ends)])
+            a += len(ends)
     return sums
 
 
@@ -401,8 +405,9 @@ class _SyntheticTotals:
             sums = _box_sums(prefix, d, L, r, step).reshape(-1, n)
             blocks = (sums[a:a + self.block] for a in range(0, len(sums), self.block))
         else:
-            blocks = _window_sums(prefix, L, -r % L, step, 2 * r + 1, self.block,
-                                  self.sums[:self.block * n].reshape(self.block, n))
+            buf = self.sums[:self.block * n].reshape(self.block, n)
+            blocks = (np.subtract(ends, starts, out=buf[:len(ends)]) for ends, starts
+                      in _windows(prefix, L, -r % L, step, 2 * r + 1, self.block))
         vals = self.vals[:(self.block + 1) * n].reshape(self.block + 1, n)
         first = 0
         for block in blocks:

@@ -587,6 +587,20 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L,r,step", [(12, 2, 2), (7, 1, 4)])
+def test_box_sums_are_written_in_anchor_order(d, L, r, step):
+    # the d >= 2 totals read blocks of C-order anchors as rows of these
+    # sums, with no copy; anchor a of an axis starts its window at a step - r
+    x = np.random.default_rng(d * L).integers(0, 2, size=(L,) * d + (5,), dtype=np.uint8)
+    got = _box_sums(_periodic_prefix(x, 2 * r + 1), d, L, r, step)
+    assert got.flags.c_contiguous
+    expect = x.astype(np.int64)
+    for axis in range(d):
+        expect = sum(np.roll(expect, r - o, axis=axis) for o in range(2 * r + 1))
+    assert np.array_equal(got, expect[(slice(None, None, step),) * d])
+
+
 def test_monte_carlo_single_draw_matches_direct_generator():
     spec, st = make_preset("signed-sqrt", 1, 16)
     got = monte_carlo(spec, st, 1, 31).values[0]
