@@ -290,6 +290,25 @@ def test_bound_calc_runner(tmp_path):
     assert "stream_version" not in manifest  # bound-calc samples nothing
 
 
+# sha256 of `bound-calc --preset cube` plus these arguments: the bits of the
+# closed-form bound, at L=119 over a level whose anchors do not all have the
+# same number of chi-neighbours, and at d=2 with two components
+_BOUND_CALC_SHA256 = {
+    "--d 1 --L 16,119,4096":
+        "8cad313d970aff86569f6f029ba5a01d6c146295dacd2a5a1c7b543cee4d801e",
+    "--d 2 --n-dim 2 --L 12,64":
+        "d8f5bb760521687c82bc72972aad242b44c7f446a5c91b25c383a8499f20e29f",
+}
+
+
+@pytest.mark.parametrize("args", list(_BOUND_CALC_SHA256))
+def test_bound_calc_csv_digest_is_pinned(args, tmp_path):
+    out = tmp_path / "bc.csv"
+    assert main(["bound-calc", "--preset", "cube", *args.split(),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _BOUND_CALC_SHA256[args]
+
+
 def test_moderate_runner(tmp_path):
     out = tmp_path / "mod.csv"
     rc = main(["moderate", "--preset", "cube", "--L", "16",
