@@ -38,7 +38,6 @@ def hermite_1d(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 _MC_STREAM_TAG = 0x5A3D1E  # Monte Carlo noise of `fields`, every realization
 _FLOOR_COUNTER = 1 << 48  # clt-rate's Gaussian sample for the Monte Carlo floor
 _STEIN_PROBE_TAG = 0x57E14  # stein-certify's probe points
-_TAILS_TAG = 0xBE77E77  # the tails experiment's iid Rademacher sums
 _SLICED_W1_TAG = 0x511CED  # sliced W1's projection directions
 
 

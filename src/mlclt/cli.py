@@ -47,7 +47,7 @@ from .stein import (_S_NODES, SteinSolution, majorant_average_certificate,
 
 EXPERIMENTS = ("clt-rate", "stein-certify", "bound-calc", "tails",
                "moderate", "oracle")
-_STATISTICAL = frozenset({"clt-rate", "tails", "moderate", "oracle"})
+_STATISTICAL = frozenset({"clt-rate", "moderate", "oracle"})
 _SCHEMA_VERSION = 1
 
 
@@ -253,12 +253,13 @@ def row_seed(master_seed: int, L: int) -> int:
 
 
 def _bound(config: ExperimentConfig, structure, lam: SpdMatrix):
-    """The eps/ell choice and the assembled bound taken at it, from the bar
-    constants of `structure` under the configured s and policy."""
+    """The assembled bound at the eps/ell choice, from the bar constants of
+    `structure` under the configured s and policy, and the manifest's
+    decision record of that choice, with its raw and used values."""
     bars = bar_constants(structure, s=config.s, policy=config.policy)
     choice = choose_eps_ell(structure, lam, bars, config.policy)
-    return choice, theorem_bound(structure, lam, bars, choice.eps, choice.ell,
-                                 config.policy)
+    report = theorem_bound(structure, lam, bars, choice.eps, choice.ell, config.policy)
+    return report, {"decision": "eps_ell", "L": structure.L, **asdict(choice)}
 
 
 def _sample_covariance(vals) -> np.ndarray:
@@ -293,7 +294,7 @@ def _rate_unit(config: ExperimentConfig, L: int):
     gauss = counter_rng(seed, _FLOOR_COUNTER).standard_normal(config.n_samples)
     floor = w1_empirical_gaussian(gauss, 1.0)
     cov = _sample_covariance(vals)
-    choice, report = _bound(config, structure, SpdMatrix(cov))
+    report, decision = _bound(config, structure, SpdMatrix(cov))
     row = {
         "L": L,
         "estimated_variance": float(np.mean(np.diag(cov))),
@@ -308,7 +309,7 @@ def _rate_unit(config: ExperimentConfig, L: int):
         "condition_lhs": report.condition_lhs,
         "seed": seed,
     }
-    return [row], {"decisions": [{"decision": "eps_ell", "L": L, **asdict(choice)}]}
+    return [row], {"decisions": [decision]}
 
 
 def _rate_points(rows):
@@ -395,17 +396,18 @@ _BOUND_FIELDS = ("eps", "ell", "condition_lhs", "condition_satisfied",
 
 def _bound_calc_unit(config: ExperimentConfig, L: int):
     """The assembled normal-approximation bound at one L (no sampling; unit
-    covariance and the configured policy constants)."""
+    covariance and the configured policy constants).  The record is the
+    eps/ell choice with its raw and used values."""
     _, structure = config.structure_for(L)
-    _, report = _bound(config, structure, SpdMatrix(np.eye(config.n_dim)))
-    return [{"L": L, **{k: getattr(report, k) for k in _BOUND_FIELDS}}], {}
+    report, decision = _bound(config, structure, SpdMatrix(np.eye(config.n_dim)))
+    row = {"L": L, **{k: getattr(report, k) for k in _BOUND_FIELDS}}
+    return [row], {"decisions": [decision]}
 
 
 def _tails_unit(config: ExperimentConfig, m: int):
-    """Empirical tails of an iid Rademacher sum of length m against the
-    closed-form bounds."""
-    rows = bennett_tail_table(m, config.n_samples, config.master_seed)
-    return [{**row, "m": m, "n": config.n_samples} for row in rows], {}
+    """The exact tail of an iid Rademacher sum of length m against the
+    closed-form bounds (no sampling)."""
+    return [{**row, "m": m} for row in bennett_tail_table(m)], {}
 
 
 def _default_ell(L: int) -> int:
@@ -483,10 +485,10 @@ _EXPERIMENTS = {
          "hessian_average_ratio", "third_average_ratio", "passed"),
         "label", _certify_units, _certify_unit, ("stein_quadrature",)),
     "bound-calc": Experiment(("L",) + _BOUND_FIELDS, "L", _each_L,
-                             _bound_calc_unit),
+                             _bound_calc_unit, ("decisions",)),
     "tails": Experiment(
-        ("m", "n", "r", "empirical", "mc_slack", "bennett_exact",
-         "bennett_simplified", "heavy_tail_bound", "heavy_tail_valid"),
+        ("m", "r", "exact_tail", "bennett_exact", "bennett_simplified",
+         "heavy_tail_bound", "heavy_tail_valid"),
         "m", lambda config: [(config.m, config.m)], _tails_unit),
     "moderate": Experiment(
         ("L", "ell", "m0", "degenerate", "n_groups", "grouped_variance",
@@ -625,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         "clt-rate": "Wasserstein distance to Gaussian versus lattice size",
         "stein-certify": "certify Stein-solution derivative and residual bounds",
         "bound-calc": "evaluate the theoretical bound and its side condition",
-        "tails": "iid tail bounds versus empirical tails",
+        "tails": "iid tail bounds versus the exact tail",
         "moderate": "grouped moderate-deviation tail comparison",
         "oracle": "brute-force enumeration checks at tiny sizes",
     }

@@ -10,16 +10,18 @@ default to 1 and are configurable through a single table.
 
 The index set travels as column positions, in the one order that
 `DependenceStructure.positions` defines.  The support-box geometry lives only
-in this module.  `chi_matrix` broadcasts the levels and anchors of two index
-lists into the boolean matrix of pair indicators, from the periodic box gaps
-that `periodic_distance` gives per axis.  `box_radius` serves the synthetic
-sampler.
+in this module.  An index is a level m and an anchor y; a set of indices is a
+pair of int arrays (levels, anchors) of shapes (n,) and (n, d).  `chi_matrix`
+is the one pair test: it broadcasts two such pairs into the boolean matrix of
+pair indicators, from the periodic box gaps that `periodic_distance` gives
+per axis.  The bound's same-level neighbour counts read their per-axis reach
+from it.  `box_radius` serves the synthetic sampler.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,7 +30,6 @@ from ._util import UsageError
 from .gaussians import SpdMatrix
 
 __all__ = [
-    "LevelIndex",
     "DependenceStructure",
     "chi_matrix",
     "periodic_distance",
@@ -60,13 +61,6 @@ def _policy(policy: Optional[Mapping[str, float]]) -> dict[str, float]:
             raise UsageError(f"unknown policy keys: {sorted(unknown)}")
         table.update({k: float(v) for k, v in policy.items()})
     return table
-
-
-class LevelIndex(NamedTuple):
-    """A multilevel index: level m and lattice anchor y (tuple of ints)."""
-
-    m: int
-    y: tuple
 
 
 @dataclass(frozen=True)
@@ -132,13 +126,6 @@ def periodic_distance(a, b, L: int):
     return np.minimum(delta, L - delta)
 
 
-def _arrays(structure: DependenceStructure, indices: Sequence[LevelIndex]):
-    """Levels, shape (n,), and anchors, shape (n, d), of the given indices."""
-    levels = np.array([i.m for i in indices], dtype=np.int64)
-    anchors = np.array([i.y for i in indices], dtype=np.int64)
-    return levels, anchors.reshape(len(levels), structure.d)
-
-
 def _box_gaps(structure: DependenceStructure, rows, cols) -> NDArray[np.float64]:
     """(n_rows, n_cols) periodic sup-distances between support boxes, given
     (levels, anchors) arrays: per axis max(0, delta - h_row - h_col)."""
@@ -152,15 +139,14 @@ def _box_gaps(structure: DependenceStructure, rows, cols) -> NDArray[np.float64]
     return gap
 
 
-def chi_matrix(structure: DependenceStructure, rows: Sequence[LevelIndex],
-               cols: Optional[Sequence[LevelIndex]] = None) -> NDArray[np.bool_]:
+def chi_matrix(structure: DependenceStructure, rows, cols=None) -> NDArray[np.bool_]:
     """Pair dependency indicators chi(i, j), i in rows and j in cols (default
-    rows), as a boolean (len(rows), len(cols)) matrix: 1 iff the support boxes
+    rows), each a (levels, anchors) pair of int arrays of shapes (n,) and
+    (n, d), as a boolean (n_rows, n_cols) matrix: 1 iff the support boxes
     come within 2 * 2^{max(m_i, m_j)} K log2(L)."""
-    r = _arrays(structure, rows)
-    c = r if cols is None else _arrays(structure, cols)
-    top = np.maximum.outer(r[0], c[0])
-    return _box_gaps(structure, r, c) <= 2.0 * (1 << top) * structure.K * structure.log_l
+    cols = rows if cols is None else cols
+    top = np.maximum.outer(rows[0], cols[0])
+    return _box_gaps(structure, rows, cols) <= 2.0 * (1 << top) * structure.K * structure.log_l
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +288,12 @@ def _neighbor_count(structure: DependenceStructure, m: int) -> float:
     half-widths make chi a bound on the anchors' periodic distance per axis.
     When 2^m does not divide L, anchors near the wrap have more neighbors."""
     st = structure
-    h = st.halfwidth(m)
-    # the largest anchor distance that chi's own float test accepts
-    reach = np.sum(np.arange(st.L // 2 + 1) - h - h <= 2.0 * (1 << m) * st.K * st.log_l) - 1
+    # the largest anchor distance along one axis that chi accepts, from its
+    # test of the anchor 0 against delta e_1, delta = 0 .. L // 2
+    along = np.zeros((st.L // 2 + 1, st.d), dtype=np.int64)
+    along[:, 0] = np.arange(len(along))
+    origin = (np.array([m]), np.zeros((1, st.d), dtype=np.int64))
+    reach = int(chi_matrix(st, origin, (np.full(len(along), m), along)).sum()) - 1
     axis = np.arange(0, st.L, 1 << m)
     ext = np.concatenate([axis - st.L, axis, axis + st.L])
     # a window longer than L counts some anchors twice, and all are within
@@ -314,19 +303,27 @@ def _neighbor_count(structure: DependenceStructure, m: int) -> float:
 
 def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
                   eps: float, ell: int,
-                  policy: Optional[Mapping[str, float]] = None,
-                  indices: Optional[Sequence[LevelIndex]] = None) -> BoundReport:
+                  policy: Optional[Mapping[str, float]] = None) -> BoundReport:
     """Assemble the normal-approximation bound and its side condition.
 
     `bars` is any object with the `BarConstants` methods xbar, wbar, zbar,
-    zbar2 and ybar and the deviation parameter s.  Default mode sums the level-resolved budgets in closed form over the full
-    index set (bar values depend only on levels, so same-level neighbor sums
-    reduce to counts).  With `indices` given, sums run over that explicit set
-    with its own counts and chi row sums - used for calibration on tiny families.
+    zbar2 and ybar and the deviation parameter s.  The level-resolved
+    budgets are summed in closed form over the full index set: bar values
+    depend only on levels, so same-level neighbor sums reduce to counts.
 
     The tail remainder uses the analytic surrogate
     c_tail |Lambda^{-1}| N^{3/2} eps^{-N} (K log2 L)^{2d} B^3 L^{-2d} L^{-S/2}.
     """
+    st = structure
+    counts = [(m, st.lattice_count(m) ** st.d, _neighbor_count(st, m)) for m in st.levels()]
+    return _bound_from_counts(st, lam, bars, eps, ell, counts, policy)
+
+
+def _bound_from_counts(structure: DependenceStructure, lam: SpdMatrix, bars,
+                       eps: float, ell: int, counts,
+                       policy: Optional[Mapping[str, float]] = None) -> BoundReport:
+    """`theorem_bound` summed over (m, count, mean chi-neighbors) triples,
+    one per level, in the order given."""
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
     pol = _policy(policy)
@@ -338,13 +335,6 @@ def theorem_bound(structure: DependenceStructure, lam: SpdMatrix, bars,
     low_pref = n ** 4.5 * inv_sqrt ** 3 / eps
     high_pref = n ** 4 * inv * log_eps
 
-    if indices is None:
-        counts = [(m, st.lattice_count(m) ** st.d, _neighbor_count(st, m))
-                  for m in st.levels()]
-    else:
-        by_level = {m: [i for i in indices if i.m == m] for m in sorted({i.m for i in indices})}
-        counts = [(m, len(at), float(chi_matrix(st, at).sum()) / len(at))
-                  for m, at in by_level.items()]
     cond = r_low = r_all = 0.0
     for m, cnt, nb in counts:
         pair = nb * (bars.wbar(m, m) + 2.0 * bars.ybar(m))

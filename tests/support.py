@@ -1,22 +1,28 @@
 """Test helpers that the library does not ship: a constant-bar stub for
-`theorem_bound`, the index set and a grouping's groups as `LevelIndex`
-lists, enumerated by loops as the reference for the library's column
-positions, the columns that a grouping leaves as remainders, the check that
-groups share no noise cell, the per-level totals of a synthetic family, and
-the sampled check of a test function against the restricted test class.
+`theorem_bound`; `LevelIndex`, a multilevel index as a named tuple, and the
+conversion of `LevelIndex` lists into the (levels, anchors) arrays that
+`chi_matrix` takes; the per-level (m, count, mean chi-neighbors) triples of
+an explicit index list, from chi row sums, as the reference for the bound's
+closed-form neighbor counts; the index set and a grouping's groups as
+`LevelIndex` lists, enumerated by loops as the reference for the library's
+column positions; the columns that a grouping leaves as remainders, the
+check that groups share no noise cell, the per-level totals of a synthetic
+family, and the sampled check of a test function against the restricted
+test class.
 """
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from quadrature_oracle import hermite_grid
 from scipy.special import ndtri
 
 from mlclt._util import UsageError
-from mlclt.multilevel import LevelIndex, periodic_distance
+from mlclt.multilevel import chi_matrix, periodic_distance
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,31 @@ class FixedBars:
         return self.value
 
     xbar = wbar = zbar = zbar2 = ybar = _const
+
+
+class LevelIndex(NamedTuple):
+    """A multilevel index: level m and lattice anchor y (tuple of ints)."""
+
+    m: int
+    y: tuple
+
+
+def index_arrays(structure, indices) -> tuple:
+    """Levels, shape (n,), and anchors, shape (n, d), of a LevelIndex list."""
+    levels = np.array([i.m for i in indices], dtype=np.int64)
+    anchors = np.array([i.y for i in indices], dtype=np.int64)
+    return levels, anchors.reshape(len(levels), structure.d)
+
+
+def neighbor_triples(structure, indices) -> list:
+    """(m, count, mean chi-neighbors) of each level that an index list holds,
+    levels ascending: the count of its indices and the mean number of them
+    that chi pairs with each one, itself included."""
+    triples = []
+    for m in sorted({i.m for i in indices}):
+        at = index_arrays(structure, [i for i in indices if i.m == m])
+        triples.append((m, len(at[0]), float(chi_matrix(structure, at).sum()) / len(at[0])))
+    return triples
 
 
 def lattice(structure, m: int) -> list:

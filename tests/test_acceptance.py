@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 import pytest
-from support import FixedBars, build_index_set, groups_disjoint, remainder_columns
+from support import (FixedBars, LevelIndex, build_index_set, groups_disjoint, index_arrays,
+                     neighbor_triples, remainder_columns)
 
 from mlclt._util import counter_rng
 from mlclt.cli import fit_rate, main
@@ -25,7 +26,7 @@ from mlclt.distances import (DiscreteLaw, gaussian_mean, mollify, soft_clip_fami
 from mlclt.fields import (SyntheticSpec, brute_force_law, make_preset,
                           monte_carlo, PRESET_NAMES)
 from mlclt.gaussians import GaussianLaw, SpdMatrix
-from mlclt.multilevel import (DependenceStructure, LevelIndex, bar_constants,
+from mlclt.multilevel import (DependenceStructure, _bound_from_counts, bar_constants,
                               chi_matrix, choose_eps_ell, theorem_bound)
 from mlclt.stein import SteinSolution, majorant_average_certificate, stein_residual, third_derivative_certificate
 
@@ -159,7 +160,7 @@ def test_acceptance_5_dependence_structure():
     # exhaustive indicator symmetry on small lattices
     for L in (4, 16, 64):
         s = DependenceStructure(d=1, L=L, K=2.0)
-        dep = chi_matrix(s, build_index_set(s))
+        dep = chi_matrix(s, index_arrays(s, build_index_set(s)))
         assert (dep == dep.T).all()
 
     # empirical independence of chi = 0 pairs
@@ -169,7 +170,7 @@ def test_acceptance_5_dependence_structure():
     _, per_index = monte_carlo(spec, st, n, 12345,
                                groups=np.arange(len(indices))[:, None])
     far_i, far_j = LevelIndex(0, (0,)), LevelIndex(0, (32,))
-    assert not chi_matrix(st, [far_i], [far_j])[0, 0]
+    assert not chi_matrix(st, index_arrays(st, [far_i]), index_arrays(st, [far_j]))[0, 0]
     a = per_index[:, indices.index(far_i), 0]
     b = per_index[:, indices.index(far_j), 0]
     assert abs(np.corrcoef(a, b)[0, 1]) <= 4.0 / math.sqrt(n)
@@ -205,8 +206,8 @@ def test_acceptance_6_bound_calculator():
         assert math.isclose(rt.eps_raw, r1.eps_raw / t ** 3, rel_tol=1e-12)
 
     # calibration lock: one level-0 index, unit bars, eps = 1/2, Lambda = 1
-    report = theorem_bound(s, SpdMatrix(np.eye(1)), FixedBars(value=1.0, s=2.0),
-                           eps=0.5, ell=0, indices=[LevelIndex(0, (0,))])
+    report = _bound_from_counts(s, SpdMatrix(np.eye(1)), FixedBars(value=1.0, s=2.0),
+                                0.5, 0, neighbor_triples(s, [LevelIndex(0, (0,))]))
     assert report.r_lowlevel == 8.0
 
 
@@ -216,14 +217,13 @@ def test_acceptance_6_bound_calculator():
 
 def test_acceptance_7_concentration():
     # Bennett / heavy-tail bounds on their exact hypotheses: iid Rademacher
-    # sums of length M, one-sided empirical tails with Monte Carlo slack
-    for m in (4, 16, 64, 256):
-        for row in bennett_tail_table(m, 10 ** 5, 2027):
-            allowance = row["mc_slack"]
-            assert row["empirical"] <= row["bennett_exact"] + allowance
-            assert row["empirical"] <= row["bennett_simplified"] + allowance
+    # sums of length M, against the exact one-sided tails with no slack
+    for m in (4, 16, 64, 256, 1024):
+        for row in bennett_tail_table(m):
+            assert row["exact_tail"] <= row["bennett_exact"]
+            assert row["exact_tail"] <= row["bennett_simplified"]
             if row["heavy_tail_valid"]:
-                assert row["empirical"] <= row["heavy_tail_bound"] + allowance
+                assert row["exact_tail"] <= row["heavy_tail_bound"]
 
     # sum-norm budget sqrt(M) max_i ||X_i||, here sqrt(M): the measured
     # norm of a sum of M signs is bounded by it and its ratio stable over M

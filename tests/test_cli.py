@@ -288,6 +288,17 @@ def test_bound_calc_runner(tmp_path):
     assert manifest["config"]["policy"] == {"c_bound": 2.0}
     assert set(manifest["row_wallclock_seconds"]) == {"64", "256"}
     assert "stream_version" not in manifest  # bound-calc samples nothing
+    # the eps/ell choice of each row, as clt-rate records it
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    choices = manifest["decisions"]
+    assert [d["L"] for d in choices] == [64, 256]
+    for d, row in zip(choices, rows):
+        assert d["decision"] == "eps_ell"
+        assert (repr(d["eps"]), str(d["ell"])) == (row["eps"], row["ell"])
+        assert d["eps"] == min(d["eps_raw"], 0.5)
+        assert d["eps_clamped"] == (d["eps"] != d["eps_raw"])
+        assert d["ell_clamped"] == (d["ell"] != d["ell_raw"])
 
 
 # sha256 of `bound-calc --preset cube` plus these arguments: the bits of the
@@ -606,7 +617,7 @@ def test_main_version_exits_zero():
     assert exc.value.code == 0
 
 
-# Public names that no experiment reaches yet: clt-rate will print the
+# Definitions that no experiment reaches yet: clt-rate will print the
 # restricted distance beside the bound (ROADMAP item 2)
 _NOT_YET_REACHED = {"distances.restricted_distance"}
 
@@ -635,7 +646,9 @@ def _imported(node):
 
 def test_every_public_name_is_reached_from_the_cli():
     # walk the names each reached definition refers to, from every top-level
-    # definition of mlclt.cli, through imports and function-local imports
+    # definition of mlclt.cli, through imports and function-local imports;
+    # every public name and every top-level definition, private ones
+    # included, must be reached, so no helper outlives its last caller
     modules = ("mlclt", "mlclt._util", "mlclt.gaussians", "mlclt.distances",
                "mlclt.multilevel", "mlclt.stein", "mlclt.fields",
                "mlclt.concentration", "mlclt.cli")
@@ -663,6 +676,8 @@ def test_every_public_name_is_reached_from_the_cli():
                 todo += [resolve(*target) for target in _imported(node).values()]
     public = {(m, name) for m in modules
               for name in getattr(importlib.import_module(m), "__all__", ())}
-    unreached = {f"{m.removeprefix('mlclt.')}.{name}" for m, name in public
+    defined = {(m, name) for m in modules for name in parsed[m][0]
+               if not name.startswith("__")}
+    unreached = {f"{m.removeprefix('mlclt.')}.{name}" for m, name in public | defined
                  if resolve(m, name) not in reached}
     assert unreached == _NOT_YET_REACHED

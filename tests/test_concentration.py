@@ -1,5 +1,5 @@
 """Stretched-exponential norms, Bennett and heavy-tail bounds, the
-group/remainder decomposition, and the empirical tail tables."""
+group/remainder decomposition, and the tail tables."""
 import itertools
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import bdtrc
 from support import build_index_set, grouping_oracle, groups_disjoint, remainder_columns
 
 from mlclt import UsageError
@@ -267,13 +268,27 @@ def test_remainder_budget_closed_forms():
 
 
 def test_bennett_tail_table_dominates_empirical():
-    rows = bennett_tail_table(m=16, n=20000, master_seed=6)
+    # the exact tail at m = 16, r = 2: P[S >= 2] = P[J >= 9] for J binomial,
+    # (1 - C(16, 8) / 2^16) / 2, and the bounds hold it with no slack
+    rows = bennett_tail_table(m=16)
     assert len(rows) == 6
+    assert (rows[0]["r"], rows[0]["exact_tail"]) == (2.0, 26333 / 65536)
     for row in rows:
-        assert set(row) >= {"r", "empirical", "mc_slack", "bennett_exact",
-                            "bennett_simplified", "heavy_tail_bound"}
+        assert set(row) == {"r", "exact_tail", "bennett_exact", "bennett_simplified",
+                            "heavy_tail_bound", "heavy_tail_valid"}
         assert row["bennett_exact"] <= row["bennett_simplified"] + 1e-12
-        assert row["empirical"] <= row["bennett_exact"] + row["mc_slack"]
+        assert row["exact_tail"] <= row["bennett_exact"]
+    # the binomial survival function P[J >= ceil((r + m) / 2)], at odd and
+    # even m; scipy's bdtrc is a few 1e-13 off at m = 256
+    for m in (5, 64, 256, 4096):
+        for row in bennett_tail_table(m):
+            k = math.ceil((row["r"] + m) / 2)
+            assert math.isclose(row["exact_tail"], bdtrc(k - 1, m, 0.5), rel_tol=1e-9)
+    # k comes from the exact r: one ulp above 2, (16 + r) / 2 rounds to 9 in
+    # floats, but S >= r needs S >= 4, ten plus signs; and no S reaches 17
+    above, beyond = bennett_tail_table(16, [math.nextafter(2.0, 3.0), 17.0])
+    assert above["exact_tail"] == sum(math.comb(16, j) for j in range(10, 17)) / 2 ** 16
+    assert beyond["exact_tail"] == 0.0
 
 
 def test_moderate_tail_table_structure():

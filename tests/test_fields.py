@@ -9,17 +9,17 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import log1p, ndtri
-from support import build_index_set, per_level_totals
+from support import LevelIndex, build_index_set, per_level_totals
 
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
-                         _STEIN_PROBE_TAG, _TAILS_TAG, counter_rng, philox_key)
+                         _STEIN_PROBE_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_tail_table, stretched_norm
 from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels,
                           _SyntheticTotals, _apply_map, _box_sums, _draw, _periodic_prefix,
                           _synthetic_index_values, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
-from mlclt.multilevel import DependenceStructure, LevelIndex, periodic_distance
+from mlclt.multilevel import DependenceStructure, periodic_distance
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,7 @@ def test_philox_keys_keep_every_seed_bit():
 
 def test_stream_tags_are_distinct():
     # each consumer keys its Philox with its own tag, so no two share a stream
-    tags = (_MC_STREAM_TAG, _FLOOR_COUNTER, _STEIN_PROBE_TAG, _TAILS_TAG,
-            _SLICED_W1_TAG)
+    tags = (_MC_STREAM_TAG, _FLOOR_COUNTER, _STEIN_PROBE_TAG, _SLICED_W1_TAG)
     assert len(set(tags)) == len(tags)
 
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from support import FixedBars, build_index_set, lattice
+from support import (FixedBars, LevelIndex, build_index_set, index_arrays, lattice,
+                     neighbor_triples)
 
 from mlclt import UsageError
 from mlclt.cli import main
 from mlclt.gaussians import SpdMatrix
-from mlclt.multilevel import (BarConstants, DependenceStructure, LevelIndex, _arrays,
+from mlclt.multilevel import (BarConstants, DependenceStructure, _bound_from_counts,
                               _box_gaps, _neighbor_count, bar_constants, chi_matrix,
                               choose_eps_ell, theorem_bound)
 
@@ -25,12 +26,12 @@ def st(d, L, K=2.0, gamma=1.0, B=1.0):
 
 def chi(s, i, j):
     """The pair indicator of i and j, one entry of chi_matrix."""
-    return int(chi_matrix(s, [i], [j])[0, 0])
+    return int(chi_matrix(s, index_arrays(s, [i]), index_arrays(s, [j]))[0, 0])
 
 
 def box_distance(s, i, j):
     """The periodic sup-distance between the support boxes of i and j."""
-    return float(_box_gaps(s, _arrays(s, [i]), _arrays(s, [j]))[0, 0])
+    return float(_box_gaps(s, index_arrays(s, [i]), index_arrays(s, [j]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +153,15 @@ def structure_and_indices(draw, max_size=12):
 @given(structure_and_indices())
 def test_chi_matrix_matches_scalar_reference(case):
     s, rows, cols = case
-    m = chi_matrix(s, rows, cols)
-    gaps = _box_gaps(s, _arrays(s, rows), _arrays(s, cols))
+    r, c = index_arrays(s, rows), index_arrays(s, cols)
+    m = chi_matrix(s, r, c)
+    gaps = _box_gaps(s, r, c)
     assert m.dtype == bool and m.shape == (len(rows), len(cols))
     for a, i in enumerate(rows):
         for b, j in enumerate(cols):
             assert m[a, b] == _chi_reference(s, i, j)
             assert gaps[a, b] == _box_distance_reference(s, i, j)
-    assert (chi_matrix(s, rows) == chi_matrix(s, rows, rows)).all()
+    assert (chi_matrix(s, r) == chi_matrix(s, r, r)).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,12 +171,14 @@ def test_chi_matrix_matches_scalar_reference(case):
        hst.sampled_from([1.0, 1.5, 2.0]))
 def test_neighbor_count_equals_same_level_row_sums(dims, K):
     s = DependenceStructure(d=dims[0], L=dims[1], K=K)
-    for m in s.levels():
-        level = [LevelIndex(m, y) for y in lattice(s, m)]
-        rows = chi_matrix(s, level).sum(axis=1)
-        assert math.isclose(rows.mean(), _neighbor_count(s, m), rel_tol=1e-12)
+    triples = neighbor_triples(s, build_index_set(s))
+    assert [(m, cnt) for m, cnt, _ in triples] == [
+        (m, s.lattice_count(m) ** s.d) for m in s.levels()]
+    for m, _, mean in triples:
+        assert math.isclose(mean, _neighbor_count(s, m), rel_tol=1e-12)
         if s.L % (1 << m) == 0:  # a regular lattice: every row alike
-            assert (rows == _neighbor_count(s, m)).all()
+            level = index_arrays(s, [LevelIndex(m, y) for y in lattice(s, m)])
+            assert (chi_matrix(s, level).sum(axis=1) == _neighbor_count(s, m)).all()
 
 
 def test_neighbor_count_at_an_irregular_level():
@@ -182,7 +186,8 @@ def test_neighbor_count_at_an_irregular_level():
     # wrap, so some anchors reach one more neighbor than others.  Counting in
     # lattice steps, 2 floor(4 K log2 L) + 1 = 55, misses those.
     s = st(1, 119, K=1.0)
-    rows = chi_matrix(s, [LevelIndex(1, y) for y in lattice(s, 1)]).sum(axis=1)
+    level = index_arrays(s, [LevelIndex(1, y) for y in lattice(s, 1)])
+    rows = chi_matrix(s, level).sum(axis=1)
     assert set(rows.tolist()) == {55, 56}
     assert math.isclose(_neighbor_count(s, 1), rows.mean(), rel_tol=1e-15)
 
@@ -197,8 +202,8 @@ def test_theorem_bound_index_mode_matches_closed_form(s, gamma, ell):
     lam = SpdMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
     bars = bar_constants(s, s=2.0)
     closed = theorem_bound(s, lam, bars, eps=0.25, ell=ell)
-    listed = theorem_bound(s, lam, bars, eps=0.25, ell=ell,
-                           indices=build_index_set(s))
+    listed = _bound_from_counts(s, lam, bars, 0.25, ell,
+                                neighbor_triples(s, build_index_set(s)))
     for name in ("r_lowlevel", "r_alllevel", "condition_lhs", "total"):
         assert math.isclose(getattr(listed, name), getattr(closed, name),
                             rel_tol=1e-12), name
@@ -296,8 +301,8 @@ def test_single_index_unit_bars_regression_value():
     # prefactor 1/eps = 2; pair = wbar + 2 ybar = 3; r_low = 3 + 1 = 4
     s = st(1, 64, gamma=2.0, B=2.0)
     lam = SpdMatrix(np.eye(1))
-    report = theorem_bound(s, lam, FixedBars(value=1.0, s=2.0), eps=0.5,
-                           ell=0, indices=[LevelIndex(0, (0,))])
+    report = _bound_from_counts(s, lam, FixedBars(value=1.0, s=2.0), 0.5, 0,
+                                neighbor_triples(s, [LevelIndex(0, (0,))]))
     assert report.r_lowlevel == 8.0
 
 
