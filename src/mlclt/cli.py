@@ -103,6 +103,8 @@ class ExperimentConfig:
                 raise UsageError(f"unknown policy constant {key!r}")
         if self.n_dim < 1:
             raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
+        if self.m < 1:
+            raise UsageError(f"m must be at least 1, got {self.m}")
         exp = _EXPERIMENTS[self.experiment]
         if exp.key == "L":
             # every L's preset, structure and grouping scale pass their own

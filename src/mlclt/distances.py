@@ -71,30 +71,35 @@ def _horner(coeffs: Sequence[float], t):
 
 
 def _knot_terms(knot: float, a, b):
-    """(z, Phi(z), Phi(-z), phi(z)) at z = (knot - a)/b: the Gaussian terms
-    that a finite piece limit contributes to the truncated moments."""
+    """(z, phi(z)) at z = (knot - a)/b: the terms besides the mass that a
+    finite piece limit contributes to the truncated moments."""
     z = (knot - a) / b
-    return z, ndtr(z), ndtr(-z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-# The same terms at z = -inf and z = +inf, written out: their masses are 0
-# and 1 and their boundary terms z^j phi(z) vanish, so z is stored as 0
-# rather than letting inf * 0 make a NaN.
-_BELOW_ALL = (0.0, 0.0, 1.0, 0.0)
-_ABOVE_ALL = (0.0, 1.0, 0.0, 0.0)
+    return z, np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _truncated_moments(lo, hi, n: int) -> list:
     """M_j = E[Z^j; alpha <= Z < beta], Z ~ N(0, 1), for j = 0..n, from the
-    `_knot_terms` of alpha and beta.
+    `_knot_terms` of alpha and beta, None standing for alpha = -inf or
+    beta = +inf, where the boundary terms z^j phi(z) vanish.
 
-    M_0 = Phi(beta) - Phi(alpha), taken as Phi(-alpha) - Phi(-beta) when both
-    limits lie in the upper tail, M_1 = phi(alpha) - phi(beta) and
-    M_j = -[z^{j-1} phi(z)]_alpha^beta + (j - 1) M_{j-2}.
+    M_0 = Phi(beta) - Phi(alpha), taken as Phi(-alpha) - Phi(-beta) when alpha
+    lies in the upper tail, with one `ndtr` per finite limit: Phi(-|alpha|)
+    is the term that alpha's side reads either way.  M_1 = phi(alpha) -
+    phi(beta) and M_j = -[z^{j-1} phi(z)]_alpha^beta + (j - 1) M_{j-2}.
     """
-    za, pa, qa, da = lo
-    zb, pb, qb, db = hi
-    moments = [np.where(np.greater(za, 0.0), qa - qb, pb - pa), da - db]
+    za, da = lo if lo is not None else (0.0, 0.0)
+    zb, db = hi if hi is not None else (0.0, 0.0)
+    if lo is None:
+        mass = 1.0 if hi is None else ndtr(zb)
+    else:
+        up = np.greater(za, 0.0)
+        lower = ndtr(-np.abs(za))
+        if hi is None:
+            mass = np.where(up, lower, 1.0 - lower)
+        else:
+            upper = ndtr(np.where(up, -zb, zb))
+            mass = np.where(up, lower - upper, upper - lower)
+    moments = [mass, da - db]
     ta, tb = da, db  # z^{j-1} phi(z) at each limit
     for j in range(2, n + 1):
         ta, tb = ta * za, tb * zb
@@ -179,13 +184,15 @@ class PiecewisePolynomial:
         b = np.asarray(b, dtype=float)
         shape = np.broadcast_shapes(a.shape, b.shape)
         outs = [np.zeros(shape) for _ in orders]
-        limits = ([_BELOW_ALL] + [_knot_terms(t, a, b) for t in self.knots]
-                  + [_ABOVE_ALL])
+        limits = [None] * (len(self.knots) + 2)  # knot i - 1 at i; -inf and +inf
         for i, coeffs in enumerate(self.coeffs):
             deg = len(coeffs) - 1
             live = [(out, k) for out, k in zip(outs, orders) if k <= deg]
             if not live:  # h^(k) vanishes on this piece
                 continue
+            for j in (i, i + 1):  # terms of the knots that bound a live piece
+                if 0 < j <= len(self.knots) and limits[j] is None:
+                    limits[j] = _knot_terms(self.knots[j - 1], a, b)
             lowest = min(k for _, k in live)
             moments = _truncated_moments(limits[i], limits[i + 1], deg - lowest)
             taylor = _taylor_shift(coeffs, a, lowest)

@@ -24,11 +24,14 @@ mapped in blocks that stay in cache and added to the level's running sum
 one anchor after the other, a whole-torus level n_anchors times its one
 value.  The prefix and block buffers are allocated once per run and reused
 by every chunk.  Group sums are reduced chunk by chunk: each chunk writes
-its per-index values into one reused buffer of about 2^20 doubles,
-Rademacher counts through one lookup in the levels' concatenated tables,
-and sums them over each group's columns there, so no array grows as n
-times the number of indices unless its caller asks for every index as a
-group.
+its per-index rows into one reused buffer of about 2^20 entries, under
+Rademacher noise each value's index into the levels' concatenated tables,
+under the float laws the values, and reduces them in slices of about
+`_WINDOW_BLOCK` doubles that stay in cache: one table lookup fills a
+slice's values, each component's totals are summed per realization, and
+one gather through the groups' columns feeds one ordered reduce of the
+group sums.  So no array grows as n times the number of indices unless its
+caller asks for every index as a group.
 """
 from __future__ import annotations
 
@@ -340,17 +343,22 @@ def _torus_sums(prefix: NDArray, L: int) -> NDArray:
 
 
 def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
-    """out = rows[0] + rows[1] + ..., the rows of a C-order (k, n) array
-    added one after the other.  numpy reduces the first axis in that order
-    for n >= 2 but sums a lone column pairwise, so that one is accumulated."""
+    """out = rows[0] + rows[1] + ..., the rows of a (k, n) array added one
+    after the other.  numpy reduces the first axis in that order only while
+    its inner loop runs along the rows, as in a C-order array with n >= 2;
+    where the first axis is the contiguous one (an F-order array, a lone
+    column) it sums pairwise.  So another layout is copied into C-order,
+    and a lone column is accumulated.  The reduce starts from -0.0, which
+    adds to any x as x, so a column of -0.0 sums to -0.0 as in the loop."""
     if rows.shape[1] > 1:
-        np.add.reduce(rows, axis=0, out=out)
+        np.add.reduce(np.ascontiguousarray(rows), axis=0, out=out, initial=-0.0)
     else:
         out[:] = np.add.accumulate(rows[:, 0])[-1]
 
 
 # doubles in the block of mapped box sums that `_SyntheticTotals` fills and
-# sums: 1 MiB, which stays in cache while its rows are added
+# sums, and in a slice of a grouped run's per-index values: 1 MiB, which
+# stays in cache while it is reduced
 _WINDOW_BLOCK = 1 << 17
 
 
@@ -419,31 +427,27 @@ class _SyntheticTotals:
 
 
 def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
-                            out: NDArray[np.float64]) -> None:
-    """Write the (n, n_indices, n_components) values to out in the index
-    set's column order (`DependenceStructure.positions`): level by level,
-    each level's anchors in the C-order that `box_sums` yields them in.
+                            out: NDArray) -> None:
+    """Fill the (n, n_indices, n_components) array out in the index set's
+    column order (`DependenceStructure.positions`): level by level, each
+    level's anchors in the C-order that `box_sums` yields them in.
 
-    Tabulated noise makes no float array per level: every box count, plus
-    its level's offset into the concatenated table, goes straight into one
-    integer array shaped like out, a whole-torus level's one count per
-    realization repeated over its anchors, and one np.take of the table
-    fills out.  Float box sums are mapped level by level."""
-    if not levels.tabulate:
-        for lv, c, sums in levels.box_sums(noise, levels.levels):
+    Under tabulated noise out is of `index_dtype` and receives each value's
+    entry in the concatenated table: every box count plus its level's
+    offset, a whole-torus level's one count per realization repeated over
+    its anchors, so no float array is made per level.  Otherwise out is
+    float64 and receives the values, float box sums mapped level by level."""
+    for lv, c, sums in levels.box_sums(noise, levels.levels):
+        rows = out[:, lv.start:lv.start + lv.n_anchors, c]
+        if not levels.tabulate:
             vals = np.empty(sums.shape)
             levels._map(lv, sums, vals)
-            out[:, lv.start:lv.start + lv.n_anchors, c] = vals.reshape(-1, len(out)).T
-        return
-    idx = np.empty(out.shape, dtype=levels.index_dtype)
-    for lv, c, sums in levels.box_sums(noise, levels.levels):
-        rows = idx[:, lv.start:lv.start + lv.n_anchors, c]
-        if lv.radius is None:
+            rows[:] = vals.reshape(-1, len(out)).T
+        elif lv.radius is None:
             np.add(sums[:, None], lv.offset, out=rows)
         else:  # realizations first, then one axis of anchors per torus axis
             np.add(np.moveaxis(sums, -1, 0), lv.offset,
                    out=rows.reshape((len(out),) + sums.shape[:-1]))
-    np.take(levels.table, idx, out=out, mode="clip")
 
 
 def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
@@ -468,8 +472,26 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
 # Monte Carlo driver
 
 
-# doubles in the per-index buffer that one chunk of a grouped run fills
+# entries in the per-index buffer that one chunk of a grouped run fills:
+# table indices under Rademacher noise, values under the float laws
 _GROUP_BUFFER = 1 << 20
+
+
+def _reduce_slice(vals: NDArray[np.float64], cols: NDArray, totals: NDArray[np.float64],
+                  sums: NDArray[np.float64]) -> None:
+    """Reduce a slice of per-index values, (k, n_indices, n_components):
+    each component's totals, one pairwise numpy sum per realization, and
+    the sums over the groups whose columns are the columns of the C-order
+    (group_len, n_groups) array `cols`, each group's columns added one after
+    the other in the order given (`_add_rows`).  The gather through `cols`
+    puts column j of every group in one C-order row of the picked values.
+    Neither order depends on k, so slicing a chunk keeps every bit."""
+    for c in range(vals.shape[2]):
+        totals[:, c] = vals[:, :, c].sum(axis=1)
+    picked = vals.transpose(1, 0, 2)[cols]  # (group_len, n_groups, k, n_components)
+    acc = np.empty(picked.shape[1:])
+    _add_rows(picked.reshape(len(picked), -1), acc.reshape(-1))
+    sums[:] = acc.transpose(1, 0, 2)
 
 
 def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
@@ -486,13 +508,15 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     `np.arange(n_indices)[:, None]` gives the per-index values themselves.
     The columns run level by level from level 0, each level in the C-order
     of its anchors y / 2^m (`DependenceStructure.positions`).
-    A grouped run writes each chunk's per-index values into one buffer of at
-    most 2^20 doubles (or one realization's, if larger), with one table
-    lookup under Rademacher noise (`_synthetic_index_values`), and reduces
-    them there: its totals are each component's values summed as numpy
-    reduces them; its group sums gather the groups' columns once, column j
-    of every group in one contiguous row, and add the rows in the order
-    given.
+    A grouped run writes each chunk's per-index rows into one buffer of at
+    most 2^20 entries (or one realization's, if larger), table indices
+    under Rademacher noise and values under the float laws
+    (`_synthetic_index_values`), and reduces the chunk in slices of about
+    `_WINDOW_BLOCK` doubles, after one table lookup per slice under
+    Rademacher noise (`_reduce_slice`): its totals are each component's
+    values summed as numpy reduces them, pairwise per realization; its
+    group sums gather the groups' columns, column j of every group in one
+    row, and add the rows in the order given.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
@@ -518,27 +542,26 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
                              "reduce n or the number of groups")
         width = max(n_indices, groups.size) * n_comp
         chunk_size = max(1, min(chunk_size, _GROUP_BUFFER // width))
-        buf = np.empty((chunk_size, n_indices, n_comp))
+        part = max(1, _WINDOW_BLOCK // width)
+        rows = np.empty((chunk_size, n_indices, n_comp),
+                        dtype=levels.index_dtype if levels.tabulate else np.float64)
+        if levels.tabulate:
+            buf = np.empty((min(part, chunk_size), n_indices, n_comp))
+        cols = np.ascontiguousarray(groups.T)
         sums = np.empty((n, len(groups), n_comp))
     for k0 in range(0, n, chunk_size):
-        chunk = slice(k0, min(k0 + chunk_size, n))
-        noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0,
-                      chunk.stop - k0)
+        count = min(chunk_size, n - k0)
+        noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0, count)
         if groups is None:
-            totals[chunk] = synthetic_totals(noise)
+            totals[k0:k0 + count] = synthetic_totals(noise)
             continue
-        vals = buf[:chunk.stop - k0]
-        _synthetic_index_values(levels, noise, vals)
-        for c in range(n_comp):  # each component's own reduce
-            totals[chunk, c] = vals[:, :, c].sum(axis=1)
-        # add each group's columns one at a time, in the order given: numpy's
-        # sum would pick pairwise or sequential order by the chunk's shape.
-        # One gather makes column j of every group one contiguous row.
-        cols = vals.transpose(1, 0, 2)[groups.T]  # (group_len, n_groups, chunk, n_comp)
-        acc = cols[0]
-        for row in cols[1:]:
-            acc += row
-        sums[chunk] = acc.transpose(1, 0, 2)
+        _synthetic_index_values(levels, noise, rows[:count])
+        for a in range(0, count, part):
+            k = min(part, count - a)
+            vals = rows[a:a + k]
+            if levels.tabulate:
+                vals = np.take(levels.table, vals, out=buf[:k], mode="clip")
+            _reduce_slice(vals, cols, totals[k0 + a:k0 + a + k], sums[k0 + a:k0 + a + k])
     samples = SampleSet(values=totals, master_seed=master_seed)
     if groups is not None:
         return samples, sums

@@ -569,6 +569,17 @@ def test_main_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_tails_length_exits_before_the_csv_opens(tmp_path, capsys):
+    # m < 1 is a usage error, not a failed row of a run that exits 0
+    out = tmp_path / "t.csv"
+    for m in ("-3", "0"):
+        with pytest.raises(UsageError, match="m must be at least 1"):
+            ExperimentConfig(experiment="tails", m=int(m))
+        assert main(["tails", "--m", m, "--out", str(out)]) == 2, m
+        assert not out.exists() and not (tmp_path / "t.csv.manifest.json").exists()
+    assert "m must be at least 1" in capsys.readouterr().err
+
+
 def test_bad_structure_exits_before_any_unit_samples(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("mlclt.cli.monte_carlo",

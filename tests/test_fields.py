@@ -1,6 +1,7 @@
 """Noise draws, pointwise maps, periodic box means, synthetic multilevel
 families, exact enumeration of tiny laws, and the reproducible Monte Carlo
 driver."""
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -14,9 +15,10 @@ from support import LevelIndex, build_index_set, per_level_totals
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, counter_rng, philox_key)
-from mlclt.concentration import moderate_tail_table, stretched_norm
+from mlclt.concentration import moderate_grouping, moderate_tail_table, stretched_norm
 from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels,
-                          _SyntheticTotals, _apply_map, _box_sums, _draw, _periodic_prefix,
+                          _SyntheticTotals, _add_rows, _apply_map, _box_sums, _draw,
+                          _periodic_prefix,
                           _synthetic_index_values, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance
@@ -542,6 +544,68 @@ def test_group_sums_match_summed_per_index_values(name, d, L, K, n_comp):
     every, per_index = monte_carlo(spec, st, 60, 5, groups=_each_index(st))
     assert np.array_equal(samples.values, every.values)
     assert np.allclose(sums, per_index[:, groups].sum(axis=2), rtol=0.0, atol=1e-12)
+
+
+def _grouped_bytes(spec, st, groups):
+    """The bytes of a grouped run's totals and group sums, signed zeros and
+    all: 23 realizations, in chunks of 8 and a 7-realization tail."""
+    samples, sums = monte_carlo(spec, st, 23, 61, chunk_size=8, groups=groups)
+    return samples.values.tobytes(), sums.tobytes()
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 3])
+@pytest.mark.parametrize("d,L", [(1, 64), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
+@pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
+def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n_comp):
+    # a grouped chunk is reduced in slices of about _WINDOW_BLOCK doubles;
+    # slices of one and of three realizations, the last one short, must give
+    # the bits of one slice per chunk, and the group sums must be each
+    # group's per-index columns added one after the other
+    spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
+    n_indices = len(build_index_set(st))
+    _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
+    for groups in (_some_groups(st, group_len=1), _some_groups(st, group_len=9),
+                   np.arange(n_indices)[None, :]):
+        width = max(n_indices, groups.size) * n_comp
+        monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", 1 << 40)
+        whole = _grouped_bytes(spec, st, groups)
+        for block in (1, 3 * width):
+            monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", block)
+            assert _grouped_bytes(spec, st, groups) == whole, (groups.shape, block)
+        expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
+        assert whole[1] == expect.tobytes(), groups.shape
+
+
+def test_grouped_pass_holds_slices_not_chunks_of_values():
+    # a chunk keeps its 2 MiB of int16 table indices and reduces them in
+    # 1 MiB slices of values; a whole chunk of float values, and the intp
+    # copy of its indices that np.take makes, took a 20.7 MiB peak here
+    spec, st = make_preset("cube", 1, 1024)
+    groups = moderate_grouping(st, 512).groups
+    tracemalloc.start()
+    try:
+        monte_carlo(spec, st, 2000, 7, groups=groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak / 2 ** 20
+
+
+def test_add_rows_adds_rows_in_order_for_any_layout():
+    # numpy sums the first axis of an F-order array pairwise, column by
+    # column; _add_rows must add the rows one after the other whatever the
+    # layout, and keep the sign of a column of zeros
+    rng = np.random.default_rng(12)
+    for k, n in ((1000, 5), (1000, 1), (3, 4), (1, 6)):
+        rows = rng.normal(size=(k, n)) * np.exp(rng.normal(scale=8.0, size=(k, n)))
+        if n > 1:
+            rows[:, 0] = -0.0
+        expect = functools.reduce(np.add, list(rows))
+        for layout in (rows, np.asfortranarray(rows),
+                       np.asfortranarray(np.concatenate([rows, rows]))[:k]):
+            out = np.empty(n)
+            _add_rows(layout, out)
+            assert out.tobytes() == expect.tobytes(), (k, n, layout.strides)
 
 
 def _oracle_boxes(st):
