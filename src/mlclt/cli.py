@@ -37,8 +37,8 @@ from .concentration import (_check_grouping, bennett_tail_table, moderate_tail_t
 from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
                         sliced_w1 as _sliced_w1, w1_discrete_pair,
                         w1_discrete_vs_gaussian, w1_empirical_gaussian)
-from .fields import (PRESET_NAMES, STREAM_VERSION, brute_force_law, make_preset,
-                     monte_carlo)
+from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_force_law,
+                     make_preset, monte_carlo)
 from .gaussians import GaussianLaw, SpdMatrix
 from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
                          theorem_bound)
@@ -105,14 +105,19 @@ class ExperimentConfig:
             raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
         if self.m < 1:
             raise UsageError(f"m must be at least 1, got {self.m}")
+        if self.experiment == "moderate" and self.n_dim != 1:
+            raise UsageError(f"moderate compares scalar tails: n_dim must be 1, "
+                             f"got {self.n_dim}")
         exp = _EXPERIMENTS[self.experiment]
         if exp.key == "L":
-            # every L's preset, structure and grouping scale pass their own
-            # checks before any unit samples or the CSV opens
+            # every L's preset, structure, grouping scale and enumeration
+            # pass their own checks before any unit samples or the CSV opens
             for L, _ in exp.units(self):
-                _, structure = self.structure_for(L)
+                spec, structure = self.structure_for(L)
                 if self.experiment == "moderate":
                     _check_grouping(structure, self.ell_for(L))
+                elif self.experiment == "oracle":
+                    _check_enumerable(spec, structure)
 
     def structure_for(self, L: int):
         spec, structure = make_preset(self.preset, self.d, L, K=self.K,

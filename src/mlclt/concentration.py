@@ -249,7 +249,10 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
     from .fields import monte_carlo
     grouping = moderate_grouping(structure, ell)
     cols = grouping.groups
-    if grouping.degenerate:  # one group of every index; the sums go unused
+    if grouping.degenerate:
+        # the sums of this one group of every index go unused; it stays only
+        # because perfbench's tracer test asserts `per_index_bytes`, the size
+        # of the grouped call's sums
         cols = np.arange(structure.level_start(structure.max_level + 1))[None, :]
     samples, sums = monte_carlo(spec, structure, n, master_seed, groups=cols)
     x = samples.values[:, 0]

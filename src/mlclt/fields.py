@@ -23,21 +23,17 @@ its weighted levels in level order, a window level its anchors in C-order,
 mapped in blocks that stay in cache and added to the level's running sum
 one anchor after the other, a whole-torus level n_anchors times its one
 value.  The prefix and block buffers are allocated once per run and reused
-by every chunk.  Group sums are reduced chunk by chunk: each chunk writes
-its per-index rows into one reused buffer of about 2^20 entries, under
-Rademacher noise each value's index into the levels' concatenated tables,
-under the float laws the values, and reduces them in slices of about
-`_WINDOW_BLOCK` doubles that stay in cache: one table lookup fills a
-slice's values, each component's totals are summed per realization, and
-one gather through the groups' columns feeds one ordered reduce of the
-group sums.  So no array grows as n times the number of indices unless its
-caller asks for every index as a group.
+by every chunk.  A grouped run is the same pass: as each block of values is
+mapped, the values that the groups pick are copied into one reused buffer,
+whose rows are then added in the groups' order.  So a grouped run's totals
+are a plain run's, and no array grows as n times the number of indices
+unless its caller asks for every index as a group.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -247,8 +243,7 @@ class _Level:
     support box holds `count` cells: (2 `radius` + 1)^d when that width is
     below L, else the whole torus (radius None).  A Rademacher box with b
     cells at +1 sums to 2b - count, and `table[b]` holds the same double as
-    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)),
-    and so does entry `offset` + b of the family's concatenated table.
+    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
     """
 
     m: int
@@ -257,7 +252,6 @@ class _Level:
     n_anchors: int
     count: int
     radius: Optional[int]
-    offset: int
     table: Optional[NDArray[np.float64]]
 
 
@@ -265,8 +259,7 @@ class _SyntheticLevels:
     """Everything about a synthetic family on one structure that does not
     depend on the noise: component sign patterns and per-level geometry.
     Built once per Monte Carlo run; `tabulate` promises Rademacher noise
-    as the 0/1 counts that `_draw` returns, and concatenates the levels'
-    tables into `table`, whose entries `index_dtype` can address."""
+    as the 0/1 counts that `_draw` returns, and gives each level its table."""
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
                  tabulate: bool = False):
@@ -275,7 +268,7 @@ class _SyntheticLevels:
         self.d, self.L = st.d, st.L
         self.tabulate = tabulate
         self.patterns = _component_patterns(spec, st.d, st.L)
-        self.levels, offset = [], 0
+        self.levels = []
         for m in st.levels():
             hw = st.box_radius(m)
             count = min(2 * hw + 1, st.L) ** st.d
@@ -285,12 +278,8 @@ class _SyntheticLevels:
             self.levels.append(_Level(
                 m=m, scale=scale, start=st.level_start(m),
                 n_anchors=st.lattice_count(m) ** st.d, count=count,
-                radius=hw if 2 * hw + 1 < st.L else None, offset=offset, table=table))
-            offset += count + 1
+                radius=hw if 2 * hw + 1 < st.L else None, table=table))
         self.n_indices = sum(lv.n_anchors for lv in self.levels)
-        if tabulate:
-            self.table = np.concatenate([lv.table for lv in self.levels])
-            self.index_dtype = _int_dtype(len(self.table) - 1)
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
         """Write the values of level lv's box sums to out, shaped like sums:
@@ -314,24 +303,6 @@ class _SyntheticLevels:
                 col = (noise * p if c else noise).T
             yield _periodic_prefix(col.reshape((self.L,) * self.d + col.shape[1:]),
                                    w_max, buf=buf)
-
-    def box_sums(self, noise: NDArray, levels: Sequence[_Level]):
-        """Yield (level, component, sums) component by component, each in
-        level order: the box sums, one axis of anchors per torus axis and
-        then the realizations, or on a whole-torus level one sum per
-        realization standing for every anchor.
-
-        `noise` is (cells, n) counts when tabulated, and then the sums are
-        integer counts of +1 cells; otherwise it is (n, cells) float rows.
-        Each component's boxes come from one periodic prefix along the first
-        axis (`_box_sums`, `_torus_sums`)."""
-        w_max = max((2 * lv.radius + 1 for lv in levels if lv.radius is not None),
-                    default=0)
-        for c, prefix in enumerate(self.prefixes(noise, w_max)):
-            torus = _torus_sums(prefix, self.L)
-            for lv in levels:
-                yield lv, c, (torus if lv.radius is None else
-                              _box_sums(prefix, self.d, self.L, lv.radius, 1 << lv.m))
 
 
 def _torus_sums(prefix: NDArray, L: int) -> NDArray:
@@ -357,8 +328,7 @@ def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
 
 
 # doubles in the block of mapped box sums that `_SyntheticTotals` fills and
-# sums, and in a slice of a grouped run's per-index values: 1 MiB, which
-# stays in cache while it is reduced
+# sums: 1 MiB, which stays in cache while it is reduced
 _WINDOW_BLOCK = 1 << 17
 
 
@@ -371,12 +341,36 @@ class _SyntheticTotals:
     order.  The buffers, sized once for chunks of up to `chunk`
     realizations, are reused by every chunk: one component's periodic
     prefix along the first torus axis, and a block of `block` anchors' box
-    sums and of their values."""
+    sums and of their values.
 
-    def __init__(self, levels: _SyntheticLevels, chunk: int):
+    With `groups`, an int array of index columns, shape (n_groups,
+    group_len), a call also writes the group sums.  Slot s = j n_groups + g
+    of `groups.T.ravel()` holds column j of group g; as each block of a
+    level's anchors is mapped, the values of the slots that pick them are
+    copied into row s of the pick buffer, (group_len, n_groups, chunk), and
+    a whole-torus level copies its one value.  A level of weight zero adds
+    nothing to the totals, but is still mapped when a group picks it, so its
+    signed zeros keep their bits.  Each component's group sums are then one
+    `_add_rows` over the buffer: each group's columns added in the order
+    given, whatever the chunk."""
+
+    def __init__(self, levels: _SyntheticLevels, chunk: int,
+                 groups: Optional[NDArray] = None):
         self.levels = levels
-        self.weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
-        self.w_max = max((2 * lv.radius + 1 for lv in self.weighted
+        self.weighted = {lv.m for lv in levels.levels if levels.spec.weight(lv.m) != 0.0}
+        self.picks = {}  # level m: (its picked anchors ascending, their slots)
+        if groups is not None:
+            cols = groups.T.ravel()
+            order = np.argsort(cols, kind="stable")
+            for lv in levels.levels:
+                lo, hi = np.searchsorted(cols[order], (lv.start, lv.start + lv.n_anchors))
+                if hi > lo:
+                    self.picks[lv.m] = (cols[order[lo:hi]] - lv.start, order[lo:hi])
+            self.group_len, self.n_slots = groups.shape[1], groups.size
+            self.picked = np.empty(groups.size * chunk)
+        self.visited = [lv for lv in levels.levels
+                        if lv.m in self.weighted or lv.m in self.picks]
+        self.w_max = max((2 * lv.radius + 1 for lv in self.visited
                           if lv.radius is not None), default=0)
         kind = "i" if levels.tabulate else "f"
         _, rows, dtype = _prefix_layout(1 + levels.L + self.w_max, kind)
@@ -386,28 +380,42 @@ class _SyntheticTotals:
         self.vals = np.empty((self.block + 1) * chunk)
         self.row = np.empty(chunk)
 
-    def __call__(self, noise: NDArray) -> NDArray[np.float64]:
+    def __call__(self, noise: NDArray,
+                 sums: Optional[NDArray[np.float64]] = None) -> NDArray[np.float64]:
+        """The chunk's totals; with groups, its group sums go into `sums`,
+        shape (n, n_groups, n_components)."""
         levels = self.levels
-        out = np.zeros((noise.shape[1] if levels.tabulate else len(noise),
-                        levels.spec.n_components))
-        row = self.row[:len(out)]
+        n = noise.shape[1] if levels.tabulate else len(noise)
+        out = np.zeros((n, levels.spec.n_components))
+        row = self.row[:n]
+        picked = None if sums is None else self.picked[:self.n_slots * n].reshape(-1, n)
         for c, prefix in enumerate(levels.prefixes(noise, self.w_max, self.prefix)):
             torus = _torus_sums(prefix, levels.L)
-            for lv in self.weighted:
+            for lv in self.visited:
                 if lv.radius is None:
                     levels._map(lv, torus, row)
+                    if lv.m in self.picks:
+                        picked[self.picks[lv.m][1]] = row
                     row *= lv.n_anchors
                 else:
-                    self._window_total(prefix, lv, row)
-                out[:, c] += row
+                    self._window_level(prefix, lv, row, picked)
+                if lv.m in self.weighted:
+                    out[:, c] += row
+            if sums is not None:
+                acc = np.empty((sums.shape[1], n))
+                _add_rows(picked.reshape(self.group_len, -1), acc.reshape(-1))
+                sums[:, :, c] = acc.T
         return out
 
-    def _window_total(self, prefix: NDArray, lv: _Level, row: NDArray[np.float64]) -> None:
-        """Write window level lv's sum over its anchors to row.  The box sums
-        come in blocks of k <= `block` anchors in C-order, at d >= 2 rows of
-        the level's `_box_sums`, at d = 1 read from the prefix into one
-        reused buffer; each block is mapped into the value buffer after the
-        running row, and the buffer's rows are added."""
+    def _window_level(self, prefix: NDArray, lv: _Level, row: NDArray[np.float64],
+                      picked: Optional[NDArray[np.float64]]) -> None:
+        """Visit window level lv: write its sum over its anchors to row, if
+        it is weighted, and its picked anchors' values to their rows of
+        `picked`.  The box sums come in blocks of k <= `block` anchors in
+        C-order, at d >= 2 rows of the level's `_box_sums`, at d = 1 read
+        from the prefix into one reused buffer; each block is mapped into the
+        value buffer after the running row, its picks are copied out, and
+        the buffer's rows are added."""
         L, d, r, step, n = self.levels.L, self.levels.d, lv.radius, 1 << lv.m, len(row)
         if d > 1:
             sums = _box_sums(prefix, d, L, r, step).reshape(-1, n)
@@ -417,42 +425,25 @@ class _SyntheticTotals:
             blocks = (np.subtract(ends, starts, out=buf[:len(ends)]) for ends, starts
                       in _windows(prefix, L, -r % L, step, 2 * r + 1, self.block))
         vals = self.vals[:(self.block + 1) * n].reshape(self.block + 1, n)
-        first = 0
+        anchors, slots = self.picks.get(lv.m, ((), ()))
+        weighted = lv.m in self.weighted
+        first = a0 = 0
         for block in blocks:
             k = first + len(block)
             self.levels._map(lv, block, vals[first:k])
-            _add_rows(vals[:k], row)
-            vals[0] = row
-            first = 1
+            lo, hi = np.searchsorted(anchors, (a0, a0 + len(block)))
+            if hi > lo:
+                picked[slots[lo:hi]] = vals[first - a0 + anchors[lo:hi]]
+            a0 += len(block)
+            if weighted:
+                _add_rows(vals[:k], row)
+                vals[0] = row
+                first = 1
 
 
-def _synthetic_index_values(levels: _SyntheticLevels, noise: NDArray,
-                            out: NDArray) -> None:
-    """Fill the (n, n_indices, n_components) array out in the index set's
-    column order (`DependenceStructure.positions`): level by level, each
-    level's anchors in the C-order that `box_sums` yields them in.
-
-    Under tabulated noise out is of `index_dtype` and receives each value's
-    entry in the concatenated table: every box count plus its level's
-    offset, a whole-torus level's one count per realization repeated over
-    its anchors, so no float array is made per level.  Otherwise out is
-    float64 and receives the values, float box sums mapped level by level."""
-    for lv, c, sums in levels.box_sums(noise, levels.levels):
-        rows = out[:, lv.start:lv.start + lv.n_anchors, c]
-        if not levels.tabulate:
-            vals = np.empty(sums.shape)
-            levels._map(lv, sums, vals)
-            rows[:] = vals.reshape(-1, len(out)).T
-        elif lv.radius is None:
-            np.add(sums[:, None], lv.offset, out=rows)
-        else:  # realizations first, then one axis of anchors per torus axis
-            np.add(np.moveaxis(sums, -1, 0), lv.offset,
-                   out=rows.reshape((len(out),) + sums.shape[:-1]))
-
-
-def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
-    """Exact law of the scalar total under Rademacher noise by enumerating
-    all 2^{L^d} configurations (L^d <= 20)."""
+def _check_enumerable(spec: SyntheticSpec, structure: DependenceStructure) -> None:
+    """Refuse a family that `brute_force_law` cannot enumerate: it needs
+    scalar Rademacher noise on at most 20 cells."""
     if spec.dist != "rademacher":
         raise UsageError("exact enumeration requires Rademacher noise")
     if spec.n_components != 1:
@@ -460,6 +451,13 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     cells = structure.L ** structure.d
     if cells > 20:
         raise UsageError(f"enumeration over 2^{cells} configurations refused (> 2^20)")
+
+
+def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> DiscreteLaw:
+    """Exact law of the scalar total under Rademacher noise by enumerating
+    all 2^{L^d} configurations (L^d <= 20)."""
+    _check_enumerable(spec, structure)
+    cells = structure.L ** structure.d
     n_cfg = 1 << cells
     bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
     totals = _SyntheticTotals(_SyntheticLevels(spec, structure, tabulate=True),
@@ -472,28 +470,6 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
 # Monte Carlo driver
 
 
-# entries in the per-index buffer that one chunk of a grouped run fills:
-# table indices under Rademacher noise, values under the float laws
-_GROUP_BUFFER = 1 << 20
-
-
-def _reduce_slice(vals: NDArray[np.float64], cols: NDArray, totals: NDArray[np.float64],
-                  sums: NDArray[np.float64]) -> None:
-    """Reduce a slice of per-index values, (k, n_indices, n_components):
-    each component's totals, one pairwise numpy sum per realization, and
-    the sums over the groups whose columns are the columns of the C-order
-    (group_len, n_groups) array `cols`, each group's columns added one after
-    the other in the order given (`_add_rows`).  The gather through `cols`
-    puts column j of every group in one C-order row of the picked values.
-    Neither order depends on k, so slicing a chunk keeps every bit."""
-    for c in range(vals.shape[2]):
-        totals[:, c] = vals[:, :, c].sum(axis=1)
-    picked = vals.transpose(1, 0, 2)[cols]  # (group_len, n_groups, k, n_components)
-    acc = np.empty(picked.shape[1:])
-    _add_rows(picked.reshape(len(picked), -1), acc.reshape(-1))
-    sums[:] = acc.transpose(1, 0, 2)
-
-
 def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
                 master_seed: int, groups=None, chunk_size: int = 4096):
     """Draw n realizations of the total of the synthetic family `spec`, and
@@ -504,64 +480,46 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     once.  Returns a SampleSet, or with `groups`, an int array of shape
     (n_groups, group_len) holding index columns, a pair (SampleSet, sums):
     sums[k, g] is the sum of realization k's values over the columns
-    groups[g], shape (n, n_groups, n_components), and
-    `np.arange(n_indices)[:, None]` gives the per-index values themselves.
-    The columns run level by level from level 0, each level in the C-order
-    of its anchors y / 2^m (`DependenceStructure.positions`).
-    A grouped run writes each chunk's per-index rows into one buffer of at
-    most 2^20 entries (or one realization's, if larger), table indices
-    under Rademacher noise and values under the float laws
-    (`_synthetic_index_values`), and reduces the chunk in slices of about
-    `_WINDOW_BLOCK` doubles, after one table lookup per slice under
-    Rademacher noise (`_reduce_slice`): its totals are each component's
-    values summed as numpy reduces them, pairwise per realization; its
-    group sums gather the groups' columns, column j of every group in one
-    row, and add the rows in the order given.
+    groups[g], added in the order given, shape (n, n_groups, n_components),
+    and `np.arange(n_indices)[:, None]` gives the per-index values
+    themselves.  The columns run level by level from level 0, each level in
+    the C-order of its anchors y / 2^m (`DependenceStructure.positions`).
+    A grouped run takes the totals of a plain run, bit for bit, in the same
+    pass (`_SyntheticTotals`), which picks the groups' values as it maps
+    each level's box sums.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
     if not isinstance(spec, SyntheticSpec):
         raise UsageError(f"monte_carlo samples a SyntheticSpec, got {type(spec).__name__}")
-    n_comp = spec.n_components
     levels = _SyntheticLevels(spec, structure, tabulate=spec.dist == "rademacher")
 
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
-    n_indices = levels.n_indices
-    totals = np.empty((n, n_comp))
-    if groups is None:
-        synthetic_totals = _SyntheticTotals(levels, min(n, chunk_size))
-    else:
+    sums = None
+    if groups is not None:
         groups = np.asarray(groups)
-        if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.shape[1] < 1
-                or groups.size and not 0 <= groups.min() <= groups.max() < n_indices):
+        n_indices = levels.n_indices
+        if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.size < 1
+                or not 0 <= groups.min() <= groups.max() < n_indices):
             raise UsageError("groups must be a 2-d int array of index columns "
-                             f"in [0, {n_indices}), at least one per group")
-        if n * len(groups) * n_comp > 2 * 10 ** 8:
+                             f"in [0, {n_indices}): at least one group, each of at "
+                             "least one column")
+        if n * len(groups) * spec.n_components > 2 * 10 ** 8:
             raise UsageError("group-sum storage for this run would exceed the guard; "
                              "reduce n or the number of groups")
-        width = max(n_indices, groups.size) * n_comp
-        chunk_size = max(1, min(chunk_size, _GROUP_BUFFER // width))
-        part = max(1, _WINDOW_BLOCK // width)
-        rows = np.empty((chunk_size, n_indices, n_comp),
-                        dtype=levels.index_dtype if levels.tabulate else np.float64)
-        if levels.tabulate:
-            buf = np.empty((min(part, chunk_size), n_indices, n_comp))
-        cols = np.ascontiguousarray(groups.T)
-        sums = np.empty((n, len(groups), n_comp))
+        # a pick buffer of about _WINDOW_BLOCK doubles, but chunks of at least
+        # 2^18 cells, below which numpy's per-call cost outweighs the work
+        chunk_size = min(chunk_size, max(_WINDOW_BLOCK // groups.size,
+                                         (1 << 18) // structure.L ** structure.d))
+        sums = np.empty((n, len(groups), spec.n_components))
+    synthetic_totals = _SyntheticTotals(levels, min(n, chunk_size), groups)
+    totals = np.empty((n, spec.n_components))
     for k0 in range(0, n, chunk_size):
         count = min(chunk_size, n - k0)
         noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0, count)
-        if groups is None:
-            totals[k0:k0 + count] = synthetic_totals(noise)
-            continue
-        _synthetic_index_values(levels, noise, rows[:count])
-        for a in range(0, count, part):
-            k = min(part, count - a)
-            vals = rows[a:a + k]
-            if levels.tabulate:
-                vals = np.take(levels.table, vals, out=buf[:k], mode="clip")
-            _reduce_slice(vals, cols, totals[k0 + a:k0 + a + k], sums[k0 + a:k0 + a + k])
+        totals[k0:k0 + count] = synthetic_totals(
+            noise, None if sums is None else sums[k0:k0 + count])
     samples = SampleSet(values=totals, master_seed=master_seed)
     if groups is not None:
         return samples, sums

@@ -6,9 +6,9 @@ an explicit index list, from chi row sums, as the reference for the bound's
 closed-form neighbor counts; the index set and a grouping's groups as
 `LevelIndex` lists, enumerated by loops as the reference for the library's
 column positions; the columns that a grouping leaves as remainders, the
-check that groups share no noise cell, the per-level totals of a synthetic
-family, and the sampled check of a test function against the restricted
-test class.
+check that groups share no noise cell, the box sums, per-index values and
+per-level totals of a synthetic family, and the sampled check of a test
+function against the restricted test class.
 """
 import functools
 import itertools
@@ -22,6 +22,7 @@ from quadrature_oracle import hermite_grid
 from scipy.special import ndtri
 
 from mlclt._util import UsageError
+from mlclt.fields import _box_sums, _torus_sums
 from mlclt.multilevel import chi_matrix, periodic_distance
 
 
@@ -188,17 +189,48 @@ def _max_gradient(phi, points, step: float = 1e-5) -> float:
     return float(np.max(np.linalg.norm(grads, axis=1)))
 
 
+def level_box_sums(levels, noise, chosen):
+    """Yield (level, component, sums) component by component, each over the
+    levels `chosen` in level order: a level's whole array of box sums, one
+    axis of anchors per torus axis and then the realizations, or on a
+    whole-torus level one sum per realization standing for every anchor.
+    `noise` is (cells, n) counts when `levels` tabulates, and then the sums
+    are integer counts of +1 cells; otherwise it is (n, cells) float rows.
+    Each component's boxes come from one periodic prefix along the first
+    axis (`fields._box_sums`, `fields._torus_sums`)."""
+    w_max = max((2 * lv.radius + 1 for lv in chosen if lv.radius is not None), default=0)
+    for c, prefix in enumerate(levels.prefixes(noise, w_max)):
+        torus = _torus_sums(prefix, levels.L)
+        for lv in chosen:
+            yield lv, c, (torus if lv.radius is None else
+                          _box_sums(prefix, levels.d, levels.L, lv.radius, 1 << lv.m))
+
+
+def index_values(levels, noise) -> np.ndarray:
+    """The (n, n_indices, n_components) per-index values in the index set's
+    column order, each level's whole array of box sums mapped by
+    `levels._map`: the reference for the values that a grouped
+    `monte_carlo` picks block by block."""
+    n = noise.shape[1] if levels.tabulate else len(noise)
+    out = np.empty((n, levels.n_indices, levels.spec.n_components))
+    for lv, c, sums in level_box_sums(levels, noise, levels.levels):
+        vals = np.empty(sums.shape)
+        levels._map(lv, sums, vals)
+        out[:, lv.start:lv.start + lv.n_anchors, c] = vals.reshape(-1, n).T
+    return out
+
+
 def per_level_totals(levels, noise) -> np.ndarray:
     """The (n, n_components) totals that `fields._SyntheticTotals` must
     match bit for bit, from each weighted level's whole array of values
-    (`levels.box_sums` mapped by `levels._map`), component by component
+    (`level_box_sums` mapped by `levels._map`), component by component
     and on each in level order: a window level's anchors added one after
     the other in C-order, from the first anchor's value on, and a
     whole-torus level as n_anchors times its one value."""
     n = noise.shape[1] if levels.tabulate else len(noise)
     out = np.zeros((n, levels.spec.n_components))
     weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
-    for lv, c, sums in levels.box_sums(noise, weighted):
+    for lv, c, sums in level_box_sums(levels, noise, weighted):
         vals = np.empty(sums.shape)
         levels._map(lv, sums, vals)
         if lv.radius is None:

@@ -580,6 +580,34 @@ def test_bad_tails_length_exits_before_the_csv_opens(tmp_path, capsys):
     assert "m must be at least 1" in capsys.readouterr().err
 
 
+def test_unenumerable_oracle_exits_before_the_csv_opens(tmp_path, monkeypatch):
+    # brute force needs scalar Rademacher noise on at most 20 cells: a float
+    # preset, a vector total or a larger lattice is refused before any file
+    calls = []
+    monkeypatch.setattr("mlclt.cli.brute_force_law",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "o.csv"
+    for args in (["--preset", "identity-gauss"], ["--n-dim", "2"],
+                 ["--L", "2,21"], ["--d", "2", "--L", "5"]):
+        assert main(["oracle", *args, "--out", str(out)]) == 2, args
+        assert not out.exists() and not calls, args
+        assert not (tmp_path / "o.csv.manifest.json").exists()
+
+
+def test_vector_moderate_exits_before_the_csv_opens(tmp_path, monkeypatch, capsys):
+    # moderate reads component 0 of the total alone, so n_dim > 1 would only
+    # sample components that no row reads
+    calls = []
+    monkeypatch.setattr("mlclt.fields.monte_carlo",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "m.csv"
+    for n_dim in ("2", "3"):
+        assert main(["moderate", "--preset", "cube", "--L", "1024", "--ell", "512",
+                     "--n-dim", n_dim, "--n-samples", "1000", "--out", str(out)]) == 2
+        assert not out.exists() and not calls
+    assert "n_dim must be 1" in capsys.readouterr().err
+
+
 def test_bad_structure_exits_before_any_unit_samples(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("mlclt.cli.monte_carlo",

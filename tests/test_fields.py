@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import log1p, ndtri
-from support import LevelIndex, build_index_set, per_level_totals
+from support import LevelIndex, build_index_set, index_values, per_level_totals
 
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
@@ -18,8 +18,7 @@ from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
 from mlclt.concentration import moderate_grouping, moderate_tail_table, stretched_norm
 from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels,
                           _SyntheticTotals, _add_rows, _apply_map, _box_sums, _draw,
-                          _periodic_prefix,
-                          _synthetic_index_values, brute_force_law, make_preset, monte_carlo,
+                          _periodic_prefix, brute_force_law, make_preset, monte_carlo,
                           PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance
 
@@ -39,9 +38,7 @@ def _direct_values(spec, st, rows):
     """(n, n_indices, n_components) values of float noise rows, in
     build_index_set order: the float path of `_SyntheticLevels`, which maps
     the box sums themselves rather than tables of counts."""
-    out = np.empty((len(rows), len(build_index_set(st)), spec.n_components))
-    _synthetic_index_values(_SyntheticLevels(spec, st), rows, out)
-    return out
+    return index_values(_SyntheticLevels(spec, st), rows)
 
 
 def test_draw_noise_is_deterministic_per_counter():
@@ -546,10 +543,10 @@ def test_group_sums_match_summed_per_index_values(name, d, L, K, n_comp):
     assert np.allclose(sums, per_index[:, groups].sum(axis=2), rtol=0.0, atol=1e-12)
 
 
-def _grouped_bytes(spec, st, groups):
+def _grouped_bytes(spec, st, groups, chunk_size):
     """The bytes of a grouped run's totals and group sums, signed zeros and
-    all: 23 realizations, in chunks of 8 and a 7-realization tail."""
-    samples, sums = monte_carlo(spec, st, 23, 61, chunk_size=8, groups=groups)
+    all, over 23 realizations."""
+    samples, sums = monte_carlo(spec, st, 23, 61, chunk_size=chunk_size, groups=groups)
     return samples.values.tobytes(), sums.tobytes()
 
 
@@ -557,38 +554,66 @@ def _grouped_bytes(spec, st, groups):
 @pytest.mark.parametrize("d,L", [(1, 64), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
 @pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
 def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n_comp):
-    # a grouped chunk is reduced in slices of about _WINDOW_BLOCK doubles;
-    # slices of one and of three realizations, the last one short, must give
-    # the bits of one slice per chunk, and the group sums must be each
-    # group's per-index columns added one after the other
+    # a grouped run picks each chunk's values as its blocks of mapped box
+    # sums go by.  Chunks of one, three and eight realizations, the last one
+    # short, in whole-level blocks and in blocks of seven and of five
+    # anchors, which cut the levels and leave a short last block, must give
+    # the bits of one whole chunk; and the group sums must be each group's
+    # per-index columns added one after the other
     spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
     n_indices = len(build_index_set(st))
     _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
     for groups in (_some_groups(st, group_len=1), _some_groups(st, group_len=9),
                    np.arange(n_indices)[None, :]):
-        width = max(n_indices, groups.size) * n_comp
-        monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", 1 << 40)
-        whole = _grouped_bytes(spec, st, groups)
-        for block in (1, 3 * width):
+        whole = _grouped_bytes(spec, st, groups, 23)
+        for chunk, block in ((1, 1 << 17), (3, 21), (8, 40)):
             monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", block)
-            assert _grouped_bytes(spec, st, groups) == whole, (groups.shape, block)
+            assert _grouped_bytes(spec, st, groups, chunk) == whole, (chunk, block)
         expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
         assert whole[1] == expect.tobytes(), groups.shape
 
 
+@pytest.mark.parametrize("d,L,n_comp", [pytest.param(d, L, c, id=f"d{d}-{L}-{c}")
+                                        for d, L in ((1, 64), (2, 16), (3, 8), (1, 256))
+                                        for c in (1, 2, 3)] + [(2, 256, 1)])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_grouped_totals_are_plain_totals(name, d, L, n_comp):
+    # a grouped run is the plain totals pass plus a pick of the groups'
+    # values, so its totals keep a plain run's bits whatever the groups and
+    # the chunk size.  At K=1, moderate_grouping builds two groups of 64
+    # level-0 indices at d=1 L=256 and four of 4096 at d=2 L=256, which take
+    # that grouping alone, and none on the smaller lattices.  Realization k
+    # does not depend on n, so chunks of one take fewer realizations.
+    spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
+    n_max = 23 if L ** d > 4096 else 100
+    plain = monte_carlo(spec, st, n_max, 61).values
+    grouping = moderate_grouping(st, L // 2)
+    assert grouping.degenerate == (L < 256)
+    groupings = ([_each_index(st), _some_groups(st),
+                  np.arange(len(build_index_set(st)))[None, :]]
+                 if grouping.degenerate else [grouping.groups])
+    for groups in groupings:
+        for chunk in (1, 7, 96, 4096):
+            n = 23 if chunk == 1 else n_max
+            samples, _ = monte_carlo(spec, st, n, 61, groups=groups, chunk_size=chunk)
+            assert samples.values.tobytes() == plain[:n].tobytes(), (groups.shape, chunk)
+
+
 def test_grouped_pass_holds_slices_not_chunks_of_values():
-    # a chunk keeps its 2 MiB of int16 table indices and reduces them in
-    # 1 MiB slices of values; a whole chunk of float values, and the intp
-    # copy of its indices that np.take makes, took a 20.7 MiB peak here
+    # a grouped chunk holds one pick buffer, a value per group slot and
+    # realization: 1 MiB for moderate's 512 slots (4.5 MiB peak), and 4 MiB
+    # for the all-index group of 2048 slots, whose chunks stay at 256
+    # realizations (7.5 MiB peak; 512 would pass 10 MiB).  Whole chunks of
+    # float values took a 20.7 MiB peak for moderate's groups.
     spec, st = make_preset("cube", 1, 1024)
-    groups = moderate_grouping(st, 512).groups
-    tracemalloc.start()
-    try:
-        monte_carlo(spec, st, 2000, 7, groups=groups)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, peak / 2 ** 20
+    for groups in (moderate_grouping(st, 512).groups, _each_index(st).T):
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, st, 2000, 7, groups=groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, (groups.shape, peak / 2 ** 20)
 
 
 def test_add_rows_adds_rows_in_order_for_any_layout():
@@ -698,7 +723,7 @@ def test_monte_carlo_guards():
         monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, groups=_each_index(big))
     n_indices = len(build_index_set(st))
     for bad in (np.arange(n_indices), [[0, n_indices]], [[-1, 0]], [[0.0, 1.0]],
-                np.empty((2, 0), dtype=int)):
+                np.empty((2, 0), dtype=int), np.empty((0, 3), dtype=int)):
         with pytest.raises(UsageError):
             monte_carlo(spec, st, 10, 1, groups=bad)
 
