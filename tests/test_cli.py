@@ -340,11 +340,11 @@ def test_moderate_runner(tmp_path):
 # arguments in sample stream v2: two groups, and degenerate at d=1 and d=2
 _MODERATE_SEED9_SHA256 = {
     "--d 1 --L 1024 --ell 512":
-        "97f7b5ac8b6a675169a2850a7d8a4abb0f87db8ceb1e484f2904843cb0095b38",
+        "d982ba6327591e4e965ea309f55bf48de060a9e1b6e2024339c7787d33109605",
     "--d 1 --L 16,32,64,128 --ell 4":
-        "18e2f7338c5d7580c4145182b382749713688fcefdc64ffb974233b9e448a1cf",
+        "293fcda6d7d0e722d1dc8d7c26600523bc4e6b8f5136b670c62fbdeefd9b412d",
     "--d 2 --L 16,32 --ell 16":
-        "fdec93bc6c83db75e53603101834e260593c48ea7f32d40e9072af8e024fdda9",
+        "0a437f0566ec8aa593b5988bc38a809801b8e58af5c97285f731e14084407ef1",
 }
 
 

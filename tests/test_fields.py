@@ -290,9 +290,9 @@ def test_monte_carlo_is_chunk_size_invariant():
         assert np.array_equal(per_index, runs[0][1])
 
 
-_PINNED_STREAM = "b2c0fa766d410d339271fede0414ab39a9ee3aafc93143dbc93ff1e6bc50b5bf"
-_PINNED_STREAM_D2_FLOAT = ("1e5bf0bc109339dd77ece6cd41354681"
-                           "09cdde6ae2d440ebd7ea802f293855df")
+_PINNED_STREAM = "94162cfe88e522fcb877d90f2fc58f2c2a2cf01d5fd569ff13f7c5a8b6ec6046"
+_PINNED_STREAM_D2_FLOAT = ("b51354d9a933042aa0846d8644bc3345"
+                           "7ed570829289647a97bc1715043ef12f")
 
 
 def _stream_runs(d2_float: bool):
@@ -316,13 +316,15 @@ def _stream_runs(d2_float: bool):
 
 
 def _stream_digest(runs) -> str:
-    """The sha256 of totals and per-index values, in chunks smaller than n."""
+    """The sha256 of totals and per-index values, in chunks smaller than n;
+    the grouped run's totals must be the plain run's."""
     digest = hashlib.sha256()
     for spec, st in runs:
         totals = monte_carlo(spec, st, 250, 2026, chunk_size=96)
         samples, per_index = monte_carlo(spec, st, 250, 2026, chunk_size=96,
                                          groups=_each_index(st))
-        for arr in (totals.values, samples.values, per_index):
+        assert samples.values.tobytes() == totals.values.tobytes()
+        for arr in (totals.values, per_index):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -337,7 +339,7 @@ def test_monte_carlo_d2_float_stream_is_pinned():
     assert _stream_digest(_stream_runs(d2_float=True)) == _PINNED_STREAM_D2_FLOAT
 
 
-_PINNED_WINDOWS = "b55d06035506a00212cadf105c8c808ccbfcc378a98cc3a90df15575c7bc3539"
+_PINNED_WINDOWS = "51f3b38af0a86689586ba263648db6a33744fd8d06578e0da8c14ee13dc022a2"
 
 
 def _window_runs():
@@ -360,7 +362,8 @@ def test_monte_carlo_windows_are_pinned():
         if n > 3:
             samples, per_index = monte_carlo(gen, st, n, 2026, chunk_size=96,
                                              groups=_each_index(st))
-            arrays += [samples.values, per_index]
+            assert samples.values.tobytes() == arrays[0].tobytes()
+            arrays.append(per_index)
         for arr in arrays:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == _PINNED_WINDOWS
