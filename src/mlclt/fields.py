@@ -510,7 +510,7 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
                              "reduce n or the number of groups")
         # a pick buffer of about _WINDOW_BLOCK doubles, but chunks of at least
         # 2^18 cells, below which numpy's per-call cost outweighs the work
-        chunk_size = min(chunk_size, max(_WINDOW_BLOCK // groups.size,
+        chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,
                                          (1 << 18) // structure.L ** structure.d))
         sums = np.empty((n, len(groups), spec.n_components))
     synthetic_totals = _SyntheticTotals(levels, min(n, chunk_size), groups)

@@ -724,6 +724,10 @@ def test_monte_carlo_guards():
     big = DependenceStructure(d=1, L=2 ** 14, gamma=1.0)
     with pytest.raises(UsageError):
         monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, groups=_each_index(big))
+    # past 2^18 cells and 2^17 group slots a grouped chunk is one realization
+    huge = DependenceStructure(d=1, L=2 ** 19, gamma=1.0)
+    _, sums = monte_carlo(SyntheticSpec(), huge, 2, 1, groups=np.zeros((1, 2 ** 17 + 1), int))
+    assert sums.shape == (2, 1, 1)
     n_indices = len(build_index_set(st))
     for bad in (np.arange(n_indices), [[0, n_indices]], [[-1, 0]], [[0.0, 1.0]],
                 np.empty((2, 0), dtype=int), np.empty((0, 3), dtype=int)):
