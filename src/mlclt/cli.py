@@ -42,8 +42,9 @@ from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_forc
 from .gaussians import GaussianLaw, SpdMatrix
 from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
                          theorem_bound)
-from .stein import (_S_NODES, SteinSolution, majorant_average_certificate,
-                    stein_residual, third_derivative_certificate)
+from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, SteinSolution,
+                    majorant_average_certificate, stein_residual,
+                    third_derivative_certificate)
 
 EXPERIMENTS = ("clt-rate", "stein-certify", "bound-calc", "tails",
                "moderate", "oracle")
@@ -108,6 +109,11 @@ class ExperimentConfig:
         if self.experiment == "moderate" and self.n_dim != 1:
             raise UsageError(f"moderate compares scalar tails: n_dim must be 1, "
                              f"got {self.n_dim}")
+        if self.experiment in ("clt-rate", "bound-calc") and not self.s > 0:
+            raise UsageError(f"s must be positive, got {self.s}")
+        if self.experiment == "stein-certify" and not _EPS_MIN <= self.eps <= _EPS_MAX:
+            raise UsageError(f"eps={self.eps} outside the supported range "
+                             f"[{_EPS_MIN}, {_EPS_MAX}]")
         exp = _EXPERIMENTS[self.experiment]
         if exp.key == "L":
             # every L's preset, structure, grouping scale and enumeration
@@ -131,13 +137,6 @@ class ExperimentConfig:
 
     def ell_for(self, L: int) -> int:
         return self.ell if self.ell is not None else _default_ell(L)
-
-    def echo(self) -> dict:
-        out = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
 
 def parse_config_file(path: str) -> dict:
@@ -518,7 +517,7 @@ def _write_manifest(path: str, config: ExperimentConfig, writer: CsvWriter,
                     n_rows: int, wallclock: float, failures: list,
                     extra: dict) -> None:
     payload = {
-        "config": config.echo(),
+        "config": asdict(config),
         "schema_hash": writer.hash,
         "columns": list(writer.columns),
         "n_rows": n_rows,

@@ -231,8 +231,7 @@ def bennett_tail_table(m: int, r_grid: Optional[Sequence[float]] = None) -> list
 
 
 def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
-                        master_seed: int,
-                        r_grid: Optional[Sequence[float]] = None) -> dict:
+                        master_seed: int) -> dict:
     """Moderate-deviation style tail comparison for a synthetic family.
 
     Decomposes X into grouped and remainder parts, then compares the
@@ -244,7 +243,8 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
     (the full empirical variance when the grouping is degenerate) and the
     remainder term comes from the measured stretched norm of R via the
     optimized Markov bound.  The slack delta is chosen as the smallest value
-    whose remainder term drops below 1/(4 sqrt(n)).
+    whose remainder term drops below 1/(4 sqrt(n)).  The rows take r = 0.5,
+    1.0, ..., 5.0 times the surrogate's standard deviation.
     """
     from .fields import monte_carlo
     grouping = moderate_grouping(structure, ell)
@@ -280,10 +280,8 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
             delta = float(rem_norm * 1000.0)
 
     sd = math.sqrt(var_g) if var_g > 0 else float(np.std(xc))
-    if r_grid is None:
-        r_grid = [sd * q for q in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
     rows = []
-    for r in r_grid:
+    for r in (sd * q for q in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)):
         emp = float(np.mean(np.abs(xc) >= r))
         if var_g > 0 and r - delta > 0:
             gauss = float(2.0 * (1.0 - ndtr((r - delta) / sd)))

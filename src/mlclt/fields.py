@@ -12,18 +12,20 @@ Monte Carlo noise follows sample stream v2: one Philox key per run,
 of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
 one Philox call, realization k regenerates in isolation, and results are
 bit-reproducible and independent of the chunk size.
-A support box is summed axis by axis at every d: windows along the first
-axis come from one periodic prefix per chunk and component, whose row L
-also gives the whole-torus sums, and each further axis takes a periodic
-prefix of the partial sums.  Rademacher noise is summed as 0/1 counts of +1
-cells in integer prefixes, scanned in blocks, so box sums are exact; the
-other laws use the same prefixes in float64, scanned row by row.
-Totals take one order at every d (`_SyntheticTotals`): each component adds
-its weighted levels in level order, a window level its anchors in C-order,
-mapped in blocks that stay in cache and added to the level's running sum
+A support box is summed axis by axis at every d, a window level in blocks
+of first-axis anchor rows that stay in cache (`_box_sums`): a block reads
+its windows along the first axis from one periodic prefix per chunk and
+component, whose row L also gives the whole-torus sums, and each further
+axis takes a periodic prefix of the block's partial sums.  Rademacher noise
+is summed as 0/1 counts of +1 cells in integer prefixes, scanned in blocks,
+so box sums are exact; the other laws use the same prefixes in float64,
+scanned row by row.  Totals take one order at every d (`_SyntheticTotals`):
+each component adds its weighted levels in level order, a window level its
+anchors in C-order, each block mapped and added to the level's running sum
 one anchor after the other, a whole-torus level n_anchors times its one
 value.  The prefix and block buffers are allocated once per run and reused
-by every chunk.  A grouped run is the same pass: as each block of values is
+by every chunk; at d >= 2 each further axis of a block takes a block-sized
+prefix.  A grouped run is the same pass: as each block of values is
 mapped, the values that the groups pick are copied into one reused buffer,
 whose rows are then added in the groups' order.  So a grouped run's totals
 are a plain run's, and no array grows as n times the number of indices
@@ -68,10 +70,9 @@ def _apply_map(tag: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
           count: int) -> NDArray:
-    """Noise of realizations k0 .. k0+count-1 in sample stream v2:
-    Rademacher as positions-major 0/1 counts of the +1 cells, shape (L^d,
-    count), the other laws as float rows, shape (count, L^d), all symmetric
-    with unit variance.
+    """Noise of realizations k0 .. k0+count-1 in sample stream v2,
+    positions-major, shape (L^d, count): Rademacher as the 0/1 counts of the
+    +1 cells, the other laws as floats, all symmetric with unit variance.
 
     One Philox keyed by (master_seed, _MC_STREAM_TAG) serves the run.
     Realization k reads w raw words, w = ceil(cells / 64) for Rademacher and
@@ -100,7 +101,7 @@ def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
             np.right_shift(octets, i, out=bits[:, i])
             np.bitwise_and(bits[:, i], 1, out=bits[:, i])
         return bits.reshape(64 * w, count)[:cells]
-    u = ((raw >> 12) + 0.5) * 2.0 ** -52
+    u = ((raw.T >> 12) + 0.5) * 2.0 ** -52
     if dist == "uniform":
         return (2.0 * u - 1.0) * np.sqrt(3.0)
     if dist == "centered-exponential-tail":
@@ -173,27 +174,34 @@ def _windows(prefix: NDArray, L: int, start: int, step: int, w: int, block: int)
             yield prefix[a + w:top + w:step], prefix[a:top:step]
 
 
-def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int) -> NDArray:
-    """Sums over the periodic boxes of radius r (width w = 2r + 1 < L per
-    axis) anchored on step Z^d, of an array whose first d axes are the
-    torus: a C-order array with one axis of anchors per torus axis, then
-    the other axes.  Axis 0 reads its `_windows` from `prefix`, the array's
-    `_periodic_prefix`; each further axis takes the periodic prefix of the
-    partial sums and reads the same windows.  Each axis subtracts straight
-    into its place in the result, so no axis is copied into order."""
+def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int, block: int,
+              buf: Optional[NDArray] = None):
+    """Yield the sums over the periodic boxes of radius r (width w = 2r + 1
+    < L per axis) anchored on step Z^d, of an array whose first d axes are
+    the torus, in blocks of at most `block` first-axis anchors: C-order
+    arrays with one axis of anchors per torus axis, then the other axes,
+    which stacked along axis 0 give the level's sums.  A block reads its
+    axis-0 `_windows` from `prefix`, the array's `_periodic_prefix`, into
+    the flat `buf` of the prefix's dtype when given; each further axis takes
+    the periodic prefix of the block's partial sums and reads the same
+    windows.  Each axis subtracts straight into its place in the block, so
+    no axis is copied into order."""
     start, w = -r % L, 2 * r + 1
-    for axis in range(d):
-        if axis:
-            prefix = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
-        runs = list(_windows(prefix, L, start, step, w, L))
-        anchors = sum(len(ends) for ends, _ in runs)
-        sums = np.empty(prefix.shape[1:axis + 1] + (anchors,) + prefix.shape[axis + 1:],
-                        dtype=prefix.dtype)
-        into, a = np.moveaxis(sums, axis, 0), 0
-        for ends, starts in runs:
-            np.subtract(ends, starts, out=into[a:a + len(ends)])
-            a += len(ends)
-    return sums
+    for ends, starts in _windows(prefix, L, start, step, w, block):
+        sums = (np.empty(ends.shape, dtype=prefix.dtype) if buf is None
+                else buf[:ends.size].reshape(ends.shape))
+        np.subtract(ends, starts, out=sums)
+        for axis in range(1, d):
+            part = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
+            runs = list(_windows(part, L, start, step, w, L))
+            anchors = sum(len(e) for e, _ in runs)
+            sums = np.empty(part.shape[1:axis + 1] + (anchors,) + part.shape[axis + 1:],
+                            dtype=part.dtype)
+            into, a = np.moveaxis(sums, axis, 0), 0
+            for e, s in runs:
+                np.subtract(e, s, out=into[a:a + len(e)])
+                a += len(e)
+        yield sums
 
 
 # ---------------------------------------------------------------------------
@@ -255,56 +263,6 @@ class _Level:
     table: Optional[NDArray[np.float64]]
 
 
-class _SyntheticLevels:
-    """Everything about a synthetic family on one structure that does not
-    depend on the noise: component sign patterns and per-level geometry.
-    Built once per Monte Carlo run; `tabulate` promises Rademacher noise
-    as the 0/1 counts that `_draw` returns, and gives each level its table."""
-
-    def __init__(self, spec: SyntheticSpec, structure: DependenceStructure,
-                 tabulate: bool = False):
-        st = structure
-        self.spec = spec
-        self.d, self.L = st.d, st.L
-        self.tabulate = tabulate
-        self.patterns = _component_patterns(spec, st.d, st.L)
-        self.levels = []
-        for m in st.levels():
-            hw = st.box_radius(m)
-            count = min(2 * hw + 1, st.L) ** st.d
-            scale = spec.weight(m) * float(st.L) ** (-st.d)
-            table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
-                                / np.sqrt(count)) * scale if tabulate else None)
-            self.levels.append(_Level(
-                m=m, scale=scale, start=st.level_start(m),
-                n_anchors=st.lattice_count(m) ** st.d, count=count,
-                radius=hw if 2 * hw + 1 < st.L else None, table=table))
-        self.n_indices = sum(lv.n_anchors for lv in self.levels)
-
-    def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
-        """Write the values of level lv's box sums to out, shaped like sums:
-        counts through the level's table, float sums s as w_m L^{-d}
-        g(s / sqrt(count))."""
-        if lv.table is not None:  # counts lie in [0, count]: clipping never acts
-            np.take(lv.table, sums, out=out, mode="clip")
-        else:
-            np.divide(sums, np.sqrt(lv.count), out=out)
-            np.multiply(_apply_map(self.spec.nonlinearity, out), lv.scale, out=out)
-
-    def prefixes(self, noise: NDArray, w_max: int, buf: Optional[NDArray] = None):
-        """Yield each component's `_periodic_prefix` along the first torus
-        axis, extended by w_max: shape (1 + L + w_max, L, ..., L, n), in
-        `buf` when given.  A component's noise is, under tabulated noise,
-        the 0/1 counts of the cells where it is +1, else its float values."""
-        for c, p in enumerate(self.patterns):  # pattern 0 is all ones
-            if self.tabulate:
-                col = noise ^ (p < 0).astype(np.uint8)[:, None] if c else noise
-            else:
-                col = (noise * p if c else noise).T
-            yield _periodic_prefix(col.reshape((self.L,) * self.d + col.shape[1:]),
-                                   w_max, buf=buf)
-
-
 def _torus_sums(prefix: NDArray, L: int) -> NDArray:
     """One sum over the whole torus per realization: row L of `prefix`, the
     `_periodic_prefix` along the first torus axis, added over the further
@@ -333,15 +291,26 @@ _WINDOW_BLOCK = 1 << 17
 
 
 class _SyntheticTotals:
-    """The (n, n_components) totals of a chunk's noise, its weighted levels
-    added in level order on each component: a window level's anchors one
-    after the other in C-order, from the first anchor's value on, and a
-    whole-torus level as n_anchors times its one value, exact when
-    n_anchors is a power of two.  The bits of the totals are pinned to this
-    order.  The buffers, sized once for chunks of up to `chunk`
-    realizations, are reused by every chunk: one component's periodic
-    prefix along the first torus axis, and a block of `block` anchors' box
-    sums and of their values.
+    """One Monte Carlo run of the synthetic family `spec` on `structure`:
+    its noise-independent geometry, component sign patterns and per-level
+    `_Level`s, and the (n, n_components) totals of each chunk's noise.
+    Rademacher noise comes as the 0/1 counts that `_draw` returns, and each
+    level maps its box counts through its table; under the other laws each
+    level maps its float box sums themselves.
+
+    The totals add each component's weighted levels in level order: a
+    window level's anchors one after the other in C-order, from the first
+    anchor's value on, and a whole-torus level as n_anchors times its one
+    value, exact when n_anchors is a power of two.  The bits of the totals
+    are pinned to this order.  A window level's box sums come from
+    `_box_sums` at every d, in blocks of `block` first-axis anchor rows,
+    about `_WINDOW_BLOCK` values over a whole chunk; each block is mapped
+    into the value buffer after the level's running sum, and the buffer's
+    rows are added.
+    The buffers, sized once for chunks of up to `chunk` realizations, are
+    reused by every chunk: one component's periodic prefix along the first
+    torus axis, and a block's first-axis window sums and values.  At d >= 2
+    each further axis takes a block-sized prefix of its own.
 
     With `groups`, an int array of index columns, shape (n_groups,
     group_len), a call also writes the group sums.  Slot s = j n_groups + g
@@ -354,46 +323,83 @@ class _SyntheticTotals:
     `_add_rows` over the buffer: each group's columns added in the order
     given, whatever the chunk."""
 
-    def __init__(self, levels: _SyntheticLevels, chunk: int,
+    def __init__(self, spec: SyntheticSpec, structure: DependenceStructure, chunk: int,
                  groups: Optional[NDArray] = None):
-        self.levels = levels
-        self.weighted = {lv.m for lv in levels.levels if levels.spec.weight(lv.m) != 0.0}
+        st = structure
+        self.spec, self.d, self.L = spec, st.d, st.L
+        self.tabulate = spec.dist == "rademacher"
+        self.patterns = _component_patterns(spec, st.d, st.L)
+        self.levels = []
+        for m in st.levels():
+            hw = st.box_radius(m)
+            count = min(2 * hw + 1, st.L) ** st.d
+            scale = spec.weight(m) * float(st.L) ** (-st.d)
+            table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
+                                / np.sqrt(count)) * scale if self.tabulate else None)
+            self.levels.append(_Level(
+                m=m, scale=scale, start=st.level_start(m),
+                n_anchors=st.lattice_count(m) ** st.d, count=count,
+                radius=hw if 2 * hw + 1 < st.L else None, table=table))
+        self.weighted = {lv.m for lv in self.levels if spec.weight(lv.m) != 0.0}
         self.picks = {}  # level m: (its picked anchors ascending, their slots)
         if groups is not None:
             cols = groups.T.ravel()
             order = np.argsort(cols, kind="stable")
-            for lv in levels.levels:
+            for lv in self.levels:
                 lo, hi = np.searchsorted(cols[order], (lv.start, lv.start + lv.n_anchors))
                 if hi > lo:
                     self.picks[lv.m] = (cols[order[lo:hi]] - lv.start, order[lo:hi])
             self.group_len, self.n_slots = groups.shape[1], groups.size
             self.picked = np.empty(groups.size * chunk)
-        self.visited = [lv for lv in levels.levels
+        self.visited = [lv for lv in self.levels
                         if lv.m in self.weighted or lv.m in self.picks]
         self.w_max = max((2 * lv.radius + 1 for lv in self.visited
                           if lv.radius is not None), default=0)
-        kind = "i" if levels.tabulate else "f"
-        _, rows, dtype = _prefix_layout(1 + levels.L + self.w_max, kind)
-        self.block = max(1, _WINDOW_BLOCK // chunk)
-        self.prefix = np.empty(rows * levels.L ** (levels.d - 1) * chunk, dtype=dtype)
-        self.sums = np.empty(self.block * chunk, dtype=dtype)
-        self.vals = np.empty((self.block + 1) * chunk)
+        _, rows, dtype = _prefix_layout(1 + st.L + self.w_max, "i" if self.tabulate else "f")
+        cross = st.L ** (st.d - 1)  # cells of one first-axis row
+        self.block = max(1, _WINDOW_BLOCK // (chunk * cross))
+        self.prefix = np.empty(rows * cross * chunk, dtype=dtype)
+        self.sums = np.empty(self.block * cross * chunk, dtype=dtype)
+        self.vals = np.empty((self.block * cross + 1) * chunk)
         self.row = np.empty(chunk)
+
+    def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
+        """Write the values of level lv's box sums to out, shaped like sums:
+        counts through the level's table, float sums s as w_m L^{-d}
+        g(s / sqrt(count))."""
+        if lv.table is not None:  # counts lie in [0, count]: clipping never acts
+            np.take(lv.table, sums, out=out, mode="clip")
+        else:
+            np.divide(sums, np.sqrt(lv.count), out=out)
+            np.multiply(_apply_map(self.spec.nonlinearity, out), lv.scale, out=out)
+
+    def prefixes(self, noise: NDArray, w_max: int, buf: Optional[NDArray] = None):
+        """Yield each component's `_periodic_prefix` along the first torus
+        axis, extended by w_max: shape (1 + L + w_max, L, ..., L, n), in
+        `buf` when given.  A component's noise is, under tabulated noise,
+        the 0/1 counts of the cells where it is +1, else its float values."""
+        for c, p in enumerate(self.patterns):  # pattern 0 is all ones
+            col = noise
+            if c:
+                col = (noise ^ (p < 0).astype(np.uint8)[:, None] if self.tabulate
+                       else noise * p[:, None])
+            yield _periodic_prefix(col.reshape((self.L,) * self.d + col.shape[1:]),
+                                   w_max, buf=buf)
 
     def __call__(self, noise: NDArray,
                  sums: Optional[NDArray[np.float64]] = None) -> NDArray[np.float64]:
-        """The chunk's totals; with groups, its group sums go into `sums`,
-        shape (n, n_groups, n_components)."""
-        levels = self.levels
-        n = noise.shape[1] if levels.tabulate else len(noise)
-        out = np.zeros((n, levels.spec.n_components))
+        """The totals of a chunk's noise, shape (L^d, n) as `_draw` returns
+        it; with groups, its group sums go into `sums`, shape (n, n_groups,
+        n_components)."""
+        n = noise.shape[1]
+        out = np.zeros((n, self.spec.n_components))
         row = self.row[:n]
         picked = None if sums is None else self.picked[:self.n_slots * n].reshape(-1, n)
-        for c, prefix in enumerate(levels.prefixes(noise, self.w_max, self.prefix)):
-            torus = _torus_sums(prefix, levels.L)
+        for c, prefix in enumerate(self.prefixes(noise, self.w_max, self.prefix)):
+            torus = _torus_sums(prefix, self.L)
             for lv in self.visited:
                 if lv.radius is None:
-                    levels._map(lv, torus, row)
+                    self._map(lv, torus, row)
                     if lv.m in self.picks:
                         picked[self.picks[lv.m][1]] = row
                     row *= lv.n_anchors
@@ -411,26 +417,20 @@ class _SyntheticTotals:
                       picked: Optional[NDArray[np.float64]]) -> None:
         """Visit window level lv: write its sum over its anchors to row, if
         it is weighted, and its picked anchors' values to their rows of
-        `picked`.  The box sums come in blocks of k <= `block` anchors in
-        C-order, at d >= 2 rows of the level's `_box_sums`, at d = 1 read
-        from the prefix into one reused buffer; each block is mapped into the
-        value buffer after the running row, its picks are copied out, and
-        the buffer's rows are added."""
-        L, d, r, step, n = self.levels.L, self.levels.d, lv.radius, 1 << lv.m, len(row)
-        if d > 1:
-            sums = _box_sums(prefix, d, L, r, step).reshape(-1, n)
-            blocks = (sums[a:a + self.block] for a in range(0, len(sums), self.block))
-        else:
-            buf = self.sums[:self.block * n].reshape(self.block, n)
-            blocks = (np.subtract(ends, starts, out=buf[:len(ends)]) for ends, starts
-                      in _windows(prefix, L, -r % L, step, 2 * r + 1, self.block))
-        vals = self.vals[:(self.block + 1) * n].reshape(self.block + 1, n)
+        `picked`.  Each block of the level's `_box_sums`, k anchors in
+        C-order, is mapped into the value buffer after the running row, its
+        picks are copied out, and the buffer's rows are added."""
+        n = len(row)
+        rows = self.block * self.L ** (self.d - 1) + 1
+        vals = self.vals[:rows * n].reshape(rows, n)
         anchors, slots = self.picks.get(lv.m, ((), ()))
         weighted = lv.m in self.weighted
         first = a0 = 0
-        for block in blocks:
+        for block in _box_sums(prefix, self.d, self.L, lv.radius, 1 << lv.m, self.block,
+                               self.sums):
+            block = block.reshape(-1, n)
             k = first + len(block)
-            self.levels._map(lv, block, vals[first:k])
+            self._map(lv, block, vals[first:k])
             lo, hi = np.searchsorted(anchors, (a0, a0 + len(block)))
             if hi > lo:
                 picked[slots[lo:hi]] = vals[first - a0 + anchors[lo:hi]]
@@ -460,8 +460,7 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     cells = structure.L ** structure.d
     n_cfg = 1 << cells
     bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
-    totals = _SyntheticTotals(_SyntheticLevels(spec, structure, tabulate=True),
-                              n_cfg)(bits)[:, 0]
+    totals = _SyntheticTotals(spec, structure, n_cfg)(bits)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
 
@@ -492,14 +491,12 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         raise UsageError("need n >= 1 realizations")
     if not isinstance(spec, SyntheticSpec):
         raise UsageError(f"monte_carlo samples a SyntheticSpec, got {type(spec).__name__}")
-    levels = _SyntheticLevels(spec, structure, tabulate=spec.dist == "rademacher")
-
     # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
     chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     sums = None
     if groups is not None:
         groups = np.asarray(groups)
-        n_indices = levels.n_indices
+        n_indices = structure.level_start(structure.max_level + 1)
         if (groups.ndim != 2 or groups.dtype.kind not in "iu" or groups.size < 1
                 or not 0 <= groups.min() <= groups.max() < n_indices):
             raise UsageError("groups must be a 2-d int array of index columns "
@@ -513,7 +510,7 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,
                                          (1 << 18) // structure.L ** structure.d))
         sums = np.empty((n, len(groups), spec.n_components))
-    synthetic_totals = _SyntheticTotals(levels, min(n, chunk_size), groups)
+    synthetic_totals = _SyntheticTotals(spec, structure, min(n, chunk_size), groups)
     totals = np.empty((n, spec.n_components))
     for k0 in range(0, n, chunk_size):
         count = min(chunk_size, n - k0)

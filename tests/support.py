@@ -194,16 +194,17 @@ def level_box_sums(levels, noise, chosen):
     levels `chosen` in level order: a level's whole array of box sums, one
     axis of anchors per torus axis and then the realizations, or on a
     whole-torus level one sum per realization standing for every anchor.
-    `noise` is (cells, n) counts when `levels` tabulates, and then the sums
-    are integer counts of +1 cells; otherwise it is (n, cells) float rows.
-    Each component's boxes come from one periodic prefix along the first
-    axis (`fields._box_sums`, `fields._torus_sums`)."""
+    `noise` is (cells, n), as `fields._draw` gives it: 0/1 counts under
+    Rademacher noise, and then the sums are integer counts of +1 cells,
+    else floats.  Each component's boxes come from one periodic prefix
+    along the first axis (`fields._box_sums`, its blocks stacked, and
+    `fields._torus_sums`)."""
     w_max = max((2 * lv.radius + 1 for lv in chosen if lv.radius is not None), default=0)
     for c, prefix in enumerate(levels.prefixes(noise, w_max)):
         torus = _torus_sums(prefix, levels.L)
         for lv in chosen:
-            yield lv, c, (torus if lv.radius is None else
-                          _box_sums(prefix, levels.d, levels.L, lv.radius, 1 << lv.m))
+            yield lv, c, (torus if lv.radius is None else np.concatenate(list(
+                _box_sums(prefix, levels.d, levels.L, lv.radius, 1 << lv.m, levels.L))))
 
 
 def index_values(levels, noise) -> np.ndarray:
@@ -211,8 +212,9 @@ def index_values(levels, noise) -> np.ndarray:
     column order, each level's whole array of box sums mapped by
     `levels._map`: the reference for the values that a grouped
     `monte_carlo` picks block by block."""
-    n = noise.shape[1] if levels.tabulate else len(noise)
-    out = np.empty((n, levels.n_indices, levels.spec.n_components))
+    n = noise.shape[1]
+    n_indices = sum(lv.n_anchors for lv in levels.levels)
+    out = np.empty((n, n_indices, levels.spec.n_components))
     for lv, c, sums in level_box_sums(levels, noise, levels.levels):
         vals = np.empty(sums.shape)
         levels._map(lv, sums, vals)
@@ -227,7 +229,7 @@ def per_level_totals(levels, noise) -> np.ndarray:
     and on each in level order: a window level's anchors added one after
     the other in C-order, from the first anchor's value on, and a
     whole-torus level as n_anchors times its one value."""
-    n = noise.shape[1] if levels.tabulate else len(noise)
+    n = noise.shape[1]
     out = np.zeros((n, levels.spec.n_components))
     weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
     for lv, c, sums in level_box_sums(levels, noise, weighted):

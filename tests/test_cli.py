@@ -580,6 +580,34 @@ def test_bad_tails_length_exits_before_the_csv_opens(tmp_path, capsys):
     assert "m must be at least 1" in capsys.readouterr().err
 
 
+def test_bad_stein_scale_exits_before_the_csv_opens(tmp_path, capsys):
+    # eps outside stein's supported range is refused before any file opens
+    out = tmp_path / "c.csv"
+    for eps in ("0.01", "0.95", "nan"):
+        with pytest.raises(UsageError, match="outside the supported range"):
+            ExperimentConfig(experiment="stein-certify", eps=float(eps))
+        assert main(["stein-certify", "--eps", eps, "--out", str(out)]) == 2, eps
+        assert not out.exists() and not (tmp_path / "c.csv.manifest.json").exists()
+    assert "outside the supported range" in capsys.readouterr().err
+
+
+def test_bad_deviation_parameter_exits_before_any_unit_samples(tmp_path, monkeypatch,
+                                                               capsys):
+    # s <= 0 is refused before clt-rate samples its first L or any file opens
+    calls = []
+    monkeypatch.setattr("mlclt.cli.monte_carlo",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "s.csv"
+    for experiment, extra in (("clt-rate", ["--n-samples", "1000"]), ("bound-calc", [])):
+        for s in ("0", "-1", "nan"):
+            with pytest.raises(UsageError, match="s must be positive"):
+                ExperimentConfig(experiment=experiment, s=float(s))
+            assert main([experiment, "--L", "16", "--s", s, *extra, "--out", str(out)]) == 2
+            assert not out.exists() and not calls, (experiment, s)
+            assert not (tmp_path / "s.csv.manifest.json").exists()
+    assert "s must be positive" in capsys.readouterr().err
+
+
 def test_unenumerable_oracle_exits_before_the_csv_opens(tmp_path, monkeypatch):
     # brute force needs scalar Rademacher noise on at most 20 cells: a float
     # preset, a vector total or a larger lattice is refused before any file

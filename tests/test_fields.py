@@ -6,6 +6,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_grouping, moderate_tail_table, stretched_norm
-from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticLevels,
-                          _SyntheticTotals, _add_rows, _apply_map, _box_sums, _draw,
-                          _periodic_prefix, brute_force_law, make_preset, monte_carlo,
-                          PRESET_NAMES)
+from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticTotals, _add_rows,
+                          _apply_map, _box_sums, _draw, _periodic_prefix, brute_force_law,
+                          make_preset, monte_carlo, PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance
 
 
@@ -30,15 +30,17 @@ from mlclt.multilevel import DependenceStructure, periodic_distance
 def _draw_rows(d, L, dist, master_seed, k0, count):
     """Noise of realizations k0 .. k0+count-1 as float rows, shape (count,
     L^d): `_draw`'s Rademacher 0/1 counts become -1/+1 cells."""
-    noise = _draw(d, L, dist, master_seed, k0, count)
-    return noise.T * 2.0 - 1.0 if dist == "rademacher" else noise
+    noise = _draw(d, L, dist, master_seed, k0, count).T
+    return noise * 2.0 - 1.0 if dist == "rademacher" else noise
 
 
 def _direct_values(spec, st, rows):
     """(n, n_indices, n_components) values of float noise rows, in
-    build_index_set order: the float path of `_SyntheticLevels`, which maps
-    the box sums themselves rather than tables of counts."""
-    return index_values(_SyntheticLevels(spec, st), rows)
+    build_index_set order: the float path of `_SyntheticTotals`, taken as
+    for Gaussian noise, which maps the box sums themselves rather than
+    tables of counts."""
+    return index_values(_SyntheticTotals(replace(spec, dist="gaussian"), st, len(rows)),
+                        rows.T)
 
 
 def test_draw_noise_is_deterministic_per_counter():
@@ -144,7 +146,7 @@ def local_average(a, r, d, L):
     """Periodic box mean of radius r of the float rows a, shape (..., L^d)
     flattened C-order: `_box_sums` at every cell over the box's (2r + 1)^d
     cells, or the torus mean where the box covers the torus, as a
-    whole-torus level of `_SyntheticLevels` reads its row totals."""
+    whole-torus level of `_SyntheticTotals` reads its row totals."""
     if r < 0:
         raise UsageError("radius must be nonnegative")
     a = np.asarray(a, dtype=float)
@@ -152,7 +154,7 @@ def local_average(a, r, d, L):
     if w >= L:
         return np.broadcast_to(a.mean(axis=-1, keepdims=True), a.shape).copy()
     grid = a.reshape(-1, L ** d).T.reshape((L,) * d + (-1,))
-    sums = _box_sums(_periodic_prefix(grid, w), d, L, r, 1)
+    sums = np.concatenate(list(_box_sums(_periodic_prefix(grid, w), d, L, r, 1, L)))
     return (sums / w ** d).reshape(L ** d, -1).T.reshape(a.shape)
 
 
@@ -257,7 +259,8 @@ def test_brute_force_law_reads_the_count_path(d, L, K):
     law = brute_force_law(spec, st)
     cells = L ** d
     bits = (np.arange(1 << cells)[:, None] >> np.arange(cells)[None, :]) & 1
-    totals = _SyntheticTotals(_SyntheticLevels(spec, st), 1 << cells)(bits * 2.0 - 1.0)[:, 0]
+    float_path = _SyntheticTotals(replace(spec, dist="gaussian"), st, 1 << cells)
+    totals = float_path((bits * 2.0 - 1.0).T)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     assert np.array_equal(law.values, values)
     assert np.array_equal(law.probs, counts / (1 << cells))
@@ -457,8 +460,10 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
     # window levels are mapped and summed in blocks of 2^17 doubles: 32
     # anchors at a 4096-realization chunk, 204 at 640; 65, 119 and 512
     # anchors on a d = 1 level 0 leave a partial block, and a run's second
-    # strided half starts one; at d >= 2 the blocks cut a level's C-order
-    # anchors, and non-dyadic whole-torus levels have odd anchor counts.
+    # strided half starts one; at d >= 2 a block is whole first-axis anchor
+    # rows, 6 at d = 2 L = 32 and one at d = 3 L = 12 in a chunk of 640, so
+    # the blocks cut a level's C-order anchors, and non-dyadic whole-torus
+    # levels have odd anchor counts.
     # The oracle adds each level's whole values array row by row.
     big = 4096 if d == 1 else 640
     for i, dist in enumerate(_DISTS):
@@ -466,7 +471,7 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
         spec = SyntheticSpec(nonlinearity=_MAPS[(i + L) % 3], dist=dist, n_components=n_comp,
                              level_weights=None if i % 2 else (1.0, 0.0, 2.0, 0.5))
         st = DependenceStructure(d=d, L=L, K=K)
-        levels = _SyntheticLevels(spec, st, tabulate=dist == "rademacher")
+        levels = _SyntheticTotals(spec, st, 1)
         for chunk, n in ((1, 9), (2, 9), (7, 9), (big, big)):
             got = monte_carlo(spec, st, n, 404, chunk_size=chunk).values
             expect = np.concatenate([
@@ -476,11 +481,12 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
 
 
 def test_window_totals_allocate_no_per_level_arrays():
-    # d = 1 window levels reuse one prefix and two block buffers across
-    # chunks; per-level window sums and values took a 44.6 MiB peak there.
-    # At d = 2 only each level's box sums are whole arrays: a transposed
-    # copy of every window level's values took a 93.9 MiB peak here.
-    for d, L, n, mib in ((1, 512, 20000, 20), (2, 128, 2000, 75)):
+    # window levels reuse one prefix and two block buffers across chunks,
+    # and their box sums come in blocks of whole first-axis anchor rows at
+    # every d.  Per-level window sums and values took a 44.6 MiB peak at
+    # d = 1; each level's whole box sums took 48.8 MiB at d = 2 and 65.6 MiB
+    # at d = 3, where the blocks take 27.3 and 23.9 MiB.
+    for d, L, n, mib in ((1, 512, 20000, 20), (2, 128, 1000, 36), (3, 32, 200, 36)):
         spec, st = make_preset("cube", d, L)
         tracemalloc.start()
         try:
@@ -558,11 +564,13 @@ def _grouped_bytes(spec, st, groups, chunk_size):
 @pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
 def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n_comp):
     # a grouped run picks each chunk's values as its blocks of mapped box
-    # sums go by.  Chunks of one, three and eight realizations, the last one
-    # short, in whole-level blocks and in blocks of seven and of five
-    # anchors, which cut the levels and leave a short last block, must give
-    # the bits of one whole chunk; and the group sums must be each group's
-    # per-index columns added one after the other
+    # sums go by; a block is whole first-axis anchor rows, about
+    # _WINDOW_BLOCK cells.  Chunks of one, three and eight realizations, the
+    # last one short, in whole-level blocks and in blocks of seven and of
+    # five anchors at d = 1 and of one row at d = 2 and 3, which cut the
+    # levels and leave a short last block, must give the bits of one whole
+    # chunk; and the group sums must be each group's per-index columns added
+    # one after the other
     spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
     n_indices = len(build_index_set(st))
     _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
@@ -681,15 +689,22 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L,r,step", [(12, 2, 2), (7, 1, 4)])
 def test_box_sums_are_written_in_anchor_order(d, L, r, step):
-    # the d >= 2 totals read blocks of C-order anchors as rows of these
-    # sums, with no copy; anchor a of an axis starts its window at a step - r
+    # the totals read each block of first-axis anchor rows as C-order rows
+    # of anchors, with no copy; anchor a of an axis starts its window at
+    # a step - r.  Blocks of one and two rows cut the two strided runs of
+    # the first axis, and a buffer holds one block's first-axis windows
     x = np.random.default_rng(d * L).integers(0, 2, size=(L,) * d + (5,), dtype=np.uint8)
-    got = _box_sums(_periodic_prefix(x, 2 * r + 1), d, L, r, step)
-    assert got.flags.c_contiguous
+    prefix = _periodic_prefix(x, 2 * r + 1)
     expect = x.astype(np.int64)
     for axis in range(d):
         expect = sum(np.roll(expect, r - o, axis=axis) for o in range(2 * r + 1))
-    assert np.array_equal(got, expect[(slice(None, None, step),) * d])
+    for block in (1, 2, L):
+        for buf in (None, np.empty(block * L ** (d - 1) * 5, dtype=prefix.dtype)):
+            got = []
+            for sums in _box_sums(prefix, d, L, r, step, block, buf):
+                assert sums.flags.c_contiguous and len(sums) <= block
+                got.append(sums.copy())
+            assert np.array_equal(np.concatenate(got), expect[(slice(None, None, step),) * d])
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():
