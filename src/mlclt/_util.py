@@ -1,12 +1,20 @@
 """Shared utilities: the error types, the 1d Gauss-Hermite rule, and the
-Philox keys of every random stream."""
+Philox keys of every random stream.
+
+Up to 150 nodes the Gauss-Hermite rule is scipy's `roots_hermitenorm`
+algorithm step for step (Golub-Welsch eigenvalues, one Newton step,
+log-normalized weights, symmetrization), with numpy's `eigvalsh` in place of
+`scipy.linalg.eigvals_banded`: the nodes and weights keep scipy's bits, and
+no Stein run pays the start-up time and memory of importing `scipy.linalg`
+for one small eigenproblem.  Beyond 150 nodes scipy's asymptotic branch,
+which imports no `scipy.linalg`, is called as it is."""
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import roots_hermitenorm
+from scipy.special import eval_hermitenorm, roots_hermitenorm
 
 
 class QuadratureError(RuntimeError):
@@ -17,16 +25,40 @@ class UsageError(ValueError):
     """Raised for out-of-contract arguments (dimension mismatch, bad ranges)."""
 
 
+def _golub_welsch(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """roots_hermitenorm(n) for n <= 150, bit for bit, without scipy.linalg."""
+    off = np.sqrt(np.arange(1, n, dtype=np.float64))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # one Newton step on He_n, whose derivative is n He_{n-1}
+    dy = n * eval_hermitenorm(n - 1, x)
+    x -= eval_hermitenorm(n, x) / dy
+    # He_{n-1} and the derivative span many decades: scale each by the
+    # geometric middle of its range before taking the product
+    fm = eval_hermitenorm(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    # scipy's scaling to the mass sqrt(2 pi); the bits of the weights that
+    # hermite_1d normalizes depend on it
+    w *= np.sqrt(2.0 * np.pi) / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def hermite_1d(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Nodes/weights for E[f(Z)], Z ~ N(0, 1).
 
-    Probabilists' Gauss-Hermite rule, weights normalized to sum to 1; the
-    cached arrays are read-only.
+    Probabilists' Gauss-Hermite rule with the bits of scipy's
+    `roots_hermitenorm`, weights normalized to sum to 1; the cached arrays
+    are read-only.
     """
     if n < 2:
         raise UsageError(f"need at least 2 quadrature nodes, got {n}")
-    x, w = roots_hermitenorm(n)
+    # 150 is roots_hermitenorm's own switch to its asymptotic branch
+    x, w = _golub_welsch(n) if n <= 150 else roots_hermitenorm(n)
     w = w / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)

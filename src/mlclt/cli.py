@@ -40,8 +40,7 @@ from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
 from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_force_law,
                      make_preset, monte_carlo)
 from .gaussians import GaussianLaw, SpdMatrix
-from .multilevel import (DEFAULT_POLICY, bar_constants, choose_eps_ell,
-                         theorem_bound)
+from .multilevel import _policy, bar_constants, choose_eps_ell, theorem_bound
 from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, SteinSolution,
                     majorant_average_certificate, stein_residual,
                     third_derivative_certificate)
@@ -99,9 +98,7 @@ class ExperimentConfig:
         if self.preset not in PRESET_NAMES:
             raise UsageError(f"unknown preset {self.preset!r}; "
                              f"choose from {PRESET_NAMES}")
-        for key in self.policy:
-            if key not in DEFAULT_POLICY:
-                raise UsageError(f"unknown policy constant {key!r}")
+        _policy(self.policy)  # known keys, each finite and positive
         if self.n_dim < 1:
             raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
         if self.m < 1:
@@ -109,8 +106,9 @@ class ExperimentConfig:
         if self.experiment == "moderate" and self.n_dim != 1:
             raise UsageError(f"moderate compares scalar tails: n_dim must be 1, "
                              f"got {self.n_dim}")
-        if self.experiment in ("clt-rate", "bound-calc") and not self.s > 0:
-            raise UsageError(f"s must be positive, got {self.s}")
+        if (self.experiment in ("clt-rate", "bound-calc")
+                and not (self.s > 0 and math.isfinite(self.s))):
+            raise UsageError(f"s must be positive and finite, got {self.s}")
         if self.experiment == "stein-certify" and not _EPS_MIN <= self.eps <= _EPS_MAX:
             raise UsageError(f"eps={self.eps} outside the supported range "
                              f"[{_EPS_MIN}, {_EPS_MAX}]")

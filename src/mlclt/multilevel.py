@@ -60,6 +60,9 @@ def _policy(policy: Optional[Mapping[str, float]]) -> dict[str, float]:
         if unknown:
             raise UsageError(f"unknown policy keys: {sorted(unknown)}")
         table.update({k: float(v) for k, v in policy.items()})
+        bad = {k: v for k, v in table.items() if not (v > 0 and math.isfinite(v))}
+        if bad:
+            raise UsageError(f"policy constants must be finite and positive, got {bad}")
     return table
 
 
@@ -78,8 +81,10 @@ class DependenceStructure:
             raise UsageError(f"d must be 1, 2 or 3, got {self.d}")
         if not (2 <= self.L <= _L_MAX):
             raise UsageError(f"L must lie in [2, {_L_MAX}], got {self.L}")
-        if self.K < 1 or self.gamma <= 0 or self.B <= 0:
-            raise UsageError("need K >= 1, gamma > 0, B > 0")
+        if not (all(math.isfinite(v) for v in (self.K, self.gamma, self.B))
+                and self.K >= 1 and self.gamma > 0 and self.B > 0):
+            raise UsageError(f"need finite K >= 1, gamma > 0, B > 0, got "
+                             f"K={self.K}, gamma={self.gamma}, B={self.B}")
 
     @property
     def log_l(self) -> float:

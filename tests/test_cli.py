@@ -529,20 +529,21 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
 
 
 def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):
-    # scipy.stats costs about a second of start-up and scipy.ndimage about
-    # 65 ms, and nothing shipped needs either
+    # scipy.stats costs about a second of start-up, scipy.ndimage about
+    # 65 ms and scipy.linalg about 50 ms and 5 MiB, and nothing shipped needs
+    # any of them
     src = str(Path(mlclt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "import mlclt.cli as cli\n"
-        "for mod in ('scipy.stats', 'scipy.ndimage'):\n"
+        "for mod in ('scipy.stats', 'scipy.ndimage', 'scipy.linalg'):\n"
         "    assert mod not in sys.modules, mod + ' imported at start-up'\n"
         "argv = ['stein-certify', '--n-dim', '1', '--eps', '0.5',\n"
         "        '--out', sys.argv[1]]\n"
         "assert cli.main(argv) == 0\n"
-        "for mod in ('scipy.stats', 'scipy.ndimage'):\n"
+        "for mod in ('scipy.stats', 'scipy.ndimage', 'scipy.linalg'):\n"
         "    assert mod not in sys.modules, mod + ' imported by stein-certify'\n")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
                           env=env, capture_output=True, text=True, timeout=600)
@@ -593,13 +594,14 @@ def test_bad_stein_scale_exits_before_the_csv_opens(tmp_path, capsys):
 
 def test_bad_deviation_parameter_exits_before_any_unit_samples(tmp_path, monkeypatch,
                                                                capsys):
-    # s <= 0 is refused before clt-rate samples its first L or any file opens
+    # s <= 0, NaN or inf is refused before clt-rate samples its first L or
+    # any file opens
     calls = []
     monkeypatch.setattr("mlclt.cli.monte_carlo",
                         lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "s.csv"
     for experiment, extra in (("clt-rate", ["--n-samples", "1000"]), ("bound-calc", [])):
-        for s in ("0", "-1", "nan"):
+        for s in ("0", "-1", "nan", "inf"):
             with pytest.raises(UsageError, match="s must be positive"):
                 ExperimentConfig(experiment=experiment, s=float(s))
             assert main([experiment, "--L", "16", "--s", s, *extra, "--out", str(out)]) == 2
@@ -642,12 +644,32 @@ def test_bad_structure_exits_before_any_unit_samples(tmp_path, monkeypatch, caps
                         lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "x.csv"
     for args in (["--L", "16,2097152"], ["--L", "16", "--K", "0.5"],
-                 ["--L", "16", "--d", "4"], ["--L", "16", "--n-dim", "4"]):
+                 ["--L", "16", "--K", "nan"], ["--L", "16", "--d", "4"],
+                 ["--L", "16", "--n-dim", "4"]):
         assert main(["clt-rate", *args, "--n-samples", "1000", "--out", str(out)]) == 2
         assert not out.exists() and not calls
     assert main(["oracle", "--n-dim", "4", "--out", str(out)]) == 2
     assert not out.exists() and not calls
+    # a NaN or inf structure constant once gave bound-calc a header-only CSV
+    for flag, value in (("--gamma", "nan"), ("--K", "inf"), ("--B", "nan"),
+                        ("--gamma", "inf")):
+        assert main(["bound-calc", "--L", "16", flag, value, "--out", str(out)]) == 2
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_policy_constant_exits_before_the_csv_opens(tmp_path, capsys):
+    # a zero c_condition divided by zero in every row, a negative c_bound
+    # gave a negative bound and a NaN c_bar wrote nan cells, all with exit 0
+    out = tmp_path / "p.csv"
+    for key, value in (("c_condition", "0"), ("c_bound", "-1"), ("c_bar", "nan"),
+                       ("c_eps", "inf")):
+        with pytest.raises(UsageError, match="finite and positive"):
+            ExperimentConfig(experiment="bound-calc", policy={key: float(value)})
+        assert main(["bound-calc", "--L", "16", "--policy", f"{key}={value}",
+                     "--out", str(out)]) == 2, key
+        assert not out.exists() and not (tmp_path / "p.csv.manifest.json").exists()
+    assert "finite and positive" in capsys.readouterr().err
 
 
 def test_bad_grouping_scale_exits_before_the_csv_opens(tmp_path, monkeypatch):

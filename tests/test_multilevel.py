@@ -47,6 +47,11 @@ def test_structure_validation():
         DependenceStructure(d=1, L=8, K=0.5)
     with pytest.raises(UsageError):
         DependenceStructure(d=1, L=8, gamma=0.0)
+    # NaN fails every comparison and inf overflows later: both are refused
+    for bad in ({"K": math.nan}, {"K": math.inf}, {"gamma": math.nan},
+                {"gamma": math.inf}, {"B": math.nan}, {"B": math.inf}):
+        with pytest.raises(UsageError, match="need finite K >= 1"):
+            DependenceStructure(d=1, L=8, **bad)
 
 
 def test_index_set_counts_small_lattices():
@@ -346,4 +351,7 @@ def test_policy_scales_bound_terms_linearly():
     assert math.isclose(scaled.r_tail, 5.0 * base.r_tail)
     with pytest.raises(UsageError):
         theorem_bound(s, lam, bars, eps=0.25, ell=1, policy={"nope": 1.0})
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite and positive"):
+            theorem_bound(s, lam, bars, eps=0.25, ell=1, policy={"c_condition": value})
 

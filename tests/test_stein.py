@@ -485,6 +485,16 @@ def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, soft_cli
 # fail-closed numerics
 
 
+def test_hermite_rule_has_the_bits_of_scipys_rule():
+    # up to 150 nodes the rule runs scipy's algorithm on numpy's eigensolver
+    from scipy.special import roots_hermitenorm
+    for n in range(2, 151):
+        x, w = hermite_1d(n)
+        x_ref, w_ref = roots_hermitenorm(n)
+        assert np.array_equal(x, x_ref), n
+        assert np.array_equal(w, w_ref / w_ref.sum()), n
+
+
 def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
     for n in (384, 768):
         x, w = hermite_1d(n)
