@@ -8,8 +8,11 @@ ignored, ``L_list`` is a comma-separated integer list, and policy overrides
 use ``policy.NAME = value``.  Command-line flags win over file values.
 
 Reproducibility contract: the CSV bytes are a pure function of (config,
-master_seed).  Timing therefore lives in the JSON manifest, never in the
-CSV.
+master_seed) for a given numpy and scipy build on a given CPU SIMD feature
+set.  numpy picks its exp/log loops by CPU feature: under the SSE baseline
+the `mc_floor` cells, one `normalized_w1` and the stein-certify residuals
+move in their last digits, while the noise and the totals keep their bits.
+Timing lives in the JSON manifest, never in the CSV.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
 from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_force_law,
                      make_preset, monte_carlo)
 from .gaussians import GaussianLaw, SpdMatrix
-from .multilevel import _policy, bar_constants, choose_eps_ell, theorem_bound
+from .multilevel import (_check_constants, _policy, bar_constants, choose_eps_ell,
+                         theorem_bound)
 from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, SteinSolution,
                     majorant_average_certificate, stein_residual,
                     third_derivative_certificate)
@@ -99,6 +103,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown preset {self.preset!r}; "
                              f"choose from {PRESET_NAMES}")
         _policy(self.policy)  # known keys, each finite and positive
+        # checked here too, since an empty L_list builds no structure
+        _check_constants(self.K, self.gamma, self.B)
         if self.n_dim < 1:
             raise UsageError(f"n_dim must be at least 1, got {self.n_dim}")
         if self.m < 1:

@@ -11,7 +11,11 @@ Monte Carlo noise follows sample stream v2: one Philox key per run,
 (master_seed, _MC_STREAM_TAG), under which realization k owns a fixed range
 of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
 one Philox call, realization k regenerates in isolation, and results are
-bit-reproducible and independent of the chunk size.
+bit-reproducible and independent of the chunk size.  A chunk holds at most
+2^20 cells of noise, which bounds its noise and prefix buffers, but at
+least min(256, 2^22 // cells) realizations, below which numpy's per-call
+cost outweighs the work; a grouped chunk holds about 2^17 picked values,
+but at least 2^18 cells, for the same reason.
 A support box is summed axis by axis at every d, a window level in blocks
 of first-axis anchor rows that stay in cache (`_box_sums`): a block reads
 its windows along the first axis from one periodic prefix per chunk and
@@ -491,8 +495,6 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         raise UsageError("need n >= 1 realizations")
     if not isinstance(spec, SyntheticSpec):
         raise UsageError(f"monte_carlo samples a SyntheticSpec, got {type(spec).__name__}")
-    # at most 2^22 cells per chunk (d=2 L=256 fits; d=1 keeps 4096 up to L=1024)
-    chunk_size = max(1, min(chunk_size, (1 << 22) // structure.L ** structure.d))
     sums = None
     if groups is not None:
         groups = np.asarray(groups)
@@ -505,11 +507,20 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         if n * len(groups) * spec.n_components > 2 * 10 ** 8:
             raise UsageError("group-sum storage for this run would exceed the guard; "
                              "reduce n or the number of groups")
-        # a pick buffer of about _WINDOW_BLOCK doubles, but chunks of at least
-        # 2^18 cells, below which numpy's per-call cost outweighs the work
-        chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,
-                                         (1 << 18) // structure.L ** structure.d))
         sums = np.empty((n, len(groups), spec.n_components))
+    # A chunk's noise and periodic prefix grow with its cells, so a chunk
+    # holds at most 2^20 cells, but at least min(256, 2^22 // cells)
+    # realizations, since fewer cost more in numpy's per-call overhead than
+    # they save: the chunks of d=1 L >= 16384, d=2 L >= 128 and d=3 L >= 32
+    # keep their 2^22 cells.  A grouped chunk keeps its pick buffer near
+    # _WINDOW_BLOCK doubles, but holds at least 2^18 cells for the same
+    # reason.  No chunk size moves a bit of the results.
+    cells = structure.L ** structure.d
+    chunk_size = max(1, min(chunk_size, max((1 << 20) // cells,
+                                            min(256, (1 << 22) // cells))))
+    if groups is not None:
+        chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,
+                                         (1 << 18) // cells))
     synthetic_totals = _SyntheticTotals(spec, structure, min(n, chunk_size), groups)
     totals = np.empty((n, spec.n_components))
     for k0 in range(0, n, chunk_size):

@@ -66,6 +66,15 @@ def _policy(policy: Optional[Mapping[str, float]]) -> dict[str, float]:
     return table
 
 
+def _check_constants(K: float, gamma: Optional[float], B: Optional[float]) -> None:
+    """Refuse structure constants other than finite K >= 1, gamma > 0 and
+    B > 0; a gamma or B of None is not given and passes."""
+    if not (math.isfinite(K) and K >= 1 and all(
+            v is None or (math.isfinite(v) and v > 0) for v in (gamma, B))):
+        raise UsageError(f"need finite K >= 1, gamma > 0, B > 0, got "
+                         f"K={K}, gamma={gamma}, B={B}")
+
+
 @dataclass(frozen=True)
 class DependenceStructure:
     """Parameters of a multilevel locally dependent family on (Z mod L)^d."""
@@ -81,10 +90,7 @@ class DependenceStructure:
             raise UsageError(f"d must be 1, 2 or 3, got {self.d}")
         if not (2 <= self.L <= _L_MAX):
             raise UsageError(f"L must lie in [2, {_L_MAX}], got {self.L}")
-        if not (all(math.isfinite(v) for v in (self.K, self.gamma, self.B))
-                and self.K >= 1 and self.gamma > 0 and self.B > 0):
-            raise UsageError(f"need finite K >= 1, gamma > 0, B > 0, got "
-                             f"K={self.K}, gamma={self.gamma}, B={self.B}")
+        _check_constants(self.K, self.gamma, self.B)
 
     @property
     def log_l(self) -> float:

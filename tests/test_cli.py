@@ -655,6 +655,11 @@ def test_bad_structure_exits_before_any_unit_samples(tmp_path, monkeypatch, caps
                         ("--gamma", "inf")):
         assert main(["bound-calc", "--L", "16", flag, value, "--out", str(out)]) == 2
         assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+    # with no --L no structure is built, and these once wrote a header-only CSV
+    for experiment, flag in (("clt-rate", "--K"), ("bound-calc", "--gamma"),
+                             ("moderate", "--B")):
+        assert main([experiment, flag, "nan", "--out", str(out)]) == 2, experiment
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
     assert "error:" in capsys.readouterr().err
 
 

@@ -497,6 +497,33 @@ def test_window_totals_allocate_no_per_level_arrays():
         assert peak < mib * 2 ** 20, (d, peak / 2 ** 20)
 
 
+def test_plain_chunks_hold_at_most_2_20_cells():
+    # a plain chunk's noise and int16 prefix grow with its cells: chunks of
+    # up to 2^22 cells took 12.4 MiB at d = 1 L = 512 and 19.6-25.6 MiB at
+    # the others, where chunks of at most 2^20 cells take 6.3-7.9 MiB
+    for d, L, n in ((1, 512, 20000), (1, 1024, 4096), (1, 4096, 1024),
+                    (2, 64, 1024), (3, 16, 1024)):
+        spec, st = make_preset("cube", d, L)
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, st, n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2 ** 20, (d, L, peak / 2 ** 20)
+
+
+@pytest.mark.parametrize("d,L,n", [pytest.param(1, 512, 2049, id="512"),
+                                   pytest.param(1, 1024, 1025, id="1024"),
+                                   pytest.param(2, 64, 257, id="d2-64")])
+def test_default_chunks_keep_the_bits_of_single_realizations(d, L, n):
+    # default chunks of 2048, 1024 and 256 realizations, once 4096, 4096
+    # and 1024: one whole chunk and one of a single realization
+    spec, st = make_preset("cube", d, L)
+    got = monte_carlo(spec, st, n, 2026).values
+    assert got.tobytes() == monte_carlo(spec, st, n, 2026, chunk_size=1).values.tobytes()
+
+
 @pytest.mark.parametrize("d,L,K", [pytest.param(d, L, K, id=f"d{d}-{L}-{K}")
                                    for d, L, K in ((1, 64, 2.0), (2, 16, 1.0), (2, 16, 2.0),
                                                    (2, 64, 2.0), (2, 256, 2.0))])
