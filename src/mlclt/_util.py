@@ -1,20 +1,20 @@
 """Shared utilities: the error types, the 1d Gauss-Hermite rule, and the
 Philox keys of every random stream.
 
-Up to 150 nodes the Gauss-Hermite rule is scipy's `roots_hermitenorm`
+The Gauss-Hermite rule, of at most 150 nodes, is scipy's `roots_hermitenorm`
 algorithm step for step (Golub-Welsch eigenvalues, one Newton step,
 log-normalized weights, symmetrization), with numpy's `eigvalsh` in place of
 `scipy.linalg.eigvals_banded`: the nodes and weights keep scipy's bits, and
 no Stein run pays the start-up time and memory of importing `scipy.linalg`
-for one small eigenproblem.  Beyond 150 nodes scipy's asymptotic branch,
-which imports no `scipy.linalg`, is called as it is."""
+for one small eigenproblem.  Past 150 nodes scipy switches to an asymptotic
+branch, which no caller in the package needs, so larger rules are refused."""
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import eval_hermitenorm, roots_hermitenorm
+from scipy.special import eval_hermitenorm
 
 
 class QuadratureError(RuntimeError):
@@ -26,7 +26,7 @@ class UsageError(ValueError):
 
 
 def _golub_welsch(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """roots_hermitenorm(n) for n <= 150, bit for bit, without scipy.linalg."""
+    """roots_hermitenorm(n), n <= 150, bit for bit, without scipy.linalg."""
     off = np.sqrt(np.arange(1, n, dtype=np.float64))
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     # one Newton step on He_n, whose derivative is n He_{n-1}
@@ -51,14 +51,14 @@ def _golub_welsch(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 def hermite_1d(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Nodes/weights for E[f(Z)], Z ~ N(0, 1).
 
-    Probabilists' Gauss-Hermite rule with the bits of scipy's
-    `roots_hermitenorm`, weights normalized to sum to 1; the cached arrays
-    are read-only.
+    Probabilists' Gauss-Hermite rule of 2 to 150 nodes with the bits of
+    scipy's `roots_hermitenorm`, weights normalized to sum to 1; the cached
+    arrays are read-only.
     """
-    if n < 2:
-        raise UsageError(f"need at least 2 quadrature nodes, got {n}")
     # 150 is roots_hermitenorm's own switch to its asymptotic branch
-    x, w = _golub_welsch(n) if n <= 150 else roots_hermitenorm(n)
+    if not 2 <= n <= 150:
+        raise UsageError(f"need 2 to 150 quadrature nodes, got {n}")
+    x, w = _golub_welsch(n)
     w = w / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)

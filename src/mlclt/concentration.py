@@ -68,13 +68,20 @@ def stretched_norm(samples, gamma: float) -> StretchedNorm:
                          argmax_p=best_p, n=x.size)
 
 
+# the p-grid of `tail_bound_from_norm` and its logs, built once: a moderate
+# table calls it hundreds of times
+_TAIL_P = np.linspace(1.0, 400.0, 2000)
+_TAIL_LOG_P = np.log(_TAIL_P)
+_TAIL_P.setflags(write=False)
+_TAIL_LOG_P.setflags(write=False)
+
+
 def tail_bound_from_norm(t: float, norm: float, gamma: float) -> float:
     """Markov tail bound P[|X| >= t] <= min over p >= 1 of (norm p^{1/gamma} / t)^p,
     optimized numerically over a p-grid.  Clipped to 1."""
     if t <= 0 or norm <= 0:
         return 1.0
-    p = np.linspace(1.0, 400.0, 2000)
-    vals = p * (np.log(norm) + np.log(p) / gamma - np.log(t))
+    vals = _TAIL_P * (np.log(norm) + _TAIL_LOG_P / gamma - np.log(t))
     return float(min(1.0, np.exp(vals.min())))
 
 

@@ -12,7 +12,7 @@ Monte Carlo noise follows sample stream v2: one Philox key per run,
 of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
 one Philox call, realization k regenerates in isolation, and results are
 bit-reproducible and independent of the chunk size.  A chunk holds at most
-2^20 cells of noise, which bounds its noise and prefix buffers, but at
+2^19 cells of noise, which bounds its noise and prefix buffers, but at
 least min(256, 2^22 // cells) realizations, below which numpy's per-call
 cost outweighs the work; a grouped chunk holds about 2^17 picked values,
 but at least 2^18 cells, for the same reason.
@@ -21,9 +21,13 @@ of first-axis anchor rows that stay in cache (`_box_sums`): a block reads
 its windows along the first axis from one periodic prefix per chunk and
 component, whose row L also gives the whole-torus sums, and each further
 axis takes a periodic prefix of the block's partial sums.  Rademacher noise
-is summed as 0/1 counts of +1 cells in integer prefixes, scanned in blocks,
-so box sums are exact; the other laws use the same prefixes in float64,
-scanned row by row.  Totals take one order at every d (`_SyntheticTotals`):
+stays bit-packed until each component's 0/1 counts of +1 cells are
+unpacked straight into its integer prefix, about two bytes a cell in all;
+integer prefixes are scanned in blocks and take no periodic extension, a
+window that passes the end adding the prefix's total, so box sums are
+exact.  The other laws use float64 prefixes, scanned row by row and
+extended periodically, so each window has the bits of a cumsum over it.
+Totals take one order at every d (`_SyntheticTotals`):
 each component adds its weighted levels in level order, a window level its
 anchors in C-order, each block mapped and added to the level's running sum
 one anchor after the other, a whole-torus level n_anchors times its one
@@ -75,8 +79,10 @@ def _apply_map(tag: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
 def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
           count: int) -> NDArray:
     """Noise of realizations k0 .. k0+count-1 in sample stream v2,
-    positions-major, shape (L^d, count): Rademacher as the 0/1 counts of the
-    +1 cells, the other laws as floats, all symmetric with unit variance.
+    positions-major: Rademacher noise bit-packed, shape (8w, count), byte b
+    holding cells 8b .. 8b+7 from its lowest bit, a set bit a +1 cell, and
+    bits past the last cell padding; the other laws as floats, shape (L^d,
+    count).  All are symmetric with unit variance.
 
     One Philox keyed by (master_seed, _MC_STREAM_TAG) serves the run.
     Realization k reads w raw words, w = ceil(cells / 64) for Rademacher and
@@ -99,12 +105,7 @@ def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
     raw = raw.reshape(count, 4 * blocks)[:, :w]
     if dist == "rademacher":
         # byte b of a realization's little-endian words holds cells 8b .. 8b+7
-        octets = np.ascontiguousarray(raw.astype("<u8", copy=False).view(np.uint8).T)
-        bits = np.empty((8 * w, 8, count), dtype=np.uint8)
-        for i in range(8):
-            np.right_shift(octets, i, out=bits[:, i])
-            np.bitwise_and(bits[:, i], 1, out=bits[:, i])
-        return bits.reshape(64 * w, count)[:cells]
+        return np.ascontiguousarray(raw.astype("<u8", copy=False).view(np.uint8).T)
     u = ((raw.T >> 12) + 0.5) * 2.0 ** -52
     if dist == "uniform":
         return (2.0 * u - 1.0) * np.sqrt(3.0)
@@ -119,46 +120,35 @@ def _int_dtype(top: int):
     return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
 
 
-def _prefix_layout(size: int, kind: str, peak: int = 1):
-    """(block, rows, dtype) of the `_periodic_prefix` of `size` extended
-    entries, for input of dtype kind `kind`: the scan's block length, the
-    rows it fills (size rounded up to whole blocks) and the sums' dtype."""
+def _prefix_array(shape: tuple, w_max: int, kind: str, peak: int = 1,
+                  buf: Optional[NDArray] = None):
+    """(out, size, block): the array that the `_periodic_prefix` of input
+    `shape` = (L, ...) of dtype kind `kind`, integer entries in [0, peak],
+    is scanned in, in the flat `buf` when given, else fresh.  The prefix has
+    `size` rows, 1 + L + w_max for floats, scanned row by row, and 1 + L for
+    integers, scanned in blocks of `block` rows; `out` has them rounded up
+    to whole blocks, in float64 or the narrowest int that holds size peak."""
     if kind == "f":
-        return size, size, np.float64
-    block = max(1, math.isqrt(size))
-    return block, -(-size // block) * block, _int_dtype(size * peak)
+        size = block = 1 + shape[0] + w_max
+        dtype = np.float64
+    else:
+        size = 1 + shape[0]
+        block = max(1, math.isqrt(size))
+        dtype = _int_dtype(size * peak)
+    full = (-(-size // block) * block,) + shape[1:]
+    out = (np.empty(full, dtype=dtype) if buf is None
+           else buf[:math.prod(full)].reshape(full))
+    return out, size, block
 
 
-def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
-                     buf: Optional[NDArray] = None) -> NDArray:
-    """Prefix sums along the first axis of x (length L) extended periodically
-    by its first w_max < L entries: shape (1 + L + w_max, ...), entry j the
-    sum of the first j extended entries.
-
-    The summed axis is the slowest in memory, so every step adds whole
-    contiguous rows.  Float x gives float64 sums, each entry the previous one
-    plus the next extended entry, exactly as in a cumsum: a window read from
-    the buffer has the bits of a cumsum over that window's own extension,
-    whatever w_max is.  Integer x with entries in [0, peak], the 0/1 counts
-    of Rademacher cells or their window sums along earlier axes, gives exact
-    sums in int16 while the bound (1 + L + w_max) peak on every entry stays
-    below 2^15, else in int32 or int64.  Integer sums are exact in any
-    order, so they are scanned in blocks of about sqrt(1 + L + w_max) rows:
-    every block at once, row by row, then each block adds the running total
-    of the blocks before it, some 2 sqrt(1 + L + w_max) row adds in all.
-    The sums go into the flat `buf` of the `_prefix_layout` dtype, when
-    given, and into a fresh array otherwise."""
-    L = len(x)
-    size = 1 + L + w_max
-    block, rows, dtype = _prefix_layout(size, x.dtype.kind, peak)
-    shape = (rows,) + x.shape[1:]
-    out = (np.empty(shape, dtype=dtype) if buf is None
-           else buf[:math.prod(shape)].reshape(shape))
+def _scan(out: NDArray, size: int, block: int) -> NDArray:
+    """Scan `out` in place from its filled rows 1 .. size - 1 into prefix
+    sums, row 0 the empty sum, and return its first `size` rows: blocks of
+    `block` rows at once, row by row, then each block adds the running total
+    of the blocks before it."""
     out[0] = 0
-    out[1:L + 1] = x
-    out[L + 1:size] = x[:w_max]
     out[size:] = 0
-    blocks = out.reshape((rows // block, block) + x.shape[1:])
+    blocks = out.reshape((len(out) // block, block) + out.shape[1:])
     for j in range(1, block):
         blocks[:, j] += blocks[:, j - 1]
     for b in range(1, len(blocks)):
@@ -166,16 +156,78 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
     return out[:size]
 
 
-def _windows(prefix: NDArray, L: int, start: int, step: int, w: int, block: int):
-    """Yield the ends and the starts, as rows of `prefix`, of the periodic
-    windows [s, s + w), w <= w_max, for the starts s = (start + a step) mod
-    L, a = 0, 1, ..., in order, in blocks of at most `block` starts: two
-    strided runs, from `start` up to L and from (start - L) mod step up to
-    `start`.  A block's window sums are its ends minus its starts."""
+def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
+                     buf: Optional[NDArray] = None) -> NDArray:
+    """Prefix sums along the first axis of x (length L): shape (1 + L, ...)
+    for integer x, and for float x extended periodically by its first w_max
+    < L entries, shape (1 + L + w_max, ...); entry j is the sum of the first
+    j (extended) entries.
+
+    The summed axis is the slowest in memory, so every step adds whole
+    contiguous rows.  Float x gives float64 sums, each entry the previous one
+    plus the next extended entry, exactly as in a cumsum: a window read from
+    the buffer has the bits of a cumsum over that window's own extension,
+    whatever w_max is.  Integer x with entries in [0, peak], the 0/1 counts
+    of Rademacher cells or their window sums along earlier axes, gives exact
+    sums in int16 while the bound (1 + L) peak on every entry stays below
+    2^15, else in int32 or int64.  Its windows need no extension: one that
+    passes the end reads its wrapped part from the start (`_window_sums`).
+    Integer sums are exact in any order, so they are scanned in blocks of
+    about sqrt(1 + L) rows (`_scan`), some 2 sqrt(1 + L) row adds in all.
+    The sums go into the flat `buf` of the `_prefix_array` dtype, when
+    given, and into a fresh array otherwise."""
+    L = len(x)
+    out, size, block = _prefix_array(x.shape, w_max, x.dtype.kind, peak, buf)
+    out[1:L + 1] = x
+    out[L + 1:size] = x[:size - L - 1]  # the extension: floats only
+    return _scan(out, size, block)
+
+
+def _count_prefix(octets: NDArray[np.uint8], shape: tuple,
+                  buf: Optional[NDArray] = None) -> NDArray:
+    """The `_periodic_prefix` of the 0/1 cells that `octets` holds packed as
+    `_draw` packs them, shape (bytes, n), with the cells in C-order on
+    `shape` = (L, ..., L, n).  Cell 8b + i, bit i of byte b, is unpacked
+    straight into its place in rows 1 .. L, one bit position at a time;
+    bits past the last cell are never read."""
+    out, size, block = _prefix_array(shape, 0, "i", 1, buf)
+    cells = out[1:size].reshape(-1, shape[-1])
+    shifted = np.empty_like(octets)
+    for i in range(8):
+        k = len(range(i, len(cells), 8))
+        np.right_shift(octets[:k], i, out=shifted[:k])
+        np.bitwise_and(shifted[:k], 1, out=cells[i::8])
+    return _scan(out, size, block)
+
+
+def _windows(L: int, start: int, step: int, block: int):
+    """Yield (a, k) for the window starts s = (start + i step) mod L, i = 0,
+    1, ..., in order, in blocks of at most `block` starts: the k starts a, a
+    + step, ..., each block inside one of two strided runs, from `start` up
+    to L and from (start - L) mod step up to `start`."""
     for lo, hi in ((start, L), ((start - L) % step, start)):
         for a in range(lo, hi, block * step):
-            top = a + (min(block, len(range(a, hi, step))) - 1) * step + 1
-            yield prefix[a + w:top + w:step], prefix[a:top:step]
+            yield a, min(block, len(range(a, hi, step)))
+
+
+def _window_sums(prefix: NDArray, L: int, a: int, k: int, step: int, w: int,
+                 out: NDArray) -> None:
+    """Write to out the sums over the periodic windows [s, s + w), w < L, of
+    the k starts s = a, a + step, ... < L, from `prefix`, the
+    `_periodic_prefix` P of the summed array.  A float prefix is extended,
+    so each window is its end row minus its start row, with the bits of a
+    cumsum over the window.  An integer one is not: a window whose end e
+    passes L reads P[e - L] + P[L] - P[s], exact in integers."""
+    top = a + (k - 1) * step + 1
+    if prefix.dtype.kind == "f":
+        np.subtract(prefix[a + w:top + w:step], prefix[a:top:step], out=out)
+        return
+    j = len(range(a, min(top, L - w + 1), step))  # the windows that end by L
+    b = a + j * step
+    np.subtract(prefix[a + w:b + w:step], prefix[a:b:step], out=out[:j])
+    if j < k:
+        np.subtract(prefix[b + w - L:top + w - L:step], prefix[b:top:step], out=out[j:])
+        out[j:] += prefix[L]
 
 
 def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int, block: int,
@@ -185,26 +237,26 @@ def _box_sums(prefix: NDArray, d: int, L: int, r: int, step: int, block: int,
     the torus, in blocks of at most `block` first-axis anchors: C-order
     arrays with one axis of anchors per torus axis, then the other axes,
     which stacked along axis 0 give the level's sums.  A block reads its
-    axis-0 `_windows` from `prefix`, the array's `_periodic_prefix`, into
-    the flat `buf` of the prefix's dtype when given; each further axis takes
-    the periodic prefix of the block's partial sums and reads the same
+    axis-0 `_window_sums` from `prefix`, the array's `_periodic_prefix`,
+    into the flat `buf` of the prefix's dtype when given; each further axis
+    takes the periodic prefix of the block's partial sums and reads the same
     windows.  Each axis subtracts straight into its place in the block, so
     no axis is copied into order."""
     start, w = -r % L, 2 * r + 1
-    for ends, starts in _windows(prefix, L, start, step, w, block):
-        sums = (np.empty(ends.shape, dtype=prefix.dtype) if buf is None
-                else buf[:ends.size].reshape(ends.shape))
-        np.subtract(ends, starts, out=sums)
+    anchors = len(range(0, L, step))
+    for a, k in _windows(L, start, step, block):
+        shape = (k,) + prefix.shape[1:]
+        sums = (np.empty(shape, dtype=prefix.dtype) if buf is None
+                else buf[:math.prod(shape)].reshape(shape))
+        _window_sums(prefix, L, a, k, step, w, sums)
         for axis in range(1, d):
             part = _periodic_prefix(np.moveaxis(sums, axis, 0), w, w ** axis)
-            runs = list(_windows(part, L, start, step, w, L))
-            anchors = sum(len(e) for e, _ in runs)
             sums = np.empty(part.shape[1:axis + 1] + (anchors,) + part.shape[axis + 1:],
                             dtype=part.dtype)
-            into, a = np.moveaxis(sums, axis, 0), 0
-            for e, s in runs:
-                np.subtract(e, s, out=into[a:a + len(e)])
-                a += len(e)
+            into, i = np.moveaxis(sums, axis, 0), 0
+            for a2, k2 in _windows(L, start, step, L):
+                _window_sums(part, L, a2, k2, step, w, into[i:i + k2])
+                i += k2
         yield sums
 
 
@@ -298,9 +350,11 @@ class _SyntheticTotals:
     """One Monte Carlo run of the synthetic family `spec` on `structure`:
     its noise-independent geometry, component sign patterns and per-level
     `_Level`s, and the (n, n_components) totals of each chunk's noise.
-    Rademacher noise comes as the 0/1 counts that `_draw` returns, and each
-    level maps its box counts through its table; under the other laws each
-    level maps its float box sums themselves.
+    Rademacher noise comes bit-packed as `_draw` returns it, with the sign
+    patterns packed alike (a bit set where the pattern is -1); each
+    component's 0/1 counts of +1 cells are unpacked into its integer prefix,
+    and each level maps its box counts through its table.  Under the other
+    laws each level maps its float box sums themselves.
 
     The totals add each component's weighted levels in level order: a
     window level's anchors one after the other in C-order, from the first
@@ -313,7 +367,8 @@ class _SyntheticTotals:
     rows are added.
     The buffers, sized once for chunks of up to `chunk` realizations, are
     reused by every chunk: one component's periodic prefix along the first
-    torus axis, and a block's first-axis window sums and values.  At d >= 2
+    torus axis, unextended (1 + L rows) under Rademacher noise, and a
+    block's first-axis window sums and values.  At d >= 2
     each further axis takes a block-sized prefix of its own.
 
     With `groups`, an int array of index columns, shape (n_groups,
@@ -333,6 +388,8 @@ class _SyntheticTotals:
         self.spec, self.d, self.L = spec, st.d, st.L
         self.tabulate = spec.dist == "rademacher"
         self.patterns = _component_patterns(spec, st.d, st.L)
+        if self.tabulate:
+            self.patterns = np.packbits(self.patterns < 0, axis=1, bitorder="little")
         self.levels = []
         for m in st.levels():
             hw = st.box_radius(m)
@@ -359,11 +416,11 @@ class _SyntheticTotals:
                         if lv.m in self.weighted or lv.m in self.picks]
         self.w_max = max((2 * lv.radius + 1 for lv in self.visited
                           if lv.radius is not None), default=0)
-        _, rows, dtype = _prefix_layout(1 + st.L + self.w_max, "i" if self.tabulate else "f")
         cross = st.L ** (st.d - 1)  # cells of one first-axis row
         self.block = max(1, _WINDOW_BLOCK // (chunk * cross))
-        self.prefix = np.empty(rows * cross * chunk, dtype=dtype)
-        self.sums = np.empty(self.block * cross * chunk, dtype=dtype)
+        self.prefix = _prefix_array((st.L, cross * chunk), self.w_max,
+                                    "i" if self.tabulate else "f")[0].ravel()
+        self.sums = np.empty(self.block * cross * chunk, dtype=self.prefix.dtype)
         self.vals = np.empty((self.block * cross + 1) * chunk)
         self.row = np.empty(chunk)
 
@@ -379,22 +436,23 @@ class _SyntheticTotals:
 
     def prefixes(self, noise: NDArray, w_max: int, buf: Optional[NDArray] = None):
         """Yield each component's `_periodic_prefix` along the first torus
-        axis, extended by w_max: shape (1 + L + w_max, L, ..., L, n), in
-        `buf` when given.  A component's noise is, under tabulated noise,
-        the 0/1 counts of the cells where it is +1, else its float values."""
+        axis, in `buf` when given: under tabulated noise the integer prefix
+        of the 0/1 counts of the cells where the component is +1, shape (1 +
+        L, L, ..., L, n), its packed sign pattern XORed onto the packed
+        noise; else the float prefix of its values, extended by w_max."""
+        shape = (self.L,) * self.d + noise.shape[1:]
         for c, p in enumerate(self.patterns):  # pattern 0 is all ones
-            col = noise
-            if c:
-                col = (noise ^ (p < 0).astype(np.uint8)[:, None] if self.tabulate
-                       else noise * p[:, None])
-            yield _periodic_prefix(col.reshape((self.L,) * self.d + col.shape[1:]),
-                                   w_max, buf=buf)
+            if self.tabulate:
+                yield _count_prefix(noise[:len(p)] ^ p[:, None] if c else noise, shape, buf)
+            else:
+                yield _periodic_prefix((noise * p[:, None] if c else noise).reshape(shape),
+                                       w_max, buf=buf)
 
     def __call__(self, noise: NDArray,
                  sums: Optional[NDArray[np.float64]] = None) -> NDArray[np.float64]:
-        """The totals of a chunk's noise, shape (L^d, n) as `_draw` returns
-        it; with groups, its group sums go into `sums`, shape (n, n_groups,
-        n_components)."""
+        """The totals of a chunk's noise, (bytes or cells, n) as `_draw`
+        returns it; with groups, its group sums go into `sums`, shape (n,
+        n_groups, n_components)."""
         n = noise.shape[1]
         out = np.zeros((n, self.spec.n_components))
         row = self.row[:n]
@@ -463,8 +521,11 @@ def brute_force_law(spec: SyntheticSpec, structure: DependenceStructure) -> Disc
     _check_enumerable(spec, structure)
     cells = structure.L ** structure.d
     n_cfg = 1 << cells
-    bits = ((np.arange(n_cfg)[None, :] >> np.arange(cells)[:, None]) & 1).astype(np.uint8)
-    totals = _SyntheticTotals(spec, structure, n_cfg)(bits)[:, 0]
+    # configuration k sets cell c where bit c of k is set: packed as `_draw`
+    # packs, byte b of k holds cells 8b .. 8b+7
+    octets = ((np.arange(n_cfg)[None, :] >> 8 * np.arange(-(-cells // 8))[:, None])
+              & 255).astype(np.uint8)
+    totals = _SyntheticTotals(spec, structure, n_cfg)(octets)[:, 0]
     values, counts = np.unique(np.round(totals, 12), return_counts=True)
     return DiscreteLaw(values=values, probs=counts / n_cfg)
 
@@ -508,15 +569,16 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
             raise UsageError("group-sum storage for this run would exceed the guard; "
                              "reduce n or the number of groups")
         sums = np.empty((n, len(groups), spec.n_components))
-    # A chunk's noise and periodic prefix grow with its cells, so a chunk
-    # holds at most 2^20 cells, but at least min(256, 2^22 // cells)
-    # realizations, since fewer cost more in numpy's per-call overhead than
-    # they save: the chunks of d=1 L >= 16384, d=2 L >= 128 and d=3 L >= 32
-    # keep their 2^22 cells.  A grouped chunk keeps its pick buffer near
-    # _WINDOW_BLOCK doubles, but holds at least 2^18 cells for the same
-    # reason.  No chunk size moves a bit of the results.
+    # A chunk's noise and periodic prefix grow with its cells, about two
+    # bytes a cell under Rademacher noise, so a chunk holds at most 2^19
+    # cells, but at least min(256, 2^22 // cells) realizations, since fewer
+    # cost more in numpy's per-call overhead than they save: the chunks of
+    # d=1 L >= 16384, d=2 L >= 128 and d=3 L >= 32 keep their 2^22 cells.
+    # A grouped chunk keeps its pick buffer near _WINDOW_BLOCK doubles, but
+    # holds at least 2^18 cells for the same reason.  No chunk size moves a
+    # bit of the results.
     cells = structure.L ** structure.d
-    chunk_size = max(1, min(chunk_size, max((1 << 20) // cells,
+    chunk_size = max(1, min(chunk_size, max((1 << 19) // cells,
                                             min(256, (1 << 22) // cells))))
     if groups is not None:
         chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,

@@ -8,6 +8,8 @@ the kernel D^k N / N.  It accepts any test function, ridge or not.  The rule
 integrates a polynomial profile with no knots exactly, so against the
 closed form only the shared s-integral and rounding remain.
 
+`hermite_rule` is the 1d Gauss-Hermite rule of any size: the package's
+`hermite_1d` up to its 150 nodes, scipy's asymptotic rule past them.
 `hermite_grid` is the tensor Gauss-Hermite rule in dims 1-3,
 `gaussian_expectation` applies it to E[fn(Z)] with an optional node-doubling
 check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)] with it.
@@ -20,6 +22,7 @@ evaluated in slices: each s-block of `_EXACT_BLOCK` pairs in one call of
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_hermitenorm
 
 from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
@@ -32,6 +35,20 @@ _AXIS_NODES = {1: 64, 2: 48, 3: 16}
 
 
 @lru_cache(maxsize=32)
+def hermite_rule(n: int):
+    """Nodes/weights for E[f(Z)], Z ~ N(0, 1), weights summing to 1:
+    `hermite_1d(n)` for n <= 150, else scipy's `roots_hermitenorm(n)`
+    normalized alike.  The cached arrays are read-only."""
+    if n <= 150:
+        return hermite_1d(n)
+    x, w = roots_hermitenorm(n)
+    w = w / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=32)
 def hermite_grid(dim: int, n_per_axis: int):
     """Tensorized rule for E[f(Z)], Z ~ N(0, Id_dim).
 
@@ -40,7 +57,7 @@ def hermite_grid(dim: int, n_per_axis: int):
     """
     if dim < 1 or dim > 3:
         raise UsageError(f"tensorized Gaussian quadrature supports dim in 1..3, got {dim}")
-    x, w = hermite_1d(n_per_axis)
+    x, w = hermite_rule(n_per_axis)
     pts = np.stack([a.ravel() for a in np.meshgrid(*([x] * dim), indexing="ij")], axis=-1)
     wts = np.prod(np.meshgrid(*([w] * dim), indexing="ij"), axis=0).ravel()
     pts.setflags(write=False)

@@ -194,9 +194,9 @@ def level_box_sums(levels, noise, chosen):
     levels `chosen` in level order: a level's whole array of box sums, one
     axis of anchors per torus axis and then the realizations, or on a
     whole-torus level one sum per realization standing for every anchor.
-    `noise` is (cells, n), as `fields._draw` gives it: 0/1 counts under
+    `noise` is as `fields._draw` gives it: (bytes, n), bit-packed, under
     Rademacher noise, and then the sums are integer counts of +1 cells,
-    else floats.  Each component's boxes come from one periodic prefix
+    else (cells, n) floats.  Each component's boxes come from one periodic prefix
     along the first axis (`fields._box_sums`, its blocks stacked, and
     `fields._torus_sums`)."""
     w_max = max((2 * lv.radius + 1 for lv in chosen if lv.radius is not None), default=0)

@@ -3,23 +3,29 @@ families, exact enumeration of tiny laws, and the reproducible Monte Carlo
 driver."""
 import functools
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import log1p, ndtri
 from support import LevelIndex, build_index_set, index_values, per_level_totals
 
+import mlclt
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, counter_rng, philox_key)
 from mlclt.concentration import moderate_grouping, moderate_tail_table, stretched_norm
 from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticTotals, _add_rows,
-                          _apply_map, _box_sums, _draw, _periodic_prefix, brute_force_law,
-                          make_preset, monte_carlo, PRESET_NAMES)
+                          _apply_map, _box_sums, _draw, _periodic_prefix, _windows,
+                          brute_force_law, make_preset, monte_carlo, PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance
 
 
@@ -27,11 +33,19 @@ from mlclt.multilevel import DependenceStructure, periodic_distance
 # noise
 
 
+def _draw_bits(d, L, master_seed, k0, count):
+    """`_draw`'s packed Rademacher noise unpacked: the 0/1 counts of the +1
+    cells, shape (L^d, count)."""
+    return np.unpackbits(_draw(d, L, "rademacher", master_seed, k0, count), axis=0,
+                         count=L ** d, bitorder="little")
+
+
 def _draw_rows(d, L, dist, master_seed, k0, count):
     """Noise of realizations k0 .. k0+count-1 as float rows, shape (count,
-    L^d): `_draw`'s Rademacher 0/1 counts become -1/+1 cells."""
-    noise = _draw(d, L, dist, master_seed, k0, count).T
-    return noise * 2.0 - 1.0 if dist == "rademacher" else noise
+    L^d): `_draw`'s packed Rademacher bits become -1/+1 cells."""
+    if dist == "rademacher":
+        return _draw_bits(d, L, master_seed, k0, count).T * 2.0 - 1.0
+    return _draw(d, L, dist, master_seed, k0, count).T
 
 
 def _direct_values(spec, st, rows):
@@ -97,7 +111,7 @@ def test_draw_rows_match_per_realization_generator(d, L):
 def test_rademacher_bits_are_balanced():
     # every bit position of a word is a cell: each is +1 about half the time
     n = 4096
-    freq = _draw(1, 64, "rademacher", 2026, 0, n).mean(axis=1)
+    freq = _draw_bits(1, 64, 2026, 0, n).mean(axis=1)
     assert freq.shape == (64,)
     assert np.all(np.abs(freq - 0.5) <= 5.0 * 0.5 / math.sqrt(n))
 
@@ -266,6 +280,24 @@ def test_brute_force_law_reads_the_count_path(d, L, K):
     assert np.array_equal(law.probs, counts / (1 << cells))
 
 
+_PINNED_LAWS = "43d2952757a0f2358a64f5ca460c5f5112b3b49577c4cdf395e984576ac3b952"
+
+
+def test_brute_force_laws_are_pinned():
+    # pinned from an enumeration of unpacked 0/1 bits, cell by cell; the
+    # packed one must give the same laws.  9, 12 and 17 cells leave padding
+    # bits in the last byte
+    digest = hashlib.sha256()
+    for name, d, L, K in (("cube", 1, 4, 2.0), ("cube", 1, 9, 1.0), ("cube", 1, 12, 1.0),
+                          ("cube", 1, 17, 1.0), ("signed-sqrt", 1, 9, 1.0),
+                          ("cube", 2, 3, 1.0), ("cube", 2, 4, 1.0)):
+        spec, st = make_preset(name, d, L, K=K)
+        law = brute_force_law(replace(spec, dist="rademacher"), st)
+        for arr in (law.values, law.probs):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _PINNED_LAWS
+
+
 def test_brute_force_law_guards():
     spec = SyntheticSpec(dist="gaussian")
     st = DependenceStructure(d=1, L=4)
@@ -342,6 +374,69 @@ def test_monte_carlo_d2_float_stream_is_pinned():
     assert _stream_digest(_stream_runs(d2_float=True)) == _PINNED_STREAM_D2_FLOAT
 
 
+# Monte Carlo totals in a fresh interpreter, config by config: the sha256
+# digests of the totals and of the level tables that map Rademacher box
+# counts (empty under float noise); numpy's baseline SIMD features and the
+# dispatched features it enabled
+_SIMD_CHILD = """
+import hashlib, json
+from dataclasses import replace
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+from mlclt.fields import _SyntheticTotals, make_preset, monte_carlo
+runs = {}
+for name, d, L, n in (("cube", 1, 64, 400), ("cube", 2, 16, 100), ("identity-gauss", 1, 64, 400),
+                      ("identity", 1, 64, 400), ("identity", 2, 16, 100)):
+    spec, st = make_preset(name if name != "identity" else "cube", d, L, K=1.0)
+    if name == "identity":
+        spec = replace(spec, nonlinearity="identity")
+    tables = hashlib.sha256()
+    for lv in _SyntheticTotals(spec, st, 1).levels:
+        if lv.table is not None:
+            tables.update(lv.table.tobytes())
+    totals = hashlib.sha256(monte_carlo(spec, st, n, 2026).values.tobytes())
+    runs[f"{name} d={d}"] = [totals.hexdigest(), tables.hexdigest()]
+enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print(json.dumps({"runs": runs, "baseline": list(umath.__cpu_baseline__), "dispatch": enabled}))
+"""
+
+
+def _child_totals(cpu_features=None) -> dict:
+    """`_SIMD_CHILD`'s report, run in a subprocess whose numpy enables only
+    `cpu_features` among its dispatched SIMD features, when given."""
+    src = str(Path(mlclt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    if cpu_features is not None:
+        env["NPY_ENABLE_CPU_FEATURES"] = cpu_features
+    done = subprocess.run([sys.executable, "-c", _SIMD_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_totals_keep_their_bits_under_baseline_simd_features():
+    # numpy picks its ufunc loops by the CPU's SIMD features, and some loops
+    # change their bits with them.  The totals take integer box counts,
+    # table lookups, scipy's scalar ufuncs and float adds in a fixed order,
+    # so under the baseline features alone they keep their bits: Gaussian
+    # noise, and Rademacher counts through exact identity tables at d = 1
+    # and 2.  The cube tables are x ** 3, numpy's power loop, which moves
+    # with the SIMD features on some CPUs (AVX-512 ones among them); cube
+    # totals must keep their bits wherever their tables do
+    default = _child_totals()
+    baseline = _child_totals(" ".join(default["baseline"]))
+    assert baseline["dispatch"] == []
+    for run in ("identity-gauss d=1", "identity d=1", "identity d=2"):
+        assert baseline["runs"][run] == default["runs"][run], run
+    for run in ("cube d=1", "cube d=2"):
+        (totals, tables), (expect, expect_tables) = baseline["runs"][run], default["runs"][run]
+        assert totals == expect or tables != expect_tables, run
+
+
 _PINNED_WINDOWS = "51f3b38af0a86689586ba263648db6a33744fd8d06578e0da8c14ee13dc022a2"
 
 
@@ -388,10 +483,11 @@ def test_count_path_matches_float_path(d, L, K):
 
 
 def _check_prefix(x, w_max, peak=1):
-    """`_periodic_prefix` of integer x against np.cumsum in int64."""
+    """`_periodic_prefix` of integer x against np.cumsum in int64: an
+    integer prefix holds 1 + L rows, whatever extension w_max asks for."""
     got = _periodic_prefix(x, w_max, peak=peak)
-    expect = np.cumsum(np.concatenate([x, x[:w_max]]), axis=0, dtype=np.int64)
-    assert got.shape == (1 + len(x) + w_max,) + x.shape[1:]
+    expect = np.cumsum(x, axis=0, dtype=np.int64)
+    assert got.shape == (1 + len(x),) + x.shape[1:]
     assert not got[0].any()
     assert np.array_equal(got[1:], expect)
     return got
@@ -399,21 +495,20 @@ def _check_prefix(x, w_max, peak=1):
 
 def test_periodic_prefix_entries_are_exact():
     # d=2, L=256, K=2: the second axis of level 2 sums windows of up to 129
-    # counts, so its prefix entries reach 129 * 385 = 49,665, past int16
+    # counts, so its prefix entries reach 129 * 257 = 33,153, past int16
     _check_prefix(np.full((256, 3), 129, dtype=np.int16), 129, peak=129)
     # window sums of up to 7 counts on a d=2 grid, realizations last
     rng = np.random.default_rng(8)
     _check_prefix(rng.integers(0, 8, size=(37, 5, 4)).astype(np.int16), 21, peak=7)
-    # 0/1 counts at row totals 1 + L + w_max that no block size divides
+    # 0/1 counts at row totals 1 + L that the block size mostly does not divide
     for L, w_max in ((1024, 641), (1000, 9), (97, 0), (119, 57), (30, 29)):
         _check_prefix(rng.integers(0, 2, size=(L, 6), dtype=np.uint8), w_max)
     # one to three rows
     for L in (1, 2, 3):
         _check_prefix(rng.integers(0, 2, size=(L, 4), dtype=np.uint8), L - 1)
-    # 0/1 counts keep int16 while 1 + L + w_max < 2^15, at the last entries
-    ones = np.ones((32000, 1), dtype=np.uint8)
-    assert _check_prefix(ones, 766).dtype == np.int16
-    assert _check_prefix(ones, 767).dtype == np.int32
+    # 0/1 counts keep int16 while 1 + L < 2^15, at the last entries
+    assert _check_prefix(np.ones((32766, 1), dtype=np.uint8), 766).dtype == np.int16
+    assert _check_prefix(np.ones((32767, 1), dtype=np.uint8), 0).dtype == np.int32
     # float prefixes add row after row: the bits of a sequential cumsum
     x = rng.normal(size=(300, 5))
     expect = np.cumsum(np.concatenate([x, x[:120]]), axis=0)
@@ -497,12 +592,14 @@ def test_window_totals_allocate_no_per_level_arrays():
         assert peak < mib * 2 ** 20, (d, peak / 2 ** 20)
 
 
-def test_plain_chunks_hold_at_most_2_20_cells():
-    # a plain chunk's noise and int16 prefix grow with its cells: chunks of
-    # up to 2^22 cells took 12.4 MiB at d = 1 L = 512 and 19.6-25.6 MiB at
-    # the others, where chunks of at most 2^20 cells take 6.3-7.9 MiB
-    for d, L, n in ((1, 512, 20000), (1, 1024, 4096), (1, 4096, 1024),
-                    (2, 64, 1024), (3, 16, 1024)):
+def test_plain_chunks_hold_at_most_2_19_cells():
+    # a plain chunk's packed noise and unextended int16 prefix take about two
+    # bytes a cell: chunks of at most 2^19 cells take 3.5-5.5 MiB.  Chunks of
+    # 2^20 cells, with a byte of noise a cell and an extended prefix, took
+    # 6.3-7.9 MiB (5.0 at L = 128, whose chunk held 2^19 cells), and chunks
+    # of 2^22 cells took 12.4-25.6 MiB
+    for d, L, n in ((1, 128, 20000), (1, 256, 20000), (1, 512, 20000), (1, 1024, 4096),
+                    (1, 4096, 1024), (2, 64, 1024), (3, 16, 1024)):
         spec, st = make_preset("cube", d, L)
         tracemalloc.start()
         try:
@@ -510,7 +607,7 @@ def test_plain_chunks_hold_at_most_2_20_cells():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9 * 2 ** 20, (d, L, peak / 2 ** 20)
+        assert peak < 6 * 2 ** 20, (d, L, peak / 2 ** 20)
 
 
 @pytest.mark.parametrize("d,L,n", [pytest.param(1, 512, 2049, id="512"),
@@ -732,6 +829,55 @@ def test_box_sums_are_written_in_anchor_order(d, L, r, step):
                 assert sums.flags.c_contiguous and len(sums) <= block
                 got.append(sums.copy())
             assert np.array_equal(np.concatenate(got), expect[(slice(None, None, step),) * d])
+
+
+@pytest.mark.parametrize("L", [10, 77, 119])
+def test_unextended_integer_prefix_matches_cell_loop_oracle(L):
+    # an integer prefix holds 1 + L rows, so a window that passes the end
+    # reads its wrapped part from the start.  Every radius and step, in
+    # blocks of 1 to 7 starts and of L, some of which split at the first
+    # wrapping start, against sums taken cell by cell
+    x = np.random.default_rng(L).integers(0, 2, size=(L, 5), dtype=np.uint8)
+    prefix = _periodic_prefix(x, L - 1)
+    assert prefix.shape == (1 + L, 5) and prefix.dtype == np.int16
+    split = set()
+    for r in range(L // 2):  # every width w = 2r + 1 < L
+        w = 2 * r + 1
+        for step in (1, 2, 4, 8):
+            expect = np.array([x[(y + np.arange(-r, r + 1)) % L].sum(axis=0, dtype=np.int64)
+                               for y in range(0, L, step)])
+            for block in (*range(1, 8), L):
+                if any(a + w <= L < a + (k - 1) * step + w
+                       for a, k in _windows(L, -r % L, step, block)):
+                    split.add(step)
+                got = np.concatenate(list(_box_sums(prefix, 1, L, r, step, block)))
+                assert np.array_equal(got, expect), (r, step, block)
+    assert split >= {1, 2, 4}
+
+
+@pytest.mark.parametrize("L", [10, 77, 119])
+def test_packed_components_match_cell_loop_oracle(L):
+    # three components XOR their packed sign patterns onto the packed noise;
+    # L cells leave 54, 51 and 9 padding bits in a realization's last word,
+    # which must never reach a count
+    spec, st = make_preset("cube", 1, L, K=1.0, n_components=3)
+    assert 2 * st.box_radius(0) + 1 < L
+    n = 5
+    _, got = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
+    expect = _box_oracle(spec, st, _oracle_boxes(st), _draw_rows(1, L, spec.dist, 2026, 0, n))
+    assert np.array_equal(got, expect)
+    octets = _draw(1, L, "rademacher", 2026, 0, n)
+    padding = np.unpackbits(np.full(len(octets), 255, dtype=np.uint8), bitorder="little")
+    padding[:L] = 0
+    levels = _SyntheticTotals(spec, st, n)
+    for fill in (octets & ~np.packbits(padding, bitorder="little")[:, None],
+                 octets | np.packbits(padding, bitorder="little")[:, None]):
+        assert levels(fill).tobytes() == levels(octets).tobytes()
+    for c, prefix in enumerate(levels.prefixes(octets, 0)):
+        assert prefix.shape == (1 + L, n)
+        assert np.array_equal(prefix[-1], [(_draw_bits(1, L, 2026, k, 1)[:, 0]
+                                            ^ (np.arange(L) >> c - 1 & 1 if c else 0)).sum()
+                                           for k in range(n)])
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():

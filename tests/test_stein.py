@@ -9,8 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from quadrature_oracle import (GaussHermiteStein, gaussian_expectation, mollified,
-                               one_shot_fk, poly)
+from quadrature_oracle import (GaussHermiteStein, gaussian_expectation, hermite_rule,
+                               mollified, one_shot_fk, poly)
 
 import support
 from support import class_membership_check
@@ -496,8 +496,12 @@ def test_hermite_rule_has_the_bits_of_scipys_rule():
 
 
 def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
+    # the package refuses rules past 150 nodes; the test oracle takes scipy's
+    for n in (151, 384):
+        with pytest.raises(UsageError, match="150"):
+            hermite_1d(n)
     for n in (384, 768):
-        x, w = hermite_1d(n)
+        x, w = hermite_rule(n)
         assert np.isfinite(x).all() and np.isfinite(w).all()
         assert abs(w @ x ** 2 - 1.0) < 1e-13 and abs(w @ x ** 4 - 3.0) < 1e-12
         assert not x.flags.writeable and not w.flags.writeable
