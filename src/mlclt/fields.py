@@ -14,8 +14,8 @@ one Philox call, realization k regenerates in isolation, and results are
 bit-reproducible and independent of the chunk size.  A chunk holds at most
 2^19 cells of noise, which bounds its noise and prefix buffers, but at
 least min(256, 2^22 // cells) realizations, below which numpy's per-call
-cost outweighs the work; a grouped chunk holds about 2^17 picked values,
-but at least 2^18 cells, for the same reason.
+cost outweighs the work; a grouped chunk holds at most 2^19 cells too,
+with no such floor.
 A support box is summed axis by axis at every d, a window level in blocks
 of first-axis anchor rows that stay in cache (`_box_sums`): a block reads
 its windows along the first axis from one periodic prefix per chunk and
@@ -33,11 +33,13 @@ anchors in C-order, each block mapped and added to the level's running sum
 one anchor after the other, a whole-torus level n_anchors times its one
 value.  The prefix and block buffers are allocated once per run and reused
 by every chunk; at d >= 2 each further axis of a block takes a block-sized
-prefix.  A grouped run is the same pass: as each block of values is
-mapped, the values that the groups pick are copied into one reused buffer,
-whose rows are then added in the groups' order.  So a grouped run's totals
-are a plain run's, and no array grows as n times the number of indices
-unless its caller asks for every index as a group.
+prefix.  A grouped run is the same pass: each group's columns, strictly
+ascending, fall into runs of consecutive anchors of one level, and once a
+block of values has been added to the totals, each run in the block is
+added onto its group's sum by the same ordered reduce.  So a grouped run's
+totals are a plain run's, each group sum adds its columns one after the
+other, and no array grows as n times the number of indices unless its
+caller asks for every index as a group.
 """
 from __future__ import annotations
 
@@ -346,6 +348,33 @@ def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
 _WINDOW_BLOCK = 1 << 17
 
 
+def _run_tables(groups: NDArray, levels: list) -> dict:
+    """Level m: (lone, runs) for each level that `groups` picks, an int
+    array of index columns, (n_groups, group_len), each row strictly
+    ascending.  A run of consecutive columns starts at each group's first
+    column, after each gap and at each level's first column.  `runs` holds
+    its (first anchor, end anchor, group) rows, sorted by first anchor;
+    the one-column runs that open their group are apart, in `lone`, a (2,
+    k) array of their anchors, ascending, and groups."""
+    starts = np.array([lv.start for lv in levels])
+    opens = np.ones(groups.shape, dtype=bool)
+    opens[:, 1:] = (groups[:, 1:] != groups[:, :-1] + 1) | np.isin(groups[:, 1:], starts)
+    at = np.flatnonzero(opens)  # g group_len + j, each group's first column among them
+    first = groups.ravel()[at]
+    table = np.stack([first, first + np.diff(at, append=groups.size),
+                      at // groups.shape[1]], axis=1)
+    lone = (at % groups.shape[1] == 0) & (table[:, 1] == first + 1)
+    order = np.argsort(first, kind="stable")
+    table, lone = table[order], lone[order]
+    tables = {}
+    for lv in levels:
+        lo, hi = np.searchsorted(table[:, 0], (lv.start, lv.start + lv.n_anchors))
+        if hi > lo:
+            runs = table[lo:hi] - (lv.start, lv.start, 0)
+            tables[lv.m] = (runs[lone[lo:hi]][:, ::2].T, runs[~lone[lo:hi]])
+    return tables
+
+
 class _SyntheticTotals:
     """One Monte Carlo run of the synthetic family `spec` on `structure`:
     its noise-independent geometry, component sign patterns and per-level
@@ -363,24 +392,26 @@ class _SyntheticTotals:
     are pinned to this order.  A window level's box sums come from
     `_box_sums` at every d, in blocks of `block` first-axis anchor rows,
     about `_WINDOW_BLOCK` values over a whole chunk; each block is mapped
-    into the value buffer after the level's running sum, and the buffer's
-    rows are added.
+    into rows 1 .. k of the value buffer, the level's running sum goes into
+    row 0, from -0.0 on, and the rows are added.
     The buffers, sized once for chunks of up to `chunk` realizations, are
     reused by every chunk: one component's periodic prefix along the first
     torus axis, unextended (1 + L rows) under Rademacher noise, and a
     block's first-axis window sums and values.  At d >= 2
     each further axis takes a block-sized prefix of its own.
 
-    With `groups`, an int array of index columns, shape (n_groups,
-    group_len), a call also writes the group sums.  Slot s = j n_groups + g
-    of `groups.T.ravel()` holds column j of group g; as each block of a
-    level's anchors is mapped, the values of the slots that pick them are
-    copied into row s of the pick buffer, (group_len, n_groups, chunk), and
-    a whole-torus level copies its one value.  A level of weight zero adds
-    nothing to the totals, but is still mapped when a group picks it, so its
-    signed zeros keep their bits.  Each component's group sums are then one
-    `_add_rows` over the buffer: each group's columns added in the order
-    given, whatever the chunk."""
+    With `groups`, a call also writes the group sums into the caller's
+    array, each from -0.0 on, which adds to any x as x.  Once a block of
+    values has been added to the totals, each run of the level's
+    `_run_tables` in the block is added onto its group's sum: the sum is
+    written into the row just before the run's values, row 0 for a run that
+    the block starts with, and those rows are added.  Runs go by first
+    anchor, so none reads a row that an earlier one wrote; the one-column
+    runs that open their group are copied first, all at once.  A
+    whole-torus level fills the buffer with its one value for its runs.  A
+    level of weight zero adds nothing to the totals, but is still mapped
+    when a group picks it, so its signed zeros keep their bits.  So each
+    group sum adds its columns one after the other, whatever the chunk."""
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure, chunk: int,
                  groups: Optional[NDArray] = None):
@@ -402,18 +433,9 @@ class _SyntheticTotals:
                 n_anchors=st.lattice_count(m) ** st.d, count=count,
                 radius=hw if 2 * hw + 1 < st.L else None, table=table))
         self.weighted = {lv.m for lv in self.levels if spec.weight(lv.m) != 0.0}
-        self.picks = {}  # level m: (its picked anchors ascending, their slots)
-        if groups is not None:
-            cols = groups.T.ravel()
-            order = np.argsort(cols, kind="stable")
-            for lv in self.levels:
-                lo, hi = np.searchsorted(cols[order], (lv.start, lv.start + lv.n_anchors))
-                if hi > lo:
-                    self.picks[lv.m] = (cols[order[lo:hi]] - lv.start, order[lo:hi])
-            self.group_len, self.n_slots = groups.shape[1], groups.size
-            self.picked = np.empty(groups.size * chunk)
+        self.runs = {} if groups is None else _run_tables(groups, self.levels)
         self.visited = [lv for lv in self.levels
-                        if lv.m in self.weighted or lv.m in self.picks]
+                        if lv.m in self.weighted or lv.m in self.runs]
         self.w_max = max((2 * lv.radius + 1 for lv in self.visited
                           if lv.radius is not None), default=0)
         cross = st.L ** (st.d - 1)  # cells of one first-axis row
@@ -421,7 +443,8 @@ class _SyntheticTotals:
         self.prefix = _prefix_array((st.L, cross * chunk), self.w_max,
                                     "i" if self.tabulate else "f")[0].ravel()
         self.sums = np.empty(self.block * cross * chunk, dtype=self.prefix.dtype)
-        self.vals = np.empty((self.block * cross + 1) * chunk)
+        self.rows = self.block * cross + 1  # a block's values and the row before them
+        self.vals = np.empty(self.rows * chunk)
         self.row = np.empty(chunk)
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
@@ -456,51 +479,66 @@ class _SyntheticTotals:
         n = noise.shape[1]
         out = np.zeros((n, self.spec.n_components))
         row = self.row[:n]
-        picked = None if sums is None else self.picked[:self.n_slots * n].reshape(-1, n)
+        vals = self.vals[:self.rows * n].reshape(self.rows, n)
+        if sums is not None:
+            sums[:] = -0.0
         for c, prefix in enumerate(self.prefixes(noise, self.w_max, self.prefix)):
+            acc = None if sums is None else sums[:, :, c].T  # group g's sum: acc[g]
             torus = _torus_sums(prefix, self.L)
             for lv in self.visited:
                 if lv.radius is None:
                     self._map(lv, torus, row)
-                    if lv.m in self.picks:
-                        picked[self.picks[lv.m][1]] = row
+                    if lv.m in self.runs:  # its one value, in blocks of the buffer
+                        for a0 in range(0, lv.n_anchors, self.rows - 1):
+                            k = min(self.rows - 1, lv.n_anchors - a0)
+                            vals[1:k + 1] = row
+                            self._add_runs(self.runs[lv.m], a0, vals[:k + 1], acc)
                     row *= lv.n_anchors
                 else:
-                    self._window_level(prefix, lv, row, picked)
+                    self._window_level(prefix, lv, row, vals, acc)
                 if lv.m in self.weighted:
                     out[:, c] += row
-            if sums is not None:
-                acc = np.empty((sums.shape[1], n))
-                _add_rows(picked.reshape(self.group_len, -1), acc.reshape(-1))
-                sums[:, :, c] = acc.T
         return out
 
     def _window_level(self, prefix: NDArray, lv: _Level, row: NDArray[np.float64],
-                      picked: Optional[NDArray[np.float64]]) -> None:
+                      vals: NDArray[np.float64], acc: Optional[NDArray[np.float64]]) -> None:
         """Visit window level lv: write its sum over its anchors to row, if
-        it is weighted, and its picked anchors' values to their rows of
-        `picked`.  Each block of the level's `_box_sums`, k anchors in
-        C-order, is mapped into the value buffer after the running row, its
-        picks are copied out, and the buffer's rows are added."""
+        it is weighted, and add its runs onto the group sums in acc.  Each
+        block of the level's `_box_sums`, k anchors in C-order, is mapped
+        into rows 1 .. k of vals, added after the running row and then
+        run by run."""
         n = len(row)
-        rows = self.block * self.L ** (self.d - 1) + 1
-        vals = self.vals[:rows * n].reshape(rows, n)
-        anchors, slots = self.picks.get(lv.m, ((), ()))
         weighted = lv.m in self.weighted
-        first = a0 = 0
+        runs = self.runs.get(lv.m)
+        row[:] = -0.0
+        a0 = 0
         for block in _box_sums(prefix, self.d, self.L, lv.radius, 1 << lv.m, self.block,
                                self.sums):
             block = block.reshape(-1, n)
-            k = first + len(block)
-            self._map(lv, block, vals[first:k])
-            lo, hi = np.searchsorted(anchors, (a0, a0 + len(block)))
-            if hi > lo:
-                picked[slots[lo:hi]] = vals[first - a0 + anchors[lo:hi]]
-            a0 += len(block)
+            k = len(block)
+            self._map(lv, block, vals[1:k + 1])
             if weighted:
-                _add_rows(vals[:k], row)
                 vals[0] = row
-                first = 1
+                _add_rows(vals[:k + 1], row)
+            if runs is not None:
+                self._add_runs(runs, a0, vals[:k + 1], acc)
+            a0 += k
+
+    @staticmethod
+    def _add_runs(tables: tuple, a0: int, vals: NDArray[np.float64],
+                  acc: NDArray[np.float64]) -> None:
+        """Add the parts of a level's runs, `_run_tables`' (lone, runs), among
+        anchors a0 .. a0 + k - 1, whose values are rows 1 .. k of vals, onto
+        their group sums acc[g], overwriting rows 0 .. k - 1."""
+        (lone, lone_groups), runs = tables
+        k = len(vals) - 1
+        lo, hi = np.searchsorted(lone, (a0, a0 + k))
+        acc[lone_groups[lo:hi]] = vals[lone[lo:hi] - a0 + 1]
+        runs = runs[:np.searchsorted(runs[:, 0], a0 + k)]
+        for first, end, g in runs[runs[:, 1] > a0].tolist():
+            s = max(first - a0, 0)  # the row before the run's values
+            vals[s] = acc[g]
+            _add_rows(vals[s:min(end - a0, k) + 1], acc[g])
 
 
 def _check_enumerable(spec: SyntheticSpec, structure: DependenceStructure) -> None:
@@ -544,13 +582,15 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     once.  Returns a SampleSet, or with `groups`, an int array of shape
     (n_groups, group_len) holding index columns, a pair (SampleSet, sums):
     sums[k, g] is the sum of realization k's values over the columns
-    groups[g], added in the order given, shape (n, n_groups, n_components),
+    groups[g], added one after the other, shape (n, n_groups, n_components),
     and `np.arange(n_indices)[:, None]` gives the per-index values
     themselves.  The columns run level by level from level 0, each level in
-    the C-order of its anchors y / 2^m (`DependenceStructure.positions`).
-    A grouped run takes the totals of a plain run, bit for bit, in the same
-    pass (`_SyntheticTotals`), which picks the groups' values as it maps
-    each level's box sums.
+    the C-order of its anchors y / 2^m (`DependenceStructure.positions`),
+    and each group's columns must be strictly ascending, the order of the
+    pass.  A grouped run takes the totals of a plain run, bit for bit, in
+    the same pass (`_SyntheticTotals`), which adds each block of a level's
+    values onto the group sums that hold them as it maps the level's box
+    sums.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")
@@ -565,24 +605,27 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
             raise UsageError("groups must be a 2-d int array of index columns "
                              f"in [0, {n_indices}): at least one group, each of at "
                              "least one column")
+        groups = groups.astype(np.intp)
+        if np.any(groups[:, 1:] <= groups[:, :-1]):
+            raise UsageError("each group's columns must be strictly ascending")
         if n * len(groups) * spec.n_components > 2 * 10 ** 8:
             raise UsageError("group-sum storage for this run would exceed the guard; "
                              "reduce n or the number of groups")
         sums = np.empty((n, len(groups), spec.n_components))
     # A chunk's noise and periodic prefix grow with its cells, about two
     # bytes a cell under Rademacher noise, so a chunk holds at most 2^19
-    # cells, but at least min(256, 2^22 // cells) realizations, since fewer
-    # cost more in numpy's per-call overhead than they save: the chunks of
-    # d=1 L >= 16384, d=2 L >= 128 and d=3 L >= 32 keep their 2^22 cells.
-    # A grouped chunk keeps its pick buffer near _WINDOW_BLOCK doubles, but
-    # holds at least 2^18 cells for the same reason.  No chunk size moves a
-    # bit of the results.
+    # cells, but a plain one at least min(256, 2^22 // cells) realizations,
+    # since fewer cost more in numpy's per-call overhead than they save:
+    # the plain chunks of d=1 L >= 16384, d=2 L >= 128 and d=3 L >= 32 keep
+    # their 2^22 cells.  A grouped chunk writes its group sums straight into
+    # `sums` and holds no buffer that grows with the groups, but it takes no
+    # floor: under the float laws a floor chunk at d=2 L=256 would trace
+    # seven times the peak.  No chunk size moves a bit of the results.
     cells = structure.L ** structure.d
-    chunk_size = max(1, min(chunk_size, max((1 << 19) // cells,
-                                            min(256, (1 << 22) // cells))))
-    if groups is not None:
-        chunk_size = min(chunk_size, max(1, _WINDOW_BLOCK // groups.size,
-                                         (1 << 18) // cells))
+    cap = (1 << 19) // cells
+    if groups is None:
+        cap = max(cap, min(256, (1 << 22) // cells))
+    chunk_size = max(1, min(chunk_size, cap))
     synthetic_totals = _SyntheticTotals(spec, structure, min(n, chunk_size), groups)
     totals = np.empty((n, spec.n_components))
     for k0 in range(0, n, chunk_size):

@@ -375,12 +375,14 @@ def test_monte_carlo_d2_float_stream_is_pinned():
 
 
 # Monte Carlo totals in a fresh interpreter, config by config: the sha256
-# digests of the totals and of the level tables that map Rademacher box
-# counts (empty under float noise); numpy's baseline SIMD features and the
+# digests of the totals, of the level tables that map Rademacher box counts
+# (empty under float noise) and of the sums of two groups, one of singleton
+# runs and one of whole levels; numpy's baseline SIMD features and the
 # dispatched features it enabled
 _SIMD_CHILD = """
 import hashlib, json
 from dataclasses import replace
+import numpy as np
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:  # numpy < 2
@@ -397,7 +399,11 @@ for name, d, L, n in (("cube", 1, 64, 400), ("cube", 2, 16, 100), ("identity-gau
         if lv.table is not None:
             tables.update(lv.table.tobytes())
     totals = hashlib.sha256(monte_carlo(spec, st, n, 2026).values.tobytes())
-    runs[f"{name} d={d}"] = [totals.hexdigest(), tables.hexdigest()]
+    n_indices = st.level_start(st.max_level + 1)
+    half = n_indices // 2  # every other column; the last half
+    groups = np.array([2 * np.arange(half), np.arange(n_indices - half, n_indices)])
+    sums = hashlib.sha256(monte_carlo(spec, st, n, 2026, groups=groups)[1].tobytes())
+    runs[f"{name} d={d}"] = [totals.hexdigest(), tables.hexdigest(), sums.hexdigest()]
 enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 print(json.dumps({"runs": runs, "baseline": list(umath.__cpu_baseline__), "dispatch": enabled}))
 """
@@ -422,19 +428,21 @@ def test_totals_keep_their_bits_under_baseline_simd_features():
     # numpy picks its ufunc loops by the CPU's SIMD features, and some loops
     # change their bits with them.  The totals take integer box counts,
     # table lookups, scipy's scalar ufuncs and float adds in a fixed order,
-    # so under the baseline features alone they keep their bits: Gaussian
-    # noise, and Rademacher counts through exact identity tables at d = 1
-    # and 2.  The cube tables are x ** 3, numpy's power loop, which moves
-    # with the SIMD features on some CPUs (AVX-512 ones among them); cube
-    # totals must keep their bits wherever their tables do
+    # so under the baseline features alone they keep their bits, and so do
+    # the group sums, the same values added in runs: Gaussian noise, and
+    # Rademacher counts through exact identity tables at d = 1 and 2.  The
+    # cube tables are x ** 3, numpy's power loop, which moves with the SIMD
+    # features on some CPUs (AVX-512 ones among them); cube totals and group
+    # sums must keep their bits wherever their tables do
     default = _child_totals()
     baseline = _child_totals(" ".join(default["baseline"]))
     assert baseline["dispatch"] == []
     for run in ("identity-gauss d=1", "identity d=1", "identity d=2"):
         assert baseline["runs"][run] == default["runs"][run], run
     for run in ("cube d=1", "cube d=2"):
-        (totals, tables), (expect, expect_tables) = baseline["runs"][run], default["runs"][run]
-        assert totals == expect or tables != expect_tables, run
+        (totals, tables, sums), (expect, expect_tables, expect_sums) = (baseline["runs"][run],
+                                                                        default["runs"][run])
+        assert (totals, sums) == (expect, expect_sums) or tables != expect_tables, run
 
 
 _PINNED_WINDOWS = "51f3b38af0a86689586ba263648db6a33744fd8d06578e0da8c14ee13dc022a2"
@@ -642,10 +650,11 @@ def test_first_component_does_not_depend_on_component_count(name, d, L, K):
 
 
 def _some_groups(st, n_groups=5, group_len=9):
-    """Groups of distinct columns drawn at random; groups may overlap."""
+    """Groups of distinct columns drawn at random, each sorted ascending, as
+    `monte_carlo` takes them; groups may overlap."""
     rng = np.random.default_rng(3)
     n_indices = len(build_index_set(st))
-    return np.array([rng.choice(n_indices, group_len, replace=False)
+    return np.array([np.sort(rng.choice(n_indices, group_len, replace=False))
                      for _ in range(n_groups)])
 
 
@@ -687,14 +696,14 @@ def _grouped_bytes(spec, st, groups, chunk_size):
 @pytest.mark.parametrize("d,L", [(1, 64), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
 @pytest.mark.parametrize("name", ["cube", "signed-sqrt", "identity-gauss", "exp-tail"])
 def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n_comp):
-    # a grouped run picks each chunk's values as its blocks of mapped box
-    # sums go by; a block is whole first-axis anchor rows, about
+    # a grouped run adds each chunk's values onto the group sums as its blocks
+    # of mapped box sums go by; a block is whole first-axis anchor rows, about
     # _WINDOW_BLOCK cells.  Chunks of one, three and eight realizations, the
-    # last one short, in whole-level blocks and in blocks of seven and of
-    # five anchors at d = 1 and of one row at d = 2 and 3, which cut the
-    # levels and leave a short last block, must give the bits of one whole
-    # chunk; and the group sums must be each group's per-index columns added
-    # one after the other
+    # last one short, in whole-level blocks and in blocks of seven and of five
+    # anchors at d = 1 and of one row at d = 2 and 3, which cut the levels and
+    # leave a short last block, must give the bits of one whole chunk; and the
+    # group sums must be each group's per-index columns added one after the
+    # other
     spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
     n_indices = len(build_index_set(st))
     _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
@@ -708,12 +717,57 @@ def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n
         assert whole[1] == expect.tobytes(), groups.shape
 
 
+def _run_table_groups(st):
+    """Six groups of 16 ascending columns that cut `_run_tables` every way: a
+    run on level 0 and one that overlaps it, a run over the end of level 0
+    that goes on at anchor 0 of level 1, the last 16 columns (whole levels,
+    whole-torus ones among them), singletons over every level, and 16
+    anchors of the first whole-torus level of 16 or more."""
+    levels = _SyntheticTotals(SyntheticSpec(), st, 1).levels
+    torus = next(lv for lv in levels if lv.radius is None and lv.n_anchors >= 16)
+    n_indices, g = levels[-1].start + levels[-1].n_anchors, 16
+    return np.array([np.arange(3, 3 + g), np.arange(10, 10 + g),
+                     np.arange(levels[1].start - g // 2, levels[1].start + g // 2),
+                     np.arange(n_indices - g, n_indices),
+                     np.linspace(0, n_indices - 1, g).astype(int),
+                     torus.start + np.arange(g)])
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 3])
+@pytest.mark.parametrize("weights,dist", [(None, "gaussian"), ((1.0, 0.0), "rademacher")],
+                         ids=["weighted-float", "zero-weights-table"])
+@pytest.mark.parametrize("d,L,K", [(1, 64, 2.0), (2, 16, 1.0)], ids=["d1", "d2"])
+def test_run_table_group_sums_keep_the_bits_of_the_per_index_oracle(monkeypatch, d, L, K,
+                                                                     weights, dist, n_comp):
+    # each group sum adds its runs' values onto the sum row by row, so it
+    # must have the bits of its per-index columns added one after the other,
+    # whatever cuts the runs: blocks of three or five anchors at d = 1 and of
+    # one row at d = 2 split them, a run that goes on at anchor 0 of the
+    # next level writes its sum into the row before the block's values,
+    # and a whole-torus level's runs add its one value again and again.  On
+    # levels of weight zero the values are signed zeros, and a group of
+    # them alone must keep -0.0 where every value is -0.0
+    spec = SyntheticSpec(nonlinearity="cube", dist=dist, n_components=n_comp,
+                         level_weights=weights)
+    st = DependenceStructure(d=d, L=L, K=K)
+    groups = _run_table_groups(st)
+    _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
+    expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
+    if weights is not None:
+        assert np.signbit(expect[:, -1][expect[:, -1] == 0.0]).any()
+    for block in (1 << 17, 21, 40):
+        monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", block)
+        for chunk in (1, 7, 4096):
+            _, sums = monte_carlo(spec, st, 23, 61, groups=groups, chunk_size=chunk)
+            assert sums.tobytes() == expect.tobytes(), (block, chunk)
+
+
 @pytest.mark.parametrize("d,L,n_comp", [pytest.param(d, L, c, id=f"d{d}-{L}-{c}")
                                         for d, L in ((1, 64), (2, 16), (3, 8), (1, 256))
                                         for c in (1, 2, 3)] + [(2, 256, 1)])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_grouped_totals_are_plain_totals(name, d, L, n_comp):
-    # a grouped run is the plain totals pass plus a pick of the groups'
+    # a grouped run is the plain totals pass plus the groups' runs of
     # values, so its totals keep a plain run's bits whatever the groups and
     # the chunk size.  At K=1, moderate_grouping builds two groups of 64
     # level-0 indices at d=1 L=256 and four of 4096 at d=2 L=256, which take
@@ -735,10 +789,11 @@ def test_grouped_totals_are_plain_totals(name, d, L, n_comp):
 
 
 def test_grouped_pass_holds_slices_not_chunks_of_values():
-    # a grouped chunk holds one pick buffer, a value per group slot and
-    # realization: 1 MiB for moderate's 512 slots (4.5 MiB peak), and 4 MiB
-    # for the all-index group of 2048 slots, whose chunks stay at 256
-    # realizations (7.5 MiB peak; 512 would pass 10 MiB).  Whole chunks of
+    # a grouped chunk adds its group sums straight into the output and holds
+    # no buffer that grows with the groups: 3.5 MiB peaks for moderate's two
+    # groups of 256 columns and for the all-index group, in chunks of 512
+    # realizations.  A buffer of picked values, one per column and
+    # realization, took 3.9 and 7.0 MiB in chunks of 256, and whole chunks of
     # float values took a 20.7 MiB peak for moderate's groups.
     spec, st = make_preset("cube", 1, 1024)
     for groups in (moderate_grouping(st, 512).groups, _each_index(st).T):
@@ -748,7 +803,7 @@ def test_grouped_pass_holds_slices_not_chunks_of_values():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 ** 20, (groups.shape, peak / 2 ** 20)
+        assert peak < 5 * 2 ** 20, (groups.shape, peak / 2 ** 20)
 
 
 def test_add_rows_adds_rows_in_order_for_any_layout():
@@ -912,13 +967,16 @@ def test_monte_carlo_guards():
     big = DependenceStructure(d=1, L=2 ** 14, gamma=1.0)
     with pytest.raises(UsageError):
         monte_carlo(SyntheticSpec(), big, 10 ** 6, 1, groups=_each_index(big))
-    # past 2^18 cells and 2^17 group slots a grouped chunk is one realization
+    # at 2^19 cells a grouped chunk is one realization, whatever the groups
     huge = DependenceStructure(d=1, L=2 ** 19, gamma=1.0)
-    _, sums = monte_carlo(SyntheticSpec(), huge, 2, 1, groups=np.zeros((1, 2 ** 17 + 1), int))
+    _, sums = monte_carlo(SyntheticSpec(), huge, 2, 1, groups=np.arange(2 ** 17 + 1)[None, :])
     assert sums.shape == (2, 1, 1)
     n_indices = len(build_index_set(st))
+    # out of range, not 2-d int, empty, and columns not strictly ascending:
+    # descending, or one column repeated
     for bad in (np.arange(n_indices), [[0, n_indices]], [[-1, 0]], [[0.0, 1.0]],
-                np.empty((2, 0), dtype=int), np.empty((0, 3), dtype=int)):
+                np.empty((2, 0), dtype=int), np.empty((0, 3), dtype=int),
+                [[0, 2], [3, 1]], [[4, 4]], np.array([[1, 0]], dtype=np.uint8)):
         with pytest.raises(UsageError):
             monte_carlo(spec, st, 10, 1, groups=bad)
 
