@@ -45,7 +45,7 @@ from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_forc
 from .gaussians import GaussianLaw, SpdMatrix
 from .multilevel import (_check_constants, _policy, bar_constants, choose_eps_ell,
                          theorem_bound)
-from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, SteinSolution,
+from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, _S_RULE, SteinSolution,
                     majorant_average_certificate, stein_residual,
                     third_derivative_certificate)
 
@@ -374,8 +374,8 @@ def _certify_units(config: ExperimentConfig):
 def _certify_unit(config: ExperimentConfig, unit):
     """Residual, third-derivative, and majorant-average certificates of one
     soft-clip member at the configured eps.  The record is its quadrature:
-    the solution's s budget, its node-doubling deltas per gated order, and
-    the s budget and grid size of its majorant table."""
+    the s-rule, the solution's s budget and node-doubling deltas per gated
+    order, and the s budget, grid size and deltas of its majorant table."""
     phi, law, grid, probe = unit
     sol = SteinSolution(phi, law, config.eps)
     residual = max(stein_residual(sol, x) for x in grid)
@@ -394,7 +394,7 @@ def _certify_unit(config: ExperimentConfig, unit):
         "third_average_ratio": maj3["ratio"],
         "passed": ok,
     }
-    quadrature = {"label": phi.label, "s_nodes": _S_NODES,
+    quadrature = {"label": phi.label, "rule": _S_RULE, "s_nodes": _S_NODES,
                   "node_doubling_delta": sol.node_doubling_deltas,
                   "majorant_table": maj2["table"]}
     return [row], {"stein_quadrature": [quadrature]}

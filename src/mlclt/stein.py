@@ -35,13 +35,13 @@ interpolation preserves N(0, Lambda), so the same E[phi(Z)], taken once by
 The s-integral is the one quadrature, and `SteinSolution` owns its one
 routine.  It is split into two panels with substitutions tau = log s
 (resolving the s -> eps^2 end) and t = -log(1-s) (resolving the s -> 1
-end), each handled by composite Simpson rules.  The budget is fixed: 1024
-s-nodes, doubled once by the construction gate, and 256 for the majorant
-tables.  The s-nodes depend only on eps and the budget; only the weights
-depend on the order.  Orders requested together at the same points
+end), each taken by one Gauss-Legendre rule.  The budget is fixed: 128
+s-nodes, and 48 for the majorant tables, each doubled once by a gate at
+construction.  The s-nodes depend only on eps and the budget; only the
+weights depend on the order.  Orders requested together at the same points
 therefore share one set of truncated moments, and each keeps the bits it
-has when requested alone: the construction gate computes orders 0 and 2
-together, the residual 1 and 2, and the majorant tables 2 and 3.
+has when requested alone: the solution's gate computes orders 0 and 2
+together, the residual 1 and 2, and the majorant tables and their gate 2, 3.
 Each solution builds its majorant table once per (delta, window) and serves
 both majorant kinds from it.
 
@@ -59,6 +59,7 @@ to stay in cache and in the heap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -79,18 +80,26 @@ _EPS_MIN, _EPS_MAX = 0.05, 0.9
 _T_TAIL = 56.0  # integrand tails decay like exp(-t/2); exp(-28) is negligible
 # Node-doubling settle tolerance for solution construction.  The inner
 # integral is exact, so the gate measures the s-integral alone: at the
-# 1024 s-nodes, doubling moves F_0 and F_2 of every soft-clip member
-# by at most 5.5e-7 (dims 1-3, eps 0.05-0.9, Lambda = Id and 4 Id).  The
+# 128 s-nodes, doubling moves F_0 and F_2 of every soft-clip member by at
+# most 4.6e-9 (dims 1-3, eps 0.05-0.9, Lambda = Id and 4 Id).  The
 # downstream certificates carry tolerances of 1e-3 and larger, leaving an
 # order of magnitude of headroom above this gate.
 _VERIFY_TOL = 1e-4
 # Orders whose node-doubling delta gates solution construction.
 _GATE_ORDERS = (0, 2)
 # s-nodes of every solution's s-integral; the gate doubles them.
-_S_NODES = 1024
-# s-nodes of the majorant tables: they feed oscillation *bounds* checked with
-# large slack, so a reduced budget (relative error ~1e-4) is ample there.
-_TABLE_S_NODES = 256
+_S_NODES = 128
+# s-nodes of the majorant tables, which feed oscillation *bounds* checked
+# with large slack: 48 leave at most 2.9e-4 in F_2 and F_3 against a converged
+# reference (dims 1-3, eps 0.05-0.9, Lambda = Id / 4, Id, 4 Id), 32 left 3.7e-3.
+_TABLE_S_NODES = 48
+# Node-doubling settle tolerance of the majorant tables' orders at the probe
+# points: doubling the 48 nodes moves them by at most 3.1e-5 on that grid.
+_TABLE_VERIFY_TOL = 1e-3
+# Orders that the majorant tables hold, and whose node doubling gates them.
+_TABLE_ORDERS = (2, 3)
+# The s-integral's rule, as each stein-certify manifest records it.
+_S_RULE = "gauss-legendre"
 # (s, w) pairs per s-block of the closed-form inner integral.  Each s-block
 # adds its share of the s-integral with one (sw * s^{k/2}) @ values product
 # per order, whose sum over the block's s-nodes BLAS takes in an order of
@@ -132,13 +141,14 @@ def _weight_times_one_minus_s(order: int, t: NDArray[np.float64],
     raise UsageError(f"derivative order must be in 0..3, got {order}")
 
 
-def _simpson_weights(n_intervals: int, h: float) -> NDArray[np.float64]:
-    if n_intervals % 2 or n_intervals < 2:
-        raise UsageError("Simpson rule needs an even, positive interval count")
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
+@lru_cache(maxsize=16)
+def _legendre_rule(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The n-node Gauss-Legendre rule on [-1, 1], built at first use; the
+    cached arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
@@ -146,29 +156,29 @@ def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
     of the order-k s-integral.
 
     Panel A covers [eps^2, 1/2] in tau = log s; panel B covers the rest in
-    t = -log(1-s).  In both variables every integrand is smooth with O(1)
-    variation scale uniformly over the admissible eps range.  The nodes
-    depend on eps and the budget only, so every order shares them.
+    t = -log(1-s), over `_T_TAIL`.  In both variables every integrand is
+    analytic in s > 0 with O(1) variation scale uniformly over the admissible
+    eps range, so each panel takes one Gauss-Legendre rule of n_total // 2
+    nodes (panel B alone when eps^2 >= 1/2).  The nodes depend on eps and
+    the budget only, so every order shares them.
     """
     lo = eps * eps
-    n_half = max(8, (n_total // 2) // 2 * 2)
+    x, w = _legendre_rule(max(1, n_total // 2))
     s_list, w_lists = [], [[] for _ in orders]
     if lo < 0.5:
         a, b = np.log(lo), np.log(0.5)
-        tau = np.linspace(a, b, n_half + 1)
-        s = np.exp(tau)
-        simpson = _simpson_weights(n_half, (b - a) / n_half)
+        s = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x)
         for order, w_list in zip(orders, w_lists):
-            w_list.append(simpson * _weight(order, s) * s)
+            w_list.append(0.5 * (b - a) * w * _weight(order, s) * s)
         s_list.append(s)
-        t_start = np.log(2.0)
+        a = np.log(2.0)
     else:
-        t_start = -np.log1p(-lo)
-    t = np.linspace(t_start, t_start + _T_TAIL, n_half + 1)
+        a = -np.log1p(-lo)
+    b = a + _T_TAIL
+    t = 0.5 * (a + b) + 0.5 * (b - a) * x
     s = -np.expm1(-t)
-    simpson = _simpson_weights(n_half, _T_TAIL / n_half)
     for order, w_list in zip(orders, w_lists):
-        w_list.append(simpson * _weight_times_one_minus_s(order, t, s))
+        w_list.append(0.5 * (b - a) * w * _weight_times_one_minus_s(order, t, s))
     s_list.append(s)
     return np.concatenate(s_list), [np.concatenate(w) for w in w_lists]
 
@@ -183,12 +193,13 @@ class SteinSolution:
 
     phi must be a ridge function (`distances.ridge_function`); anything else
     raises UsageError.  Construction takes E[phi(Z)] with `gaussian_mean`,
-    then runs a node-doubling convergence probe of the s-integral on its
-    fixed budget of `_S_NODES`; it raises QuadratureError if that integral
-    has not settled (the probe reports both moves of the value and Hessian
-    integrals in `node_doubling_deltas`).  Majorant tables are built once
-    per (delta, window) and kept with the solution.  Points passed to the
-    evaluation and certificate functions must lie in R^dim.
+    then runs node-doubling convergence probes of the s-integral on the
+    fixed budgets of `_S_NODES` and, for the majorant tables' orders, of
+    `_TABLE_S_NODES`; QuadratureError names the one that has not settled
+    (`node_doubling_deltas` and each majorant certificate's `table` report
+    the moves).  Majorant tables are built once per (delta, window) and
+    kept with the solution.  Points passed to the evaluation and
+    certificate functions must lie in R^dim.
     """
 
     phi: TestFunction
@@ -198,6 +209,7 @@ class SteinSolution:
     _phi_eps: TestFunction = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
+    _table_deltas: dict = field(init=False, repr=False, compare=False)
     _majorants: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,16 +222,20 @@ class SteinSolution:
         # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ law
         object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.law))
         probe = self._project(self._probe_points())
-        coarse = self._fk(probe, _GATE_ORDERS)
-        fine = self._fk(probe, _GATE_ORDERS, 2 * _S_NODES)
-        deltas = {order: float(np.max(np.abs(a - b)))
-                  for order, a, b in zip(_GATE_ORDERS, coarse, fine)}
-        for order, delta in deltas.items():
-            if not delta <= _VERIFY_TOL:  # a NaN fails
-                raise QuadratureError(
-                    f"Stein quadrature (order {order}) moved by {delta:.3e} "
-                    f"under node doubling from {_S_NODES} s-nodes")
-        object.__setattr__(self, "_deltas", deltas)
+        for attr, name, orders, s_nodes, tol in (
+                ("_deltas", "Stein quadrature", _GATE_ORDERS, _S_NODES, _VERIFY_TOL),
+                ("_table_deltas", "majorant table", _TABLE_ORDERS, _TABLE_S_NODES,
+                 _TABLE_VERIFY_TOL)):
+            coarse = self._fk(probe, orders, s_nodes)
+            fine = self._fk(probe, orders, 2 * s_nodes)
+            deltas = {order: float(np.max(np.abs(a - b)))
+                      for order, a, b in zip(orders, coarse, fine)}
+            for order, delta in deltas.items():
+                if not delta <= tol:  # a NaN fails
+                    raise QuadratureError(
+                        f"{name} (order {order}) moved by {delta:.3e} "
+                        f"under node doubling from {s_nodes} s-nodes")
+            object.__setattr__(self, attr, deltas)
         object.__setattr__(self, "_majorants", {})
 
     def _fk(self, w, orders: tuple[int, ...], s_nodes: int | None = None) -> list:
@@ -348,7 +364,6 @@ class _RidgeMajorant:
     def __init__(self, sol: SteinSolution, delta: float, w_lo: float, w_hi: float):
         self.delta = delta
         kd = _osc_window_k(sol.law.dim) * delta
-        self.kd = kd
         g, gw = hermite_1d(64)
         keep = np.abs(g) <= 8.0  # dropped conv weights are below exp(-32)
         self.conv_nodes, self.conv_wts = g[keep], gw[keep]
@@ -357,10 +372,10 @@ class _RidgeMajorant:
         spacing = max(kd / 16.0, (hi - lo) / 40000.0)
         m = int(np.ceil((hi - lo) / spacing)) + 1
         self.grid = np.linspace(lo, hi, m)
-        tables = sol._fk(self.grid, (2, 3), _TABLE_S_NODES)
+        tables = sol._fk(self.grid, _TABLE_ORDERS, _TABLE_S_NODES)
         half = int(np.ceil(kd / (self.grid[1] - self.grid[0])))
         self.osc = {order: _window_oscillation(table, half)
-                    for order, table in zip((2, 3), tables)}
+                    for order, table in zip(_TABLE_ORDERS, tables)}
         self._sol = sol
 
     def convolved_osc(self, w: NDArray[np.float64], order: int) -> NDArray[np.float64]:
@@ -406,7 +421,7 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     integral of H' dN(0, Lambda) <= 100 dim^3 |Lambda^{-1/2}|^2
                                         (|log eps| + |Lambda^{-1/2}| delta / eps)
 
-    `table` reports the s budget and grid size of the shared F_2/F_3 table.
+    `table` reports the shared F_2/F_3 table's s budget, grid size and gate.
     """
     _check_delta(delta)
     order = _majorant_order(kind)
@@ -417,12 +432,12 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     else:
         inv_sqrt = sol.law.covariance.inv_sqrt_operator_norm()
         bound = 100.0 * n ** 3 * inv_sqrt ** 2 * (log_eps + inv_sqrt * delta / sol.eps)
-    sigma = np.sqrt(sol.phi.ridge.sigma2(sol.law))
     g, gw = hermite_1d(64)
-    w = sigma * g
+    w = sol._sigma * g
     maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))
     value = float(gw @ maj.majorant(w, order))
-    table = {"s_nodes": _TABLE_S_NODES, "points": len(maj.grid)}
+    table = {"s_nodes": _TABLE_S_NODES, "points": len(maj.grid),
+             "node_doubling_delta": dict(sol._table_deltas)}
     ratio = value / bound
     return {"kind": kind, "delta": delta, "value": value, "bound": bound,
             "ratio": ratio, "passed": bool(ratio <= 1.0), "table": table}

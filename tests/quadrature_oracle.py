@@ -18,6 +18,11 @@ check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)] with it.
 `one_shot_fk` is `SteinSolution._fk` as it was before the closed forms were
 evaluated in slices: each s-block of `_EXACT_BLOCK` pairs in one call of
 `gaussian_expectations`.  The sliced `_fk` must keep its bits.
+
+`simpson_panels` is the s-rule that `mlclt.stein` took before Gauss-Legendre:
+composite Simpson rules on the same two panels, with the same weights per
+order.  At a large budget it is the reference that the package's rule is
+measured against (`one_shot_fk(..., panels=simpson_panels)`).
 """
 from functools import lru_cache
 
@@ -26,7 +31,8 @@ from scipy.special import roots_hermitenorm
 
 from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
-from mlclt.stein import _EXACT_BLOCK, _S_NODES, _s_panels
+from mlclt.stein import (_EXACT_BLOCK, _S_NODES, _T_TAIL, _s_panels, _weight,
+                         _weight_times_one_minus_s)
 
 # node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
 _EXPECTATION_RTOL = 1e-6
@@ -107,12 +113,49 @@ def mollified(phi, eps: float, law, x, n_per_axis: int = 32):
                                 check=True)
 
 
-def one_shot_fk(sol, w, orders, s_nodes=None):
+def simpson_weights(n_intervals: int, h: float):
+    """Composite Simpson weights on n_intervals (even) intervals of width h."""
+    if n_intervals % 2 or n_intervals < 2:
+        raise UsageError("Simpson rule needs an even, positive interval count")
+    w = np.ones(n_intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * h / 3.0
+
+
+def simpson_panels(eps: float, n_total: int, orders):
+    """`_s_panels` with a composite Simpson rule of about n_total / 2
+    intervals on each panel: tau = log s on [eps^2, 1/2], then t = -log(1-s)
+    over `_T_TAIL` (that panel alone when eps^2 >= 1/2)."""
+    lo = eps * eps
+    n_half = max(8, (n_total // 2) // 2 * 2)
+    s_list, w_lists = [], [[] for _ in orders]
+    if lo < 0.5:
+        a, b = np.log(lo), np.log(0.5)
+        s = np.exp(np.linspace(a, b, n_half + 1))
+        simpson = simpson_weights(n_half, (b - a) / n_half)
+        for order, w_list in zip(orders, w_lists):
+            w_list.append(simpson * _weight(order, s) * s)
+        s_list.append(s)
+        t_start = np.log(2.0)
+    else:
+        t_start = -np.log1p(-lo)
+    t = np.linspace(t_start, t_start + _T_TAIL, n_half + 1)
+    s = -np.expm1(-t)
+    simpson = simpson_weights(n_half, _T_TAIL / n_half)
+    for order, w_list in zip(orders, w_lists):
+        w_list.append(simpson * _weight_times_one_minus_s(order, t, s))
+    s_list.append(s)
+    return np.concatenate(s_list), [np.concatenate(w) for w in w_lists]
+
+
+def one_shot_fk(sol, w, orders, s_nodes=None, panels=_s_panels):
     """F_k of the Stein solution `sol` at scalar points w, one array per
-    order in `orders`, each s-block's closed forms taken in one call."""
+    order in `orders`, each s-block's closed forms taken in one call, on
+    the s-rule `panels` (the package's own by default)."""
     w = np.asarray(w, dtype=float)
     flat = w.reshape(-1)
-    s, sws = _s_panels(sol.eps, s_nodes or _S_NODES, orders)
+    s, sws = panels(sol.eps, s_nodes or _S_NODES, orders)
     outs = [np.zeros(flat.shape) for _ in orders]
     block = max(1, _EXACT_BLOCK // max(1, flat.size))
     for start in range(0, len(s), block):

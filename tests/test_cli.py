@@ -473,8 +473,10 @@ _CERTIFY_SHA256 = {
 
 
 @pytest.mark.parametrize("args,expect", [
-    ("--n-dim 1 --eps 0.25", _CERTIFY_SEED0_SHA256),
-    ("--n-dim 2 --eps 0.5 --seed 0", _CERTIFY_SHA256["--n-dim 2 --eps 0.5 --seed 0"])])
+    pytest.param("--n-dim 1 --eps 0.25", _CERTIFY_SEED0_SHA256, id="--n-dim 1 --eps 0.25"),
+    pytest.param("--n-dim 2 --eps 0.5 --seed 0",
+                 _CERTIFY_SHA256["--n-dim 2 --eps 0.5 --seed 0"],
+                 id="--n-dim 2 --eps 0.5 --seed 0")])
 def test_stein_certify_csv_does_not_depend_on_blas_threads(args, expect, tmp_path):
     # each s-block of the Stein quadrature is one BLAS dgemv per order; its
     # sums over s must not move with the thread count
@@ -519,13 +521,19 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
     assert set(manifest["row_wallclock_seconds"]) == set(labels)
     for r in records:
         # the inner integral is exact, so no z budget or path is recorded
-        assert set(r) == {"label", "s_nodes", "node_doubling_delta", "majorant_table"}
+        assert set(r) == {"label", "rule", "s_nodes", "node_doubling_delta",
+                          "majorant_table"}
         assert "z_nodes_per_axis" not in r and "inner_integral" not in r
-        assert r["s_nodes"] == 1024
+        assert r["rule"] == "gauss-legendre"
+        assert r["s_nodes"] == 128
         assert set(r["node_doubling_delta"]) == {"0", "2"}
         assert all(0.0 <= d <= 1e-4 for d in r["node_doubling_delta"].values())
-        assert r["majorant_table"]["s_nodes"] == 256
-        assert r["majorant_table"]["points"] > 1000
+        table = r["majorant_table"]
+        assert set(table) == {"s_nodes", "points", "node_doubling_delta"}
+        assert table["s_nodes"] == 48
+        assert table["points"] > 1000
+        assert set(table["node_doubling_delta"]) == {"2", "3"}
+        assert all(0.0 <= d <= 1e-3 for d in table["node_doubling_delta"].values())
 
 
 def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):

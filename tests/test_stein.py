@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from quadrature_oracle import (GaussHermiteStein, gaussian_expectation, hermite_rule,
-                               mollified, one_shot_fk, poly)
+                               mollified, one_shot_fk, poly, simpson_panels)
 
 import support
 from support import class_membership_check
@@ -302,6 +302,25 @@ def test_exact_inner_integral_matches_gauss_hermite(sigma2):
             assert np.max(np.abs(a - b.reshape(a.shape))) <= 2e-6, (h, order)
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.5, 0.75, 0.9])
+def test_s_rule_is_within_its_stated_error_of_a_converged_reference(eps):
+    # the reference is composite Simpson on 2^13 s-nodes, the package's
+    # former rule, converged to about 1e-9.  A soft-clip member in dims 1-3
+    # under Lambda = c Id is the 1d solution of its profile at sigma^2 = c,
+    # so the three profiles at c in {1/4, 1, 4} cover that grid.  Gauss-
+    # Legendre leaves at most 6.2e-9 at the solution's 128 s-nodes (64 left
+    # 2.7e-5) and 2.9e-4 in the table's orders at 48 (32 left 3.7e-3)
+    w = np.linspace(-4.0, 4.0, 41)
+    for h, sigma2 in itertools.product(_ORACLE_PROFILES[:3], (0.25, 1.0, 4.0)):
+        sol = solution_1d(h, sigma2, eps)
+        ref = one_shot_fk(sol, w, (0, 1, 2, 3), 2 ** 13, panels=simpson_panels)
+        for order, got in enumerate(sol._fk(w, (0, 1, 2, 3))):
+            assert np.max(np.abs(got - ref[order])) <= 1e-7, (h, sigma2, order)
+        table = sol._fk(w, stein._TABLE_ORDERS, stein._TABLE_S_NODES)
+        for order, got in zip(stein._TABLE_ORDERS, table):
+            assert np.max(np.abs(got - ref[order])) <= 1e-3, (h, sigma2, order)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_generic_engine_orders_together_keep_each_orders_bits(dim):
     phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
@@ -371,7 +390,7 @@ def test_majorant_table_is_built_once_per_delta():
     counted = Counted(knots=CUBIC.knots, coeffs=CUBIC.coeffs)
     sol = SteinSolution(ridge_function([1.0], counted, 1.0, "cubic"), STD_1D, 0.5)
     hessian = majorant_average_certificate(sol, 0.1, "hessian")
-    assert hessian["table"]["s_nodes"] == 256 and len(sol._majorants) == 1
+    assert hessian["table"]["s_nodes"] == 48 and len(sol._majorants) == 1
     evaluated.clear()
     third = majorant_average_certificate(sol, 0.1, "third")
     spent = sum(evaluated)
@@ -441,7 +460,7 @@ def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
 
 
 def test_quadrature_spec_validation(monkeypatch):
-    # a budget of 16 s-nodes fails the node-doubling gate
+    # a budget of 16 s-nodes still fails the node-doubling gate
     monkeypatch.setattr(stein, "_S_NODES", 16)
     with pytest.raises(QuadratureError):
         SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
@@ -449,13 +468,29 @@ def test_quadrature_spec_validation(monkeypatch):
 
 def test_insufficient_budget_is_reported_not_silently_accepted(monkeypatch):
     law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
-    # the closed form has no inner rule, but 128 s-nodes do not settle
+    # the closed form has no inner rule, but 24 s-nodes do not settle: under
+    # doubling, order 0 moves by 4.3e-4 at 24, 2.2e-5 at 32 and 1.4e-9 at 128
     with monkeypatch.context() as patch:
-        patch.setattr(stein, "_S_NODES", 128)
+        patch.setattr(stein, "_S_NODES", 24)
         with pytest.raises(QuadratureError, match="order 0"):
             SteinSolution(soft_clip_family(1)[0], law, 0.5)
     deltas = SteinSolution(soft_clip_family(1)[0], law, 0.5).node_doubling_deltas
     assert all(d <= stein._VERIFY_TOL for d in deltas.values())
+
+
+def test_insufficient_majorant_table_budget_is_reported(monkeypatch):
+    # the solution's own budget settles, but 4 table s-nodes do not: the
+    # table gate names the table
+    members = soft_clip_family(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(stein, "_TABLE_S_NODES", 4)
+        for phi in members:
+            with pytest.raises(QuadratureError, match="majorant table"):
+                SteinSolution(phi, STD_1D, 0.25)
+    for phi in members:
+        deltas = SteinSolution(phi, STD_1D, 0.25)._table_deltas
+        assert set(deltas) == {2, 3}
+        assert all(d <= stein._TABLE_VERIFY_TOL for d in deltas.values())
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
@@ -521,14 +556,21 @@ def test_a_nan_fails_every_gate(monkeypatch):
     monkeypatch.setattr(support, "_max_gradient", lambda phi, points: np.nan)
     assert not class_membership_check(half, STD_1D, **grid).passed
     # Stein construction: a NaN node-doubling delta on either gated order
+    # of the solution, and on either order of the majorant table alone
     fk = SteinSolution._fk
-    for nan_order in (0, 2):
-        def nan_fk(self, w, orders, s_nodes=None, k=nan_order):
+    table = (stein._TABLE_S_NODES, 2 * stein._TABLE_S_NODES)
+    for nan_order, budgets, name in ((0, None, "Stein quadrature"),
+                                     (2, None, "Stein quadrature"),
+                                     (2, table, "majorant table"),
+                                     (3, table, "majorant table")):
+        def nan_fk(self, w, orders, s_nodes=None, k=nan_order, budgets=budgets):
             outs = fk(self, w, orders, s_nodes)
+            if budgets is not None and s_nodes not in budgets:
+                return outs
             return [np.full_like(out, np.nan) if order == k else out
                     for order, out in zip(orders, outs)]
         monkeypatch.setattr(SteinSolution, "_fk", nan_fk)
-        with pytest.raises(QuadratureError, match=f"order {nan_order}"):
+        with pytest.raises(QuadratureError, match=f"{name} \\(order {nan_order}\\)"):
             SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
 
 
