@@ -456,19 +456,20 @@ def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
 
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
-# inner integral of the soft-clip profiles and with the residual's constant
-# E[phi_eps(Z)] taken as the closed-form E[phi(Z)].
-_CERTIFY_SEED0_SHA256 = ("66a3c7107582192d1238a9a7c699d5eb"
-                         "ef5bfee9b775eb760bafd260553e88c5")
+# inner integral of the soft-clip profiles, the residual's constant
+# E[phi_eps(Z)] taken as the closed-form E[phi(Z)], and the Gauss-Legendre
+# s-rule on 128 s-nodes per solution and 48 per majorant table.
+_CERTIFY_SEED0_SHA256 = ("147480186879e6d76fe5093438fb33db"
+                         "397c53bca8c7ffc4232a72923faa165a")
 # the dim-2 and dim-3 members reach mollify along the ridge's unit direction,
 # and eps = 0.05 is the smallest eps a solution admits
 _CERTIFY_SHA256 = {
     "--n-dim 2 --eps 0.5 --seed 0":
-        "c63b46f6efe220e81a84ecff6482f81222f86b26c934d1da11832a4e2e0d8acc",
+        "ea3b5e0c9e767b7cb0d34e28ea0dbc744867c1d0759b3f72d135ef4d8faa54c4",
     "--n-dim 3 --eps 0.5 --seed 1":
-        "718d4ea56f627a95c7902853deeac37142b65be1858ac1dc7795999719d938ed",
+        "8a7a32fe3c1d557e7040082a5c5d32fbd8869231db6b7eb74dc1be11eb53311c",
     "--n-dim 1 --eps 0.05 --seed 0":
-        "6ce11aea5d3d83a2ddab1abb33e2f9792151aadc4b6b8cf8baa344586fc04382",
+        "82730e0fc10f80de746f60ed2a1373ba22d83f65d72fc1a6e0cd49615410e936",
 }
 
 
