@@ -37,12 +37,11 @@ from ._util import (_FLOOR_COUNTER, _STEIN_PROBE_TAG, UsageError,
                     counter_rng)
 from .concentration import (_check_grouping, bennett_tail_table, moderate_tail_table,
                             remainder_budget)
-from .distances import (DiscreteLaw, SampleSet, soft_clip_family,
-                        sliced_w1 as _sliced_w1, w1_discrete_pair,
-                        w1_discrete_vs_gaussian, w1_empirical_gaussian)
+from .distances import (DiscreteLaw, soft_clip_family, sliced_w1 as _sliced_w1,
+                        w1_discrete_pair, w1_discrete_vs_gaussian, w1_empirical_gaussian)
 from .fields import (PRESET_NAMES, STREAM_VERSION, _check_enumerable, brute_force_law,
                      make_preset, monte_carlo)
-from .gaussians import GaussianLaw, SpdMatrix
+from .gaussians import SpdMatrix
 from .multilevel import (_check_constants, _policy, bar_constants, choose_eps_ell,
                          theorem_bound)
 from .stein import (_EPS_MAX, _EPS_MIN, _S_NODES, _S_RULE, SteinSolution,
@@ -143,21 +142,39 @@ class ExperimentConfig:
         return self.ell if self.ell is not None else _default_ell(L)
 
 
+def _number(key: str, val: str, kind: type = float):
+    """val as a `kind`, int or float; a value that does not parse raises a
+    UsageError that names the key."""
+    try:
+        return kind(val)
+    except ValueError:
+        raise UsageError(f"{key} expects {'an integer' if kind is int else 'a number'}, "
+                         f"got {val!r}") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key/value grammar: one `key = value` per line, `#` comments."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read the config file {path}: {exc.strerror}") from None
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key.startswith("policy."):
-                values.setdefault("policy", {})[key[len("policy."):]] = float(val)
-            else:
-                values[key] = val
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key.partition(".")[0] == "policy":
+            name = key[len("policy."):]
+            if not name:
+                raise UsageError(f"{path}:{lineno}: a policy constant is set as "
+                                 f"'policy.NAME = value'")
+            values.setdefault("policy", {})[name] = _number(key, val)
+        else:
+            values[key] = val
     return values
 
 
@@ -169,11 +186,11 @@ def _coerce(key: str, val):
     if not isinstance(val, str):
         return val
     if key == "L_list":
-        return tuple(int(v) for v in val.split(",") if v.strip()) if val.strip() else ()
+        return tuple(_number(key, v, int) for v in val.split(",") if v.strip())
     if key in _INT_KEYS:
-        return int(val)
+        return _number(key, val, int)
     if key in _FLOAT_KEYS:
-        return float(val)
+        return _number(key, val)
     return val
 
 
@@ -289,8 +306,7 @@ def _rate_unit(config: ExperimentConfig, L: int):
     eps/ell choice with its raw and used values."""
     spec, structure = config.structure_for(L)
     seed = row_seed(config.master_seed, L)
-    samples = monte_carlo(spec, structure, config.n_samples, seed)
-    vals = samples.values
+    vals = monte_carlo(spec, structure, config.n_samples, seed)
     sd = vals.std(axis=0, ddof=1)
     if np.any(sd <= 0):
         raise RuntimeError(f"degenerate sample at L={L}: zero variance")
@@ -298,9 +314,7 @@ def _rate_unit(config: ExperimentConfig, L: int):
     w1 = w1_empirical_gaussian(z[:, 0], 1.0)
     sliced = None
     if config.n_dim > 1:
-        zset = SampleSet(values=z, master_seed=seed)
-        law = GaussianLaw(SpdMatrix(np.eye(config.n_dim)))
-        sliced = _sliced_w1(zset, law, seed=seed)
+        sliced = _sliced_w1(z, SpdMatrix(np.eye(config.n_dim)), seed=seed)
     gauss = counter_rng(seed, _FLOOR_COUNTER).standard_normal(config.n_samples)
     floor = w1_empirical_gaussian(gauss, 1.0)
     cov = _sample_covariance(vals)
@@ -360,15 +374,15 @@ def fit_rate(rows) -> tuple[float, float, float]:
 
 def _certify_units(config: ExperimentConfig):
     """The canonical soft-clip members at the configured dimension, each
-    keyed by its label and carrying the law, residual grid and probe that
-    every member is certified on."""
+    keyed by its label and carrying the covariance, residual grid and probe
+    that every member is certified on."""
     n = config.n_dim
-    law = GaussianLaw(SpdMatrix(np.eye(n)))
+    lam = SpdMatrix(np.eye(n))
     pts_1d = np.linspace(-2.0, 2.0, 9 if n == 1 else 3)
     grid = np.stack(np.meshgrid(*([pts_1d] * n), indexing="ij"),
                     axis=-1).reshape(-1, n)
     probe = 2.0 * counter_rng(config.master_seed, _STEIN_PROBE_TAG).standard_normal((200, n))
-    return [(phi.label, (phi, law, grid, probe)) for phi in soft_clip_family(n)]
+    return [(phi.label, (phi, lam, grid, probe)) for phi in soft_clip_family(n)]
 
 
 def _certify_unit(config: ExperimentConfig, unit):
@@ -376,8 +390,8 @@ def _certify_unit(config: ExperimentConfig, unit):
     soft-clip member at the configured eps.  The record is its quadrature:
     the s-rule, the solution's s budget and node-doubling deltas per gated
     order, and the s budget, grid size and deltas of its majorant table."""
-    phi, law, grid, probe = unit
-    sol = SteinSolution(phi, law, config.eps)
+    phi, lam, grid, probe = unit
+    sol = SteinSolution(phi, lam, config.eps)
     residual = max(stein_residual(sol, x) for x in grid)
     third = third_derivative_certificate(sol, probe)
     maj2 = majorant_average_certificate(sol, 0.1, "hessian")
@@ -449,8 +463,7 @@ def _oracle_unit(config: ExperimentConfig, L: int):
     spec, structure = config.structure_for(L)
     exact = brute_force_law(spec, structure)
     seed = row_seed(config.master_seed, L)
-    samples = monte_carlo(spec, structure, config.n_samples, seed)
-    vals = samples.scalar()
+    vals = monte_carlo(spec, structure, config.n_samples, seed)[:, 0]
     atoms, counts = np.unique(vals, return_counts=True)
     empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
     ev, ep = exact.sorted_scalar()
@@ -655,8 +668,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for item in args.policy:
             if "=" not in item:
                 raise UsageError(f"--policy expects KEY=VAL, got {item!r}")
-            key, val = item.split("=", 1)
-            policy[key.strip()] = float(val)
+            key, val = (part.strip() for part in item.split("=", 1))
+            policy[key] = _number(f"policy.{key}", val)
         overrides["policy"] = policy
     return build_config(file_values, overrides)
 

@@ -262,8 +262,8 @@ def moderate_tail_table(structure: DependenceStructure, spec, ell: int, n: int,
         # because perfbench's tracer test asserts `per_index_bytes`, the size
         # of the grouped call's sums
         cols = np.arange(structure.level_start(structure.max_level + 1))[None, :]
-    samples, sums = monte_carlo(spec, structure, n, master_seed, groups=cols)
-    x = samples.values[:, 0]
+    totals, sums = monte_carlo(spec, structure, n, master_seed, groups=cols)
+    x = totals[:, 0]
     xc = x - x.mean()
 
     if grouping.degenerate:

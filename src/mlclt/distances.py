@@ -1,27 +1,30 @@
 """Ridge test functions with piecewise-polynomial profiles, their Gaussian
 mollification and means in closed form, and distances to a centered
-Gaussian: exact 1d quantile-gap Wasserstein integrals, sliced multivariate
-proxies, and the restricted (class-sup) distance."""
+Gaussian N(0, Lambda): exact 1d quantile-gap Wasserstein integrals, sliced
+multivariate proxies, and the restricted (class-sup) distance.
+
+Lambda is an `SpdMatrix`, passed as `lam`.  Samples are float arrays of
+shape (n, dim), in dim 1 also a 1-d array, and every sample array that
+enters a distance must be nonempty and finite.  Every test function is
+a `TestFunction`: a ridge phi(x) = h(u . x) with a `PiecewisePolynomial`
+profile h."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr, ndtri
 
 from ._util import _SLICED_W1_TAG, UsageError, counter_rng
-from .gaussians import GaussianLaw
+from .gaussians import SpdMatrix
 
 __all__ = [
     "PiecewisePolynomial",
-    "RidgeProfile",
     "TestFunction",
     "DiscreteLaw",
-    "SampleSet",
-    "ridge_function",
     "soft_clip_family",
     "mollify",
     "w1_discrete_vs_gaussian",
@@ -30,35 +33,6 @@ __all__ = [
     "sliced_w1",
     "restricted_distance",
 ]
-
-
-@dataclass(frozen=True)
-class RidgeProfile:
-    """Directional structure phi(x) = profile(direction . x).
-
-    The profile is a `PiecewisePolynomial`, so every Gaussian integral of
-    phi and of its derivatives reduces to a closed form in one dimension.
-    """
-
-    direction: NDArray[np.float64]
-    profile: PiecewisePolynomial
-
-    def __post_init__(self):
-        if not isinstance(self.profile, PiecewisePolynomial):
-            raise UsageError("a ridge profile must be a PiecewisePolynomial, got "
-                             f"{type(self.profile).__name__}")
-        u = np.asarray(self.direction, dtype=float)
-        norm = np.linalg.norm(u)
-        if norm == 0 or not np.isfinite(norm):
-            raise UsageError("ridge direction must be a nonzero finite vector")
-        u = u / norm
-        u.setflags(write=False)
-        object.__setattr__(self, "direction", u)
-
-    def sigma2(self, law: GaussianLaw) -> float:
-        """Variance of direction . Z under Z ~ law."""
-        u = self.direction
-        return float(u @ law.covariance.entries @ u)
 
 
 def _horner(coeffs: Sequence[float], t):
@@ -206,41 +180,57 @@ class PiecewisePolynomial:
         return outs
 
 
+def _points(x, dim: int) -> NDArray[np.float64]:
+    """x as a float array of points of R^dim; in dim 1 a 1-d x is a column
+    of points."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 and dim == 1 else x
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """A real test function on R^dim with a declared gradient budget.
+    """Ridge test function phi(x) = profile(direction . x) on R^dim, with a
+    declared gradient budget.
 
-    `evaluator` takes an (m, dim) array; in dim 1 a call with a 1-d x
-    passes it as a column of points.  Only a function with a `ridge` has
-    the exact Gaussian calculus of `mollify`, `gaussian_mean` and the Stein
-    solutions; `ridge_function` builds one.
+    The direction is normalized to unit length and sets dim.  The profile
+    must be a `PiecewisePolynomial` (anything else raises UsageError), so
+    every Gaussian integral of phi and of its derivatives reduces to a
+    closed form in one dimension.  A call takes an (m, dim) array; in dim 1
+    a 1-d x is a column of points.
     """
 
-    evaluator: Callable[[NDArray[np.float64]], NDArray[np.float64]]
+    direction: NDArray[np.float64]
+    profile: PiecewisePolynomial
     lipschitz_budget: float
     label: str
-    dim: int
-    ridge: Optional[RidgeProfile] = None
+
+    def __post_init__(self):
+        if not isinstance(self.profile, PiecewisePolynomial):
+            raise UsageError("a ridge profile must be a PiecewisePolynomial, got "
+                             f"{type(self.profile).__name__}")
+        u = np.asarray(self.direction, dtype=float)
+        norm = np.linalg.norm(u)
+        if norm == 0 or not np.isfinite(norm):
+            raise UsageError("ridge direction must be a nonzero finite vector")
+        u = u / norm
+        u.setflags(write=False)
+        object.__setattr__(self, "direction", u)
+
+    @property
+    def dim(self) -> int:
+        return self.direction.size
+
+    def sigma2(self, lam: SpdMatrix) -> float:
+        """Variance of direction . Z under Z ~ N(0, lam); a lam of another
+        dimension raises UsageError."""
+        if lam.dim != self.dim:
+            raise UsageError(f"dimension mismatch: phi on R^{self.dim}, "
+                             f"Lambda on R^{lam.dim}")
+        u = self.direction
+        return float(u @ lam.entries @ u)
 
     def __call__(self, x) -> NDArray[np.float64]:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and self.dim == 1:
-            x = x[:, None]
-        return np.asarray(self.evaluator(x), dtype=float)
-
-
-def ridge_function(direction, profile: PiecewisePolynomial, lipschitz_budget: float,
-                   label: str) -> TestFunction:
-    """Test function phi(x) = profile(direction . x) with unit direction; a
-    profile that is not a `PiecewisePolynomial` raises UsageError."""
-    rp = RidgeProfile(np.asarray(direction, dtype=float), profile)
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(profile(x @ rp.direction))
-
-    return TestFunction(evaluator=evaluator, lipschitz_budget=lipschitz_budget,
-                        label=label, dim=rp.direction.size, ridge=rp)
+        return np.asarray(self.profile(_points(x, self.dim) @ self.direction), dtype=float)
 
 
 def softclip_profile(slope: float, width: float, center: float = 0.0
@@ -278,7 +268,7 @@ def soft_clip_family(dim: int) -> list[TestFunction]:
     members = []
     for di, u in enumerate(directions):
         for slope, width, center in ((0.5, 1.0, 0.0), (0.5, 2.0, 0.5), (0.25, 1.0, -0.5)):
-            members.append(ridge_function(
+            members.append(TestFunction(
                 u, softclip_profile(slope, width, center), lipschitz_budget=slope,
                 label=f"softclip[s={slope},w={width},c={center},dir={di}]"))
     return members
@@ -315,57 +305,27 @@ class DiscreteLaw:
         return self.values[order], self.probs[order]
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Monte Carlo draws: values of shape (n, dim), with the master seed that
-    produced them recorded for reproducibility."""
-
-    values: NDArray[np.float64]
-    master_seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise UsageError(f"samples must be (n, dim) with n >= 1, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise UsageError("samples must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def scalar(self) -> NDArray[np.float64]:
-        if self.dim != 1:
-            raise UsageError("scalar view of multivariate samples")
-        return self.values[:, 0]
+def _samples(samples, dim: int) -> NDArray[np.float64]:
+    """samples as an (n, dim) float array, in dim 1 a 1-d array being one
+    column.  No row, another shape or a value that is not finite raises
+    UsageError."""
+    v = _points(samples, dim)
+    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] != dim:
+        raise UsageError(f"samples must be an (n, {dim}) array with n >= 1, "
+                         f"got shape {np.shape(samples)}")
+    if not np.all(np.isfinite(v)):
+        raise UsageError("samples must be finite")
+    return v
 
 
 # ---------------------------------------------------------------------------
 # mollification
 
 
-def _ridge_of(phi: TestFunction, law: GaussianLaw) -> RidgeProfile:
-    """phi's ridge, checked against the law's dimension: the Gaussian
-    calculus here is exact for ridge functions only."""
-    if phi.dim != law.dim:
-        raise UsageError(f"dimension mismatch: phi on R^{phi.dim}, law on R^{law.dim}")
-    if phi.ridge is None:
-        raise UsageError(f"{phi.label} has no ridge; build it with ridge_function "
-                         f"and a PiecewisePolynomial profile")
-    return phi.ridge
-
-
-def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
+def mollify(phi: TestFunction, eps: float,
+            lam: SpdMatrix) -> Callable[[NDArray[np.float64]], NDArray[np.float64]]:
     """Gaussian interpolation step: phi_eps(x) = E[phi(sqrt(1-eps^2) x - eps Z)],
-    Z ~ law, for a ridge function phi (anything else raises UsageError).
+    Z ~ N(0, lam), as a function called as phi is.
 
     The projected noise is a 1d Gaussian with the projected variance, so
     phi_eps(x) = E[h(a u.x - eps sigma Z')], Z' ~ N(0, 1), which the
@@ -373,18 +333,15 @@ def mollify(phi: TestFunction, eps: float, law: GaussianLaw) -> TestFunction:
     """
     if not 0.0 < eps < 1.0:
         raise UsageError(f"eps must lie in (0, 1), got {eps}")
-    ridge = _ridge_of(phi, law)
-    h, u = ridge.profile, ridge.direction
+    h, u = phi.profile, phi.direction
     a = np.sqrt(1.0 - eps * eps)
-    noise_scale = eps * np.sqrt(ridge.sigma2(law))
+    noise_scale = eps * np.sqrt(phi.sigma2(lam))
 
     def smoothed(x):
         # Z and -Z have the same law
-        return h.gaussian_expectations(a * (np.asarray(x, dtype=float) @ u),
-                                       noise_scale, (0,))[0]
+        return h.gaussian_expectations(a * (_points(x, phi.dim) @ u), noise_scale, (0,))[0]
 
-    return TestFunction(evaluator=smoothed, lipschitz_budget=phi.lipschitz_budget,
-                        label=f"mollify[{eps}]({phi.label})", dim=phi.dim)
+    return smoothed
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +410,8 @@ def w1_discrete_pair(p: DiscreteLaw, q: DiscreteLaw) -> float:
 
 
 def w1_empirical_gaussian(samples, sigma2: float) -> float:
-    """Exact W1 between the empirical law of scalar samples and N(0, sigma2).
+    """Exact W1 between the empirical law of scalar samples, of shape (n,) or
+    (n, 1), and N(0, sigma2).
 
     Sorts the samples and integrates the quantile gap in closed form on each
     order-statistic interval, so the result is deterministic in the samples
@@ -461,38 +419,33 @@ def w1_empirical_gaussian(samples, sigma2: float) -> float:
     """
     if sigma2 <= 0:
         raise UsageError("sigma2 must be positive")
-    if isinstance(samples, SampleSet):
-        samples = samples.scalar()
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.ndim != 1 or len(x) == 0:
-        raise UsageError("need a nonempty 1d sample array")
+    x = np.sort(_samples(samples, 1)[:, 0])
     n = len(x)
     u = np.arange(n + 1) / n
     return float(np.sum(_abs_quantile_gap(x, u, float(np.sqrt(sigma2)))))
 
 
-def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,
-              seed: int = 0) -> float:
-    """Average of exact 1d W1 distances over random projection directions.
+def sliced_w1(samples, lam: SpdMatrix, n_directions: int = 64, seed: int = 0) -> float:
+    """Average of exact 1d W1 distances between projections of the (n, dim)
+    samples and of N(0, lam) over random directions.
 
     Directions are drawn deterministically from `seed`.  For dim = 1 every
     direction is +-1 and the sliced value equals the plain empirical W1.
     """
     if n_directions < 1:
         raise UsageError("need at least one direction")
-    if samples.dim != law.dim:
-        raise UsageError("sample/law dimension mismatch")
+    x = _samples(samples, lam.dim)
     rng = counter_rng(seed, _SLICED_W1_TAG)
     total = 0.0
     for _ in range(n_directions):
-        u = rng.standard_normal(law.dim)
+        u = rng.standard_normal(lam.dim)
         norm = np.linalg.norm(u)
         while norm < 1e-12:  # pragma: no cover - probability ~0
-            u = rng.standard_normal(law.dim)
+            u = rng.standard_normal(lam.dim)
             norm = np.linalg.norm(u)
         u /= norm
-        s2 = float(u @ law.covariance.entries @ u)
-        total += w1_empirical_gaussian(samples.values @ u, s2)
+        s2 = float(u @ lam.entries @ u)
+        total += w1_empirical_gaussian(x @ u, s2)
     return total / n_directions
 
 
@@ -500,31 +453,31 @@ def sliced_w1(samples: SampleSet, law: GaussianLaw, n_directions: int = 64,
 # restricted (class-sup) distance
 
 
-def gaussian_mean(phi: TestFunction, law: GaussianLaw) -> float:
-    """Integral of phi against N(0, Lambda) for a ridge function phi, in
-    closed form: E[h(sigma Z)] with sigma^2 = u . Lambda u.  Anything else
-    raises UsageError."""
-    ridge = _ridge_of(phi, law)
-    sigma = float(np.sqrt(ridge.sigma2(law)))
-    return float(ridge.profile.gaussian_expectations(0.0, sigma, (0,))[0])
+def gaussian_mean(phi: TestFunction, lam: SpdMatrix) -> float:
+    """Integral of phi against N(0, lam), in closed form: E[h(sigma Z)] with
+    sigma^2 = u . lam u."""
+    sigma = float(np.sqrt(phi.sigma2(lam)))
+    return float(phi.profile.gaussian_expectations(0.0, sigma, (0,))[0])
 
 
-def restricted_distance(samples: SampleSet, law: GaussianLaw,
-                        family: Sequence[TestFunction], eps: float = 0.0) -> float:
-    """sup over the family of E_emp[phi(X)] - integral of phi dN(0, Lambda).
+def restricted_distance(samples, lam: SpdMatrix, family: Sequence[TestFunction],
+                        eps: float = 0.0) -> float:
+    """sup over the family of E_emp[phi(X)] - integral of phi dN(0, lam), X
+    the (n, dim) samples.
 
     With eps > 0 each test function is mollified first (Gaussian
     interpolation at scale eps), matching the smoothed distance used by the
-    Stein argument; interpolation preserves N(0, Lambda), so the Gaussian
-    side is E[phi(Z)] at every eps.  Every member must be a ridge function.
-    Note the sup is over the *signed* gap; families should be closed under
-    negation if two-sided distance is wanted.
+    Stein argument; interpolation preserves N(0, lam), so the Gaussian side
+    is E[phi(Z)] at every eps.  Note the sup is over the *signed* gap;
+    families should be closed under negation if two-sided distance is
+    wanted.
     """
     if not family:
         raise UsageError("family must be nonempty")
+    x = _samples(samples, lam.dim)
     best = -np.inf
     for phi in family:
-        test = mollify(phi, eps, law) if eps > 0 else phi
-        emp = float(np.mean(test(samples.values)))
-        best = max(best, emp - gaussian_mean(phi, law))
+        gauss = gaussian_mean(phi, lam)
+        test = mollify(phi, eps, lam) if eps > 0 else phi
+        best = max(best, float(np.mean(test(x))) - gauss)
     return best

@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 from scipy.special import log1p, ndtri
 
 from ._util import _MC_STREAM_TAG, UsageError, philox_key
-from .distances import DiscreteLaw, SampleSet
+from .distances import DiscreteLaw, _samples
 from .multilevel import DependenceStructure
 
 __all__ = [
@@ -579,8 +579,9 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
 
     Realization k is a pure function of (master_seed, k), so results do not
     depend on `chunk_size`, which only bounds the realizations in memory at
-    once.  Returns a SampleSet, or with `groups`, an int array of shape
-    (n_groups, group_len) holding index columns, a pair (SampleSet, sums):
+    once.  Returns the (n, n_components) totals, of which one that is not
+    finite raises UsageError, or with `groups`, an int array of shape
+    (n_groups, group_len) holding index columns, a pair (totals, sums):
     sums[k, g] is the sum of realization k's values over the columns
     groups[g], added one after the other, shape (n, n_groups, n_components),
     and `np.arange(n_indices)[:, None]` gives the per-index values
@@ -633,10 +634,10 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
         noise = _draw(structure.d, structure.L, spec.dist, master_seed, k0, count)
         totals[k0:k0 + count] = synthetic_totals(
             noise, None if sums is None else sums[k0:k0 + count])
-    samples = SampleSet(values=totals, master_seed=master_seed)
+    _samples(totals, spec.n_components)  # non-finite totals are refused, as in distances
     if groups is not None:
-        return samples, sums
-    return samples
+        return totals, sums
+    return totals
 
 
 # ---------------------------------------------------------------------------

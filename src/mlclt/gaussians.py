@@ -1,5 +1,7 @@
-"""Centered Gaussian laws on R^N and their covariance matrices, with the
-spectral data that the Stein certificates and the assembled bound read."""
+"""The covariance Lambda of the centered Gaussian target N(0, Lambda): an
+`SpdMatrix`, with the spectral data that the Stein certificates and the
+assembled bound read.  The Gaussian law itself has no type of its own: every
+function that takes it takes Lambda."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,10 +11,7 @@ from numpy.typing import NDArray
 
 from ._util import UsageError
 
-__all__ = [
-    "SpdMatrix",
-    "GaussianLaw",
-]
+__all__ = ["SpdMatrix"]
 
 _EIG_FLOOR = 1e-12  # relative floor below which a covariance counts as degenerate
 
@@ -72,13 +71,3 @@ class SpdMatrix:
         """|A^{-1/2}|."""
         return float(1.0 / np.sqrt(self._eigvals[0]))
 
-
-@dataclass(frozen=True)
-class GaussianLaw:
-    """Centered normal law N(0, covariance) on R^dim."""
-
-    covariance: SpdMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.covariance.dim

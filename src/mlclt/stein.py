@@ -17,12 +17,12 @@ Gaussian kernel:
     D^2   f_eps = 1/2 int s^{-1}               int phi(...) D^2  N(z) dz ds
     D^3   f_eps = 1/2 int (1-s)^{1/2} s^{-3/2} int phi(...) D^3  N(z) dz ds
 
-Test functions are ridge functions phi(x) = h(u . x) with a C^2
-`PiecewisePolynomial` profile h, as every soft-clip member is in every dim;
-any other test function raises UsageError.  The reduction is exact: f_eps(x)
-= F(u . x) where F is the 1d solution for profile h and variance sigma^2 =
-u . Lambda u, so D^k f_eps(x) = F_k(u . x) u^{(x)k} and every integral is
-one-dimensional.  Gaussian integration by parts, E[f(G) He_k(G)] =
+Lambda is an `SpdMatrix`, passed as `lam`, and every test function is a
+`TestFunction`: a ridge phi(x) = h(u . x) with a C^2 `PiecewisePolynomial`
+profile h, as every soft-clip member is in every dim.  The reduction is
+exact: f_eps(x) = F(u . x) where F is the 1d solution for profile h and
+variance sigma^2 = u . Lambda u, so D^k f_eps(x) = F_k(u . x) u^{(x)k} and
+every integral is one-dimensional.  Gaussian integration by parts, E[f(G) He_k(G)] =
 E[f^(k)(G)], turns the order-k inner integral into
 
     F_k(w) = sum_i sw_k(s_i) s_i^{k/2} E[h^(k)(sqrt(1-s_i) w + sqrt(s_i) sigma Z)]
@@ -60,14 +60,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._util import QuadratureError, UsageError, hermite_1d
-from .distances import (PiecewisePolynomial, TestFunction, _ridge_of, gaussian_mean,
-                        mollify)
-from .gaussians import GaussianLaw
+from .distances import TestFunction, gaussian_mean, mollify
+from .gaussians import SpdMatrix
 
 __all__ = [
     "SteinSolution",
@@ -93,9 +93,15 @@ _S_NODES = 128
 # with large slack: 48 leave at most 2.9e-4 in F_2 and F_3 against a converged
 # reference (dims 1-3, eps 0.05-0.9, Lambda = Id / 4, Id, 4 Id), 32 left 3.7e-3.
 _TABLE_S_NODES = 48
-# Node-doubling settle tolerance of the majorant tables' orders at the probe
-# points: doubling the 48 nodes moves them by at most 3.1e-5 on that grid.
+# Node-doubling settle tolerance of the majorant tables' orders, taken at the
+# probe points and at `_TABLE_GATE_W`.  On those 41 points the 48 -> 96 move
+# equals the 48-node error against 1024 s-nodes to a ratio of at least
+# 0.9999 and reaches 2.9e-4 (dims 1-3, Lambda = Id / 4, Id, 4 Id, eps
+# 0.05-0.9, every soft-clip member); the probe points alone saw as little as
+# 7.6e-4 of that error.
 _TABLE_VERIFY_TOL = 1e-3
+# Scalar points w = u . x at which the table gate also doubles the nodes.
+_TABLE_GATE_W = np.linspace(-4.0, 4.0, 41)
 # Orders that the majorant tables hold, and whose node doubling gates them.
 _TABLE_ORDERS = (2, 3)
 # The s-integral's rule, as each stein-certify manifest records it.
@@ -189,13 +195,13 @@ def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class SteinSolution:
-    """Mollified Stein solution f_eps for (phi, law, eps).
+    """Mollified Stein solution f_eps for (phi, lam, eps), target N(0, lam).
 
-    phi must be a ridge function (`distances.ridge_function`); anything else
-    raises UsageError.  Construction takes E[phi(Z)] with `gaussian_mean`,
-    then runs node-doubling convergence probes of the s-integral on the
-    fixed budgets of `_S_NODES` and, for the majorant tables' orders, of
-    `_TABLE_S_NODES`; QuadratureError names the one that has not settled
+    Construction takes E[phi(Z)] with `gaussian_mean`, then runs
+    node-doubling convergence probes of the s-integral on the fixed budgets
+    of `_S_NODES` at three probe points and, for the majorant tables'
+    orders, of `_TABLE_S_NODES` at those and at `_TABLE_GATE_W`;
+    QuadratureError names the one that has not settled
     (`node_doubling_deltas` and each majorant certificate's `table` report
     the moves).  Majorant tables are built once per (delta, window) and
     kept with the solution.  Points passed to the evaluation and
@@ -203,10 +209,10 @@ class SteinSolution:
     """
 
     phi: TestFunction
-    law: GaussianLaw
+    lam: SpdMatrix
     eps: float
     _sigma: float = field(init=False, repr=False, compare=False)
-    _phi_eps: TestFunction = field(init=False, repr=False, compare=False)
+    _phi_eps: Callable = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
     _table_deltas: dict = field(init=False, repr=False, compare=False)
@@ -216,18 +222,18 @@ class SteinSolution:
         if not _EPS_MIN <= self.eps <= _EPS_MAX:
             raise UsageError(
                 f"eps={self.eps} outside the supported range [{_EPS_MIN}, {_EPS_MAX}]")
-        ridge = _ridge_of(self.phi, self.law)
-        object.__setattr__(self, "_sigma", float(np.sqrt(ridge.sigma2(self.law))))
-        object.__setattr__(self, "_phi_eps", mollify(self.phi, self.eps, self.law))
-        # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ law
-        object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.law))
+        object.__setattr__(self, "_sigma", float(np.sqrt(self.phi.sigma2(self.lam))))
+        object.__setattr__(self, "_phi_eps", mollify(self.phi, self.eps, self.lam))
+        # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ N(0, lam)
+        object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.lam))
         probe = self._project(self._probe_points())
-        for attr, name, orders, s_nodes, tol in (
-                ("_deltas", "Stein quadrature", _GATE_ORDERS, _S_NODES, _VERIFY_TOL),
-                ("_table_deltas", "majorant table", _TABLE_ORDERS, _TABLE_S_NODES,
-                 _TABLE_VERIFY_TOL)):
-            coarse = self._fk(probe, orders, s_nodes)
-            fine = self._fk(probe, orders, 2 * s_nodes)
+        for attr, name, w, orders, s_nodes, tol in (
+                ("_deltas", "Stein quadrature", probe, _GATE_ORDERS, _S_NODES,
+                 _VERIFY_TOL),
+                ("_table_deltas", "majorant table", np.concatenate([probe, _TABLE_GATE_W]),
+                 _TABLE_ORDERS, _TABLE_S_NODES, _TABLE_VERIFY_TOL)):
+            coarse = self._fk(w, orders, s_nodes)
+            fine = self._fk(w, orders, 2 * s_nodes)
             deltas = {order: float(np.max(np.abs(a - b)))
                       for order, a, b in zip(orders, coarse, fine)}
             for order, delta in deltas.items():
@@ -258,7 +264,7 @@ class SteinSolution:
         rows, cols = max(1, _EXACT_SLICE // max(1, m)), max(1, min(m, _EXACT_SLICE))
         outs = [np.zeros(m) for _ in orders]
         vals = [np.empty((min(block, len(s)), m)) for _ in orders]
-        profile = self.phi.ridge.profile
+        profile = self.phi.profile
         for start in range(0, len(s), block):
             sb = s[start:start + block]
             for r in range(0, len(sb), rows):
@@ -279,22 +285,22 @@ class SteinSolution:
         return dict(self._deltas)
 
     def _probe_points(self) -> NDArray[np.float64]:
-        root = self.law.covariance.sqrt()
-        ones = np.ones(self.law.dim)
-        return np.vstack([np.zeros(self.law.dim), root @ ones, -2.0 * (root @ ones)])
+        root = self.lam.sqrt()
+        ones = np.ones(self.lam.dim)
+        return np.vstack([np.zeros(self.lam.dim), root @ ones, -2.0 * (root @ ones)])
 
     def _points(self, x, single: bool = False) -> NDArray[np.float64]:
         """x as an (m, dim) batch, a 1-d x being one point.  Any other shape,
         or more than one point when `single`, raises UsageError."""
         shape = np.shape(x)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != self.law.dim or (single and len(x) != 1):
+        if x.ndim != 2 or x.shape[1] != self.lam.dim or (single and len(x) != 1):
             raise UsageError(f"expected {'a point' if single else 'points'} of "
-                             f"R^{self.law.dim}, got an array of shape {shape}")
+                             f"R^{self.lam.dim}, got an array of shape {shape}")
         return x
 
     def _project(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return x @ self.phi.ridge.direction
+        return x @ self.phi.direction
 
     def values(self, x) -> NDArray[np.float64]:
         """f_eps at points x: one point of R^dim as a 1-d x, or an (m, dim)
@@ -310,8 +316,8 @@ def stein_residual(sol: SteinSolution, x) -> float:
     """|{-Lambda : D^2 f + x . grad f} - {phi_eps(x) - E phi_eps}| at a point."""
     x = sol._points(x, single=True)[0]
     rhs = float(sol._phi_eps(x[None, :])[0]) - sol._c_eps
-    w = float(x @ sol.phi.ridge.direction)
-    sigma2 = sol.phi.ridge.sigma2(sol.law)
+    w = float(x @ sol.phi.direction)
+    sigma2 = sol.phi.sigma2(sol.lam)
     f1, f2 = (float(f) for f in sol._fk(w, (1, 2)))
     lhs = -sigma2 * f2 + w * f1
     return abs(lhs - rhs)
@@ -322,8 +328,8 @@ def third_derivative_certificate(sol: SteinSolution, points) -> dict:
     points = sol._points(points)
     if points.size == 0:
         raise UsageError("third_derivative_certificate needs at least one point")
-    n = sol.law.dim
-    bound = 15.0 * sol.law.covariance.inv_operator_norm() * sol.eps ** (-n)
+    n = sol.lam.dim
+    bound = 15.0 * sol.lam.inv_operator_norm() * sol.eps ** (-n)
     # |F_3(w) u^{(x)3}| = |F_3(w)| for a unit u
     mags = np.abs(sol.derivative_scalars(sol._project(points), 3))
     ratios = mags / bound
@@ -363,7 +369,7 @@ class _RidgeMajorant:
 
     def __init__(self, sol: SteinSolution, delta: float, w_lo: float, w_hi: float):
         self.delta = delta
-        kd = _osc_window_k(sol.law.dim) * delta
+        kd = _osc_window_k(sol.lam.dim) * delta
         g, gw = hermite_1d(64)
         keep = np.abs(g) <= 8.0  # dropped conv weights are below exp(-32)
         self.conv_nodes, self.conv_wts = g[keep], gw[keep]
@@ -425,12 +431,12 @@ def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) ->
     """
     _check_delta(delta)
     order = _majorant_order(kind)
-    n = sol.law.dim
+    n = sol.lam.dim
     log_eps = abs(np.log(sol.eps))
     if kind == "hessian":
-        bound = 100.0 * n ** 1.5 * sol.law.covariance.inv_operator_norm() * log_eps * delta
+        bound = 100.0 * n ** 1.5 * sol.lam.inv_operator_norm() * log_eps * delta
     else:
-        inv_sqrt = sol.law.covariance.inv_sqrt_operator_norm()
+        inv_sqrt = sol.lam.inv_sqrt_operator_norm()
         bound = 100.0 * n ** 3 * inv_sqrt ** 2 * (log_eps + inv_sqrt * delta / sol.eps)
     g, gw = hermite_1d(64)
     w = sol._sigma * g

@@ -4,7 +4,8 @@ Gaussian-mean paths of `mlclt` are cross-checked against.
 `GaussHermiteStein` is the tensorized quadrature Stein solver for dims 1-3.
 It uses the same s-panels as `mlclt.stein`, and takes the inner Gaussian
 integral of each derivative order with a tensor Gauss-Hermite rule against
-the kernel D^k N / N.  It accepts any test function, ridge or not.  The rule
+the kernel D^k N / N.  It takes the test function as a plain callable on
+(m, dim) arrays, ridge or not, and Lambda as an `SpdMatrix`.  The rule
 integrates a polynomial profile with no knots exactly, so against the
 closed form only the shared s-integral and rounding remain.
 
@@ -99,18 +100,17 @@ def gaussian_expectation(sqrt_cov, fn, n_per_axis: int = 64, check: bool = False
     return val
 
 
-def mollified(phi, eps: float, law, x, n_per_axis: int = 32):
-    """phi_eps(x) = E[phi(sqrt(1-eps^2) x - eps Z)], Z ~ law, at points x of
-    shape (m, dim), behind the node-doubling check."""
+def mollified(phi, eps: float, lam, x, n_per_axis: int = 32):
+    """phi_eps(x) = E[phi(sqrt(1-eps^2) x - eps Z)], Z ~ N(0, lam), at points
+    x of shape (m, dim), behind the node-doubling check."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     a = np.sqrt(1.0 - eps * eps)
 
     def inner(z):
         arg = a * x[None, :, :] - eps * z[:, None, :]
-        return phi(arg.reshape(-1, law.dim)).reshape(len(z), len(x))
+        return phi(arg.reshape(-1, lam.dim)).reshape(len(z), len(x))
 
-    return gaussian_expectation(law.covariance.sqrt(), inner, n_per_axis=n_per_axis,
-                                check=True)
+    return gaussian_expectation(lam.sqrt(), inner, n_per_axis=n_per_axis, check=True)
 
 
 def simpson_weights(n_intervals: int, h: float):
@@ -161,7 +161,7 @@ def one_shot_fk(sol, w, orders, s_nodes=None, panels=_s_panels):
     for start in range(0, len(s), block):
         sl = slice(start, start + block)
         sb = s[sl]
-        vals = sol.phi.ridge.profile.gaussian_expectations(
+        vals = sol.phi.profile.gaussian_expectations(
             np.sqrt(1.0 - sb)[:, None] * flat[None, :],
             (np.sqrt(sb) * sol._sigma)[:, None], orders)
         for out, sw, k, val in zip(outs, sws, orders, vals):
@@ -172,27 +172,25 @@ def one_shot_fk(sol, w, orders, s_nodes=None, panels=_s_panels):
 
 
 class GaussHermiteStein:
-    """D^k f_eps by direct tensorized quadrature, for any test function in
-    dims 1-3."""
+    """D^k f_eps by direct tensorized quadrature, for any test function phi,
+    a callable on (m, dim) arrays, and covariance lam in dims 1-3."""
 
-    def __init__(self, phi, law, eps: float, s_nodes: int = 1024,
+    def __init__(self, phi, lam, eps: float, s_nodes: int = 1024,
                  n_axis: int | None = None):
-        if law.dim not in _AXIS_NODES:
-            raise UsageError(f"tensorized quadrature needs dim 1, 2 or 3, got {law.dim}")
-        if phi.dim != law.dim:
-            raise UsageError("test function and law dimension mismatch")
+        if lam.dim not in _AXIS_NODES:
+            raise UsageError(f"tensorized quadrature needs dim 1, 2 or 3, got {lam.dim}")
         self.phi = phi
-        self.law = law
+        self.lam = lam
         self.eps = eps
         self.s_nodes = s_nodes
-        self.n_axis = n_axis or _AXIS_NODES[law.dim]
+        self.n_axis = n_axis or _AXIS_NODES[lam.dim]
 
     def _nodes(self, n_axis: int):
-        pts, wts = hermite_grid(self.law.dim, n_axis)
-        return pts @ self.law.covariance.sqrt().T, wts
+        pts, wts = hermite_grid(self.lam.dim, n_axis)
+        return pts @ self.lam.sqrt().T, wts
 
     def _kernel(self, order: int, z):
-        a = self.law.covariance.inv()
+        a = self.lam.inv()
         az = z @ a.T
         if order == 0:
             return np.ones(len(z))
@@ -223,7 +221,7 @@ class GaussHermiteStein:
         outs = [np.zeros((len(x),) + kern_w.shape[1:]) for kern_w in kern_ws]
         for i, si in enumerate(s):
             arg = np.sqrt(1.0 - si) * x[:, None, :] - np.sqrt(si) * z[None, :, :]
-            vals = self.phi(arg.reshape(-1, self.law.dim)).reshape(len(x), len(z)) - c0
+            vals = self.phi(arg.reshape(-1, self.lam.dim)).reshape(len(x), len(z)) - c0
             for out, sw, kern_w in zip(outs, sws, kern_ws):
                 out += sw[i] * np.tensordot(vals, kern_w, axes=(1, 0))
         return outs[0] if np.ndim(orders) == 0 else tuple(outs)

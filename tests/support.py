@@ -151,8 +151,9 @@ class MembershipReport:
 _OSC_SAFETY = 1.05  # sampled oscillations are lower bounds; allow 5% headroom
 
 
-def class_membership_check(phi, law, lbar: float, r_grid, x0_grid) -> MembershipReport:
-    """Check phi against the restricted test class for `law`: |grad phi| <=
+def class_membership_check(phi, lam, lbar: float, r_grid, x0_grid) -> MembershipReport:
+    """Check phi, a callable on (m, dim) arrays, against the restricted test
+    class for N(0, lam), lam an `SpdMatrix`: |grad phi| <=
     lbar (central differences at probe points), and the averaged ball
     oscillation, the integral of osc_r phi(x) N_Lambda(x - x0) dx, at most r
     for every r in r_grid and x0 in x0_grid.  Oscillations are sampled over
@@ -160,12 +161,12 @@ def class_membership_check(phi, law, lbar: float, r_grid, x0_grid) -> Membership
     allows 5%.  A NaN gradient or ratio fails."""
     if lbar <= 0:
         raise UsageError("lbar must be positive")
-    dim = law.dim
+    dim = lam.dim
     pts, wts = hermite_grid(dim, 32 if dim <= 2 else 16)
     ball = ball_points(dim)
     worst_ratio = worst_grad = 0.0
     for x0 in x0_grid:
-        nodes = pts @ law.covariance.sqrt().T + np.atleast_1d(np.asarray(x0, dtype=float))
+        nodes = pts @ lam.sqrt().T + np.atleast_1d(np.asarray(x0, dtype=float))
         worst_grad = float(np.maximum(
             worst_grad, _max_gradient(phi, nodes[::max(1, len(nodes) // 32)])))
         for r in r_grid:

@@ -25,7 +25,7 @@ from mlclt.distances import (DiscreteLaw, gaussian_mean, mollify, soft_clip_fami
                              w1_discrete_vs_gaussian, w1_empirical_gaussian)
 from mlclt.fields import (SyntheticSpec, brute_force_law, make_preset,
                           monte_carlo, PRESET_NAMES)
-from mlclt.gaussians import GaussianLaw, SpdMatrix
+from mlclt.gaussians import SpdMatrix
 from mlclt.multilevel import (DependenceStructure, _bound_from_counts, bar_constants,
                               chi_matrix, choose_eps_ell, theorem_bound)
 from mlclt.stein import SteinSolution, majorant_average_certificate, stein_residual, third_derivative_certificate
@@ -51,22 +51,22 @@ def test_acceptance_1_gaussian_calculus():
                 assert abs((4.0 * fd(5e-3) - fd(1e-2)) / 3.0 - means(a)[k + 1]) < 1e-6
 
     for entries in ([[1.0]], [[2.0, 1.0], [1.0, 2.0]], np.diag([1.0, 0.5, 2.0])):
-        law = GaussianLaw(SpdMatrix(np.asarray(entries, dtype=float)))
-        n = law.dim
+        lam = SpdMatrix(np.asarray(entries, dtype=float))
+        n = lam.dim
         x = np.random.default_rng(11).normal(size=(4, n))
         for phi in soft_clip_family(n):
             # interpolation preserves N(0, Lambda): E[phi_eps(Z)] = E[phi(Z)]
             # (tol 1e-9 against a 32-node tensor rule)
             smoothed = float(gaussian_expectation(
-                law.covariance.sqrt(), mollify(phi, 0.5, law), n_per_axis=32))
-            assert abs(smoothed - gaussian_mean(phi, law)) < 1e-9, (n, phi.label)
+                lam.sqrt(), mollify(phi, 0.5, lam), n_per_axis=32))
+            assert abs(smoothed - gaussian_mean(phi, lam)) < 1e-9, (n, phi.label)
             # interpolations compose as Gaussians convolve: smoothing at 0.3
             # and then at 0.4 is smoothing at eps with 1 - eps^2 = 0.91 * 0.84
             # (tol 1e-8, the outer integral by node-doubled quadrature)
             eps = math.sqrt(1.0 - 0.91 * 0.84)
-            twice = mollified(mollify(phi, 0.3, law), 0.4, law, x,
+            twice = mollified(mollify(phi, 0.3, lam), 0.4, lam, x,
                               n_per_axis=32 if n <= 2 else 16)
-            assert np.max(np.abs(twice - mollify(phi, eps, law)(x))) < 1e-8, (n, phi.label)
+            assert np.max(np.abs(twice - mollify(phi, eps, lam)(x))) < 1e-8, (n, phi.label)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -78,14 +78,14 @@ def test_acceptance_2_stein_certification(tmp_path):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
     for n in (1, 2):
-        law = GaussianLaw(SpdMatrix(np.eye(n)))
+        lam = SpdMatrix(np.eye(n))
         pts_1d = np.linspace(-2.0, 2.0, 9 if n == 1 else 3)
         grid = np.stack(np.meshgrid(*([pts_1d] * n), indexing="ij"),
                         axis=-1).reshape(-1, n)
         probe = 2.0 * rng.standard_normal((1000, n))
         for eps in (0.25, 0.5):
             for phi in soft_clip_family(n):
-                sol = SteinSolution(phi, law, eps)
+                sol = SteinSolution(phi, lam, eps)
                 residual = max(stein_residual(sol, x) for x in grid)
                 assert residual <= 1e-3, (n, eps, phi.label, residual)
                 third = third_derivative_certificate(sol, probe)
@@ -113,8 +113,7 @@ def test_acceptance_3_oracle_equivalence():
                          level_weights=(1.0,))
     structure = DependenceStructure(d=1, L=2, K=2.0, gamma=2.0, B=2.0)
     exact = brute_force_law(spec, structure)
-    samples = monte_carlo(spec, structure, 10 ** 6, 2026)
-    vals = samples.scalar()
+    vals = monte_carlo(spec, structure, 10 ** 6, 2026)[:, 0]
     atoms, counts = np.unique(vals, return_counts=True)
     empirical = DiscreteLaw(values=atoms, probs=counts / len(vals))
     assert w1_discrete_pair(empirical, exact) <= 0.005
@@ -240,7 +239,7 @@ def test_acceptance_7_concentration():
     # norm dominates the empirical two-sided tails
     for name in PRESET_NAMES:
         spec, st = make_preset(name, 1, 16)
-        x = monte_carlo(spec, st, 10 ** 5, 314).scalar()
+        x = monte_carlo(spec, st, 10 ** 5, 314)[:, 0]
         xc = x - x.mean()
         gamma_tilde = st.gamma / (st.gamma + 1.0)
         norm = stretched_norm(xc, gamma_tilde).value
@@ -259,7 +258,7 @@ def test_acceptance_7_concentration():
         ratio_by_l = []
         for L in (16, 64):
             spec, st = make_preset(name, 1, L)
-            x = monte_carlo(spec, st, 10 ** 5, 314).scalar()
+            x = monte_carlo(spec, st, 10 ** 5, 314)[:, 0]
             measured = stretched_norm(x - x.mean(), st.gamma / (st.gamma + 1.0)).value
             budget = 2.0 * st.B * st.log_l ** 0.5 * L ** -0.5
             ratio_by_l.append(measured / budget)
@@ -301,7 +300,7 @@ def test_acceptance_8_moderate_deviations():
     for L, ell in ((64, 8), (256, 16)):
         spec, st = make_preset("cube", 1, L)
         assert moderate_grouping(st, ell).degenerate
-        x = monte_carlo(spec, st, 20000, 99).scalar()
+        x = monte_carlo(spec, st, 20000, 99)[:, 0]
         measured = stretched_norm(x - x.mean(), st.gamma / (st.gamma + 1.0)).value
         budget = remainder_budget(st, ell)
         assert measured <= budget

@@ -204,7 +204,7 @@ def test_clt_rate_row_matches_direct_monte_carlo(tmp_path):
     spec, structure = cfg.structure_for(4)
     direct = monte_carlo(spec, structure, 2000, row_seed(3, 4))
     # shortest round-trip decimals read back as the same float
-    assert float(row["estimated_variance"]) == float(direct.scalar().var(ddof=1))
+    assert float(row["estimated_variance"]) == float(direct[:, 0].var(ddof=1))
     assert int(row["seed"]) == row_seed(3, 4)
 
 
@@ -577,6 +577,19 @@ def test_main_usage_errors_exit_two(tmp_path, capsys):
     for n_dim in ("0", "-1"):
         assert main(["stein-certify", "--n-dim", n_dim]) == 2
     assert "error:" in capsys.readouterr().err
+    # a value that does not parse is named by its key, not a traceback
+    cfg = tmp_path / "bad.cfg"
+    for args, key in ((["--L", "16,x"], "L_list"),
+                      (["--policy", "c_bar=abc"], "policy.c_bar")):
+        assert main(["clt-rate", *args]) == 2, args
+        assert key in capsys.readouterr().err, args
+    for line, key in (("n_samples = 1e4", "n_samples"), ("L_list = 16,a", "L_list"),
+                      ("policy.c_bar = x", "policy.c_bar"), ("policy = 3", "policy.NAME")):
+        cfg.write_text(line + "\n")
+        assert main(["clt-rate", "--config", str(cfg)]) == 2, line
+        assert key in capsys.readouterr().err, line
+    assert main(["clt-rate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "missing.cfg" in capsys.readouterr().err
 
 
 def test_bad_tails_length_exits_before_the_csv_opens(tmp_path, capsys):

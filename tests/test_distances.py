@@ -11,24 +11,18 @@ from support import class_membership_check
 
 from mlclt import UsageError, distances
 from mlclt.distances import TestFunction as FnSpec
-from mlclt.distances import (DiscreteLaw, PiecewisePolynomial, SampleSet,
-                             gaussian_mean, mollify, restricted_distance,
-                             ridge_function, sliced_w1, soft_clip_family,
+from mlclt.distances import (DiscreteLaw, PiecewisePolynomial, gaussian_mean, mollify,
+                             restricted_distance, sliced_w1, soft_clip_family,
                              softclip_profile, w1_discrete_pair,
                              w1_discrete_vs_gaussian, w1_empirical_gaussian)
-from mlclt.gaussians import GaussianLaw, SpdMatrix
+from mlclt.gaussians import SpdMatrix
 
-STD_1D = GaussianLaw(SpdMatrix(np.eye(1)))
+STD_1D = SpdMatrix(np.eye(1))
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def scalar_fn(f, budget, label):
-    return FnSpec(evaluator=lambda x: f(np.asarray(x)[:, 0]),
-                        lipschitz_budget=budget, label=label, dim=1)
-
-
 def poly_fn(coeffs, budget, label):
-    return ridge_function([1.0], poly(*coeffs), budget, label)
+    return FnSpec([1.0], poly(*coeffs), budget, label)
 
 
 # ---------------------------------------------------------------------------
@@ -44,28 +38,43 @@ def test_discrete_law_validation():
         DiscreteLaw(values=np.array([np.inf]), probs=np.array([1.0]))
 
 
-def test_sample_set_validation_and_views():
-    s = SampleSet(values=np.arange(6.0), master_seed=1)
-    assert s.dim == 1 and s.n == 6
-    assert np.array_equal(s.scalar(), np.arange(6.0))
-    with pytest.raises(UsageError):
-        SampleSet(values=np.array([[np.nan]]), master_seed=0)
+def test_sample_arrays_must_be_nonempty_finite_and_two_dimensional():
+    # w1_empirical_gaussian once returned nan for a NaN sample and inf for an
+    # inf one; every sample array is checked where it enters a distance
+    family = soft_clip_family(1)
+    calls = (lambda x: w1_empirical_gaussian(x, 1.0),
+             lambda x: sliced_w1(x, STD_1D, n_directions=2),
+             lambda x: restricted_distance(x, STD_1D, family))
+    for bad in (np.array([0.0, np.nan, 1.0]), np.array([0.0, np.inf, 1.0]),
+                np.array([[-np.inf], [0.0]]), np.array([]), np.empty((0, 1)),
+                np.zeros((4, 1, 1)), np.zeros((4, 2))):
+        for call in calls:
+            with pytest.raises(UsageError, match="samples"):
+                call(bad)
+    # a 1-d array and its column are the same scalar samples
+    x = np.linspace(-2.0, 2.0, 7)
+    for call in calls:
+        assert call(x) == call(x[:, None])
 
 
 def test_ridge_direction_normalized():
-    phi = ridge_function([3.0, 4.0], poly(0.0, 1.0), 1.0, "lin")
-    assert np.allclose(phi.ridge.direction, [0.6, 0.8])
+    phi = FnSpec([3.0, 4.0], poly(0.0, 1.0), 1.0, "lin")
+    assert np.allclose(phi.direction, [0.6, 0.8]) and phi.dim == 2
     x = np.array([[1.0, 1.0]])
     assert math.isclose(float(phi(x)[0]), 1.4)
 
 
 def test_scalar_function_takes_a_one_element_1d_input_as_one_point():
-    # in dim 1 every 1-d x is a column of points, one element or more
-    phi = scalar_fn(lambda t: t ** 2, 10.0, "x^2")
+    # in dim 1 every 1-d x is a column of points, one element or more, for a
+    # test function and for its mollification alike
+    phi = poly_fn((0.0, 0.0, 1.0), 10.0, "x^2")
     assert np.array_equal(phi(np.array([0.5])), [0.25])
     assert np.array_equal(phi(np.array([0.5, 0.7])), phi(np.array([[0.5], [0.7]])))
-    ridge = poly_fn((0.0, 0.0, 1.0), 10.0, "x^2")
-    assert np.array_equal(ridge(np.array([0.5])), [0.25])
+    smoothed = mollify(phi, 0.5, STD_1D)
+    one = smoothed(np.array([0.5]))
+    assert one.shape == (1,) and np.allclose(one, 0.4375)  # (3/4) x^2 + 1/4
+    assert np.array_equal(smoothed(np.array([0.5, 0.7])),
+                          smoothed(np.array([[0.5], [0.7]])))
 
 
 # ---------------------------------------------------------------------------
@@ -107,37 +116,32 @@ def test_mollify_rejects_bad_eps_and_dim():
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(UsageError):
             mollify(phi, eps, STD_1D)
-    with pytest.raises(UsageError):
-        mollify(phi, 0.5, GaussianLaw(SpdMatrix(np.eye(2))))
+    with pytest.raises(UsageError, match="dimension"):
+        mollify(phi, 0.5, SpdMatrix(np.eye(2)))
+    with pytest.raises(UsageError, match="dimension"):
+        gaussian_mean(phi, SpdMatrix(np.eye(2)))
 
 
 def test_mollify_generic_2d_matches_ridge_reduction():
     # the tensor Hermite rule of the oracle against the closed form: exact
     # for a no-knot cubic, settled to 1e-8 for the soft-clip members
-    law = GaussianLaw(SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])))
+    lam = SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    cubic = ridge_function(u, poly(0.0, 1.0, 0.0, -1.0 / 3.0), 1.0, "ridge")
+    cubic = FnSpec(u, poly(0.0, 1.0, 0.0, -1.0 / 3.0), 1.0, "ridge")
     pts = np.array([[0.0, 0.0], [1.0, -0.5], [-2.0, 1.0]])
     for phi in [cubic] + soft_clip_family(2):
-        a = mollify(phi, 0.4, law)(pts)
-        b = mollified(phi, 0.4, law, pts, n_per_axis=64)
+        a = mollify(phi, 0.4, lam)(pts)
+        b = mollified(phi, 0.4, lam, pts, n_per_axis=64)
         assert np.max(np.abs(a - b)) < 1e-6, phi.label
 
 
-def test_mollify_and_gaussian_mean_reject_a_function_without_a_ridge():
-    # the closed forms need a ridge with a PiecewisePolynomial profile, so
-    # a plain callable is refused in every dim, kinked or smooth
+def test_a_profile_that_is_not_a_piecewise_polynomial_is_refused():
+    # the closed forms need a PiecewisePolynomial profile, so a plain
+    # callable is refused in every dim, kinked or smooth
     for dim in (1, 2, 3):
-        law = GaussianLaw(SpdMatrix(np.eye(dim)))
-        plain = FnSpec(evaluator=lambda x: np.abs(x[:, 0]) * np.abs(x[:, -1]),
-                       lipschitz_budget=10.0, label="kink", dim=dim)
-        with pytest.raises(UsageError, match="no ridge"):
-            mollify(plain, 0.5, law)
-        with pytest.raises(UsageError, match="no ridge"):
-            gaussian_mean(plain, law)
-    for profile in (np.tanh, np.abs, lambda t: t):
-        with pytest.raises(UsageError, match="PiecewisePolynomial"):
-            ridge_function([1.0, 1.0], profile, 1.0, "plain")
+        for profile in (np.tanh, np.abs, lambda t: t):
+            with pytest.raises(UsageError, match="PiecewisePolynomial"):
+                FnSpec(np.ones(dim), profile, 1.0, "plain")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,7 @@ def test_exact_mollify_matches_adaptive_quadrature(eps):
         # accurate to about 1e-10 (it is off by 2.5e-10 at t = 0 for the
         # third member at noise scale eps * sqrt(2), where mpmath agrees
         # with the closed form to 1e-16)
-        exact = mollify(ridge_function([1.0], h, 0.5, "h"), eps, STD_1D)(t)
+        exact = mollify(FnSpec([1.0], h, 0.5, "h"), eps, STD_1D)(t)
         oracle = _adaptive_profile_mean(h, a, eps, t)
         assert np.max(np.abs(exact - oracle)) <= 1e-10
 
@@ -267,14 +271,14 @@ def test_soft_clip_mollify_never_takes_a_quadrature_path():
     # distances binds no quadrature rule, so every mean below is the closed form
     assert not [name for name in vars(distances) if "hermite" in name or name == "quad"]
     for dim in (1, 2):
-        law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.4 * (1.0 - np.eye(dim))))
+        lam = SpdMatrix(np.eye(dim) + 0.4 * (1.0 - np.eye(dim)))
         x = np.linspace(-2.0, 2.0, 3 * dim).reshape(3, dim)
         for phi in soft_clip_family(dim):
-            sigma = math.sqrt(phi.ridge.sigma2(law))
-            closed = phi.ridge.profile.gaussian_expectations(0.0, sigma, (0,))[0]
-            assert gaussian_mean(phi, law) == float(closed)
+            sigma = math.sqrt(phi.sigma2(lam))
+            closed = phi.profile.gaussian_expectations(0.0, sigma, (0,))[0]
+            assert gaussian_mean(phi, lam) == float(closed)
             for eps in (0.25, 0.5):
-                assert np.isfinite(mollify(phi, eps, law)(x)).all()
+                assert np.isfinite(mollify(phi, eps, lam)(x)).all()
 
 
 @pytest.mark.parametrize("variance", [1.0, 2.5])
@@ -283,10 +287,10 @@ def test_gaussian_mean_of_soft_clip_members_matches_mpmath(variance):
     # 128-node Hermite rule is off by up to 2.7e-5 here
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
-    law = GaussianLaw(SpdMatrix(np.array([[variance]])))
+    lam = SpdMatrix(np.array([[variance]]))
     for params, phi in zip(SOFTCLIP_PARAMS, soft_clip_family(1)):
         want = float(_mp_softclip_expectation(mpmath, params, 0, 0.0, math.sqrt(variance)))
-        assert abs(gaussian_mean(phi, law) - want) <= 1e-13, params
+        assert abs(gaussian_mean(phi, lam) - want) <= 1e-13, params
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +314,17 @@ def test_membership_half_slope_passes():
 
 
 def test_membership_constant_passes_with_zero_oscillation():
-    phi = scalar_fn(lambda t: np.ones_like(t), 0.5, "1")
-    report = class_membership_check(phi, STD_1D, lbar=0.5,
+    report = class_membership_check(lambda x: np.ones(len(x)), STD_1D, lbar=0.5,
                                     r_grid=[1.0], x0_grid=[0.0])
     assert report.passed and report.worst_osc_ratio == 0.0
 
 
 def test_soft_clip_family_members_pass_membership():
     for dim in (1, 2):
-        law = GaussianLaw(SpdMatrix(np.eye(dim)))
+        lam = SpdMatrix(np.eye(dim))
         for phi in soft_clip_family(dim):
             report = class_membership_check(
-                phi, law, lbar=phi.lipschitz_budget,
+                phi, lam, lbar=phi.lipschitz_budget,
                 r_grid=[0.5, 2.0], x0_grid=[np.zeros(dim)])
             assert report.passed, phi.label
 
@@ -395,8 +398,8 @@ def test_empirical_w1_permutation_and_scale_properties(xs, c):
 
 def test_sliced_equals_plain_in_one_dimension():
     rng = np.random.default_rng(4)
-    s = SampleSet(values=rng.standard_normal(5000), master_seed=4)
-    plain = w1_empirical_gaussian(s.scalar(), 1.0)
+    s = rng.standard_normal(5000)
+    plain = w1_empirical_gaussian(s, 1.0)
     assert math.isclose(sliced_w1(s, STD_1D, n_directions=8, seed=1), plain,
                         rel_tol=1e-12)
 
@@ -404,11 +407,9 @@ def test_sliced_equals_plain_in_one_dimension():
 def test_sliced_self_distance_small_in_2d():
     rng = np.random.default_rng(12)
     lam = np.array([[2.0, 0.5], [0.5, 1.0]])
-    law = GaussianLaw(SpdMatrix(lam))
     chol = np.linalg.cholesky(lam)
-    s = SampleSet(values=rng.standard_normal((200000, 2)) @ chol.T,
-                  master_seed=12)
-    assert sliced_w1(s, law, n_directions=32, seed=7) <= 0.01
+    s = rng.standard_normal((200000, 2)) @ chol.T
+    assert sliced_w1(s, SpdMatrix(lam), n_directions=32, seed=7) <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +418,14 @@ def test_sliced_self_distance_small_in_2d():
 
 def test_restricted_distance_constant_family_is_zero():
     const = poly_fn((3.0,), 0.1, "c")
-    s = SampleSet(values=np.arange(10.0), master_seed=0)
+    s = np.arange(10.0)
     assert abs(restricted_distance(s, STD_1D, [const])) < 1e-12
 
 
 def test_restricted_distance_detects_mean_shift():
     rng = np.random.default_rng(9)
     mu = 0.5
-    s = SampleSet(values=rng.standard_normal(10 ** 6) + mu, master_seed=9)
+    s = rng.standard_normal(10 ** 6) + mu
     fam = [poly_fn((0.0, 0.5), 0.5, "x/2"), poly_fn((0.0, -0.5), 0.5, "-x/2")]
     got = restricted_distance(s, STD_1D, fam)
     assert abs(got - mu / 2.0) < 0.01
@@ -432,7 +433,7 @@ def test_restricted_distance_detects_mean_shift():
 
 def test_restricted_distance_monotone_in_family():
     rng = np.random.default_rng(10)
-    s = SampleSet(values=rng.standard_normal(2000), master_seed=10)
+    s = rng.standard_normal(2000)
     fam = soft_clip_family(1)
     small = restricted_distance(s, STD_1D, fam[:1])
     big = restricted_distance(s, STD_1D, fam)
@@ -443,9 +444,8 @@ def test_restricted_distance_below_w1_for_lipschitz_scaled_family():
     # one-sided sup over (1/2)-Lipschitz ramps is at most half the W1 gap
     rng = np.random.default_rng(14)
     vals = rng.choice([-1.0, 1.0], size=20000)
-    s = SampleSet(values=vals, master_seed=14)
     fam = soft_clip_family(1)
-    d = restricted_distance(s, STD_1D, fam)
+    d = restricted_distance(vals, STD_1D, fam)
     w1 = w1_empirical_gaussian(vals, 1.0)
     assert d <= 0.5 * w1 + 1e-9
 

@@ -321,7 +321,7 @@ def test_monte_carlo_is_chunk_size_invariant():
     runs = [monte_carlo(spec, st, 3000, 77, chunk_size=c, groups=_each_index(st))
             for c in (1, 512, 3000, 4096)]
     for samples, per_index in runs[1:]:
-        assert np.array_equal(samples.values, runs[0][0].values)
+        assert np.array_equal(samples, runs[0][0])
         assert np.array_equal(per_index, runs[0][1])
 
 
@@ -358,8 +358,8 @@ def _stream_digest(runs) -> str:
         totals = monte_carlo(spec, st, 250, 2026, chunk_size=96)
         samples, per_index = monte_carlo(spec, st, 250, 2026, chunk_size=96,
                                          groups=_each_index(st))
-        assert samples.values.tobytes() == totals.values.tobytes()
-        for arr in (totals.values, per_index):
+        assert samples.tobytes() == totals.tobytes()
+        for arr in (totals, per_index):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -398,7 +398,7 @@ for name, d, L, n in (("cube", 1, 64, 400), ("cube", 2, 16, 100), ("identity-gau
     for lv in _SyntheticTotals(spec, st, 1).levels:
         if lv.table is not None:
             tables.update(lv.table.tobytes())
-    totals = hashlib.sha256(monte_carlo(spec, st, n, 2026).values.tobytes())
+    totals = hashlib.sha256(monte_carlo(spec, st, n, 2026).tobytes())
     n_indices = st.level_start(st.max_level + 1)
     half = n_indices // 2  # every other column; the last half
     groups = np.array([2 * np.arange(half), np.arange(n_indices - half, n_indices)])
@@ -464,11 +464,11 @@ def _window_runs():
 def test_monte_carlo_windows_are_pinned():
     digest = hashlib.sha256()
     for gen, st, n in _window_runs():
-        arrays = [monte_carlo(gen, st, n, 2026, chunk_size=96).values]
+        arrays = [monte_carlo(gen, st, n, 2026, chunk_size=96)]
         if n > 3:
             samples, per_index = monte_carlo(gen, st, n, 2026, chunk_size=96,
                                              groups=_each_index(st))
-            assert samples.values.tobytes() == arrays[0].tobytes()
+            assert samples.tobytes() == arrays[0].tobytes()
             arrays.append(per_index)
         for arr in arrays:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -544,12 +544,12 @@ def test_monte_carlo_is_chunk_size_invariant_with_windows(name, n_comp, d, L):
     n = 40
     spec, st = make_preset(name, d, L, n_components=n_comp)
     assert 2 * st.box_radius(1) + 1 < st.L  # levels 0 and 1 read windows
-    runs = [(monte_carlo(spec, st, n, 77, chunk_size=c).values,
+    runs = [(monte_carlo(spec, st, n, 77, chunk_size=c),
              *monte_carlo(spec, st, n, 77, chunk_size=c, groups=_each_index(st)))
             for c in (1, 7, n, n + 1)]
     for totals, samples, per_index in runs:
         assert np.array_equal(totals, runs[0][0])
-        assert np.array_equal(samples.values, runs[0][1].values)
+        assert np.array_equal(samples, runs[0][1])
         assert np.array_equal(per_index, runs[0][2])
 
 
@@ -576,7 +576,7 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
         st = DependenceStructure(d=d, L=L, K=K)
         levels = _SyntheticTotals(spec, st, 1)
         for chunk, n in ((1, 9), (2, 9), (7, 9), (big, big)):
-            got = monte_carlo(spec, st, n, 404, chunk_size=chunk).values
+            got = monte_carlo(spec, st, n, 404, chunk_size=chunk)
             expect = np.concatenate([
                 per_level_totals(levels, _draw(d, L, dist, 404, k0, min(chunk, n - k0)))
                 for k0 in range(0, n, chunk)])
@@ -625,8 +625,8 @@ def test_default_chunks_keep_the_bits_of_single_realizations(d, L, n):
     # default chunks of 2048, 1024 and 256 realizations, once 4096, 4096
     # and 1024: one whole chunk and one of a single realization
     spec, st = make_preset("cube", d, L)
-    got = monte_carlo(spec, st, n, 2026).values
-    assert got.tobytes() == monte_carlo(spec, st, n, 2026, chunk_size=1).values.tobytes()
+    got = monte_carlo(spec, st, n, 2026)
+    assert got.tobytes() == monte_carlo(spec, st, n, 2026, chunk_size=1).tobytes()
 
 
 @pytest.mark.parametrize("d,L,K", [pytest.param(d, L, K, id=f"d{d}-{L}-{K}")
@@ -646,7 +646,7 @@ def test_first_component_does_not_depend_on_component_count(name, d, L, K):
         if kwargs:
             (got, got_sums), (expect, expect_sums) = got, expect
             assert np.array_equal(got_sums[:, :, 0], expect_sums[:, :, 0])
-        assert np.array_equal(got.values[:, 0], expect.values[:, 0])
+        assert np.array_equal(got[:, 0], expect[:, 0])
 
 
 def _some_groups(st, n_groups=5, group_len=9):
@@ -671,7 +671,7 @@ def test_group_sums_are_chunk_size_invariant(name, d, L, K, n_comp):
             for c in (1, 7, 4096)]
     for samples, sums in runs:
         assert sums.shape == (40, len(groups), n_comp)
-        assert np.array_equal(samples.values, runs[0][0].values)
+        assert np.array_equal(samples, runs[0][0])
         assert np.array_equal(sums, runs[0][1])
 
 
@@ -681,7 +681,7 @@ def test_group_sums_match_summed_per_index_values(name, d, L, K, n_comp):
     groups = _some_groups(st)
     samples, sums = monte_carlo(spec, st, 60, 5, chunk_size=16, groups=groups)
     every, per_index = monte_carlo(spec, st, 60, 5, groups=_each_index(st))
-    assert np.array_equal(samples.values, every.values)
+    assert np.array_equal(samples, every)
     assert np.allclose(sums, per_index[:, groups].sum(axis=2), rtol=0.0, atol=1e-12)
 
 
@@ -689,7 +689,7 @@ def _grouped_bytes(spec, st, groups, chunk_size):
     """The bytes of a grouped run's totals and group sums, signed zeros and
     all, over 23 realizations."""
     samples, sums = monte_carlo(spec, st, 23, 61, chunk_size=chunk_size, groups=groups)
-    return samples.values.tobytes(), sums.tobytes()
+    return samples.tobytes(), sums.tobytes()
 
 
 @pytest.mark.parametrize("n_comp", [1, 2, 3])
@@ -775,7 +775,7 @@ def test_grouped_totals_are_plain_totals(name, d, L, n_comp):
     # does not depend on n, so chunks of one take fewer realizations.
     spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
     n_max = 23 if L ** d > 4096 else 100
-    plain = monte_carlo(spec, st, n_max, 61).values
+    plain = monte_carlo(spec, st, n_max, 61)
     grouping = moderate_grouping(st, L // 2)
     assert grouping.degenerate == (L < 256)
     groupings = ([_each_index(st), _some_groups(st),
@@ -785,7 +785,7 @@ def test_grouped_totals_are_plain_totals(name, d, L, n_comp):
         for chunk in (1, 7, 96, 4096):
             n = 23 if chunk == 1 else n_max
             samples, _ = monte_carlo(spec, st, n, 61, groups=groups, chunk_size=chunk)
-            assert samples.values.tobytes() == plain[:n].tobytes(), (groups.shape, chunk)
+            assert samples.tobytes() == plain[:n].tobytes(), (groups.shape, chunk)
 
 
 def test_grouped_pass_holds_slices_not_chunks_of_values():
@@ -937,7 +937,7 @@ def test_packed_components_match_cell_loop_oracle(L):
 
 def test_monte_carlo_single_draw_matches_direct_generator():
     spec, st = make_preset("signed-sqrt", 1, 16)
-    got = monte_carlo(spec, st, 1, 31).values[0]
+    got = monte_carlo(spec, st, 1, 31)[0]
     direct = _direct_values(spec, st, _draw_rows(1, 16, spec.dist, 31, 0, 1))[0].sum(axis=0)
     # summation order differs (per level vs per index): exact up to one ulp
     assert np.allclose(got, direct, rtol=0.0, atol=1e-14)
@@ -946,13 +946,13 @@ def test_monte_carlo_single_draw_matches_direct_generator():
 def test_monte_carlo_totals_are_centered():
     spec, st = make_preset("cube", 1, 16)
     samples = monte_carlo(spec, st, 40000, 123)
-    x = samples.scalar()
+    x = samples[:, 0]
     assert abs(x.mean()) <= 4.0 * x.std() / math.sqrt(len(x))
 
 
 def test_cube_preset_totals_are_heavy_tailed():
     spec, st = make_preset("cube", 1, 8)
-    x = monte_carlo(spec, st, 100000, 123).scalar()
+    x = monte_carlo(spec, st, 100000, 123)[:, 0]
     z = (x - x.mean()) / x.std()
     excess_kurtosis = float(np.mean(z ** 4) - 3.0)
     assert excess_kurtosis > 3.0 * math.sqrt(24.0 / len(x))
@@ -1000,7 +1000,7 @@ def test_per_index_values_sum_to_totals():
     spec, st = make_preset("exp-tail", 1, 16)
     samples, per_index = monte_carlo(spec, st, 500, 9, groups=_each_index(st))
     assert per_index.shape == (500, len(build_index_set(st)), 1)
-    assert np.allclose(per_index.sum(axis=1), samples.values, atol=1e-12)
+    assert np.allclose(per_index.sum(axis=1), samples, atol=1e-12)
 
 
 def test_per_index_stretched_norms_fit_preset_budget():
@@ -1025,7 +1025,7 @@ def test_vector_components_are_decorrelated():
     spec, st = make_preset("identity-gauss", 1, 32)
     spec2 = SyntheticSpec(nonlinearity=spec.nonlinearity, dist=spec.dist,
                           n_components=2, level_weights=spec.level_weights)
-    x = monte_carlo(spec2, st, 20000, 44).values
+    x = monte_carlo(spec2, st, 20000, 44)
     assert x.shape == (20000, 2)
     corr = np.corrcoef(x.T)[0, 1]
     assert abs(corr) < 0.05

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlclt import UsageError
-from mlclt.gaussians import GaussianLaw, SpdMatrix
+from mlclt.gaussians import SpdMatrix
 
 
 def test_spd_rejects_nonsquare_and_asymmetric_and_degenerate():
@@ -27,4 +27,3 @@ def test_spd_spectral_helpers():
     assert m.inv_sqrt_operator_norm() == 1.0
     assert np.allclose(m.sqrt() @ m.sqrt(), m.entries)
     assert np.allclose(m.inv() @ m.entries, np.eye(2), atol=1e-14)
-    assert GaussianLaw(m).dim == 2

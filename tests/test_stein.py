@@ -1,7 +1,7 @@
 """Mollified Stein solutions: closed-form polynomial cases, residual of
 the defining equation, finite-difference consistency of the derivative
 scalars, cross-validation against the Gauss-Hermite oracle in dims 1-3, the
-ridge-only contract, and the envelope certificates."""
+refusal of a profile without closed forms, and the envelope certificates."""
 import functools
 import itertools
 import math
@@ -19,14 +19,13 @@ import mlclt.cli
 from mlclt import QuadratureError, UsageError, stein
 from mlclt._util import hermite_1d
 from mlclt.distances import TestFunction as FnSpec
-from mlclt.distances import (PiecewisePolynomial, ridge_function, soft_clip_family,
-                             softclip_profile)
-from mlclt.gaussians import GaussianLaw, SpdMatrix
+from mlclt.distances import PiecewisePolynomial, soft_clip_family, softclip_profile
+from mlclt.gaussians import SpdMatrix
 from mlclt.stein import (SteinSolution, majorant_average_certificate, stein_residual,
                          third_derivative_certificate)
 
-STD_1D = GaussianLaw(SpdMatrix(np.eye(1)))
-STD_2D = GaussianLaw(SpdMatrix(np.eye(2)))
+STD_1D = SpdMatrix(np.eye(1))
+STD_2D = SpdMatrix(np.eye(2))
 
 
 LINEAR = poly(0.0, 1.0)
@@ -54,10 +53,8 @@ def soft_clip_2d_sol():
 
 @pytest.fixture(scope="module")
 def generic_2d_oracle():
-    phi = FnSpec(evaluator=lambda x: (np.tanh(np.asarray(x)[:, 0])
-                                      + 0.5 * np.tanh(np.asarray(x)[:, 1])),
-                 lipschitz_budget=1.5, label="two-axis", dim=2)
-    return GaussHermiteStein(phi, STD_2D, 0.5)
+    return GaussHermiteStein(lambda x: np.tanh(x[:, 0]) + 0.5 * np.tanh(x[:, 1]),
+                             STD_2D, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ def generic_2d_oracle():
 def test_linear_profile_solution_is_exact_contraction():
     # for phi(x) = x the solution is sqrt(1 - eps^2) x: the s-integral of
     # (1-s)^{-1/2}/2 over [eps^2, 1) evaluates in closed form
-    phi = ridge_function([1.0], LINEAR, 1.0, "x")
+    phi = FnSpec([1.0], LINEAR, 1.0, "x")
     for eps in (0.25, 0.5):
         sol = SteinSolution(phi, STD_1D, eps)
         x = np.array([[0.0], [1.0], [-2.0]])
@@ -81,7 +78,7 @@ def test_linear_profile_solution_is_exact_contraction():
 
 
 def test_constant_profile_solution_vanishes():
-    phi = ridge_function([1.0], poly(3.0), 0.1, "c")
+    phi = FnSpec([1.0], poly(3.0), 0.1, "c")
     sol = SteinSolution(phi, STD_1D, 0.3)
     x = np.array([[-2.0], [0.0], [1.5]])
     assert np.max(np.abs(sol.values(x))) < 1e-12
@@ -90,15 +87,15 @@ def test_constant_profile_solution_vanishes():
 
 
 def test_even_profile_third_derivative_vanishes_at_origin():
-    phi = ridge_function([1.0], poly(0.0, 0.0, 1.0), 10.0, "t^2")
+    phi = FnSpec([1.0], poly(0.0, 0.0, 1.0), 10.0, "t^2")
     sol = SteinSolution(phi, STD_1D, 0.5)
     assert abs(float(sol.derivative_scalars(np.array([0.0]), 3)[0])) < 1e-12
 
 
 def test_solution_is_linear_in_the_test_function():
-    a = ridge_function([1.0], LINEAR, 1.0, "a")
-    b = ridge_function([1.0], CUBIC, 1.0, "b")
-    combo = ridge_function([1.0], poly(0.0, -1.0, 0.0, 1.0), 5.0, "2a-3b")
+    a = FnSpec([1.0], LINEAR, 1.0, "a")
+    b = FnSpec([1.0], CUBIC, 1.0, "b")
+    combo = FnSpec([1.0], poly(0.0, -1.0, 0.0, 1.0), 5.0, "2a-3b")
     x = np.array([[-1.0], [0.5]])
     eps = 0.4
     lhs = SteinSolution(combo, STD_1D, eps).values(x)
@@ -112,7 +109,7 @@ def test_solution_is_linear_in_the_test_function():
 
 
 def test_residual_linear_profile():
-    phi = ridge_function([1.0], LINEAR, 1.0, "x")
+    phi = FnSpec([1.0], LINEAR, 1.0, "x")
     sol = SteinSolution(phi, STD_1D, 0.5)
     for v in (-2.0, 0.0, 2.0):
         assert stein_residual(sol, np.array([v])) < 1e-6
@@ -127,12 +124,12 @@ def test_residual_generic_engine_2d(generic_2d_oracle):
     # the oracle solves a function without a ridge, whose phi_eps and mean
     # come from the same Hermite rules
     oracle = generic_2d_oracle
-    phi, law = oracle.phi, oracle.law
-    mean = float(gaussian_expectation(law.covariance.sqrt(), phi, check=True))
+    phi, lam = oracle.phi, oracle.lam
+    mean = float(gaussian_expectation(lam.sqrt(), phi, check=True))
     for pt in (np.zeros(2), np.array([1.0, -0.5])):
         grad, hess = (t[0] for t in oracle.fk(pt[None, :], (1, 2)))
-        lhs = -float(np.sum(law.covariance.entries * hess)) + float(pt @ grad)
-        rhs = float(mollified(phi, oracle.eps, law, pt[None, :])[0]) - mean
+        lhs = -float(np.sum(lam.entries * hess)) + float(pt @ grad)
+        rhs = float(mollified(phi, oracle.eps, lam, pt[None, :])[0]) - mean
         assert abs(lhs - rhs) < 1e-3
 
 
@@ -163,12 +160,12 @@ def test_derivative_scalars_match_finite_differences(soft_clip_sol):
 
 def test_derivative_tensors_are_rank_one_in_ridge_direction():
     # the oracle's full tensors in dim 3 are F_k(u.x) u^{(x)k}
-    phi = ridge_function([1.0, 2.0, 2.0], CUBIC, 1.0, "ridge3d")
-    law = GaussianLaw(SpdMatrix(np.eye(3) + 0.3 * (1.0 - np.eye(3))))
-    sol = SteinSolution(phi, law, 0.5)
-    oracle = GaussHermiteStein(phi, law, 0.5)
+    phi = FnSpec([1.0, 2.0, 2.0], CUBIC, 1.0, "ridge3d")
+    lam = SpdMatrix(np.eye(3) + 0.3 * (1.0 - np.eye(3)))
+    sol = SteinSolution(phi, lam, 0.5)
+    oracle = GaussHermiteStein(phi, lam, 0.5)
     x = np.array([0.4, -0.2, 0.1])
-    u = phi.ridge.direction
+    u = phi.direction
     w = float(x @ u)
     tensors = oracle.fk(x[None, :], (1, 2, 3))
     for order, tensor in zip((1, 2, 3), tensors):
@@ -178,8 +175,8 @@ def test_derivative_tensors_are_rank_one_in_ridge_direction():
 
 
 def test_ridge_and_generic_engines_agree_in_dimension_two():
-    rid = ridge_function([3.0, 4.0], CUBIC, 1.0, "ridge")
-    u = rid.ridge.direction
+    rid = FnSpec([3.0, 4.0], CUBIC, 1.0, "ridge")
+    u = rid.direction
     sr = SteinSolution(rid, STD_2D, 0.4)
     oracle = GaussHermiteStein(rid, STD_2D, 0.4)
     xs = np.array([[-1.5, 0.5], [0.0, 0.0], [0.8, -0.3]])
@@ -190,36 +187,22 @@ def test_ridge_and_generic_engines_agree_in_dimension_two():
         assert np.max(np.abs(oracle.fk(pt[None, :], order)[0] - want)) < 1e-6
 
 
-def test_solution_of_a_function_without_a_ridge_is_a_usage_error():
-    # only a ridge function with a PiecewisePolynomial profile has the exact
-    # path, so a function without a ridge is refused in every dim
-    for dim in (1, 2, 3):
-        law = GaussianLaw(SpdMatrix(np.eye(dim)))
-        plain = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
-                       lipschitz_budget=1.0, label="plain", dim=dim)
-        with pytest.raises(UsageError, match="no ridge"):
-            SteinSolution(plain, law, 0.5)
-
-
 def test_plain_callable_ramp_gets_one_verdict_however_wrapped():
-    # behind a plain callable the ramp has no closed form: as a scalar dim-1
-    # function and as a ridge profile it is refused alike
+    # behind a plain callable the ramp has no closed form: as the profile of
+    # a dim-1 and of a dim-2 test function it is refused alike
     member = soft_clip_family(1)[2]
-    h = member.ridge.profile
-    scalar = FnSpec(evaluator=lambda x: h(np.asarray(x)[:, 0]),
-                    lipschitz_budget=0.25, label="scalar", dim=1)
-    with pytest.raises(UsageError, match="no ridge"):
-        SteinSolution(scalar, STD_1D, 0.1)
-    with pytest.raises(UsageError, match="PiecewisePolynomial"):
-        ridge_function([1.0], lambda t: h(t), 0.25, "ridge")
+    h = member.profile
+    for direction in ([1.0], [1.0, 1.0]):
+        with pytest.raises(UsageError, match="PiecewisePolynomial"):
+            FnSpec(direction, lambda t: h(t), 0.25, "ridge")
     deltas = SteinSolution(member, STD_1D, 0.1).node_doubling_deltas
     assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
 
 def solution_1d(profile, sigma2: float, eps: float) -> SteinSolution:
     """The solution for the dim-1 ridge function of `profile` under N(0, sigma2)."""
-    law = GaussianLaw(SpdMatrix(np.array([[sigma2]])))
-    return SteinSolution(ridge_function([1.0], profile, 1.0, "h"), law, eps)
+    lam = SpdMatrix(np.array([[sigma2]]))
+    return SteinSolution(FnSpec([1.0], profile, 1.0, "h"), lam, eps)
 
 
 @pytest.mark.parametrize("n_points", [1, 1717])
@@ -244,7 +227,7 @@ def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
         assert np.array_equal(got, sol.derivative_scalars(w, order))
 
 
-_ORACLE_PROFILES = tuple(phi.ridge.profile for phi in soft_clip_family(1)) + (CUBIC, LINEAR)
+_ORACLE_PROFILES = tuple(phi.profile for phi in soft_clip_family(1)) + (CUBIC, LINEAR)
 _ORACLE_ORDERS = ((0,), (0, 2), (1, 2), (2, 3), (3,))
 _ORACLE_BUDGETS = (256, 1024, 2048)
 _ORACLE_EPS = (0.05, 0.25, 0.9)
@@ -290,12 +273,12 @@ def test_sliced_closed_forms_keep_the_bits_of_one_shot_blocks(width, budget, eps
 def test_exact_inner_integral_matches_gauss_hermite(sigma2):
     # the oracle integrates the soft-clip members' kinks to below 1e-6 at
     # 1024 nodes, and a no-knot cubic exactly
-    law = GaussianLaw(SpdMatrix(np.array([[sigma2]])))
+    lam = SpdMatrix(np.array([[sigma2]]))
     w = np.linspace(-4.0, 4.0, 20)
     for h in (softclip_profile(0.5, 1.0, 0.0), softclip_profile(0.25, 1.0, -0.5),
               CUBIC):
         exact = solution_1d(h, sigma2, 0.25)
-        oracle = GaussHermiteStein(ridge_function([1.0], h, 1.0, "h"), law, 0.25,
+        oracle = GaussHermiteStein(FnSpec([1.0], h, 1.0, "h"), lam, 0.25,
                                    s_nodes=256, n_axis=1024)
         for order, (a, b) in enumerate(zip(exact._fk(w, (0, 1, 2, 3), 256),
                                            oracle.fk(w[:, None], (0, 1, 2, 3)))):
@@ -323,10 +306,9 @@ def test_s_rule_is_within_its_stated_error_of_a_converged_reference(eps):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_generic_engine_orders_together_keep_each_orders_bits(dim):
-    phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x) @ np.arange(1.0, dim + 1.0)),
-                 lipschitz_budget=float(dim), label="generic", dim=dim)
-    law = GaussianLaw(SpdMatrix(np.eye(dim) + 0.3 * (dim > 1) * (1.0 - np.eye(dim))))
-    engine = GaussHermiteStein(phi, law, 0.4, s_nodes=32, n_axis=16)
+    lam = SpdMatrix(np.eye(dim) + 0.3 * (dim > 1) * (1.0 - np.eye(dim)))
+    engine = GaussHermiteStein(lambda x: np.tanh(x @ np.arange(1.0, dim + 1.0)), lam, 0.4,
+                               s_nodes=32, n_axis=16)
     x = np.linspace(-1.5, 1.0, 3 * dim).reshape(3, dim)
     together = engine.fk(x, (0, 1, 2, 3))
     for order, got in enumerate(together):
@@ -340,8 +322,8 @@ def test_generic_engine_orders_together_keep_each_orders_bits(dim):
 
 def test_third_derivative_certificate_scaled_covariance():
     # |Lambda^{-1}| = 1/4 and eps = 1/2 give the bound 15 * (1/4) * 2 = 7.5
-    law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
-    sol = SteinSolution(soft_clip_family(1)[0], law, 0.5)
+    lam = SpdMatrix(4.0 * np.eye(1))
+    sol = SteinSolution(soft_clip_family(1)[0], lam, 0.5)
     report = third_derivative_certificate(sol, np.linspace(-4, 4, 9)[:, None])
     assert report["bound"] == 7.5
     assert report["passed"]
@@ -388,7 +370,7 @@ def test_majorant_table_is_built_once_per_delta():
             return super().gaussian_expectations(a, b, orders)
 
     counted = Counted(knots=CUBIC.knots, coeffs=CUBIC.coeffs)
-    sol = SteinSolution(ridge_function([1.0], counted, 1.0, "cubic"), STD_1D, 0.5)
+    sol = SteinSolution(FnSpec([1.0], counted, 1.0, "cubic"), STD_1D, 0.5)
     hessian = majorant_average_certificate(sol, 0.1, "hessian")
     assert hessian["table"]["s_nodes"] == 48 and len(sol._majorants) == 1
     evaluated.clear()
@@ -423,16 +405,16 @@ def test_certificates_evaluate_the_closed_forms_in_small_slices():
 
 
 def test_eps_outside_supported_range_errors():
-    phi = ridge_function([1.0], LINEAR, 1.0, "x")
+    phi = FnSpec([1.0], LINEAR, 1.0, "x")
     for eps in (0.01, 0.95):
         with pytest.raises(UsageError):
             SteinSolution(phi, STD_1D, eps)
 
 
 def test_dimension_mismatch_errors():
-    phi = ridge_function([1.0], LINEAR, 1.0, "x")
+    phi = FnSpec([1.0], LINEAR, 1.0, "x")
     with pytest.raises(UsageError):
-        SteinSolution(phi, GaussianLaw(SpdMatrix(np.eye(2))), 0.5)
+        SteinSolution(phi, SpdMatrix(np.eye(2)), 0.5)
 
 
 def test_bad_derivative_order_errors(soft_clip_sol):
@@ -443,14 +425,10 @@ def test_bad_derivative_order_errors(soft_clip_sol):
 
 def test_generic_engine_beyond_dim_three_errors():
     # tensorized rules stop at dim 3; a ridge solution has no such limit
-    law = GaussianLaw(SpdMatrix(np.eye(4)))
-    phi = FnSpec(evaluator=lambda x: np.tanh(np.asarray(x)[:, 0]),
-                 lipschitz_budget=1.0, label="generic4", dim=4)
+    lam = SpdMatrix(np.eye(4))
     with pytest.raises(UsageError, match="dim 1, 2 or 3"):
-        GaussHermiteStein(phi, law, 0.5)
-    with pytest.raises(UsageError, match="no ridge"):
-        SteinSolution(phi, law, 0.5)
-    assert SteinSolution(soft_clip_family(4)[0], law, 0.5).values(np.zeros(4)).shape == (1,)
+        GaussHermiteStein(lambda x: np.tanh(x[:, 0]), lam, 0.5)
+    assert SteinSolution(soft_clip_family(4)[0], lam, 0.5).values(np.zeros(4)).shape == (1,)
 
 
 def test_third_derivative_certificate_without_points_errors(soft_clip_sol):
@@ -467,14 +445,14 @@ def test_quadrature_spec_validation(monkeypatch):
 
 
 def test_insufficient_budget_is_reported_not_silently_accepted(monkeypatch):
-    law = GaussianLaw(SpdMatrix(4.0 * np.eye(1)))
+    lam = SpdMatrix(4.0 * np.eye(1))
     # the closed form has no inner rule, but 24 s-nodes do not settle: under
     # doubling, order 0 moves by 4.3e-4 at 24, 2.2e-5 at 32 and 1.4e-9 at 128
     with monkeypatch.context() as patch:
         patch.setattr(stein, "_S_NODES", 24)
         with pytest.raises(QuadratureError, match="order 0"):
-            SteinSolution(soft_clip_family(1)[0], law, 0.5)
-    deltas = SteinSolution(soft_clip_family(1)[0], law, 0.5).node_doubling_deltas
+            SteinSolution(soft_clip_family(1)[0], lam, 0.5)
+    deltas = SteinSolution(soft_clip_family(1)[0], lam, 0.5).node_doubling_deltas
     assert all(d <= stein._VERIFY_TOL for d in deltas.values())
 
 
@@ -491,6 +469,21 @@ def test_insufficient_majorant_table_budget_is_reported(monkeypatch):
         deltas = SteinSolution(phi, STD_1D, 0.25)._table_deltas
         assert set(deltas) == {2, 3}
         assert all(d <= stein._TABLE_VERIFY_TOL for d in deltas.values())
+
+
+def test_majorant_table_gate_sees_the_error_off_the_probe_points():
+    # at the three probe points alone, doubling this member's 48 table
+    # s-nodes moved F_3 by 3.1e-7, while on [-4, 4] the table errs by 2.9e-4
+    # against 1024 s-nodes: the gate's delta must now see that error
+    phi = next(p for p in soft_clip_family(2)
+               if p.label == "softclip[s=0.5,w=2.0,c=0.5,dir=2]")
+    sol = SteinSolution(phi, SpdMatrix(0.25 * np.eye(2)), 0.05)
+    w = np.linspace(-4.0, 4.0, 41)
+    table = sol._fk(w, stein._TABLE_ORDERS, stein._TABLE_S_NODES)
+    converged = sol._fk(w, stein._TABLE_ORDERS, 1024)
+    for order, got, want in zip(stein._TABLE_ORDERS, table, converged):
+        error = float(np.max(np.abs(got - want)))
+        assert sol._table_deltas[order] >= 0.5 * error > 0.0, order
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
@@ -510,10 +503,10 @@ def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, soft_cli
                  lambda: stein_residual(sol, bad[0]),
                  lambda: third_derivative_certificate(sol, bad))
         for call in calls:
-            with pytest.raises(UsageError, match=f"R\\^{sol.law.dim}"):
+            with pytest.raises(UsageError, match=f"R\\^{sol.lam.dim}"):
                 call()
         with pytest.raises(UsageError, match="a point"):
-            stein_residual(sol, np.zeros((2, sol.law.dim)))
+            stein_residual(sol, np.zeros((2, sol.lam.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +536,15 @@ def test_hermite_rule_beyond_384_nodes_is_finite_and_read_only():
 
 
 def test_a_nan_fails_every_gate(monkeypatch):
-    nan_phi = FnSpec(evaluator=lambda x: np.full(len(x), np.nan),
-                     lipschitz_budget=0.5, label="nan", dim=1)
     with pytest.raises(QuadratureError):
         gaussian_expectation(np.eye(1), lambda z: np.full(len(z), np.nan), check=True)
     # membership: a NaN oscillation ratio alone, then a NaN gradient alone
-    half = ridge_function([1.0], poly(0.0, 0.5), 0.5, "x/2")
+    half = FnSpec([1.0], poly(0.0, 0.5), 0.5, "x/2")
     grid = {"lbar": 0.5, "r_grid": [1.0], "x0_grid": [0.0]}
     assert class_membership_check(half, STD_1D, **grid).passed
     monkeypatch.setattr(support, "_max_gradient", lambda phi, points: 0.0)
-    assert not class_membership_check(nan_phi, STD_1D, **grid).passed
+    assert not class_membership_check(lambda x: np.full(len(x), np.nan), STD_1D,
+                                      **grid).passed
     monkeypatch.setattr(support, "_max_gradient", lambda phi, points: np.nan)
     assert not class_membership_check(half, STD_1D, **grid).passed
     # Stein construction: a NaN node-doubling delta on either gated order
