@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -358,14 +359,23 @@ def _pdf_at_quantile(u: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _abs_quantile_gap(x, grid, sigma: float) -> NDArray[np.float64]:
+@lru_cache(maxsize=8)
+def _uniform_grid(n: int) -> tuple:
+    """The read-only grid (0, 1/n, ..., 1) of an n-sample empirical quantile
+    and its `_pdf_at_quantile`, computed once per n."""
+    u = np.arange(n + 1) / n
+    pdf = _pdf_at_quantile(u)
+    u.setflags(write=False)
+    pdf.setflags(write=False)
+    return u, pdf
+
+
+def _abs_quantile_gap(x, grid, pdf, sigma: float) -> NDArray[np.float64]:
     """Closed form of the integral over [a, b] of |x - sigma Phi^{-1}(u)| du,
     elementwise over x and the adjacent cells a = grid[:-1], b = grid[1:] of
-    a grid one longer than x, whose points each take one Phi^{-1}."""
+    a grid one longer than x, whose points' phi(Phi^{-1}) are `pdf`."""
     x = np.asarray(x, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     a, b = grid[:-1], grid[1:]
-    pdf = _pdf_at_quantile(grid)
     pa, pb = pdf[:-1], pdf[1:]
     fx = ndtr(x / sigma)
     px = _pdf_at_quantile(fx)
@@ -392,7 +402,7 @@ def w1_discrete_vs_gaussian(law: DiscreteLaw, sigma2: float) -> float:
     cum = np.concatenate([[0.0], np.cumsum(probs)])
     cum[-1] = 1.0
     sigma = float(np.sqrt(sigma2))
-    return float(np.sum(_abs_quantile_gap(vals, cum, sigma)))
+    return float(np.sum(_abs_quantile_gap(vals, cum, _pdf_at_quantile(cum), sigma)))
 
 
 def w1_discrete_pair(p: DiscreteLaw, q: DiscreteLaw) -> float:
@@ -420,9 +430,7 @@ def w1_empirical_gaussian(samples, sigma2: float) -> float:
     if sigma2 <= 0:
         raise UsageError("sigma2 must be positive")
     x = np.sort(_samples(samples, 1)[:, 0])
-    n = len(x)
-    u = np.arange(n + 1) / n
-    return float(np.sum(_abs_quantile_gap(x, u, float(np.sqrt(sigma2)))))
+    return float(np.sum(_abs_quantile_gap(x, *_uniform_grid(len(x)), float(np.sqrt(sigma2)))))
 
 
 def sliced_w1(samples, lam: SpdMatrix, n_directions: int = 64, seed: int = 0) -> float:

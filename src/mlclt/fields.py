@@ -7,39 +7,39 @@ exactly centered for the symmetric noise distributions used here.  Four
 presets pair a family with its dependence structure; tiny lattices also
 have their exact law by enumeration.
 
-Monte Carlo noise follows sample stream v2: one Philox key per run,
-(master_seed, _MC_STREAM_TAG), under which realization k owns a fixed range
-of counter blocks (`_draw` gives the layout).  So a chunk of realizations is
-one Philox call, realization k regenerates in isolation, and results are
-bit-reproducible and independent of the chunk size.  A chunk holds at most
-2^19 cells of noise, which bounds its noise and prefix buffers, but at
-least min(256, 2^22 // cells) realizations, below which numpy's per-call
-cost outweighs the work; a grouped chunk holds at most 2^19 cells too,
-with no such floor.
+Monte Carlo output follows sample stream v3: v2's noise, one Philox key per
+run, (master_seed, _MC_STREAM_TAG), under which realization k owns a fixed
+range of counter blocks (`_draw` gives the layout), with Rademacher totals
+formed as exact integer sums.  So a chunk of realizations is one Philox
+call, realization k regenerates in isolation, and results are
+bit-reproducible and independent of the chunk size, which is at most 2^19
+cells of noise but, in a plain run, at least min(256, 2^22 // cells)
+realizations, below which numpy's per-call cost outweighs the work.
 A support box is summed axis by axis at every d, a window level in blocks
-of first-axis anchor rows that stay in cache (`_box_sums`): a block reads
-its windows along the first axis from one periodic prefix per chunk and
-component, whose row L also gives the whole-torus sums, and each further
-axis takes a periodic prefix of the block's partial sums.  Rademacher noise
-stays bit-packed until each component's 0/1 counts of +1 cells are
-unpacked straight into its integer prefix, about two bytes a cell in all;
-integer prefixes are scanned in blocks and take no periodic extension, a
-window that passes the end adding the prefix's total, so box sums are
-exact.  The other laws use float64 prefixes, scanned row by row and
-extended periodically, so each window has the bits of a cumsum over it.
-Totals take one order at every d (`_SyntheticTotals`):
-each component adds its weighted levels in level order, a window level its
-anchors in C-order, each block mapped and added to the level's running sum
-one anchor after the other, a whole-torus level n_anchors times its one
-value.  The prefix and block buffers are allocated once per run and reused
-by every chunk; at d >= 2 each further axis of a block takes a block-sized
-prefix.  A grouped run is the same pass: each group's columns, strictly
-ascending, fall into runs of consecutive anchors of one level, and once a
-block of values has been added to the totals, each run in the block is
-added onto its group's sum by the same ordered reduce.  So a grouped run's
-totals are a plain run's, each group sum adds its columns one after the
-other, and no array grows as n times the number of indices unless its
-caller asks for every index as a group.
+of first-axis anchor rows that stay in cache (`_box_sums`), from one
+periodic prefix per chunk and component along the first axis, whose row L
+also gives the whole-torus sums; each further axis takes a periodic prefix
+of the block's partial sums.  Rademacher noise stays bit-packed until each
+component's -1/+1 cells are unpacked straight into its integer prefix,
+scanned in blocks with no periodic extension; the other laws use float64
+prefixes, scanned row by row and extended periodically, so each window has
+the bits of a cumsum over it.
+
+The integer contract: under Rademacher noise every map is a power g(x) =
+x^p (identity or cube; any other is refused), so an index's value is its
+integer box sum v to the p times one factor per level, w_m L^{-d} / c^{p/2}
+for boxes of c cells.  Each level sums v^p over its anchors, or over a
+group's columns, exactly, in float64 below 2^53 and in int64 below 2^63 (a
+level that could pass 2^63 is refused when the run is set up), and takes
+that sum times its factor; totals and group sums add their levels in level
+order.  Nothing else rounds, so no summation order, chunk, block, FMA or
+SIMD feature set moves a bit.  The float laws keep one pinned order
+instead: each block of a window level is mapped and added to the level's
+running sum one anchor after the other, and each group run is added onto
+its group sum the same way.  A grouped run is the plain pass plus its runs
+(`_SyntheticTotals`), so its totals are a plain run's, and no array grows
+as n times the number of indices unless its caller asks for every index as
+a group.
 """
 from __future__ import annotations
 
@@ -64,8 +64,11 @@ __all__ = [
 ]
 
 _DISTS = ("rademacher", "uniform", "centered-exponential-tail", "gaussian")
-STREAM_VERSION = 2  # the noise layout of `_draw`; run manifests record it
+# 3: v2's noise layout (`_draw`), Rademacher totals as exact integer sums
+# (`_SyntheticTotals`); run manifests record it
+STREAM_VERSION = 3
 _MAPS = ("identity", "cube", "signed-sqrt")
+_POWERS = {"identity": 1, "cube": 3}  # the maps that are powers x^p
 
 
 def _apply_map(tag: str, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -118,18 +121,18 @@ def _draw(d: int, L: int, dist: str, master_seed: int, k0: int,
 
 
 def _int_dtype(top: int):
-    """The narrowest of int16, int32 and int64 that holds 0 .. top."""
+    """The narrowest of int16, int32 and int64 that holds -top .. top."""
     return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
 
 
 def _prefix_array(shape: tuple, w_max: int, kind: str, peak: int = 1,
                   buf: Optional[NDArray] = None):
     """(out, size, block): the array that the `_periodic_prefix` of input
-    `shape` = (L, ...) of dtype kind `kind`, integer entries in [0, peak],
+    `shape` = (L, ...) of dtype kind `kind`, integer entries in [-peak, peak],
     is scanned in, in the flat `buf` when given, else fresh.  The prefix has
     `size` rows, 1 + L + w_max for floats, scanned row by row, and 1 + L for
     integers, scanned in blocks of `block` rows; `out` has them rounded up
-    to whole blocks, in float64 or the narrowest int that holds size peak."""
+    to whole blocks, in float64 or the narrowest int that holds +-size peak."""
     if kind == "f":
         size = block = 1 + shape[0] + w_max
         dtype = np.float64
@@ -169,8 +172,8 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
     contiguous rows.  Float x gives float64 sums, each entry the previous one
     plus the next extended entry, exactly as in a cumsum: a window read from
     the buffer has the bits of a cumsum over that window's own extension,
-    whatever w_max is.  Integer x with entries in [0, peak], the 0/1 counts
-    of Rademacher cells or their window sums along earlier axes, gives exact
+    whatever w_max is.  Integer x with entries in [-peak, peak], the -1/+1
+    Rademacher cells or their window sums along earlier axes, gives exact
     sums in int16 while the bound (1 + L) peak on every entry stays below
     2^15, else in int32 or int64.  Its windows need no extension: one that
     passes the end reads its wrapped part from the start (`_window_sums`).
@@ -185,13 +188,13 @@ def _periodic_prefix(x: NDArray, w_max: int, peak: int = 1,
     return _scan(out, size, block)
 
 
-def _count_prefix(octets: NDArray[np.uint8], shape: tuple,
-                  buf: Optional[NDArray] = None) -> NDArray:
-    """The `_periodic_prefix` of the 0/1 cells that `octets` holds packed as
-    `_draw` packs them, shape (bytes, n), with the cells in C-order on
+def _sign_prefix(octets: NDArray[np.uint8], shape: tuple,
+                 buf: Optional[NDArray] = None) -> NDArray:
+    """The `_periodic_prefix` of the -1/+1 cells that `octets` holds packed
+    as `_draw` packs them, shape (bytes, n), with the cells in C-order on
     `shape` = (L, ..., L, n).  Cell 8b + i, bit i of byte b, is unpacked
-    straight into its place in rows 1 .. L, one bit position at a time;
-    bits past the last cell are never read."""
+    straight into its place in rows 1 .. L, one bit position at a time, as
+    0/1 and then 2 bit - 1; bits past the last cell are never read."""
     out, size, block = _prefix_array(shape, 0, "i", 1, buf)
     cells = out[1:size].reshape(-1, shape[-1])
     shifted = np.empty_like(octets)
@@ -199,6 +202,8 @@ def _count_prefix(octets: NDArray[np.uint8], shape: tuple,
         k = len(range(i, len(cells), 8))
         np.right_shift(octets[:k], i, out=shifted[:k])
         np.bitwise_and(shifted[:k], 1, out=cells[i::8])
+    cells *= 2
+    cells -= 1
     return _scan(out, size, block)
 
 
@@ -286,6 +291,10 @@ class SyntheticSpec:
             raise UsageError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.dist not in _DISTS:
             raise UsageError(f"unknown noise distribution {self.dist!r}")
+        if self.dist == "rademacher" and self.nonlinearity not in _POWERS:
+            raise UsageError(f"{self.nonlinearity!r} under Rademacher noise: Rademacher box "
+                             f"sums are summed as exact integers, which takes a power "
+                             f"map, one of {tuple(_POWERS)}")
         if not 1 <= self.n_components <= 3:
             raise UsageError("n_components must be 1, 2 or 3")
 
@@ -307,10 +316,11 @@ class _Level:
 
     Its indices take the columns `start` .. `start` + `n_anchors` - 1.  A
     support box holds `count` cells: (2 `radius` + 1)^d when that width is
-    below L, else the whole torus (radius None).  A Rademacher box with b
-    cells at +1 sums to 2b - count, and `table[b]` holds the same double as
-    mapping and scaling that sum, w_m L^{-d} g((2b - count) / sqrt(count)).
-    """
+    below L, else the whole torus (radius None).  Under Rademacher noise
+    with g(x) = x^p a box whose -1/+1 cells sum to v has the value v^p
+    `factor`, w_m L^{-d} / (count^{(p-1)/2} sqrt(count)); sums of v^p over
+    anchors are exact in `exact`, float64 while n_anchors count^p < 2^53,
+    else int64 (always at a whole-torus level, for its one v^p)."""
 
     m: int
     scale: float  # w_m L^{-d}
@@ -318,7 +328,8 @@ class _Level:
     n_anchors: int
     count: int
     radius: Optional[int]
-    table: Optional[NDArray[np.float64]]
+    exact: Optional[type]
+    factor: float
 
 
 def _torus_sums(prefix: NDArray, L: int) -> NDArray:
@@ -349,13 +360,12 @@ _WINDOW_BLOCK = 1 << 17
 
 
 def _run_tables(groups: NDArray, levels: list) -> dict:
-    """Level m: (lone, runs) for each level that `groups` picks, an int
+    """Level m: (runs, lone) for each level that `groups` picks, an int
     array of index columns, (n_groups, group_len), each row strictly
     ascending.  A run of consecutive columns starts at each group's first
     column, after each gap and at each level's first column.  `runs` holds
     its (first anchor, end anchor, group) rows, sorted by first anchor;
-    the one-column runs that open their group are apart, in `lone`, a (2,
-    k) array of their anchors, ascending, and groups."""
+    `lone` marks the one-column runs that open their group."""
     starts = np.array([lv.start for lv in levels])
     opens = np.ones(groups.shape, dtype=bool)
     opens[:, 1:] = (groups[:, 1:] != groups[:, :-1] + 1) | np.isin(groups[:, 1:], starts)
@@ -370,70 +380,89 @@ def _run_tables(groups: NDArray, levels: list) -> dict:
     for lv in levels:
         lo, hi = np.searchsorted(table[:, 0], (lv.start, lv.start + lv.n_anchors))
         if hi > lo:
-            runs = table[lo:hi] - (lv.start, lv.start, 0)
-            tables[lv.m] = (runs[lone[lo:hi]][:, ::2].T, runs[~lone[lo:hi]])
+            tables[lv.m] = (table[lo:hi] - (lv.start, lv.start, 0), lone[lo:hi])
     return tables
 
 
 class _SyntheticTotals:
     """One Monte Carlo run of the synthetic family `spec` on `structure`:
     its noise-independent geometry, component sign patterns and per-level
-    `_Level`s, and the (n, n_components) totals of each chunk's noise.
+    `_Level`s, and the (n, n_components) totals of each chunk's noise, each
+    component adding its weighted levels in level order.
+
     Rademacher noise comes bit-packed as `_draw` returns it, with the sign
     patterns packed alike (a bit set where the pattern is -1); each
-    component's 0/1 counts of +1 cells are unpacked into its integer prefix,
-    and each level maps its box counts through its table.  Under the other
-    laws each level maps its float box sums themselves.
-
-    The totals add each component's weighted levels in level order: a
-    window level's anchors one after the other in C-order, from the first
-    anchor's value on, and a whole-torus level as n_anchors times its one
-    value, exact when n_anchors is a power of two.  The bits of the totals
-    are pinned to this order.  A window level's box sums come from
-    `_box_sums` at every d, in blocks of `block` first-axis anchor rows,
-    about `_WINDOW_BLOCK` values over a whole chunk; each block is mapped
-    into rows 1 .. k of the value buffer, the level's running sum goes into
-    row 0, from -0.0 on, and the rows are added.
-    The buffers, sized once for chunks of up to `chunk` realizations, are
-    reused by every chunk: one component's periodic prefix along the first
-    torus axis, unextended (1 + L rows) under Rademacher noise, and a
-    block's first-axis window sums and values.  At d >= 2
-    each further axis takes a block-sized prefix of its own.
+    component's -1/+1 cells are unpacked into its integer prefix.  A window
+    level copies each block of its integer box sums v into the value buffer,
+    in its `exact` type, and adds the block's sum of v^p, one `np.einsum`,
+    to the level's exact sum; a whole-torus level takes k anchors as k v^p.
+    The totals add each level's sum times its `factor`.  Under the other
+    laws each window level maps each block of its float box sums into rows
+    1 .. k of the value buffer, after the level's running sum in row 0, from
+    -0.0 on, and adds the rows in C-order; a whole-torus level adds
+    n_anchors times its one value.  A window level's box sums come from
+    `_box_sums` in blocks of `block` first-axis anchor rows, about
+    `_WINDOW_BLOCK` values over a whole chunk.  The buffers, sized once for
+    chunks of up to `chunk` realizations, are reused by every chunk: one
+    component's periodic prefix along the first torus axis, and a block's
+    first-axis window sums and values.
 
     With `groups`, a call also writes the group sums into the caller's
-    array, each from -0.0 on, which adds to any x as x.  Once a block of
-    values has been added to the totals, each run of the level's
-    `_run_tables` in the block is added onto its group's sum: the sum is
-    written into the row just before the run's values, row 0 for a run that
-    the block starts with, and those rows are added.  Runs go by first
-    anchor, so none reads a row that an earlier one wrote; the one-column
-    runs that open their group are copied first, all at once.  A
-    whole-torus level fills the buffer with its one value for its runs.  A
-    level of weight zero adds nothing to the totals, but is still mapped
-    when a group picks it, so its signed zeros keep their bits.  So each
-    group sum adds its columns one after the other, whatever the chunk."""
+    array, each from -0.0 on, which adds to any x as x; the runs of each
+    level's `_run_tables` cut the groups' columns.  Under Rademacher noise
+    each run's part of a block adds its exact sum of v^p to its group's sum
+    over the level, which times the level's factor goes onto the group sum
+    once the level is done.  Under the other laws, once a block of values
+    has been added to the totals, each run in the block is added onto its
+    group's sum: the sum is written into the row just before the run's
+    values, row 0 for a run that the block starts with, and those rows are
+    added.  Runs go by first anchor, so none reads a row that an earlier one
+    wrote; the one-column runs that open their group are copied first, all
+    at once, and a whole-torus level fills the buffer with its one value.  A
+    level of weight zero adds nothing to the totals, but is still visited
+    when a group picks it, so its signed zeros keep their bits."""
 
     def __init__(self, spec: SyntheticSpec, structure: DependenceStructure, chunk: int,
                  groups: Optional[NDArray] = None):
         st = structure
         self.spec, self.d, self.L = spec, st.d, st.L
-        self.tabulate = spec.dist == "rademacher"
-        self.patterns = _component_patterns(spec, st.d, st.L)
-        if self.tabulate:
-            self.patterns = np.packbits(self.patterns < 0, axis=1, bitorder="little")
+        self.packed = spec.dist == "rademacher"
+        p = self.power = _POWERS.get(spec.nonlinearity)
+        if self.packed:  # v^p of a block of box sums, and its sum over the anchors
+            self.power_of = ",".join(("ij",) * p) + "->ij"
+            self.power_sum = self.power_of.replace("->ij", "->j")
         self.levels = []
         for m in st.levels():
             hw = st.box_radius(m)
             count = min(2 * hw + 1, st.L) ** st.d
             scale = spec.weight(m) * float(st.L) ** (-st.d)
-            table = (_apply_map(spec.nonlinearity, np.arange(-count, count + 1, 2)
-                                / np.sqrt(count)) * scale if self.tabulate else None)
-            self.levels.append(_Level(
-                m=m, scale=scale, start=st.level_start(m),
-                n_anchors=st.lattice_count(m) ** st.d, count=count,
-                radius=hw if 2 * hw + 1 < st.L else None, table=table))
+            radius = hw if 2 * hw + 1 < st.L else None
+            n_anchors = st.lattice_count(m) ** st.d
+            exact, factor = None, 0.0
+            if self.packed:
+                worst = count ** p * (1 if radius is None else n_anchors)
+                if worst >= 1 << 63:
+                    raise UsageError(
+                        f"level {m} of d={st.d} L={st.L} K={st.K}: its exact sums of v^{p} "
+                        f"reach {'' if radius is None else f'{n_anchors} x '}{count}^{p} "
+                        ">= 2^63; choose a smaller L")
+                exact = np.float64 if radius is not None and worst < 1 << 53 else np.int64
+                factor = scale / (count ** ((p - 1) // 2) * math.sqrt(count))
+            self.levels.append(_Level(m=m, scale=scale, start=st.level_start(m),
+                                      n_anchors=n_anchors, count=count, radius=radius,
+                                      exact=exact, factor=factor))
+        self.patterns = _component_patterns(spec, st.d, st.L)
+        if self.packed:
+            self.patterns = np.packbits(self.patterns < 0, axis=1, bitorder="little")
         self.weighted = {lv.m for lv in self.levels if spec.weight(lv.m) != 0.0}
-        self.runs = {} if groups is None else _run_tables(groups, self.levels)
+        self.runs = {}
+        if groups is not None:
+            for m, (runs, lone) in _run_tables(groups, self.levels).items():
+                if self.packed:
+                    touched, g = np.unique(runs[:, 2], return_inverse=True)
+                    self.runs[m] = (runs[:, 0], runs[:, 1], g, touched)
+                else:
+                    self.runs[m] = (runs[lone][:, ::2].T, runs[~lone])
         self.visited = [lv for lv in self.levels
                         if lv.m in self.weighted or lv.m in self.runs]
         self.w_max = max((2 * lv.radius + 1 for lv in self.visited
@@ -441,32 +470,28 @@ class _SyntheticTotals:
         cross = st.L ** (st.d - 1)  # cells of one first-axis row
         self.block = max(1, _WINDOW_BLOCK // (chunk * cross))
         self.prefix = _prefix_array((st.L, cross * chunk), self.w_max,
-                                    "i" if self.tabulate else "f")[0].ravel()
+                                    "i" if self.packed else "f")[0].ravel()
         self.sums = np.empty(self.block * cross * chunk, dtype=self.prefix.dtype)
         self.rows = self.block * cross + 1  # a block's values and the row before them
         self.vals = np.empty(self.rows * chunk)
         self.row = np.empty(chunk)
 
     def _map(self, lv: _Level, sums: NDArray, out: NDArray[np.float64]) -> None:
-        """Write the values of level lv's box sums to out, shaped like sums:
-        counts through the level's table, float sums s as w_m L^{-d}
-        g(s / sqrt(count))."""
-        if lv.table is not None:  # counts lie in [0, count]: clipping never acts
-            np.take(lv.table, sums, out=out, mode="clip")
-        else:
-            np.divide(sums, np.sqrt(lv.count), out=out)
-            np.multiply(_apply_map(self.spec.nonlinearity, out), lv.scale, out=out)
+        """Write the values of level lv's float box sums s to out, shaped
+        like sums: w_m L^{-d} g(s / sqrt(count))."""
+        np.divide(sums, np.sqrt(lv.count), out=out)
+        np.multiply(_apply_map(self.spec.nonlinearity, out), lv.scale, out=out)
 
     def prefixes(self, noise: NDArray, w_max: int, buf: Optional[NDArray] = None):
         """Yield each component's `_periodic_prefix` along the first torus
-        axis, in `buf` when given: under tabulated noise the integer prefix
-        of the 0/1 counts of the cells where the component is +1, shape (1 +
-        L, L, ..., L, n), its packed sign pattern XORed onto the packed
-        noise; else the float prefix of its values, extended by w_max."""
+        axis, in `buf` when given: under Rademacher noise the integer prefix
+        of its -1/+1 cells, shape (1 + L, L, ..., L, n), its packed sign
+        pattern XORed onto the packed noise; else the float prefix of its
+        values, extended by w_max."""
         shape = (self.L,) * self.d + noise.shape[1:]
         for c, p in enumerate(self.patterns):  # pattern 0 is all ones
-            if self.tabulate:
-                yield _count_prefix(noise[:len(p)] ^ p[:, None] if c else noise, shape, buf)
+            if self.packed:
+                yield _sign_prefix(noise[:len(p)] ^ p[:, None] if c else noise, shape, buf)
             else:
                 yield _periodic_prefix((noise * p[:, None] if c else noise).reshape(shape),
                                        w_max, buf=buf)
@@ -486,7 +511,9 @@ class _SyntheticTotals:
             acc = None if sums is None else sums[:, :, c].T  # group g's sum: acc[g]
             torus = _torus_sums(prefix, self.L)
             for lv in self.visited:
-                if lv.radius is None:
+                if self.packed:
+                    self._exact_level(prefix, torus, lv, row, vals, acc)
+                elif lv.radius is None:
                     self._map(lv, torus, row)
                     if lv.m in self.runs:  # its one value, in blocks of the buffer
                         for a0 in range(0, lv.n_anchors, self.rows - 1):
@@ -499,6 +526,55 @@ class _SyntheticTotals:
                 if lv.m in self.weighted:
                     out[:, c] += row
         return out
+
+    def _exact_level(self, prefix: NDArray, torus: NDArray, lv: _Level,
+                     row: NDArray[np.float64], vals: NDArray[np.float64],
+                     acc: Optional[NDArray[np.float64]]) -> None:
+        """Visit level lv under Rademacher noise: write its exact sum of v^p
+        over its anchors, times its factor, to row, and add each group's
+        exact sum over its columns of the level, times the factor, onto
+        acc[g]."""
+        n, p = len(row), self.power
+        runs = self.runs.get(lv.m)
+        if lv.radius is None:
+            vp = (torus.astype(np.int64) ** p).astype(np.float64)
+            total = lv.n_anchors * vp
+            if runs is not None:  # each group's anchors on the level, times v^p
+                first, end, g, _ = runs
+                part = np.bincount(g, weights=end - first)[:, None] * vp
+        else:
+            x = vals.view(lv.exact)
+            total = np.zeros(n, dtype=lv.exact)
+            if runs is not None:
+                part = np.zeros((len(runs[3]), n), dtype=lv.exact)
+            a0 = 0
+            for block in _box_sums(prefix, self.d, self.L, lv.radius, 1 << lv.m, self.block,
+                                   self.sums):
+                v = block.reshape(-1, n)
+                k = len(v)
+                x[:k] = v
+                total += np.einsum(self.power_sum, *(x[:k],) * p)
+                if runs is not None:
+                    self._exact_runs(runs, a0, x[:k], part)
+                a0 += k
+        np.multiply(total, lv.factor, out=row)
+        if runs is not None:
+            acc[runs[3]] += part * lv.factor
+
+    def _exact_runs(self, runs: tuple, a0: int, x: NDArray, part: NDArray) -> None:
+        """Add the exact sums of v^p over the parts of a level's runs among
+        anchors a0 .. a0 + k - 1, whose box sums v are the k rows of x, onto
+        their groups' rows of part: the one-anchor parts all at once, the
+        others one by one."""
+        first, end, g, _ = runs
+        k, p = len(x), self.power
+        live = np.flatnonzero(end[:np.searchsorted(first, a0 + k)] > a0)
+        s = np.maximum(first[live] - a0, 0)
+        e = np.minimum(end[live] - a0, k)
+        one = e - s == 1
+        np.add.at(part, g[live[one]], np.einsum(self.power_of, *(x[s[one]],) * p))
+        for lo, hi, gi in zip(s[~one].tolist(), e[~one].tolist(), g[live[~one]].tolist()):
+            part[gi] += np.einsum(self.power_sum, *(x[lo:hi],) * p)
 
     def _window_level(self, prefix: NDArray, lv: _Level, row: NDArray[np.float64],
                       vals: NDArray[np.float64], acc: Optional[NDArray[np.float64]]) -> None:
@@ -583,15 +659,19 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     finite raises UsageError, or with `groups`, an int array of shape
     (n_groups, group_len) holding index columns, a pair (totals, sums):
     sums[k, g] is the sum of realization k's values over the columns
-    groups[g], added one after the other, shape (n, n_groups, n_components),
-    and `np.arange(n_indices)[:, None]` gives the per-index values
-    themselves.  The columns run level by level from level 0, each level in
+    groups[g], shape (n, n_groups, n_components), added one after the other
+    under the float laws, and `np.arange(n_indices)[:, None]` gives the
+    per-index values themselves.  The columns run level by level from level 0, each level in
     the C-order of its anchors y / 2^m (`DependenceStructure.positions`),
     and each group's columns must be strictly ascending, the order of the
     pass.  A grouped run takes the totals of a plain run, bit for bit, in
     the same pass (`_SyntheticTotals`), which adds each block of a level's
     values onto the group sums that hold them as it maps the level's box
-    sums.
+    sums.  Under Rademacher noise each level's part of a total or group sum
+    is its exact integer sum of v^p times one factor, so those bits hold on
+    any CPU; a level whose sums could reach 2^63 (d=1 L=2^20, d=2 L=1024,
+    d=3 L >= 64 at K=2) raises UsageError, naming the level, before any
+    noise is drawn.
     """
     if n < 1:
         raise UsageError("need n >= 1 realizations")

@@ -7,7 +7,8 @@ closed-form neighbor counts; the index set and a grouping's groups as
 `LevelIndex` lists, enumerated by loops as the reference for the library's
 column positions; the columns that a grouping leaves as remainders, the
 check that groups share no noise cell, the box sums, per-index values and
-per-level totals of a synthetic family, and the sampled check of a test
+per-level totals of a synthetic family under float noise, the Python-int
+oracle of a family under Rademacher noise, and the sampled check of a test
 function against the restricted test class.
 """
 import functools
@@ -195,11 +196,9 @@ def level_box_sums(levels, noise, chosen):
     levels `chosen` in level order: a level's whole array of box sums, one
     axis of anchors per torus axis and then the realizations, or on a
     whole-torus level one sum per realization standing for every anchor.
-    `noise` is as `fields._draw` gives it: (bytes, n), bit-packed, under
-    Rademacher noise, and then the sums are integer counts of +1 cells,
-    else (cells, n) floats.  Each component's boxes come from one periodic prefix
-    along the first axis (`fields._box_sums`, its blocks stacked, and
-    `fields._torus_sums`)."""
+    `noise` is as `fields._draw` gives it for a float law, (cells, n).  Each
+    component's boxes come from one periodic prefix along the first axis
+    (`fields._box_sums`, its blocks stacked, and `fields._torus_sums`)."""
     w_max = max((2 * lv.radius + 1 for lv in chosen if lv.radius is not None), default=0)
     for c, prefix in enumerate(levels.prefixes(noise, w_max)):
         torus = _torus_sums(prefix, levels.L)
@@ -209,9 +208,9 @@ def level_box_sums(levels, noise, chosen):
 
 
 def index_values(levels, noise) -> np.ndarray:
-    """The (n, n_indices, n_components) per-index values in the index set's
-    column order, each level's whole array of box sums mapped by
-    `levels._map`: the reference for the values that a grouped
+    """The (n, n_indices, n_components) per-index values of float noise in
+    the index set's column order, each level's whole array of box sums
+    mapped by `levels._map`: the reference for the values that a grouped
     `monte_carlo` picks block by block."""
     n = noise.shape[1]
     n_indices = sum(lv.n_anchors for lv in levels.levels)
@@ -224,12 +223,13 @@ def index_values(levels, noise) -> np.ndarray:
 
 
 def per_level_totals(levels, noise) -> np.ndarray:
-    """The (n, n_components) totals that `fields._SyntheticTotals` must
-    match bit for bit, from each weighted level's whole array of values
-    (`level_box_sums` mapped by `levels._map`), component by component
-    and on each in level order: a window level's anchors added one after
-    the other in C-order, from the first anchor's value on, and a
-    whole-torus level as n_anchors times its one value."""
+    """The (n, n_components) totals of float noise that
+    `fields._SyntheticTotals` must match bit for bit, from each weighted
+    level's whole array of values (`level_box_sums` mapped by
+    `levels._map`), component by component and on each in level order: a
+    window level's anchors added one after the other in C-order, from the
+    first anchor's value on, and a whole-torus level as n_anchors times its
+    one value."""
     n = noise.shape[1]
     out = np.zeros((n, levels.spec.n_components))
     weighted = [lv for lv in levels.levels if levels.spec.weight(lv.m) != 0.0]
@@ -241,3 +241,62 @@ def per_level_totals(levels, noise) -> np.ndarray:
         else:
             out[:, c] += functools.reduce(np.add, vals.reshape(-1, n))
     return out
+
+
+class ExactFamily(NamedTuple):
+    """A Rademacher family's Monte Carlo output from `exact_family`."""
+
+    totals: np.ndarray  # (n, n_components)
+    values: np.ndarray  # (n, n_indices, n_components)
+    sums: np.ndarray  # (n, n_groups, n_components); (n, 0, n_components) without groups
+
+
+def exact_family(spec, structure, rows, groups=()) -> ExactFamily:
+    """The Python-int oracle of the Rademacher family `spec` on the (n,
+    cells) -1/+1 noise rows, C-order cells, for the map g(x) = x^p.
+
+    Component c >= 1 flips the cells whose first coordinate x_1 has bit c - 1
+    set.  Each index's box sum v holds every cell within periodic distance
+    box_radius(m) of y on each axis, or the whole torus where the box is L
+    wide: read by inclusion-exclusion over the box's 2^d corners from the
+    int64 integral image of the torus tiled three times per axis.  Every sum
+    of v^p over a level's anchors is a Python int, and only that sum times
+    the level's factor, w_m L^{-d} / (c^{(p-1)/2} sqrt(c)) for boxes of c
+    cells, is a float.  An index's value is its v^p times the factor; the
+    totals add the weighted levels' sums from 0.0 in level order, and each
+    group sum the sums over its columns of each level that holds some, from
+    -0.0 in level order."""
+    st, p = structure, {"identity": 1, "cube": 3}[spec.nonlinearity]
+    n, d, L = len(rows), structure.d, structure.L
+    x1 = np.arange(L ** d) // L ** (d - 1)
+    values = np.empty((n, len(build_index_set(st)), spec.n_components))
+    totals = np.zeros((n, spec.n_components))
+    sums = np.full((n, len(groups), spec.n_components), -0.0)
+    for c in range(spec.n_components):
+        signs = np.where(x1 >> (c - 1) & 1, -1, 1) if c else 1
+        grid = (rows * signs).astype(np.int64).T.reshape((L,) * d + (n,))
+        image = np.pad(np.tile(grid, (3,) * d + (1,)), [(1, 0)] * d + [(0, 0)])
+        for axis in range(d):
+            np.cumsum(image, axis=axis, out=image)
+        for m in st.levels():
+            cols = np.arange(st.level_start(m), st.level_start(m + 1))
+            r = st.box_radius(m)
+            if 2 * r + 1 >= L:
+                v = np.broadcast_to(grid.reshape(-1, n).sum(axis=0), (len(cols), n))
+            else:
+                y = np.array(lattice(st, m)).reshape(len(cols), d)
+                v = sum((-1) ** sum(corner) * image[tuple(y[:, a] + L + (r + 1 if hi else -r)
+                                                          for a, hi in enumerate(corner))]
+                        for corner in itertools.product((0, 1), repeat=d)) * (-1) ** d
+            vp = v.T.astype(object) ** p  # (n, anchors) Python ints
+            count = min(2 * r + 1, L) ** d
+            factor = (spec.weight(m) * float(L) ** (-d)
+                      / (count ** ((p - 1) // 2) * math.sqrt(count)))
+            values[:, cols, c] = vp.astype(float) * factor
+            if spec.weight(m) != 0.0:
+                totals[:, c] += vp.sum(axis=1).astype(float) * factor
+            for g, group in enumerate(groups):
+                mine = np.intersect1d(group, cols) - cols[0]
+                if len(mine):
+                    sums[:, g, c] += vp[:, mine].sum(axis=1).astype(float) * factor
+    return ExactFamily(totals, values, sums)

@@ -394,7 +394,7 @@ def test_clt_rate_manifest_records_decisions(tmp_path):
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _RATE_SEED11_SHA256
     manifest = json.loads(out.with_name("rate.csv.manifest.json").read_text())
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
     assert manifest["fit"] is None
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -425,7 +425,7 @@ def test_clt_rate_runs_at_d2(tmp_path):
     assert manifest["config"]["d"] == 2
     assert manifest["n_rows"] == 3
     assert manifest["failures"] == []
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
 
 
 

@@ -360,6 +360,23 @@ def test_empirical_point_mass_reduces_to_closed_form():
     assert abs(got - ROOT_2_OVER_PI) < 1e-6
 
 
+def test_empirical_grid_term_is_cached_per_n():
+    # the grid (0, 1/n, ..., 1) and its phi(Phi^{-1}) are computed once per n,
+    # read-only, with the bits of a fresh computation; the W1 of a sample of
+    # another size takes its own grid
+    distances._uniform_grid.cache_clear()
+    u, pdf = distances._uniform_grid(17)
+    assert distances._uniform_grid(17)[1] is pdf
+    assert not u.flags.writeable and not pdf.flags.writeable
+    fresh = np.arange(18) / 17
+    assert u.tobytes() == fresh.tobytes()
+    assert pdf.tobytes() == distances._pdf_at_quantile(fresh).tobytes()
+    x = np.random.default_rng(4).standard_normal(17)
+    assert w1_empirical_gaussian(x, 1.0) == w1_empirical_gaussian(x.copy(), 1.0)
+    w1_empirical_gaussian(x[:5], 1.0)
+    assert distances._uniform_grid.cache_info().currsize == 2
+
+
 def test_empirical_matches_discrete_on_atom_law():
     rng = np.random.default_rng(8)
     vals = rng.choice([-1.0, 1.0], size=100000)

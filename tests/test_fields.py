@@ -1,6 +1,7 @@
 """Noise draws, pointwise maps, periodic box means, synthetic multilevel
 families, exact enumeration of tiny laws, and the reproducible Monte Carlo
 driver."""
+import csv
 import functools
 import hashlib
 import json
@@ -13,10 +14,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
 from scipy.special import log1p, ndtri
-from support import LevelIndex, build_index_set, index_values, per_level_totals
+from support import LevelIndex, build_index_set, exact_family, index_values, per_level_totals
 
 import mlclt
 from mlclt import UsageError
@@ -27,6 +32,11 @@ from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticTotals, _add_r
                           _apply_map, _box_sums, _draw, _periodic_prefix, _windows,
                           brute_force_law, make_preset, monte_carlo, PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +249,10 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n_components=4)
     with pytest.raises(UsageError):
         SyntheticSpec(dist="cauchy")
+    # Rademacher sums are exact integers only under a power map
+    with pytest.raises(UsageError, match="power map"):
+        SyntheticSpec(nonlinearity="signed-sqrt", dist="rademacher")
+    SyntheticSpec(nonlinearity="signed-sqrt", dist="uniform")
 
 
 def test_brute_force_law_two_cells():
@@ -267,35 +281,41 @@ def test_brute_force_law_is_symmetric_and_centered():
                                    pytest.param(1, 12, 1.0, id="12-1.0"),
                                    pytest.param(2, 4, 2.0, id="d2-4-2.0")])
 def test_brute_force_law_reads_the_count_path(d, L, K):
-    # the enumerated bits go through the counts that monte_carlo samples; the
-    # float path gives the same totals bit for bit, so the same law
+    # the enumerated bits go through the exact integer sums that monte_carlo
+    # samples: the same totals, bit for bit, as the Python-int oracle of every
+    # configuration, so the same law; the float path of the same -1/+1
+    # cells, rounded as the law rounds, gives it too
     spec, st = make_preset("cube", d, L, K=K)
     law = brute_force_law(spec, st)
     cells = L ** d
-    bits = (np.arange(1 << cells)[:, None] >> np.arange(cells)[None, :]) & 1
+    rows = ((np.arange(1 << cells)[:, None] >> np.arange(cells)[None, :]) & 1) * 2 - 1
     float_path = _SyntheticTotals(replace(spec, dist="gaussian"), st, 1 << cells)
-    totals = float_path((bits * 2.0 - 1.0).T)[:, 0]
-    values, counts = np.unique(np.round(totals, 12), return_counts=True)
-    assert np.array_equal(law.values, values)
-    assert np.array_equal(law.probs, counts / (1 << cells))
+    for totals in (exact_family(spec, st, rows).totals[:, 0],
+                   float_path(rows.T.astype(float))[:, 0]):
+        values, counts = np.unique(np.round(totals, 12), return_counts=True)
+        assert np.array_equal(law.values, values)
+        assert np.array_equal(law.probs, counts / (1 << cells))
 
 
 _PINNED_LAWS = "43d2952757a0f2358a64f5ca460c5f5112b3b49577c4cdf395e984576ac3b952"
 
 
 def test_brute_force_laws_are_pinned():
-    # pinned from an enumeration of unpacked 0/1 bits, cell by cell; the
-    # packed one must give the same laws.  9, 12 and 17 cells leave padding
-    # bits in the last byte
+    # pinned from the laws of the Python-int oracle's totals over every
+    # configuration, and equal to them; the packed enumeration must give the
+    # same laws.  9, 12 and 17 cells leave padding bits in the last byte.
+    # signed-sqrt is no power map, so Rademacher noise refuses it
     digest = hashlib.sha256()
     for name, d, L, K in (("cube", 1, 4, 2.0), ("cube", 1, 9, 1.0), ("cube", 1, 12, 1.0),
-                          ("cube", 1, 17, 1.0), ("signed-sqrt", 1, 9, 1.0),
-                          ("cube", 2, 3, 1.0), ("cube", 2, 4, 1.0)):
+                          ("cube", 1, 17, 1.0), ("cube", 2, 3, 1.0), ("cube", 2, 4, 1.0)):
         spec, st = make_preset(name, d, L, K=K)
-        law = brute_force_law(replace(spec, dist="rademacher"), st)
+        law = brute_force_law(spec, st)
         for arr in (law.values, law.probs):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == _PINNED_LAWS
+    spec, _ = make_preset("signed-sqrt", 1, 9, K=1.0)
+    with pytest.raises(UsageError, match="power map"):
+        replace(spec, dist="rademacher")
 
 
 def test_brute_force_law_guards():
@@ -375,10 +395,9 @@ def test_monte_carlo_d2_float_stream_is_pinned():
 
 
 # Monte Carlo totals in a fresh interpreter, config by config: the sha256
-# digests of the totals, of the level tables that map Rademacher box counts
-# (empty under float noise) and of the sums of two groups, one of singleton
-# runs and one of whole levels; numpy's baseline SIMD features and the
-# dispatched features it enabled
+# digests of the totals and of the sums of two groups, one of singleton runs
+# and one of whole levels; numpy's baseline SIMD features and the dispatched
+# features it enabled
 _SIMD_CHILD = """
 import hashlib, json
 from dataclasses import replace
@@ -387,62 +406,102 @@ try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath as umath
-from mlclt.fields import _SyntheticTotals, make_preset, monte_carlo
+from mlclt.fields import make_preset, monte_carlo
 runs = {}
 for name, d, L, n in (("cube", 1, 64, 400), ("cube", 2, 16, 100), ("identity-gauss", 1, 64, 400),
                       ("identity", 1, 64, 400), ("identity", 2, 16, 100)):
     spec, st = make_preset(name if name != "identity" else "cube", d, L, K=1.0)
     if name == "identity":
         spec = replace(spec, nonlinearity="identity")
-    tables = hashlib.sha256()
-    for lv in _SyntheticTotals(spec, st, 1).levels:
-        if lv.table is not None:
-            tables.update(lv.table.tobytes())
     totals = hashlib.sha256(monte_carlo(spec, st, n, 2026).tobytes())
     n_indices = st.level_start(st.max_level + 1)
     half = n_indices // 2  # every other column; the last half
     groups = np.array([2 * np.arange(half), np.arange(n_indices - half, n_indices)])
     sums = hashlib.sha256(monte_carlo(spec, st, n, 2026, groups=groups)[1].tobytes())
-    runs[f"{name} d={d}"] = [totals.hexdigest(), tables.hexdigest(), sums.hexdigest()]
+    runs[f"{name} d={d}"] = [totals.hexdigest(), sums.hexdigest()]
 enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 print(json.dumps({"runs": runs, "baseline": list(umath.__cpu_baseline__), "dispatch": enabled}))
 """
 
 
-def _child_totals(cpu_features=None) -> dict:
-    """`_SIMD_CHILD`'s report, run in a subprocess whose numpy enables only
-    `cpu_features` among its dispatched SIMD features, when given."""
+def _baseline_env(cpu_features=None) -> dict:
+    """The environment of a subprocess that imports `mlclt` from this
+    source tree, whose numpy enables only `cpu_features` among its
+    dispatched SIMD features, when given."""
     src = str(Path(mlclt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("NPY_ENABLE_CPU_FEATURES", None)
     if cpu_features is not None:
         env["NPY_ENABLE_CPU_FEATURES"] = cpu_features
-    done = subprocess.run([sys.executable, "-c", _SIMD_CHILD], env=env, capture_output=True,
-                          text=True, timeout=300)
+    return env
+
+
+def _child_totals(cpu_features=None) -> dict:
+    """`_SIMD_CHILD`'s report, run in a `_baseline_env(cpu_features)`
+    subprocess."""
+    done = subprocess.run([sys.executable, "-c", _SIMD_CHILD], env=_baseline_env(cpu_features),
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_totals_keep_their_bits_under_baseline_simd_features():
     # numpy picks its ufunc loops by the CPU's SIMD features, and some loops
-    # change their bits with them.  The totals take integer box counts,
-    # table lookups, scipy's scalar ufuncs and float adds in a fixed order,
-    # so under the baseline features alone they keep their bits, and so do
-    # the group sums, the same values added in runs: Gaussian noise, and
-    # Rademacher counts through exact identity tables at d = 1 and 2.  The
-    # cube tables are x ** 3, numpy's power loop, which moves with the SIMD
-    # features on some CPUs (AVX-512 ones among them); cube totals and group
-    # sums must keep their bits wherever their tables do
+    # change their bits with them.  Rademacher totals and group sums are
+    # exact integer sums per level times one factor, and float-law totals
+    # take scipy's scalar ufuncs and float adds in a fixed order, so under
+    # the baseline features alone every digest keeps its bits: Gaussian
+    # noise, and Rademacher noise under the identity and the cube at d = 1
+    # and 2
     default = _child_totals()
     baseline = _child_totals(" ".join(default["baseline"]))
     assert baseline["dispatch"] == []
-    for run in ("identity-gauss d=1", "identity d=1", "identity d=2"):
-        assert baseline["runs"][run] == default["runs"][run], run
-    for run in ("cube d=1", "cube d=2"):
-        (totals, tables, sums), (expect, expect_tables, expect_sums) = (baseline["runs"][run],
-                                                                        default["runs"][run])
-        assert (totals, sums) == (expect, expect_sums) or tables != expect_tables, run
+    assert set(default["runs"]) == {"cube d=1", "cube d=2", "identity-gauss d=1",
+                                    "identity d=1", "identity d=2"}
+    for run, digests in default["runs"].items():
+        assert baseline["runs"][run] == digests, run
+
+
+def _cli_csv(tmp_path, args: str, cpu_features=None) -> list:
+    """The rows of the CSV of `mlclt <args>`, run in a
+    `_baseline_env(cpu_features)` subprocess, as dicts of the cells' text."""
+    out = tmp_path / f"{'default' if cpu_features is None else 'baseline'}.csv"
+    code = "import sys\nimport mlclt.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    done = subprocess.run([sys.executable, "-c", code, *args.split(), "--out", str(out)],
+                          env=_baseline_env(cpu_features), capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# numpy's `exp` in `distances._pdf_at_quantile` moves the normalized_w1 and
+# mc_floor cells of clt-rate in their last digits with the SIMD features: by
+# up to 1.1e-13 relative when measured, held here within 1e-12
+_W1_SIMD_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    "clt-rate --preset cube --d 1 --L 16,32,64,128,256,512 --n-samples 20000 --seed 2026",
+    "moderate --preset cube --d 1 --L 1024 --ell 512 --n-samples 20000 --seed 2026"],
+    ids=["rate-d1", "moderate"])
+def test_workload_csvs_under_baseline_simd_features(tmp_path, args):
+    # the benchmark's two Monte Carlo workloads as CLI runs.  Every cell that
+    # the totals feed, estimated_variance and the bound columns of clt-rate
+    # and every moderate cell, keeps its bits under the baseline features
+    # alone; the two W1 cells stay within _W1_SIMD_RTOL
+    default = _cli_csv(tmp_path, args)
+    baseline = _cli_csv(tmp_path, args, " ".join(umath.__cpu_baseline__))
+    assert len(default) == len(baseline) > 0
+    for got, expect in zip(baseline, default):
+        assert got.keys() == expect.keys()
+        for key in expect:
+            if key in ("normalized_w1", "mc_floor"):
+                assert math.isclose(float(got[key]), float(expect[key]),
+                                    rel_tol=_W1_SIMD_RTOL, abs_tol=0.0), key
+            else:
+                assert got[key] == expect[key], key
 
 
 _PINNED_WINDOWS = "51f3b38af0a86689586ba263648db6a33744fd8d06578e0da8c14ee13dc022a2"
@@ -479,15 +538,18 @@ def test_monte_carlo_windows_are_pinned():
 @pytest.mark.parametrize("d,L", [(1, 48), (1, 64), (1, 119), (2, 24), (2, 32)],
                          ids=["48", "64", "119", "d2-24", "d2-32"])
 def test_count_path_matches_float_path(d, L, K):
-    # monte_carlo sums Rademacher boxes as integer counts and maps them
-    # through tables; the float path maps the float sums themselves
+    # monte_carlo sums Rademacher boxes as exact integers v and takes each
+    # value as v^3 times one factor per level: bit for bit the Python-int
+    # oracle's, and within a few ulps of the float path, which maps the
+    # float sums themselves through (v / sqrt(c))^3
     for n_comp in (1, 3):
         spec, st = make_preset("cube", d, L, K=K, n_components=n_comp)
         _, per_index = monte_carlo(spec, st, 6, 404, chunk_size=4,
                                    groups=_each_index(st))
-        for k in range(6):
-            direct = _direct_values(spec, st, _draw_rows(d, L, "rademacher", 404, k, 1))
-            assert np.array_equal(per_index[k], direct[0])
+        rows = _draw_rows(d, L, "rademacher", 404, 0, 6)
+        assert per_index.tobytes() == exact_family(spec, st, rows).values.tobytes()
+        direct = _direct_values(spec, st, rows)
+        assert np.allclose(per_index, direct, rtol=1e-15, atol=0.0)
 
 
 def _check_prefix(x, w_max, peak=1):
@@ -525,13 +587,15 @@ def test_periodic_prefix_entries_are_exact():
 
 def test_count_path_matches_float_path_past_int16_prefix_entries():
     # d=2, L=256, K=2: level 2 is 129 cells wide, so the second axis sums
-    # window sums up to 129 and its prefix entries reach 129 * 385 > 2^15
+    # window sums in [-129, 129] and its prefix entries reach 129 * 385 >
+    # 2^15.  Bit for bit the Python-int oracle, within a few ulps the float
+    # path
     spec, st = make_preset("cube", 2, 256)
     assert 2 * st.box_radius(2) + 1 == 129
     _, per_index = monte_carlo(spec, st, 3, 404, groups=_each_index(st))
-    for k in range(3):
-        direct = _direct_values(spec, st, _draw_rows(2, 256, "rademacher", 404, k, 1))
-        assert np.array_equal(per_index[k], direct[0])
+    rows = _draw_rows(2, 256, "rademacher", 404, 0, 3)
+    assert per_index.tobytes() == exact_family(spec, st, rows).values.tobytes()
+    assert np.allclose(per_index, _direct_values(spec, st, rows), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n_comp,d,L", [pytest.param(1, 1, 119, id="1"),
@@ -567,16 +631,24 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
     # rows, 6 at d = 2 L = 32 and one at d = 3 L = 12 in a chunk of 640, so
     # the blocks cut a level's C-order anchors, and non-dyadic whole-torus
     # levels have odd anchor counts.
-    # The oracle adds each level's whole values array row by row.
+    # Under the float laws the oracle adds each level's whole values array
+    # row by row; Rademacher totals are exact integer sums per level, which
+    # the Python-int oracle takes on the first nine realizations of each run.
     big = 4096 if d == 1 else 640
     for i, dist in enumerate(_DISTS):
         n_comp = 1 + (i + L) % 3
-        spec = SyntheticSpec(nonlinearity=_MAPS[(i + L) % 3], dist=dist, n_components=n_comp,
+        nonlinearity = ("identity", "cube")[L % 2] if i == 0 else _MAPS[(i + L) % 3]
+        spec = SyntheticSpec(nonlinearity=nonlinearity, dist=dist, n_components=n_comp,
                              level_weights=None if i % 2 else (1.0, 0.0, 2.0, 0.5))
         st = DependenceStructure(d=d, L=L, K=K)
         levels = _SyntheticTotals(spec, st, 1)
+        if dist == "rademacher":
+            oracle = exact_family(spec, st, _draw_rows(d, L, dist, 404, 0, 9)).totals
         for chunk, n in ((1, 9), (2, 9), (7, 9), (big, big)):
             got = monte_carlo(spec, st, n, 404, chunk_size=chunk)
+            if dist == "rademacher":
+                assert got[:9].tobytes() == oracle.tobytes(), chunk
+                continue
             expect = np.concatenate([
                 per_level_totals(levels, _draw(d, L, dist, 404, k0, min(chunk, n - k0)))
                 for k0 in range(0, n, chunk)])
@@ -701,19 +773,24 @@ def test_grouped_slices_keep_the_bits_of_whole_chunks(monkeypatch, name, d, L, n
     # _WINDOW_BLOCK cells.  Chunks of one, three and eight realizations, the
     # last one short, in whole-level blocks and in blocks of seven and of five
     # anchors at d = 1 and of one row at d = 2 and 3, which cut the levels and
-    # leave a short last block, must give the bits of one whole chunk; and the
-    # group sums must be each group's per-index columns added one after the
-    # other
+    # leave a short last block, must give the bits of one whole chunk.  Under
+    # the float laws the group sums must be each group's per-index columns
+    # added one after the other; under Rademacher noise (cube) each group's
+    # exact sums per level, times the level's factor, of the Python-int oracle
     spec, st = make_preset(name, d, L, K=1.0, n_components=n_comp)
     n_indices = len(build_index_set(st))
     _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
+    rows = _draw_rows(d, L, spec.dist, 61, 0, 23)
     for groups in (_some_groups(st, group_len=1), _some_groups(st, group_len=9),
                    np.arange(n_indices)[None, :]):
         whole = _grouped_bytes(spec, st, groups, 23)
         for chunk, block in ((1, 1 << 17), (3, 21), (8, 40)):
             monkeypatch.setattr("mlclt.fields._WINDOW_BLOCK", block)
             assert _grouped_bytes(spec, st, groups, chunk) == whole, (chunk, block)
-        expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
+        if spec.dist == "rademacher":
+            expect = exact_family(spec, st, rows, groups).sums
+        else:
+            expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
         assert whole[1] == expect.tobytes(), groups.shape
 
 
@@ -739,20 +816,26 @@ def _run_table_groups(st):
 @pytest.mark.parametrize("d,L,K", [(1, 64, 2.0), (2, 16, 1.0)], ids=["d1", "d2"])
 def test_run_table_group_sums_keep_the_bits_of_the_per_index_oracle(monkeypatch, d, L, K,
                                                                      weights, dist, n_comp):
-    # each group sum adds its runs' values onto the sum row by row, so it
-    # must have the bits of its per-index columns added one after the other,
-    # whatever cuts the runs: blocks of three or five anchors at d = 1 and of
-    # one row at d = 2 split them, a run that goes on at anchor 0 of the
-    # next level writes its sum into the row before the block's values,
-    # and a whole-torus level's runs add its one value again and again.  On
-    # levels of weight zero the values are signed zeros, and a group of
-    # them alone must keep -0.0 where every value is -0.0
+    # under float noise each group sum adds its runs' values onto the sum
+    # row by row, so it must have the bits of its per-index columns added
+    # one after the other, whatever cuts the runs: blocks of three or five
+    # anchors at d = 1 and of one row at d = 2 split them, a run that goes
+    # on at anchor 0 of the next level writes its sum into the row before
+    # the block's values, and a whole-torus level's runs add its one value
+    # again and again.  Under Rademacher noise each run adds its exact part
+    # to its group's exact sum over the level, whatever cuts it, and the
+    # Python-int oracle gives the bits.  On levels of weight zero the values
+    # are signed zeros, and a group of them alone must keep -0.0 where every
+    # value is -0.0
     spec = SyntheticSpec(nonlinearity="cube", dist=dist, n_components=n_comp,
                          level_weights=weights)
     st = DependenceStructure(d=d, L=L, K=K)
     groups = _run_table_groups(st)
-    _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
-    expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
+    if dist == "rademacher":
+        expect = exact_family(spec, st, _draw_rows(d, L, dist, 61, 0, 23), groups).sums
+    else:
+        _, per_index = monte_carlo(spec, st, 23, 61, groups=_each_index(st))
+        expect = functools.reduce(np.add, [per_index[:, col] for col in groups.T])
     if weights is not None:
         assert np.signbit(expect[:, -1][expect[:, -1] == 0.0]).any()
     for block in (1 << 17, 21, 40):
@@ -806,6 +889,92 @@ def test_grouped_pass_holds_slices_not_chunks_of_values():
         assert peak < 5 * 2 ** 20, (groups.shape, peak / 2 ** 20)
 
 
+@pytest.mark.parametrize("L,exact", [(65536, np.float64), (131072, np.int64)],
+                         ids=["float64", "int64"])
+def test_exact_sums_match_python_int_oracle(L, exact):
+    # the widest window level picks the type of its exact sums from its
+    # worst case n_anchors c^3: 2^52.0 at d=1 L=65536 keeps float64, 2^55.3
+    # at L=131072 takes int64.  Plain totals, per-index values and group sums,
+    # one group a whole window level, against the Python-int oracle
+    spec, st = make_preset("cube", 1, L, n_components=2)
+    windows = [lv for lv in _SyntheticTotals(spec, st, 1).levels if lv.radius is not None]
+    worst = max(windows, key=lambda lv: lv.n_anchors * lv.count ** 3)
+    assert 2 ** 52 <= worst.n_anchors * worst.count ** 3 < 2 ** 56
+    assert worst.exact is exact and {lv.exact for lv in windows} <= {np.float64, exact}
+    level = np.arange(worst.start, worst.start + worst.n_anchors)[None, :]
+    groups = [np.sort(np.random.default_rng(L).choice(worst.start + worst.n_anchors, 9,
+                                                      replace=False))]
+    oracle = exact_family(spec, st, _draw_rows(1, L, "rademacher", 2026, 0, 2),
+                          [level[0], groups[0]])
+    totals = monte_carlo(spec, st, 2, 2026)
+    assert totals.tobytes() == oracle.totals.tobytes()
+    samples, per_index = monte_carlo(spec, st, 2, 2026, groups=_each_index(st))
+    assert samples.tobytes() == totals.tobytes()
+    assert per_index.tobytes() == oracle.values.tobytes()
+    for g, group in enumerate((level, np.array(groups))):
+        _, sums = monte_carlo(spec, st, 2, 2026, groups=group, chunk_size=1)
+        assert sums[:, 0].tobytes() == oracle.sums[:, g].tobytes(), g
+
+
+@pytest.mark.parametrize("d,L,refused", [(1, 2 ** 19, False), (1, 2 ** 20, True),
+                                         (2, 512, False), (2, 1024, True),
+                                         (3, 32, False), (3, 64, True)])
+def test_exact_sums_guard_refuses_at_construction(monkeypatch, d, L, refused):
+    # a level whose exact sums of v^3 could reach 2^63 is refused before any
+    # noise is drawn; the largest lattices below it are accepted
+    def no_draw(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr("mlclt.fields._draw", no_draw)
+    spec, st = make_preset("cube", d, L)
+    if refused:
+        with pytest.raises(UsageError, match=r"level \d+ of d=.*>= 2\^63"):
+            _SyntheticTotals(spec, st, 1)
+        with pytest.raises(UsageError, match=r"level \d+ of d="):
+            monte_carlo(spec, st, 1, 2026)
+    else:
+        levels = _SyntheticTotals(spec, st, 1).levels
+        assert max(lv.count ** 3 * (1 if lv.radius is None else lv.n_anchors)
+                   for lv in levels) < 2 ** 63
+
+
+@st_h.composite
+def _exact_runs(draw):
+    """A Rademacher family on a small lattice, n realizations, a chunk size,
+    a window block size and a few groups of ascending columns."""
+    d = draw(st_h.sampled_from([1, 2]))
+    L = draw(st_h.integers(3, 80) if d == 1 else st_h.integers(3, 16))
+    weights = draw(st_h.none() | st_h.lists(st_h.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                            min_size=1, max_size=5).map(tuple))
+    spec = SyntheticSpec(nonlinearity=draw(st_h.sampled_from(["identity", "cube"])),
+                         n_components=draw(st_h.integers(1, 3)), level_weights=weights)
+    structure = DependenceStructure(d=d, L=L, K=draw(st_h.sampled_from([1.0, 2.0])))
+    n_indices = structure.level_start(structure.max_level + 1)
+    group_len = draw(st_h.integers(1, min(12, n_indices)))
+    groups = draw(st_h.lists(st_h.lists(st_h.integers(0, n_indices - 1), min_size=group_len,
+                                        max_size=group_len, unique=True).map(sorted),
+                             min_size=1, max_size=4))
+    n = draw(st_h.integers(1, 12))
+    return (spec, structure, n, draw(st_h.integers(1, n + 1)),
+            draw(st_h.sampled_from([1, 7, 40, 1 << 17])), np.array(groups))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_runs())
+def test_exact_totals_agree_across_chunks_and_groups(run):
+    # Rademacher totals and group sums are exact integer sums per level times
+    # one factor, so plain totals, grouped totals and group sums keep their
+    # bits whatever the chunk size and window block
+    spec, structure, n, chunk, block, groups = run
+    plain = monte_carlo(spec, structure, n, 5).tobytes()
+    _, sums = monte_carlo(spec, structure, n, 5, groups=groups)
+    with mock.patch("mlclt.fields._WINDOW_BLOCK", block):
+        assert monte_carlo(spec, structure, n, 5, chunk_size=chunk).tobytes() == plain
+        samples, chunked = monte_carlo(spec, structure, n, 5, groups=groups, chunk_size=chunk)
+    assert samples.tobytes() == plain
+    assert chunked.tobytes() == sums.tobytes()
+
+
 def test_add_rows_adds_rows_in_order_for_any_layout():
     # numpy sums the first axis of an F-order array pairwise, column by
     # column; _add_rows must add the rows one after the other whatever the
@@ -835,15 +1004,23 @@ def _oracle_boxes(st):
 
 def _box_oracle(spec, st, boxes, noise):
     """(n, n_indices, n_components) values of the (n, cells) noise rows, box
-    by box: w_m L^{-d} g(S / sqrt(cells in the box)), S the box sum of the
-    component's noise."""
+    by box: w_m L^{-d} g(S / sqrt(c)), S the box sum of the component's
+    noise over the box's c cells.  A Rademacher S is an exact integer, so
+    its value is taken as a Python int S^p times w_m L^{-d} / (c^{(p-1)/2}
+    sqrt(c)) for g(x) = x^p."""
     x1 = np.arange(st.L ** st.d) // st.L ** (st.d - 1)
     signs = np.array([np.ones(len(x1))] + [np.where(x1 >> (c - 1) & 1, -1.0, 1.0)
                                            for c in range(1, spec.n_components)])
     signed = noise[:, None, :] * signs
-    out = [_apply_map(spec.nonlinearity, (signed @ box) / np.sqrt(box.sum()))
-           * (spec.weight(idx.m) * float(st.L) ** (-st.d))
-           for idx, box in zip(build_index_set(st), boxes)]
+    p = {"identity": 1, "cube": 3}.get(spec.nonlinearity)
+    out = []
+    for idx, box in zip(build_index_set(st), boxes):
+        s, c, scale = signed @ box, int(box.sum()), spec.weight(idx.m) * float(st.L) ** (-st.d)
+        if spec.dist == "rademacher":
+            powers = np.array([float(int(t) ** p) for t in s.ravel()]).reshape(s.shape)
+            out.append(powers * (scale / (c ** ((p - 1) // 2) * math.sqrt(c))))
+        else:
+            out.append(_apply_map(spec.nonlinearity, s / np.sqrt(c)) * scale)
     return np.stack(out, axis=1)
 
 
@@ -859,8 +1036,8 @@ def test_box_sums_match_cell_loop_oracle(d, L, K):
         assert (2 * st.box_radius(0) + 1 < L) == (K == 1.0 or L == 32)
         _, got = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
         expect = _box_oracle(spec, st, boxes, _draw_rows(d, L, spec.dist, 2026, 0, n))
-        if spec.dist == "rademacher":  # integer box sums: bit for bit
-            assert np.array_equal(got, expect)
+        if spec.dist == "rademacher":  # exact integer box sums: bit for bit
+            assert got.tobytes() == expect.tobytes()
         else:
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
 
@@ -920,7 +1097,7 @@ def test_packed_components_match_cell_loop_oracle(L):
     n = 5
     _, got = monte_carlo(spec, st, n, 2026, groups=_each_index(st))
     expect = _box_oracle(spec, st, _oracle_boxes(st), _draw_rows(1, L, spec.dist, 2026, 0, n))
-    assert np.array_equal(got, expect)
+    assert got.tobytes() == expect.tobytes()
     octets = _draw(1, L, "rademacher", 2026, 0, n)
     padding = np.unpackbits(np.full(len(octets), 255, dtype=np.uint8), bitorder="little")
     padding[:L] = 0
@@ -930,9 +1107,9 @@ def test_packed_components_match_cell_loop_oracle(L):
         assert levels(fill).tobytes() == levels(octets).tobytes()
     for c, prefix in enumerate(levels.prefixes(octets, 0)):
         assert prefix.shape == (1 + L, n)
-        assert np.array_equal(prefix[-1], [(_draw_bits(1, L, 2026, k, 1)[:, 0]
-                                            ^ (np.arange(L) >> c - 1 & 1 if c else 0)).sum()
-                                           for k in range(n)])
+        assert np.array_equal(prefix[-1], [2 * int((_draw_bits(1, L, 2026, k, 1)[:, 0]
+                                                    ^ (np.arange(L) >> c - 1 & 1 if c else 0))
+                                                   .sum()) - L for k in range(n)])
 
 
 def test_monte_carlo_single_draw_matches_direct_generator():
