@@ -337,14 +337,14 @@ def test_moderate_runner(tmp_path):
 
 
 # sha256 of `moderate --preset cube --n-samples 2000 --seed 9` plus these
-# arguments in sample stream v2: two groups, and degenerate at d=1 and d=2
+# arguments in sample stream v3: two groups, and degenerate at d=1 and d=2
 _MODERATE_SEED9_SHA256 = {
     "--d 1 --L 1024 --ell 512":
-        "d982ba6327591e4e965ea309f55bf48de060a9e1b6e2024339c7787d33109605",
+        "e1357ee9af96b048c4263b1c3c2210be45a847992568d94c55849dace948b4e4",
     "--d 1 --L 16,32,64,128 --ell 4":
-        "293fcda6d7d0e722d1dc8d7c26600523bc4e6b8f5136b670c62fbdeefd9b412d",
+        "18e2f7338c5d7580c4145182b382749713688fcefdc64ffb974233b9e448a1cf",
     "--d 2 --L 16,32 --ell 16":
-        "0a437f0566ec8aa593b5988bc38a809801b8e58af5c97285f731e14084407ef1",
+        "fdec93bc6c83db75e53603101834e260593c48ea7f32d40e9072af8e024fdda9",
 }
 
 
@@ -381,9 +381,10 @@ def test_moderate_csv_digest_is_pinned(args, tmp_path):
 _RATE_SEED11_SHA256 = ("476156ce4245b146d87d7d44c5becaa0"
                        "77a2163258c18727989f57d96269ef88")
 # sha256 of `clt-rate --preset cube --d 2 --n-dim 2 --L 8,16,32 --n-samples
-# 2000 --seed 3`: two components of d = 2 totals, window and whole-torus levels
-_RATE_D2_SEED3_SHA256 = ("3dadbe7f6c277f35bb7060ad4dea1fcf"
-                         "1ff86b27d51645ecd2f583ccc4b28290")
+# 2000 --seed 3` in sample stream v3: two components of d = 2 totals, window
+# and whole-torus levels
+_RATE_D2_SEED3_SHA256 = ("061687ab0de8a9067d9baffc981276b9"
+                         "c022f8e93751f7e01a0b4866978f4ac2")
 
 
 def test_clt_rate_manifest_records_decisions(tmp_path):

@@ -297,7 +297,7 @@ def test_brute_force_law_reads_the_count_path(d, L, K):
         assert np.array_equal(law.probs, counts / (1 << cells))
 
 
-_PINNED_LAWS = "43d2952757a0f2358a64f5ca460c5f5112b3b49577c4cdf395e984576ac3b952"
+_PINNED_LAWS = "0f93c8e5c668161564b625f07a411e655395de27a778d9c3e16f69cee76f70fe"
 
 
 def test_brute_force_laws_are_pinned():
@@ -345,7 +345,7 @@ def test_monte_carlo_is_chunk_size_invariant():
         assert np.array_equal(per_index, runs[0][1])
 
 
-_PINNED_STREAM = "94162cfe88e522fcb877d90f2fc58f2c2a2cf01d5fd569ff13f7c5a8b6ec6046"
+_PINNED_STREAM = "38b33a35037c27ae8bcfea29390ef82dbfddee6d6678a4794a6e01ef6fe90c56"
 _PINNED_STREAM_D2_FLOAT = ("b51354d9a933042aa0846d8644bc3345"
                            "7ed570829289647a97bc1715043ef12f")
 
@@ -504,7 +504,7 @@ def test_workload_csvs_under_baseline_simd_features(tmp_path, args):
                 assert got[key] == expect[key], key
 
 
-_PINNED_WINDOWS = "51f3b38af0a86689586ba263648db6a33744fd8d06578e0da8c14ee13dc022a2"
+_PINNED_WINDOWS = "a8e86a893c27ab9f4e64273fae4366e030c2d5f1b9fb36b7d33c020dee1f0835"
 
 
 def _window_runs():
