@@ -661,10 +661,10 @@ def monte_carlo(spec: SyntheticSpec, structure: DependenceStructure, n: int,
     sums[k, g] is the sum of realization k's values over the columns
     groups[g], shape (n, n_groups, n_components), added one after the other
     under the float laws, and `np.arange(n_indices)[:, None]` gives the
-    per-index values themselves.  The columns run level by level from level 0, each level in
-    the C-order of its anchors y / 2^m (`DependenceStructure.positions`),
-    and each group's columns must be strictly ascending, the order of the
-    pass.  A grouped run takes the totals of a plain run, bit for bit, in
+    per-index values themselves.  The columns run level by level from level
+    0, each level in the C-order of its anchors y / 2^m
+    (`DependenceStructure.positions`), and each group's columns must be
+    strictly ascending, the order of the pass.  A grouped run takes the totals of a plain run, bit for bit, in
     the same pass (`_SyntheticTotals`), which adds each block of a level's
     values onto the group sums that hold them as it maps the level's box
     sums.  Under Rademacher noise each level's part of a total or group sum

@@ -13,7 +13,6 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
-
 from unittest import mock
 
 import numpy as np
