@@ -446,6 +446,7 @@ class _SyntheticTotals:
                         f"level {m} of d={st.d} L={st.L} K={st.K}: its exact sums of v^{p} "
                         f"reach {'' if radius is None else f'{n_anchors} x '}{count}^{p} "
                         ">= 2^63; choose a smaller L")
+                # float64 while exact: its einsums run faster than int64's
                 exact = np.float64 if radius is not None and worst < 1 << 53 else np.int64
                 factor = scale / (count ** ((p - 1) // 2) * math.sqrt(count))
             self.levels.append(_Level(m=m, scale=scale, start=st.level_start(m),
@@ -565,7 +566,8 @@ class _SyntheticTotals:
         """Add the exact sums of v^p over the parts of a level's runs among
         anchors a0 .. a0 + k - 1, whose box sums v are the k rows of x, onto
         their groups' rows of part: the one-anchor parts all at once, the
-        others one by one."""
+        others one by one, since numpy's cumulative sum down a block costs
+        several times an einsum per part."""
         first, end, g, _ = runs
         k, p = len(x), self.power
         live = np.flatnonzero(end[:np.searchsorted(first, a0 + k)] > a0)

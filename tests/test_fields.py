@@ -632,7 +632,7 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
     # levels have odd anchor counts.
     # Under the float laws the oracle adds each level's whole values array
     # row by row; Rademacher totals are exact integer sums per level, which
-    # the Python-int oracle takes on the first nine realizations of each run.
+    # the Python-int oracle takes on every realization, 64 at a time.
     big = 4096 if d == 1 else 640
     for i, dist in enumerate(_DISTS):
         n_comp = 1 + (i + L) % 3
@@ -642,11 +642,13 @@ def test_blocked_window_totals_match_per_level_oracle(d, L, K):
         st = DependenceStructure(d=d, L=L, K=K)
         levels = _SyntheticTotals(spec, st, 1)
         if dist == "rademacher":
-            oracle = exact_family(spec, st, _draw_rows(d, L, dist, 404, 0, 9)).totals
+            oracle = np.concatenate([
+                exact_family(spec, st, _draw_rows(d, L, dist, 404, k0, 64)).totals
+                for k0 in range(0, big, 64)])
         for chunk, n in ((1, 9), (2, 9), (7, 9), (big, big)):
             got = monte_carlo(spec, st, n, 404, chunk_size=chunk)
             if dist == "rademacher":
-                assert got[:9].tobytes() == oracle.tobytes(), chunk
+                assert got.tobytes() == oracle[:n].tobytes(), chunk
                 continue
             expect = np.concatenate([
                 per_level_totals(levels, _draw(d, L, dist, 404, k0, min(chunk, n - k0)))
