@@ -1,5 +1,5 @@
-"""Shared utilities: the error types, the 1d Gauss-Hermite rule, and the
-Philox keys of every random stream.
+"""Shared utilities: the error types, scipy's special-function ufuncs, the
+1d Gauss-Hermite rule, and the Philox keys of every random stream.
 
 The Gauss-Hermite rule, of at most 150 nodes, is scipy's `roots_hermitenorm`
 algorithm step for step (Golub-Welsch eigenvalues, one Newton step,
@@ -7,14 +7,61 @@ log-normalized weights, symmetrization), with numpy's `eigvalsh` in place of
 `scipy.linalg.eigvals_banded`: the nodes and weights keep scipy's bits, and
 no Stein run pays the start-up time and memory of importing `scipy.linalg`
 for one small eigenproblem.  Past 150 nodes scipy switches to an asymptotic
-branch, which no caller in the package needs, so larger rules are refused."""
+branch, which no caller in the package needs, so larger rules are refused.
+
+The package's four special functions, `ndtr`, `ndtri`, `log1p` and
+`eval_hermitenorm`, are scipy's own ufunc objects, loaded here from the
+compiled `scipy.special._ufuncs` without running `scipy.special`'s
+`__init__` (`_special_ufuncs`), so every value keeps scipy's bits.  That
+`__init__` reaches `scipy._lib._array_api`, whose numpy wrapper loads
+`numpy.f2py`, `numpy.testing` and `numpy.ma`: about 0.2 s and 20 MiB of
+start-up that no run uses."""
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from functools import lru_cache
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
-from scipy.special import eval_hermitenorm
+
+
+def _special_ufuncs() -> tuple:
+    """(ndtr, ndtri, log1p, eval_hermitenorm), scipy.special's ufuncs.
+
+    When `scipy.special` is already imported they come from it.  Otherwise
+    a placeholder parent, the package's module without its `__init__` run,
+    stands in `sys.modules` while they are imported from the compiled
+    `scipy.special._ufuncs`, and is removed after: a later `import
+    scipy.special` runs its `__init__` and finds the same ufunc objects
+    (the package then lacks only its already loaded extension submodules as
+    attributes, which scipy imports by name and never reads).  `_ufuncs`
+    links scipy's own OpenBLAS, whose worker threads start when it
+    loads and spin for about 0.1 s each, taking a core from numpy's work.
+    No code here calls scipy's BLAS, so it is loaded with
+    OPENBLAS_NUM_THREADS=1, and the variable is restored after; numpy's
+    OpenBLAS is loaded before and keeps its threads."""
+    if "scipy.special" in sys.modules:
+        from scipy.special import eval_hermitenorm, log1p, ndtr, ndtri
+        return ndtr, ndtri, log1p, eval_hermitenorm
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    spec = importlib.util.find_spec("scipy.special")
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from scipy.special._ufuncs import eval_hermitenorm, log1p, ndtr, ndtri
+    finally:
+        del sys.modules["scipy.special"]
+        if threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = threads
+    return ndtr, ndtri, log1p, eval_hermitenorm
+
+
+ndtr, ndtri, log1p, eval_hermitenorm = _special_ufuncs()
 
 
 class QuadratureError(RuntimeError):

@@ -9,9 +9,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from ._util import UsageError
+from ._util import UsageError, ndtr
 from .multilevel import DependenceStructure
 
 __all__ = [

@@ -16,10 +16,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.polynomial  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
-from scipy.special import ndtr, ndtri
 
-from ._util import _SLICED_W1_TAG, UsageError, counter_rng
+from ._util import _SLICED_W1_TAG, UsageError, counter_rng, ndtr, ndtri
 from .gaussians import SpdMatrix
 
 __all__ = [

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
-from scipy.special import log1p, ndtri
 
-from ._util import _MC_STREAM_TAG, UsageError, philox_key
+from ._util import _MC_STREAM_TAG, UsageError, log1p, ndtri, philox_key
 from .distances import DiscreteLaw, _samples
 from .multilevel import DependenceStructure
 

@@ -63,6 +63,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
 
 from ._util import QuadratureError, UsageError, hermite_1d

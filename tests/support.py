@@ -8,23 +8,48 @@ closed-form neighbor counts; the index set and a grouping's groups as
 column positions; the columns that a grouping leaves as remainders, the
 check that groups share no noise cell, the box sums, per-index values and
 per-level totals of a synthetic family under float noise, the Python-int
-oracle of a family under Rademacher noise, and the sampled check of a test
-function against the restricted test class.
+oracle of a family under Rademacher noise, the sampled check of a test
+function against the restricted test class, the benchmark's three
+workloads as CLI arguments, and the environment of a subprocess that imports
+`mlclt` from this source tree.
 """
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from quadrature_oracle import hermite_grid
 from scipy.special import ndtri
 
+import mlclt
 from mlclt._util import UsageError
 from mlclt.fields import _box_sums, _torus_sums
 from mlclt.multilevel import chi_matrix, periodic_distance
+
+# perfbench's workloads, run with --seed 2026 in the tests that use them
+WORKLOADS = {
+    "rate-d1": "clt-rate --preset cube --d 1 --L 16,32,64,128,256,512 --n-samples 20000",
+    "certify": "stein-certify --n-dim 1 --eps 0.25",
+    "moderate": "moderate --preset cube --d 1 --L 1024 --ell 512 --n-samples 20000",
+}
+
+
+def source_env(**env) -> dict:
+    """`os.environ` for a subprocess that imports `mlclt` from this source
+    tree, with `env` set; a None value unsets the name."""
+    src = str(Path(mlclt.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    return full
 
 
 @dataclass(frozen=True)

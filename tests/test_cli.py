@@ -6,15 +6,14 @@ import hashlib
 import importlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from support import WORKLOADS, source_env
 
-import mlclt
 from mlclt import UsageError
 from mlclt.cli import (CLT_COLUMNS, CsvWriter, ExperimentConfig, _default_ell,
                        _format_cell, _schema_hash, build_config, fit_rate, main,
@@ -433,15 +432,13 @@ def test_clt_rate_runs_at_d2(tmp_path):
 def _digests_under_blas_threads(tmp_path, args: list[str]) -> list[str]:
     """sha256 of the CSV of `mlclt <args>`, run in a subprocess under
     OPENBLAS_NUM_THREADS=1 and then =2."""
-    src = str(Path(mlclt.__file__).resolve().parents[1])
     code = "import sys\nimport mlclt.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"run{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code, *args, "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=600)
+                              env=source_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     return digests
@@ -538,26 +535,72 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
         assert all(0.0 <= d <= 1e-3 for d in table["node_doubling_delta"].values())
 
 
+def _python(code: str, *args: str, **env: str) -> str:
+    """stdout of `python -c code args` in a `source_env(**env)` subprocess."""
+    done = subprocess.run([sys.executable, "-c", code, *args], env=source_env(**env),
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# scipy.stats costs about a second of start-up, scipy.ndimage about 65 ms
+# and scipy.linalg about 50 ms and 5 MiB; scipy.special's package import
+# reaches scipy._lib._array_api, whose numpy wrapper loads numpy.f2py,
+# numpy.testing and numpy.ma, about 0.2 s and 20 MiB.  Nothing shipped
+# needs any of them.
+_NOT_AT_START_UP = ("scipy.stats", "scipy.ndimage", "scipy.linalg", "scipy._lib._array_api",
+                    "numpy.f2py", "numpy.testing", "numpy.ma")
+
+
 def test_cli_start_up_and_stein_certify_leave_scipy_stats_unimported(tmp_path):
-    # scipy.stats costs about a second of start-up, scipy.ndimage about
-    # 65 ms and scipy.linalg about 50 ms and 5 MiB, and nothing shipped needs
-    # any of them
-    src = str(Path(mlclt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # none of those modules is imported at start-up or by a benchmark run,
+    # and no benchmark run imports anything inside main(), so no import
+    # cost moves from start-up into the run
     code = (
         "import sys\n"
         "import mlclt.cli as cli\n"
-        "for mod in ('scipy.stats', 'scipy.ndimage', 'scipy.linalg'):\n"
-        "    assert mod not in sys.modules, mod + ' imported at start-up'\n"
-        "argv = ['stein-certify', '--n-dim', '1', '--eps', '0.5',\n"
-        "        '--out', sys.argv[1]]\n"
-        "assert cli.main(argv) == 0\n"
-        "for mod in ('scipy.stats', 'scipy.ndimage', 'scipy.linalg'):\n"
-        "    assert mod not in sys.modules, mod + ' imported by stein-certify'\n")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+        f"unwanted = set({_NOT_AT_START_UP!r})\n"
+        "assert not unwanted & set(sys.modules), unwanted & set(sys.modules)\n"
+        "for args in sys.argv[2:]:\n"
+        "    before = set(sys.modules)\n"
+        "    assert cli.main(args.split() + ['--seed', '2026', '--out', sys.argv[1]]) == 0\n"
+        "    assert set(sys.modules) == before, (args, set(sys.modules) - before)\n"
+        "    assert not unwanted & set(sys.modules), (args, unwanted & set(sys.modules))\n")
+    _python(code, str(tmp_path / "out.csv"), *WORKLOADS.values())
+
+
+def test_special_ufuncs_are_scipys_and_leave_scipy_special_whole():
+    # the four ufuncs load without scipy.special's __init__; a later import
+    # of the package runs it and finds the same objects, and the loader's
+    # OPENBLAS_NUM_THREADS=1 neither outlives it nor leaves scipy's OpenBLAS
+    # a thread of its own
+    names = ("ndtr", "ndtri", "log1p", "eval_hermitenorm")
+    code = (
+        "import os, sys\n"
+        "import numpy\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "import mlclt.cli, mlclt._util as util\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "if threads is not None:\n"
+        "    assert len(os.listdir(tasks)) == threads, (threads, os.listdir(tasks))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "import scipy.special, scipy.stats\n"
+        f"for name in {names!r}:\n"
+        "    assert getattr(util, name) is getattr(scipy.special, name), name\n"
+        "assert scipy.special.gamma(5.0) == 24.0\n"
+        "assert abs(scipy.stats.norm.ppf(0.975) - 1.959963984540054) < 1e-12\n")
+    assert _python(code, OPENBLAS_NUM_THREADS=None).split() == ["None"]
+    assert _python(code, OPENBLAS_NUM_THREADS="3").split() == ["3"]
+    # with scipy.special imported first, the loader takes the package as it is
+    code = (
+        "import sys\n"
+        "import scipy.special as special\n"
+        "import mlclt.cli, mlclt._util as util\n"
+        "assert sys.modules['scipy.special'] is special\n"
+        f"for name in {names!r}:\n"
+        "    assert getattr(util, name) is getattr(special, name), name\n")
+    _python(code)
 
 
 def test_master_seed_outside_u64_is_rejected():

@@ -6,13 +6,11 @@ import functools
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 from scipy.special import log1p, ndtri
-from support import LevelIndex, build_index_set, exact_family, index_values, per_level_totals
+from support import (WORKLOADS, LevelIndex, build_index_set, exact_family, index_values,
+                     per_level_totals, source_env)
 
-import mlclt
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
                          _STEIN_PROBE_TAG, counter_rng, philox_key)
@@ -423,23 +421,11 @@ print(json.dumps({"runs": runs, "baseline": list(umath.__cpu_baseline__), "dispa
 """
 
 
-def _baseline_env(cpu_features=None) -> dict:
-    """The environment of a subprocess that imports `mlclt` from this
-    source tree, whose numpy enables only `cpu_features` among its
-    dispatched SIMD features, when given."""
-    src = str(Path(mlclt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("NPY_ENABLE_CPU_FEATURES", None)
-    if cpu_features is not None:
-        env["NPY_ENABLE_CPU_FEATURES"] = cpu_features
-    return env
-
-
 def _child_totals(cpu_features=None) -> dict:
-    """`_SIMD_CHILD`'s report, run in a `_baseline_env(cpu_features)`
-    subprocess."""
-    done = subprocess.run([sys.executable, "-c", _SIMD_CHILD], env=_baseline_env(cpu_features),
+    """`_SIMD_CHILD`'s report, run in a subprocess whose numpy enables only
+    `cpu_features` among its dispatched SIMD features, when given."""
+    done = subprocess.run([sys.executable, "-c", _SIMD_CHILD],
+                          env=source_env(NPY_ENABLE_CPU_FEATURES=cpu_features),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -463,13 +449,13 @@ def test_totals_keep_their_bits_under_baseline_simd_features():
 
 
 def _cli_csv(tmp_path, args: str, cpu_features=None) -> list:
-    """The rows of the CSV of `mlclt <args>`, run in a
-    `_baseline_env(cpu_features)` subprocess, as dicts of the cells' text."""
+    """The rows of the CSV of `mlclt <args>`, run in a subprocess as
+    `_child_totals` runs, as dicts of the cells' text."""
     out = tmp_path / f"{'default' if cpu_features is None else 'baseline'}.csv"
     code = "import sys\nimport mlclt.cli as cli\nsys.exit(cli.main(sys.argv[1:]))\n"
     done = subprocess.run([sys.executable, "-c", code, *args.split(), "--out", str(out)],
-                          env=_baseline_env(cpu_features), capture_output=True, text=True,
-                          timeout=600)
+                          env=source_env(NPY_ENABLE_CPU_FEATURES=cpu_features),
+                          capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     with open(out, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -479,28 +465,40 @@ def _cli_csv(tmp_path, args: str, cpu_features=None) -> list:
 # mc_floor cells of clt-rate in their last digits with the SIMD features: by
 # up to 1.1e-13 relative when measured, held here within 1e-12
 _W1_SIMD_RTOL = 1e-12
+# numpy's transcendental loops in the Stein path move three cells of
+# stein-certify at n_dim=1, eps=0.25, each on one row when measured:
+# residual_max, itself a rounding-level 9.2e-14, by 4.2e-17, held here within
+# 2^-52 (an ulp of 1), and third_derivative_ratio and third_average_ratio by
+# 2 ulps each, held within _RATIO_SIMD_ULPS
+_RESIDUAL_SIMD_ATOL = 2.0 ** -52
+_RATIO_SIMD_ULPS = 4
 
 
-@pytest.mark.parametrize("args", [
-    "clt-rate --preset cube --d 1 --L 16,32,64,128,256,512 --n-samples 20000 --seed 2026",
-    "moderate --preset cube --d 1 --L 1024 --ell 512 --n-samples 20000 --seed 2026"],
-    ids=["rate-d1", "moderate"])
-def test_workload_csvs_under_baseline_simd_features(tmp_path, args):
-    # the benchmark's two Monte Carlo workloads as CLI runs.  Every cell that
-    # the totals feed, estimated_variance and the bound columns of clt-rate
-    # and every moderate cell, keeps its bits under the baseline features
-    # alone; the two W1 cells stay within _W1_SIMD_RTOL
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_workload_csvs_under_baseline_simd_features(tmp_path, workload):
+    # the benchmark's workloads as CLI runs.  Every cell that the totals
+    # feed, estimated_variance and the bound columns of clt-rate and every
+    # moderate cell, keeps its bits under the baseline features alone, as
+    # does every stein-certify cell but three; the cells that move stay
+    # within the bounds above
+    args = f"{WORKLOADS[workload]} --seed 2026"
     default = _cli_csv(tmp_path, args)
     baseline = _cli_csv(tmp_path, args, " ".join(umath.__cpu_baseline__))
     assert len(default) == len(baseline) > 0
     for got, expect in zip(baseline, default):
         assert got.keys() == expect.keys()
         for key in expect:
+            if got[key] == expect[key]:
+                continue
+            g, e = float(got[key]), float(expect[key])
             if key in ("normalized_w1", "mc_floor"):
-                assert math.isclose(float(got[key]), float(expect[key]),
-                                    rel_tol=_W1_SIMD_RTOL, abs_tol=0.0), key
+                assert math.isclose(g, e, rel_tol=_W1_SIMD_RTOL, abs_tol=0.0), key
+            elif key == "residual_max":
+                assert abs(g - e) <= _RESIDUAL_SIMD_ATOL, key
+            elif key in ("third_derivative_ratio", "third_average_ratio"):
+                assert abs(g - e) <= _RATIO_SIMD_ULPS * math.ulp(e), key
             else:
-                assert got[key] == expect[key], key
+                pytest.fail(f"{key} moved under the baseline: {got[key]} != {expect[key]}")
 
 
 _PINNED_WINDOWS = "a8e86a893c27ab9f4e64273fae4366e030c2d5f1b9fb36b7d33c020dee1f0835"
