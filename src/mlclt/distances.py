@@ -483,9 +483,6 @@ def restricted_distance(samples, lam: SpdMatrix, family: Sequence[TestFunction],
     if not family:
         raise UsageError("family must be nonempty")
     x = _samples(samples, lam.dim)
-    best = -np.inf
-    for phi in family:
-        gauss = gaussian_mean(phi, lam)
-        test = mollify(phi, eps, lam) if eps > 0 else phi
-        best = max(best, float(np.mean(test(x))) - gauss)
-    return best
+    gaps = [float(np.mean((mollify(phi, eps, lam) if eps > 0 else phi)(x)))
+            - gaussian_mean(phi, lam) for phi in family]
+    return float(np.max(gaps))  # a NaN gap makes the sup NaN

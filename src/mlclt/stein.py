@@ -36,14 +36,15 @@ The s-integral is the one quadrature, and `SteinSolution` owns its one
 routine.  It is split into two panels with substitutions tau = log s
 (resolving the s -> eps^2 end) and t = -log(1-s) (resolving the s -> 1
 end), each taken by one Gauss-Legendre rule.  The budget is fixed: 128
-s-nodes, and 48 for the majorant tables, each doubled once by a gate at
-construction.  The s-nodes depend only on eps and the budget; only the
-weights depend on the order.  Orders requested together at the same points
-therefore share one set of truncated moments, and each keeps the bits it
-has when requested alone: the solution's gate computes orders 0 and 2
-together, the residual 1 and 2, and the majorant tables and their gate 2, 3.
-Each solution builds its majorant table once per (delta, window) and serves
-both majorant kinds from it.
+s-nodes for the solution and 48 for the majorant table.  `_node_doubling`
+gates each budget beside the integral it gates: the solution's at
+construction, the table's in `majorant_average_certificate`, which builds
+the one table and serves both majorant kinds from it.  The s-nodes depend
+only on eps and the budget; only the weights depend on the order.  Orders
+requested together at the same points therefore share one set of truncated
+moments, and each keeps the bits it has when requested alone: the
+solution's gate computes orders 0 and 2 together, the residual 1 and 2, and
+the majorant table and its gate 2 and 3.
 
 The (s, w) pairs of one call form a grid of s-nodes by points.  The sum
 over s runs in s-blocks of about `_EXACT_BLOCK` pairs, whole rows of the
@@ -190,6 +191,22 @@ def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
     return np.concatenate(s_list), [np.concatenate(w) for w in w_lists]
 
 
+def _node_doubling(sol: SteinSolution, name: str, w, orders: tuple[int, ...],
+                   s_nodes: int, tol: float) -> dict:
+    """Order -> max |change| of F_k at the scalar points w when the s budget
+    is doubled from `s_nodes`.  A move above `tol` raises QuadratureError
+    naming the integral `name` and the order."""
+    coarse = sol._fk(w, orders, s_nodes)
+    fine = sol._fk(w, orders, 2 * s_nodes)
+    deltas = {order: float(np.max(np.abs(a - b)))
+              for order, a, b in zip(orders, coarse, fine)}
+    for order, delta in deltas.items():
+        if not delta <= tol:  # a NaN fails
+            raise QuadratureError(f"{name} (order {order}) moved by {delta:.3e} "
+                                  f"under node doubling from {s_nodes} s-nodes")
+    return deltas
+
+
 # ---------------------------------------------------------------------------
 # public surface
 
@@ -198,15 +215,13 @@ def _s_panels(eps: float, n_total: int, orders: tuple[int, ...]):
 class SteinSolution:
     """Mollified Stein solution f_eps for (phi, lam, eps), target N(0, lam).
 
-    Construction takes E[phi(Z)] with `gaussian_mean`, then runs
-    node-doubling convergence probes of the s-integral on the fixed budgets
-    of `_S_NODES` at three probe points and, for the majorant tables'
-    orders, of `_TABLE_S_NODES` at those and at `_TABLE_GATE_W`;
-    QuadratureError names the one that has not settled
-    (`node_doubling_deltas` and each majorant certificate's `table` report
-    the moves).  Majorant tables are built once per (delta, window) and
-    kept with the solution.  Points passed to the evaluation and
-    certificate functions must lie in R^dim.
+    Construction takes E[phi(Z)] with `gaussian_mean`, then gates the
+    s-integral's `_S_NODES` budget by node doubling at three probe points;
+    QuadratureError names the order that has not settled, and
+    `node_doubling_deltas` reports the moves.  The majorant table's budget
+    is gated where the table is built, in `majorant_average_certificate`.
+    Points passed to the evaluation and certificate functions must lie in
+    R^dim.
     """
 
     phi: TestFunction
@@ -216,8 +231,6 @@ class SteinSolution:
     _phi_eps: Callable = field(init=False, repr=False, compare=False)
     _c_eps: float = field(init=False, repr=False, compare=False)
     _deltas: dict = field(init=False, repr=False, compare=False)
-    _table_deltas: dict = field(init=False, repr=False, compare=False)
-    _majorants: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _EPS_MIN <= self.eps <= _EPS_MAX:
@@ -227,23 +240,9 @@ class SteinSolution:
         object.__setattr__(self, "_phi_eps", mollify(self.phi, self.eps, self.lam))
         # interpolation preserves the law: E[phi_eps(Z)] = E[phi(Z)], Z ~ N(0, lam)
         object.__setattr__(self, "_c_eps", gaussian_mean(self.phi, self.lam))
-        probe = self._project(self._probe_points())
-        for attr, name, w, orders, s_nodes, tol in (
-                ("_deltas", "Stein quadrature", probe, _GATE_ORDERS, _S_NODES,
-                 _VERIFY_TOL),
-                ("_table_deltas", "majorant table", np.concatenate([probe, _TABLE_GATE_W]),
-                 _TABLE_ORDERS, _TABLE_S_NODES, _TABLE_VERIFY_TOL)):
-            coarse = self._fk(w, orders, s_nodes)
-            fine = self._fk(w, orders, 2 * s_nodes)
-            deltas = {order: float(np.max(np.abs(a - b)))
-                      for order, a, b in zip(orders, coarse, fine)}
-            for order, delta in deltas.items():
-                if not delta <= tol:  # a NaN fails
-                    raise QuadratureError(
-                        f"{name} (order {order}) moved by {delta:.3e} "
-                        f"under node doubling from {s_nodes} s-nodes")
-            object.__setattr__(self, attr, deltas)
-        object.__setattr__(self, "_majorants", {})
+        object.__setattr__(self, "_deltas", _node_doubling(
+            self, "Stein quadrature", self._project(self._probe_points()),
+            _GATE_ORDERS, _S_NODES, _VERIFY_TOL))
 
     def _fk(self, w, orders: tuple[int, ...], s_nodes: int | None = None) -> list:
         """F_k at scalar points w (any shape), one array per order k in
@@ -347,10 +346,6 @@ def third_derivative_certificate(sol: SteinSolution, points) -> dict:
 # oscillation majorants
 
 
-def _osc_window_k(dim: int) -> float:
-    return 2.0 * np.sqrt(dim) + 1.0
-
-
 def _window_oscillation(table: NDArray[np.float64], half: int) -> NDArray[np.float64]:
     """max - min of `table` over the windows [i - half, i + half], the table
     extended past either end by its end value (scipy.ndimage's running
@@ -360,91 +355,65 @@ def _window_oscillation(table: NDArray[np.float64], half: int) -> NDArray[np.flo
     return windows.max(axis=1) - windows.min(axis=1)
 
 
-class _RidgeMajorant:
-    """Grid-based evaluation of the H / H' majorants.
+def _majorants(sol: SteinSolution, delta: float, w: NDArray[np.float64]):
+    """The majorants H and H' at the scalar points w, keyed "hessian" and
+    "third", and the size of the one F_2/F_3 table they are read from.
 
-    F_2 and F_3 are tabulated together on one uniform grid; windowed
-    oscillations come from running max/min filters and the Gaussian
-    convolution from 1d quadrature with linear interpolation into the tables.
+    With K = 2 sqrt(dim) + 1, H = 2 N(0, delta^2) * osc_{K delta} F_2 and
+    H' = 2 N(0, delta^2) * osc_{K delta} F_3 + |F_3|.  F_2 and F_3 are
+    tabulated together on one uniform grid over w's range and the windows'
+    reach; windowed oscillations come from running max/min filters and the
+    Gaussian convolution from 1d quadrature with linear interpolation into
+    the tables.
     """
-
-    def __init__(self, sol: SteinSolution, delta: float, w_lo: float, w_hi: float):
-        self.delta = delta
-        kd = _osc_window_k(sol.lam.dim) * delta
-        g, gw = hermite_1d(64)
-        keep = np.abs(g) <= 8.0  # dropped conv weights are below exp(-32)
-        self.conv_nodes, self.conv_wts = g[keep], gw[keep]
-        pad = kd + delta * (abs(self.conv_nodes).max() + 1.0)
-        lo, hi = w_lo - pad, w_hi + pad
-        spacing = max(kd / 16.0, (hi - lo) / 40000.0)
-        m = int(np.ceil((hi - lo) / spacing)) + 1
-        self.grid = np.linspace(lo, hi, m)
-        tables = sol._fk(self.grid, _TABLE_ORDERS, _TABLE_S_NODES)
-        half = int(np.ceil(kd / (self.grid[1] - self.grid[0])))
-        self.osc = {order: _window_oscillation(table, half)
-                    for order, table in zip(_TABLE_ORDERS, tables)}
-        self._sol = sol
-
-    def convolved_osc(self, w: NDArray[np.float64], order: int) -> NDArray[np.float64]:
-        """2 (N(0, delta^2 Id) * osc_{K delta} F_k)(w) for k = order."""
-        pts = w[:, None] - self.delta * self.conv_nodes[None, :]
-        vals = np.interp(pts, self.grid, self.osc[order])
-        return 2.0 * vals @ self.conv_wts
-
-    def majorant(self, w: NDArray[np.float64], order: int) -> NDArray[np.float64]:
-        base = self.convolved_osc(w, order)
-        if order == 3:
-            base = base + np.abs(self._sol.derivative_scalars(w, 3))
-        return base
+    kd = (2.0 * np.sqrt(sol.lam.dim) + 1.0) * delta
+    g, gw = hermite_1d(64)
+    keep = np.abs(g) <= 8.0  # dropped conv weights are below exp(-32)
+    conv_nodes, conv_wts = g[keep], gw[keep]
+    pad = kd + delta * (abs(conv_nodes).max() + 1.0)
+    lo, hi = float(w.min()) - pad, float(w.max()) + pad
+    spacing = max(kd / 16.0, (hi - lo) / 40000.0)
+    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / spacing)) + 1)
+    half = int(np.ceil(kd / (grid[1] - grid[0])))
+    pts = w[:, None] - delta * conv_nodes[None, :]
+    hessian, third = (2.0 * np.interp(pts, grid, _window_oscillation(table, half)) @ conv_wts
+                      for table in sol._fk(grid, _TABLE_ORDERS, _TABLE_S_NODES))
+    return {"hessian": hessian,
+            "third": third + np.abs(sol.derivative_scalars(w, 3))}, len(grid)
 
 
-def _ridge_majorant(sol: SteinSolution, delta: float, w_lo: float,
-                    w_hi: float) -> _RidgeMajorant:
-    """The solution's majorant tables for (delta, [w_lo, w_hi]), built once."""
-    key = (delta, w_lo, w_hi)
-    if key not in sol._majorants:
-        sol._majorants[key] = _RidgeMajorant(sol, delta, w_lo, w_hi)
-    return sol._majorants[key]
+def majorant_average_certificate(sol: SteinSolution, delta: float) -> dict:
+    """Check the Gaussian-average envelopes of both majorants, one report per
+    kind:
 
+    "hessian": integral of H dN(0, Lambda)
+                   <= 100 dim^{3/2} |Lambda^{-1}| |log eps| delta
+    "third":   integral of H' dN(0, Lambda)
+                   <= 100 dim^3 |Lambda^{-1/2}|^2 (|log eps| + |Lambda^{-1/2}| delta / eps)
 
-def _check_delta(delta: float) -> None:
-    """A majorant's smoothing scale must be positive and finite."""
+    The majorant table's `_TABLE_S_NODES` budget is first gated by node
+    doubling at the solution's probe points and at `_TABLE_GATE_W`;
+    QuadratureError names the order that has not settled.  Each report's
+    `table` gives the table's s budget, grid size and gate deltas.
+    """
     if not (np.isfinite(delta) and delta > 0):  # a NaN fails
         raise UsageError(f"delta must be positive and finite, got {delta!r}")
-
-
-def _majorant_order(kind: str) -> int:
-    if kind == "hessian":
-        return 2
-    if kind == "third":
-        return 3
-    raise UsageError(f"kind must be 'hessian' or 'third', got {kind!r}")
-
-
-def majorant_average_certificate(sol: SteinSolution, delta: float, kind: str) -> dict:
-    """Check the Gaussian-average envelope of the majorant.
-
-    integral of H dN(0, Lambda)  <= 100 dim^{3/2} |Lambda^{-1}| |log eps| delta
-    integral of H' dN(0, Lambda) <= 100 dim^3 |Lambda^{-1/2}|^2
-                                        (|log eps| + |Lambda^{-1/2}| delta / eps)
-
-    `table` reports the shared F_2/F_3 table's s budget, grid size and gate.
-    """
-    _check_delta(delta)
-    order = _majorant_order(kind)
+    gate = _node_doubling(
+        sol, "majorant table",
+        np.concatenate([sol._project(sol._probe_points()), _TABLE_GATE_W]),
+        _TABLE_ORDERS, _TABLE_S_NODES, _TABLE_VERIFY_TOL)
+    g, gw = hermite_1d(64)
+    majorants, points = _majorants(sol, delta, sol._sigma * g)
+    table = {"s_nodes": _TABLE_S_NODES, "points": points, "node_doubling_delta": gate}
     n = sol.lam.dim
     log_eps = abs(np.log(sol.eps))
-    if kind == "hessian":
-        bound = 100.0 * n ** 1.5 * sol.lam.inv_operator_norm() * log_eps * delta
-    else:
-        inv_sqrt = sol.lam.inv_sqrt_operator_norm()
-        bound = 100.0 * n ** 3 * inv_sqrt ** 2 * (log_eps + inv_sqrt * delta / sol.eps)
-    g, gw = hermite_1d(64)
-    w = sol._sigma * g
-    maj = _ridge_majorant(sol, delta, float(w.min()), float(w.max()))
-    value = float(gw @ maj.majorant(w, order))
-    table = {"s_nodes": _TABLE_S_NODES, "points": len(maj.grid),
-             "node_doubling_delta": dict(sol._table_deltas)}
-    ratio = value / bound
-    return {"kind": kind, "delta": delta, "value": value, "bound": bound,
-            "ratio": ratio, "passed": bool(ratio <= 1.0), "table": table}
+    inv_sqrt = sol.lam.inv_sqrt_operator_norm()
+    bounds = {"hessian": 100.0 * n ** 1.5 * sol.lam.inv_operator_norm() * log_eps * delta,
+              "third": 100.0 * n ** 3 * inv_sqrt ** 2 * (log_eps + inv_sqrt * delta / sol.eps)}
+    reports = {}
+    for kind, bound in bounds.items():
+        value = float(gw @ majorants[kind])
+        ratio = value / bound
+        reports[kind] = {"kind": kind, "delta": delta, "value": value, "bound": bound,
+                         "ratio": ratio, "passed": bool(ratio <= 1.0), "table": table}
+    return reports

@@ -86,13 +86,12 @@ def test_acceptance_2_stein_certification(tmp_path):
         for eps in (0.25, 0.5):
             for phi in soft_clip_family(n):
                 sol = SteinSolution(phi, lam, eps)
-                residual = max(stein_residual(sol, x) for x in grid)
+                residual = np.max([stein_residual(sol, x) for x in grid])  # NaN fails
                 assert residual <= 1e-3, (n, eps, phi.label, residual)
                 third = third_derivative_certificate(sol, probe)
                 assert third["n_points"] == 1000
                 assert third["passed"] and third["max_ratio"] <= 1.0
-                for kind in ("hessian", "third"):
-                    rep = majorant_average_certificate(sol, 0.1, kind)
+                for kind, rep in majorant_average_certificate(sol, 0.1).items():
                     assert rep["passed"] and rep["ratio"] <= 1.0, (n, eps, kind)
     # the shipped certification command reports the same verdicts
     out = tmp_path / "certify.csv"

@@ -20,6 +20,7 @@ from mlclt.cli import (CLT_COLUMNS, CsvWriter, ExperimentConfig, _default_ell,
                        parse_config_file, row_seed, run_cli_experiment)
 from mlclt.concentration import remainder_budget
 from mlclt.fields import make_preset, monte_carlo
+from mlclt.stein import stein_residual
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +534,23 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
         assert table["points"] > 1000
         assert set(table["node_doubling_delta"]) == {"2", "3"}
         assert all(0.0 <= d <= 1e-3 for d in table["node_doubling_delta"].values())
+
+
+def test_stein_certify_fails_a_row_on_a_nan_residual(tmp_path, monkeypatch):
+    # Python's max drops a NaN that is not its first argument:
+    # max(1e-9, nan, 2e-9) == 2e-9.  A NaN residual at the second grid point
+    # must fail its row, not pass the 1e-3 gate
+    def nan_at_second_point(sol, x):
+        return math.nan if x[0] == -1.5 else stein_residual(sol, x)
+
+    monkeypatch.setattr("mlclt.cli.stein_residual", nan_at_second_point)
+    out = tmp_path / "certify.csv"
+    assert main(["stein-certify", "--n-dim", "1", "--eps", "0.25", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["residual_max"] == "nan" and row["passed"] == "0", row
 
 
 def _python(code: str, *args: str, **env: str) -> str:

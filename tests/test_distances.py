@@ -467,6 +467,17 @@ def test_restricted_distance_below_w1_for_lipschitz_scaled_family():
     assert d <= 0.5 * w1 + 1e-9
 
 
+def test_restricted_distance_keeps_a_nan_gap():
+    # a cube maps +-1e120 to +-inf, whose mean is NaN; max(-inf, nan) and
+    # max(0.0, nan) drop it, so the sup must propagate it in either order
+    cubic = poly_fn((0.0, 0.0, 0.0, 1.0), 1.0, "x^3")
+    linear = poly_fn((0.0, 1.0), 1.0, "x")
+    s = np.array([1e120, -1e120])
+    for fam in ([cubic], [linear, cubic], [cubic, linear]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(restricted_distance(s, STD_1D, fam))
+
+
 def test_gaussian_mean_of_centered_odd_profile_is_zero():
     phi = poly_fn((0.0, 1.0, 0.0, -1.0 / 3.0), 1.0, "odd cubic")
     assert abs(gaussian_mean(phi, STD_1D)) < 1e-10

@@ -334,7 +334,7 @@ def test_oscillation_majorant_dominates_sampled_oscillation(soft_clip_sol):
     sol = soft_clip_sol
     delta = 0.1
     pts = np.linspace(-2.0, 2.0, 5)
-    maj = stein._ridge_majorant(sol, delta, pts.min(), pts.max()).majorant(pts, 2)
+    maj = stein._majorants(sol, delta, pts)[0]["hessian"]
     for p, m in zip(pts, maj):
         ws = np.linspace(p - delta, p + delta, 21)
         vals = sol.derivative_scalars(ws, 2)
@@ -355,8 +355,10 @@ def test_window_oscillation_matches_scipy_filters(m, half):
 
 
 def test_majorant_average_certificates_pass(soft_clip_sol):
-    for kind in ("hessian", "third"):
-        report = majorant_average_certificate(soft_clip_sol, 0.1, kind)
+    reports = majorant_average_certificate(soft_clip_sol, 0.1)
+    assert list(reports) == ["hessian", "third"]
+    for kind, report in reports.items():
+        assert report["kind"] == kind
         assert report["passed"], report
         assert report["ratio"] <= 1.0
 
@@ -369,18 +371,20 @@ def test_majorant_table_is_built_once_per_delta():
             evaluated.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
             return super().gaussian_expectations(a, b, orders)
 
+    # closed-form (s, w) pairs: at eps = 0.5 a budget of n s-nodes takes n
+    # of them per point.  Construction evaluates E[phi(Z)] and the solution
+    # gate alone, at the 3 probe points; one majorant call evaluates the
+    # table gate at 44 points, the one table, and |F_3| at the 64
+    # Gauss-Hermite nodes
     counted = Counted(knots=CUBIC.knots, coeffs=CUBIC.coeffs)
     sol = SteinSolution(FnSpec([1.0], counted, 1.0, "cubic"), STD_1D, 0.5)
-    hessian = majorant_average_certificate(sol, 0.1, "hessian")
-    assert hessian["table"]["s_nodes"] == 48 and len(sol._majorants) == 1
+    assert evaluated == [1, 3 * 128, 3 * 256]
     evaluated.clear()
-    third = majorant_average_certificate(sol, 0.1, "third")
-    spent = sum(evaluated)
-    # the second kind takes closed forms only for |F_3| at the 64 nodes
-    evaluated.clear()
-    sol.derivative_scalars(hermite_1d(64)[0], 3)
-    assert spent == sum(evaluated) > 0
-    assert third["table"] == hessian["table"] and len(sol._majorants) == 1
+    reports = majorant_average_certificate(sol, 0.1)
+    table = reports["hessian"]["table"]
+    assert table["s_nodes"] == 48 and table["points"] > 1000
+    assert reports["third"]["table"] == table
+    assert sum(evaluated) == 44 * (48 + 96) + table["points"] * 48 + 64 * 128
 
 
 def test_certificates_evaluate_the_closed_forms_in_small_slices():
@@ -388,7 +392,7 @@ def test_certificates_evaluate_the_closed_forms_in_small_slices():
     # majorant table and 12.2 MiB for the third-derivative certificate
     sol = SteinSolution(soft_clip_family(1)[0], STD_1D, 0.25)
     for name, call in (
-            ("table", lambda: majorant_average_certificate(sol, 0.1, "hessian")),
+            ("table", lambda: majorant_average_certificate(sol, 0.1)["hessian"]),
             ("third", lambda: third_derivative_certificate(
                 sol, np.linspace(-4.0, 4.0, 200)[:, None]))):
         tracemalloc.start()
@@ -458,15 +462,17 @@ def test_insufficient_budget_is_reported_not_silently_accepted(monkeypatch):
 
 def test_insufficient_majorant_table_budget_is_reported(monkeypatch):
     # the solution's own budget settles, but 4 table s-nodes do not: the
-    # table gate names the table
+    # solution builds, and the majorant call's table gate names the table
     members = soft_clip_family(1)
     with monkeypatch.context() as patch:
         patch.setattr(stein, "_TABLE_S_NODES", 4)
         for phi in members:
+            sol = SteinSolution(phi, STD_1D, 0.25)
             with pytest.raises(QuadratureError, match="majorant table"):
-                SteinSolution(phi, STD_1D, 0.25)
+                majorant_average_certificate(sol, 0.1)
     for phi in members:
-        deltas = SteinSolution(phi, STD_1D, 0.25)._table_deltas
+        reports = majorant_average_certificate(SteinSolution(phi, STD_1D, 0.25), 0.1)
+        deltas = reports["hessian"]["table"]["node_doubling_delta"]
         assert set(deltas) == {2, 3}
         assert all(d <= stein._TABLE_VERIFY_TOL for d in deltas.values())
 
@@ -478,21 +484,21 @@ def test_majorant_table_gate_sees_the_error_off_the_probe_points():
     phi = next(p for p in soft_clip_family(2)
                if p.label == "softclip[s=0.5,w=2.0,c=0.5,dir=2]")
     sol = SteinSolution(phi, SpdMatrix(0.25 * np.eye(2)), 0.05)
+    report = majorant_average_certificate(sol, 0.1)["hessian"]
     w = np.linspace(-4.0, 4.0, 41)
     table = sol._fk(w, stein._TABLE_ORDERS, stein._TABLE_S_NODES)
     converged = sol._fk(w, stein._TABLE_ORDERS, 1024)
     for order, got, want in zip(stein._TABLE_ORDERS, table, converged):
         error = float(np.max(np.abs(got - want)))
-        assert sol._table_deltas[order] >= 0.5 * error > 0.0, order
+        assert report["table"]["node_doubling_delta"][order] >= 0.5 * error > 0.0, order
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.1])
 def test_majorants_reject_a_delta_that_is_not_positive_and_finite(
         delta, soft_clip_sol, soft_clip_2d_sol):
     for sol in (soft_clip_sol, soft_clip_2d_sol):
-        for kind in ("hessian", "third"):
-            with pytest.raises(UsageError, match="delta"):
-                majorant_average_certificate(sol, delta, kind)
+        with pytest.raises(UsageError, match="delta"):
+            majorant_average_certificate(sol, delta)
 
 
 def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, soft_clip_2d_sol):
@@ -547,8 +553,9 @@ def test_a_nan_fails_every_gate(monkeypatch):
                                       **grid).passed
     monkeypatch.setattr(support, "_max_gradient", lambda phi, points: np.nan)
     assert not class_membership_check(half, STD_1D, **grid).passed
-    # Stein construction: a NaN node-doubling delta on either gated order
-    # of the solution, and on either order of the majorant table alone
+    # a NaN node-doubling delta on either gated order of the solution fails
+    # its construction; on either order of the majorant table alone, the
+    # solution builds and the majorant call fails
     fk = SteinSolution._fk
     table = (stein._TABLE_S_NODES, 2 * stein._TABLE_S_NODES)
     for nan_order, budgets, name in ((0, None, "Stein quadrature"),
@@ -563,7 +570,8 @@ def test_a_nan_fails_every_gate(monkeypatch):
                     for order, out in zip(orders, outs)]
         monkeypatch.setattr(SteinSolution, "_fk", nan_fk)
         with pytest.raises(QuadratureError, match=f"{name} \\(order {nan_order}\\)"):
-            SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5)
+            majorant_average_certificate(SteinSolution(soft_clip_family(1)[0], STD_1D, 0.5),
+                                         0.1)
 
 
 def test_every_public_stein_name_is_reached_from_the_cli():
