@@ -1,5 +1,6 @@
 """Shared utilities: the error types, scipy's special-function ufuncs, the
-1d Gauss-Hermite rule, and the Philox keys of every random stream.
+1d Gauss-Hermite rule, the sequential row sum of the Monte Carlo totals and
+the Stein quadrature, and the Philox keys of every random stream.
 
 The Gauss-Hermite rule, of at most 150 nodes, is scipy's `roots_hermitenorm`
 algorithm step for step (Golub-Welsch eigenvalues, one Newton step,
@@ -110,6 +111,20 @@ def hermite_1d(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    """out = rows[0] + rows[1] + ..., the rows of a (k, n) array added one
+    after the other.  numpy reduces the first axis in that order only while
+    its inner loop runs along the rows, as in a C-order array with n >= 2;
+    where the first axis is the contiguous one (an F-order array, a lone
+    column) it sums pairwise.  So another layout is copied into C-order,
+    and a lone column is accumulated.  The reduce starts from -0.0, which
+    adds to any x as x, so a column of -0.0 sums to -0.0 as in the loop."""
+    if rows.shape[1] > 1:
+        np.add.reduce(np.ascontiguousarray(rows), axis=0, out=out, initial=-0.0)
+    else:
+        out[:] = np.add.accumulate(rows[:, 0])[-1]
 
 
 # Philox key tags, the second key word of each consumer's stream: with one

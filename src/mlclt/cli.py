@@ -387,15 +387,16 @@ def _certify_units(config: ExperimentConfig):
 
 def _certify_unit(config: ExperimentConfig, unit):
     """Residual, third-derivative, and majorant-average certificates of one
-    soft-clip member at the configured eps; one majorant call gates and
-    builds the member's F_2/F_3 table and certifies both majorants from it.
-    A NaN residual at any grid point fails the row.  The record is its
+    soft-clip member at the configured eps; one residual call covers the
+    grid, and one majorant call gates and builds the member's F_2/F_3 table
+    and certifies both majorants from it.  A NaN residual at any grid point
+    fails the row.  The record is its
     quadrature: the s-rule, the solution's s budget and node-doubling deltas
     per gated order, and the s budget, grid size and deltas of its majorant
     table."""
     phi, lam, grid, probe = unit
     sol = SteinSolution(phi, lam, config.eps)
-    residual = float(np.max([stein_residual(sol, x) for x in grid]))
+    residual = float(np.max(stein_residual(sol, grid)))
     third = third_derivative_certificate(sol, probe)
     maj = majorant_average_certificate(sol, 0.1)
     maj2, maj3 = maj["hessian"], maj["third"]

@@ -377,18 +377,12 @@ def _abs_quantile_gap(x, grid, pdf, sigma: float) -> NDArray[np.float64]:
     x = np.asarray(x, dtype=float)
     a, b = grid[:-1], grid[1:]
     pa, pb = pdf[:-1], pdf[1:]
-    fx = ndtr(x / sigma)
-    px = _pdf_at_quantile(fx)
-    below = fx <= a          # quantile above x on the whole interval
-    above = fx >= b          # quantile below x on the whole interval
-    mid = ~(below | above)
-    out = np.empty_like(x)
-    out[below] = sigma * (pa[below] - pb[below]) - x[below] * (b[below] - a[below])
-    out[above] = x[above] * (b[above] - a[above]) - sigma * (pa[above] - pb[above])
-    # split at fx: x dominates on [a, fx], the quantile dominates on [fx, b]
-    out[mid] = (x[mid] * (fx[mid] - a[mid]) - sigma * (pa[mid] - px[mid])
-                + sigma * (px[mid] - pb[mid]) - x[mid] * (b[mid] - fx[mid]))
-    return out
+    # split at c = Phi(x / sigma) clipped to [a, b]: x dominates on [a, c],
+    # the quantile on [c, b].  A clipped c is a or b, so pc is pa or pb and
+    # the empty side's two terms are zeros
+    c = np.clip(ndtr(x / sigma), a, b)
+    pc = _pdf_at_quantile(c)
+    return x * (c - a) - sigma * (pa - pc) + sigma * (pc - pb) - x * (b - c)
 
 
 def w1_discrete_vs_gaussian(law: DiscreteLaw, sigma2: float) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 import numpy.random  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
 
-from ._util import _MC_STREAM_TAG, UsageError, log1p, ndtri, philox_key
+from ._util import _MC_STREAM_TAG, UsageError, _add_rows, log1p, ndtri, philox_key
 from .distances import DiscreteLaw, _samples
 from .multilevel import DependenceStructure
 
@@ -338,20 +338,6 @@ def _torus_sums(prefix: NDArray, L: int) -> NDArray:
     axes one C-order row after the other, by `_periodic_prefix` again."""
     rows = prefix[L].reshape(-1, prefix.shape[-1])
     return _periodic_prefix(rows, 0, peak=L)[-1]
-
-
-def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
-    """out = rows[0] + rows[1] + ..., the rows of a (k, n) array added one
-    after the other.  numpy reduces the first axis in that order only while
-    its inner loop runs along the rows, as in a C-order array with n >= 2;
-    where the first axis is the contiguous one (an F-order array, a lone
-    column) it sums pairwise.  So another layout is copied into C-order,
-    and a lone column is accumulated.  The reduce starts from -0.0, which
-    adds to any x as x, so a column of -0.0 sums to -0.0 as in the loop."""
-    if rows.shape[1] > 1:
-        np.add.reduce(np.ascontiguousarray(rows), axis=0, out=out, initial=-0.0)
-    else:
-        out[:] = np.add.accumulate(rows[:, 0])[-1]
 
 
 # doubles in the block of mapped box sums that `_SyntheticTotals` fills and

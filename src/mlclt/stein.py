@@ -46,16 +46,15 @@ moments, and each keeps the bits it has when requested alone: the
 solution's gate computes orders 0 and 2 together, the residual 1 and 2, and
 the majorant table and its gate 2 and 3.
 
-The (s, w) pairs of one call form a grid of s-nodes by points.  The sum
-over s runs in s-blocks of about `_EXACT_BLOCK` pairs, whole rows of the
-grid, each added by one BLAS product per order; the rows in an s-block fix
-the bits of that sum, so `_EXACT_BLOCK` is part of the reproducibility
-contract.  The closed forms themselves are evaluated in slices of about
-`_EXACT_SLICE` pairs, a few rows of an s-block (or part of one row, past
-`_EXACT_SLICE` points), into one value buffer per order that every s-block
-of the call reuses.  Each value depends on its own pair alone, so the
-slices leave the bits as they are; they keep the temporaries small enough
-to stay in cache and in the heap.
+The (s, w) pairs of one call form a grid of s-nodes by points.  Each
+point's F_k is its own sequential sum over the s-nodes, from -0.0, one row
+of the grid after the other, whatever the batch it is evaluated in and
+however many BLAS threads run: no BLAS call adds it.  The closed forms are
+evaluated in slices of about `_EXACT_SLICE` pairs, a few rows of the grid
+(or part of one row, past `_EXACT_SLICE` points), and `_add_rows` adds each
+slice's rows onto the running sums.  Each value depends on its own pair
+alone, so the slices leave the bits as they are; they keep the
+temporaries small enough to stay in cache and in the heap.
 """
 from __future__ import annotations
 
@@ -67,7 +66,7 @@ import numpy as np
 import numpy.polynomial  # numpy loads it on first use: load it here, not inside a run
 from numpy.typing import NDArray
 
-from ._util import QuadratureError, UsageError, hermite_1d
+from ._util import QuadratureError, UsageError, _add_rows, hermite_1d
 from .distances import TestFunction, gaussian_mean, mollify
 from .gaussians import SpdMatrix
 
@@ -108,17 +107,12 @@ _TABLE_GATE_W = np.linspace(-4.0, 4.0, 41)
 _TABLE_ORDERS = (2, 3)
 # The s-integral's rule, as each stein-certify manifest records it.
 _S_RULE = "gauss-legendre"
-# (s, w) pairs per s-block of the closed-form inner integral.  Each s-block
-# adds its share of the s-integral with one (sw * s^{k/2}) @ values product
-# per order, whose sum over the block's s-nodes BLAS takes in an order of
-# its own: the block's rows, set by this constant and the point count, fix
-# the bits of every F_k.
-_EXACT_BLOCK = 1 << 16
-# (s, w) pairs per evaluation slice of an s-block.  The closed forms take a
-# few dozen float64 temporaries per pair; at 2^12 pairs they stay in cache
-# and in the heap, where whole s-blocks of them went back to the OS and were
-# faulted in again (2^11 was slower, 2^13 still faulted).  Every value
-# depends on its own pair alone, so the slices leave every bit as it is.
+# (s, w) pairs per evaluation slice of the closed-form inner integral.  The
+# closed forms take a few dozen float64 temporaries per pair; at 2^12 pairs
+# they stay in cache and in the heap, where larger slices went back to the
+# OS and were faulted in again (2^11 was slower, 2^13 still faulted).  Every
+# value depends on its own pair alone and every F_k adds its s-nodes in
+# order, so the slices leave every bit as it is.
 _EXACT_SLICE = 1 << 12
 
 
@@ -251,31 +245,35 @@ class SteinSolution:
         Gaussian integration by parts, E[f(G) He_k(G)] = E[f^(k)(G)], turns
         the order-k inner integral at s into s^{k/2} E[h^(k)(sqrt(1-s) w +
         sqrt(s) sigma Z)], which the profile evaluates in closed form, slice
-        by slice into the value buffers, and each s-block is summed from
-        there.  The orders of one call share every set of truncated moments;
-        each result has the same bits as a call for its order alone.
+        by slice.  Rows 1.. of an order's buffer take the slice's
+        sw * s^{k/2} * value products and row 0 the running sums, which
+        `_add_rows` adds them onto.  The orders of one call share every set
+        of truncated moments; each result has the same bits as a call for its
+        order alone, and at each point as a call for that point alone.
         """
         w = np.asarray(w, dtype=float)
         flat = w.reshape(-1)
         m = flat.size
         s, sws = _s_panels(self.eps, s_nodes or _S_NODES, orders)
         a, b = np.sqrt(1.0 - s), np.sqrt(s) * self._sigma
-        block = max(1, _EXACT_BLOCK // max(1, m))
+        coefs = [sw * s ** (0.5 * k) for sw, k in zip(sws, orders)]
         rows, cols = max(1, _EXACT_SLICE // max(1, m)), max(1, min(m, _EXACT_SLICE))
-        outs = [np.zeros(m) for _ in orders]
-        vals = [np.empty((min(block, len(s)), m)) for _ in orders]
+        outs = [np.full(m, -0.0) for _ in orders]
+        bufs = [np.empty((min(rows, len(s)) + 1, m)) for _ in orders]
         profile = self.phi.profile
-        for start in range(0, len(s), block):
-            sb = s[start:start + block]
-            for r in range(0, len(sb), rows):
-                rs = slice(start + r, start + min(r + rows, len(sb)))
-                for c in range(0, m, cols):
-                    got = profile.gaussian_expectations(
-                        a[rs, None] * flat[None, c:c + cols], b[rs, None], orders)
-                    for val, k, g in zip(vals, orders, got):
-                        val[r:r + len(g), c:c + cols] = g - self._c_eps if k == 0 else g
-            for out, sw, k, val in zip(outs, sws, orders, vals):
-                out += (sw[start:start + len(sb)] * sb ** (0.5 * k)) @ val[:len(sb)]
+        for r in range(0, len(s), rows):
+            rs = slice(r, min(r + rows, len(s)))
+            n = rs.stop - r
+            for c in range(0, m, cols):
+                got = profile.gaussian_expectations(
+                    a[rs, None] * flat[None, c:c + cols], b[rs, None], orders)
+                for buf, coef, k, g in zip(bufs, coefs, orders, got):
+                    if k == 0:
+                        g -= self._c_eps
+                    np.multiply(coef[rs, None], g, out=buf[1:n + 1, c:c + cols])
+            for out, buf in zip(outs, bufs):
+                buf[0] = out
+                _add_rows(buf[:n + 1], out)
         return [out.reshape(w.shape) for out in outs]
 
     @property
@@ -289,14 +287,14 @@ class SteinSolution:
         ones = np.ones(self.lam.dim)
         return np.vstack([np.zeros(self.lam.dim), root @ ones, -2.0 * (root @ ones)])
 
-    def _points(self, x, single: bool = False) -> NDArray[np.float64]:
-        """x as an (m, dim) batch, a 1-d x being one point.  Any other shape,
-        or more than one point when `single`, raises UsageError."""
+    def _points(self, x) -> NDArray[np.float64]:
+        """x as an (m, dim) batch, a 1-d x being one point.  Any other shape
+        raises UsageError."""
         shape = np.shape(x)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != self.lam.dim or (single and len(x) != 1):
-            raise UsageError(f"expected {'a point' if single else 'points'} of "
-                             f"R^{self.lam.dim}, got an array of shape {shape}")
+        if x.ndim != 2 or x.shape[1] != self.lam.dim:
+            raise UsageError(f"expected points of R^{self.lam.dim}, "
+                             f"got an array of shape {shape}")
         return x
 
     def _project(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -312,15 +310,16 @@ class SteinSolution:
         return self._fk(w, (order,))[0]
 
 
-def stein_residual(sol: SteinSolution, x) -> float:
-    """|{-Lambda : D^2 f + x . grad f} - {phi_eps(x) - E phi_eps}| at a point."""
-    x = sol._points(x, single=True)[0]
-    rhs = float(sol._phi_eps(x[None, :])[0]) - sol._c_eps
-    w = float(x @ sol.phi.direction)
-    sigma2 = sol.phi.sigma2(sol.lam)
-    f1, f2 = (float(f) for f in sol._fk(w, (1, 2)))
-    lhs = -sigma2 * f2 + w * f1
-    return abs(lhs - rhs)
+def stein_residual(sol: SteinSolution, x) -> NDArray[np.float64]:
+    """|{-Lambda : D^2 f + x . grad f} - {phi_eps(x) - E phi_eps}| at points
+    x: one point of R^dim as a 1-d x, or an (m, dim) batch; the result has
+    shape (m,)."""
+    x = sol._points(x)
+    rhs = sol._phi_eps(x) - sol._c_eps
+    w = sol._project(x)
+    f1, f2 = sol._fk(w, (1, 2))
+    lhs = -sol.phi.sigma2(sol.lam) * f2 + w * f1
+    return np.abs(lhs - rhs)
 
 
 def third_derivative_certificate(sol: SteinSolution, points) -> dict:

@@ -16,9 +16,11 @@ closed form only the shared s-integral and rounding remain.
 check, and `mollified` evaluates E[phi(sqrt(1-eps^2) x - eps Z)] with it.
 `poly` builds the no-knot polynomial profiles.
 
-`one_shot_fk` is `SteinSolution._fk` as it was before the closed forms were
-evaluated in slices: each s-block of `_EXACT_BLOCK` pairs in one call of
-`gaussian_expectations`.  The sliced `_fk` must keep its bits.
+`one_shot_fk` is the reference for `SteinSolution._fk`'s bits: the closed
+forms of whole s-rows in one call of `gaussian_expectations` per
+`_ONE_SHOT_PAIRS` (s, w) pairs, then a Python loop that adds the s-nodes'
+rows one after the other from -0.0.  The sliced `_fk` must keep its bits,
+at every point whatever the batch.
 
 `simpson_panels` is the s-rule that `mlclt.stein` took before Gauss-Legendre:
 composite Simpson rules on the same two panels, with the same weights per
@@ -32,13 +34,16 @@ from scipy.special import roots_hermitenorm
 
 from mlclt._util import QuadratureError, UsageError, hermite_1d
 from mlclt.distances import PiecewisePolynomial
-from mlclt.stein import (_EXACT_BLOCK, _S_NODES, _T_TAIL, _s_panels, _weight,
-                         _weight_times_one_minus_s)
+from mlclt.stein import _S_NODES, _T_TAIL, _s_panels, _weight, _weight_times_one_minus_s
 
 # node-doubling tolerance of gaussian_expectation, relative to max(1, |value|)
 _EXPECTATION_RTOL = 1e-6
 # default Gauss-Hermite nodes per axis of GaussHermiteStein
 _AXIS_NODES = {1: 64, 2: 48, 3: 16}
+# (s, w) pairs per closed-form call of one_shot_fk: the closed forms hold
+# about 230 bytes a pair at their peak, so one call for 2048 s-nodes by 4099
+# points would take about 1.9 GiB, and 2^16 pairs take 15 MiB
+_ONE_SHOT_PAIRS = 1 << 16
 
 
 @lru_cache(maxsize=32)
@@ -151,23 +156,26 @@ def simpson_panels(eps: float, n_total: int, orders):
 
 def one_shot_fk(sol, w, orders, s_nodes=None, panels=_s_panels):
     """F_k of the Stein solution `sol` at scalar points w, one array per
-    order in `orders`, each s-block's closed forms taken in one call, on
-    the s-rule `panels` (the package's own by default)."""
+    order in `orders`, on the s-rule `panels` (the package's own by
+    default): the closed forms of whole s-rows in calls of at most
+    `_ONE_SHOT_PAIRS` pairs, then each point's sum over the s-nodes in
+    order, from -0.0."""
     w = np.asarray(w, dtype=float)
     flat = w.reshape(-1)
     s, sws = panels(sol.eps, s_nodes or _S_NODES, orders)
-    outs = [np.zeros(flat.shape) for _ in orders]
-    block = max(1, _EXACT_BLOCK // max(1, flat.size))
-    for start in range(0, len(s), block):
-        sl = slice(start, start + block)
-        sb = s[sl]
+    rows = max(1, _ONE_SHOT_PAIRS // max(1, flat.size))
+    coefs = [sw * s ** (0.5 * k) for sw, k in zip(sws, orders)]
+    outs = [np.full(flat.shape, -0.0) for _ in orders]
+    for r in range(0, len(s), rows):
+        sl = slice(r, r + rows)
         vals = sol.phi.profile.gaussian_expectations(
-            np.sqrt(1.0 - sb)[:, None] * flat[None, :],
-            (np.sqrt(sb) * sol._sigma)[:, None], orders)
-        for out, sw, k, val in zip(outs, sws, orders, vals):
+            np.sqrt(1.0 - s[sl])[:, None] * flat[None, :],
+            (np.sqrt(s[sl]) * sol._sigma)[:, None], orders)
+        for out, coef, k, val in zip(outs, coefs, orders, vals):
             if k == 0:
                 val = val - sol._c_eps
-            out += (sw[sl] * sb ** (0.5 * k)) @ val
+            for c, row in zip(coef[sl], val):
+                out += c * row
     return [out.reshape(w.shape) for out in outs]
 
 

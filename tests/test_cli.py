@@ -538,10 +538,13 @@ def test_stein_certify_manifest_records_quadrature(certify_run):
 
 def test_stein_certify_fails_a_row_on_a_nan_residual(tmp_path, monkeypatch):
     # Python's max drops a NaN that is not its first argument:
-    # max(1e-9, nan, 2e-9) == 2e-9.  A NaN residual at the second grid point
-    # must fail its row, not pass the 1e-3 gate
+    # max(1e-9, nan, 2e-9) == 2e-9.  A NaN residual at the batch's second
+    # grid point must fail its row, not pass the 1e-3 gate
     def nan_at_second_point(sol, x):
-        return math.nan if x[0] == -1.5 else stein_residual(sol, x)
+        residuals = stein_residual(sol, x)
+        assert x[1, 0] == -1.5
+        residuals[1] = math.nan
+        return residuals
 
     monkeypatch.setattr("mlclt.cli.stein_residual", nan_at_second_point)
     out = tmp_path / "certify.csv"

@@ -23,9 +23,9 @@ from support import (WORKLOADS, LevelIndex, build_index_set, exact_family, index
 
 from mlclt import UsageError
 from mlclt._util import (_FLOOR_COUNTER, _MC_STREAM_TAG, _SLICED_W1_TAG,
-                         _STEIN_PROBE_TAG, counter_rng, philox_key)
+                         _STEIN_PROBE_TAG, _add_rows, counter_rng, philox_key)
 from mlclt.concentration import moderate_grouping, moderate_tail_table, stretched_norm
-from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticTotals, _add_rows,
+from mlclt.fields import (_DISTS, _MAPS, SyntheticSpec, _SyntheticTotals,
                           _apply_map, _box_sums, _draw, _periodic_prefix, _windows,
                           brute_force_law, make_preset, monte_carlo, PRESET_NAMES)
 from mlclt.multilevel import DependenceStructure, periodic_distance

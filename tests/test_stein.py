@@ -138,7 +138,7 @@ def test_soft_clip_residual_at_smallest_eps():
     # as a Hermite mean of phi_eps left a 2.4e-6 residual at eps = 0.05
     sol = SteinSolution(soft_clip_family(1)[2], STD_1D, 0.05)
     grid = np.linspace(-2.0, 2.0, 9)[:, None]
-    assert max(stein_residual(sol, x) for x in grid) <= 6e-7
+    assert np.max(stein_residual(sol, grid)) <= 6e-7
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def solution_1d(profile, sigma2: float, eps: float) -> SteinSolution:
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
     # a no-knot quadratic: order 3 vanishes on its one piece.  At 1717
-    # points and 256 s-nodes the s-integral runs in 7 blocks of 38
+    # points the closed forms run in slices of two s-rows
     sol = solution_1d(poly(0.5, -1.0, 0.25), 1.3, 0.25)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
     together = sol._fk(w, (0, 1, 2, 3), 256)
@@ -219,7 +219,7 @@ def test_ridge_engine_orders_together_keep_each_orders_bits(n_points):
 
 @pytest.mark.parametrize("n_points", [1, 1717])
 def test_exact_ridge_engine_orders_together_keep_each_orders_bits(n_points):
-    # at 1717 points one block of the closed form holds 38 s-nodes
+    # at 1717 points one slice of the closed forms holds two s-rows
     sol = solution_1d(softclip_profile(0.5, 2.0, 0.5), 1.3, 0.25)
     w = np.linspace(-6.0, 6.0, n_points) if n_points > 1 else np.array([0.7])
     together = sol._fk(w, (0, 1, 2, 3))
@@ -258,8 +258,9 @@ def _oracle_solution(profile_index: int, eps: float) -> SteinSolution:
 @pytest.mark.parametrize("width,budget,eps,profile,orders", _oracle_cases())
 def test_sliced_closed_forms_keep_the_bits_of_one_shot_blocks(width, budget, eps, profile,
                                                               orders):
-    # the slices change where the closed forms are evaluated, not what the
-    # s-blocks sum: every F_k keeps the bits of each s-block taken at once
+    # the slices change where the closed forms are evaluated, not what is
+    # summed: every F_k keeps the bits of its s-nodes' closed forms taken in
+    # whole rows and added in order from -0.0
     sol = _oracle_solution(profile, eps)
     w = np.linspace(-6.0, 6.0, width) if width > 1 else np.array([0.7])
     got = sol._fk(w, orders, budget)
@@ -267,6 +268,22 @@ def test_sliced_closed_forms_keep_the_bits_of_one_shot_blocks(width, budget, eps
     assert len(got) == len(orders)
     for order, a, b in zip(orders, got, expect):
         assert np.array_equal(a, b), (profile, order)
+
+
+@pytest.mark.parametrize("eps", _ORACLE_EPS)
+def test_fk_at_a_point_has_the_bits_it_has_alone(eps):
+    # a point's F_k is its own sum over the s-nodes, whatever else the call
+    # holds: alone, one slice holds every s-row; among 1717 points, two.
+    # Summed by one BLAS product per s-block, the batch's width set the
+    # order of that sum
+    sol = _oracle_solution(_ORACLE_EPS.index(eps), eps)
+    w = 6.0 * np.random.default_rng(17).uniform(-1.0, 1.0, 1717)
+    for budget in (48, 96, 128, 256):
+        batch = sol._fk(w, (0, 1, 2, 3), budget)
+        for i in range(0, len(w), 47):
+            alone = sol._fk(w[i:i + 1], (0, 1, 2, 3), budget)
+            for order, (a, b) in enumerate(zip(batch, alone)):
+                assert a[i:i + 1].tobytes() == b.tobytes(), (budget, i, order)
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 2.5])
@@ -511,8 +528,6 @@ def test_entry_points_reject_points_of_another_dimension(soft_clip_sol, soft_cli
         for call in calls:
             with pytest.raises(UsageError, match=f"R\\^{sol.lam.dim}"):
                 call()
-        with pytest.raises(UsageError, match="a point"):
-            stein_residual(sol, np.zeros((2, sol.lam.dim)))
 
 
 # ---------------------------------------------------------------------------
