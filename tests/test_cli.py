@@ -456,19 +456,20 @@ def test_clt_rate_csv_does_not_depend_on_blas_threads(tmp_path):
 # sha256 of `stein-certify --n-dim 1 --eps 0.25 --seed 0`: a refactoring of
 # the Stein quadrature must keep these bytes.  Taken with the closed-form
 # inner integral of the soft-clip profiles, the residual's constant
-# E[phi_eps(Z)] taken as the closed-form E[phi(Z)], and the Gauss-Legendre
-# s-rule on 128 s-nodes per solution and 48 per majorant table.
-_CERTIFY_SEED0_SHA256 = ("147480186879e6d76fe5093438fb33db"
-                         "397c53bca8c7ffc4232a72923faa165a")
+# E[phi_eps(Z)] taken as the closed-form E[phi(Z)], the Gauss-Legendre
+# s-rule on 128 s-nodes per solution and 48 per majorant table, and each
+# point's s-nodes added in order from -0.0.
+_CERTIFY_SEED0_SHA256 = ("e3c91a34f98e62ef2b9cd7290361d76c"
+                         "d811a5f6a35a6b7244c776f1ed1dbcb7")
 # the dim-2 and dim-3 members reach mollify along the ridge's unit direction,
 # and eps = 0.05 is the smallest eps a solution admits
 _CERTIFY_SHA256 = {
     "--n-dim 2 --eps 0.5 --seed 0":
-        "ea3b5e0c9e767b7cb0d34e28ea0dbc744867c1d0759b3f72d135ef4d8faa54c4",
+        "5880201b34858b422c1263f12e683b0340a7af6ad0869cd2ac6ccdb81e89b57f",
     "--n-dim 3 --eps 0.5 --seed 1":
-        "8a7a32fe3c1d557e7040082a5c5d32fbd8869231db6b7eb74dc1be11eb53311c",
+        "5a78694e015b087bfd784fd5a8f762e1d2e2fb58065de934806ed019158ac82c",
     "--n-dim 1 --eps 0.05 --seed 0":
-        "82730e0fc10f80de746f60ed2a1373ba22d83f65d72fc1a6e0cd49615410e936",
+        "ac9db89715f5ae4812eb5786e4e61fd20441713f6203d290006fbc827cdf6f7f",
 }
 
 
@@ -478,8 +479,8 @@ _CERTIFY_SHA256 = {
                  _CERTIFY_SHA256["--n-dim 2 --eps 0.5 --seed 0"],
                  id="--n-dim 2 --eps 0.5 --seed 0")])
 def test_stein_certify_csv_does_not_depend_on_blas_threads(args, expect, tmp_path):
-    # each s-block of the Stein quadrature is one BLAS dgemv per order; its
-    # sums over s must not move with the thread count
+    # the Stein quadrature adds each point's s-nodes in order, with no BLAS
+    # product, so its sums over s must not move with the thread count
     digests = _digests_under_blas_threads(tmp_path, ["stein-certify", *args.split()])
     assert digests == [expect, expect]
 
