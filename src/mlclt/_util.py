@@ -121,7 +121,7 @@ def _add_rows(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
     column) it sums pairwise.  So another layout is copied into C-order,
     and a lone column is accumulated.  The reduce starts from -0.0, which
     adds to any x as x, so a column of -0.0 sums to -0.0 as in the loop."""
-    if rows.shape[1] > 1:
+    if rows.shape[1] != 1:
         np.add.reduce(np.ascontiguousarray(rows), axis=0, out=out, initial=-0.0)
     else:
         out[:] = np.add.accumulate(rows[:, 0])[-1]

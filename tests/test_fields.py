@@ -977,9 +977,9 @@ def test_exact_totals_agree_across_chunks_and_groups(run):
 def test_add_rows_adds_rows_in_order_for_any_layout():
     # numpy sums the first axis of an F-order array pairwise, column by
     # column; _add_rows must add the rows one after the other whatever the
-    # layout, and keep the sign of a column of zeros
+    # layout, keep the sign of a column of zeros and take rows of no column
     rng = np.random.default_rng(12)
-    for k, n in ((1000, 5), (1000, 1), (3, 4), (1, 6)):
+    for k, n in ((1000, 5), (1000, 1), (3, 4), (1, 6), (3, 0)):
         rows = rng.normal(size=(k, n)) * np.exp(rng.normal(scale=8.0, size=(k, n)))
         if n > 1:
             rows[:, 0] = -0.0

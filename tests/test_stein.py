@@ -273,9 +273,9 @@ def test_sliced_closed_forms_keep_the_bits_of_one_shot_blocks(width, budget, eps
 @pytest.mark.parametrize("eps", _ORACLE_EPS)
 def test_fk_at_a_point_has_the_bits_it_has_alone(eps):
     # a point's F_k is its own sum over the s-nodes, whatever else the call
-    # holds: alone, one slice holds every s-row; among 1717 points, two.
-    # Summed by one BLAS product per s-block, the batch's width set the
-    # order of that sum
+    # holds: alone, one slice holds every s-row; among 1717 points, two.  A
+    # BLAS product over the s-nodes would add them in an order that the
+    # batch's width sets
     sol = _oracle_solution(_ORACLE_EPS.index(eps), eps)
     w = 6.0 * np.random.default_rng(17).uniform(-1.0, 1.0, 1717)
     for budget in (48, 96, 128, 256):
